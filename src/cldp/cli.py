@@ -435,25 +435,15 @@ def _run_train(cfg: ExperimentConfig) -> int:
     result = ftrain.train(train_cfg, clients)
 
     trace_path = base + ".csv"
-    fh, writer = _open_csv(
+    ftrain.write_trace_csv(
         trace_path,
-        cfg,
-        "t rounds; clients ;-joined ids; exact_bits payload bits; loss mean loss "
-        "(post-step); grad_norm l2; epsilon_so_far central epsilon",
-        list(ftrain.TRACE_COLUMNS),
+        result.traces,
+        comments=(
+            f"config_sha256={cfg.sha256()}",
+            "units: t rounds; clients ;-joined ids; exact_bits payload bits; loss mean loss "
+            "(post-step); grad_norm l2; epsilon_so_far central epsilon",
+        ),
     )
-    with fh:
-        for tr in result.traces:
-            writer.writerow(
-                [
-                    tr.t,
-                    ";".join(str(c) for c in tr.client_ids),
-                    tr.exact_bits,
-                    _fmt(tr.loss_after),
-                    _fmt(tr.grad_norm),
-                    _fmt(tr.epsilon_so_far),
-                ]
-            )
     model_path = base + ".json"
     X, Y = fdata.stack_points(clients)
     task = ftrain.get_task(prm["task"])

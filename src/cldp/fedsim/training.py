@@ -330,9 +330,14 @@ def train(cfg: TrainConfig, data: list[ClientDataset]) -> TrainResult:
 TRACE_COLUMNS = ("t", "clients", "exact_bits", "loss", "grad_norm", "epsilon_so_far")
 
 
-def write_trace_csv(path, traces) -> None:
-    """One row per round; ``clients`` is ;-joined ids, ``loss`` the post-step loss."""
+def write_trace_csv(path, traces, comments=()) -> None:
+    """One row per round; ``clients`` is ;-joined ids, ``loss`` the post-step loss.
+
+    Each line of ``comments`` is written first, as a ``# `` line.
+    """
     with open(path, "w", newline="") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for tr in traces:
@@ -341,8 +346,8 @@ def write_trace_csv(path, traces) -> None:
                     tr.t,
                     ";".join(str(c) for c in tr.client_ids),
                     tr.exact_bits,
-                    repr(tr.loss_after),
-                    repr(tr.grad_norm),
-                    repr(tr.epsilon_so_far),
+                    repr(float(tr.loss_after)),
+                    repr(float(tr.grad_norm)),
+                    repr(float(tr.epsilon_so_far)),
                 ]
             )

@@ -87,7 +87,7 @@ def _fwht_rows_inplace(mat: np.ndarray) -> np.ndarray:
     rows, d = mat.shape
     h = 1
     while h < d:
-        w = mat.reshape(rows, -1, 2, h)
+        w = mat.reshape(rows, d // (2 * h), 2, h)
         top = w[:, :, 0, :] + w[:, :, 1, :]
         bot = w[:, :, 0, :] - w[:, :, 1, :]
         w[:, :, 0, :] = top

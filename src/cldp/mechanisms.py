@@ -17,32 +17,48 @@ Throughout, ``ratio`` is (e^{eps0}+1)/(e^{eps0}-1) and ``kappa`` its inverse;
 flip probabilities of the form 1/2 + (scaled coordinate)*kappa/2 give exactly
 an e^{eps0} likelihood ratio between any two in-ball inputs.
 
-Every encoder takes an explicit seedable random stream (anything accepted by
+Each family has one encoder and one decoder, both on arrays. The encoder takes
+an (n, d) row matrix and one generator and returns one message per row as a
+struct of arrays: ``(j, sign)`` for l1 and linf; ``(coords, signs, zero)`` for
+l2, with (n, d) coordinates and signs and a per-row flag for the reserved zero
+message; ``(arm, atoms, sparse)`` for the mix, where ``arm`` marks the rows
+that ran the l1 arm and the two sub-batches hold each arm's messages in row
+order. A batch draws from the generator in this order: for l1 and linf, n
+indices, then n sign uniforms; for l2, n direction uniforms, n side uniforms,
+an (n, d) Gaussian, n sign-flip uniforms and an (n, d) uniform matrix for the
+coordinates; for the mix, n arm uniforms, the l1 sub-batch, the l2 sub-batch.
+With n = 1 this is the draw sequence of a single encode.
+
+The decoder sums a batch from signed counts: ``bincount`` and one unnormalized
+fast Walsh-Hadamard transform for l1, ``bincount`` for linf and l2. The
+shuffler leaves the server only the multiset of messages, and the counts
+depend on nothing else, so the sum is exact and independent of message order;
+counting per row instead of per batch gives the individual decodes.
+
+The per-message functions (``r1_encode``, ``priv``, ``quan``,
+``encode_message``, ``r1_decode``, ``decode_message``, ...) and the batch ones
+(``mean_estimate``, ``sample_decoded``, ``mean_estimate_trials``) are views of
+these two, and every input passes the one check in ``_require_rows``. The
+message dataclasses exist only at this boundary and on the wire. Every encoder
+takes an explicit seedable random stream (anything accepted by
 ``numpy.random.default_rng``); identical streams reproduce identical messages.
-The ``*_atom_probabilities`` helpers expose the closed-form output
-distributions of the two enumerable families so tests can check unbiasedness,
-variance, and the LDP ratio without sampling. The ``*_sample_decoded`` /
-``mean_estimate_trials`` helpers are vectorized samplers, distributionally
-identical to the scalar encode/decode path, for Monte-Carlo work at scale.
+The ``*_atom_probabilities`` helpers give the closed-form output distributions
+of the two index families from the plus-probability function the encoder
+samples, so tests can check unbiasedness, variance, and the LDP ratio without
+sampling.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from functools import partial
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
 from .errors import OutOfBallError, ValidationError
-from .linalg import (
-    BallSpec,
-    EXACT_TOL,
-    as_vector,
-    fwht_normalized,
-    fwht_normalized_rows,
-    p_norm,
-)
+from .linalg import BallSpec, EXACT_TOL, _fwht_rows_inplace
 
 # ---------------------------------------------------------------------------
 # Messages and specs
@@ -152,7 +168,7 @@ def mechanism_family(spec: MechanismSpec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Shared scalar helpers
+# Shared helpers
 # ---------------------------------------------------------------------------
 
 
@@ -182,38 +198,37 @@ def hadamard_column(n: int, j: int) -> np.ndarray:
         raise ValidationError(f"Hadamard size must be a power of two, got {n}")
     if not 0 <= j < n:
         raise ValidationError(f"column index {j} out of range for size {n}")
-    return _hadamard_columns(n, np.asarray([j]))[0]
+    basis = np.zeros((1, n))
+    basis[0, j] = 1.0
+    return _fwht_rows_inplace(basis)[0]
 
 
-def _hadamard_columns(n: int, js: np.ndarray) -> np.ndarray:
-    """Rows of +-1: entry [t, i] = (-1)^popcount(i & js[t])."""
-    v = np.arange(n, dtype=np.int64)[None, :] & np.asarray(js, dtype=np.int64)[:, None]
-    v ^= v >> 32
-    v ^= v >> 16
-    v ^= v >> 8
-    v ^= v >> 4
-    v ^= v >> 2
-    v ^= v >> 1
-    return 1.0 - 2.0 * (v & 1).astype(np.float64)
+def _require_rows(x, ball: BallSpec, ndim: int) -> np.ndarray:
+    """The input check of every entry point, returning an (n, d) float matrix.
 
-
-def _rng(stream) -> np.random.Generator:
-    return np.random.default_rng(stream)
-
-
-def _require_in_ball(x, spec: MechanismSpec) -> np.ndarray:
-    v = as_vector(x)
-    if v.size != spec.ball.dim:
+    x must be one vector (ndim=1) or a row matrix (ndim=2) with ball.dim
+    columns, finite, and with every row inside the ball.
+    """
+    rows = np.asarray(x, dtype=np.float64)
+    if rows.ndim != ndim or rows.size < 1:
+        kind = "a 1-D vector" if ndim == 1 else "a 2-D (rows x dim) array"
+        raise ValidationError(f"expected {kind} with at least one entry, got shape {rows.shape}")
+    rows = rows.reshape(-1, rows.shape[-1])
+    if rows.shape[1] != ball.dim:
         raise ValidationError(
-            f"input dimension {v.size} does not match ball dimension {spec.ball.dim}"
+            f"input dimension {rows.shape[1]} does not match ball dimension {ball.dim}"
         )
-    nrm = p_norm(v, spec.ball.p)
-    if nrm > spec.ball.radius * (1.0 + EXACT_TOL):
+    absx = np.abs(rows)
+    norms = absx.max(axis=1) if math.isinf(ball.p) else (absx**ball.p).sum(axis=1) ** (1.0 / ball.p)
+    nrm = float(norms.max())
+    if not nrm <= ball.radius * (1.0 + EXACT_TOL):  # NaN fails too
+        if not np.isfinite(rows).all():
+            raise ValidationError("input entries must be finite (no NaN/Inf)")
         raise OutOfBallError(
-            f"input l{spec.ball.p:g} norm {nrm:.6g} exceeds ball radius "
-            f"{spec.ball.radius:.6g}; clip before encoding"
+            f"input l{ball.p:g} norm {nrm:.6g} exceeds ball radius "
+            f"{ball.radius:.6g}; clip before encoding"
         )
-    return v
+    return rows
 
 
 def _check_family(spec: MechanismSpec, p_required: float, name: str) -> None:
@@ -221,61 +236,116 @@ def _check_family(spec: MechanismSpec, p_required: float, name: str) -> None:
         raise ValidationError(f"{name} requires a ball with p={p_required:g}, got p={spec.ball.p:g}")
 
 
-def _pad(v: np.ndarray, dp: int) -> np.ndarray:
-    if v.size == dp:
-        return v
-    out = np.zeros(dp)
-    out[: v.size] = v
-    return out
-
-
 # ---------------------------------------------------------------------------
-# l1 family (Hadamard rotation + single signed index)
+# Index families (l1, linf): one (index, sign) atom per row
 # ---------------------------------------------------------------------------
 
 
-def _r1_plus_probs(v: np.ndarray, spec: MechanismSpec) -> np.ndarray:
-    """Pr[sign=+1 | index=j] for every j, at the padded dimension."""
-    dp = padded_dim(spec.ball.dim)
-    y = fwht_normalized(_pad(v, dp))
+def _r1_plus(rows: np.ndarray, spec: MechanismSpec) -> np.ndarray:
+    """Pr[sign=+1 | index=j] for every row and every j < padded dimension."""
+    n, d = rows.shape
+    dp = padded_dim(d)
+    y = np.zeros((n, dp))
+    y[:, :d] = rows
+    y = _fwht_rows_inplace(y) / math.sqrt(dp)
     # Each rotated coordinate satisfies |sqrt(dp)*y_j| <= a, so the flip
     # probabilities stay inside [ (1-kappa)/2, (1+kappa)/2 ].
     return 0.5 + (math.sqrt(dp) / (2.0 * spec.ball.radius)) * _kappa(spec.epsilon0) * y
 
 
+def _rinf_plus(rows: np.ndarray, spec: MechanismSpec) -> np.ndarray:
+    """Pr[sign=+1 | index=j] for every row and every coordinate j."""
+    return 0.5 + rows * (_kappa(spec.epsilon0) / (2.0 * spec.ball.radius))
+
+
+def _draw_atoms(plus: np.ndarray, gen: np.random.Generator):
+    """One atom per row of plus-probabilities: n indices, then n sign uniforms."""
+    n, dim = plus.shape
+    j = gen.integers(dim, size=n)
+    sign = np.where(gen.random(n) < plus[np.arange(n), j], 1, -1)
+    return j, sign
+
+
+def _atom_counts(atoms, groups: np.ndarray, n_groups: int, dim: int) -> np.ndarray:
+    """Net signed count of every index within each group: (n_groups, dim)."""
+    j, sign = atoms
+    net = np.bincount(groups * dim + j, weights=sign, minlength=n_groups * dim)
+    return net.reshape(n_groups, dim)
+
+
+def _r1_sums(atoms, spec: MechanismSpec, groups, n_groups: int) -> np.ndarray:
+    """Per group, the sum of sign * a * ratio * (Hadamard column j)[:d]."""
+    d = spec.ball.dim
+    net = _fwht_rows_inplace(_atom_counts(atoms, groups, n_groups, padded_dim(d)))
+    return (spec.ball.radius * privacy_ratio(spec.epsilon0)) * net[:, :d]
+
+
+def _rinf_sums(atoms, spec: MechanismSpec, groups, n_groups: int) -> np.ndarray:
+    """Per group, the sum of sign * a * d * ratio * e_j."""
+    d = spec.ball.dim
+    scale = spec.ball.radius * d * privacy_ratio(spec.epsilon0)
+    return scale * _atom_counts(atoms, groups, n_groups, d)
+
+
+def _atoms_of(msgs, dim: int):
+    """The (j, sign) arrays of index-sign messages with indices below dim."""
+    for msg in msgs:
+        if msg.j >= dim:
+            raise ValidationError(f"index {msg.j} out of range for dimension {dim}")
+    return (
+        np.array([msg.j for msg in msgs], dtype=np.intp),
+        np.array([msg.sign for msg in msgs], dtype=np.intp),
+    )
+
+
+def _index_sign(atoms) -> IndexSign:
+    j, sign = atoms
+    return IndexSign(j=int(j[0]), sign=int(sign[0]))
+
+
+def _atom_probabilities(plus: np.ndarray) -> dict[tuple[int, int], float]:
+    dim = plus.size
+    probs: dict[tuple[int, int], float] = {}
+    for j in range(dim):
+        probs[(j, 1)] = plus[j] / dim
+        probs[(j, -1)] = (1.0 - plus[j]) / dim
+    return probs
+
+
 def r1_encode(x, spec: MechanismSpec, rng) -> IndexSign:
     """Encode an l1-ball vector as one signed Hadamard coordinate."""
     _check_family(spec, 1.0, "the l1 mechanism")
-    v = _require_in_ball(x, spec)
-    gen = _rng(rng)
-    plus = _r1_plus_probs(v, spec)
-    j = int(gen.integers(plus.size))
-    sign = 1 if gen.random() < plus[j] else -1
-    return IndexSign(j=j, sign=sign)
+    return _encode_one("l1", x, spec, rng)
 
 
 def r1_decode(msg: IndexSign, spec: MechanismSpec) -> np.ndarray:
     """sign * a * ratio * (Hadamard column j), truncated to the original d."""
     _check_family(spec, 1.0, "the l1 mechanism")
-    dp = padded_dim(spec.ball.dim)
-    if not 0 <= msg.j < dp:
-        raise ValidationError(f"index {msg.j} out of range for working dimension {dp}")
-    col = hadamard_column(dp, msg.j)
-    scale = msg.sign * spec.ball.radius * privacy_ratio(spec.epsilon0)
-    return scale * col[: spec.ball.dim]
+    return _decoded_sum("l1", [msg], spec)
 
 
 def r1_atom_probabilities(x, spec: MechanismSpec) -> dict[tuple[int, int], float]:
     """Closed-form output distribution over all 2*dp atoms (j, sign)."""
     _check_family(spec, 1.0, "the l1 mechanism")
-    v = _require_in_ball(x, spec)
-    plus = _r1_plus_probs(v, spec)
-    dp = plus.size
-    probs: dict[tuple[int, int], float] = {}
-    for j in range(dp):
-        probs[(j, 1)] = plus[j] / dp
-        probs[(j, -1)] = (1.0 - plus[j]) / dp
-    return probs
+    return _atom_probabilities(_r1_plus(_require_rows(x, spec.ball, 1), spec)[0])
+
+
+def rinf_encode(x, spec: MechanismSpec, rng) -> IndexSign:
+    """Encode an linf-ball vector as one signed coordinate sample."""
+    _check_family(spec, math.inf, "the linf mechanism")
+    return _encode_one("linf", x, spec, rng)
+
+
+def rinf_decode(msg: IndexSign, spec: MechanismSpec) -> np.ndarray:
+    """sign * a * d * ratio * e_j (norm a*d*ratio for every message)."""
+    _check_family(spec, math.inf, "the linf mechanism")
+    return _decoded_sum("linf", [msg], spec)
+
+
+def rinf_atom_probabilities(x, spec: MechanismSpec) -> dict[tuple[int, int], float]:
+    """Closed-form output distribution over all 2d atoms (j, sign)."""
+    _check_family(spec, math.inf, "the linf mechanism")
+    return _atom_probabilities(_rinf_plus(_require_rows(x, spec.ball, 1), spec)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +368,104 @@ def hemisphere_radius(d: int, a: float, eps0: float) -> float:
     return a * math.sqrt(math.pi) * gr * privacy_ratio(eps0)
 
 
+def _priv_rows(rows: np.ndarray, spec: MechanismSpec, gen: np.random.Generator) -> np.ndarray:
+    """One point on the sphere of radius M per row (see ``priv``)."""
+    n, d = rows.shape
+    a = spec.ball.radius
+    nrm = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    flip = np.where(gen.random(n) < 0.5 + nrm / (2.0 * a), 1.0, -1.0)
+    same_side = gen.random(n) < math.exp(spec.epsilon0) / (math.exp(spec.epsilon0) + 1.0)
+    y = gen.standard_normal((n, d))
+    # The side of y around the kept direction flip*x. A zero row takes flip*e1
+    # instead, a fair +-flip of a fixed axis: the two hemispheres then mix to
+    # the uniform sphere, whose mean is 0 = x.
+    side = np.where(nrm > 0.0, np.einsum("ij,ij->i", y, rows), y[:, 0]) * flip > 0.0
+    radius = hemisphere_radius(d, a, spec.epsilon0)
+    radius = np.where(side == same_side, radius, -radius)
+    y *= (radius / np.sqrt(np.einsum("ij,ij->i", y, y)))[:, None]
+    return y
+
+
+def _searchsorted_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """searchsorted(cdf[i], u[i], side='right') for every row i, in one call.
+
+    Every entry is keyed by the complex number (row + 1j*value). NumPy orders
+    complex numbers by real part, then imaginary part, so the keys of all rows
+    form one sorted array, and within a row the comparisons are exactly those
+    of the values: an offset added to the values themselves would round them.
+    """
+    n, d = cdf.shape
+    if n == 1:  # a single row needs no keys
+        return np.searchsorted(cdf[0], u[0], side="right")[None]
+    row = np.arange(n)[:, None]
+    keys, queries = 1j * cdf, 1j * u
+    keys += row
+    queries += row
+    found = np.searchsorted(keys.ravel(), queries.ravel(), side="right").reshape(u.shape)
+    found -= row * d
+    return found
+
+
+def _quan_rows(rows: np.ndarray, radius: float, gen: np.random.Generator):
+    """d signed coordinate samples per nonzero row of l2 norm <= radius (see ``quan``)."""
+    n, d = rows.shape
+    l1 = np.abs(rows).sum(axis=1)
+    flip = np.where(gen.random(n) < 0.5 + l1 / (2.0 * radius * math.sqrt(d)), 1.0, -1.0)
+    xt = rows / (l1 * flip)[:, None]
+    # Inverse-CDF sampling exactly as Generator.choice(d, p=w) does it:
+    # normalize w, then divide its cumulative sum by the last entry.
+    cdf = np.abs(xt)
+    cdf /= cdf.sum(axis=1)[:, None]
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf /= cdf[:, -1:]
+    coords = _searchsorted_rows(cdf, gen.random((n, d)))
+    signs = np.where(xt[np.arange(n)[:, None], coords] > 0.0, 1, -1)
+    return coords, signs, np.zeros(n, dtype=bool)
+
+
+def _draw_l2(rows: np.ndarray, spec: MechanismSpec, gen: np.random.Generator):
+    radius = hemisphere_radius(spec.ball.dim, spec.ball.radius, spec.epsilon0)
+    return _quan_rows(_priv_rows(rows, spec, gen), radius, gen)
+
+
+def _sparse_sums(sparse, radius: float, d: int, groups, n_groups: int) -> np.ndarray:
+    """Per group, the sum of (radius*sqrt(d)/m) * sum_k sign_k e_{coord_k} over
+    the nonzero messages of m samples each; zero messages add nothing."""
+    coords, signs, zero = sparse
+    weights = np.where(zero[:, None], 0, signs).ravel()
+    net = np.bincount((groups[:, None] * d + coords).ravel(), weights=weights, minlength=n_groups * d)
+    return net.reshape(n_groups, d) * (radius * math.sqrt(d) / coords.shape[1])
+
+
+def _r2_sums(sparse, spec: MechanismSpec, groups, n_groups: int) -> np.ndarray:
+    d = spec.ball.dim
+    radius = hemisphere_radius(d, spec.ball.radius, spec.epsilon0)
+    return _sparse_sums(sparse, radius, d, groups, n_groups)
+
+
+def _sparse_of(msgs, d: int, samples: int):
+    """The (coords, signs, zero) arrays of sparse messages of `samples` pairs
+    (zero messages may have any length) with coordinates below d."""
+    pairs = []
+    for msg in msgs:
+        if msg.is_zero:
+            pairs.append(((0, 1),) * samples)
+            continue
+        if len(msg.pairs) != samples:
+            raise ValidationError(f"expected {samples} coordinate samples, got {len(msg.pairs)}")
+        top = max(c for c, _ in msg.pairs)
+        if top >= d:
+            raise ValidationError(f"coordinate {top} out of range for dimension {d}")
+        pairs.append(msg.pairs)
+    arr = np.array(pairs, dtype=np.intp).reshape(len(pairs), samples, 2)
+    return arr[:, :, 0], arr[:, :, 1], np.array([msg.is_zero for msg in msgs], dtype=bool)
+
+
+def _sparse_signed(sparse) -> SparseSigned:
+    coords, signs, _ = sparse
+    return SparseSigned(pairs=tuple(zip(coords[0].tolist(), signs[0].tolist())))
+
+
 def priv(x, spec: MechanismSpec, rng) -> np.ndarray:
     """Unbiased projection of an l2-ball vector onto the sphere of radius M.
 
@@ -307,31 +475,7 @@ def priv(x, spec: MechanismSpec, rng) -> np.ndarray:
     complementary one. Output norm is exactly M.
     """
     _check_family(spec, 2.0, "the l2 mechanism")
-    v = _require_in_ball(x, spec)
-    gen = _rng(rng)
-    d, a = spec.ball.dim, spec.ball.radius
-    radius = hemisphere_radius(d, a, spec.epsilon0)
-
-    nrm = float(np.linalg.norm(v))
-    u_dir = gen.random()
-    if nrm == 0.0:
-        # A fair +-flip of a fixed axis: the two hemispheres then mix to the
-        # uniform sphere, whose mean is 0 = x.
-        direction = np.zeros(d)
-        direction[0] = 1.0 if u_dir < 0.5 else -1.0
-    else:
-        direction = v / nrm if u_dir < 0.5 + nrm / (2.0 * a) else -v / nrm
-
-    same_side = gen.random() < math.exp(spec.epsilon0) / (math.exp(spec.epsilon0) + 1.0)
-    g = gen.standard_normal(d)
-    gn = float(np.linalg.norm(g))
-    while gn == 0.0:  # pragma: no cover - probability zero
-        g = gen.standard_normal(d)
-        gn = float(np.linalg.norm(g))
-    y = (radius / gn) * g
-    if (float(np.dot(y, direction)) > 0.0) != same_side:
-        y = -y
-    return y
+    return _priv_rows(_require_rows(x, spec.ball, 1), spec, np.random.default_rng(rng))[0]
 
 
 def quan(x, radius: float, rng) -> SparseSigned:
@@ -341,99 +485,29 @@ def quan(x, radius: float, rng) -> SparseSigned:
     1/2 +- ||x||_1/(2*radius*sqrt(d)) (which sum to one and make the decoded
     message unbiased for x), then d coordinates are drawn i.i.d. from the
     distribution |x_tilde| and transmitted with the matching signs. A zero
-    input yields the reserved zero message.
+    input yields the reserved zero message and draws nothing.
     """
-    v = as_vector(x)
-    if not radius > 0.0:
-        raise ValidationError(f"quantizer radius must be positive, got {radius!r}")
-    d = v.size
-    if float(np.linalg.norm(v)) > radius * (1.0 + EXACT_TOL):
-        raise OutOfBallError("quantizer input exceeds its l2 radius")
-    gen = _rng(rng)
-    l1 = float(np.sum(np.abs(v)))
-    if l1 == 0.0:
-        return SparseSigned(pairs=tuple((0, 1) for _ in range(d)), is_zero=True)
-    keep = gen.random() < 0.5 + l1 / (2.0 * radius * math.sqrt(d))
-    xt = v / l1 if keep else -v / l1
-    weights = np.abs(xt)
-    weights = weights / weights.sum()
-    coords = gen.choice(d, size=d, replace=True, p=weights)
-    signs = np.where(xt[coords] > 0.0, 1, -1)
-    return SparseSigned(pairs=tuple((int(c), int(s)) for c, s in zip(coords, signs)))
+    rows = _require_rows(x, BallSpec(2.0, radius, int(np.size(x))), 1)
+    if not rows.any():
+        return SparseSigned(pairs=((0, 1),) * rows.shape[1], is_zero=True)
+    return _sparse_signed(_quan_rows(rows, radius, np.random.default_rng(rng)))
 
 
 def quan_decode(msg: SparseSigned, radius: float, d: int) -> np.ndarray:
-    """(radius*sqrt(d)/d) * sum_j sign_j e_{coord_j}; zero message -> 0."""
-    if msg.is_zero:
-        return np.zeros(d)
-    z = np.zeros(d)
-    for c, s in msg.pairs:
-        if c >= d:
-            raise ValidationError(f"coordinate {c} out of range for dimension {d}")
-        z[c] += s
-    return z * (radius * math.sqrt(d) / len(msg.pairs))
+    """(radius*sqrt(d)/m) * sum_j sign_j e_{coord_j} for m pairs; zero message -> 0."""
+    sparse = _sparse_of([msg], d, len(msg.pairs))
+    return _sparse_sums(sparse, radius, d, np.zeros(1, dtype=np.intp), 1)[0]
 
 
 def r2_encode(x, spec: MechanismSpec, rng) -> SparseSigned:
     """Sphere projection followed by the sparse quantizer at radius M."""
     _check_family(spec, 2.0, "the l2 mechanism")
-    v = _require_in_ball(x, spec)
-    gen = _rng(rng)
-    radius = hemisphere_radius(spec.ball.dim, spec.ball.radius, spec.epsilon0)
-    return quan(priv(v, spec, gen), radius, gen)
+    return _encode_one("l2", x, spec, rng)
 
 
 def r2_decode(msg: SparseSigned, spec: MechanismSpec) -> np.ndarray:
     _check_family(spec, 2.0, "the l2 mechanism")
-    d = spec.ball.dim
-    if not msg.is_zero and len(msg.pairs) != d:
-        raise ValidationError(f"expected {d} coordinate samples, got {len(msg.pairs)}")
-    radius = hemisphere_radius(d, spec.ball.radius, spec.epsilon0)
-    return quan_decode(msg, radius, d)
-
-
-# ---------------------------------------------------------------------------
-# linf family (single signed coordinate, no rotation)
-# ---------------------------------------------------------------------------
-
-
-def _rinf_plus_probs(v: np.ndarray, spec: MechanismSpec) -> np.ndarray:
-    return 0.5 + v * (_kappa(spec.epsilon0) / (2.0 * spec.ball.radius))
-
-
-def rinf_encode(x, spec: MechanismSpec, rng) -> IndexSign:
-    """Encode an linf-ball vector as one signed coordinate sample."""
-    _check_family(spec, math.inf, "the linf mechanism")
-    v = _require_in_ball(x, spec)
-    gen = _rng(rng)
-    plus = _rinf_plus_probs(v, spec)
-    j = int(gen.integers(v.size))
-    sign = 1 if gen.random() < plus[j] else -1
-    return IndexSign(j=j, sign=sign)
-
-
-def rinf_decode(msg: IndexSign, spec: MechanismSpec) -> np.ndarray:
-    """sign * a * d * ratio * e_j (norm a*d*ratio for every message)."""
-    _check_family(spec, math.inf, "the linf mechanism")
-    d = spec.ball.dim
-    if not 0 <= msg.j < d:
-        raise ValidationError(f"index {msg.j} out of range for dimension {d}")
-    out = np.zeros(d)
-    out[msg.j] = msg.sign * spec.ball.radius * d * privacy_ratio(spec.epsilon0)
-    return out
-
-
-def rinf_atom_probabilities(x, spec: MechanismSpec) -> dict[tuple[int, int], float]:
-    """Closed-form output distribution over all 2d atoms (j, sign)."""
-    _check_family(spec, math.inf, "the linf mechanism")
-    v = _require_in_ball(x, spec)
-    plus = _rinf_plus_probs(v, spec)
-    d = v.size
-    probs: dict[tuple[int, int], float] = {}
-    for j in range(d):
-        probs[(j, 1)] = plus[j] / d
-        probs[(j, -1)] = (1.0 - plus[j]) / d
-    return probs
+    return _decoded_sum("l2", [msg], spec)
 
 
 # ---------------------------------------------------------------------------
@@ -459,38 +533,103 @@ def rp_arm_specs(spec: MechanismSpec) -> tuple[MechanismSpec, MechanismSpec]:
     )
 
 
+def _draw_mix(rows: np.ndarray, spec: MechanismSpec, gen: np.random.Generator):
+    arm_l1, arm_l2 = rp_arm_specs(spec)
+    arm = gen.random(len(rows)) < spec.mix_prob
+    return arm, _draw_atoms(_r1_plus(rows[arm], arm_l1), gen), _draw_l2(rows[~arm], arm_l2, gen)
+
+
+def _mix_sums(batch, spec: MechanismSpec, groups, n_groups: int) -> np.ndarray:
+    arm, atoms, sparse = batch
+    arm_l1, arm_l2 = rp_arm_specs(spec)
+    l1_sums = _r1_sums(atoms, arm_l1, groups[arm], n_groups)
+    return l1_sums + _r2_sums(sparse, arm_l2, groups[~arm], n_groups)
+
+
+def _mix_of(msgs, spec: MechanismSpec):
+    d = spec.ball.dim
+    return (
+        np.array([msg.arm == "L1" for msg in msgs], dtype=bool),
+        _atoms_of([msg.inner for msg in msgs if msg.arm == "L1"], padded_dim(d)),
+        _sparse_of([msg.inner for msg in msgs if msg.arm == "L2"], d, d),
+    )
+
+
+def _mix_tagged(batch) -> MixTagged:
+    arm, atoms, sparse = batch
+    if arm[0]:
+        return MixTagged("L1", _index_sign(atoms))
+    return MixTagged("L2", _sparse_signed(sparse))
+
+
 def rp_encode(x, spec: MechanismSpec, rng) -> MixTagged:
     """Run the l1 arm with probability mix_prob, otherwise the l2 arm."""
-    v = _require_in_ball(x, spec)
-    gen = _rng(rng)
-    arm_l1, arm_l2 = rp_arm_specs(spec)
-    if gen.random() < spec.mix_prob:
-        return MixTagged("L1", r1_encode(v, arm_l1, gen))
-    return MixTagged("L2", r2_encode(v, arm_l2, gen))
+    return _encode_one("mix", x, spec, rng)
 
 
 def rp_decode(msg: MixTagged, spec: MechanismSpec) -> np.ndarray:
-    arm_l1, arm_l2 = rp_arm_specs(spec)
-    if msg.arm == "L1":
-        return r1_decode(msg.inner, arm_l1)
-    return r2_decode(msg.inner, arm_l2)
+    return _decoded_sum("mix", [msg], spec)
 
 
 # ---------------------------------------------------------------------------
-# Dispatch and the averaging decoder
+# The family table, and the entry points that are views of it
 # ---------------------------------------------------------------------------
+
+
+class _Family(NamedTuple):
+    kind: type  # the message dataclass
+    # (rows, spec) -> draw(gen) -> batch of one message per row; row-only work
+    # such as the Hadamard rotation is done once, before any draw
+    sampler: Callable
+    sums: Callable  # (batch, spec, groups, n_groups) -> (n_groups, d) decoded sums
+    gather: Callable  # (messages, spec) -> batch, checked as the decoder needs
+    wrap: Callable  # batch of one row -> its message
+
+
+_FAMILIES = {
+    "l1": _Family(
+        IndexSign,
+        lambda rows, spec: partial(_draw_atoms, _r1_plus(rows, spec)),
+        _r1_sums,
+        lambda msgs, spec: _atoms_of(msgs, padded_dim(spec.ball.dim)),
+        _index_sign,
+    ),
+    "linf": _Family(
+        IndexSign,
+        lambda rows, spec: partial(_draw_atoms, _rinf_plus(rows, spec)),
+        _rinf_sums,
+        lambda msgs, spec: _atoms_of(msgs, spec.ball.dim),
+        _index_sign,
+    ),
+    "l2": _Family(
+        SparseSigned,
+        lambda rows, spec: partial(_draw_l2, rows, spec),
+        _r2_sums,
+        lambda msgs, spec: _sparse_of(msgs, spec.ball.dim, spec.ball.dim),
+        _sparse_signed,
+    ),
+    "mix": _Family(
+        MixTagged, lambda rows, spec: partial(_draw_mix, rows, spec), _mix_sums, _mix_of, _mix_tagged
+    ),
+}
+
+
+def _encode_one(family: str, x, spec: MechanismSpec, rng) -> MechanismMessage:
+    fam = _FAMILIES[family]
+    return fam.wrap(fam.sampler(_require_rows(x, spec.ball, 1), spec)(np.random.default_rng(rng)))
+
+
+def _decoded_sum(family: str, msgs: list, spec: MechanismSpec) -> np.ndarray:
+    fam = _FAMILIES[family]
+    for msg in msgs:
+        if not isinstance(msg, fam.kind):
+            raise ValidationError(f"the {family} decoder got {type(msg).__name__}")
+    return fam.sums(fam.gather(msgs, spec), spec, np.zeros(len(msgs), dtype=np.intp), 1)[0]
 
 
 def encode_message(x, spec: MechanismSpec, rng) -> MechanismMessage:
     """Encode with the family the spec addresses (see mechanism_family)."""
-    family = mechanism_family(spec)
-    if family == "mix":
-        return rp_encode(x, spec, rng)
-    if family == "l1":
-        return r1_encode(x, spec, rng)
-    if family == "l2":
-        return r2_encode(x, spec, rng)
-    return rinf_encode(x, spec, rng)
+    return _encode_one(mechanism_family(spec), x, spec, rng)
 
 
 def decode_message(msg: MechanismMessage, spec: MechanismSpec) -> np.ndarray:
@@ -502,197 +641,46 @@ def decode_message(msg: MechanismMessage, spec: MechanismSpec) -> np.ndarray:
                 f"raw message carries {v.size} values for dimension {spec.ball.dim}"
             )
         return v
-    family = mechanism_family(spec)
-    if family == "mix":
-        if not isinstance(msg, MixTagged):
-            raise ValidationError(f"the mix decoder got {type(msg).__name__}")
-        return rp_decode(msg, spec)
-    if family == "l1":
-        if not isinstance(msg, IndexSign):
-            raise ValidationError(f"the l1 decoder got {type(msg).__name__}")
-        return r1_decode(msg, spec)
-    if family == "l2":
-        if not isinstance(msg, SparseSigned):
-            raise ValidationError(f"the l2 decoder got {type(msg).__name__}")
-        return r2_decode(msg, spec)
-    if not isinstance(msg, IndexSign):
-        raise ValidationError(f"the linf decoder got {type(msg).__name__}")
-    return rinf_decode(msg, spec)
+    return _decoded_sum(mechanism_family(spec), [msg], spec)
 
 
 def mean_estimate(messages, spec: MechanismSpec) -> np.ndarray:
-    """(1/n) * sum of decoded messages — the server-side mean estimator."""
+    """(1/n) * sum of decoded messages — the server-side mean estimator.
+
+    Coded messages are summed from signed counts, so the estimate depends on
+    their multiset alone, bit for bit, and not on their order.
+    """
     msgs = list(messages)
     if not msgs:
         raise ValidationError("mean estimation needs at least one message")
-    acc = np.zeros(spec.ball.dim)
-    for msg in msgs:
-        acc += decode_message(msg, spec)
-    return acc / len(msgs)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized samplers (distributionally identical to the scalar paths)
-# ---------------------------------------------------------------------------
-
-_CHUNK = 1 << 16
-
-
-def _r1_rows_decoded(rows: np.ndarray, spec: MechanismSpec, gen: np.random.Generator) -> np.ndarray:
-    """One decoded l1-family message per input row."""
-    n, d = rows.shape
-    a, dp = spec.ball.radius, padded_dim(d)
-    pad = np.zeros((n, dp))
-    pad[:, :d] = rows
-    y = fwht_normalized_rows(pad)
-    plus = 0.5 + (math.sqrt(dp) / (2.0 * a)) * _kappa(spec.epsilon0) * y
-    out = np.empty((n, d))
-    scale = a * privacy_ratio(spec.epsilon0)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        js = gen.integers(dp, size=hi - lo)
-        signs = np.where(gen.random(hi - lo) < plus[np.arange(lo, hi), js], 1.0, -1.0)
-        cols = _hadamard_columns(dp, js)[:, :d]
-        out[lo:hi] = (scale * signs)[:, None] * cols
-    return out
-
-
-def _rinf_rows_decoded(rows: np.ndarray, spec: MechanismSpec, gen: np.random.Generator) -> np.ndarray:
-    n, d = rows.shape
-    a = spec.ball.radius
-    plus = 0.5 + rows * (_kappa(spec.epsilon0) / (2.0 * a))
-    js = gen.integers(d, size=n)
-    signs = np.where(gen.random(n) < plus[np.arange(n), js], 1.0, -1.0)
-    out = np.zeros((n, d))
-    out[np.arange(n), js] = signs * (a * d * privacy_ratio(spec.epsilon0))
-    return out
-
-
-def _priv_rows(rows: np.ndarray, spec: MechanismSpec, gen: np.random.Generator) -> np.ndarray:
-    """One sphere point per input row (the vectorized hemisphere projection)."""
-    n, d = rows.shape
-    a = spec.ball.radius
-    radius = hemisphere_radius(d, a, spec.epsilon0)
-    nrm = np.linalg.norm(rows, axis=1)
-    u_dir = gen.random(n)
-    keep = u_dir < 0.5 + nrm / (2.0 * a)
-    safe = np.where(nrm == 0.0, 1.0, nrm)
-    dirs = rows / safe[:, None]
-    dirs[nrm == 0.0] = 0.0
-    dirs[nrm == 0.0, 0] = 1.0
-    dirs[~keep] *= -1.0
-    same_side = gen.random(n) < math.exp(spec.epsilon0) / (math.exp(spec.epsilon0) + 1.0)
-    g = gen.standard_normal((n, d))
-    g *= radius / np.linalg.norm(g, axis=1)[:, None]
-    side = np.einsum("ij,ij->i", g, dirs) > 0.0
-    g[side != same_side] *= -1.0
-    return g
-
-
-def _quan_rows_decoded(rows: np.ndarray, radius: float, gen: np.random.Generator) -> np.ndarray:
-    """One decoded quantizer message per input row (rows assumed nonzero)."""
-    n, d = rows.shape
-    l1 = np.sum(np.abs(rows), axis=1)
-    keep = gen.random(n) < 0.5 + l1 / (2.0 * radius * math.sqrt(d))
-    xt = rows / l1[:, None]
-    xt[~keep] *= -1.0
-    weights = np.abs(xt)
-    cum = np.cumsum(weights, axis=1)
-    cum /= cum[:, -1][:, None]
-    # Row-wise inverse-CDF sampling of d i.i.d. coordinates per row.
-    u = gen.random((n, d))
-    coords = np.minimum((u[:, :, None] >= cum[:, None, :]).sum(axis=2), d - 1)
-    signs = np.where(np.take_along_axis(xt, coords, axis=1) > 0.0, 1.0, -1.0)
-    dec = np.zeros((n, d))
-    np.add.at(dec, (np.repeat(np.arange(n), d), coords.ravel()), signs.ravel())
-    return dec * (radius * math.sqrt(d) / d)
-
-
-def _r2_rows_decoded(rows: np.ndarray, spec: MechanismSpec, gen: np.random.Generator) -> np.ndarray:
-    n, d = rows.shape
-    radius = hemisphere_radius(d, spec.ball.radius, spec.epsilon0)
-    out = np.empty((n, d))
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        sphere = _priv_rows(np.array(rows[lo:hi]), spec, gen)
-        out[lo:hi] = _quan_rows_decoded(sphere, radius, gen)
-    return out
-
-
-def _mix_rows_decoded(rows: np.ndarray, spec: MechanismSpec, gen: np.random.Generator) -> np.ndarray:
-    arm_l1, arm_l2 = rp_arm_specs(spec)
-    n = rows.shape[0]
-    take_l1 = gen.random(n) < spec.mix_prob
-    out = np.empty_like(rows)
-    if take_l1.any():
-        out[take_l1] = _r1_rows_decoded(rows[take_l1], arm_l1, gen)
-    if (~take_l1).any():
-        out[~take_l1] = _r2_rows_decoded(rows[~take_l1], arm_l2, gen)
-    return out
-
-
-_ROW_SAMPLERS = {
-    "l1": _r1_rows_decoded,
-    "l2": _r2_rows_decoded,
-    "linf": _rinf_rows_decoded,
-    "mix": _mix_rows_decoded,
-}
+    raw = [decode_message(msg, spec) for msg in msgs if isinstance(msg, RawVector)]
+    coded = [msg for msg in msgs if not isinstance(msg, RawVector)]
+    total = np.sum(raw, axis=0)
+    if coded:
+        total = total + _decoded_sum(mechanism_family(spec), coded, spec)
+    return total / len(msgs)
 
 
 def sample_decoded(x, spec: MechanismSpec, rng, n_samples: int) -> np.ndarray:
     """n_samples independent decoded messages for one input, as rows."""
-    v = _require_in_ball(x, spec)
+    v = _require_rows(x, spec.ball, 1)
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    rows = np.broadcast_to(v, (n_samples, v.size))
-    return _ROW_SAMPLERS[mechanism_family(spec)](rows, spec, _rng(rng))
+    fam = _FAMILIES[mechanism_family(spec)]
+    draw = fam.sampler(np.broadcast_to(v, (n_samples, v.shape[1])), spec)
+    return fam.sums(draw(np.random.default_rng(rng)), spec, np.arange(n_samples), n_samples)
 
 
 def mean_estimate_trials(dataset, spec: MechanismSpec, rng, trials: int) -> np.ndarray:
     """Repeated mean estimation over a fixed dataset, one estimate per row.
 
-    Distributionally identical to encoding every dataset row once per trial
-    and averaging the decodes; the l1/linf paths aggregate through signed
-    index counts so a trial costs one transform instead of n decodes.
+    Each trial encodes every dataset row once and averages the decodes; the
+    rows pass the same ball check as a single encode.
     """
-    rows = np.asarray(dataset, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ValidationError(f"dataset must be 2-D (clients x dim), got shape {rows.shape}")
-    n, d = rows.shape
-    if d != spec.ball.dim:
-        raise ValidationError(f"dataset dimension {d} does not match ball dimension {spec.ball.dim}")
+    rows = _require_rows(dataset, spec.ball, 2)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    gen = _rng(rng)
-    family = mechanism_family(spec)
-    a, ratio = spec.ball.radius, privacy_ratio(spec.epsilon0)
-    out = np.empty((trials, d))
-
-    if family == "l1":
-        dp = padded_dim(d)
-        pad = np.zeros((n, dp))
-        pad[:, :d] = rows
-        plus = 0.5 + (math.sqrt(dp) / (2.0 * a)) * _kappa(spec.epsilon0) * fwht_normalized_rows(pad)
-        idx = np.arange(n)
-        for t in range(trials):
-            js = gen.integers(dp, size=n)
-            signs = np.where(gen.random(n) < plus[idx, js], 1.0, -1.0)
-            net = np.bincount(js, weights=signs, minlength=dp)
-            # sum of decodes = a*ratio * H @ net = a*ratio*sqrt(dp) * fwht(net)
-            out[t] = (a * ratio * math.sqrt(dp)) * fwht_normalized(net)[:d] / n
-        return out
-
-    if family == "linf":
-        plus = 0.5 + rows * (_kappa(spec.epsilon0) / (2.0 * a))
-        idx = np.arange(n)
-        for t in range(trials):
-            js = gen.integers(d, size=n)
-            signs = np.where(gen.random(n) < plus[idx, js], 1.0, -1.0)
-            net = np.bincount(js, weights=signs, minlength=d)
-            out[t] = (a * d * ratio) * net / n
-        return out
-
-    sampler = _ROW_SAMPLERS[family]
-    for t in range(trials):
-        out[t] = sampler(rows, spec, gen).mean(axis=0)
-    return out
+    fam = _FAMILIES[mechanism_family(spec)]
+    draw, gen = fam.sampler(rows, spec), np.random.default_rng(rng)
+    groups = np.zeros(len(rows), dtype=np.intp)
+    return np.vstack([fam.sums(draw(gen), spec, groups, 1) for _ in range(trials)]) / len(rows)

@@ -1,6 +1,7 @@
 """Mechanism correctness: unbiasedness, privacy ratios, variance, boundedness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,25 @@ def enumerated_mean(probs, decode):
         vec = prob * decode(IndexSign(j=j, sign=sign))
         total = vec if total is None else total + vec
     return total
+
+
+def reference_decode(msg, spec):
+    """Straight-line decode of one message, written from the formulas."""
+    d, a, ratio = spec.ball.dim, spec.ball.radius, privacy_ratio(spec.epsilon0)
+    if isinstance(msg, MixTagged):
+        arm_l1, arm_l2 = rp_arm_specs(spec)
+        return reference_decode(msg.inner, arm_l1 if msg.arm == "L1" else arm_l2)
+    out = np.zeros(d)
+    if isinstance(msg, SparseSigned):
+        if not msg.is_zero:
+            scale = hemisphere_radius(d, a, spec.epsilon0) * math.sqrt(d) / len(msg.pairs)
+            for c, s in msg.pairs:
+                out[c] += s * scale
+        return out
+    if spec.ball.p == 1.0:
+        return msg.sign * a * ratio * hadamard_column(padded_dim(d), msg.j)[:d]
+    out[msg.j] = msg.sign * a * d * ratio
+    return out
 
 
 class TestPrivacyRatio:
@@ -240,6 +260,23 @@ class TestQuan:
     def test_out_of_radius_rejected(self):
         with pytest.raises(OutOfBallError):
             quan([2.0], 1.0, 0)
+
+    def test_draws_match_generator_choice(self):
+        # the batched inverse CDF picks what Generator.choice(d, p=w) picks,
+        # zero-weight coordinates included
+        for seed in range(300):
+            gen = np.random.default_rng(seed)
+            d = int(gen.integers(1, 40))
+            x = gen.standard_normal(d) * (gen.random(d) < 0.7)
+            if not x.any():
+                continue
+            x *= 0.9 / np.linalg.norm(x)
+            ref = np.random.default_rng(seed + 1000)
+            l1 = np.abs(x).sum()
+            xt = x / l1 if ref.random() < 0.5 + l1 / (2.0 * math.sqrt(d)) else -x / l1
+            w = np.abs(xt) / np.abs(xt).sum()
+            want = tuple((int(c), 1 if xt[c] > 0 else -1) for c in ref.choice(d, size=d, p=w))
+            assert quan(x, 1.0, seed + 1000).pairs == want
 
 
 class TestR2:
@@ -415,6 +452,29 @@ class TestMeanEstimate:
         with pytest.raises(ValidationError):
             mean_estimate([], l1_spec(2))
 
+    @pytest.mark.parametrize("family", ["l1", "l2", "linf", "mix"])
+    def test_counts_decoder_matches_reference(self, family, rng):
+        specs = {
+            "l1": l1_spec(3, a=1.3, eps0=0.7),  # padded dimension 4
+            "l2": l2_spec(5, a=0.8, eps0=1.1),
+            "linf": linf_spec(4, a=1.5, eps0=0.6),
+            "mix": MechanismSpec(BallSpec(p=3.0, radius=1.0, dim=5), epsilon0=0.9, mix_prob=0.5),
+        }
+        spec = specs[family]
+        d = spec.ball.dim
+        msgs = [
+            encode_message(random_in_ball(rng, d, spec.ball.p, spec.ball.radius), spec, rng)
+            for _ in range(60)
+        ]
+        zero = SparseSigned(pairs=((0, 1),) * d, is_zero=True)
+        if family == "l2":
+            msgs.append(zero)
+        if family == "mix":
+            msgs.append(MixTagged("L2", zero))
+            assert {m.arm for m in msgs} == {"L1", "L2"}
+        want = sum(reference_decode(m, spec) for m in msgs) / len(msgs)
+        np.testing.assert_allclose(mean_estimate(msgs, spec), want, rtol=1e-12, atol=1e-12)
+
     def test_raw_vector_roundtrip(self):
         spec = l1_spec(3)
         v = RawVector(values=(0.1, 0.2, 0.3))
@@ -454,6 +514,32 @@ class TestVectorizedSamplers:
         mse_fast = np.mean(np.sum((trials - data.mean(axis=0)) ** 2, axis=1))
         mse_slow = np.mean(np.sum((direct - data.mean(axis=0)) ** 2, axis=1))
         assert mse_fast == pytest.approx(mse_slow, rel=0.25)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_trials_reject_out_of_ball_and_non_finite_rows(self, p):
+        spec = MechanismSpec(BallSpec(p=p, radius=1.0, dim=3), epsilon0=1.0)
+        with pytest.raises(OutOfBallError):
+            mean_estimate_trials(np.full((4, 3), 5.0), spec, 0, 2)
+        bad = np.zeros((4, 3))
+        bad[2, 1] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            mean_estimate_trials(bad, spec, 0, 2)
+        with pytest.raises(ValidationError, match="finite"):
+            mean_estimate_trials(np.full((4, 3), np.inf), spec, 0, 2)
+
+    def test_l2_trial_memory_linear_in_n_d(self):
+        n, d = 4000, 128
+        gen = np.random.default_rng(5)
+        data = gen.standard_normal((n, d))
+        data *= 0.9 / np.linalg.norm(data, axis=1)[:, None]
+        spec = l2_spec(d, eps0=1.0)
+        tracemalloc.start()
+        try:
+            mean_estimate_trials(data, spec, gen, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * n * d * 8
 
     def test_hadamard_column_matches_transform(self):
         for n in (1, 2, 8):
