@@ -1,7 +1,8 @@
 """Dense vector primitives shared by every module.
 
-p-norms over the extended range p in [1, inf], gradient clipping, the
-normalized fast Walsh-Hadamard transform, and Euclidean-ball projection.
+p-norms over the extended range p in [1, inf], gradient clipping, the fast
+Walsh-Hadamard transform (normalized, and the unnormalized in-place row
+butterfly it is built on), and Euclidean-ball projection.
 The transform convention is the symmetric one,
 
     fwht(x) = (1/sqrt(d)) * H_d @ x,      H_d[i, j] = (-1)^popcount(i & j),
@@ -82,7 +83,7 @@ def clip(g, p: float, C: float) -> np.ndarray:
     return v / max(1.0, p_norm(v, p) / C)
 
 
-def _fwht_rows_inplace(mat: np.ndarray) -> np.ndarray:
+def fwht_rows_inplace(mat: np.ndarray) -> np.ndarray:
     """Unnormalized in-place Walsh-Hadamard butterfly along the last axis."""
     rows, d = mat.shape
     h = 1
@@ -102,7 +103,7 @@ def fwht_normalized(x) -> np.ndarray:
     d = v.size
     if d & (d - 1):
         raise DimensionError(f"transform dimension must be a power of two, got {d}")
-    _fwht_rows_inplace(v.reshape(1, d))
+    fwht_rows_inplace(v.reshape(1, d))
     return v / math.sqrt(d)
 
 
@@ -114,7 +115,7 @@ def fwht_normalized_rows(mat) -> np.ndarray:
     d = m.shape[1]
     if d & (d - 1):
         raise DimensionError(f"transform dimension must be a power of two, got {d}")
-    _fwht_rows_inplace(m)
+    fwht_rows_inplace(m)
     return m / math.sqrt(d)
 
 

@@ -58,7 +58,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .errors import OutOfBallError, ValidationError
-from .linalg import BallSpec, EXACT_TOL, _fwht_rows_inplace
+from .linalg import BallSpec, EXACT_TOL, fwht_rows_inplace
 
 # ---------------------------------------------------------------------------
 # Messages and specs
@@ -200,7 +200,7 @@ def hadamard_column(n: int, j: int) -> np.ndarray:
         raise ValidationError(f"column index {j} out of range for size {n}")
     basis = np.zeros((1, n))
     basis[0, j] = 1.0
-    return _fwht_rows_inplace(basis)[0]
+    return fwht_rows_inplace(basis)[0]
 
 
 def _require_rows(x, ball: BallSpec, ndim: int) -> np.ndarray:
@@ -247,7 +247,7 @@ def _r1_plus(rows: np.ndarray, spec: MechanismSpec) -> np.ndarray:
     dp = padded_dim(d)
     y = np.zeros((n, dp))
     y[:, :d] = rows
-    y = _fwht_rows_inplace(y) / math.sqrt(dp)
+    y = fwht_rows_inplace(y) / math.sqrt(dp)
     # Each rotated coordinate satisfies |sqrt(dp)*y_j| <= a, so the flip
     # probabilities stay inside [ (1-kappa)/2, (1+kappa)/2 ].
     return 0.5 + (math.sqrt(dp) / (2.0 * spec.ball.radius)) * _kappa(spec.epsilon0) * y
@@ -276,7 +276,7 @@ def _atom_counts(atoms, groups: np.ndarray, n_groups: int, dim: int) -> np.ndarr
 def _r1_sums(atoms, spec: MechanismSpec, groups, n_groups: int) -> np.ndarray:
     """Per group, the sum of sign * a * ratio * (Hadamard column j)[:d]."""
     d = spec.ball.dim
-    net = _fwht_rows_inplace(_atom_counts(atoms, groups, n_groups, padded_dim(d)))
+    net = fwht_rows_inplace(_atom_counts(atoms, groups, n_groups, padded_dim(d)))
     return (spec.ball.radius * privacy_ratio(spec.epsilon0)) * net[:, :d]
 
 
@@ -395,8 +395,6 @@ def _searchsorted_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     of the values: an offset added to the values themselves would round them.
     """
     n, d = cdf.shape
-    if n == 1:  # a single row needs no keys
-        return np.searchsorted(cdf[0], u[0], side="right")[None]
     row = np.arange(n)[:, None]
     keys, queries = 1j * cdf, 1j * u
     keys += row
@@ -661,14 +659,27 @@ def mean_estimate(messages, spec: MechanismSpec) -> np.ndarray:
     return total / len(msgs)
 
 
+# Rows that sample_decoded encodes at a time: the encoders' working arrays are
+# several times the size of their batch, so the batch is bounded.
+_SAMPLE_BATCH = 1 << 16
+
+
 def sample_decoded(x, spec: MechanismSpec, rng, n_samples: int) -> np.ndarray:
-    """n_samples independent decoded messages for one input, as rows."""
+    """n_samples independent decoded messages for one input, as rows.
+
+    The rows are drawn in consecutive batches of at most 2**16, so the working
+    memory beyond the (n_samples, d) result is bounded.
+    """
     v = _require_rows(x, spec.ball, 1)
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    fam = _FAMILIES[mechanism_family(spec)]
-    draw = fam.sampler(np.broadcast_to(v, (n_samples, v.shape[1])), spec)
-    return fam.sums(draw(np.random.default_rng(rng)), spec, np.arange(n_samples), n_samples)
+    fam, gen = _FAMILIES[mechanism_family(spec)], np.random.default_rng(rng)
+    out = np.empty((n_samples, v.shape[1]))
+    for lo in range(0, n_samples, _SAMPLE_BATCH):
+        m = min(_SAMPLE_BATCH, n_samples - lo)
+        draw = fam.sampler(np.broadcast_to(v, (m, v.shape[1])), spec)
+        out[lo:lo + m] = fam.sums(draw(gen), spec, np.arange(m), m)
+    return out
 
 
 def mean_estimate_trials(dataset, spec: MechanismSpec, rng, trials: int) -> np.ndarray:

@@ -541,6 +541,22 @@ class TestVectorizedSamplers:
             tracemalloc.stop()
         assert peak <= 12 * n * d * 8
 
+    def test_sample_decoded_working_memory_bounded(self):
+        # Beyond its (n, d) result, sample_decoded needs the same memory for
+        # 2**17 and for 2**18 rows.
+        d = 8
+        spec = l2_spec(d, eps0=1.0)
+        x = np.full(d, 0.9 / math.sqrt(d))
+        extra = []
+        for n in (1 << 17, 1 << 18):
+            tracemalloc.start()
+            try:
+                out = sample_decoded(x, spec, 0, n)
+                extra.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert extra[1] <= 1.25 * extra[0]
+
     def test_hadamard_column_matches_transform(self):
         for n in (1, 2, 8):
             i = np.arange(n)
