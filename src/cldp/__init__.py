@@ -11,7 +11,7 @@ communication budget:
   by shuffling and subsampling, strong composition, end-to-end budgets, and
   epsilon0 calibration.
 * :mod:`cldp.wire` — bit-exact message serialization and communication
-  accounting (index-sign atoms, multiset packing, framing).
+  accounting (one multiset atom code, a family table, framing).
 * :mod:`cldp.bounds` — closed-form achievable risks, order-only minimax
   lower bounds, the low-communication adversary, and SGD constants.
 * :mod:`cldp.fedsim` — a deterministic federated SGD simulator over convex

@@ -40,14 +40,13 @@ from ..accountant import (
 )
 from ..bounds import g_squared
 from ..errors import AccountingError, ClippingWarning, ValidationError
-from ..linalg import BallSpec, clip, p_norm, project_l2_ball
+from ..linalg import BallSpec, p_norm, project_l2_ball
 from ..mechanisms import (
     MechanismSpec,
     RawVector,
     encode_message,
     mean_estimate,
     mechanism_family,
-    padded_dim,
 )
 from .. import wire
 from .data import ClientDataset, stack_points, validate_clients
@@ -163,9 +162,9 @@ def _client_messages(
         _, grad = task.point_loss_grad(theta, client.features[i], float(client.labels[i]))
         if not np.all(np.isfinite(grad)):
             raise ValidationError(f"task {cfg.task!r} produced a non-finite gradient")
-        if p_norm(grad, ball.p) > ball.radius:
-            n_clipped += 1
-        clipped = clip(grad, ball.p, ball.radius)
+        norm = p_norm(grad, ball.p)
+        n_clipped += norm > ball.radius
+        clipped = grad / max(1.0, norm / ball.radius)  # linalg.clip's formula
         if spec is None:
             messages.append(RawVector(values=tuple(float(v) for v in clipped)))
         else:
@@ -203,27 +202,6 @@ def aggregate(messages, spec: MechanismSpec | None, expected_count: int | None =
             raise ValidationError("baseline aggregation expects raw vectors only")
         rows.append(np.asarray(msg.values, dtype=np.float64))
     return np.mean(rows, axis=0)
-
-
-def _expected_bits_per_round(cfg: TrainConfig) -> float:
-    """A-priori mean of the round's total payload bits across all m clients."""
-    p = cfg.params
-    spec = cfg.mechanism_spec()
-    if spec is None:
-        return p.k * 64.0 * cfg.ball.dim * p.s
-    if spec.mix_prob is not None:
-        d = cfg.ball.dim
-        per_message = spec.mix_prob * wire.index_sign_bits(padded_dim(d)) + (
-            1.0 - spec.mix_prob
-        ) * wire.multiset_bits(d, 2 * d)
-        return p.k * p.s * per_message
-    return float(p.k * wire.client_round_bits_exact(spec, p.s))
-
-
-def _client_bits(messages: list, spec: MechanismSpec | None, d: int) -> int:
-    if spec is None:
-        return 64 * d * len(messages)
-    return wire.client_payload_bits(messages, spec)
 
 
 def _no_guarantee_budget(cfg: TrainConfig, reason: str) -> PrivacyBudget:
@@ -274,7 +252,7 @@ def train(cfg: TrainConfig, data: list[ClientDataset]) -> TrainResult:
     spec = cfg.mechanism_spec()
     big_g = math.sqrt(g_squared(task.lipschitz, d, cfg.ball.p, p.q, p.n, cfg.epsilon0))
     radius = cfg.diameter / 2.0
-    expected_bits = _expected_bits_per_round(cfg)
+    expected_bits = wire.expected_round_bits(spec, p, d)
 
     X_all, Y_all = stack_points(data)
     server = np.random.default_rng(np.random.SeedSequence((cfg.seed, SERVER_SALT)))
@@ -294,7 +272,7 @@ def train(cfg: TrainConfig, data: list[ClientDataset]) -> TrainResult:
             )
             msgs, n_clipped = _client_messages(data[ci], theta, cfg, task, cgen)
             clipped_total += n_clipped
-            exact_bits += _client_bits(msgs, spec, d)
+            exact_bits += wire.client_payload_bits(msgs, spec)
             messages.extend(msgs)
         messages = shuffle(messages, server)
         g_bar = aggregate(messages, spec, expected_count=p.k * p.s)

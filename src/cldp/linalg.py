@@ -107,18 +107,6 @@ def fwht_normalized(x) -> np.ndarray:
     return v / math.sqrt(d)
 
 
-def fwht_normalized_rows(mat) -> np.ndarray:
-    """Row-wise normalized transform for 2-D float arrays (batch helper)."""
-    m = np.array(mat, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] < 1:
-        raise ValidationError(f"expected a 2-D array, got shape {m.shape}")
-    d = m.shape[1]
-    if d & (d - 1):
-        raise DimensionError(f"transform dimension must be a power of two, got {d}")
-    fwht_rows_inplace(m)
-    return m / math.sqrt(d)
-
-
 def project_l2_ball(theta, center, radius: float) -> np.ndarray:
     """Euclidean projection onto {v : ||v - center||_2 <= radius}; idempotent."""
     v = as_vector(theta)

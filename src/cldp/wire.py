@@ -1,27 +1,38 @@
 """Bit-exact serialization of mechanism messages and communication accounting.
 
-Three layers:
+One atom code. A coded message is a bag of signed coordinates (c, sign),
+each the atom 2*c + [sign > 0] over the alphabet 2*dim. Its payload is the
+rank of the atom multiset among all C(s+B-1, s) multisets of s atoms over
+B = 2*dim, colexicographic via the combinatorial number system, and costs
+multiset_bits(s, B) = ceil(log2 C(s+B-1, s)) bits. The order of atoms carries
+no information once messages pass through a shuffler, so none is paid for; the
+cost stays within one bit of the Stirling envelope s*(log2 e + log2((s+B-1)/s)).
+An index-sign message is the one-atom case: its rank is the index big-endian
+in ceil(log2 d) bits followed by the sign bit (1 meaning +).
 
-* atom codes — an (index, sign) atom over dimension d costs exactly
-  ceil(log2 d) + 1 bits (index big-endian, then the sign bit, 1 meaning +).
-* multiset packing — a bag of s atoms from an alphabet of size B is ranked
-  colexicographically among all C(s+B-1, s) multisets via the combinatorial
-  number system, costing ceil(log2 C(s+B-1, s)) bits; order carries no
-  information once messages pass through a shuffler, so none is paid for.
-  The bit length always stays within one bit of the Stirling envelope
-  s*(log2 e + log2((s+B-1)/s)).
-* framing — on the wire each message is [1 byte: variant tag]
-  [2 bytes: payload bit length, big-endian][payload, zero-padded to a byte
-  boundary]. Bit accounting throughout the package counts payload bits only;
-  the 3-byte frame header is transport overhead the cost model does not
-  charge.
+One family table, ``_CODES``, maps each family and mix arm to its frame tag,
+message type, atom dimension and atoms per message: l1 and the mix's l1 arm
+use (padded_dim(d), 1), linf (d, 1), l2 and the mix's l2 arm (d, d). Framing,
+unframing and every bit count read it, with multiset_bits as the only cost
+rule. A client's several index-sign messages (l1, linf) pack into one
+multiset; every other message costs its own payload. The reserved l2 zero
+message costs nothing, and a raw float64 vector (the uncompressed baseline)
+costs 64 bits per value.
 
-Bitstrings at the bit level are plain '0'/'1' strings (they are small and
-test-friendly); framing packs them into bytes.
+On the wire each message is [1 byte: tag][2 bytes: payload bit length,
+big-endian][payload, big-endian, zero-padded to a byte boundary]. Payloads are
+Python integers. Bit accounting counts payload bits only; the 3-byte header is
+transport overhead the cost model does not charge. The 16-bit length field
+caps raw frames at d <= 1023 (64*1024 bits do not fit) and l2 and mix-l2
+frames at d <= 23 791 (multiset_bits(23 792, 47 584) = 65 536); frame_message
+checks the cost against the cap before ranking any atom. unframe_message
+accepts only canonical frames of the spec's family (and raw frames under any
+spec), so every accepted frame re-frames to the same bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -40,34 +51,36 @@ TAG_MIX_L1 = 0x04        # mix message, l1 arm payload
 TAG_MIX_L2 = 0x05        # mix message, l2 arm payload
 TAG_RAW = 0x06           # uncompressed float64 vector (baseline mode)
 
+RAW_VALUE_BITS = 64
+MAX_PAYLOAD_BITS = 0xFFFF  # the 16-bit frame length field
+
+# Family or mix arm -> (frame tag, message type, d -> (atom dimension, atoms
+# per message)).
+_CODES = {
+    "l1": (TAG_L1_ATOM, mech.IndexSign, lambda d: (mech.padded_dim(d), 1)),
+    "linf": (TAG_LINF_ATOM, mech.IndexSign, lambda d: (d, 1)),
+    "l2": (TAG_L2_SPARSE, mech.SparseSigned, lambda d: (d, d)),
+    "L1": (TAG_MIX_L1, mech.IndexSign, lambda d: (mech.padded_dim(d), 1)),
+    "L2": (TAG_MIX_L2, mech.SparseSigned, lambda d: (d, d)),
+}
+_TAG_CODES = {tag: key for key, (tag, _, _) in _CODES.items()}
+
+
+def multiset_bits(s: int, B: int) -> int:
+    """Exact payload bits for a packed multiset of s atoms over alphabet B."""
+    return (math.comb(s + B - 1, s) - 1).bit_length()
+
+
+def multiset_envelope_bits(s: int, B: int) -> float:
+    """The Stirling envelope s*(log2 e + log2((s+B-1)/s)); exact cost is <= this + 1."""
+    return s * (LOG2_E + math.log2((s + B - 1) / s))
+
 
 def index_sign_bits(d: int) -> int:
-    """Exact cost of one atom: ceil(log2 d) + 1 bits."""
+    """Exact cost of one atom over dimension d: ceil(log2 d) + 1 bits."""
     if d < 1:
         raise ValidationError(f"dimension must be >= 1, got {d}")
-    return (d - 1).bit_length() + 1
-
-
-def encode_index_sign(msg: mech.IndexSign, d: int) -> str:
-    """Index big-endian in ceil(log2 d) bits, then the sign bit (1 means +)."""
-    if d < 1:
-        raise ValidationError(f"dimension must be >= 1, got {d}")
-    if not 0 <= msg.j < d:
-        raise ValidationError(f"index {msg.j} out of range for dimension {d}")
-    nbits = (d - 1).bit_length()
-    prefix = format(msg.j, f"0{nbits}b") if nbits else ""
-    return prefix + ("1" if msg.sign > 0 else "0")
-
-
-def decode_index_sign(bits: str, d: int) -> mech.IndexSign:
-    """Exact inverse of encode_index_sign."""
-    expected = index_sign_bits(d)
-    if len(bits) != expected or any(b not in "01" for b in bits):
-        raise ValidationError(f"expected {expected} bits for dimension {d}, got {bits!r}")
-    j = int(bits[:-1], 2) if len(bits) > 1 else 0
-    if j >= d:
-        raise ValidationError(f"decoded index {j} out of range for dimension {d}")
-    return mech.IndexSign(j=j, sign=1 if bits[-1] == "1" else -1)
+    return multiset_bits(1, 2 * d)
 
 
 @dataclass(frozen=True)
@@ -88,18 +101,7 @@ class HistogramCode:
 
     @property
     def bit_length(self) -> int:
-        """ceil(log2 C(s+B-1, s)) — exact big-integer arithmetic, no floats."""
-        return (math.comb(self.s + self.B - 1, self.s) - 1).bit_length()
-
-
-def multiset_bits(s: int, B: int) -> int:
-    """Exact payload bits for a packed multiset of s atoms over alphabet B."""
-    return (math.comb(s + B - 1, s) - 1).bit_length()
-
-
-def multiset_envelope_bits(s: int, B: int) -> float:
-    """The Stirling envelope s*(log2 e + log2((s+B-1)/s)); exact cost is <= this + 1."""
-    return s * (LOG2_E + math.log2((s + B - 1) / s))
+        return multiset_bits(self.s, self.B)
 
 
 def histogram_pack(atoms, B: int) -> HistogramCode:
@@ -123,16 +125,27 @@ def histogram_pack(atoms, B: int) -> HistogramCode:
 
 
 def histogram_unpack(code: HistogramCode) -> tuple[int, ...]:
-    """The sorted multiset a HistogramCode ranks; inverse of histogram_pack."""
+    """The sorted multiset a HistogramCode ranks; inverse of histogram_pack.
+
+    The shifted atoms b_s > ... > b_1 are peeled off from the top: b_i is the
+    largest b below b_{i+1} with C(b, i) <= the remaining rank, found by
+    bisection since C(b, i) increases in b.
+    """
     rank = code.rank
     out = []
+    hi = code.B + code.s - 1  # one past the largest shifted atom, b_s <= B + s - 2
     for i in range(code.s, 0, -1):
-        # Largest b with C(b, i) <= remaining rank; atom = b - (i-1).
-        b = i - 1
-        while math.comb(b + 1, i) <= rank and (b + 1) - (i - 1) < code.B:
-            b += 1
-        rank -= math.comb(b, i)
-        out.append(b - (i - 1))
+        lo = i - 1  # C(i - 1, i) = 0 <= rank
+        hi -= 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if math.comb(mid, i) <= rank:
+                lo = mid
+            else:
+                hi = mid - 1
+        rank -= math.comb(lo, i)
+        out.append(lo - (i - 1))
+        hi = lo
     if rank != 0:
         raise ValidationError(f"corrupt multiset rank in {code!r}")
     return tuple(reversed(out))
@@ -160,10 +173,79 @@ def expected_bits_per_client(params, b: float, T: int = 1) -> ExpectedBits:
         raise ValidationError(f"bits per message must be positive, got {b!r}")
     if T < 1:
         raise ValidationError(f"T must be >= 1, got {T!r}")
-    big_b = 2.0**b
-    envelope = T * params.q1 * params.s * (LOG2_E + math.log2((params.s + big_b - 1) / params.s))
+    envelope = T * params.q1 * multiset_envelope_bits(params.s, 2.0**b)
     exact = T * params.q1 * b if params.s == 1 else None
     return ExpectedBits(envelope=envelope, exact=exact)
+
+
+# ---------------------------------------------------------------------------
+# The family table: codes, costs, and atoms of a message
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=1024)
+def _code_bits(key: str, d: int, n: int = 1) -> int:
+    """Bits of n messages of one code from one client: index-sign messages
+    pack into one multiset of n atoms, sparse ones cost one multiset each."""
+    _, kind, shape = _CODES[key]
+    dim, atoms = shape(d)
+    if kind is mech.IndexSign:
+        return multiset_bits(n, 2 * dim)
+    return n * multiset_bits(atoms, 2 * dim)
+
+
+def _priced(msg: mech.MechanismMessage, spec: mech.MechanismSpec):
+    """(code key, index-sign or sparse message, payload bits) of msg under
+    spec; the key is None for a raw vector. Raises if msg is of another family."""
+    d = spec.ball.dim
+    if isinstance(msg, mech.RawVector):
+        return None, msg, RAW_VALUE_BITS * d
+    family = mech.mechanism_family(spec)
+    key, inner = (msg.arm, msg.inner) if isinstance(msg, mech.MixTagged) else (family, msg)
+    if (family == "mix") != isinstance(msg, mech.MixTagged) or not isinstance(
+        inner, _CODES[key][1]
+    ):
+        raise ValidationError(f"{type(msg).__name__} is not a message of the {family} family")
+    if not getattr(inner, "is_zero", False):
+        return key, inner, _code_bits(key, d)
+    if key != "l2":
+        raise ValidationError("only the l2 family emits the zero message")
+    return key, inner, 0
+
+
+def _atoms(inner, key: str, d: int) -> list[int]:
+    _, count = _CODES[key][2](d)
+    pairs = inner.pairs if isinstance(inner, mech.SparseSigned) else ((inner.j, inner.sign),)
+    if len(pairs) != count:
+        raise ValidationError(f"expected {count} coordinate samples, got {len(pairs)}")
+    return [2 * c + (s > 0) for c, s in pairs]
+
+
+def _from_atoms(atoms, key: str):
+    pairs = tuple((a // 2, 1 if a % 2 else -1) for a in atoms)
+    kind = _CODES[key][1]
+    inner = kind(*pairs[0]) if kind is mech.IndexSign else kind(pairs=pairs)
+    return mech.MixTagged(key, inner) if key in ("L1", "L2") else inner
+
+
+# The '0'/'1' string views of the one-atom code; linf's code is the plain
+# index-sign atom over d.
+
+
+def encode_index_sign(msg: mech.IndexSign, d: int) -> str:
+    """Index big-endian in ceil(log2 d) bits, then the sign bit (1 means +)."""
+    nbits = index_sign_bits(d)
+    if not 0 <= msg.j < d:
+        raise ValidationError(f"index {msg.j} out of range for dimension {d}")
+    return format(histogram_pack(_atoms(msg, "linf", d), 2 * d).rank, f"0{nbits}b")
+
+
+def decode_index_sign(bits: str, d: int) -> mech.IndexSign:
+    """Exact inverse of encode_index_sign."""
+    expected = index_sign_bits(d)
+    if len(bits) != expected or any(b not in "01" for b in bits):
+        raise ValidationError(f"expected {expected} bits for dimension {d}, got {bits!r}")
+    return _from_atoms(histogram_unpack(HistogramCode(int(bits, 2), 1, 2 * d)), "linf")
 
 
 # ---------------------------------------------------------------------------
@@ -171,141 +253,73 @@ def expected_bits_per_client(params, b: float, T: int = 1) -> ExpectedBits:
 # ---------------------------------------------------------------------------
 
 
-def _bits_to_bytes(bits: str) -> bytes:
-    if any(b not in "01" for b in bits):
-        raise ValidationError("payload must be a string of 0s and 1s")
-    padded = bits + "0" * (-len(bits) % 8)
-    return bytes(int(padded[i : i + 8], 2) for i in range(0, len(padded), 8)) if padded else b""
-
-
-def _bytes_to_bits(data: bytes, nbits: int) -> str:
-    full = "".join(format(byte, "08b") for byte in data)
-    if len(full) < nbits:
-        raise ValidationError("frame payload shorter than its declared bit length")
-    return full[:nbits]
-
-
-def _int_to_bits(value: int, nbits: int) -> str:
-    if value < 0 or value >= (1 << nbits):
-        raise ValidationError(f"value {value} does not fit in {nbits} bits")
-    return format(value, f"0{nbits}b") if nbits else ""
-
-
-def _sparse_payload(msg: mech.SparseSigned, d: int) -> str:
-    atoms = [2 * c + (1 if s > 0 else 0) for c, s in msg.pairs]
-    code = histogram_pack(atoms, 2 * d)
-    return _int_to_bits(code.rank, code.bit_length)
-
-
-def _sparse_from_payload(bits: str, d: int) -> mech.SparseSigned:
-    nbits = multiset_bits(d, 2 * d)
-    if len(bits) != nbits:
-        raise ValidationError(f"expected {nbits} payload bits, got {len(bits)}")
-    rank = int(bits, 2) if bits else 0
-    atoms = histogram_unpack(HistogramCode(rank=rank, s=d, B=2 * d))
-    pairs = tuple((a // 2, 1 if a % 2 else -1) for a in atoms)
-    return mech.SparseSigned(pairs=pairs)
-
-
 def message_payload_bits(msg: mech.MechanismMessage, spec: mech.MechanismSpec) -> int:
     """Exact payload bits the frame for this message will carry."""
-    d = spec.ball.dim
-    if isinstance(msg, mech.RawVector):
-        return 64 * d
-    if isinstance(msg, mech.MixTagged):
-        if msg.arm == "L1":
-            return index_sign_bits(mech.padded_dim(d))
-        return multiset_bits(d, 2 * d)
-    if isinstance(msg, mech.SparseSigned):
-        return 0 if msg.is_zero else multiset_bits(d, 2 * d)
-    if isinstance(msg, mech.IndexSign):
-        family = mech.mechanism_family(spec)
-        return index_sign_bits(mech.padded_dim(d) if family == "l1" else d)
-    raise ValidationError(f"cannot size {type(msg).__name__}")
+    return _priced(msg, spec)[2]
 
 
 def frame_message(msg: mech.MechanismMessage, spec: mech.MechanismSpec) -> bytes:
-    """[tag][bit length, 2 bytes BE][payload bits, zero-padded to bytes]."""
+    """[tag][bit length, 2 bytes BE][payload, zero-padded to bytes]."""
     d = spec.ball.dim
-    if isinstance(msg, mech.RawVector):
-        if len(msg.values) != d:
-            raise ValidationError("raw message dimension mismatch")
-        payload = b"".join(struct.pack(">d", v) for v in msg.values)
-        nbits = 64 * d
-        if nbits > 0xFFFF:
-            raise ValidationError("raw payload exceeds the 16-bit frame length field")
-        return bytes([TAG_RAW]) + struct.pack(">H", nbits) + payload
-    if isinstance(msg, mech.MixTagged):
-        if msg.arm == "L1":
-            bits = encode_index_sign(msg.inner, mech.padded_dim(d))
-            tag = TAG_MIX_L1
-        else:
-            if msg.inner.is_zero:
-                raise ValidationError("the l2 arm of the mix never emits the zero message")
-            bits = _sparse_payload(msg.inner, d)
-            tag = TAG_MIX_L2
-    elif isinstance(msg, mech.SparseSigned):
-        if msg.is_zero:
-            return bytes([TAG_ZERO]) + struct.pack(">H", 0)
-        if len(msg.pairs) != d:
-            raise ValidationError(f"expected {d} coordinate samples, got {len(msg.pairs)}")
-        bits = _sparse_payload(msg, d)
-        tag = TAG_L2_SPARSE
-    elif isinstance(msg, mech.IndexSign):
-        family = mech.mechanism_family(spec)
-        if family == "l1":
-            bits = encode_index_sign(msg, mech.padded_dim(d))
-            tag = TAG_L1_ATOM
-        elif family == "linf":
-            bits = encode_index_sign(msg, d)
-            tag = TAG_LINF_ATOM
-        else:
-            raise ValidationError(f"index-sign messages do not belong to the {family} family")
-    else:
-        raise ValidationError(f"cannot frame {type(msg).__name__}")
-    if len(bits) > 0xFFFF:
-        raise ValidationError("payload exceeds the 16-bit frame length field")
-    return bytes([tag]) + struct.pack(">H", len(bits)) + _bits_to_bytes(bits)
+    key, inner, nbits = _priced(msg, spec)
+    if key is None and len(msg.values) != d:
+        raise ValidationError("raw message dimension mismatch")
+    if nbits > MAX_PAYLOAD_BITS:
+        raise ValidationError(f"payload of {nbits} bits exceeds the 16-bit frame length field")
+    if key is None:
+        return struct.pack(f">BH{d}d", TAG_RAW, nbits, *msg.values)
+    if nbits == 0:
+        return struct.pack(">BH", TAG_ZERO, 0)
+    code = histogram_pack(_atoms(inner, key, d), 2 * _CODES[key][2](d)[0])
+    payload = (code.rank << (-nbits % 8)).to_bytes((nbits + 7) // 8, "big")
+    return struct.pack(">BH", _CODES[key][0], nbits) + payload
+
+
+def _header(data: bytes, offset: int) -> tuple[int, int]:
+    if not 0 <= offset < len(data):
+        raise ValidationError(f"frame offset {offset} outside the {len(data)}-byte buffer")
+    if len(data) < offset + 3:
+        raise ValidationError("truncated frame header")
+    return struct.unpack_from(">BH", data, offset)
 
 
 def frame_length(data: bytes, offset: int = 0) -> int:
     """Total byte length of the frame starting at offset."""
-    if len(data) < offset + 3:
-        raise ValidationError("truncated frame header")
-    (nbits,) = struct.unpack_from(">H", data, offset + 1)
-    return 3 + (nbits + 7) // 8
+    return 3 + (_header(data, offset)[1] + 7) // 8
 
 
 def unframe_message(data: bytes, spec: mech.MechanismSpec, offset: int = 0):
-    """Decode one frame; returns (message, bytes consumed)."""
-    if len(data) < offset + 3:
-        raise ValidationError("truncated frame header")
-    tag = data[offset]
-    (nbits,) = struct.unpack_from(">H", data, offset + 1)
-    body = data[offset + 3 : offset + 3 + (nbits + 7) // 8]
-    if len(body) < (nbits + 7) // 8:
+    """Decode one frame; returns (message, bytes consumed).
+
+    Only canonical frames are accepted: a raw frame, or a tag of the spec's
+    family with the family's bit length, zero padding and an in-range rank.
+    """
+    tag, nbits = _header(data, offset)
+    size = (nbits + 7) // 8
+    body = data[offset + 3 : offset + 3 + size]
+    if len(body) < size:
         raise ValidationError("truncated frame payload")
-    consumed = 3 + (nbits + 7) // 8
     d = spec.ball.dim
-    if tag == TAG_ZERO:
-        return mech.SparseSigned(pairs=tuple((0, 1) for _ in range(d)), is_zero=True), consumed
     if tag == TAG_RAW:
-        if nbits != 64 * d:
+        if nbits != RAW_VALUE_BITS * d:
             raise ValidationError("raw frame has the wrong payload size")
-        values = struct.unpack(">" + "d" * d, body)
-        return mech.RawVector(values=values), consumed
-    bits = _bytes_to_bits(body, nbits)
-    if tag == TAG_L1_ATOM:
-        return decode_index_sign(bits, mech.padded_dim(d)), consumed
-    if tag == TAG_LINF_ATOM:
-        return decode_index_sign(bits, d), consumed
-    if tag == TAG_L2_SPARSE:
-        return _sparse_from_payload(bits, d), consumed
-    if tag == TAG_MIX_L1:
-        return mech.MixTagged("L1", decode_index_sign(bits, mech.padded_dim(d))), consumed
-    if tag == TAG_MIX_L2:
-        return mech.MixTagged("L2", _sparse_from_payload(bits, d)), consumed
-    raise ValidationError(f"unknown frame tag 0x{tag:02x}")
+        return mech.RawVector(values=struct.unpack(f">{d}d", body)), 3 + size
+    family = mech.mechanism_family(spec)
+    key = "l2" if tag == TAG_ZERO else _TAG_CODES.get(tag)
+    if key not in (("L1", "L2") if family == "mix" else (family,)):
+        raise ValidationError(f"frame tag 0x{tag:02x} is not of the {family} family")
+    if tag == TAG_ZERO:
+        if nbits:
+            raise ValidationError("the zero message carries no payload")
+        return mech.SparseSigned(pairs=((0, 1),) * d, is_zero=True), 3
+    if nbits != _code_bits(key, d):
+        raise ValidationError(f"expected {_code_bits(key, d)} payload bits, got {nbits}")
+    payload, pad = int.from_bytes(body, "big"), -nbits % 8
+    if payload & ((1 << pad) - 1):
+        raise ValidationError("nonzero padding bits in frame payload")
+    dim, atoms = _CODES[key][2](d)
+    code = HistogramCode(rank=payload >> pad, s=atoms, B=2 * dim)
+    return _from_atoms(histogram_unpack(code), key), 3 + size
 
 
 # ---------------------------------------------------------------------------
@@ -313,35 +327,42 @@ def unframe_message(data: bytes, spec: mech.MechanismSpec, offset: int = 0):
 # ---------------------------------------------------------------------------
 
 
-def client_payload_bits(messages, spec: mech.MechanismSpec) -> int:
+def client_payload_bits(messages, spec: mech.MechanismSpec | None) -> int:
     """Exact bits a client pays to send these messages in one round.
 
-    A single message costs its own payload. Several index-sign messages from
-    the same round are packed as one multiset over the 2d-atom alphabet (their
-    order is discarded by the shuffler anyway); other message types are summed
-    individually.
+    Several index-sign messages (l1, linf) are packed as one multiset over the
+    family's 2*dim alphabet (their order is discarded by the shuffler anyway);
+    every other message costs its own payload. ``spec`` None is the
+    uncompressed baseline: raw vectors only, 64 bits per value.
     """
     msgs = list(messages)
-    if not msgs:
-        return 0
-    if len(msgs) == 1:
-        return message_payload_bits(msgs[0], spec)
-    if all(isinstance(m, mech.IndexSign) for m in msgs):
-        d = spec.ball.dim
-        dim = mech.padded_dim(d) if mech.mechanism_family(spec) == "l1" else d
-        return multiset_bits(len(msgs), 2 * dim)
-    return sum(message_payload_bits(m, spec) for m in msgs)
+    if spec is None:
+        if not all(isinstance(m, mech.RawVector) for m in msgs):
+            raise ValidationError("without a mechanism every message must be a raw vector")
+        return sum(RAW_VALUE_BITS * len(m.values) for m in msgs)
+    costs = [message_payload_bits(m, spec) for m in msgs]  # each must fit the family
+    if len(msgs) > 1 and all(isinstance(m, mech.IndexSign) for m in msgs):
+        return _code_bits(mech.mechanism_family(spec), spec.ball.dim, len(msgs))
+    return sum(costs)
 
 
 def client_round_bits_exact(spec: mech.MechanismSpec, s: int) -> int:
     """Deterministic per-selected-client cost of s messages, by family."""
-    d = spec.ball.dim
     family = mech.mechanism_family(spec)
-    if family in ("l1", "linf"):
-        dim = mech.padded_dim(d) if family == "l1" else d
-        if s == 1:
-            return index_sign_bits(dim)
-        return multiset_bits(s, 2 * dim)
-    if family == "l2":
-        return s * multiset_bits(d, 2 * d)
-    raise ValidationError("the mix family has no deterministic per-round cost")
+    if family == "mix":
+        raise ValidationError("the mix family has no deterministic per-round cost")
+    return _code_bits(family, spec.ball.dim, s)
+
+
+def expected_round_bits(spec: mech.MechanismSpec | None, params, d: int) -> float:
+    """A-priori mean of a round's total payload bits: k clients, s messages each.
+
+    ``spec`` None is the uncompressed baseline of raw vectors over dimension d.
+    """
+    if spec is None:
+        return params.k * float(RAW_VALUE_BITS) * d * params.s
+    if spec.mix_prob is None:
+        return float(params.k * client_round_bits_exact(spec, params.s))
+    q, dim = spec.mix_prob, spec.ball.dim
+    per_message = q * _code_bits("L1", dim) + (1.0 - q) * _code_bits("L2", dim)
+    return params.k * params.s * per_message

@@ -12,7 +12,7 @@ from cldp.linalg import (
     BallSpec,
     clip,
     fwht_normalized,
-    fwht_normalized_rows,
+    fwht_rows_inplace,
     p_norm,
     project_l2_ball,
 )
@@ -121,9 +121,9 @@ class TestFwht:
             y = fwht_normalized(x)
             assert np.max(np.abs(y)) <= a / math.sqrt(d) + 1e-12
 
-    def test_rows_helper_matches_single(self, rng):
+    def test_row_butterfly_matches_single(self, rng):
         rows = rng.standard_normal((5, 8))
-        batch = fwht_normalized_rows(rows)
+        batch = fwht_rows_inplace(rows.copy()) / math.sqrt(8)
         for i in range(5):
             np.testing.assert_allclose(batch[i], fwht_normalized(rows[i]), atol=1e-12)
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import struct
+import time
 
 import pytest
 from hypothesis import given
@@ -61,6 +62,10 @@ class TestIndexSignCode:
         with pytest.raises(ValidationError):
             wire.encode_index_sign(mech.IndexSign(j=8, sign=1), d=8)
 
+    def test_cost_is_the_one_atom_multiset(self):
+        for d in range(1, 5001):
+            assert wire.index_sign_bits(d) == wire.multiset_bits(1, 2 * d)
+
     def test_rejects_malformed_bits(self):
         with pytest.raises(ValidationError):
             wire.decode_index_sign("10", d=8)  # wrong length
@@ -100,6 +105,10 @@ class TestMultisetCode:
         a = wire.histogram_pack((4, 1, 1, 9), 12)
         b = wire.histogram_pack((1, 9, 4, 1), 12)
         assert a == b
+
+    def test_unpack_large_alphabet(self):
+        for atoms, B in [((0,), 4096), ((4095,), 4096), ((1, 1, 700, 4095), 4096)]:
+            assert wire.histogram_unpack(wire.histogram_pack(atoms, B)) == atoms
 
     def test_envelope_plus_one_budget(self):
         for s in range(1, 6):
@@ -289,7 +298,134 @@ class TestClientBits:
         assert wire.client_round_bits_exact(linf_spec(d=8), s=1) == wire.index_sign_bits(8)
         assert wire.client_round_bits_exact(linf_spec(d=8), s=3) == wire.multiset_bits(3, 16)
         assert wire.client_round_bits_exact(l2_spec(d=4), s=2) == 2 * wire.multiset_bits(4, 8)
+        # One coordinate sample per message at d = 1 is still a sparse
+        # message: it costs its own payload and does not pack with the others.
+        assert wire.client_round_bits_exact(l2_spec(d=1), s=3) == 3 * wire.multiset_bits(1, 2)
 
     def test_round_bits_exact_rejects_mix(self):
         with pytest.raises(ValidationError):
             wire.client_round_bits_exact(mix_spec(d=4), s=1)
+
+    def test_expected_round_bits(self):
+        params = SamplingParams(m=50, k=10, r=10, s=2)
+        assert wire.expected_round_bits(None, params, 5) == 10 * 2 * 64 * 5
+        assert wire.expected_round_bits(l1_spec(d=3), params, 3) == 10 * wire.multiset_bits(2, 8)
+        per_message = 0.25 * wire.index_sign_bits(4) + 0.75 * wire.multiset_bits(4, 8)
+        got = wire.expected_round_bits(mix_spec(d=4, mix_prob=0.25), params, 4)
+        assert got == pytest.approx(10 * 2 * per_message, rel=1e-15)
+
+
+def _l1_frame(j=2, sign=1):
+    return wire.frame_message(mech.IndexSign(j=j, sign=sign), l1_spec(d=3))
+
+
+MALFORMED = {
+    "frame_length_negative_offset": lambda: wire.frame_length(b"xx" + _l1_frame(), -3),
+    "frame_length_offset_minus_two": lambda: wire.frame_length(_l1_frame(), -2),
+    "unframe_offset_minus_two": lambda: wire.unframe_message(_l1_frame(), l1_spec(d=3), -2),
+    "l1_tag_under_l2_spec": lambda: wire.unframe_message(_l1_frame(), l2_spec(d=3)),
+    "l2_tag_under_mix_spec": lambda: wire.unframe_message(
+        wire.frame_message(mech.SparseSigned(pairs=((0, 1), (1, -1))), l2_spec(d=2)),
+        mix_spec(d=2),
+    ),
+    "zero_tag_under_linf_spec": lambda: wire.unframe_message(bytes([0, 0, 0]), linf_spec(d=2)),
+    "sparse_framed_under_l1_spec": lambda: wire.frame_message(
+        mech.SparseSigned(pairs=((0, 1), (1, -1), (2, 1))), l1_spec(d=3)
+    ),
+    "index_signs_priced_under_l2_spec": lambda: wire.client_payload_bits(
+        [mech.IndexSign(j=0, sign=1), mech.IndexSign(j=1, sign=-1)], l2_spec(d=4)
+    ),
+    "zero_frame_with_payload": lambda: wire.unframe_message(
+        bytes([0, 0, 16, 0xAB, 0xCD]), l2_spec(d=4)
+    ),
+    "nonzero_padding_bits": lambda: wire.unframe_message(
+        _l1_frame()[:3] + bytes([_l1_frame()[3] | 0x01]), l1_spec(d=3)
+    ),
+}
+
+
+class TestMalformedFrames:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_rejected(self, case):
+        with pytest.raises(ValidationError):
+            MALFORMED[case]()
+
+    def test_offset_at_end_wrong_length_and_foreign_message_rejected(self):
+        with pytest.raises(ValidationError):
+            wire.unframe_message(_l1_frame(), l1_spec(d=3), 4)
+        with pytest.raises(ValidationError):
+            wire.unframe_message(bytes([1, 0, 5, 0]), l1_spec(d=3))
+        with pytest.raises(ValidationError):
+            wire.frame_message(mech.IndexSign(j=0, sign=1), mix_spec(d=4))
+
+    @pytest.mark.parametrize(
+        "spec", [l1_spec(d=3), l2_spec(d=3), linf_spec(d=3), mix_spec(d=3)], ids=str
+    )
+    def test_raw_frames_legal_under_every_spec(self, spec):
+        msg = mech.RawVector(values=(0.5, -1.0, 2.0))
+        frame = wire.frame_message(msg, spec)
+        assert wire.unframe_message(frame, spec) == (msg, len(frame))
+        assert wire.frame_length(frame) == len(frame)
+
+
+# Each fuzzed spec with the (tag, payload bits) headers of its own frames.
+FUZZ_CASES = [
+    (l1_spec(d=3), [(1, 3), (6, 192)]),
+    (l2_spec(d=4), [(0, 0), (2, 9), (6, 256)]),
+    (linf_spec(d=5), [(3, 4), (6, 320)]),
+    (mix_spec(d=4, p=3.0), [(4, 3), (5, 9), (6, 256)]),
+    (l2_spec(d=1), [(0, 0), (2, 1), (6, 64)]),
+]
+
+
+@st.composite
+def fuzz_frames(draw):
+    """(spec, bytes, offset): a header, half the time one of the spec's own,
+    then either arbitrary bytes or a zero-padded integer of the declared length."""
+    spec, headers = draw(st.sampled_from(FUZZ_CASES))
+    prefix = draw(st.binary(max_size=3))
+    tag, nbits = draw(
+        st.one_of(
+            st.sampled_from(headers), st.tuples(st.integers(0, 255), st.integers(0, 0xFFFF))
+        )
+    )
+    if draw(st.booleans()):
+        value = draw(st.integers(0, (1 << min(nbits, 64)) - 1))
+        payload = (value << (-nbits % 8)).to_bytes((nbits + 7) // 8, "big")
+    else:
+        payload = draw(st.binary(max_size=48))
+    suffix = draw(st.binary(max_size=2))
+    offset = draw(st.one_of(st.just(len(prefix)), st.integers(-6, 8)))
+    return spec, prefix + struct.pack(">BH", tag, nbits) + payload + suffix, offset
+
+
+@given(fuzz_frames())
+def test_unframe_fuzz(case):
+    spec, data, offset = case
+    try:
+        msg, consumed = wire.unframe_message(data, spec, offset)
+    except ValidationError:
+        return
+    assert wire.frame_length(data, offset) == consumed
+    assert wire.frame_message(msg, spec) == data[offset : offset + consumed]
+
+
+class TestLengthCap:
+    def test_raw_frames_up_to_d_1023(self):
+        spec = l2_spec(d=1023)
+        frame = wire.frame_message(mech.RawVector(values=(1.0,) * 1023), spec)
+        assert struct.unpack(">H", frame[1:3])[0] == 64 * 1023
+        with pytest.raises(ValidationError):
+            wire.frame_message(mech.RawVector(values=(1.0,) * 1024), l2_spec(d=1024))
+
+    def test_l2_cost_fits_at_d_23791(self):
+        msg = mech.SparseSigned(pairs=((0, 1),) * 23791)
+        assert wire.message_payload_bits(msg, l2_spec(d=23791)) <= 0xFFFF
+
+    def test_l2_over_cap_rejected_before_packing(self):
+        d = 23792
+        msg = mech.SparseSigned(pairs=tuple((c, 1) for c in range(d)))
+        start = time.perf_counter()
+        with pytest.raises(ValidationError):
+            wire.frame_message(msg, l2_spec(d=d))
+        assert time.perf_counter() - start < 1.0
