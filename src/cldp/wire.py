@@ -101,6 +101,7 @@ class HistogramCode:
 
     @property
     def bit_length(self) -> int:
+        """ceil(log2 C(s+B-1, s)) — exact big-integer arithmetic, no floats."""
         return multiset_bits(self.s, self.B)
 
 
@@ -276,10 +277,8 @@ def frame_message(msg: mech.MechanismMessage, spec: mech.MechanismSpec) -> bytes
 
 
 def _header(data: bytes, offset: int) -> tuple[int, int]:
-    if not 0 <= offset < len(data):
-        raise ValidationError(f"frame offset {offset} outside the {len(data)}-byte buffer")
-    if len(data) < offset + 3:
-        raise ValidationError("truncated frame header")
+    if not 0 <= offset <= len(data) - 3:
+        raise ValidationError(f"no 3-byte frame header at offset {offset} of {len(data)} bytes")
     return struct.unpack_from(">BH", data, offset)
 
 
