@@ -402,8 +402,11 @@ def _run_bounds(cfg: ExperimentConfig) -> int:
 
 
 def _load_clients(path: str) -> list[fdata.ClientDataset]:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(8)
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read dataset ({exc.strerror or exc})") from exc
     if magic == b"CLDPDS01":
         return fdata.load_dataset_binary(path)
     return fdata.load_dataset_csv(path)
@@ -445,12 +448,10 @@ def _run_train(cfg: ExperimentConfig) -> int:
         ),
     )
     model_path = base + ".json"
-    X, Y = fdata.stack_points(clients)
-    task = ftrain.get_task(prm["task"])
     payload = {
         "config_sha256": cfg.sha256(),
         "theta": [float(v) for v in result.theta],
-        "final_loss": task.batch_loss(result.theta, X, Y),
+        "final_loss": result.traces[-1].loss_after,
         "budget": _budget_json(result.budget),
     }
     with open(model_path, "w") as fh:

@@ -10,14 +10,12 @@ from .data import (
     synthetic_logistic_data,
     validate_clients,
 )
-from .tasks import TASKS, Task, get_task, task_linear_abs, task_logistic
+from .tasks import TASKS, Task, get_task
 from .training import (
     TRACE_COLUMNS,
     RoundTrace,
     TrainConfig,
     TrainResult,
-    aggregate,
-    local_round,
     sample_clients,
     sample_data,
     shuffle,
@@ -37,14 +35,10 @@ __all__ = [
     "TASKS",
     "Task",
     "get_task",
-    "task_linear_abs",
-    "task_logistic",
     "TRACE_COLUMNS",
     "RoundTrace",
     "TrainConfig",
     "TrainResult",
-    "aggregate",
-    "local_round",
     "sample_clients",
     "sample_data",
     "shuffle",

@@ -25,6 +25,7 @@ ground truth.
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from dataclasses import dataclass
 
@@ -136,10 +137,17 @@ def save_dataset_binary(path, clients) -> None:
         fh.write(records.tobytes(order="C"))
 
 
+def _read_bytes(path) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read dataset ({exc.strerror or exc})") from exc
+
+
 def load_dataset_binary(path) -> list[ClientDataset]:
     """Read the documented binary layout back into ClientDatasets."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = _read_bytes(path)
     if blob[: len(_MAGIC)] != _MAGIC:
         raise ValidationError(f"{path}: not a dataset file (bad magic)")
     if len(blob) < len(_MAGIC) + _HEADER.size:
@@ -177,26 +185,27 @@ def save_dataset_csv(path, clients) -> None:
 
 
 def load_dataset_csv(path) -> list[ClientDataset]:
-    """Read the CSV alternative; every client must contribute equally many rows."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
+    """Read the CSV alternative (UTF-8); every client must hold equally many rows."""
+    rows_by_client: dict[int, list[list[float]]] = {}
+    order: list[int] = []
+    try:
+        reader = csv.reader(io.StringIO(_read_bytes(path).decode(), newline=""))
+        header = next(reader, [])
         if len(header) < 3 or header[0] != "client_id" or header[-1] != "label":
             raise ValidationError(f"{path}: unexpected CSV header {header!r}")
         d = len(header) - 2
-        rows_by_client: dict[int, list[list[float]]] = {}
-        order: list[int] = []
         for row in reader:
             if len(row) != d + 2:
                 raise ValidationError(f"{path}: row of width {len(row)}, expected {d + 2}")
-            cid = int(row[0])
+            cid, values = int(row[0]), [float(v) for v in row[1:]]
             if cid not in rows_by_client:
                 rows_by_client[cid] = []
                 order.append(cid)
-            rows_by_client[cid].append([float(v) for v in row[1:]])
+            rows_by_client[cid].append(values)
+    except ValidationError:
+        raise
+    except (ValueError, csv.Error) as exc:  # non-UTF-8 bytes, a non-numeric field
+        raise ValidationError(f"{path}: malformed CSV dataset ({exc})") from None
     if not order:
         raise ValidationError(f"{path}: no data rows")
     counts = {len(v) for v in rows_by_client.values()}

@@ -9,8 +9,9 @@ clipping:
 * ``linear_abs`` — loss |theta.x - y|, subgradient sgn(theta.x - y) x; L = 1.
 * ``zero`` — identically zero loss and gradient, for plumbing tests.
 
-Per-point functions return (loss, gradient); batch helpers return the mean
-loss and mean gradient over a (n, d) feature matrix and (n,) label vector.
+Each task has two forms over a (n, d) feature matrix and (n,) label vector:
+``point_grads`` returns the (n, d) per-point gradients, one row per point,
+and ``batch_loss`` the mean loss.
 """
 
 from __future__ import annotations
@@ -28,81 +29,62 @@ def sigmoid(z):
     return np.exp(-np.logaddexp(0.0, -z))
 
 
-def task_logistic(theta: np.ndarray, x: np.ndarray, y: float) -> tuple[float, np.ndarray]:
-    """Logistic loss and gradient at one labeled point, y in {-1, +1}."""
-    z = -y * float(x @ theta)
-    loss = float(np.logaddexp(0.0, z))
-    return loss, (-y * sigmoid(z)) * x
+def logistic_point_grads(theta: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Per-point logistic gradients -y sigma(-y theta.x) x, labels in {-1, +1}."""
+    return (-Y * sigmoid(-Y * (X @ theta)))[:, None] * X
 
 
 def logistic_batch_loss(theta: np.ndarray, X: np.ndarray, Y: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, -Y * (X @ theta))))
 
 
-def logistic_batch_grad(theta: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    coeff = -Y * sigmoid(-Y * (X @ theta))
-    return coeff @ X / X.shape[0]
-
-
-def task_linear_abs(theta: np.ndarray, x: np.ndarray, y: float) -> tuple[float, np.ndarray]:
-    """Absolute-deviation loss |theta.x - y| and its subgradient sgn(.) x."""
-    resid = float(x @ theta) - y
-    return abs(resid), float(np.sign(resid)) * x
+def linear_abs_point_grads(theta: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Per-point subgradients sgn(theta.x - y) x of |theta.x - y|."""
+    return np.sign(X @ theta - Y)[:, None] * X
 
 
 def linear_abs_batch_loss(theta: np.ndarray, X: np.ndarray, Y: np.ndarray) -> float:
     return float(np.mean(np.abs(X @ theta - Y)))
 
 
-def linear_abs_batch_grad(theta: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return np.sign(X @ theta - Y) @ X / X.shape[0]
-
-
-def task_zero(theta: np.ndarray, x: np.ndarray, y: float) -> tuple[float, np.ndarray]:
-    """Zero loss, zero gradient: the optimizer must leave theta unchanged."""
-    return 0.0, np.zeros_like(theta)
+def zero_point_grads(theta: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Zero gradients: the optimizer must leave theta unchanged."""
+    return np.zeros((X.shape[0], theta.size))
 
 
 def zero_batch_loss(theta: np.ndarray, X: np.ndarray, Y: np.ndarray) -> float:
     return 0.0
 
 
-def zero_batch_grad(theta: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return np.zeros_like(theta)
-
-
 @dataclass(frozen=True)
 class Task:
-    """A convex per-point loss with its Lipschitz constant and batch forms."""
+    """A convex per-point loss: its Lipschitz constant, per-point gradients
+    and mean loss."""
 
     name: str
     lipschitz: float
-    point_loss_grad: Callable[[np.ndarray, np.ndarray, float], tuple[float, np.ndarray]]
+    point_grads: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     batch_loss: Callable[[np.ndarray, np.ndarray, np.ndarray], float]
-    batch_grad: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 TASKS: dict[str, Task] = {
     "logistic": Task(
         name="logistic",
         lipschitz=1.0,
-        point_loss_grad=task_logistic,
+        point_grads=logistic_point_grads,
         batch_loss=logistic_batch_loss,
-        batch_grad=logistic_batch_grad,
     ),
     "linear_abs": Task(
         name="linear_abs",
         lipschitz=1.0,
-        point_loss_grad=task_linear_abs,
+        point_grads=linear_abs_point_grads,
         batch_loss=linear_abs_batch_loss,
-        batch_grad=linear_abs_batch_grad,
     ),
     "zero": Task(
         name="zero",
         lipschitz=1.0,
-        point_loss_grad=task_zero,
+        point_grads=zero_point_grads,
         batch_loss=zero_batch_loss,
-        batch_grad=zero_batch_grad,
     ),
 }
 

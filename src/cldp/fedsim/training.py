@@ -12,11 +12,20 @@ Each round t (1-based):
    the configured second-moment bound and Pi projects onto the l2 ball of
    diameter D centered at the origin.
 
+A round runs on arrays: one ``point_grads`` call for all k*s points, one
+clip pass, one ``mechanisms.batch_encoder`` call (the l1 rotation done once)
+and one signed-count decode, which reads only the multiset the shuffler
+leaves, so the permutation is drawn but not applied to coded messages. The
+bits follow from how many messages of each code the round sent.
+
 Randomness is split into independent streams: a server stream drives client
 sampling and the shuffler; each (client, round) pair gets its own stream for
-data sampling and mechanism noise, derived from (seed, client, round). Client
-work within a round is therefore order-independent and could run in parallel;
-the run is bit-reproducible either way.
+data sampling and mechanism noise, derived from (seed, client, round). The
+run is bit-reproducible. The layout is kept on purpose: another layout with
+the same law (say, one stream per round) re-rolls every run, including the
+frozen runs of the convergence criterion. A client's s messages are drawn as
+one batch in the encoder's documented order, so for s = 1 a message draws
+exactly what a single encode draws.
 
 epsilon0 = inf is the non-private baseline: clipped gradients are sent
 uncompressed and in the clear, and the reported budget carries no guarantee.
@@ -40,17 +49,11 @@ from ..accountant import (
 )
 from ..bounds import g_squared
 from ..errors import AccountingError, ClippingWarning, ValidationError
-from ..linalg import BallSpec, p_norm, project_l2_ball
-from ..mechanisms import (
-    MechanismSpec,
-    RawVector,
-    encode_message,
-    mean_estimate,
-    mechanism_family,
-)
+from ..linalg import BallSpec, project_l2_ball
+from ..mechanisms import MechanismSpec, batch_encoder, mechanism_family
 from .. import wire
 from .data import ClientDataset, stack_points, validate_clients
-from .tasks import Task, get_task
+from .tasks import get_task
 
 CLIENT_SALT = 0x434C4E54  # per-(client, round) streams
 SERVER_SALT = 0x53525652  # client sampling and the shuffler
@@ -112,7 +115,8 @@ class RoundTrace:
     entry and exit iterates; ``exact_bits`` is the wire-accounted total over
     all sampled clients this round, ``expected_bits`` its a-priori mean over
     the sampling randomness; ``epsilon_so_far`` is the central epsilon of a
-    run ending at this round (NaN when not accounted).
+    run ending at this round (NaN when not accounted); ``clipped`` counts the
+    round's gradients that the clip shrank.
     """
 
     t: int
@@ -123,6 +127,7 @@ class RoundTrace:
     loss_after: float
     grad_norm: float
     epsilon_so_far: float
+    clipped: int
 
 
 @dataclass(frozen=True)
@@ -136,72 +141,21 @@ def sample_clients(m: int, k: int, rng) -> np.ndarray:
     """k distinct client indices, uniform over all k-subsets of range(m)."""
     if not 1 <= k <= m:
         raise ValidationError(f"need 1 <= k <= m, got k={k}, m={m}")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    return np.sort(gen.choice(m, size=k, replace=False))
+    return np.sort(np.random.default_rng(rng).choice(m, size=k, replace=False))
 
 
 def sample_data(r: int, s: int, rng) -> np.ndarray:
     """s distinct point indices, uniform over all s-subsets of range(r)."""
     if not 1 <= s <= r:
         raise ValidationError(f"need 1 <= s <= r, got s={s}, r={r}")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    return np.sort(gen.choice(r, size=s, replace=False))
-
-
-def _client_messages(
-    client: ClientDataset, theta: np.ndarray, cfg: TrainConfig, task: Task, gen
-) -> tuple[list, int]:
-    """One client's round: sample s points, clip gradients, encode. Returns
-    (messages, how many gradients the clip actually shrank)."""
-    spec = cfg.mechanism_spec()
-    ball = cfg.ball
-    idx = sample_data(client.r, cfg.params.s, gen)
-    messages: list = []
-    n_clipped = 0
-    for i in idx:
-        _, grad = task.point_loss_grad(theta, client.features[i], float(client.labels[i]))
-        if not np.all(np.isfinite(grad)):
-            raise ValidationError(f"task {cfg.task!r} produced a non-finite gradient")
-        norm = p_norm(grad, ball.p)
-        n_clipped += norm > ball.radius
-        clipped = grad / max(1.0, norm / ball.radius)  # linalg.clip's formula
-        if spec is None:
-            messages.append(RawVector(values=tuple(float(v) for v in clipped)))
-        else:
-            messages.append(encode_message(clipped, spec, gen))
-    return messages, n_clipped
-
-
-def local_round(client: ClientDataset, theta: np.ndarray, cfg: TrainConfig, rng) -> list:
-    """The messages one sampled client contributes in one round (s of them)."""
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    messages, _ = _client_messages(client, theta, cfg, get_task(cfg.task), gen)
-    return messages
+    return np.sort(np.random.default_rng(rng).choice(r, size=s, replace=False))
 
 
 def shuffle(messages: list, rng) -> list:
     """Uniformly random permutation of the batch; the multiset is unchanged."""
     if not messages:
         raise ValidationError("cannot shuffle an empty batch")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    return [messages[i] for i in gen.permutation(len(messages))]
-
-
-def aggregate(messages, spec: MechanismSpec | None, expected_count: int | None = None):
-    """Mean of the decoded batch; order-invariant by construction."""
-    msgs = list(messages)
-    if expected_count is not None and len(msgs) != expected_count:
-        raise ValidationError(f"expected {expected_count} messages, got {len(msgs)}")
-    if spec is not None:
-        return mean_estimate(msgs, spec)
-    if not msgs:
-        raise ValidationError("mean estimation needs at least one message")
-    rows = []
-    for msg in msgs:
-        if not isinstance(msg, RawVector):
-            raise ValidationError("baseline aggregation expects raw vectors only")
-        rows.append(np.asarray(msg.values, dtype=np.float64))
-    return np.mean(rows, axis=0)
+    return [messages[i] for i in np.random.default_rng(rng).permutation(len(messages))]
 
 
 def _no_guarantee_budget(cfg: TrainConfig, reason: str) -> PrivacyBudget:
@@ -260,22 +214,29 @@ def train(cfg: TrainConfig, data: list[ClientDataset]) -> TrainResult:
     theta = np.zeros(d)
     loss_now = task.batch_loss(theta, X_all, Y_all)
     traces: list[RoundTrace] = []
-    clipped_total = 0
 
     for t in range(1, cfg.T + 1):
         chosen = sample_clients(p.m, p.k, server)
-        messages: list = []
-        exact_bits = 0
-        for ci in chosen:
-            cgen = np.random.default_rng(
-                np.random.SeedSequence((cfg.seed, CLIENT_SALT, int(ci), t))
-            )
-            msgs, n_clipped = _client_messages(data[ci], theta, cfg, task, cgen)
-            clipped_total += n_clipped
-            exact_bits += wire.client_payload_bits(msgs, spec)
-            messages.extend(msgs)
-        messages = shuffle(messages, server)
-        g_bar = aggregate(messages, spec, expected_count=p.k * p.s)
+        streams = [
+            np.random.default_rng(np.random.SeedSequence((cfg.seed, CLIENT_SALT, int(ci), t)))
+            for ci in chosen
+        ]
+        points = np.concatenate(
+            [ci * p.r + sample_data(p.r, p.s, gen) for ci, gen in zip(chosen, streams)]
+        )
+        grads = task.point_grads(theta, X_all[points], Y_all[points])
+        if not np.isfinite(grads).all():
+            raise ValidationError(f"task {cfg.task!r} produced a non-finite gradient")
+        norms = np.linalg.norm(grads, ord=cfg.ball.p, axis=1)
+        rows = grads / np.maximum(1.0, norms / cfg.ball.radius)[:, None]  # linalg.clip's formula
+
+        # The shuffler. The counts decode reads only the multiset, so coded
+        # messages need no order; the draw keeps the server stream.
+        order = server.permutation(p.k * p.s)
+        if spec is None:
+            g_bar, l1_arm = rows[order].mean(axis=0), 0
+        else:
+            g_bar, l1_arm = batch_encoder(rows, spec)(streams)
 
         eta = cfg.diameter / (big_g * math.sqrt(t))
         theta = project_l2_ball(theta - eta * g_bar, np.zeros(d), radius)
@@ -284,17 +245,18 @@ def train(cfg: TrainConfig, data: list[ClientDataset]) -> TrainResult:
             RoundTrace(
                 t=t,
                 client_ids=tuple(int(data[ci].client_id) for ci in chosen),
-                exact_bits=exact_bits,
+                exact_bits=wire.round_payload_bits(spec, p, d, l1_arm),
                 expected_bits=expected_bits,
                 loss_before=loss_now,
                 loss_after=loss_after,
                 grad_norm=float(np.linalg.norm(g_bar)),
                 epsilon_so_far=eps_schedule[t - 1],
+                clipped=int(np.count_nonzero(norms > cfg.ball.radius)),
             )
         )
         loss_now = loss_after
 
-    frac = clipped_total / (cfg.T * p.k * p.s)
+    frac = sum(tr.clipped for tr in traces) / (cfg.T * p.k * p.s)
     if frac > cfg.clip_warn_frac:
         warnings.warn(
             f"clipping shrank {frac:.1%} of gradients (> {cfg.clip_warn_frac:.1%}); "

@@ -37,9 +37,10 @@ counting per row instead of per batch gives the individual decodes.
 
 The per-message functions (``r1_encode``, ``priv``, ``quan``,
 ``encode_message``, ``r1_decode``, ``decode_message``, ...) and the batch ones
-(``mean_estimate``, ``sample_decoded``, ``mean_estimate_trials``) are views of
-these two, and every input passes the one check in ``_require_rows``. The
-message dataclasses exist only at this boundary and on the wire. Every encoder
+(``batch_encoder``, the array entry point, and ``mean_estimate``,
+``sample_decoded``, ``mean_estimate_trials``) are views of these two, and
+every input passes the one check in ``_require_rows``. The message
+dataclasses exist only at this boundary and on the wire. Every encoder
 takes an explicit seedable random stream (anything accepted by
 ``numpy.random.default_rng``); identical streams reproduce identical messages.
 The ``*_atom_probabilities`` helpers give the closed-form output distributions
@@ -51,8 +52,8 @@ sampling.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -125,6 +126,8 @@ class RawVector:
     def __post_init__(self) -> None:
         if len(self.values) < 1:
             raise ValidationError("raw message must carry at least one value")
+        if not all(isinstance(v, numbers.Real) for v in self.values):
+            raise ValidationError("raw message values must be real numbers")
 
 
 MechanismMessage = Union[IndexSign, SparseSigned, MixTagged, RawVector]
@@ -576,9 +579,8 @@ def rp_decode(msg: MixTagged, spec: MechanismSpec) -> np.ndarray:
 
 class _Family(NamedTuple):
     kind: type  # the message dataclass
-    # (rows, spec) -> draw(gen) -> batch of one message per row; row-only work
-    # such as the Hadamard rotation is done once, before any draw
-    sampler: Callable
+    prepare: Callable  # (rows, spec) -> per-row arrays of the row-only work (l1 rotation)
+    draw: Callable  # (prepared rows, spec, gen) -> batch of one message per row
     sums: Callable  # (batch, spec, groups, n_groups) -> (n_groups, d) decoded sums
     gather: Callable  # (messages, spec) -> batch, checked as the decoder needs
     wrap: Callable  # batch of one row -> its message
@@ -587,34 +589,38 @@ class _Family(NamedTuple):
 _FAMILIES = {
     "l1": _Family(
         IndexSign,
-        lambda rows, spec: partial(_draw_atoms, _r1_plus(rows, spec)),
+        _r1_plus,
+        lambda plus, spec, gen: _draw_atoms(plus, gen),
         _r1_sums,
         lambda msgs, spec: _atoms_of(msgs, padded_dim(spec.ball.dim)),
         _index_sign,
     ),
     "linf": _Family(
         IndexSign,
-        lambda rows, spec: partial(_draw_atoms, _rinf_plus(rows, spec)),
+        _rinf_plus,
+        lambda plus, spec, gen: _draw_atoms(plus, gen),
         _rinf_sums,
         lambda msgs, spec: _atoms_of(msgs, spec.ball.dim),
         _index_sign,
     ),
     "l2": _Family(
         SparseSigned,
-        lambda rows, spec: partial(_draw_l2, rows, spec),
+        lambda rows, spec: rows,
+        _draw_l2,
         _r2_sums,
         lambda msgs, spec: _sparse_of(msgs, spec.ball.dim, spec.ball.dim),
         _sparse_signed,
     ),
     "mix": _Family(
-        MixTagged, lambda rows, spec: partial(_draw_mix, rows, spec), _mix_sums, _mix_of, _mix_tagged
+        MixTagged, lambda rows, spec: rows, _draw_mix, _mix_sums, _mix_of, _mix_tagged
     ),
 }
 
 
 def _encode_one(family: str, x, spec: MechanismSpec, rng) -> MechanismMessage:
     fam = _FAMILIES[family]
-    return fam.wrap(fam.sampler(_require_rows(x, spec.ball, 1), spec)(np.random.default_rng(rng)))
+    prepared = fam.prepare(_require_rows(x, spec.ball, 1), spec)
+    return fam.wrap(fam.draw(prepared, spec, np.random.default_rng(rng)))
 
 
 def _decoded_sum(family: str, msgs: list, spec: MechanismSpec) -> np.ndarray:
@@ -677,21 +683,56 @@ def sample_decoded(x, spec: MechanismSpec, rng, n_samples: int) -> np.ndarray:
     out = np.empty((n_samples, v.shape[1]))
     for lo in range(0, n_samples, _SAMPLE_BATCH):
         m = min(_SAMPLE_BATCH, n_samples - lo)
-        draw = fam.sampler(np.broadcast_to(v, (m, v.shape[1])), spec)
-        out[lo:lo + m] = fam.sums(draw(gen), spec, np.arange(m), m)
+        prepared = fam.prepare(np.broadcast_to(v, (m, v.shape[1])), spec)
+        out[lo:lo + m] = fam.sums(fam.draw(prepared, spec, gen), spec, np.arange(m), m)
     return out
+
+
+def _concat(blocks):
+    """One family's per-block batches (nested tuples of arrays), in block order."""
+    if len(blocks) == 1:
+        return blocks[0]
+    if isinstance(blocks[0], np.ndarray):
+        return np.concatenate(blocks)
+    return tuple(_concat(parts) for parts in zip(*blocks))
+
+
+def batch_encoder(x, spec: MechanismSpec) -> Callable:
+    """The spec's encoder on a row matrix, decoded from signed counts.
+
+    The rows pass the one input check and the row-only work (the l1 family's
+    rotation) is done here, once. ``encode(streams)`` splits the rows into len(streams)
+    equal consecutive blocks, draws block i from streams[i] in the documented
+    order, decodes all messages with one signed-count decode, and returns
+    (their mean, how many ran the mix's l1 arm: 0 for the other families).
+    """
+    rows = _require_rows(x, spec.ball, 2)
+    family = mechanism_family(spec)
+    fam, n = _FAMILIES[family], len(rows)
+    prepared = fam.prepare(rows, spec)
+
+    def encode(streams) -> tuple[np.ndarray, int]:
+        if not streams or n % len(streams):
+            raise ValidationError(f"cannot split {n} rows into {len(streams)} equal blocks")
+        size = n // len(streams)
+        batch = _concat([
+            fam.draw(prepared[i * size:(i + 1) * size], spec, np.random.default_rng(rng))
+            for i, rng in enumerate(streams)
+        ])
+        l1_arm = int(np.count_nonzero(batch[0])) if family == "mix" else 0
+        return fam.sums(batch, spec, np.zeros(n, dtype=np.intp), 1)[0] / n, l1_arm
+
+    return encode
 
 
 def mean_estimate_trials(dataset, spec: MechanismSpec, rng, trials: int) -> np.ndarray:
     """Repeated mean estimation over a fixed dataset, one estimate per row.
 
-    Each trial encodes every dataset row once and averages the decodes; the
-    rows pass the same ball check as a single encode.
+    Each trial encodes every dataset row once, on one stream, and averages the
+    decodes: the one-stream case of ``batch_encoder``.
     """
-    rows = _require_rows(dataset, spec.ball, 2)
+    encode = batch_encoder(dataset, spec)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    fam = _FAMILIES[mechanism_family(spec)]
-    draw, gen = fam.sampler(rows, spec), np.random.default_rng(rng)
-    groups = np.zeros(len(rows), dtype=np.intp)
-    return np.vstack([fam.sums(draw(gen), spec, groups, 1) for _ in range(trials)]) / len(rows)
+    gen = np.random.default_rng(rng)
+    return np.vstack([encode([gen])[0] for _ in range(trials)])

@@ -129,26 +129,27 @@ def histogram_unpack(code: HistogramCode) -> tuple[int, ...]:
     """The sorted multiset a HistogramCode ranks; inverse of histogram_pack.
 
     The shifted atoms b_s > ... > b_1 are peeled off from the top: b_i is the
-    largest b below b_{i+1} with C(b, i) <= the remaining rank, found by
-    bisection since C(b, i) increases in b.
+    largest b below b_{i+1} with C(b, i) <= the remaining rank. b only walks
+    down, and the binomial follows it exactly, one multiply and divide a step:
+    C(b-1, i) = C(b, i)*(b-i)/b within a level, C(b-1, i-1) = C(b, i)*i/b to
+    the next. The last level needs no walk: C(b, 1) = b, so b_1 is the rank
+    that remains, and a one-atom code unpacks in constant time.
     """
     rank = code.rank
     out = []
-    hi = code.B + code.s - 1  # one past the largest shifted atom, b_s <= B + s - 2
-    for i in range(code.s, 0, -1):
-        lo = i - 1  # C(i - 1, i) = 0 <= rank
-        hi -= 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if math.comb(mid, i) <= rank:
-                lo = mid
-            else:
-                hi = mid - 1
-        rank -= math.comb(lo, i)
-        out.append(lo - (i - 1))
-        hi = lo
-    if rank != 0:
+    b = code.B + code.s - 2  # the largest shifted atom there can be
+    c = math.comb(b, code.s)
+    for i in range(code.s, 1, -1):
+        while c > rank:
+            c = c * (b - i) // b
+            b -= 1
+        rank -= c
+        out.append(b - (i - 1))
+        c = c * i // b  # b >= i - 1 >= 1, since C(i - 1, i) = 0 <= rank
+        b -= 1
+    if rank > b:
         raise ValidationError(f"corrupt multiset rank in {code!r}")
+    out.append(rank)
     return tuple(reversed(out))
 
 
@@ -353,15 +354,24 @@ def client_round_bits_exact(spec: mech.MechanismSpec, s: int) -> int:
     return _code_bits(family, spec.ball.dim, s)
 
 
+def round_payload_bits(spec: mech.MechanismSpec | None, params, d: int, l1_arm: int = 0) -> int:
+    """Exact payload bits of one round: k clients, s messages each, of which
+    ``l1_arm`` ran the mix's l1 arm; ``spec`` None prices raw vectors."""
+    if spec is None:
+        return params.k * params.s * RAW_VALUE_BITS * d
+    if spec.mix_prob is None:
+        return params.k * client_round_bits_exact(spec, params.s)
+    dim = spec.ball.dim
+    return l1_arm * _code_bits("L1", dim) + (params.k * params.s - l1_arm) * _code_bits("L2", dim)
+
+
 def expected_round_bits(spec: mech.MechanismSpec | None, params, d: int) -> float:
     """A-priori mean of a round's total payload bits: k clients, s messages each.
 
     ``spec`` None is the uncompressed baseline of raw vectors over dimension d.
     """
-    if spec is None:
-        return params.k * float(RAW_VALUE_BITS) * d * params.s
-    if spec.mix_prob is None:
-        return float(params.k * client_round_bits_exact(spec, params.s))
+    if spec is None or spec.mix_prob is None:
+        return float(round_payload_bits(spec, params, d))
     q, dim = spec.mix_prob, spec.ball.dim
     per_message = q * _code_bits("L1", dim) + (1.0 - q) * _code_bits("L2", dim)
     return params.k * params.s * per_message

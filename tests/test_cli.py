@@ -254,6 +254,12 @@ class TestTrainCommand:
         assert code == 2
         capsys.readouterr()
 
+    def test_missing_dataset_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.bin")
+        code = main(self.ARGS + ["--data", missing, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "missing.bin" in capsys.readouterr().err
+
     def test_accounted_requires_valid_preconditions(self, tmp_path, capsys):
         args = (
             "train --m 4 --k 2 --r 3 --s 1 --T 2 --eps0 1.0 --delta 1e-5 "

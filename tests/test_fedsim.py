@@ -1,22 +1,27 @@
 """Federated training loop: sampling, tasks, rounds, aggregation, dataset IO."""
 
 import math
+import os
+import struct
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cldp.wire as wire
 from cldp.accountant import SamplingParams
+from cldp.bounds import g_squared
 from cldp.errors import ClippingWarning, PreconditionError, ValidationError
 from cldp.fedsim import (
     ClientDataset,
     TRACE_COLUMNS,
     TrainConfig,
-    aggregate,
     get_task,
     load_dataset_binary,
     load_dataset_csv,
-    local_round,
     sample_clients,
     sample_data,
     save_dataset_binary,
@@ -30,7 +35,15 @@ from cldp.fedsim import (
 )
 from cldp.fedsim.tasks import TASKS
 from cldp.linalg import BallSpec
-from cldp.mechanisms import IndexSign, MechanismSpec, RawVector, decode_message
+from cldp.mechanisms import (
+    IndexSign,
+    MechanismSpec,
+    MixTagged,
+    RawVector,
+    SparseSigned,
+    batch_encoder,
+    mean_estimate,
+)
 
 L2_BALL = BallSpec(p=2.0, radius=1.0, dim=2)
 
@@ -49,6 +62,45 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return TrainConfig(**defaults)
+
+
+# (p, mix_prob, eps0) per case, and the traces the stream layout fixes for
+# them: client ids and exact bits per round, and the post-step loss.
+STREAM_CASES = {
+    "l1": (1.0, None, 1.5),
+    "l2": (2.0, None, 1.5),
+    "linf": (math.inf, None, 1.5),
+    "mix": (3.0, 0.5, 1.5),
+    "raw": (2.0, None, math.inf),
+}
+_IDS = [(2, 3, 5), (0, 1, 2), (2, 3, 4), (0, 2, 4)]
+GOLDEN_TRACES = {
+    "l1": (
+        _IDS,
+        [9, 9, 9, 9],
+        [0.7162120893865129, 0.7404883810439236, 0.7582062053289881, 0.7657761822706816],
+    ),
+    "l2": (
+        _IDS,
+        [18, 18, 18, 18],
+        [0.6896724357767692, 0.719099929389888, 0.6707375345227852, 0.7021780534609663],
+    ),
+    "linf": (
+        _IDS,
+        [9, 9, 9, 9],
+        [0.6987563024746836, 0.7022033786232201, 0.704039306894542, 0.6664432775686449],
+    ),
+    "mix": (
+        _IDS,
+        [15, 9, 12, 18],
+        [0.6909697169660843, 0.7486556967831607, 0.7762306829945383, 0.7471659248071658],
+    ),
+    "raw": (
+        _IDS,
+        [576, 576, 576, 576],
+        [0.6820841563236378, 0.6800304260075669, 0.6838654001415078, 0.6860021255814995],
+    ),
+}
 
 
 class TestSampling:
@@ -97,7 +149,8 @@ class TestTasks:
         task = get_task("logistic")
         x = np.array([0.6, -0.8])
         for y in (-1.0, 1.0):
-            loss, grad = task.point_loss_grad(np.zeros(2), x, y)
+            loss = task.batch_loss(np.zeros(2), x[None], np.array([y]))
+            (grad,) = task.point_grads(np.zeros(2), x[None], np.array([y]))
             assert loss == pytest.approx(math.log(2.0), rel=1e-12)
             assert grad == pytest.approx(-(y / 2.0) * x, rel=1e-12)
 
@@ -106,15 +159,15 @@ class TestTasks:
         gen = np.random.default_rng(4)
         for _ in range(20):
             theta = gen.normal(size=3)
-            x = gen.normal(size=3)
-            y = float(gen.choice([-1.0, 1.0]))
-            _, grad = task.point_loss_grad(theta, x, y)
+            X = gen.normal(size=(1, 3))
+            Y = gen.choice([-1.0, 1.0], size=1)
+            (grad,) = task.point_grads(theta, X, Y)
             h = 1e-6
             for j in range(3):
                 e = np.zeros(3)
                 e[j] = h
-                up, _ = task.point_loss_grad(theta + e, x, y)
-                down, _ = task.point_loss_grad(theta - e, x, y)
+                up = task.batch_loss(theta + e, X, Y)
+                down = task.batch_loss(theta - e, X, Y)
                 numeric = (up - down) / (2 * h)
                 assert grad[j] == pytest.approx(numeric, rel=1e-4, abs=1e-6)
 
@@ -125,7 +178,7 @@ class TestTasks:
             theta = gen.normal(size=4) * 3
             x = gen.normal(size=4)
             x /= np.linalg.norm(x)
-            _, grad = task.point_loss_grad(theta, x, float(gen.choice([-1.0, 1.0])))
+            (grad,) = task.point_grads(theta, x[None], gen.choice([-1.0, 1.0], size=1))
             assert np.linalg.norm(grad) <= 1.0 + 1e-12
 
     def test_logistic_batch_is_pointwise_mean(self):
@@ -134,82 +187,115 @@ class TestTasks:
         X = gen.normal(size=(9, 3))
         Y = gen.choice([-1.0, 1.0], size=9)
         theta = gen.normal(size=3)
-        losses, grads = zip(
-            *(task.point_loss_grad(theta, x, float(y)) for x, y in zip(X, Y))
-        )
+        # one point at a time: loss ln(1 + e^z), gradient -y sigma(z) x, z = -y theta.x
+        z = [-y * float(x @ theta) for x, y in zip(X, Y)]
+        losses = [math.log1p(math.exp(v)) for v in z]
+        grads = [(-y / (1.0 + math.exp(-v))) * x for x, y, v in zip(X, Y, z)]
         assert task.batch_loss(theta, X, Y) == pytest.approx(np.mean(losses), rel=1e-12)
-        assert task.batch_grad(theta, X, Y) == pytest.approx(
-            np.mean(grads, axis=0), rel=1e-12
-        )
+        np.testing.assert_allclose(task.point_grads(theta, X, Y), grads, rtol=1e-12)
 
     def test_logistic_is_stable_at_extreme_margins(self):
         task = get_task("logistic")
-        x = np.array([1.0, 0.0])
-        loss, grad = task.point_loss_grad(np.array([800.0, 0.0]), x, 1.0)
-        assert loss == pytest.approx(0.0, abs=1e-300)
-        assert np.all(np.isfinite(grad))
-        loss, grad = task.point_loss_grad(np.array([800.0, 0.0]), x, -1.0)
-        assert loss == pytest.approx(800.0, rel=1e-12)
-        assert grad == pytest.approx(x, rel=1e-12)
+        theta = np.array([800.0, 0.0])
+        X = np.array([[1.0, 0.0]])
+        assert task.batch_loss(theta, X, np.array([1.0])) == pytest.approx(0.0, abs=1e-300)
+        assert np.all(np.isfinite(task.point_grads(theta, X, np.array([1.0]))))
+        assert task.batch_loss(theta, X, np.array([-1.0])) == pytest.approx(800.0, rel=1e-12)
+        assert task.point_grads(theta, X, np.array([-1.0]))[0] == pytest.approx(X[0], rel=1e-12)
 
     def test_linear_abs(self):
         task = get_task("linear_abs")
         theta = np.array([1.0, 2.0])
-        x = np.array([0.5, 0.25])
-        loss, grad = task.point_loss_grad(theta, x, 3.0)  # residual -2
-        assert loss == pytest.approx(2.0, rel=1e-12)
-        assert grad == pytest.approx(-x, rel=1e-12)
         X = np.array([[0.5, 0.25], [1.0, 0.0]])
-        Y = np.array([3.0, 0.0])
+        Y = np.array([3.0, 0.0])  # residuals -2 and +1
+        assert task.point_grads(theta, X, Y) == pytest.approx(np.array([-X[0], X[1]]), rel=1e-12)
+        assert task.batch_loss(theta, X[:1], Y[:1]) == pytest.approx(2.0, rel=1e-12)
         assert task.batch_loss(theta, X, Y) == pytest.approx((2.0 + 1.0) / 2, rel=1e-12)
 
     def test_zero_task(self):
         task = get_task("zero")
-        loss, grad = task.point_loss_grad(np.ones(3), np.ones(3), 1.0)
-        assert loss == 0.0
-        assert np.array_equal(grad, np.zeros(3))
+        X = np.ones((4, 3))
+        assert task.batch_loss(np.ones(3), X, np.ones(4)) == 0.0
+        assert np.array_equal(task.point_grads(np.ones(3), X, np.ones(4)), np.zeros((4, 3)))
+
+
+def one_round(cfg, clients):
+    """Run a T=1 config; return its result and the round's step size."""
+    result = train(cfg, clients)
+    p = cfg.params
+    big_g = math.sqrt(g_squared(1.0, cfg.ball.dim, cfg.ball.p, p.q, p.n, cfg.epsilon0))
+    return result, cfg.diameter / big_g
+
+
+def clip_point(n=1):
+    """A client holding n copies of the point x=[3, 0], label 1: under
+    linear_abs at theta=0 its gradient -x has l2 norm 3, so the unit clip
+    shrinks it."""
+    return ClientDataset(client_id=0, features=np.tile([[3.0, 0.0]], (n, 1)), labels=np.ones(n))
 
 
 class TestLocalRound:
+    """A sampled client's part of a round, checked through train."""
+
     def test_message_count_and_type(self):
-        clients, _ = synthetic_logistic_data(m=1, r=5, d=2, seed=0)
-        cfg = small_config(params=SamplingParams(m=1, k=1, r=5, s=3))
-        msgs = local_round(clients[0], np.zeros(2), cfg, np.random.default_rng(0))
-        assert len(msgs) == 3
+        # r = s = 3 distinct points: the step averages exactly the 3 raw
+        # messages, and the round pays for 3 of them.
+        X = np.array([[0.6, 0.0], [0.0, -0.8], [0.3, 0.4]])
+        client = ClientDataset(client_id=0, features=X, labels=np.array([1.0, -1.0, 1.0]))
+        params = SamplingParams(m=1, k=1, r=3, s=3)
+        cfg = small_config(params=params, T=1, epsilon0=math.inf)
+        result, eta = one_round(cfg, [client])
+        grads = get_task("logistic").point_grads(np.zeros(2), X, client.labels)
+        assert result.theta == pytest.approx(-eta * grads.mean(axis=0), rel=1e-12)
+        assert result.traces[0].exact_bits == 3 * 64 * 2
+        for ball, mix_prob in ((L2_BALL, None), (BallSpec(3.0, 1.0, 2), 0.5)):
+            cfg = small_config(params=params, T=1, ball=ball, mix_prob=mix_prob)
+            bits = train(cfg, [client]).traces[0].exact_bits
+            spec = cfg.mechanism_spec()
+            if mix_prob is None:
+                assert bits == wire.client_round_bits_exact(spec, 3)
+            else:
+                arm_bits = [wire.message_payload_bits(m, spec) for m in (
+                    MixTagged("L1", IndexSign(j=0, sign=1)),
+                    MixTagged("L2", SparseSigned(pairs=((0, 1), (1, -1)))),
+                )]
+                assert bits in {i * arm_bits[0] + (3 - i) * arm_bits[1] for i in range(4)}
 
     def test_baseline_sends_exact_clipped_gradient(self):
-        x = np.array([[3.0, 0.0]])
-        client = ClientDataset(client_id=0, features=x, labels=np.array([1.0]))
         cfg = small_config(
             params=SamplingParams(m=1, k=1, r=1, s=1),
+            T=1,
             epsilon0=math.inf,
             task="linear_abs",
+            clip_warn_frac=1.0,
         )
-        msgs = local_round(client, np.zeros(2), cfg, np.random.default_rng(0))
-        assert len(msgs) == 1
-        assert isinstance(msgs[0], RawVector)
+        result, eta = one_round(cfg, [clip_point()])
         # Raw gradient -x has l2 norm 3, clipped onto the unit ball.
-        assert np.asarray(msgs[0].values) == pytest.approx([-1.0, 0.0], rel=1e-12)
+        assert result.traces[0].grad_norm == pytest.approx(1.0, rel=1e-12)
+        assert result.theta == pytest.approx([eta, 0.0], rel=1e-12)
 
     def test_private_messages_decode_to_clipped_gradient_on_average(self):
-        x = np.array([[3.0, 0.0]])
-        client = ClientDataset(client_id=0, features=x, labels=np.array([1.0]))
+        # One round over n identical points: the mean of n clip-then-encode
+        # messages is unbiased for the clipped gradient [-1, 0].
+        n = 10_000
         cfg = small_config(
-            params=SamplingParams(m=1, k=1, r=1, s=1),
+            params=SamplingParams(m=1, k=1, r=n, s=n),
+            T=1,
             epsilon0=6.0,
             task="linear_abs",
+            clip_warn_frac=1.0,
+            seed=1234,
         )
-        spec = cfg.mechanism_spec()
-        gen = np.random.default_rng(1234)
-        total = np.zeros(2)
-        n = 10_000
-        for _ in range(n):
-            (msg,) = local_round(client, np.zeros(2), cfg, gen)
-            total += decode_message(msg, spec)
-        assert total / n == pytest.approx([-1.0, 0.0], abs=0.12)
+        result = train(cfg, [clip_point(n)])
+        # theta = Pi(-eta g) points along -g, whether or not it was projected
+        g = -result.theta / np.linalg.norm(result.theta) * result.traces[0].grad_norm
+        assert g == pytest.approx([-1.0, 0.0], abs=0.12)
 
 
 class TestShuffleAndAggregate:
+    """The shuffler, and the server's aggregate: batch_encoder's decode in a
+    round, mean_estimate on messages."""
+
     def test_multiset_preserved(self):
         msgs = [IndexSign(j=j, sign=1) for j in range(5)]
         out = shuffle(msgs, np.random.default_rng(0))
@@ -234,28 +320,29 @@ class TestShuffleAndAggregate:
 
     def test_aggregate_counts_messages(self):
         spec = MechanismSpec(ball=BallSpec(p=1.0, radius=1.0, dim=2), epsilon0=1.0)
-        msgs = [IndexSign(j=0, sign=1), IndexSign(j=1, sign=-1)]
-        aggregate(msgs, spec, expected_count=2)
-        with pytest.raises(ValidationError, match="expected 3"):
-            aggregate(msgs, spec, expected_count=3)
+        encode = batch_encoder(np.zeros((3, 2)), spec)
+        encode([0, 1, 2])
+        with pytest.raises(ValidationError, match="equal blocks"):
+            encode([0, 1])
+        with pytest.raises(ValidationError, match="equal blocks"):
+            encode([])
 
     def test_aggregate_order_invariant(self):
         spec = MechanismSpec(ball=BallSpec(p=1.0, radius=1.0, dim=4), epsilon0=1.0)
         gen = np.random.default_rng(2)
         msgs = [IndexSign(j=int(gen.integers(4)), sign=int(gen.choice([-1, 1]))) for _ in range(40)]
-        forward = aggregate(msgs, spec)
-        backward = aggregate(msgs[::-1], spec)
+        forward = mean_estimate(msgs, spec)
+        backward = mean_estimate(msgs[::-1], spec)
         assert forward == pytest.approx(backward, rel=1e-12)
         # the decoder sums signed counts, so the order cannot change a bit
         np.testing.assert_array_equal(forward, backward)
 
     def test_baseline_aggregate_averages_raw(self):
+        spec = MechanismSpec(ball=L2_BALL, epsilon0=1.0)
         msgs = [RawVector(values=(1.0, 2.0)), RawVector(values=(3.0, 6.0))]
-        assert aggregate(msgs, None) == pytest.approx([2.0, 4.0], rel=1e-15)
+        assert mean_estimate(msgs, spec) == pytest.approx([2.0, 4.0], rel=1e-15)
         with pytest.raises(ValidationError):
-            aggregate([IndexSign(j=0, sign=1)], None)
-        with pytest.raises(ValidationError):
-            aggregate([], None)
+            mean_estimate([], spec)
 
 
 class TestTrain:
@@ -343,13 +430,42 @@ class TestTrain:
         with pytest.warns(ClippingWarning):
             train(cfg, clients)
 
-    def test_no_clipping_warning_for_lipschitz_task(self):
-        clients, _ = synthetic_logistic_data(m=6, r=4, d=2, seed=5)
-        import warnings
-
+    def test_clipped_counts_per_round(self):
+        # every gradient of the x=[3, 0] data is clipped: k*s = 6 per round
+        clients = [clip_point(4) for _ in range(6)]
+        with pytest.warns(ClippingWarning, match="100.0%"):
+            result = train(small_config(task="linear_abs"), clients)
+        assert [tr.clipped for tr in result.traces] == [6, 6, 6, 6]
         with warnings.catch_warnings():
             warnings.simplefilter("error", ClippingWarning)
-            train(small_config(), clients)
+            result = train(small_config(task="linear_abs", clip_warn_frac=1.0), clients)
+        assert [tr.clipped for tr in result.traces] == [6, 6, 6, 6]
+
+    def test_no_clipping_warning_for_lipschitz_task(self):
+        clients, _ = synthetic_logistic_data(m=6, r=4, d=2, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ClippingWarning)
+            result = train(small_config(), clients)
+        assert all(tr.clipped == 0 for tr in result.traces)
+
+    def test_stream_layout_is_frozen(self):
+        # s = 1 traces recorded when the per-(seed, client, round) streams were
+        # laid out. A change to the stream layout re-rolls every run, including
+        # the frozen seeds of the convergence criterion, and fails here first.
+        clients, _ = synthetic_logistic_data(m=6, r=4, d=3, seed=12)
+        for name, (p, mix_prob, eps0) in STREAM_CASES.items():
+            cfg = small_config(
+                params=SamplingParams(m=6, k=3, r=4, s=1),
+                ball=BallSpec(p=p, radius=1.0, dim=3),
+                mix_prob=mix_prob,
+                epsilon0=eps0,
+                clip_warn_frac=1.0,
+            )
+            ids, bits, losses = GOLDEN_TRACES[name]
+            traces = train(cfg, clients).traces
+            assert [tr.client_ids for tr in traces] == ids, name
+            assert [tr.exact_bits for tr in traces] == bits, name
+            assert [tr.loss_after for tr in traces] == pytest.approx(losses, rel=1e-12), name
 
     def test_accounted_run_reports_monotone_epsilon(self):
         clients, _ = synthetic_logistic_data(m=1000, r=1, d=2, seed=6)
@@ -394,11 +510,22 @@ class TestTrain:
         assert all(math.isnan(t.epsilon_so_far) for t in result.traces)
 
     def test_messages_carry_no_client_identity(self):
-        clients, _ = synthetic_logistic_data(m=1, r=5, d=2, seed=10)
-        cfg = small_config(params=SamplingParams(m=1, k=1, r=5, s=2))
-        msgs = local_round(clients[0], np.zeros(2), cfg, np.random.default_rng(0))
-        for msg in msgs:
-            assert not hasattr(msg, "client_id")
+        # Swapping two clients' rows together with their streams leaves the
+        # decoded mean bit for bit unchanged: the server learns the multiset.
+        gen = np.random.default_rng(3)
+        rows = gen.uniform(-0.4, 0.4, size=(6, 3))
+        swapped = np.concatenate([rows[2:4], rows[:2], rows[4:]])
+        specs = (
+            MechanismSpec(BallSpec(1.0, 1.5, 3), epsilon0=1.0),
+            MechanismSpec(BallSpec(2.0, 1.0, 3), epsilon0=1.0),
+            MechanismSpec(BallSpec(math.inf, 1.0, 3), epsilon0=1.0),
+            MechanismSpec(BallSpec(3.0, 1.0, 3), epsilon0=1.0, mix_prob=0.5),
+        )
+        for spec in specs:
+            a = batch_encoder(rows, spec)([np.random.default_rng(i) for i in (0, 1, 2)])
+            b = batch_encoder(swapped, spec)([np.random.default_rng(i) for i in (1, 0, 2)])
+            np.testing.assert_array_equal(a[0], b[0])
+            assert a[1] == b[1]
 
     def test_trace_csv(self, tmp_path):
         clients, _ = synthetic_logistic_data(m=6, r=4, d=2, seed=11)
@@ -441,6 +568,24 @@ class TestTrainConfigValidation:
             small_config(ball=ball)
         small_config(ball=ball, mix_prob=0.5)  # resolves fine
         small_config(ball=ball, epsilon0=math.inf)  # baseline ignores family
+
+
+@st.composite
+def dataset_bytes(draw):
+    """Arbitrary bytes, CSV-like text, or a binary header with its body."""
+    kind = draw(st.sampled_from(["bytes", "csv", "binary"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    if kind == "csv":
+        cell = st.text(alphabet="01-.e5xn,\r\n\"\x00\xe9", max_size=6)
+        rows = draw(st.lists(st.lists(cell, min_size=1, max_size=4), max_size=4))
+        header = draw(st.sampled_from(["client_id,x0,label", "client_id,x0,x1,label", "id,label"]))
+        text = header + "\n" + "\n".join(",".join(row) for row in rows)
+        return text.encode(draw(st.sampled_from(["utf-8", "latin-1"])))
+    m, r, d = (draw(st.integers(0, 3)) for _ in range(3))
+    size = m * r * (d + 1) * 8 + draw(st.sampled_from([0, 0, -8, 3]))
+    body = draw(st.binary(min_size=max(size, 0), max_size=max(size, 0)))
+    return b"CLDPDS01" + struct.pack(">III", m, r, d) + body
 
 
 class TestDatasetIO:
@@ -503,6 +648,41 @@ class TestDatasetIO:
         )
         with pytest.raises(ValidationError, match="unequal"):
             load_dataset_csv(path)
+
+    @pytest.mark.parametrize(
+        "body",
+        ["a,1.0,1.0\n", "1.5,1.0,1.0\n", "0,x,1.0\n", "0,1.0,\n", "0,1.0,nan\n"],
+    )
+    def test_csv_rejects_non_numeric_fields(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("client_id,x0,label\n" + body)
+        with pytest.raises(ValidationError):
+            load_dataset_csv(path)
+
+    def test_unreadable_files_rejected(self, tmp_path):
+        for loader in (load_dataset_csv, load_dataset_binary):
+            with pytest.raises(ValidationError, match="cannot read"):
+                loader(tmp_path / "missing")
+            with pytest.raises(ValidationError, match="cannot read"):
+                loader(tmp_path)  # a directory
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("client_id,x\xe9,label\n0,1.0,1.0\n".encode("latin-1"))
+        with pytest.raises(ValidationError, match="utf-8"):
+            load_dataset_csv(path)
+
+    @given(blob=dataset_bytes())
+    def test_loader_fuzz(self, blob):
+        # any bytes load as datasets or raise ValidationError, never another error
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data")
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            for loader in (load_dataset_csv, load_dataset_binary):
+                try:
+                    clients = loader(path)
+                except ValidationError:
+                    continue
+                assert clients and all(isinstance(c, ClientDataset) for c in clients)
 
     def test_validate_clients(self):
         clients, _ = synthetic_logistic_data(m=3, r=2, d=2, seed=2)

@@ -16,6 +16,7 @@ from cldp.mechanisms import (
     MixTagged,
     RawVector,
     SparseSigned,
+    batch_encoder,
     decode_message,
     encode_message,
     hadamard_column,
@@ -474,6 +475,26 @@ class TestMeanEstimate:
             assert {m.arm for m in msgs} == {"L1", "L2"}
         want = sum(reference_decode(m, spec) for m in msgs) / len(msgs)
         np.testing.assert_allclose(mean_estimate(msgs, spec), want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("family", ["l1", "l2", "linf", "mix"])
+    def test_batch_encoder_streams_are_single_encodes(self, family, rng):
+        # One row per stream draws exactly what encode_message draws on that
+        # stream, and the one counts decode equals the decode of those messages.
+        specs = {
+            "l1": l1_spec(3, a=1.3, eps0=0.7),
+            "l2": l2_spec(5, a=0.8, eps0=1.1),
+            "linf": linf_spec(4, a=1.5, eps0=0.6),
+            "mix": MechanismSpec(BallSpec(p=3.0, radius=1.0, dim=5), epsilon0=0.9, mix_prob=0.5),
+        }
+        spec = specs[family]
+        d = spec.ball.dim
+        rows = np.array([random_in_ball(rng, d, spec.ball.p, spec.ball.radius) for _ in range(12)])
+        mean, l1_arm = batch_encoder(rows, spec)([np.random.default_rng(i) for i in range(12)])
+        msgs = [encode_message(row, spec, np.random.default_rng(i)) for i, row in enumerate(rows)]
+        np.testing.assert_array_equal(mean, mean_estimate(msgs, spec))
+        assert l1_arm == sum(getattr(m, "arm", None) == "L1" for m in msgs)
+        if family == "mix":
+            assert 0 < l1_arm < 12
 
     def test_raw_vector_roundtrip(self):
         spec = l1_spec(3)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import struct
 import time
 
@@ -110,6 +111,12 @@ class TestMultisetCode:
         for atoms, B in [((0,), 4096), ((4095,), 4096), ((1, 1, 700, 4095), 4096)]:
             assert wire.histogram_unpack(wire.histogram_pack(atoms, B)) == atoms
 
+    def test_unpack_many_atoms(self):
+        gen = random.Random(11)
+        for s, B in [(512, 1024), (300, 2), (40, 1)]:
+            atoms = tuple(sorted(gen.randrange(B) for _ in range(s)))
+            assert wire.histogram_unpack(wire.histogram_pack(atoms, B)) == atoms
+
     def test_envelope_plus_one_budget(self):
         for s in range(1, 6):
             for B in range(2, 17):
@@ -174,7 +181,7 @@ class TestExpectedBits:
 
 class TestFraming:
     def test_l1_atom_roundtrip(self):
-        spec = l1_spec(d=3)  # pads to 4, so 2*4-atom alphabet, 4 payload bits
+        spec = l1_spec(d=3)  # pads to 4, so 2*4-atom alphabet, 3 payload bits
         msg = mech.IndexSign(j=2, sign=-1)
         frame = wire.frame_message(msg, spec)
         assert frame[0] == wire.TAG_L1_ATOM
@@ -306,6 +313,15 @@ class TestClientBits:
         with pytest.raises(ValidationError):
             wire.client_round_bits_exact(mix_spec(d=4), s=1)
 
+    def test_round_payload_bits(self):
+        params = SamplingParams(m=50, k=10, r=10, s=2)
+        assert wire.round_payload_bits(None, params, 5) == 10 * 2 * 64 * 5
+        assert wire.round_payload_bits(l1_spec(d=3), params, 3) == 10 * wire.multiset_bits(2, 8)
+        assert wire.round_payload_bits(l2_spec(d=4), params, 4) == 20 * wire.multiset_bits(4, 8)
+        # a mix round prices each message by its arm: 7 of the 20 ran the l1 arm
+        got = wire.round_payload_bits(mix_spec(d=4), params, 4, l1_arm=7)
+        assert got == 7 * wire.index_sign_bits(4) + 13 * wire.multiset_bits(4, 8)
+
     def test_expected_round_bits(self):
         params = SamplingParams(m=50, k=10, r=10, s=2)
         assert wire.expected_round_bits(None, params, 5) == 10 * 2 * 64 * 5
@@ -340,6 +356,9 @@ MALFORMED = {
     ),
     "nonzero_padding_bits": lambda: wire.unframe_message(
         _l1_frame()[:3] + bytes([_l1_frame()[3] | 0x01]), l1_spec(d=3)
+    ),
+    "raw_value_not_a_number": lambda: wire.frame_message(
+        mech.RawVector(values=("a",)), l2_spec(d=1)
     ),
 }
 
