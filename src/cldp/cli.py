@@ -24,8 +24,9 @@ configuration, so outputs are traceable to inputs; runs are deterministic
 given (config, seed), byte for byte. CSV floats are written with repr, which
 round-trips exactly.
 
-Exit codes: 0 success; 2 invalid configuration or arguments; 3 accountant
-infeasibility (preconditions unmet or target unreachable). The environment
+Exit codes: 0 success; 2 invalid configuration or arguments (an --out that
+cannot be opened for writing included); 3 accountant infeasibility
+(preconditions unmet or target unreachable). The environment
 variable CLDP_OUT_DIR sets the directory used when --out is not given.
 """
 
@@ -244,7 +245,7 @@ def _resolve_out(cfg: ExperimentConfig, default_name: str) -> str:
 
 
 def _open_csv(path: str, cfg: ExperimentConfig, units: str, header: list[str]):
-    fh = open(path, "w", newline="")
+    fh = fdata.open_output(path)
     fh.write(f"# config_sha256={cfg.sha256()}\n")
     fh.write(f"# units: {units}\n")
     writer = csv.writer(fh)
@@ -352,7 +353,7 @@ def _run_accountant(cfg: ExperimentConfig) -> int:
     result["budget"] = _budget_json(budget)
     print("\n".join(lines))
     if cfg.out is not None:
-        with open(cfg.out, "w") as fh:
+        with fdata.open_output(cfg.out) as fh:
             json.dump(result, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote {cfg.out}")
@@ -454,7 +455,7 @@ def _run_train(cfg: ExperimentConfig) -> int:
         "final_loss": result.traces[-1].loss_after,
         "budget": _budget_json(result.budget),
     }
-    with open(model_path, "w") as fh:
+    with fdata.open_output(model_path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {trace_path} and {model_path}")

@@ -123,6 +123,14 @@ def synthetic_logistic_data(
     return clients, theta_star
 
 
+def open_output(path, binary: bool = False):
+    """Open an output file, text (newline="") or binary; ValidationError if it cannot be opened."""
+    try:
+        return open(path, "wb") if binary else open(path, "w", newline="")
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write output ({exc.strerror or exc})") from None
+
+
 def save_dataset_binary(path, clients) -> None:
     """Write the documented binary layout; client ids become positional."""
     if not clients:
@@ -131,7 +139,7 @@ def save_dataset_binary(path, clients) -> None:
     validate_clients(clients, len(clients), r, d)
     X, Y = stack_points(clients)
     records = np.concatenate([X, Y[:, None]], axis=1).astype(">f8")
-    with open(path, "wb") as fh:
+    with open_output(path, binary=True) as fh:
         fh.write(_MAGIC)
         fh.write(_HEADER.pack(len(clients), r, d))
         fh.write(records.tobytes(order="C"))
@@ -176,7 +184,7 @@ def save_dataset_csv(path, clients) -> None:
         raise ValidationError("cannot save an empty dataset")
     d = clients[0].d
     validate_clients(clients, len(clients), clients[0].r, d)
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["client_id"] + [f"x{j}" for j in range(d)] + ["label"])
         for c in clients:

@@ -13,19 +13,20 @@ Each round t (1-based):
    diameter D centered at the origin.
 
 A round runs on arrays: one ``point_grads`` call for all k*s points, one
-clip pass, one ``mechanisms.batch_encoder`` call (the l1 rotation done once)
-and one signed-count decode, which reads only the multiset the shuffler
-leaves, so the permutation is drawn but not applied to coded messages. The
-bits follow from how many messages of each code the round sent.
+clip pass, and one ``mechanisms.batch_encoder`` call (the l1 rotation done
+once), which makes one draw over the k*s rows and one signed-count decode.
+The decode reads only the multiset the shuffler leaves, so the permutation is
+drawn but not applied to coded messages. The bits follow from how many
+messages of each code the round sent.
 
 Randomness is split into independent streams: a server stream drives client
 sampling and the shuffler; each (client, round) pair gets its own stream for
 data sampling and mechanism noise, derived from (seed, client, round). The
 run is bit-reproducible. The layout is kept on purpose: another layout with
 the same law (say, one stream per round) re-rolls every run, including the
-frozen runs of the convergence criterion. A client's s messages are drawn as
-one batch in the encoder's documented order, so for s = 1 a message draws
-exactly what a single encode draws.
+frozen runs of the convergence criterion. A client's stream draws the noise
+of its s rows in the mechanism's documented order, so for s = 1 a message
+draws exactly what a single encode draws.
 
 epsilon0 = inf is the non-private baseline: clipped gradients are sent
 uncompressed and in the clear, and the reported budget carries no guarantee.
@@ -34,6 +35,7 @@ uncompressed and in the clear, and the reported budget carries no guarantee.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -52,7 +54,7 @@ from ..errors import AccountingError, ClippingWarning, ValidationError
 from ..linalg import BallSpec, project_l2_ball
 from ..mechanisms import MechanismSpec, batch_encoder, mechanism_family
 from .. import wire
-from .data import ClientDataset, stack_points, validate_clients
+from .data import ClientDataset, open_output, stack_points, validate_clients
 from .tasks import get_task
 
 CLIENT_SALT = 0x434C4E54  # per-(client, round) streams
@@ -115,7 +117,8 @@ class RoundTrace:
     entry and exit iterates; ``exact_bits`` is the wire-accounted total over
     all sampled clients this round, ``expected_bits`` its a-priori mean over
     the sampling randomness; ``epsilon_so_far`` is the central epsilon of a
-    run ending at this round (NaN when not accounted); ``clipped`` counts the
+    run ending at this round (NaN when not accounted, or when that run fails a
+    precondition, which the budget's provenance names); ``clipped`` counts the
     round's gradients that the clip shrank.
     """
 
@@ -175,7 +178,7 @@ def _no_guarantee_budget(cfg: TrainConfig, reason: str) -> PrivacyBudget:
 
 
 def _budget_and_schedule(cfg: TrainConfig) -> tuple[PrivacyBudget, list[float]]:
-    """Final budget plus epsilon-so-far after each round (NaN where undefined)."""
+    """Final budget (plus a line naming any NaN rounds) and epsilon-so-far per round."""
     if math.isinf(cfg.epsilon0):
         budget = _no_guarantee_budget(cfg, "epsilon0 = inf: raw gradients, nothing to account")
         return budget, [math.inf] * cfg.T
@@ -183,16 +186,28 @@ def _budget_and_schedule(cfg: TrainConfig) -> tuple[PrivacyBudget, list[float]]:
         budget = _no_guarantee_budget(cfg, "accounting disabled by configuration")
         return budget, [math.nan] * cfg.T
     budget = end_to_end(cfg.epsilon0, cfg.delta, cfg.T, cfg.params, cfg.variant)
-    schedule = []
-    for t in range(1, cfg.T + 1):
-        if t == cfg.T:
-            schedule.append(budget.epsilon)
-            continue
+    schedule, failed = [], []
+    for t in range(1, cfg.T):
         try:
             schedule.append(end_to_end(cfg.epsilon0, cfg.delta, t, cfg.params, cfg.variant).epsilon)
-        except (ValidationError, AccountingError):
+        except (ValidationError, AccountingError) as exc:
             schedule.append(math.nan)
+            failed.append((t, exc))
+    schedule.append(budget.epsilon)
+    if failed:
+        reason = (
+            f"epsilon_so_far is NaN for rounds {_spans([t for t, _ in failed])}: "
+            f"a run ending there fails a precondition ({failed[0][1]})"
+        )
+        budget = dataclasses.replace(budget, provenance=budget.provenance + (reason,))
     return budget, schedule
+
+
+def _spans(rounds: list[int]) -> str:
+    """Increasing round numbers as runs of consecutive ones: '1-3, 7'."""
+    starts = [t for i, t in enumerate(rounds) if i == 0 or rounds[i - 1] != t - 1]
+    ends = [t for i, t in enumerate(rounds) if i == len(rounds) - 1 or rounds[i + 1] != t + 1]
+    return ", ".join(f"{a}-{b}" if a < b else str(a) for a, b in zip(starts, ends))
 
 
 def train(cfg: TrainConfig, data: list[ClientDataset]) -> TrainResult:
@@ -275,7 +290,7 @@ def write_trace_csv(path, traces, comments=()) -> None:
 
     Each line of ``comments`` is written first, as a ``# `` line.
     """
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)

@@ -17,43 +17,41 @@ Throughout, ``ratio`` is (e^{eps0}+1)/(e^{eps0}-1) and ``kappa`` its inverse;
 flip probabilities of the form 1/2 + (scaled coordinate)*kappa/2 give exactly
 an e^{eps0} likelihood ratio between any two in-ball inputs.
 
-Each family has one encoder and one decoder, both on arrays. The encoder takes
-an (n, d) row matrix and one generator and returns one message per row as a
-struct of arrays: ``(j, sign)`` for l1 and linf; ``(coords, signs, zero)`` for
-l2, with (n, d) coordinates and signs and a per-row flag for the reserved zero
-message; ``(arm, atoms, sparse)`` for the mix, where ``arm`` marks the rows
-that ran the l1 arm and the two sub-batches hold each arm's messages in row
-order. A batch draws from the generator in this order: for l1 and linf, n
-indices, then n sign uniforms; for l2, n direction uniforms, n side uniforms,
-an (n, d) Gaussian, n sign-flip uniforms and an (n, d) uniform matrix for the
-coordinates; for the mix, n arm uniforms, the l1 sub-batch, the l2 sub-batch.
-With n = 1 this is the draw sequence of a single encode.
+A message is a multiset of atoms (``_atom``: 2*coordinate + [sign > 0]): one
+over the padded dimension (l1) or d (linf), d over d (l2). Messages expose
+their ``atoms``; ``message_code`` gives each family's and mix arm's message
+type and atom shape; ``message_from_atoms`` builds a message back. ``wire``
+codes messages through these alone.
 
-The decoder sums a batch from signed counts: ``bincount`` and one unnormalized
-fast Walsh-Hadamard transform for l1, ``bincount`` for linf and l2. The
-shuffler leaves the server only the multiset of messages, and the counts
-depend on nothing else, so the sum is exact and independent of message order;
-counting per row instead of per batch gives the individual decodes.
+Each family is one record in ``_FAMILIES``: its message code; ``prepare``,
+the row-only work (the l1 rotation); ``noise``, what one stream draws for n
+rows, which fixes the draw order (``_index_noise``, ``_l2_noise``,
+``_mix_noise``); a pure ``draw`` from prepared rows and noise to atoms ((n,
+1) for l1 and linf, (n, d) for l2, (arm mask, l1 atoms, l2 atoms) for the
+mix); and a ``scale`` from net signed counts to decoded sums. One counts
+decoder, ``_net_counts``, serves every family: the shuffler leaves only the
+multiset of messages and the counts depend on nothing else, so the decoded
+sum is exact and order-free; counting per row gives individual decodes. The
+l2 zero message (``quan`` of 0) has no atoms and decodes to 0.
 
-The per-message functions (``r1_encode``, ``priv``, ``quan``,
-``encode_message``, ``r1_decode``, ``decode_message``, ...) and the batch ones
-(``batch_encoder``, the array entry point, and ``mean_estimate``,
-``sample_decoded``, ``mean_estimate_trials``) are views of these two, and
-every input passes the one check in ``_require_rows``. The message
-dataclasses exist only at this boundary and on the wire. Every encoder
-takes an explicit seedable random stream (anything accepted by
-``numpy.random.default_rng``); identical streams reproduce identical messages.
-The ``*_atom_probabilities`` helpers give the closed-form output distributions
-of the two index families from the plus-probability function the encoder
-samples, so tests can check unbiasedness, variance, and the LDP ratio without
-sampling.
+``batch_encoder`` draws each stream's noise for its block of rows, then makes
+one ``draw`` and one decode over all rows. The per-message functions
+(``r1_encode``, ``priv``, ``quan``, ``encode_message``, ``decode_message``,
+...), ``mean_estimate``, ``sample_decoded`` and ``mean_estimate_trials`` are
+its one-stream case; every input passes the one check in ``_require_rows``,
+and identical seedable streams reproduce identical messages. The
+``*_atom_probabilities`` helpers give the closed-form output distributions
+of the index families, so tests check unbiasedness, variance and the LDP
+ratio without sampling.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -66,39 +64,56 @@ from .linalg import BallSpec, EXACT_TOL, fwht_rows_inplace
 # ---------------------------------------------------------------------------
 
 
+def _atom(coord, positive):
+    """The atom format, on integers or arrays: coordinate c with sign + is 2*c + 1, with - 2*c."""
+    return 2 * coord + positive
+
+
+def _coord_sign(atoms):
+    """Inverse of ``_atom``: (coordinate, sign +-1)."""
+    return atoms >> 1, 2 * (atoms & 1) - 1
+
+
+def _pair_atoms(pairs) -> tuple[int, ...]:
+    """The atoms 2*c + [s > 0] of (coordinate, sign) pairs, each c a nonnegative
+    integer and each s +1 or -1: the one check on a message's atoms."""
+    try:
+        items = pairs if isinstance(pairs, tuple) else tuple(pairs)
+        atoms = tuple([operator.index(_atom(c, s == 1)) for c, s in items if s == 1 or s == -1])
+    except (TypeError, ValueError, OverflowError):
+        atoms, items = (), None
+    if not atoms or len(atoms) != len(items) or min(atoms) < 0:
+        raise ValidationError(f"expected (nonnegative integer, +-1) pairs, got {pairs!r:.200}")
+    return atoms
+
+
 @dataclass(frozen=True)
 class IndexSign:
     """A single (coordinate index, sign) atom; the alphabet has 2d elements."""
 
     j: int
     sign: int
+    atoms: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.j, (int, np.integer)) and self.j >= 0):
-            raise ValidationError(f"atom index must be a nonnegative integer, got {self.j!r}")
-        if self.sign not in (-1, 1):
-            raise ValidationError(f"atom sign must be +1 or -1, got {self.sign!r}")
+        object.__setattr__(self, "atoms", _pair_atoms(((self.j, self.sign),)))
 
 
 @dataclass(frozen=True)
 class SparseSigned:
     """d signed coordinate samples (repeats allowed).
 
-    ``is_zero`` marks the reserved message emitted when the quantizer input is
-    the zero vector; it decodes to the zero vector.
+    ``is_zero`` marks the reserved zero message; it has no atoms and decodes
+    to the zero vector.
     """
 
     pairs: tuple[tuple[int, int], ...]
     is_zero: bool = False
+    atoms: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.pairs) < 1:
-            raise ValidationError("sparse message needs at least one (coordinate, sign) pair")
-        for c, s in self.pairs:
-            if not (isinstance(c, (int, np.integer)) and c >= 0):
-                raise ValidationError(f"coordinate must be a nonnegative integer, got {c!r}")
-            if s not in (-1, 1):
-                raise ValidationError(f"sign must be +1 or -1, got {s!r}")
+        atoms = _pair_atoms(self.pairs)
+        object.__setattr__(self, "atoms", () if self.is_zero else atoms)
 
 
 @dataclass(frozen=True)
@@ -109,12 +124,10 @@ class MixTagged:
     inner: Union[IndexSign, SparseSigned]
 
     def __post_init__(self) -> None:
-        if self.arm not in ("L1", "L2"):
-            raise ValidationError(f"mix arm must be 'L1' or 'L2', got {self.arm!r}")
-        if self.arm == "L1" and not isinstance(self.inner, IndexSign):
-            raise ValidationError("L1 arm must carry an index-sign message")
-        if self.arm == "L2" and not isinstance(self.inner, SparseSigned):
-            raise ValidationError("L2 arm must carry a sparse signed message")
+        if self.arm not in ("L1", "L2") or not isinstance(self.inner, message_code(self.arm, 1)[0]):
+            raise ValidationError(
+                f"a mix message is an 'L1' index-sign or an 'L2' sparse message, got {self!r:.200}"
+            )
 
 
 @dataclass(frozen=True)
@@ -124,8 +137,8 @@ class RawVector:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) < 1:
-            raise ValidationError("raw message must carry at least one value")
+        if not isinstance(self.values, (tuple, list)) or len(self.values) < 1:
+            raise ValidationError(f"raw message must carry a tuple of values, got {self.values!r:.200}")
         if not all(isinstance(v, numbers.Real) for v in self.values):
             raise ValidationError("raw message values must be real numbers")
 
@@ -261,58 +274,32 @@ def _rinf_plus(rows: np.ndarray, spec: MechanismSpec) -> np.ndarray:
     return 0.5 + rows * (_kappa(spec.epsilon0) / (2.0 * spec.ball.radius))
 
 
-def _draw_atoms(plus: np.ndarray, gen: np.random.Generator):
-    """One atom per row of plus-probabilities: n indices, then n sign uniforms."""
-    n, dim = plus.shape
-    j = gen.integers(dim, size=n)
-    sign = np.where(gen.random(n) < plus[np.arange(n), j], 1, -1)
-    return j, sign
+def _index_noise(gen: np.random.Generator, n: int, dim: int):
+    """What n index-family rows draw: n indices below dim, then n sign uniforms."""
+    return gen.integers(dim, size=n), gen.random(n)
 
 
-def _atom_counts(atoms, groups: np.ndarray, n_groups: int, dim: int) -> np.ndarray:
-    """Net signed count of every index within each group: (n_groups, dim)."""
-    j, sign = atoms
-    net = np.bincount(groups * dim + j, weights=sign, minlength=n_groups * dim)
-    return net.reshape(n_groups, dim)
+def _index_draw(plus: np.ndarray, spec: MechanismSpec, noise) -> np.ndarray:
+    """One atom per row: the drawn index, + if its uniform is below the index's plus-probability."""
+    j, u = noise
+    return _atom(j, u < plus[np.arange(len(j)), j])[:, None]
 
 
-def _r1_sums(atoms, spec: MechanismSpec, groups, n_groups: int) -> np.ndarray:
+def _r1_scale(net: np.ndarray, spec: MechanismSpec) -> np.ndarray:
     """Per group, the sum of sign * a * ratio * (Hadamard column j)[:d]."""
-    d = spec.ball.dim
-    net = fwht_rows_inplace(_atom_counts(atoms, groups, n_groups, padded_dim(d)))
-    return (spec.ball.radius * privacy_ratio(spec.epsilon0)) * net[:, :d]
+    net = fwht_rows_inplace(net)
+    return (spec.ball.radius * privacy_ratio(spec.epsilon0)) * net[:, : spec.ball.dim]
 
 
-def _rinf_sums(atoms, spec: MechanismSpec, groups, n_groups: int) -> np.ndarray:
+def _rinf_scale(net: np.ndarray, spec: MechanismSpec) -> np.ndarray:
     """Per group, the sum of sign * a * d * ratio * e_j."""
-    d = spec.ball.dim
-    scale = spec.ball.radius * d * privacy_ratio(spec.epsilon0)
-    return scale * _atom_counts(atoms, groups, n_groups, d)
-
-
-def _atoms_of(msgs, dim: int):
-    """The (j, sign) arrays of index-sign messages with indices below dim."""
-    for msg in msgs:
-        if msg.j >= dim:
-            raise ValidationError(f"index {msg.j} out of range for dimension {dim}")
-    return (
-        np.array([msg.j for msg in msgs], dtype=np.intp),
-        np.array([msg.sign for msg in msgs], dtype=np.intp),
-    )
-
-
-def _index_sign(atoms) -> IndexSign:
-    j, sign = atoms
-    return IndexSign(j=int(j[0]), sign=int(sign[0]))
+    return (spec.ball.radius * spec.ball.dim * privacy_ratio(spec.epsilon0)) * net
 
 
 def _atom_probabilities(plus: np.ndarray) -> dict[tuple[int, int], float]:
     dim = plus.size
-    probs: dict[tuple[int, int], float] = {}
-    for j in range(dim):
-        probs[(j, 1)] = plus[j] / dim
-        probs[(j, -1)] = (1.0 - plus[j]) / dim
-    return probs
+    return {(j, sign): (plus[j] if sign > 0 else 1.0 - plus[j]) / dim
+            for j in range(dim) for sign in (1, -1)}
 
 
 def r1_encode(x, spec: MechanismSpec, rng) -> IndexSign:
@@ -371,22 +358,34 @@ def hemisphere_radius(d: int, a: float, eps0: float) -> float:
     return a * math.sqrt(math.pi) * gr * privacy_ratio(eps0)
 
 
-def _priv_rows(rows: np.ndarray, spec: MechanismSpec, gen: np.random.Generator) -> np.ndarray:
+def _priv_noise(gen: np.random.Generator, n: int, d: int):
+    """What ``priv`` draws: n direction uniforms, n side uniforms, an (n, d) Gaussian."""
+    return gen.random(n), gen.random(n), gen.standard_normal((n, d))
+
+
+def _quan_noise(gen: np.random.Generator, n: int, d: int):
+    """What ``quan`` draws: n sign-flip uniforms, an (n, d) uniform matrix for the coordinates."""
+    return gen.random(n), gen.random((n, d))
+
+
+def _l2_noise(gen: np.random.Generator, n: int, d: int):
+    return (*_priv_noise(gen, n, d), *_quan_noise(gen, n, d))
+
+
+def _priv_rows(rows: np.ndarray, spec: MechanismSpec, noise) -> np.ndarray:
     """One point on the sphere of radius M per row (see ``priv``)."""
-    n, d = rows.shape
+    u_dir, u_side, y = noise
     a = spec.ball.radius
     nrm = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    flip = np.where(gen.random(n) < 0.5 + nrm / (2.0 * a), 1.0, -1.0)
-    same_side = gen.random(n) < math.exp(spec.epsilon0) / (math.exp(spec.epsilon0) + 1.0)
-    y = gen.standard_normal((n, d))
+    flip = np.where(u_dir < 0.5 + nrm / (2.0 * a), 1.0, -1.0)
+    same_side = u_side < math.exp(spec.epsilon0) / (math.exp(spec.epsilon0) + 1.0)
     # The side of y around the kept direction flip*x. A zero row takes flip*e1
     # instead, a fair +-flip of a fixed axis: the two hemispheres then mix to
     # the uniform sphere, whose mean is 0 = x.
     side = np.where(nrm > 0.0, np.einsum("ij,ij->i", y, rows), y[:, 0]) * flip > 0.0
-    radius = hemisphere_radius(d, a, spec.epsilon0)
+    radius = hemisphere_radius(rows.shape[1], a, spec.epsilon0)
     radius = np.where(side == same_side, radius, -radius)
-    y *= (radius / np.sqrt(np.einsum("ij,ij->i", y, y)))[:, None]
-    return y
+    return y * (radius / np.sqrt(np.einsum("ij,ij->i", y, y)))[:, None]
 
 
 def _searchsorted_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -407,11 +406,12 @@ def _searchsorted_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return found
 
 
-def _quan_rows(rows: np.ndarray, radius: float, gen: np.random.Generator):
-    """d signed coordinate samples per nonzero row of l2 norm <= radius (see ``quan``)."""
+def _quan_atoms(rows: np.ndarray, radius: float, noise) -> np.ndarray:
+    """The atoms of d signed coordinate samples per nonzero row of l2 norm <= radius (see ``quan``)."""
+    u_flip, u = noise
     n, d = rows.shape
     l1 = np.abs(rows).sum(axis=1)
-    flip = np.where(gen.random(n) < 0.5 + l1 / (2.0 * radius * math.sqrt(d)), 1.0, -1.0)
+    flip = np.where(u_flip < 0.5 + l1 / (2.0 * radius * math.sqrt(d)), 1.0, -1.0)
     xt = rows / (l1 * flip)[:, None]
     # Inverse-CDF sampling exactly as Generator.choice(d, p=w) does it:
     # normalize w, then divide its cumulative sum by the last entry.
@@ -419,52 +419,19 @@ def _quan_rows(rows: np.ndarray, radius: float, gen: np.random.Generator):
     cdf /= cdf.sum(axis=1)[:, None]
     np.cumsum(cdf, axis=1, out=cdf)
     cdf /= cdf[:, -1:]
-    coords = _searchsorted_rows(cdf, gen.random((n, d)))
-    signs = np.where(xt[np.arange(n)[:, None], coords] > 0.0, 1, -1)
-    return coords, signs, np.zeros(n, dtype=bool)
+    coords = _searchsorted_rows(cdf, u)
+    return _atom(coords, xt[np.arange(n)[:, None], coords] > 0.0)
 
 
-def _draw_l2(rows: np.ndarray, spec: MechanismSpec, gen: np.random.Generator):
+def _l2_draw(rows: np.ndarray, spec: MechanismSpec, noise) -> np.ndarray:
     radius = hemisphere_radius(spec.ball.dim, spec.ball.radius, spec.epsilon0)
-    return _quan_rows(_priv_rows(rows, spec, gen), radius, gen)
+    return _quan_atoms(_priv_rows(rows, spec, noise[:3]), radius, noise[3:])
 
 
-def _sparse_sums(sparse, radius: float, d: int, groups, n_groups: int) -> np.ndarray:
-    """Per group, the sum of (radius*sqrt(d)/m) * sum_k sign_k e_{coord_k} over
-    the nonzero messages of m samples each; zero messages add nothing."""
-    coords, signs, zero = sparse
-    weights = np.where(zero[:, None], 0, signs).ravel()
-    net = np.bincount((groups[:, None] * d + coords).ravel(), weights=weights, minlength=n_groups * d)
-    return net.reshape(n_groups, d) * (radius * math.sqrt(d) / coords.shape[1])
-
-
-def _r2_sums(sparse, spec: MechanismSpec, groups, n_groups: int) -> np.ndarray:
+def _r2_scale(net: np.ndarray, spec: MechanismSpec) -> np.ndarray:
+    """Per group, (M*sqrt(d)/d) * sum_k sign_k e_{coord_k} over its messages' d samples."""
     d = spec.ball.dim
-    radius = hemisphere_radius(d, spec.ball.radius, spec.epsilon0)
-    return _sparse_sums(sparse, radius, d, groups, n_groups)
-
-
-def _sparse_of(msgs, d: int, samples: int):
-    """The (coords, signs, zero) arrays of sparse messages of `samples` pairs
-    (zero messages may have any length) with coordinates below d."""
-    pairs = []
-    for msg in msgs:
-        if msg.is_zero:
-            pairs.append(((0, 1),) * samples)
-            continue
-        if len(msg.pairs) != samples:
-            raise ValidationError(f"expected {samples} coordinate samples, got {len(msg.pairs)}")
-        top = max(c for c, _ in msg.pairs)
-        if top >= d:
-            raise ValidationError(f"coordinate {top} out of range for dimension {d}")
-        pairs.append(msg.pairs)
-    arr = np.array(pairs, dtype=np.intp).reshape(len(pairs), samples, 2)
-    return arr[:, :, 0], arr[:, :, 1], np.array([msg.is_zero for msg in msgs], dtype=bool)
-
-
-def _sparse_signed(sparse) -> SparseSigned:
-    coords, signs, _ = sparse
-    return SparseSigned(pairs=tuple(zip(coords[0].tolist(), signs[0].tolist())))
+    return net * (hemisphere_radius(d, spec.ball.radius, spec.epsilon0) * math.sqrt(d) / d)
 
 
 def priv(x, spec: MechanismSpec, rng) -> np.ndarray:
@@ -476,7 +443,8 @@ def priv(x, spec: MechanismSpec, rng) -> np.ndarray:
     complementary one. Output norm is exactly M.
     """
     _check_family(spec, 2.0, "the l2 mechanism")
-    return _priv_rows(_require_rows(x, spec.ball, 1), spec, np.random.default_rng(rng))[0]
+    rows = _require_rows(x, spec.ball, 1)
+    return _priv_rows(rows, spec, _priv_noise(np.random.default_rng(rng), 1, rows.shape[1]))[0]
 
 
 def quan(x, radius: float, rng) -> SparseSigned:
@@ -491,13 +459,17 @@ def quan(x, radius: float, rng) -> SparseSigned:
     rows = _require_rows(x, BallSpec(2.0, radius, int(np.size(x))), 1)
     if not rows.any():
         return SparseSigned(pairs=((0, 1),) * rows.shape[1], is_zero=True)
-    return _sparse_signed(_quan_rows(rows, radius, np.random.default_rng(rng)))
+    noise = _quan_noise(np.random.default_rng(rng), 1, rows.shape[1])
+    return message_from_atoms("l2", _quan_atoms(rows, radius, noise)[0].tolist())
 
 
 def quan_decode(msg: SparseSigned, radius: float, d: int) -> np.ndarray:
     """(radius*sqrt(d)/m) * sum_j sign_j e_{coord_j} for m pairs; zero message -> 0."""
-    sparse = _sparse_of([msg], d, len(msg.pairs))
-    return _sparse_sums(sparse, radius, d, np.zeros(1, dtype=np.intp), 1)[0]
+    atoms = np.array(msg.atoms, dtype=np.intp).reshape(1, -1)
+    if atoms.size and atoms.max() >= 2 * d:
+        raise ValidationError(f"coordinate {atoms.max() // 2} out of range for dimension {d}")
+    net = _net_counts(atoms, np.zeros(1, dtype=np.intp), 1, d)[0]
+    return net * (radius * math.sqrt(d) / max(atoms.shape[1], 1))
 
 
 def r2_encode(x, spec: MechanismSpec, rng) -> SparseSigned:
@@ -534,33 +506,17 @@ def rp_arm_specs(spec: MechanismSpec) -> tuple[MechanismSpec, MechanismSpec]:
     )
 
 
-def _draw_mix(rows: np.ndarray, spec: MechanismSpec, gen: np.random.Generator):
-    arm_l1, arm_l2 = rp_arm_specs(spec)
-    arm = gen.random(len(rows)) < spec.mix_prob
-    return arm, _draw_atoms(_r1_plus(rows[arm], arm_l1), gen), _draw_l2(rows[~arm], arm_l2, gen)
+def _mix_noise(gen: np.random.Generator, n: int, spec: MechanismSpec):
+    """n arm uniforms (as the l1-arm mask), the l1 arm's noise, then the l2 arm's."""
+    arm = gen.random(n) < spec.mix_prob
+    n_l1, d = int(np.count_nonzero(arm)), spec.ball.dim
+    return (arm, *_index_noise(gen, n_l1, padded_dim(d)), *_l2_noise(gen, n - n_l1, d))
 
 
-def _mix_sums(batch, spec: MechanismSpec, groups, n_groups: int) -> np.ndarray:
-    arm, atoms, sparse = batch
-    arm_l1, arm_l2 = rp_arm_specs(spec)
-    l1_sums = _r1_sums(atoms, arm_l1, groups[arm], n_groups)
-    return l1_sums + _r2_sums(sparse, arm_l2, groups[~arm], n_groups)
-
-
-def _mix_of(msgs, spec: MechanismSpec):
-    d = spec.ball.dim
-    return (
-        np.array([msg.arm == "L1" for msg in msgs], dtype=bool),
-        _atoms_of([msg.inner for msg in msgs if msg.arm == "L1"], padded_dim(d)),
-        _sparse_of([msg.inner for msg in msgs if msg.arm == "L2"], d, d),
-    )
-
-
-def _mix_tagged(batch) -> MixTagged:
-    arm, atoms, sparse = batch
-    if arm[0]:
-        return MixTagged("L1", _index_sign(atoms))
-    return MixTagged("L2", _sparse_signed(sparse))
+def _mix_draw(rows: np.ndarray, spec: MechanismSpec, noise):
+    (arm_l1, arm_l2), arm = rp_arm_specs(spec), noise[0]
+    l1_atoms = _index_draw(_r1_plus(rows[arm], arm_l1), arm_l1, noise[1:3])
+    return arm, l1_atoms, _l2_draw(rows[~arm], arm_l2, noise[3:])
 
 
 def rp_encode(x, spec: MechanismSpec, rng) -> MixTagged:
@@ -578,57 +534,113 @@ def rp_decode(msg: MixTagged, spec: MechanismSpec) -> np.ndarray:
 
 
 class _Family(NamedTuple):
-    kind: type  # the message dataclass
-    prepare: Callable  # (rows, spec) -> per-row arrays of the row-only work (l1 rotation)
-    draw: Callable  # (prepared rows, spec, gen) -> batch of one message per row
-    sums: Callable  # (batch, spec, groups, n_groups) -> (n_groups, d) decoded sums
-    gather: Callable  # (messages, spec) -> batch, checked as the decoder needs
-    wrap: Callable  # batch of one row -> its message
+    kind: type  # the message type
+    shape: Callable | None  # d -> (atom dimension, atoms per message); the mix uses its arms'
+    prepare: Callable  # (rows, spec) -> the row-only work every draw shares (l1 rotation)
+    noise: Callable  # (gen, n, spec) -> what one stream draws for n rows, in order
+    draw: Callable  # (prepared rows, spec, noise) -> the atoms of every row
+    scale: Callable | None  # (net signed counts, spec) -> decoded sums; the mix uses its arms'
 
 
 _FAMILIES = {
     "l1": _Family(
-        IndexSign,
-        _r1_plus,
-        lambda plus, spec, gen: _draw_atoms(plus, gen),
-        _r1_sums,
-        lambda msgs, spec: _atoms_of(msgs, padded_dim(spec.ball.dim)),
-        _index_sign,
+        IndexSign, lambda d: (padded_dim(d), 1), _r1_plus,
+        lambda gen, n, spec: _index_noise(gen, n, padded_dim(spec.ball.dim)), _index_draw, _r1_scale,
     ),
     "linf": _Family(
-        IndexSign,
-        _rinf_plus,
-        lambda plus, spec, gen: _draw_atoms(plus, gen),
-        _rinf_sums,
-        lambda msgs, spec: _atoms_of(msgs, spec.ball.dim),
-        _index_sign,
+        IndexSign, lambda d: (d, 1), _rinf_plus,
+        lambda gen, n, spec: _index_noise(gen, n, spec.ball.dim), _index_draw, _rinf_scale,
     ),
     "l2": _Family(
-        SparseSigned,
-        lambda rows, spec: rows,
-        _draw_l2,
-        _r2_sums,
-        lambda msgs, spec: _sparse_of(msgs, spec.ball.dim, spec.ball.dim),
-        _sparse_signed,
+        SparseSigned, lambda d: (d, d), lambda rows, spec: rows,
+        lambda gen, n, spec: _l2_noise(gen, n, spec.ball.dim), _l2_draw, _r2_scale,
     ),
-    "mix": _Family(
-        MixTagged, lambda rows, spec: rows, _draw_mix, _mix_sums, _mix_of, _mix_tagged
-    ),
+    "mix": _Family(MixTagged, None, lambda rows, spec: rows, _mix_noise, _mix_draw, None),
 }
+_ARMS = {"L1": "l1", "L2": "l2"}  # the family each mix arm runs
+
+
+@functools.lru_cache(maxsize=1024)
+def message_code(key: str, d: int) -> tuple[type, int, int]:
+    """(message type, atom dimension, atoms per message) of a family or a mix
+    arm ('L1', 'L2') at input dimension d; its atoms lie below 2 * atom dimension."""
+    fam = _FAMILIES.get(_ARMS.get(key, key))
+    if fam is None or fam.shape is None:
+        raise ValidationError(f"no message code {key!r}; expected l1, linf, l2, L1 or L2")
+    return (fam.kind, *fam.shape(d))
+
+
+def message_from_atoms(key: str, atoms) -> MechanismMessage:
+    """The message of a family or mix arm whose atoms these are (see ``message_code``)."""
+    kind = message_code(key, 1)[0]
+    try:
+        pairs = tuple([_coord_sign(a) for a in atoms])
+    except TypeError:
+        raise ValidationError(f"atoms must be integers, got {atoms!r:.200}") from None
+    if kind is IndexSign and len(pairs) != 1:
+        raise ValidationError(f"an index-sign message has one atom, got {len(pairs)}")
+    inner = IndexSign(*pairs[0]) if kind is IndexSign else SparseSigned(pairs=pairs)
+    return MixTagged(key, inner) if key in _ARMS else inner
+
+
+def message_atoms(msg: MechanismMessage, spec: MechanismSpec, family: str | None = None):
+    """(code key: the family, by default the spec's, or under the mix the arm; atoms)
+    of a coded message. Raises ValidationError if msg is not of the family or its atoms do not fit."""
+    family = family or mechanism_family(spec)
+    key, inner = (msg.arm, msg.inner) if isinstance(msg, MixTagged) else (family, msg)
+    kind, dim, count = message_code(key, spec.ball.dim)
+    if (family == "mix") != isinstance(msg, MixTagged) or not isinstance(inner, kind):
+        raise ValidationError(f"{type(msg).__name__} is not a message of the {family} family")
+    atoms = inner.atoms
+    if atoms and (len(atoms) != count or max(atoms) >= 2 * dim):
+        raise ValidationError(f"expected {count} atoms below {2 * dim}, got {atoms!r:.200}")
+    return key, atoms
+
+
+def _net_counts(atoms: np.ndarray, groups: np.ndarray, n_groups: int, dim: int) -> np.ndarray:
+    """The counts decoder: the net signed count of every coordinate within each
+    group, (n_groups, dim), from (n, c) atoms of n messages and their groups."""
+    coords, signs = _coord_sign(atoms)
+    keys = (groups[:, None] * dim + coords).ravel()
+    net = np.bincount(keys, weights=signs.ravel(), minlength=n_groups * dim)
+    return net.reshape(n_groups, dim)
+
+
+def _sums(family: str, atoms, spec: MechanismSpec, groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """Per group, the sum of the decoded messages of a batch of atoms."""
+    if family == "mix":
+        arm, l1_atoms, l2_atoms = atoms
+        arm_l1, arm_l2 = rp_arm_specs(spec)
+        l1_sums = _sums("l1", l1_atoms, arm_l1, groups[arm], n_groups)
+        return l1_sums + _sums("l2", l2_atoms, arm_l2, groups[~arm], n_groups)
+    fam = _FAMILIES[family]
+    return fam.scale(_net_counts(atoms, groups, n_groups, fam.shape(spec.ball.dim)[0]), spec)
 
 
 def _encode_one(family: str, x, spec: MechanismSpec, rng) -> MechanismMessage:
-    fam = _FAMILIES[family]
+    fam, key = _FAMILIES[family], family
     prepared = fam.prepare(_require_rows(x, spec.ball, 1), spec)
-    return fam.wrap(fam.draw(prepared, spec, np.random.default_rng(rng)))
+    atoms = fam.draw(prepared, spec, fam.noise(np.random.default_rng(rng), 1, spec))
+    if family == "mix":  # the one row ran one arm
+        arm, l1_atoms, l2_atoms = atoms
+        key, atoms = ("L1", l1_atoms) if arm[0] else ("L2", l2_atoms)
+    return message_from_atoms(key, atoms[0].tolist())
 
 
 def _decoded_sum(family: str, msgs: list, spec: MechanismSpec) -> np.ndarray:
-    fam = _FAMILIES[family]
-    for msg in msgs:
-        if not isinstance(msg, fam.kind):
-            raise ValidationError(f"the {family} decoder got {type(msg).__name__}")
-    return fam.sums(fam.gather(msgs, spec), spec, np.zeros(len(msgs), dtype=np.intp), 1)[0]
+    """The sum of decoded coded messages, from their atoms by one counts decode."""
+    coded = [message_atoms(msg, spec, family) for msg in msgs]
+
+    def batch(key):
+        rows = [atoms for k, atoms in coded if k == key and atoms]
+        return np.array(rows, dtype=np.intp).reshape(len(rows), message_code(key, spec.ball.dim)[2])
+
+    if family != "mix":
+        atoms = batch(family)
+        return _sums(family, atoms, spec, np.zeros(len(atoms), dtype=np.intp), 1)[0]
+    l1_atoms, l2_atoms = batch("L1"), batch("L2")
+    arm = np.arange(len(l1_atoms) + len(l2_atoms)) < len(l1_atoms)
+    return _sums(family, (arm, l1_atoms, l2_atoms), spec, np.zeros(len(arm), dtype=np.intp), 1)[0]
 
 
 def encode_message(x, spec: MechanismSpec, rng) -> MechanismMessage:
@@ -679,32 +691,25 @@ def sample_decoded(x, spec: MechanismSpec, rng, n_samples: int) -> np.ndarray:
     v = _require_rows(x, spec.ball, 1)
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    fam, gen = _FAMILIES[mechanism_family(spec)], np.random.default_rng(rng)
+    family = mechanism_family(spec)
+    fam, gen = _FAMILIES[family], np.random.default_rng(rng)
     out = np.empty((n_samples, v.shape[1]))
     for lo in range(0, n_samples, _SAMPLE_BATCH):
         m = min(_SAMPLE_BATCH, n_samples - lo)
         prepared = fam.prepare(np.broadcast_to(v, (m, v.shape[1])), spec)
-        out[lo:lo + m] = fam.sums(fam.draw(prepared, spec, gen), spec, np.arange(m), m)
+        atoms = fam.draw(prepared, spec, fam.noise(gen, m, spec))
+        out[lo:lo + m] = _sums(family, atoms, spec, np.arange(m), m)
     return out
-
-
-def _concat(blocks):
-    """One family's per-block batches (nested tuples of arrays), in block order."""
-    if len(blocks) == 1:
-        return blocks[0]
-    if isinstance(blocks[0], np.ndarray):
-        return np.concatenate(blocks)
-    return tuple(_concat(parts) for parts in zip(*blocks))
 
 
 def batch_encoder(x, spec: MechanismSpec) -> Callable:
     """The spec's encoder on a row matrix, decoded from signed counts.
 
-    The rows pass the one input check and the row-only work (the l1 family's
-    rotation) is done here, once. ``encode(streams)`` splits the rows into len(streams)
-    equal consecutive blocks, draws block i from streams[i] in the documented
-    order, decodes all messages with one signed-count decode, and returns
-    (their mean, how many ran the mix's l1 arm: 0 for the other families).
+    The rows pass the one input check, and the row-only work (the l1 rotation)
+    is done once, here. ``encode(streams)`` draws the noise of len(streams)
+    equal consecutive blocks of rows, block i from streams[i], then makes one
+    draw and one decode over all rows; it returns the mean of the decoded
+    messages and how many ran the mix's l1 arm (0 for the other families).
     """
     rows = _require_rows(x, spec.ball, 2)
     family = mechanism_family(spec)
@@ -715,12 +720,11 @@ def batch_encoder(x, spec: MechanismSpec) -> Callable:
         if not streams or n % len(streams):
             raise ValidationError(f"cannot split {n} rows into {len(streams)} equal blocks")
         size = n // len(streams)
-        batch = _concat([
-            fam.draw(prepared[i * size:(i + 1) * size], spec, np.random.default_rng(rng))
-            for i, rng in enumerate(streams)
-        ])
-        l1_arm = int(np.count_nonzero(batch[0])) if family == "mix" else 0
-        return fam.sums(batch, spec, np.zeros(n, dtype=np.intp), 1)[0] / n, l1_arm
+        blocks = [fam.noise(np.random.default_rng(rng), size, spec) for rng in streams]
+        noise = blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
+        atoms = fam.draw(prepared, spec, noise)
+        l1_arm = int(np.count_nonzero(atoms[0])) if family == "mix" else 0
+        return _sums(family, atoms, spec, np.zeros(n, dtype=np.intp), 1)[0] / n, l1_arm
 
     return encode
 

@@ -10,14 +10,15 @@ cost stays within one bit of the Stirling envelope s*(log2 e + log2((s+B-1)/s)).
 An index-sign message is the one-atom case: its rank is the index big-endian
 in ceil(log2 d) bits followed by the sign bit (1 meaning +).
 
-One family table, ``_CODES``, maps each family and mix arm to its frame tag,
-message type, atom dimension and atoms per message: l1 and the mix's l1 arm
-use (padded_dim(d), 1), linf (d, 1), l2 and the mix's l2 arm (d, d). Framing,
-unframing and every bit count read it, with multiset_bits as the only cost
-rule. A client's several index-sign messages (l1, linf) pack into one
-multiset; every other message costs its own payload. The reserved l2 zero
-message costs nothing, and a raw float64 vector (the uncompressed baseline)
-costs 64 bits per value.
+Atoms come from ``cldp.mechanisms``: messages expose their ``atoms``,
+``message_atoms`` checks them against the spec's family, ``message_code``
+gives each family's and mix arm's message type and atom shape, and
+``message_from_atoms`` rebuilds an unframed message. The one table here,
+``_CODES``, holds frame tags; multiset_bits is the only cost rule. A client's
+several index-sign messages (l1, linf) pack into one multiset; every other
+message costs its own payload. The l2 zero message has no atoms and costs
+nothing; a raw float64 vector (the uncompressed baseline) costs 64 bits per
+value.
 
 On the wire each message is [1 byte: tag][2 bytes: payload bit length,
 big-endian][payload, big-endian, zero-padded to a byte boundary]. Payloads are
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -54,16 +56,10 @@ TAG_RAW = 0x06           # uncompressed float64 vector (baseline mode)
 RAW_VALUE_BITS = 64
 MAX_PAYLOAD_BITS = 0xFFFF  # the 16-bit frame length field
 
-# Family or mix arm -> (frame tag, message type, d -> (atom dimension, atoms
-# per message)).
-_CODES = {
-    "l1": (TAG_L1_ATOM, mech.IndexSign, lambda d: (mech.padded_dim(d), 1)),
-    "linf": (TAG_LINF_ATOM, mech.IndexSign, lambda d: (d, 1)),
-    "l2": (TAG_L2_SPARSE, mech.SparseSigned, lambda d: (d, d)),
-    "L1": (TAG_MIX_L1, mech.IndexSign, lambda d: (mech.padded_dim(d), 1)),
-    "L2": (TAG_MIX_L2, mech.SparseSigned, lambda d: (d, d)),
-}
-_TAG_CODES = {tag: key for key, (tag, _, _) in _CODES.items()}
+# Family or mix arm -> frame tag; the message code itself is mechanisms'.
+_CODES = {"l1": TAG_L1_ATOM, "linf": TAG_LINF_ATOM, "l2": TAG_L2_SPARSE,
+          "L1": TAG_MIX_L1, "L2": TAG_MIX_L2}
+_TAG_CODES = {tag: key for key, tag in _CODES.items()}
 
 
 def multiset_bits(s: int, B: int) -> int:
@@ -92,12 +88,15 @@ class HistogramCode:
     B: int
 
     def __post_init__(self) -> None:
-        if self.s < 1 or self.B < 1:
-            raise ValidationError(f"need s >= 1 and B >= 1, got s={self.s}, B={self.B}")
-        if not 0 <= self.rank < math.comb(self.s + self.B - 1, self.s):
-            raise ValidationError(
-                f"rank {self.rank} out of range for {self.s} atoms over alphabet {self.B}"
-            )
+        try:
+            if self.s < 1 or self.B < 1:
+                raise ValidationError(f"need s >= 1 and B >= 1, got s={self.s}, B={self.B}")
+            if not 0 <= self.rank < math.comb(self.s + self.B - 1, self.s):
+                raise ValidationError(
+                    f"rank {self.rank} out of range for {self.s} atoms over alphabet {self.B}"
+                )
+        except TypeError:
+            raise ValidationError(f"rank, s and B must be integers, got {self!r}") from None
 
     @property
     def bit_length(self) -> int:
@@ -112,15 +111,14 @@ def histogram_pack(atoms, B: int) -> HistogramCode:
     makes it strictly increasing, and the combinatorial number system ranks
     strictly increasing sequences by sum-of-binomials.
     """
-    atoms = list(atoms)
-    if not atoms:
+    try:
+        ordered = sorted(map(operator.index, atoms))
+    except TypeError:
+        raise ValidationError(f"atoms must be integers, got {atoms!r}") from None
+    if not ordered:
         raise ValidationError("cannot pack an empty multiset")
-    for atom in atoms:
-        if not (isinstance(atom, (int,)) or float(atom).is_integer()):
-            raise ValidationError(f"atoms must be integers, got {atom!r}")
-        if not 0 <= atom < B:
-            raise ValidationError(f"atom {atom} out of alphabet [0, {B})")
-    ordered = sorted(int(a) for a in atoms)
+    if not 0 <= ordered[0] <= ordered[-1] < B:
+        raise ValidationError(f"atoms {ordered[0]}..{ordered[-1]} out of alphabet [0, {B})")
     rank = sum(math.comb(a + i, i + 1) for i, a in enumerate(ordered))
     return HistogramCode(rank=rank, s=len(ordered), B=B)
 
@@ -181,7 +179,7 @@ def expected_bits_per_client(params, b: float, T: int = 1) -> ExpectedBits:
 
 
 # ---------------------------------------------------------------------------
-# The family table: codes, costs, and atoms of a message
+# Codes and costs of messages
 # ---------------------------------------------------------------------------
 
 
@@ -189,45 +187,22 @@ def expected_bits_per_client(params, b: float, T: int = 1) -> ExpectedBits:
 def _code_bits(key: str, d: int, n: int = 1) -> int:
     """Bits of n messages of one code from one client: index-sign messages
     pack into one multiset of n atoms, sparse ones cost one multiset each."""
-    _, kind, shape = _CODES[key]
-    dim, atoms = shape(d)
+    kind, dim, atoms = mech.message_code(key, d)
     if kind is mech.IndexSign:
         return multiset_bits(n, 2 * dim)
     return n * multiset_bits(atoms, 2 * dim)
 
 
 def _priced(msg: mech.MechanismMessage, spec: mech.MechanismSpec):
-    """(code key, index-sign or sparse message, payload bits) of msg under
-    spec; the key is None for a raw vector. Raises if msg is of another family."""
-    d = spec.ball.dim
+    """(code key, atoms, payload bits) of msg under spec; the key is None for a raw vector."""
     if isinstance(msg, mech.RawVector):
-        return None, msg, RAW_VALUE_BITS * d
-    family = mech.mechanism_family(spec)
-    key, inner = (msg.arm, msg.inner) if isinstance(msg, mech.MixTagged) else (family, msg)
-    if (family == "mix") != isinstance(msg, mech.MixTagged) or not isinstance(
-        inner, _CODES[key][1]
-    ):
-        raise ValidationError(f"{type(msg).__name__} is not a message of the {family} family")
-    if not getattr(inner, "is_zero", False):
-        return key, inner, _code_bits(key, d)
+        return None, (), RAW_VALUE_BITS * spec.ball.dim
+    key, atoms = mech.message_atoms(msg, spec)
+    if atoms:
+        return key, atoms, _code_bits(key, spec.ball.dim)
     if key != "l2":
         raise ValidationError("only the l2 family emits the zero message")
-    return key, inner, 0
-
-
-def _atoms(inner, key: str, d: int) -> list[int]:
-    _, count = _CODES[key][2](d)
-    pairs = inner.pairs if isinstance(inner, mech.SparseSigned) else ((inner.j, inner.sign),)
-    if len(pairs) != count:
-        raise ValidationError(f"expected {count} coordinate samples, got {len(pairs)}")
-    return [2 * c + (s > 0) for c, s in pairs]
-
-
-def _from_atoms(atoms, key: str):
-    pairs = tuple((a // 2, 1 if a % 2 else -1) for a in atoms)
-    kind = _CODES[key][1]
-    inner = kind(*pairs[0]) if kind is mech.IndexSign else kind(pairs=pairs)
-    return mech.MixTagged(key, inner) if key in ("L1", "L2") else inner
+    return key, atoms, 0
 
 
 # The '0'/'1' string views of the one-atom code; linf's code is the plain
@@ -236,18 +211,15 @@ def _from_atoms(atoms, key: str):
 
 def encode_index_sign(msg: mech.IndexSign, d: int) -> str:
     """Index big-endian in ceil(log2 d) bits, then the sign bit (1 means +)."""
-    nbits = index_sign_bits(d)
-    if not 0 <= msg.j < d:
-        raise ValidationError(f"index {msg.j} out of range for dimension {d}")
-    return format(histogram_pack(_atoms(msg, "linf", d), 2 * d).rank, f"0{nbits}b")
+    return format(histogram_pack(msg.atoms, 2 * d).rank, f"0{index_sign_bits(d)}b")
 
 
 def decode_index_sign(bits: str, d: int) -> mech.IndexSign:
     """Exact inverse of encode_index_sign."""
     expected = index_sign_bits(d)
-    if len(bits) != expected or any(b not in "01" for b in bits):
+    if not isinstance(bits, str) or len(bits) != expected or any(b not in "01" for b in bits):
         raise ValidationError(f"expected {expected} bits for dimension {d}, got {bits!r}")
-    return _from_atoms(histogram_unpack(HistogramCode(int(bits, 2), 1, 2 * d)), "linf")
+    return mech.message_from_atoms("linf", histogram_unpack(HistogramCode(int(bits, 2), 1, 2 * d)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +235,7 @@ def message_payload_bits(msg: mech.MechanismMessage, spec: mech.MechanismSpec) -
 def frame_message(msg: mech.MechanismMessage, spec: mech.MechanismSpec) -> bytes:
     """[tag][bit length, 2 bytes BE][payload, zero-padded to bytes]."""
     d = spec.ball.dim
-    key, inner, nbits = _priced(msg, spec)
+    key, atoms, nbits = _priced(msg, spec)
     if key is None and len(msg.values) != d:
         raise ValidationError("raw message dimension mismatch")
     if nbits > MAX_PAYLOAD_BITS:
@@ -272,9 +244,9 @@ def frame_message(msg: mech.MechanismMessage, spec: mech.MechanismSpec) -> bytes
         return struct.pack(f">BH{d}d", TAG_RAW, nbits, *msg.values)
     if nbits == 0:
         return struct.pack(">BH", TAG_ZERO, 0)
-    code = histogram_pack(_atoms(inner, key, d), 2 * _CODES[key][2](d)[0])
+    code = histogram_pack(atoms, 2 * mech.message_code(key, d)[1])
     payload = (code.rank << (-nbits % 8)).to_bytes((nbits + 7) // 8, "big")
-    return struct.pack(">BH", _CODES[key][0], nbits) + payload
+    return struct.pack(">BH", _CODES[key], nbits) + payload
 
 
 def _header(data: bytes, offset: int) -> tuple[int, int]:
@@ -317,9 +289,9 @@ def unframe_message(data: bytes, spec: mech.MechanismSpec, offset: int = 0):
     payload, pad = int.from_bytes(body, "big"), -nbits % 8
     if payload & ((1 << pad) - 1):
         raise ValidationError("nonzero padding bits in frame payload")
-    dim, atoms = _CODES[key][2](d)
-    code = HistogramCode(rank=payload >> pad, s=atoms, B=2 * dim)
-    return _from_atoms(histogram_unpack(code), key), 3 + size
+    _, dim, count = mech.message_code(key, d)
+    code = HistogramCode(rank=payload >> pad, s=count, B=2 * dim)
+    return mech.message_from_atoms(key, histogram_unpack(code)), 3 + size
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Command-line interface: config merging, exit codes, file outputs, determinism."""
 
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +59,24 @@ class TestConfigHandling:
     def test_bad_variant_exits_2(self, capsys):
         assert main(["accountant", "--variant", "magic"]) == 2
         capsys.readouterr()
+
+
+class TestUnwritableOutput:
+    # Each subcommand that writes a file, with a fast configuration.
+    COMMANDS = {
+        "mean-est": ["mean-est", "--trials", "2", "--n", "10"],
+        "bounds": ["bounds"],
+        "accountant": ["accountant"],
+        "train": "train --m 4 --k 2 --r 3 --T 2 --d 2 --account false".split(),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_missing_directory_exits_2(self, command, tmp_path, capsys):
+        # An --out in a directory that does not exist is an invalid argument.
+        out = tmp_path / "missing" / "x"
+        assert main(self.COMMANDS[command] + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error:") and str(out) in line for line in err)
 
 
 class TestAccountantCommand:
@@ -289,3 +309,41 @@ class TestDeterminismAcrossProcessesSurrogate:
         assert main(["mean-est", "--trials", "5", "--n", "10", "--out", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestScripts:
+    """Each script in scripts/ runs end to end at a small size."""
+
+    def test_mean_est_sweep(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert load_script("mean_est_sweep").run(str(out), trials=2, seed=0) == 0
+        header, rows = read_csv_table(out)
+        assert "empirical_mse" in header
+        assert len(rows) == 3 * 3 * 2 * 3  # the p x d x n x eps0 grid
+        assert "cells above their ceiling" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore::cldp.errors.ClippingWarning")  # clip 0.5 on purpose
+    def test_train_demo(self, tmp_path, capsys):
+        stem = tmp_path / "demo" / "run"
+        assert load_script("train_demo").run(str(stem), T=2, seed=0) == 0
+        capsys.readouterr()
+        for tag in ("1", "4", "inf"):
+            header, rows = read_csv_table(tmp_path / "demo" / f"run_eps0_{tag}.csv")
+            assert header == list(TRACE_COLUMNS) and len(rows) == 2
+            assert (tmp_path / "demo" / f"run_eps0_{tag}.json").exists()
+
+    def test_accountant_report(self, capsys):
+        load_script("accountant_report").run(m=2000, k=1000, r=1, delta=1e-6, target_eps=2.0)
+        out = capsys.readouterr().out
+        assert out.count("-> epsilon=") == 9  # the (eps0, T) grid
+        assert "provenance at eps0=0.2, T=100:" in out

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cldp.wire as wire
-from cldp.accountant import SamplingParams
+from cldp.accountant import SamplingParams, end_to_end
 from cldp.bounds import g_squared
 from cldp.errors import ClippingWarning, PreconditionError, ValidationError
 from cldp.fedsim import (
@@ -225,6 +225,36 @@ def one_round(cfg, clients):
     p = cfg.params
     big_g = math.sqrt(g_squared(1.0, cfg.ball.dim, cfg.ball.p, p.q, p.n, cfg.epsilon0))
     return result, cfg.diameter / big_g
+
+
+# The same cases at s = 2 messages per client.
+GOLDEN_TRACES_S2 = {
+    "l1": (
+        [(2, 3, 5), (1, 3, 4), (0, 1, 4), (0, 2, 3)],
+        [18, 18, 18, 18],
+        [0.6796199751548118, 0.6631509936524745, 0.6744673671844433, 0.6989178656535585],
+    ),
+    "l2": (
+        [(2, 3, 5), (1, 3, 4), (0, 1, 4), (0, 2, 3)],
+        [36, 36, 36, 36],
+        [0.7333089623468658, 0.7237321395038211, 0.7049064746598672, 0.709627231123063],
+    ),
+    "linf": (
+        [(2, 3, 5), (1, 3, 4), (0, 1, 4), (0, 2, 3)],
+        [15, 15, 15, 15],
+        [0.6663674813700304, 0.6832943037759825, 0.6635748380109331, 0.6692171464150037],
+    ),
+    "mix": (
+        [(2, 3, 5), (1, 3, 4), (0, 1, 4), (0, 2, 3)],
+        [30, 24, 27, 21],
+        [0.8138896455607277, 0.8114850379939549, 0.7949637313220643, 0.7948134211151118],
+    ),
+    "raw": (
+        [(2, 3, 5), (1, 3, 4), (0, 1, 4), (0, 2, 3)],
+        [1152, 1152, 1152, 1152],
+        [0.6837423299981128, 0.6759516337085056, 0.6740959070928213, 0.6718426625223525],
+    ),
+}
 
 
 def clip_point(n=1):
@@ -449,23 +479,26 @@ class TestTrain:
         assert all(tr.clipped == 0 for tr in result.traces)
 
     def test_stream_layout_is_frozen(self):
-        # s = 1 traces recorded when the per-(seed, client, round) streams were
-        # laid out. A change to the stream layout re-rolls every run, including
-        # the frozen seeds of the convergence criterion, and fails here first.
+        # Traces recorded when the per-(seed, client, round) streams were laid
+        # out, at s = 1 and s = 2 messages per client. A change to the stream
+        # layout or to a family's draw order re-rolls every run, including the
+        # frozen seeds of the convergence criterion, and fails here first.
         clients, _ = synthetic_logistic_data(m=6, r=4, d=3, seed=12)
-        for name, (p, mix_prob, eps0) in STREAM_CASES.items():
-            cfg = small_config(
-                params=SamplingParams(m=6, k=3, r=4, s=1),
-                ball=BallSpec(p=p, radius=1.0, dim=3),
-                mix_prob=mix_prob,
-                epsilon0=eps0,
-                clip_warn_frac=1.0,
-            )
-            ids, bits, losses = GOLDEN_TRACES[name]
-            traces = train(cfg, clients).traces
-            assert [tr.client_ids for tr in traces] == ids, name
-            assert [tr.exact_bits for tr in traces] == bits, name
-            assert [tr.loss_after for tr in traces] == pytest.approx(losses, rel=1e-12), name
+        for s, golden in ((1, GOLDEN_TRACES), (2, GOLDEN_TRACES_S2)):
+            for name, (p, mix_prob, eps0) in STREAM_CASES.items():
+                cfg = small_config(
+                    params=SamplingParams(m=6, k=3, r=4, s=s),
+                    ball=BallSpec(p=p, radius=1.0, dim=3),
+                    mix_prob=mix_prob,
+                    epsilon0=eps0,
+                    clip_warn_frac=1.0,
+                )
+                ids, bits, losses = golden[name]
+                traces = train(cfg, clients).traces
+                assert [tr.client_ids for tr in traces] == ids, (s, name)
+                assert [tr.exact_bits for tr in traces] == bits, (s, name)
+                losses_after = [tr.loss_after for tr in traces]
+                assert losses_after == pytest.approx(losses, rel=1e-12), (s, name)
 
     def test_accounted_run_reports_monotone_epsilon(self):
         clients, _ = synthetic_logistic_data(m=1000, r=1, d=2, seed=6)
@@ -496,6 +529,20 @@ class TestTrain:
         result = train(cfg, clients)
         assert math.isnan(result.traces[0].epsilon_so_far)
         assert result.traces[1].epsilon_so_far == pytest.approx(result.budget.epsilon)
+
+    def test_nan_rounds_are_explained_in_the_budget(self):
+        # The configuration above: round 1 is NaN, and the run's provenance
+        # says so after end_to_end's four lines.
+        clients, _ = synthetic_logistic_data(m=1000, r=20, d=2, seed=7)
+        params = SamplingParams(m=1000, k=1000, r=20, s=1)
+        cfg = small_config(params=params, T=2, epsilon0=0.3, delta=1e-3, account=True)
+        result = train(cfg, clients)
+        *stages, reason = result.budget.provenance
+        assert tuple(stages) == end_to_end(0.3, 1e-3, 2, params, cfg.variant).provenance
+        with pytest.raises(PreconditionError) as failure:
+            end_to_end(0.3, 1e-3, 1, params, cfg.variant)
+        assert reason.startswith("epsilon_so_far is NaN for rounds 1: ")
+        assert str(failure.value) in reason
 
     def test_accounted_run_fails_fast_when_infeasible(self):
         clients, _ = synthetic_logistic_data(m=6, r=4, d=2, seed=8)

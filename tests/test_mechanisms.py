@@ -22,8 +22,11 @@ from cldp.mechanisms import (
     hadamard_column,
     hemisphere_radius,
     mean_estimate,
+    _FAMILIES,
     mean_estimate_trials,
     mechanism_family,
+    message_code,
+    message_from_atoms,
     padded_dim,
     priv,
     privacy_ratio,
@@ -56,6 +59,15 @@ def l2_spec(d, a=1.0, eps0=LN3):
 
 def linf_spec(d, a=1.0, eps0=LN3):
     return MechanismSpec(ball=BallSpec(p=math.inf, radius=a, dim=d), epsilon0=eps0)
+
+
+# One spec per family; l1 at d = 3 runs at the padded dimension 4.
+FAMILY_SPECS = {
+    "l1": l1_spec(3, a=1.3, eps0=0.7),
+    "l2": l2_spec(5, a=0.8, eps0=1.1),
+    "linf": linf_spec(4, a=1.5, eps0=0.6),
+    "mix": MechanismSpec(BallSpec(p=3.0, radius=1.0, dim=5), epsilon0=0.9, mix_prob=0.5),
+}
 
 
 def random_in_ball(gen, d, p, a, scale=1.0):
@@ -455,13 +467,7 @@ class TestMeanEstimate:
 
     @pytest.mark.parametrize("family", ["l1", "l2", "linf", "mix"])
     def test_counts_decoder_matches_reference(self, family, rng):
-        specs = {
-            "l1": l1_spec(3, a=1.3, eps0=0.7),  # padded dimension 4
-            "l2": l2_spec(5, a=0.8, eps0=1.1),
-            "linf": linf_spec(4, a=1.5, eps0=0.6),
-            "mix": MechanismSpec(BallSpec(p=3.0, radius=1.0, dim=5), epsilon0=0.9, mix_prob=0.5),
-        }
-        spec = specs[family]
+        spec = FAMILY_SPECS[family]
         d = spec.ball.dim
         msgs = [
             encode_message(random_in_ball(rng, d, spec.ball.p, spec.ball.radius), spec, rng)
@@ -480,13 +486,7 @@ class TestMeanEstimate:
     def test_batch_encoder_streams_are_single_encodes(self, family, rng):
         # One row per stream draws exactly what encode_message draws on that
         # stream, and the one counts decode equals the decode of those messages.
-        specs = {
-            "l1": l1_spec(3, a=1.3, eps0=0.7),
-            "l2": l2_spec(5, a=0.8, eps0=1.1),
-            "linf": linf_spec(4, a=1.5, eps0=0.6),
-            "mix": MechanismSpec(BallSpec(p=3.0, radius=1.0, dim=5), epsilon0=0.9, mix_prob=0.5),
-        }
-        spec = specs[family]
+        spec = FAMILY_SPECS[family]
         d = spec.ball.dim
         rows = np.array([random_in_ball(rng, d, spec.ball.p, spec.ball.radius) for _ in range(12)])
         mean, l1_arm = batch_encoder(rows, spec)([np.random.default_rng(i) for i in range(12)])
@@ -502,6 +502,57 @@ class TestMeanEstimate:
         np.testing.assert_array_equal(decode_message(v, spec), [0.1, 0.2, 0.3])
         with pytest.raises(ValidationError):
             decode_message(RawVector(values=(0.1,)), spec)
+
+
+class TestAtomsAndDrawOrder:
+    """The atom format and the documented draw order, each in one place."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_SPECS))
+    def test_noise_is_the_documented_draw_sequence(self, family):
+        spec = FAMILY_SPECS[family]
+        d, n = spec.ball.dim, 9
+        gen, ref = np.random.default_rng(3), np.random.default_rng(3)
+        got = _FAMILIES[family].noise(gen, n, spec)
+
+        def index(k, dim):  # indices, then sign uniforms
+            return [ref.integers(dim, size=k), ref.random(k)]
+
+        def l2(k):  # priv: direction, side, Gaussian; quan: sign flip, coordinates
+            return [ref.random(k), ref.random(k), ref.standard_normal((k, d)),
+                    ref.random(k), ref.random((k, d))]
+
+        if family == "mix":
+            arm = ref.random(n) < spec.mix_prob
+            assert 0 < arm.sum() < n
+            want = [arm] + index(int(arm.sum()), padded_dim(d)) + l2(n - int(arm.sum()))
+        else:
+            want = l2(n) if family == "l2" else index(n, message_code(family, d)[1])
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert gen.random() == ref.random()  # nothing else was drawn
+
+    def test_messages_round_trip_through_their_atoms(self):
+        msgs = {
+            "l1": IndexSign(j=3, sign=-1),
+            "linf": IndexSign(j=0, sign=1),
+            "l2": SparseSigned(pairs=((2, 1), (0, -1), (2, 1))),
+            "L1": MixTagged("L1", IndexSign(j=1, sign=1)),
+            "L2": MixTagged("L2", SparseSigned(pairs=((1, -1), (4, 1)))),
+        }
+        for key, msg in msgs.items():
+            atoms = getattr(msg, "inner", msg).atoms
+            assert message_from_atoms(key, atoms) == msg
+        assert msgs["l1"].atoms == (6,) and msgs["l2"].atoms == (5, 0, 5)
+        assert SparseSigned(pairs=((0, 1),) * 3, is_zero=True).atoms == ()
+        assert message_code("l1", 5) == (IndexSign, 8, 1)
+        assert message_code("L2", 5) == (SparseSigned, 5, 5)
+        with pytest.raises(ValidationError):
+            message_code("mix", 5)
+        with pytest.raises(ValidationError):
+            message_from_atoms("l1", (1, 2))
+        with pytest.raises(ValidationError):
+            message_from_atoms("l2", (1.5,))
 
 
 class TestVectorizedSamplers:

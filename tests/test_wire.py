@@ -363,6 +363,24 @@ MALFORMED = {
 }
 
 
+# Public constructors and codes given fields of the wrong shape or type.
+MALFORMED_FIELDS = {
+    "sparse_pair_of_one": lambda: mech.SparseSigned(pairs=((0, 1), (1,))),
+    "sparse_pairs_not_a_sequence": lambda: mech.SparseSigned(pairs=5),
+    "raw_values_not_a_sequence": lambda: mech.RawVector(values=5),
+    "histogram_rank_not_an_integer": lambda: wire.HistogramCode(rank="a", s=1, B=2),
+    "pack_string_atom": lambda: wire.histogram_pack(["a"], 4),
+    "pack_none_atom": lambda: wire.histogram_pack([None], 4),
+    "index_sign_bits_not_a_string": lambda: wire.decode_index_sign(5, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FIELDS))
+def test_malformed_fields_raise_validation_error(case):
+    with pytest.raises(ValidationError):
+        MALFORMED_FIELDS[case]()
+
+
 class TestMalformedFrames:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_rejected(self, case):
