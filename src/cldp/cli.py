@@ -12,7 +12,6 @@ bounds      tabulate risk_upper / risk_lower / G^2 / convergence bound over
             a parameter grid.
 train       run the federated simulator; writes <out>.csv (per-round trace)
             and <out>.json (final model + budget).
-selftest    quick internal consistency checks; exit 0 only if all pass.
 
 Configuration is a JSON file (--config) of key/value pairs using the same
 names as the long flags; explicit flags override file values. Unknown keys
@@ -37,7 +36,6 @@ import csv
 import hashlib
 import itertools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -47,7 +45,6 @@ import numpy as np
 from . import accountant as acct
 from . import bounds as bnd
 from . import mechanisms as mech
-from . import wire
 from .errors import AccountingError, ValidationError
 from .fedsim import data as fdata
 from .fedsim import training as ftrain
@@ -174,9 +171,6 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "theta_norm": (_float, 1.5),
         "seed": (_int, 0),
         "out": (_optional(_str), None),
-    },
-    "selftest": {
-        "seed": (_int, 0),
     },
 }
 
@@ -462,80 +456,11 @@ def _run_train(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _run_selftest(cfg: ExperimentConfig) -> int:
-    checks: list[tuple[str, bool]] = []
-
-    def check(name: str, ok: bool) -> None:
-        checks.append((name, ok))
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-
-    gen = np.random.default_rng(cfg.seed)
-
-    ball = BallSpec(p=1.0, radius=1.0, dim=4)
-    spec = mech.MechanismSpec(ball=ball, epsilon0=1.0)
-    x = np.array([0.3, -0.2, 0.1, 0.05])
-    mean = np.zeros(4)
-    for (j, sign), prob in mech.r1_atom_probabilities(x, spec).items():
-        mean += prob * mech.r1_decode(mech.IndexSign(j=j, sign=sign), spec)
-    check("l1 mechanism enumerated expectation equals input", bool(np.max(np.abs(mean - x)) < 1e-10))
-
-    spec_inf = mech.MechanismSpec(ball=BallSpec(p=math.inf, radius=1.0, dim=4), epsilon0=1.0)
-    xi = np.array([0.5, -0.9, 0.0, 0.7])
-    mean = np.zeros(4)
-    for (j, sign), prob in mech.rinf_atom_probabilities(xi, spec_inf).items():
-        mean += prob * mech.rinf_decode(mech.IndexSign(j=j, sign=sign), spec_inf)
-    check("linf mechanism enumerated expectation equals input", bool(np.max(np.abs(mean - xi)) < 1e-10))
-
-    params = acct.SamplingParams(m=5000, k=2500, r=1, s=1)
-    budget = acct.end_to_end(0.3, 1e-6, 10, params, acct.ExplicitShuffling())
-    ok = math.isfinite(budget.epsilon) and budget.epsilon > 0 and budget.delta == 1e-6
-    check("accountant end-to-end chain evaluates and reconstructs delta", ok)
-
-    atoms_ok = True
-    for s_count, big_b in ((3, 6), (2, 3)):
-        for combo in itertools.combinations_with_replacement(range(big_b), s_count):
-            code = wire.histogram_pack(combo, big_b)
-            if wire.histogram_unpack(code) != tuple(sorted(combo)):
-                atoms_ok = False
-    check("multiset pack/unpack roundtrip is exact", atoms_ok)
-
-    q = bnd.RiskQuery(p=1.0, d=4, n=100, a=1.0, epsilon0=math.log(3.0))
-    ok = abs(bnd.risk_upper(q, worst_case=True) - 0.16) < 1e-12
-    q2 = bnd.RiskQuery(p=1.0, d=4, n=100, a=1.0, epsilon0=1.0)
-    ok = ok and abs(bnd.risk_lower(q2) - 0.04) < 1e-12
-    ok = ok and abs(bnd.g_squared(1.0, 4, 2.0, 1.0, 100, math.log(3.0)) - 3.24) < 1e-12
-    check("bound formulas reproduce pinned values", ok)
-
-    clients, _ = fdata.synthetic_logistic_data(4, 3, 2, seed=cfg.seed)
-    tc = ftrain.TrainConfig(
-        params=acct.SamplingParams(m=4, k=2, r=3, s=1),
-        T=3,
-        epsilon0=1.0,
-        delta=1e-5,
-        ball=BallSpec(p=2.0, radius=1.0, dim=2),
-        diameter=2.0,
-        seed=cfg.seed,
-        account=False,
-    )
-    r1 = ftrain.train(tc, clients)
-    r2 = ftrain.train(tc, clients)
-    same = np.array_equal(r1.theta, r2.theta) and r1.traces == r2.traces
-    check("training is bit-reproducible for a fixed seed", bool(same))
-
-    failed = [name for name, ok in checks if not ok]
-    if failed:
-        print(f"{len(failed)} of {len(checks)} checks failed")
-        return 1
-    print(f"all {len(checks)} checks passed")
-    return 0
-
-
 _RUNNERS = {
     "mean-est": _run_mean_est,
     "accountant": _run_accountant,
     "bounds": _run_bounds,
     "train": _run_train,
-    "selftest": _run_selftest,
 }
 
 

@@ -18,7 +18,6 @@ from .training import (
     TrainResult,
     sample_clients,
     sample_data,
-    shuffle,
     train,
     write_trace_csv,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "TrainResult",
     "sample_clients",
     "sample_data",
-    "shuffle",
     "train",
     "write_trace_csv",
 ]

@@ -154,13 +154,6 @@ def sample_data(r: int, s: int, rng) -> np.ndarray:
     return np.sort(np.random.default_rng(rng).choice(r, size=s, replace=False))
 
 
-def shuffle(messages: list, rng) -> list:
-    """Uniformly random permutation of the batch; the multiset is unchanged."""
-    if not messages:
-        raise ValidationError("cannot shuffle an empty batch")
-    return [messages[i] for i in np.random.default_rng(rng).permutation(len(messages))]
-
-
 def _no_guarantee_budget(cfg: TrainConfig, reason: str) -> PrivacyBudget:
     nan = math.nan
     return PrivacyBudget(

@@ -5,8 +5,8 @@ Four mechanism families, each unbiased for its input and eps0-LDP on its ball:
 * l1 family (Hadamard): rotate x by the normalized Hadamard matrix, transmit a
   single (coordinate, sign) atom. Decode norm is a*sqrt(d)*ratio exactly.
 * l2 family (sphere + sparse quantizer): project x onto a sphere of radius M
-  by the hemisphere construction (``priv``), then quantize the sphere point to
-  d i.i.d. signed coordinate samples (``quan``).
+  by the hemisphere construction (``_priv_rows``), then quantize the sphere
+  point to d i.i.d. signed coordinate samples (``_quan_atoms``).
 * linf family: transmit one (coordinate, sign) atom of x directly; decode is a
   scaled basis vector of norm a*d*ratio.
 * lp mix: with probability mix_prob run the l1 mechanism on an inflated l1
@@ -32,17 +32,18 @@ mix); and a ``scale`` from net signed counts to decoded sums. One counts
 decoder, ``_net_counts``, serves every family: the shuffler leaves only the
 multiset of messages and the counts depend on nothing else, so the decoded
 sum is exact and order-free; counting per row gives individual decodes. The
-l2 zero message (``quan`` of 0) has no atoms and decodes to 0.
+reserved l2 zero message has no atoms and decodes to 0; the encoder never
+sends it, but wire frames carry it.
 
 ``batch_encoder`` draws each stream's noise for its block of rows, then makes
-one ``draw`` and one decode over all rows. The per-message functions
-(``r1_encode``, ``priv``, ``quan``, ``encode_message``, ``decode_message``,
-...), ``mean_estimate``, ``sample_decoded`` and ``mean_estimate_trials`` are
-its one-stream case; every input passes the one check in ``_require_rows``,
-and identical seedable streams reproduce identical messages. The
-``*_atom_probabilities`` helpers give the closed-form output distributions
-of the index families, so tests check unbiasedness, variance and the LDP
-ratio without sampling.
+one ``draw`` and one decode over all rows. The other entry points,
+``encode_message``, ``decode_message``, ``mean_estimate``, ``sample_decoded``
+and ``mean_estimate_trials``, are its one-stream case; every input passes the
+one check in ``_require_rows``, and identical seedable streams reproduce
+identical messages. ``r1_decode`` and ``rinf_decode`` decode one index-family
+message, and the ``*_atom_probabilities`` helpers give the closed-form output
+distributions of the index families, so tests check unbiasedness, variance
+and the LDP ratio without sampling.
 """
 
 from __future__ import annotations
@@ -159,10 +160,11 @@ class MechanismSpec:
     mix_prob: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon0) and self.epsilon0 > 0.0):
-            raise ValidationError(f"epsilon0 must be a finite positive real, got {self.epsilon0!r}")
+        eps0 = self.epsilon0
+        if not (isinstance(eps0, numbers.Real) and math.isfinite(eps0) and eps0 > 0.0):
+            raise ValidationError(f"epsilon0 must be a finite positive real, got {eps0!r}")
         if self.mix_prob is not None:
-            if not 0.0 <= self.mix_prob <= 1.0:
+            if not (isinstance(self.mix_prob, numbers.Real) and 0.0 <= self.mix_prob <= 1.0):
                 raise ValidationError(f"mix probability must lie in [0,1], got {self.mix_prob!r}")
             if math.isinf(self.ball.p):
                 raise ValidationError("the mix family is defined for finite p only")
@@ -208,24 +210,16 @@ def padded_dim(d: int) -> int:
     return 1 << (d - 1).bit_length()
 
 
-def hadamard_column(n: int, j: int) -> np.ndarray:
-    """Column j of the (unnormalized) n x n Hadamard matrix, n a power of two."""
-    if n & (n - 1) or n < 1:
-        raise ValidationError(f"Hadamard size must be a power of two, got {n}")
-    if not 0 <= j < n:
-        raise ValidationError(f"column index {j} out of range for size {n}")
-    basis = np.zeros((1, n))
-    basis[0, j] = 1.0
-    return fwht_rows_inplace(basis)[0]
-
-
 def _require_rows(x, ball: BallSpec, ndim: int) -> np.ndarray:
     """The input check of every entry point, returning an (n, d) float matrix.
 
     x must be one vector (ndim=1) or a row matrix (ndim=2) with ball.dim
     columns, finite, and with every row inside the ball.
     """
-    rows = np.asarray(x, dtype=np.float64)
+    try:
+        rows = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(f"expected real numbers, got {x!r:.200}") from None
     if rows.ndim != ndim or rows.size < 1:
         kind = "a 1-D vector" if ndim == 1 else "a 2-D (rows x dim) array"
         raise ValidationError(f"expected {kind} with at least one entry, got shape {rows.shape}")
@@ -245,6 +239,17 @@ def _require_rows(x, ball: BallSpec, ndim: int) -> np.ndarray:
             f"{ball.radius:.6g}; clip before encoding"
         )
     return rows
+
+
+def _require_count(value, name: str) -> int:
+    """A positive integer count, such as a number of samples or trials."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+    return count
 
 
 def _check_family(spec: MechanismSpec, p_required: float, name: str) -> None:
@@ -302,12 +307,6 @@ def _atom_probabilities(plus: np.ndarray) -> dict[tuple[int, int], float]:
             for j in range(dim) for sign in (1, -1)}
 
 
-def r1_encode(x, spec: MechanismSpec, rng) -> IndexSign:
-    """Encode an l1-ball vector as one signed Hadamard coordinate."""
-    _check_family(spec, 1.0, "the l1 mechanism")
-    return _encode_one("l1", x, spec, rng)
-
-
 def r1_decode(msg: IndexSign, spec: MechanismSpec) -> np.ndarray:
     """sign * a * ratio * (Hadamard column j), truncated to the original d."""
     _check_family(spec, 1.0, "the l1 mechanism")
@@ -318,12 +317,6 @@ def r1_atom_probabilities(x, spec: MechanismSpec) -> dict[tuple[int, int], float
     """Closed-form output distribution over all 2*dp atoms (j, sign)."""
     _check_family(spec, 1.0, "the l1 mechanism")
     return _atom_probabilities(_r1_plus(_require_rows(x, spec.ball, 1), spec)[0])
-
-
-def rinf_encode(x, spec: MechanismSpec, rng) -> IndexSign:
-    """Encode an linf-ball vector as one signed coordinate sample."""
-    _check_family(spec, math.inf, "the linf mechanism")
-    return _encode_one("linf", x, spec, rng)
 
 
 def rinf_decode(msg: IndexSign, spec: MechanismSpec) -> np.ndarray:
@@ -358,22 +351,22 @@ def hemisphere_radius(d: int, a: float, eps0: float) -> float:
     return a * math.sqrt(math.pi) * gr * privacy_ratio(eps0)
 
 
-def _priv_noise(gen: np.random.Generator, n: int, d: int):
-    """What ``priv`` draws: n direction uniforms, n side uniforms, an (n, d) Gaussian."""
-    return gen.random(n), gen.random(n), gen.standard_normal((n, d))
-
-
-def _quan_noise(gen: np.random.Generator, n: int, d: int):
-    """What ``quan`` draws: n sign-flip uniforms, an (n, d) uniform matrix for the coordinates."""
-    return gen.random(n), gen.random((n, d))
-
-
 def _l2_noise(gen: np.random.Generator, n: int, d: int):
-    return (*_priv_noise(gen, n, d), *_quan_noise(gen, n, d))
+    """What n l2 rows draw. For ``_priv_rows``: n direction uniforms, n side
+    uniforms, an (n, d) Gaussian; then for ``_quan_atoms``: n sign-flip
+    uniforms, an (n, d) uniform matrix for the coordinates."""
+    return (gen.random(n), gen.random(n), gen.standard_normal((n, d)),
+            gen.random(n), gen.random((n, d)))
 
 
 def _priv_rows(rows: np.ndarray, spec: MechanismSpec, noise) -> np.ndarray:
-    """One point on the sphere of radius M per row (see ``priv``)."""
+    """Unbiased projection of each l2-ball row onto the sphere of radius M.
+
+    The direction is resampled to +-x/||x|| with probabilities
+    1/2 +- ||x||/(2a); with probability e^{eps0}/(e^{eps0}+1) the output is
+    uniform on the hemisphere around the kept direction, otherwise on the
+    complementary one. Output norm is exactly M.
+    """
     u_dir, u_side, y = noise
     a = spec.ball.radius
     nrm = np.sqrt(np.einsum("ij,ij->i", rows, rows))
@@ -407,7 +400,13 @@ def _searchsorted_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _quan_atoms(rows: np.ndarray, radius: float, noise) -> np.ndarray:
-    """The atoms of d signed coordinate samples per nonzero row of l2 norm <= radius (see ``quan``)."""
+    """The atoms of d i.i.d. signed coordinate samples per nonzero row of l2 norm <= radius.
+
+    Each row is flipped to +-x/||x||_1 with probabilities
+    1/2 +- ||x||_1/(2*radius*sqrt(d)) (which sum to one and make the decoded
+    message unbiased for x), then d coordinates are drawn i.i.d. from the
+    distribution |x_tilde| and transmitted with the matching signs.
+    """
     u_flip, u = noise
     n, d = rows.shape
     l1 = np.abs(rows).sum(axis=1)
@@ -432,55 +431,6 @@ def _r2_scale(net: np.ndarray, spec: MechanismSpec) -> np.ndarray:
     """Per group, (M*sqrt(d)/d) * sum_k sign_k e_{coord_k} over its messages' d samples."""
     d = spec.ball.dim
     return net * (hemisphere_radius(d, spec.ball.radius, spec.epsilon0) * math.sqrt(d) / d)
-
-
-def priv(x, spec: MechanismSpec, rng) -> np.ndarray:
-    """Unbiased projection of an l2-ball vector onto the sphere of radius M.
-
-    The direction is resampled to +-x/||x|| with probabilities
-    1/2 +- ||x||/(2a); with probability e^{eps0}/(e^{eps0}+1) the output is
-    uniform on the hemisphere around the kept direction, otherwise on the
-    complementary one. Output norm is exactly M.
-    """
-    _check_family(spec, 2.0, "the l2 mechanism")
-    rows = _require_rows(x, spec.ball, 1)
-    return _priv_rows(rows, spec, _priv_noise(np.random.default_rng(rng), 1, rows.shape[1]))[0]
-
-
-def quan(x, radius: float, rng) -> SparseSigned:
-    """Quantize a vector of l2 norm <= radius to d i.i.d. signed coordinates.
-
-    The vector is flipped to +-x/||x||_1 with probabilities
-    1/2 +- ||x||_1/(2*radius*sqrt(d)) (which sum to one and make the decoded
-    message unbiased for x), then d coordinates are drawn i.i.d. from the
-    distribution |x_tilde| and transmitted with the matching signs. A zero
-    input yields the reserved zero message and draws nothing.
-    """
-    rows = _require_rows(x, BallSpec(2.0, radius, int(np.size(x))), 1)
-    if not rows.any():
-        return SparseSigned(pairs=((0, 1),) * rows.shape[1], is_zero=True)
-    noise = _quan_noise(np.random.default_rng(rng), 1, rows.shape[1])
-    return message_from_atoms("l2", _quan_atoms(rows, radius, noise)[0].tolist())
-
-
-def quan_decode(msg: SparseSigned, radius: float, d: int) -> np.ndarray:
-    """(radius*sqrt(d)/m) * sum_j sign_j e_{coord_j} for m pairs; zero message -> 0."""
-    atoms = np.array(msg.atoms, dtype=np.intp).reshape(1, -1)
-    if atoms.size and atoms.max() >= 2 * d:
-        raise ValidationError(f"coordinate {atoms.max() // 2} out of range for dimension {d}")
-    net = _net_counts(atoms, np.zeros(1, dtype=np.intp), 1, d)[0]
-    return net * (radius * math.sqrt(d) / max(atoms.shape[1], 1))
-
-
-def r2_encode(x, spec: MechanismSpec, rng) -> SparseSigned:
-    """Sphere projection followed by the sparse quantizer at radius M."""
-    _check_family(spec, 2.0, "the l2 mechanism")
-    return _encode_one("l2", x, spec, rng)
-
-
-def r2_decode(msg: SparseSigned, spec: MechanismSpec) -> np.ndarray:
-    _check_family(spec, 2.0, "the l2 mechanism")
-    return _decoded_sum("l2", [msg], spec)
 
 
 # ---------------------------------------------------------------------------
@@ -517,15 +467,6 @@ def _mix_draw(rows: np.ndarray, spec: MechanismSpec, noise):
     (arm_l1, arm_l2), arm = rp_arm_specs(spec), noise[0]
     l1_atoms = _index_draw(_r1_plus(rows[arm], arm_l1), arm_l1, noise[1:3])
     return arm, l1_atoms, _l2_draw(rows[~arm], arm_l2, noise[3:])
-
-
-def rp_encode(x, spec: MechanismSpec, rng) -> MixTagged:
-    """Run the l1 arm with probability mix_prob, otherwise the l2 arm."""
-    return _encode_one("mix", x, spec, rng)
-
-
-def rp_decode(msg: MixTagged, spec: MechanismSpec) -> np.ndarray:
-    return _decoded_sum("mix", [msg], spec)
 
 
 # ---------------------------------------------------------------------------
@@ -617,16 +558,6 @@ def _sums(family: str, atoms, spec: MechanismSpec, groups: np.ndarray, n_groups:
     return fam.scale(_net_counts(atoms, groups, n_groups, fam.shape(spec.ball.dim)[0]), spec)
 
 
-def _encode_one(family: str, x, spec: MechanismSpec, rng) -> MechanismMessage:
-    fam, key = _FAMILIES[family], family
-    prepared = fam.prepare(_require_rows(x, spec.ball, 1), spec)
-    atoms = fam.draw(prepared, spec, fam.noise(np.random.default_rng(rng), 1, spec))
-    if family == "mix":  # the one row ran one arm
-        arm, l1_atoms, l2_atoms = atoms
-        key, atoms = ("L1", l1_atoms) if arm[0] else ("L2", l2_atoms)
-    return message_from_atoms(key, atoms[0].tolist())
-
-
 def _decoded_sum(family: str, msgs: list, spec: MechanismSpec) -> np.ndarray:
     """The sum of decoded coded messages, from their atoms by one counts decode."""
     coded = [message_atoms(msg, spec, family) for msg in msgs]
@@ -645,7 +576,14 @@ def _decoded_sum(family: str, msgs: list, spec: MechanismSpec) -> np.ndarray:
 
 def encode_message(x, spec: MechanismSpec, rng) -> MechanismMessage:
     """Encode with the family the spec addresses (see mechanism_family)."""
-    return _encode_one(mechanism_family(spec), x, spec, rng)
+    family = key = mechanism_family(spec)
+    fam = _FAMILIES[family]
+    prepared = fam.prepare(_require_rows(x, spec.ball, 1), spec)
+    atoms = fam.draw(prepared, spec, fam.noise(np.random.default_rng(rng), 1, spec))
+    if family == "mix":  # the one row ran one arm
+        arm, l1_atoms, l2_atoms = atoms
+        key, atoms = ("L1", l1_atoms) if arm[0] else ("L2", l2_atoms)
+    return message_from_atoms(key, atoms[0].tolist())
 
 
 def decode_message(msg: MechanismMessage, spec: MechanismSpec) -> np.ndarray:
@@ -689,8 +627,7 @@ def sample_decoded(x, spec: MechanismSpec, rng, n_samples: int) -> np.ndarray:
     memory beyond the (n_samples, d) result is bounded.
     """
     v = _require_rows(x, spec.ball, 1)
-    if n_samples < 1:
-        raise ValidationError("n_samples must be >= 1")
+    n_samples = _require_count(n_samples, "n_samples")
     family = mechanism_family(spec)
     fam, gen = _FAMILIES[family], np.random.default_rng(rng)
     out = np.empty((n_samples, v.shape[1]))
@@ -736,7 +673,6 @@ def mean_estimate_trials(dataset, spec: MechanismSpec, rng, trials: int) -> np.n
     decodes: the one-stream case of ``batch_encoder``.
     """
     encode = batch_encoder(dataset, spec)
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    trials = _require_count(trials, "trials")
     gen = np.random.default_rng(rng)
     return np.vstack([encode([gen])[0] for _ in range(trials)])

@@ -290,15 +290,6 @@ class TestTrainCommand:
         capsys.readouterr()
 
 
-class TestSelftestCommand:
-    def test_all_checks_pass(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 6
-        assert "FAIL" not in out
-        assert "all 6 checks passed" in out
-
-
 class TestDeterminismAcrossProcessesSurrogate:
     def test_numpy_state_isolation(self, tmp_path, capsys):
         # Global numpy RNG state must not leak into CLI results.

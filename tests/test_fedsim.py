@@ -26,7 +26,6 @@ from cldp.fedsim import (
     sample_data,
     save_dataset_binary,
     save_dataset_csv,
-    shuffle,
     stack_points,
     synthetic_logistic_data,
     train,
@@ -323,30 +322,8 @@ class TestLocalRound:
 
 
 class TestShuffleAndAggregate:
-    """The shuffler, and the server's aggregate: batch_encoder's decode in a
-    round, mean_estimate on messages."""
-
-    def test_multiset_preserved(self):
-        msgs = [IndexSign(j=j, sign=1) for j in range(5)]
-        out = shuffle(msgs, np.random.default_rng(0))
-        assert sorted(m.j for m in out) == list(range(5))
-
-    def test_permutations_uniform(self):
-        msgs = [IndexSign(j=j, sign=1) for j in range(3)]
-        gen = np.random.default_rng(1)
-        counts: dict[tuple, int] = {}
-        trials = 6000
-        for _ in range(trials):
-            order = tuple(m.j for m in shuffle(msgs, gen))
-            counts[order] = counts.get(order, 0) + 1
-        assert len(counts) == 6
-        sigma = math.sqrt((1 / 6) * (5 / 6) / trials)
-        for count in counts.values():
-            assert abs(count / trials - 1 / 6) <= 4 * sigma
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValidationError):
-            shuffle([], np.random.default_rng(0))
+    """The server's aggregate: batch_encoder's decode in a round,
+    mean_estimate on messages, neither of which depends on the order."""
 
     def test_aggregate_counts_messages(self):
         spec = MechanismSpec(ball=BallSpec(p=1.0, radius=1.0, dim=2), epsilon0=1.0)

@@ -19,30 +19,23 @@ from cldp.mechanisms import (
     batch_encoder,
     decode_message,
     encode_message,
-    hadamard_column,
     hemisphere_radius,
     mean_estimate,
     _FAMILIES,
+    _l2_noise,
+    _priv_rows,
+    _quan_atoms,
     mean_estimate_trials,
     mechanism_family,
     message_code,
     message_from_atoms,
     padded_dim,
-    priv,
     privacy_ratio,
-    quan,
-    quan_decode,
     r1_atom_probabilities,
     r1_decode,
-    r1_encode,
-    r2_decode,
-    r2_encode,
     rinf_atom_probabilities,
     rinf_decode,
-    rinf_encode,
     rp_arm_specs,
-    rp_decode,
-    rp_encode,
     sample_decoded,
 )
 
@@ -88,6 +81,24 @@ def enumerated_mean(probs, decode):
     return total
 
 
+def priv_draws(x, spec, gen, n):
+    """n independent outputs of the sphere projection stage for one input, or
+    one each for n input rows: one batched draw."""
+    rows = np.broadcast_to(np.asarray(x, dtype=np.float64), (n, spec.ball.dim))
+    return _priv_rows(rows, spec, _l2_noise(gen, n, spec.ball.dim)[:3])
+
+
+def quan_decodes(x, radius, gen, n):
+    """n independent decodes (radius*sqrt(d)/d) * sum_k sign_k e_{coord_k} of
+    the sparse quantizer stage for one input: one batched draw."""
+    d = len(x)
+    rows = np.broadcast_to(np.asarray(x, dtype=np.float64), (n, d))
+    atoms = _quan_atoms(rows, radius, _l2_noise(gen, n, d)[3:])
+    keys = (np.arange(n)[:, None] * d + (atoms >> 1)).ravel()
+    net = np.bincount(keys, weights=(2 * (atoms & 1) - 1).ravel(), minlength=n * d)
+    return net.reshape(n, d) * (radius * math.sqrt(d) / d)
+
+
 def reference_decode(msg, spec):
     """Straight-line decode of one message, written from the formulas."""
     d, a, ratio = spec.ball.dim, spec.ball.radius, privacy_ratio(spec.epsilon0)
@@ -102,7 +113,8 @@ def reference_decode(msg, spec):
                 out[c] += s * scale
         return out
     if spec.ball.p == 1.0:
-        return msg.sign * a * ratio * hadamard_column(padded_dim(d), msg.j)[:d]
+        column = [(-1) ** bin(i & msg.j).count("1") for i in range(d)]  # Hadamard column j, cut to d
+        return msg.sign * a * ratio * np.array(column, dtype=np.float64)
     out[msg.j] = msg.sign * a * d * ratio
     return out
 
@@ -183,16 +195,18 @@ class TestR1:
 
     def test_out_of_ball_rejected(self):
         with pytest.raises(OutOfBallError):
-            r1_encode([1.5], l1_spec(1), 0)
+            encode_message([1.5], l1_spec(1), 0)
 
     def test_wrong_family_rejected(self):
         with pytest.raises(ValidationError):
-            r1_encode([0.1], l2_spec(1), 0)
+            r1_decode(IndexSign(0, 1), l2_spec(1))
+        with pytest.raises(ValidationError):
+            r1_atom_probabilities([0.1], l2_spec(1))
 
     def test_same_seed_same_message(self):
         spec = l1_spec(4)
         x = [0.2, -0.1, 0.05, 0.3]
-        assert r1_encode(x, spec, 123) == r1_encode(x, spec, 123)
+        assert encode_message(x, spec, 123) == encode_message(x, spec, 123)
 
 
 class TestHemisphereAndPriv:
@@ -211,15 +225,15 @@ class TestHemisphereAndPriv:
     def test_output_norm_exact(self, rng):
         spec = l2_spec(5, a=1.2, eps0=0.9)
         want = hemisphere_radius(5, 1.2, 0.9)
-        for _ in range(20):
-            y = priv(random_in_ball(rng, 5, 2.0, 1.2), spec, rng)
-            assert np.linalg.norm(y) == pytest.approx(want, rel=1e-12)
+        xs = np.array([random_in_ball(rng, 5, 2.0, 1.2) for _ in range(20)])
+        ys = priv_draws(xs, spec, rng, 20)
+        np.testing.assert_allclose(np.linalg.norm(ys, axis=1), want, rtol=1e-12)
 
     def test_d1_boundary_distribution(self):
         # at x = (a), eps0 = ln 3: output +M with probability 3/4, M = 2a
         spec = l2_spec(1)
         gen = np.random.default_rng(7)
-        draws = np.array([priv([1.0], spec, gen)[0] for _ in range(20000)])
+        draws = priv_draws([1.0], spec, gen, 20000)[:, 0]
         np.testing.assert_allclose(np.abs(draws), 2.0, rtol=1e-12)
         p_plus = np.mean(draws > 0)
         assert abs(p_plus - 0.75) < 3.0 * math.sqrt(0.75 * 0.25 / 20000)
@@ -230,14 +244,14 @@ class TestHemisphereAndPriv:
         x = random_in_ball(rng, d, 2.0, a, scale=0.9)
         n = 200000
         big_m = hemisphere_radius(d, a, eps0)
-        rows = np.array([priv(x, spec, rng) for _ in range(n)])
+        rows = priv_draws(x, spec, rng, n)
         err = np.linalg.norm(rows.mean(axis=0) - x)
         assert err < 5.0 * big_m / math.sqrt(n)
 
     def test_zero_input_symmetric(self):
         spec = l2_spec(3)
         gen = np.random.default_rng(11)
-        rows = np.array([priv([0.0, 0.0, 0.0], spec, gen) for _ in range(50000)])
+        rows = priv_draws([0.0, 0.0, 0.0], spec, gen, 50000)
         big_m = hemisphere_radius(3, 1.0, LN3)
         assert np.linalg.norm(rows.mean(axis=0)) < 5.0 * big_m / math.sqrt(50000)
 
@@ -245,7 +259,7 @@ class TestHemisphereAndPriv:
 class TestQuan:
     def test_d1_half_radius(self):
         gen = np.random.default_rng(3)
-        vals = np.array([quan_decode(quan([0.5], 1.0, gen), 1.0, 1)[0] for _ in range(20000)])
+        vals = quan_decodes([0.5], 1.0, gen, 20000)[:, 0]
         assert set(np.unique(vals)) == {-1.0, 1.0}
         p_plus = np.mean(vals > 0)
         assert abs(p_plus - 0.75) < 3.0 * math.sqrt(0.75 * 0.25 / 20000)
@@ -253,26 +267,29 @@ class TestQuan:
 
     def test_d1_boundary_deterministic(self):
         gen = np.random.default_rng(4)
-        for _ in range(100):
-            msg = quan([1.0], 1.0, gen)
-            assert quan_decode(msg, 1.0, 1)[0] == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_allclose(quan_decodes([1.0], 1.0, gen, 100), 1.0, rtol=1e-12)
 
     def test_zero_input_reserved_message(self):
-        msg = quan([0.0, 0.0], 1.0, 0)
-        assert msg.is_zero
-        np.testing.assert_array_equal(quan_decode(msg, 1.0, 2), [0.0, 0.0])
+        # The encoder never sends the reserved zero message, but wire frames
+        # carry it: it has no atoms and decodes to 0 alone and in a batch.
+        spec = l2_spec(2)
+        msg = SparseSigned(pairs=((0, 1),) * 2, is_zero=True)
+        assert msg.atoms == ()
+        np.testing.assert_array_equal(decode_message(msg, spec), [0.0, 0.0])
+        other = encode_message([0.3, -0.4], spec, 0)
+        np.testing.assert_array_equal(mean_estimate([msg, other], spec), decode_message(other, spec) / 2)
 
     def test_unbiased_monte_carlo(self, rng):
         d, radius = 4, 2.0
         x = random_in_ball(rng, d, 2.0, radius, scale=0.8)
         n = 200000
-        rows = np.array([quan_decode(quan(x, radius, rng), radius, d) for _ in range(n)])
+        rows = quan_decodes(x, radius, rng, n)
         err = np.linalg.norm(rows.mean(axis=0) - x)
         assert err < 5.0 * radius * math.sqrt(2.0 / n)
 
     def test_out_of_radius_rejected(self):
         with pytest.raises(OutOfBallError):
-            quan([2.0], 1.0, 0)
+            encode_message([2.0], l2_spec(1), 0)
 
     def test_draws_match_generator_choice(self):
         # the batched inverse CDF picks what Generator.choice(d, p=w) picks,
@@ -284,26 +301,28 @@ class TestQuan:
             if not x.any():
                 continue
             x *= 0.9 / np.linalg.norm(x)
-            ref = np.random.default_rng(seed + 1000)
+            gen, ref = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
             l1 = np.abs(x).sum()
             xt = x / l1 if ref.random() < 0.5 + l1 / (2.0 * math.sqrt(d)) else -x / l1
             w = np.abs(xt) / np.abs(xt).sum()
             want = tuple((int(c), 1 if xt[c] > 0 else -1) for c in ref.choice(d, size=d, p=w))
-            assert quan(x, 1.0, seed + 1000).pairs == want
+            atoms = _quan_atoms(x[None], 1.0, (gen.random(1), gen.random((1, d))))[0]
+            assert message_from_atoms("l2", atoms.tolist()).pairs == want
 
 
 class TestR2:
     def test_d1_zero_symmetric(self):
         spec = l2_spec(1)
         gen = np.random.default_rng(5)
-        vals = np.array([r2_decode(r2_encode([0.0], spec, gen), spec)[0] for _ in range(20000)])
+        vals = sample_decoded([0.0], spec, gen, 20000)[:, 0]
         assert abs(vals.mean()) < 5.0 * 2.0 / math.sqrt(20000)
 
     def test_d1_boundary_two_point(self):
-        # priv gives +-2a with P(+) = 3/4; quan passes the sign through unchanged
+        # the sphere stage gives +-2a with P(+) = 3/4; the quantizer passes the
+        # sign through unchanged
         spec = l2_spec(1)
         gen = np.random.default_rng(6)
-        vals = np.array([r2_decode(r2_encode([1.0], spec, gen), spec)[0] for _ in range(20000)])
+        vals = sample_decoded([1.0], spec, gen, 20000)[:, 0]
         np.testing.assert_allclose(np.abs(vals), 2.0, rtol=1e-12)
         assert abs(np.mean(vals > 0) - 0.75) < 3.0 * math.sqrt(0.75 * 0.25 / 20000)
         assert abs(vals.mean() - 1.0) < 0.05
@@ -321,13 +340,13 @@ class TestR2:
 
     def test_message_shape(self, rng):
         spec = l2_spec(5)
-        msg = r2_encode(random_in_ball(rng, 5, 2.0, 1.0), spec, rng)
+        msg = encode_message(random_in_ball(rng, 5, 2.0, 1.0), spec, rng)
         assert isinstance(msg, SparseSigned)
         assert len(msg.pairs) == 5
 
     def test_decode_rejects_wrong_length(self):
         with pytest.raises(ValidationError):
-            r2_decode(SparseSigned(pairs=((0, 1),)), l2_spec(3))
+            decode_message(SparseSigned(pairs=((0, 1),)), l2_spec(3))
 
 
 class TestRinf:
@@ -361,7 +380,7 @@ class TestRinf:
 
     def test_out_of_ball_rejected(self):
         with pytest.raises(OutOfBallError):
-            rinf_encode([1.5, 0.0], linf_spec(2), 0)
+            encode_message([1.5, 0.0], linf_spec(2), 0)
 
 
 class TestMix:
@@ -376,16 +395,16 @@ class TestMix:
         arm1, _ = rp_arm_specs(spec)
         assert arm1.ball.radius == pytest.approx(1.0, rel=1e-15)
         for _ in range(20):
-            msg = rp_encode(random_in_ball(rng, 4, 1.0, 1.0), spec, rng)
+            msg = encode_message(random_in_ball(rng, 4, 1.0, 1.0), spec, rng)
             assert msg.arm == "L1"
-            np.testing.assert_array_equal(rp_decode(msg, spec), r1_decode(msg.inner, arm1))
+            np.testing.assert_array_equal(decode_message(msg, spec), r1_decode(msg.inner, arm1))
 
     def test_pbar_zero_is_l2_arm_at_base_radius(self, rng):
         spec = MechanismSpec(BallSpec(p=2.0, radius=1.0, dim=4), epsilon0=1.0, mix_prob=0.0)
         _, arm2 = rp_arm_specs(spec)
         assert arm2.ball.radius == pytest.approx(1.0, rel=1e-15)
         for _ in range(20):
-            msg = rp_encode(random_in_ball(rng, 4, 2.0, 1.0), spec, rng)
+            msg = encode_message(random_in_ball(rng, 4, 2.0, 1.0), spec, rng)
             assert msg.arm == "L2"
 
     def test_unbiased_monte_carlo(self, rng):
@@ -450,13 +469,13 @@ class TestMeanEstimate:
     def test_single_message_is_decode(self, rng):
         spec = l1_spec(4)
         x = random_in_ball(rng, 4, 1.0, 1.0)
-        msg = r1_encode(x, spec, rng)
+        msg = encode_message(x, spec, rng)
         np.testing.assert_array_equal(mean_estimate([msg], spec), r1_decode(msg, spec))
 
     def test_zero_dataset_concentrates(self):
         spec = l1_spec(4)
         gen = np.random.default_rng(9)
-        msgs = [r1_encode(np.zeros(4), spec, gen) for _ in range(4000)]
+        msgs = [encode_message(np.zeros(4), spec, gen) for _ in range(4000)]
         est = mean_estimate(msgs, spec)
         scale = math.sqrt(4) * privacy_ratio(LN3)
         assert np.linalg.norm(est) < 5.0 * scale / math.sqrt(4000)
@@ -517,7 +536,7 @@ class TestAtomsAndDrawOrder:
         def index(k, dim):  # indices, then sign uniforms
             return [ref.integers(dim, size=k), ref.random(k)]
 
-        def l2(k):  # priv: direction, side, Gaussian; quan: sign flip, coordinates
+        def l2(k):  # _priv_rows: direction, side, Gaussian; _quan_atoms: sign flip, coordinates
             return [ref.random(k), ref.random(k), ref.standard_normal((k, d)),
                     ref.random(k), ref.random((k, d))]
 
@@ -572,14 +591,14 @@ class TestVectorizedSamplers:
             assert err < 5.0 * envelope / math.sqrt(100000), mechanism_family(spec)
 
     def test_trials_match_direct_estimates(self, rng):
-        # the batched trial path must agree in distribution with the scalar path
+        # the batched trial path must agree in distribution with per-message encodes
         spec = l1_spec(3, a=1.0, eps0=1.0)
         data = np.array([random_in_ball(rng, 3, 1.0, 1.0) for _ in range(20)])
         trials = mean_estimate_trials(data, spec, rng, 400)
         assert trials.shape == (400, 3)
         direct = np.array(
             [
-                mean_estimate([r1_encode(row, spec, rng) for row in data], spec)
+                mean_estimate([encode_message(row, spec, rng) for row in data], spec)
                 for _ in range(400)
             ]
         )
@@ -598,6 +617,23 @@ class TestVectorizedSamplers:
             mean_estimate_trials(bad, spec, 0, 2)
         with pytest.raises(ValidationError, match="finite"):
             mean_estimate_trials(np.full((4, 3), np.inf), spec, 0, 2)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec: encode_message(["a", "b", "c"], spec, 0),
+            lambda spec: sample_decoded(np.zeros(3), spec, 0, 2.5),
+            lambda spec: sample_decoded(np.zeros(3), spec, 0, "3"),
+            lambda spec: mean_estimate_trials(np.zeros((4, 3)), spec, 0, 2.5),
+            lambda spec: MechanismSpec(spec.ball, epsilon0="1"),
+            lambda spec: MechanismSpec(spec.ball, epsilon0=1.0, mix_prob="0.5"),
+        ],
+        ids=["string_rows", "float_samples", "string_samples", "float_trials",
+             "string_epsilon0", "string_mix_prob"],
+    )
+    def test_entry_points_reject_malformed_arguments(self, call):
+        with pytest.raises(ValidationError):
+            call(MechanismSpec(BallSpec(p=2.0, radius=1.0, dim=3), epsilon0=1.0))
 
     def test_l2_trial_memory_linear_in_n_d(self):
         n, d = 4000, 128
@@ -629,18 +665,11 @@ class TestVectorizedSamplers:
                 tracemalloc.stop()
         assert extra[1] <= 1.25 * extra[0]
 
-    def test_hadamard_column_matches_transform(self):
-        for n in (1, 2, 8):
-            i = np.arange(n)
-            dense = np.array([[(-1) ** bin(a & b).count("1") for b in i] for a in i], float)
-            for j in range(n):
-                np.testing.assert_array_equal(hadamard_column(n, j), dense[:, j])
-
 
 class TestSpecValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            r1_encode([0.1, 0.2], l1_spec(3), 0)
+            encode_message([0.1, 0.2], l1_spec(3), 0)
 
     def test_padded_dim(self):
         assert [padded_dim(d) for d in (1, 2, 3, 4, 5, 8, 9)] == [1, 2, 4, 4, 8, 8, 16]
