@@ -13,8 +13,9 @@ Each round t (1-based):
    diameter D centered at the origin.
 
 A round runs on arrays: one ``point_grads`` call for all k*s points, one
-clip pass, and one ``mechanisms.batch_encoder`` call (the l1 rotation done
-once), which makes one draw over the k*s rows and one signed-count decode.
+clip pass, and one ``mechanisms.batch_encoder`` call, which makes one draw
+over the k*s rows (each drawn once, so an l1 row computes only the rotated
+coordinate its draw reads) and one signed-count decode.
 The decode reads only the multiset the shuffler leaves, so the permutation is
 drawn but not applied to coded messages. The bits follow from how many
 messages of each code the round sent.

@@ -1,8 +1,9 @@
 """Dense vector primitives shared by every module.
 
 p-norms over the extended range p in [1, inf], gradient clipping, the fast
-Walsh-Hadamard transform (normalized, and the unnormalized in-place row
-butterfly it is built on), and Euclidean-ball projection.
+Walsh-Hadamard transform (normalized; the unnormalized in-place row butterfly
+it is built on; and one entry per row by one path through that butterfly),
+and Euclidean-ball projection.
 The transform convention is the symmetric one,
 
     fwht(x) = (1/sqrt(d)) * H_d @ x,      H_d[i, j] = (-1)^popcount(i & j),
@@ -16,6 +17,7 @@ transform roundtrips.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +63,9 @@ class BallSpec:
     dim: int
 
     def __post_init__(self) -> None:
-        if not self.p >= 1.0:
+        if not (isinstance(self.p, numbers.Real) and self.p >= 1.0):
             raise ValidationError(f"ball exponent must lie in [1, inf], got {self.p!r}")
-        if not self.radius > 0.0:
+        if not (isinstance(self.radius, numbers.Real) and self.radius > 0.0):
             raise ValidationError(f"ball radius must be positive, got {self.radius!r}")
         if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
             raise ValidationError(f"ball dimension must be a positive integer, got {self.dim!r}")
@@ -95,6 +97,27 @@ def fwht_rows_inplace(mat: np.ndarray) -> np.ndarray:
         w[:, :, 1, :] = bot
         h *= 2
     return mat
+
+
+def fwht_rows_at(mat: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Entry j[i] of row i's unnormalized Walsh-Hadamard transform, each row
+    zero-padded to the next power of two: O(d) per row, not O(d log d).
+
+    Level by level it keeps only the half of the butterfly that output j[i]
+    reads, with the butterfly's own additions (a + b where bit `level` of j[i]
+    is 0, a + (-b) = a - b where it is 1), so every entry equals
+    ``fwht_rows_inplace`` bit for bit.
+    """
+    rows, d = mat.shape
+    levels = (d - 1).bit_length()
+    if d < 1 << levels:
+        mat = np.concatenate([mat, np.zeros((rows, (1 << levels) - d))], axis=1)
+    signs = 1.0 - 2.0 * ((j[:, None] >> np.arange(levels)) & 1)
+    for level in range(levels):
+        half = mat[:, 1::2] * signs[:, level, None]
+        half += mat[:, 0::2]
+        mat = half
+    return mat[:, 0]
 
 
 def fwht_normalized(x) -> np.ndarray:

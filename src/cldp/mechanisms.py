@@ -23,12 +23,19 @@ their ``atoms``; ``message_code`` gives each family's and mix arm's message
 type and atom shape; ``message_from_atoms`` builds a message back. ``wire``
 codes messages through these alone.
 
-Each family is one record in ``_FAMILIES``: its message code; ``prepare``,
-the row-only work (the l1 rotation); ``noise``, what one stream draws for n
-rows, which fixes the draw order (``_index_noise``, ``_l2_noise``,
-``_mix_noise``); a pure ``draw`` from prepared rows and noise to atoms ((n,
-1) for l1 and linf, (n, d) for l2, (arm mask, l1 atoms, l2 atoms) for the
-mix); and a ``scale`` from net signed counts to decoded sums. One counts
+Each family is one record in ``_FAMILIES``: its message code; ``table``, the
+work that repeated draws of the same rows share (the l1 rotation, for l1 and
+the mix's l1 arm); ``noise``, what one stream draws for n rows, which fixes
+the draw order (``_index_noise``, ``_l2_noise``, ``_mix_noise``); a pure
+``draw`` from rows, their table if made, and noise to atoms ((n, 1) for l1
+and linf, (n, d) for l2, (arm mask, l1 atoms, l2 atoms) for the mix); and a
+``scale`` from net signed counts to decoded sums. An index draw reads one
+plus-probability per row. Rows drawn once compute only that entry: l1 walks
+one path of the Hadamard butterfly (``linalg.fwht_rows_at``, O(d) per row
+and bit-identical to the O(d log d) rotation), linf reads the coordinate.
+Rows drawn repeatedly (``sample_decoded``'s one row; ``mean_estimate_trials``
+with more than one trial; a ``batch_encoder``'s rows from their second draw
+on) make the table once and read it. One counts
 decoder, ``_net_counts``, serves every family: the shuffler leaves only the
 multiset of messages and the counts depend on nothing else, so the decoded
 sum is exact and order-free; counting per row gives individual decodes. The
@@ -39,9 +46,10 @@ sends it, but wire frames carry it.
 one ``draw`` and one decode over all rows. The other entry points,
 ``encode_message``, ``decode_message``, ``mean_estimate``, ``sample_decoded``
 and ``mean_estimate_trials``, are its one-stream case; every input passes the
-one check in ``_require_rows``, and identical seedable streams reproduce
-identical messages. ``r1_decode`` and ``rinf_decode`` decode one index-family
-message, and the ``*_atom_probabilities`` helpers give the closed-form output
+one check in ``_require_rows`` and every seed the one in ``_require_rng``,
+and identical seedable streams reproduce identical messages. ``r1_decode``
+and ``rinf_decode`` decode one index-family message, and the
+``*_atom_probabilities`` helpers give the closed-form output
 distributions of the index families, so tests check unbiasedness, variance
 and the LDP ratio without sampling.
 """
@@ -58,7 +66,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .errors import OutOfBallError, ValidationError
-from .linalg import BallSpec, EXACT_TOL, fwht_rows_inplace
+from .linalg import BallSpec, EXACT_TOL, fwht_rows_at, fwht_rows_inplace
 
 # ---------------------------------------------------------------------------
 # Messages and specs
@@ -252,6 +260,15 @@ def _require_count(value, name: str) -> int:
     return count
 
 
+def _require_rng(rng) -> np.random.Generator:
+    """``np.random.default_rng(rng)``: rng is None, a nonnegative integer seed,
+    a SeedSequence, a BitGenerator or a Generator."""
+    try:
+        return np.random.default_rng(rng)
+    except (TypeError, ValueError):
+        raise ValidationError(f"expected None, a seed or a generator, got {rng!r:.200}") from None
+
+
 def _check_family(spec: MechanismSpec, p_required: float, name: str) -> None:
     if spec.ball.p != p_required:
         raise ValidationError(f"{name} requires a ball with p={p_required:g}, got p={spec.ball.p:g}")
@@ -262,21 +279,28 @@ def _check_family(spec: MechanismSpec, p_required: float, name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _r1_plus(rows: np.ndarray, spec: MechanismSpec) -> np.ndarray:
-    """Pr[sign=+1 | index=j] for every row and every j < padded dimension."""
+def _r1_plus(rows: np.ndarray, spec: MechanismSpec, j=None) -> np.ndarray:
+    """Pr[sign=+1 | index] of each row: at every index below the padded
+    dimension (one rotation), or at index j[i] of row i only (one butterfly
+    path, bit-identical to the rotation's entry)."""
     n, d = rows.shape
     dp = padded_dim(d)
-    y = np.zeros((n, dp))
-    y[:, :d] = rows
-    y = fwht_rows_inplace(y) / math.sqrt(dp)
+    if j is None:
+        y = np.zeros((n, dp))
+        y[:, :d] = rows
+        fwht_rows_inplace(y)
+    else:
+        y = fwht_rows_at(rows, j)
+    y = y / math.sqrt(dp)
     # Each rotated coordinate satisfies |sqrt(dp)*y_j| <= a, so the flip
     # probabilities stay inside [ (1-kappa)/2, (1+kappa)/2 ].
     return 0.5 + (math.sqrt(dp) / (2.0 * spec.ball.radius)) * _kappa(spec.epsilon0) * y
 
 
-def _rinf_plus(rows: np.ndarray, spec: MechanismSpec) -> np.ndarray:
-    """Pr[sign=+1 | index=j] for every row and every coordinate j."""
-    return 0.5 + rows * (_kappa(spec.epsilon0) / (2.0 * spec.ball.radius))
+def _rinf_plus(rows: np.ndarray, spec: MechanismSpec, j=None) -> np.ndarray:
+    """Pr[sign=+1 | index] of each row: at every coordinate, or at coordinate j[i] of row i only."""
+    x = rows if j is None else rows[np.arange(len(j)), j]
+    return 0.5 + x * (_kappa(spec.epsilon0) / (2.0 * spec.ball.radius))
 
 
 def _index_noise(gen: np.random.Generator, n: int, dim: int):
@@ -284,10 +308,17 @@ def _index_noise(gen: np.random.Generator, n: int, dim: int):
     return gen.integers(dim, size=n), gen.random(n)
 
 
-def _index_draw(plus: np.ndarray, spec: MechanismSpec, noise) -> np.ndarray:
-    """One atom per row: the drawn index, + if its uniform is below the index's plus-probability."""
+def _index_draw(plus: Callable, rows, table, spec: MechanismSpec, noise, which=None) -> np.ndarray:
+    """One atom for each row (of rows[which], if given): the drawn index j, + if
+    its uniform is below the row's plus-probability at j. That is read from
+    ``table``, every plus-probability of the rows, where they are drawn
+    repeatedly; else ``plus`` computes it for the one entry."""
     j, u = noise
-    return _atom(j, u < plus[np.arange(len(j)), j])[:, None]
+    if table is None:
+        p = plus(rows if which is None else rows[which], spec, j)
+    else:
+        p = table[np.arange(len(j)) if which is None else which, j]
+    return _atom(j, u < p)[:, None]
 
 
 def _r1_scale(net: np.ndarray, spec: MechanismSpec) -> np.ndarray:
@@ -463,9 +494,9 @@ def _mix_noise(gen: np.random.Generator, n: int, spec: MechanismSpec):
     return (arm, *_index_noise(gen, n_l1, padded_dim(d)), *_l2_noise(gen, n - n_l1, d))
 
 
-def _mix_draw(rows: np.ndarray, spec: MechanismSpec, noise):
+def _mix_draw(rows: np.ndarray, table, spec: MechanismSpec, noise):
     (arm_l1, arm_l2), arm = rp_arm_specs(spec), noise[0]
-    l1_atoms = _index_draw(_r1_plus(rows[arm], arm_l1), arm_l1, noise[1:3])
+    l1_atoms = _index_draw(_r1_plus, rows, table, arm_l1, noise[1:3], np.flatnonzero(arm))
     return arm, l1_atoms, _l2_draw(rows[~arm], arm_l2, noise[3:])
 
 
@@ -477,26 +508,32 @@ def _mix_draw(rows: np.ndarray, spec: MechanismSpec, noise):
 class _Family(NamedTuple):
     kind: type  # the message type
     shape: Callable | None  # d -> (atom dimension, atoms per message); the mix uses its arms'
-    prepare: Callable  # (rows, spec) -> the row-only work every draw shares (l1 rotation)
+    table: Callable | None  # (rows, spec) -> what repeated draws of the rows share (l1 rotation)
     noise: Callable  # (gen, n, spec) -> what one stream draws for n rows, in order
-    draw: Callable  # (prepared rows, spec, noise) -> the atoms of every row
+    draw: Callable  # (rows, table or None, spec, noise) -> the atoms of every row
     scale: Callable | None  # (net signed counts, spec) -> decoded sums; the mix uses its arms'
 
 
 _FAMILIES = {
     "l1": _Family(
         IndexSign, lambda d: (padded_dim(d), 1), _r1_plus,
-        lambda gen, n, spec: _index_noise(gen, n, padded_dim(spec.ball.dim)), _index_draw, _r1_scale,
+        lambda gen, n, spec: _index_noise(gen, n, padded_dim(spec.ball.dim)),
+        functools.partial(_index_draw, _r1_plus), _r1_scale,
     ),
     "linf": _Family(
-        IndexSign, lambda d: (d, 1), _rinf_plus,
-        lambda gen, n, spec: _index_noise(gen, n, spec.ball.dim), _index_draw, _rinf_scale,
+        IndexSign, lambda d: (d, 1), None,
+        lambda gen, n, spec: _index_noise(gen, n, spec.ball.dim),
+        functools.partial(_index_draw, _rinf_plus), _rinf_scale,
     ),
     "l2": _Family(
-        SparseSigned, lambda d: (d, d), lambda rows, spec: rows,
-        lambda gen, n, spec: _l2_noise(gen, n, spec.ball.dim), _l2_draw, _r2_scale,
+        SparseSigned, lambda d: (d, d), None,
+        lambda gen, n, spec: _l2_noise(gen, n, spec.ball.dim),
+        lambda rows, table, spec, noise: _l2_draw(rows, spec, noise), _r2_scale,
     ),
-    "mix": _Family(MixTagged, None, lambda rows, spec: rows, _mix_noise, _mix_draw, None),
+    "mix": _Family(
+        MixTagged, None, lambda rows, spec: _r1_plus(rows, rp_arm_specs(spec)[0]),
+        _mix_noise, _mix_draw, None,
+    ),
 }
 _ARMS = {"L1": "l1", "L2": "l2"}  # the family each mix arm runs
 
@@ -578,8 +615,8 @@ def encode_message(x, spec: MechanismSpec, rng) -> MechanismMessage:
     """Encode with the family the spec addresses (see mechanism_family)."""
     family = key = mechanism_family(spec)
     fam = _FAMILIES[family]
-    prepared = fam.prepare(_require_rows(x, spec.ball, 1), spec)
-    atoms = fam.draw(prepared, spec, fam.noise(np.random.default_rng(rng), 1, spec))
+    rows, gen = _require_rows(x, spec.ball, 1), _require_rng(rng)
+    atoms = fam.draw(rows, None, spec, fam.noise(gen, 1, spec))
     if family == "mix":  # the one row ran one arm
         arm, l1_atoms, l2_atoms = atoms
         key, atoms = ("L1", l1_atoms) if arm[0] else ("L2", l2_atoms)
@@ -604,7 +641,10 @@ def mean_estimate(messages, spec: MechanismSpec) -> np.ndarray:
     Coded messages are summed from signed counts, so the estimate depends on
     their multiset alone, bit for bit, and not on their order.
     """
-    msgs = list(messages)
+    try:
+        msgs = list(messages)
+    except TypeError:
+        raise ValidationError(f"expected an iterable of messages, got {messages!r:.200}") from None
     if not msgs:
         raise ValidationError("mean estimation needs at least one message")
     raw = [decode_message(msg, spec) for msg in msgs if isinstance(msg, RawVector)]
@@ -623,56 +663,72 @@ _SAMPLE_BATCH = 1 << 16
 def sample_decoded(x, spec: MechanismSpec, rng, n_samples: int) -> np.ndarray:
     """n_samples independent decoded messages for one input, as rows.
 
-    The rows are drawn in consecutive batches of at most 2**16, so the working
-    memory beyond the (n_samples, d) result is bounded.
+    The one input row is drawn repeatedly, so its table (the l1 rotation) is
+    made once and every draw reads it. The rows are drawn in consecutive
+    batches of at most 2**16, so the working memory beyond the (n_samples, d)
+    result is bounded.
     """
     v = _require_rows(x, spec.ball, 1)
     n_samples = _require_count(n_samples, "n_samples")
     family = mechanism_family(spec)
-    fam, gen = _FAMILIES[family], np.random.default_rng(rng)
+    fam, gen = _FAMILIES[family], _require_rng(rng)
+    table = fam.table(v, spec) if fam.table else None
     out = np.empty((n_samples, v.shape[1]))
     for lo in range(0, n_samples, _SAMPLE_BATCH):
         m = min(_SAMPLE_BATCH, n_samples - lo)
-        prepared = fam.prepare(np.broadcast_to(v, (m, v.shape[1])), spec)
-        atoms = fam.draw(prepared, spec, fam.noise(gen, m, spec))
+        rows = np.broadcast_to(v, (m, v.shape[1]))
+        tab = None if table is None else np.broadcast_to(table, (m, table.shape[1]))
+        atoms = fam.draw(rows, tab, spec, fam.noise(gen, m, spec))
         out[lo:lo + m] = _sums(family, atoms, spec, np.arange(m), m)
     return out
 
 
-def batch_encoder(x, spec: MechanismSpec) -> Callable:
-    """The spec's encoder on a row matrix, decoded from signed counts.
-
-    The rows pass the one input check, and the row-only work (the l1 rotation)
-    is done once, here. ``encode(streams)`` draws the noise of len(streams)
-    equal consecutive blocks of rows, block i from streams[i], then makes one
-    draw and one decode over all rows; it returns the mean of the decoded
-    messages and how many ran the mix's l1 arm (0 for the other families).
-    """
-    rows = _require_rows(x, spec.ball, 2)
+def _block_encoder(rows: np.ndarray, spec: MechanismSpec, repeated: bool) -> Callable:
+    """``batch_encoder``'s encode on checked rows. Rows drawn repeatedly read
+    one table (the l1 rotation), made at their first draw if the caller says
+    it will repeat them, else at their second."""
     family = mechanism_family(spec)
     fam, n = _FAMILIES[family], len(rows)
-    prepared = fam.prepare(rows, spec)
+    table = None
 
     def encode(streams) -> tuple[np.ndarray, int]:
+        nonlocal table, repeated
         if not streams or n % len(streams):
             raise ValidationError(f"cannot split {n} rows into {len(streams)} equal blocks")
         size = n // len(streams)
-        blocks = [fam.noise(np.random.default_rng(rng), size, spec) for rng in streams]
+        blocks = [fam.noise(_require_rng(rng), size, spec) for rng in streams]
         noise = blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
-        atoms = fam.draw(prepared, spec, noise)
+        if repeated and table is None and fam.table:
+            table = fam.table(rows, spec)
+        atoms, repeated = fam.draw(rows, table, spec, noise), True
         l1_arm = int(np.count_nonzero(atoms[0])) if family == "mix" else 0
         return _sums(family, atoms, spec, np.zeros(n, dtype=np.intp), 1)[0] / n, l1_arm
 
     return encode
 
 
+def batch_encoder(x, spec: MechanismSpec) -> Callable:
+    """The spec's encoder on a row matrix, decoded from signed counts.
+
+    The rows pass the one input check, here. ``encode(streams)`` draws the
+    noise of len(streams) equal consecutive blocks of rows, block i from
+    streams[i], then makes one draw and one decode over all rows; it returns
+    the mean of the decoded messages and how many ran the mix's l1 arm (0 for
+    the other families). The first draw computes only the entries it reads:
+    for l1 one butterfly path per row, O(d) rather than the O(d log d)
+    rotation. Later draws of the same rows read their table, made once.
+    """
+    return _block_encoder(_require_rows(x, spec.ball, 2), spec, repeated=False)
+
+
 def mean_estimate_trials(dataset, spec: MechanismSpec, rng, trials: int) -> np.ndarray:
     """Repeated mean estimation over a fixed dataset, one estimate per row.
 
     Each trial encodes every dataset row once, on one stream, and averages the
-    decodes: the one-stream case of ``batch_encoder``.
+    decodes: the one-stream case of ``batch_encoder``. With more than one
+    trial every row is drawn repeatedly, so the l1 rotation is made once.
     """
-    encode = batch_encoder(dataset, spec)
+    rows = _require_rows(dataset, spec.ball, 2)
     trials = _require_count(trials, "trials")
-    gen = np.random.default_rng(rng)
+    encode, gen = _block_encoder(rows, spec, repeated=trials > 1), _require_rng(rng)
     return np.vstack([encode([gen])[0] for _ in range(trials)])

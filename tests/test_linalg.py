@@ -12,6 +12,7 @@ from cldp.linalg import (
     BallSpec,
     clip,
     fwht_normalized,
+    fwht_rows_at,
     fwht_rows_inplace,
     p_norm,
     project_l2_ball,
@@ -127,6 +128,27 @@ class TestFwht:
         for i in range(5):
             np.testing.assert_allclose(batch[i], fwht_normalized(rows[i]), atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 500])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 100, 128, 1000, 1024])
+    def test_path_entries_are_the_butterfly_bits(self, d, n):
+        # One path through the butterfly gives row i's entry j[i] with the same
+        # additions, so the bits equal the full transform's, signed zeros and
+        # entries of magnitude up to 1e300 included.
+        gen = np.random.default_rng(d * 1000 + n)
+        rows = gen.standard_normal((n, d)) * 10.0 ** gen.integers(-300, 300, (n, d))
+        rows[::3] = np.where(gen.random((len(rows[::3]), d)) < 0.5, -0.0, 1e300)
+        rows[1::5] = np.where(gen.random((len(rows[1::5]), d)) < 0.5, -1e300, -0.0)
+        if n > 1:
+            rows[2] = 0.0
+            rows[4] = -0.0
+        dp = 1 << (d - 1).bit_length()
+        j = gen.integers(dp, size=n)
+        padded = np.zeros((n, dp))
+        padded[:, :d] = rows
+        want = fwht_rows_inplace(padded)[np.arange(n), j]
+        got = fwht_rows_at(rows, j)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestProjectL2Ball:
     def test_outside_lands_on_surface(self):
@@ -164,3 +186,7 @@ class TestBallSpec:
             BallSpec(p=2.0, radius=0.0, dim=2)
         with pytest.raises(ValidationError):
             BallSpec(p=2.0, radius=1.0, dim=0)
+        with pytest.raises(ValidationError):
+            BallSpec("2", 1.0, 3)
+        with pytest.raises(ValidationError):
+            BallSpec(2.0, "1", 3)

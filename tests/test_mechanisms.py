@@ -1,5 +1,6 @@
 """Mechanism correctness: unbiasedness, privacy ratios, variance, boundedness."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -573,6 +574,20 @@ class TestAtomsAndDrawOrder:
         with pytest.raises(ValidationError):
             message_from_atoms("l2", (1.5,))
 
+    def test_index_family_atoms_are_frozen(self):
+        # The l1, linf and mix messages of 200 seeded encodes per dimension,
+        # hashed. The digest comes from draws that rotate whole rows and read
+        # full plus matrices, so it pins the one-entry draws to the same atoms.
+        digest = hashlib.sha256()
+        for d in (1, 3, 64, 1000):
+            gen = np.random.default_rng(d)
+            for p, mix_prob in ((1.0, None), (math.inf, None), (1.5, 0.5)):
+                spec = MechanismSpec(BallSpec(p, 1.0, d), 0.8, mix_prob=mix_prob)
+                for seed in range(200):
+                    x = random_in_ball(gen, d, p, 1.0)
+                    digest.update(repr(encode_message(x, spec, seed)).encode())
+        assert digest.hexdigest() == "0356961371eee8ddd80c9e4a08091317d5540ab6e4cbb9f5e033e2251b788e52"
+
 
 class TestVectorizedSamplers:
     def test_sample_decoded_unbiased_all_families(self, rng):
@@ -606,6 +621,25 @@ class TestVectorizedSamplers:
         mse_slow = np.mean(np.sum((direct - data.mean(axis=0)) ** 2, axis=1))
         assert mse_fast == pytest.approx(mse_slow, rel=0.25)
 
+    @pytest.mark.parametrize("p, mix_prob", [(1.0, None), (1.5, 0.5)], ids=["l1", "mix"])
+    @pytest.mark.parametrize("d", [3, 64])
+    def test_single_and_repeated_trials_draw_the_same_bits(self, p, mix_prob, d):
+        # One trial walks each row's butterfly path; three trials share one
+        # rotation, made first; a batch encoder walks, then makes the rotation
+        # at its second draw. On one stream all three draw the same bits. At
+        # eps0 = 4 the plus-probabilities spread over [0.02, 0.98], so a wrong
+        # entry flips signs.
+        spec = MechanismSpec(BallSpec(p, 1.0, d), 4.0, mix_prob=mix_prob)
+        gen = np.random.default_rng(d)
+        data = np.array([random_in_ball(gen, d, p, 1.0) for _ in range(1000)])
+        repeated = mean_estimate_trials(data, spec, 11, 3)
+        stream = np.random.default_rng(11)
+        once = [mean_estimate_trials(data, spec, stream, 1)[0] for _ in range(3)]
+        stream, encode = np.random.default_rng(11), batch_encoder(data, spec)
+        reused = [encode([stream])[0] for _ in range(3)]
+        for got in (once, reused):
+            np.testing.assert_array_equal(np.vstack(got).view(np.int64), repeated.view(np.int64))
+
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     def test_trials_reject_out_of_ball_and_non_finite_rows(self, p):
         spec = MechanismSpec(BallSpec(p=p, radius=1.0, dim=3), epsilon0=1.0)
@@ -627,13 +661,33 @@ class TestVectorizedSamplers:
             lambda spec: mean_estimate_trials(np.zeros((4, 3)), spec, 0, 2.5),
             lambda spec: MechanismSpec(spec.ball, epsilon0="1"),
             lambda spec: MechanismSpec(spec.ball, epsilon0=1.0, mix_prob="0.5"),
+            lambda spec: mean_estimate(5, spec),
         ],
         ids=["string_rows", "float_samples", "string_samples", "float_trials",
-             "string_epsilon0", "string_mix_prob"],
+             "string_epsilon0", "string_mix_prob", "int_messages"],
     )
     def test_entry_points_reject_malformed_arguments(self, call):
         with pytest.raises(ValidationError):
             call(MechanismSpec(BallSpec(p=2.0, radius=1.0, dim=3), epsilon0=1.0))
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_SPECS))
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x, spec, rng: encode_message(x, spec, rng),
+            lambda x, spec, rng: sample_decoded(x, spec, rng, 3),
+            lambda x, spec, rng: mean_estimate_trials(np.array([x, x]), spec, rng, 2),
+            lambda x, spec, rng: batch_encoder(np.array([x, x]), spec)([0, rng]),
+        ],
+        ids=["encode_message", "sample_decoded", "mean_estimate_trials", "batch_encoder"],
+    )
+    def test_entry_points_reject_malformed_rng(self, call, family):
+        spec = FAMILY_SPECS[family]
+        x = np.zeros(spec.ball.dim)
+        call(x, spec, None)
+        for rng in ("abc", 1.5, -1):
+            with pytest.raises(ValidationError):
+                call(x, spec, rng)
 
     def test_l2_trial_memory_linear_in_n_d(self):
         n, d = 4000, 128
