@@ -34,8 +34,7 @@ plus-probability per row. Rows drawn once compute only that entry: l1 walks
 one path of the Hadamard butterfly (``linalg.fwht_rows_at``, O(d) per row
 and bit-identical to the O(d log d) rotation), linf reads the coordinate.
 Rows drawn repeatedly (``sample_decoded``'s one row; ``mean_estimate_trials``
-with more than one trial; a ``batch_encoder``'s rows from their second draw
-on) make the table once and read it. One counts
+with more than one trial) make the table once and read it. One counts
 decoder, ``_net_counts``, serves every family: the shuffler leaves only the
 multiset of messages and the counts depend on nothing else, so the decoded
 sum is exact and order-free; counting per row gives individual decodes. The
@@ -684,23 +683,19 @@ def sample_decoded(x, spec: MechanismSpec, rng, n_samples: int) -> np.ndarray:
 
 
 def _block_encoder(rows: np.ndarray, spec: MechanismSpec, repeated: bool) -> Callable:
-    """``batch_encoder``'s encode on checked rows. Rows drawn repeatedly read
-    one table (the l1 rotation), made at their first draw if the caller says
-    it will repeat them, else at their second."""
+    """``batch_encoder``'s encode on checked rows. If the caller will draw the
+    rows repeatedly, their table (the l1 rotation) is made once, here."""
     family = mechanism_family(spec)
     fam, n = _FAMILIES[family], len(rows)
-    table = None
+    table = fam.table(rows, spec) if repeated and fam.table else None
 
     def encode(streams) -> tuple[np.ndarray, int]:
-        nonlocal table, repeated
         if not streams or n % len(streams):
             raise ValidationError(f"cannot split {n} rows into {len(streams)} equal blocks")
         size = n // len(streams)
         blocks = [fam.noise(_require_rng(rng), size, spec) for rng in streams]
         noise = blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
-        if repeated and table is None and fam.table:
-            table = fam.table(rows, spec)
-        atoms, repeated = fam.draw(rows, table, spec, noise), True
+        atoms = fam.draw(rows, table, spec, noise)
         l1_arm = int(np.count_nonzero(atoms[0])) if family == "mix" else 0
         return _sums(family, atoms, spec, np.zeros(n, dtype=np.intp), 1)[0] / n, l1_arm
 
@@ -714,9 +709,8 @@ def batch_encoder(x, spec: MechanismSpec) -> Callable:
     noise of len(streams) equal consecutive blocks of rows, block i from
     streams[i], then makes one draw and one decode over all rows; it returns
     the mean of the decoded messages and how many ran the mix's l1 arm (0 for
-    the other families). The first draw computes only the entries it reads:
-    for l1 one butterfly path per row, O(d) rather than the O(d log d)
-    rotation. Later draws of the same rows read their table, made once.
+    the other families). Each draw computes only the entries it reads: for
+    l1 one butterfly path per row, O(d) rather than the O(d log d) rotation.
     """
     return _block_encoder(_require_rows(x, spec.ball, 2), spec, repeated=False)
 

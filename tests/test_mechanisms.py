@@ -625,8 +625,7 @@ class TestVectorizedSamplers:
     @pytest.mark.parametrize("d", [3, 64])
     def test_single_and_repeated_trials_draw_the_same_bits(self, p, mix_prob, d):
         # One trial walks each row's butterfly path; three trials share one
-        # rotation, made first; a batch encoder walks, then makes the rotation
-        # at its second draw. On one stream all three draw the same bits. At
+        # rotation, made first. On one stream both draw the same bits. At
         # eps0 = 4 the plus-probabilities spread over [0.02, 0.98], so a wrong
         # entry flips signs.
         spec = MechanismSpec(BallSpec(p, 1.0, d), 4.0, mix_prob=mix_prob)
@@ -635,10 +634,7 @@ class TestVectorizedSamplers:
         repeated = mean_estimate_trials(data, spec, 11, 3)
         stream = np.random.default_rng(11)
         once = [mean_estimate_trials(data, spec, stream, 1)[0] for _ in range(3)]
-        stream, encode = np.random.default_rng(11), batch_encoder(data, spec)
-        reused = [encode([stream])[0] for _ in range(3)]
-        for got in (once, reused):
-            np.testing.assert_array_equal(np.vstack(got).view(np.int64), repeated.view(np.int64))
+        np.testing.assert_array_equal(np.vstack(once).view(np.int64), repeated.view(np.int64))
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     def test_trials_reject_out_of_ball_and_non_finite_rows(self, p):
