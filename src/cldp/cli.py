@@ -69,6 +69,15 @@ def _float(v) -> float:
 
 
 def _int(v) -> int:
+    # Integers and integer strings parse exactly: a float would round them
+    # above 2**53. Other numbers must be integral.
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, str):
+        try:
+            return int(v)
+        except ValueError:
+            pass
     f = _float(v)
     if not f.is_integer():
         raise ValidationError(f"expected an integer, got {v!r}")

@@ -303,7 +303,14 @@ def _rinf_plus(rows: np.ndarray, spec: MechanismSpec, j=None) -> np.ndarray:
 
 
 def _index_noise(gen: np.random.Generator, n: int, dim: int):
-    """What n index-family rows draw: n indices below dim, then n sign uniforms."""
+    """What n index-family rows draw: n indices below dim, then n sign uniforms.
+
+    One row draws them as scalars, ``integers(dim)`` then ``random()``: they
+    read the same bits as the sized calls (checked on numpy 2.4.6, and pinned
+    by the tests) at under half the cost, which a stream per client pays.
+    """
+    if n == 1:
+        return np.array([gen.integers(dim)]), np.array([gen.random()])
     return gen.integers(dim, size=n), gen.random(n)
 
 

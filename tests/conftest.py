@@ -1,6 +1,7 @@
 """Shared test configuration: hypothesis profiles and seeded RNG helpers."""
 
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -19,6 +20,21 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "fast"))
+
+
+def _versions() -> str:
+    return f"numpy {np.__version__}, Python {platform.python_version()}"
+
+
+def pytest_report_header(config):
+    # The frozen stream tests pin numpy's generator internals; the log names
+    # the versions they ran against.
+    return _versions()
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    if config.getoption("verbose") < 0:  # -q drops the header; keep the versions
+        terminalreporter.write_line(_versions())
 
 
 @pytest.fixture

@@ -56,6 +56,10 @@ class TestConfigHandling:
         assert main(["accountant", "--eps0", "abc"]) == 2
         assert "number" in capsys.readouterr().err
 
+    def test_non_integral_integer_value_exits_2(self, capsys):
+        assert main(["accountant", "--T", "2.5"]) == 2
+        assert "integer" in capsys.readouterr().err
+
     def test_bad_variant_exits_2(self, capsys):
         assert main(["accountant", "--variant", "magic"]) == 2
         capsys.readouterr()
@@ -237,6 +241,19 @@ class TestTrainCommand:
         assert isinstance(payload["final_loss"], float)
         assert payload["budget"]["guarantee"] is False
         assert math.isnan(payload["budget"]["epsilon"])
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        assert main(self.ARGS + ["--seed", "-1", "--out", str(tmp_path / "x")]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_seed_above_2_53_is_exact(self, tmp_path, capsys):
+        # Through a float, 2**53 + 1 would round to 2**53 and rerun that seed.
+        for seed in (2**53, 2**53 + 1):
+            assert main(self.ARGS + ["--seed", str(seed), "--out", str(tmp_path / str(seed))]) == 0
+        capsys.readouterr()
+        a = (tmp_path / f"{2**53}.csv").read_text().splitlines()
+        b = (tmp_path / f"{2**53 + 1}.csv").read_text().splitlines()
+        assert a[0] != b[0] and a[3:] != b[3:]  # config hash, then the rounds
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -33,6 +33,7 @@ from cldp.fedsim import (
     write_trace_csv,
 )
 from cldp.fedsim.tasks import TASKS
+from cldp.fedsim.training import CLIENT_SALT, _client_streams, _seed_words
 from cldp.linalg import BallSpec
 from cldp.mechanisms import (
     IndexSign,
@@ -134,6 +135,31 @@ class TestSampling:
             sample_data(3, 4, gen)
         with pytest.raises(ValidationError):
             sample_clients(3, 0, gen)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 1000])
+    def test_one_point_draws_what_choice_draws(self, r):
+        # One point is integers(r), not choice: both must read the same bits,
+        # and leave the stream at the same place for the mechanism noise.
+        for seed in range(3000):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(sample_data(r, 1, a), b.choice(r, 1, replace=False)), seed
+            assert a.random() == b.random(), seed
+
+    def test_word_built_streams_equal_tuple_seeds(self):
+        # A round's streams come from a matrix of seed words; each must be the
+        # generator SeedSequence((seed, CLIENT_SALT, client, t)) builds, also
+        # for seeds of several words, seed and client 0, and large rounds.
+        m = 5000
+        chosen = np.array([0, 1, m - 1])
+        for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 5):
+            head = _seed_words(seed) + [CLIENT_SALT]
+            for t in (1, 2**16):
+                for ci, gen in zip(chosen, _client_streams(head, chosen, t)):
+                    ref = np.random.default_rng(
+                        np.random.SeedSequence((seed, CLIENT_SALT, int(ci), t))
+                    )
+                    assert gen.bit_generator.state == ref.bit_generator.state, (seed, ci, t)
+                    assert np.array_equal(gen.random(4), ref.random(4)), (seed, ci, t)
 
 
 class TestTasks:
@@ -576,6 +602,10 @@ class TestTrainConfigValidation:
             diameter=2.0,
         )
         for bad in (
+            dict(seed=-1),
+            dict(seed="x"),
+            dict(seed=1.5),
+            dict(seed=True),
             dict(T=0),
             dict(epsilon0=0.0),
             dict(delta=1.0),

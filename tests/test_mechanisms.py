@@ -23,6 +23,7 @@ from cldp.mechanisms import (
     hemisphere_radius,
     mean_estimate,
     _FAMILIES,
+    _index_noise,
     _l2_noise,
     _priv_rows,
     _quan_atoms,
@@ -551,6 +552,19 @@ class TestAtomsAndDrawOrder:
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
         assert gen.random() == ref.random()  # nothing else was drawn
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 1024, 2**20])
+    def test_one_row_index_noise_is_the_sized_draw(self, dim):
+        # One row draws its index and uniform as scalars; they must read the
+        # bits the sized calls read and leave the stream at the same place.
+        for seed in range(1000):
+            gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            j, u = _index_noise(gen, 1, dim)
+            want_j, want_u = ref.integers(dim, size=1), ref.random(1)
+            assert j.dtype == want_j.dtype and u.dtype == want_u.dtype
+            np.testing.assert_array_equal(j, want_j)
+            np.testing.assert_array_equal(u, want_u)
+            assert gen.random() == ref.random(), seed
 
     def test_messages_round_trip_through_their_atoms(self):
         msgs = {
