@@ -106,12 +106,18 @@ def fwht_rows_at(mat: np.ndarray, j: np.ndarray) -> np.ndarray:
     Level by level it keeps only the half of the butterfly that output j[i]
     reads, with the butterfly's own additions (a + b where bit `level` of j[i]
     is 0, a + (-b) = a - b where it is 1), so every entry equals
-    ``fwht_rows_inplace`` bit for bit.
+    ``fwht_rows_inplace`` bit for bit. One row's bit is a scalar, so each of
+    its levels is the one subtraction or addition.
     """
     rows, d = mat.shape
     levels = (d - 1).bit_length()
     if d < 1 << levels:
         mat = np.concatenate([mat, np.zeros((rows, (1 << levels) - d))], axis=1)
+    if rows == 1:
+        v, k = mat[0], int(j[0])
+        for level in range(levels):
+            v = v[0::2] - v[1::2] if (k >> level) & 1 else v[0::2] + v[1::2]
+        return v
     signs = 1.0 - 2.0 * ((j[:, None] >> np.arange(levels)) & 1)
     for level in range(levels):
         half = mat[:, 1::2] * signs[:, level, None]

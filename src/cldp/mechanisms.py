@@ -6,7 +6,9 @@ Four mechanism families, each unbiased for its input and eps0-LDP on its ball:
   single (coordinate, sign) atom. Decode norm is a*sqrt(d)*ratio exactly.
 * l2 family (sphere + sparse quantizer): project x onto a sphere of radius M
   by the hemisphere construction (``_priv_rows``), then quantize the sphere
-  point to d i.i.d. signed coordinate samples (``_quan_atoms``).
+  point to d i.i.d. signed coordinate samples (``_quan_atoms``), found by
+  inverse CDF: one bisection over the cdf rows of all rows at once
+  (``_searchsorted_rows``), exactly ``searchsorted``'s counts.
 * linf family: transmit one (coordinate, sign) atom of x directly; decode is a
   scaled basis vector of norm a*d*ratio.
 * lp mix: with probability mix_prob run the l1 mechanism on an inflated l1
@@ -235,9 +237,7 @@ def _require_rows(x, ball: BallSpec, ndim: int) -> np.ndarray:
         raise ValidationError(
             f"input dimension {rows.shape[1]} does not match ball dimension {ball.dim}"
         )
-    absx = np.abs(rows)
-    norms = absx.max(axis=1) if math.isinf(ball.p) else (absx**ball.p).sum(axis=1) ** (1.0 / ball.p)
-    nrm = float(norms.max())
+    nrm = _largest_norm(rows, ball.p)
     if not nrm <= ball.radius * (1.0 + EXACT_TOL):  # NaN fails too
         if not np.isfinite(rows).all():
             raise ValidationError("input entries must be finite (no NaN/Inf)")
@@ -246,6 +246,19 @@ def _require_rows(x, ball: BallSpec, ndim: int) -> np.ndarray:
             f"{ball.radius:.6g}; clip before encoding"
         )
     return rows
+
+
+def _largest_norm(rows: np.ndarray, p: float) -> float:
+    """max_i (sum_j |x_ij|**p) ** (1/p) over the rows (max_ij |x_ij| at p = inf),
+    bit for bit, NaN if an entry is. At p = 1, 2 and inf it makes fewer passes:
+    x*x is |x|**2, and max |x| is max(max x, -min x), so no abs copy is made."""
+    if math.isinf(p):
+        return abs(float(np.maximum(rows.max(), -rows.min())))  # abs: +0.0 for zeros
+    if p == 1.0:
+        return float(np.abs(rows).sum(axis=1).max())
+    if p == 2.0:
+        return float(((rows * rows).sum(axis=1) ** 0.5).max())
+    return float(((np.abs(rows) ** p).sum(axis=1) ** (1.0 / p)).max())
 
 
 def _require_count(value, name: str) -> int:
@@ -419,21 +432,31 @@ def _priv_rows(rows: np.ndarray, spec: MechanismSpec, noise) -> np.ndarray:
 
 
 def _searchsorted_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """searchsorted(cdf[i], u[i], side='right') for every row i, in one call.
+    """The flat index into ``cdf`` of entry searchsorted(cdf[i], u[i],
+    side='right') of row i, for (n, d) rows cdf[i] sorted and ending above
+    every query (1.0 against uniforms below 1), so each count is at most d - 1.
 
-    Every entry is keyed by the complex number (row + 1j*value). NumPy orders
-    complex numbers by real part, then imaginary part, so the keys of all rows
-    form one sorted array, and within a row the comparisons are exactly those
-    of the values: an offset added to the values themselves would round them.
+    One row is one ``np.searchsorted``. More rows run one bisection at once:
+    all rows have d entries, so the levels are the same for every query. The
+    first reads entry d - 1 - h, h the largest power of two below d, and
+    leaves a window of h counts; the levels h/2, ..., 1 halve it. Each is one
+    flat gather of ``cdf``, one ``<= u`` and one add, and no read passes the
+    row's entry d - 2. Comparisons alone decide, so the counts are
+    searchsorted's, ties included. Memory is a few (n, d) arrays.
     """
     n, d = cdf.shape
-    row = np.arange(n)[:, None]
-    keys, queries = 1j * cdf, 1j * u
-    keys += row
-    queries += row
-    found = np.searchsorted(keys.ravel(), queries.ravel(), side="right").reshape(u.shape)
-    found -= row * d
-    return found
+    if n == 1:
+        return np.searchsorted(cdf[0], u[0], side="right")[None, :]
+    keys = cdf.ravel()
+    flat = np.empty(u.shape, dtype=np.intp)
+    flat[:] = np.arange(0, n * d, d)[:, None]
+    step = 1 << ((d - 1).bit_length() - 1) if d > 1 else 0
+    probe, jump = d - 1 - step, d - step
+    while step:
+        flat += (keys[flat + probe] <= u) * jump
+        step //= 2
+        probe, jump = step - 1, step
+    return flat
 
 
 def _quan_atoms(rows: np.ndarray, radius: float, noise) -> np.ndarray:
@@ -442,7 +465,9 @@ def _quan_atoms(rows: np.ndarray, radius: float, noise) -> np.ndarray:
     Each row is flipped to +-x/||x||_1 with probabilities
     1/2 +- ||x||_1/(2*radius*sqrt(d)) (which sum to one and make the decoded
     message unbiased for x), then d coordinates are drawn i.i.d. from the
-    distribution |x_tilde| and transmitted with the matching signs.
+    distribution |x_tilde| and transmitted with the matching signs. The
+    coordinates come from ``_searchsorted_rows``, one bisection over all rows
+    (one ``searchsorted`` for one row); its flat indices read the signs.
     """
     u_flip, u = noise
     n, d = rows.shape
@@ -455,8 +480,8 @@ def _quan_atoms(rows: np.ndarray, radius: float, noise) -> np.ndarray:
     cdf /= cdf.sum(axis=1)[:, None]
     np.cumsum(cdf, axis=1, out=cdf)
     cdf /= cdf[:, -1:]
-    coords = _searchsorted_rows(cdf, u)
-    return _atom(coords, xt[np.arange(n)[:, None], coords] > 0.0)
+    flat = _searchsorted_rows(cdf, u)
+    return _atom(flat - np.arange(0, n * d, d)[:, None], xt.ravel()[flat] > 0.0)
 
 
 def _l2_draw(rows: np.ndarray, spec: MechanismSpec, noise) -> np.ndarray:

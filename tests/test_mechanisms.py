@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cldp.errors import OutOfBallError, ValidationError
-from cldp.linalg import BallSpec
+from cldp.linalg import EXACT_TOL, BallSpec
 from cldp.mechanisms import (
     IndexSign,
     MechanismSpec,
@@ -26,7 +26,10 @@ from cldp.mechanisms import (
     _index_noise,
     _l2_noise,
     _priv_rows,
+    _largest_norm,
     _quan_atoms,
+    _require_rows,
+    _searchsorted_rows,
     mean_estimate_trials,
     mechanism_family,
     message_code,
@@ -310,6 +313,30 @@ class TestQuan:
             want = tuple((int(c), 1 if xt[c] > 0 else -1) for c in ref.choice(d, size=d, p=w))
             atoms = _quan_atoms(x[None], 1.0, (gen.random(1), gen.random((1, d))))[0]
             assert message_from_atoms("l2", atoms.tolist()).pairs == want
+
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 20, 64, 100, 129])
+    def test_search_is_searchsorted_per_row(self, d, n):
+        # Sorted rows ending at exactly 1.0, with runs of equal entries, and
+        # queries in [0, 1) set to entries, to the values just below them and
+        # to 0; the flat index of row i is i*d plus searchsorted's count.
+        gen = np.random.default_rng(d * 1000 + n)
+        w = gen.random((n, d)) * (gen.random((n, d)) < 0.6)
+        w[:, -1] += 0.5
+        w[0, : d // 2] = 0.0
+        cdf = np.cumsum(w, axis=1)
+        cdf /= cdf[:, -1:]
+        u = gen.random((n, d))
+        hit = gen.random((n, d)) < 0.5
+        u[hit] = cdf[np.arange(n)[:, None].repeat(d, 1)[hit], gen.integers(0, max(d - 1, 1), hit.sum())]
+        u[u >= 1.0] = 0.0
+        below = gen.random((n, d)) < 0.2
+        u[below] = np.nextafter(u[below], -1.0).clip(0.0)
+        u[:, 0] = 0.0
+        got = _searchsorted_rows(cdf, u)
+        want = [np.searchsorted(cdf[i], u[i], side="right") for i in range(n)]
+        np.testing.assert_array_equal(got - np.arange(n)[:, None] * d, want)
 
 
 class TestR2:
@@ -602,6 +629,38 @@ class TestAtomsAndDrawOrder:
                     digest.update(repr(encode_message(x, spec, seed)).encode())
         assert digest.hexdigest() == "0356961371eee8ddd80c9e4a08091317d5540ab6e4cbb9f5e033e2251b788e52"
 
+    def test_l2_atoms_are_frozen(self):
+        # The l2 and mix outputs of every entry point that draws a batch, and
+        # the quantizer's atoms on rows with zero and -0.0 coordinates (tied
+        # cdf entries), hashed. The digest comes from the complex-keyed search.
+        digest = hashlib.sha256()
+        for d in (1, 2, 3, 20, 128, 1000):
+            for n in (1, 2, 20, 1000):
+                gen = np.random.default_rng([d, n])
+                for p, mix_prob in ((2.0, None), (1.5, 0.5)):
+                    spec = MechanismSpec(BallSpec(p, 1.0, d), 0.8, mix_prob=mix_prob)
+                    rows = np.array([random_in_ball(gen, d, p, 1.0) for _ in range(n)])
+                    rows[gen.random((n, d)) < 0.3] = 0.0
+                    rows[gen.random((n, d)) < 0.2] = -0.0
+                    rows[0] = -0.0
+                    streams = [11, 12] if n % 2 == 0 else [11]
+                    outs = (
+                        batch_encoder(rows, spec)(streams)[0],
+                        mean_estimate_trials(rows, spec, 13, 1),
+                        mean_estimate_trials(rows, spec, 14, 3),
+                        sample_decoded(rows[-1], spec, 15, n),
+                    )
+                    for out in outs:
+                        digest.update(np.ascontiguousarray(out).tobytes())
+                    digest.update(repr(encode_message(rows[-1], spec, 16)).encode())
+                x = gen.standard_normal((n, d)) * (gen.random((n, d)) < 0.6)
+                x[gen.random((n, d)) < 0.2] = -0.0
+                x[:, 0] = np.where(gen.random(n) < 0.5, 1.0, -1.0)
+                x /= np.linalg.norm(x, axis=1)[:, None]
+                atoms = _quan_atoms(x, 1.0, (gen.random(n), gen.random((n, d))))
+                digest.update(atoms.astype(np.int64).tobytes())
+        assert digest.hexdigest() == "ef95474b99ef1f9b948ad29eb198435d08df540152eaa998ad19287d1b266444"
+
 
 class TestVectorizedSamplers:
     def test_sample_decoded_unbiased_all_families(self, rng):
@@ -731,6 +790,42 @@ class TestVectorizedSamplers:
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf, 1.5])
+    def test_largest_norm_is_the_formula(self, p):
+        # Rows scaled onto the 1 + EXACT_TOL boundary and just past it, zero and
+        # -0.0 rows: equal bit for bit to the plain formula over |x|.
+        gen = np.random.default_rng(7)
+        rows = gen.standard_normal((500, 9)) * (gen.random((500, 9)) < 0.7)
+        rows[gen.random((500, 9)) < 0.1] = -0.0
+        absx = np.abs(rows)
+        norms = absx.max(axis=1) if math.isinf(p) else (absx**p).sum(axis=1) ** (1.0 / p)
+        rows[norms > 0] /= norms[norms > 0, None]
+        rows[::2] *= 1.0 + EXACT_TOL
+        rows[1::4] *= 1.0 + 2 * EXACT_TOL
+        rows[3] = 0.0
+        rows[5] = -0.0
+        for block in (rows, rows[::2], rows[3:4], rows[5:6], rows[:1], rows[1:2]):
+            absx = np.abs(block)
+            norms = absx.max(axis=1) if math.isinf(p) else (absx**p).sum(axis=1) ** (1.0 / p)
+            want = np.float64(norms.max())
+            got = np.float64(_largest_norm(block, p))
+            assert got.view(np.int64) == want.view(np.int64)
+            ball = BallSpec(p, 1.0, 9)
+            if want <= 1.0 + EXACT_TOL:
+                assert _require_rows(block, ball, 2) is not None
+            else:
+                with pytest.raises(OutOfBallError, match=f"norm {want:.6g} exceeds"):
+                    _require_rows(block, ball, 2)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf, 1.5])
+    def test_nonfinite_rows_rejected(self, p):
+        ball = BallSpec(p, 1.0, 3)
+        for bad in (math.nan, math.inf, -math.inf):
+            rows = np.zeros((4, 3))
+            rows[2, 1] = bad
+            with pytest.raises(ValidationError, match="finite"):
+                _require_rows(rows, ball, 2)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             encode_message([0.1, 0.2], l1_spec(3), 0)
