@@ -7,7 +7,7 @@ Four mechanism families, each unbiased for its input and eps0-LDP on its ball:
 * l2 family (sphere + sparse quantizer): project x onto a sphere of radius M
   by the hemisphere construction (``_priv_rows``), then quantize the sphere
   point to d i.i.d. signed coordinate samples (``_quan_atoms``), found by
-  inverse CDF: one bisection over the cdf rows of all rows at once
+  inverse CDF with one bisection over all rows at once
   (``_searchsorted_rows``), exactly ``searchsorted``'s counts.
 * linf family: transmit one (coordinate, sign) atom of x directly; decode is a
   scaled basis vector of norm a*d*ratio.
@@ -453,7 +453,7 @@ def _searchsorted_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     step = 1 << ((d - 1).bit_length() - 1) if d > 1 else 0
     probe, jump = d - 1 - step, d - step
     while step:
-        flat += (keys[flat + probe] <= u) * jump
+        flat += (keys[probe:][flat] <= u) * jump  # a view: no index temporary
         step //= 2
         probe, jump = step - 1, step
     return flat

@@ -327,9 +327,8 @@ class TestQuan:
         w[0, : d // 2] = 0.0
         cdf = np.cumsum(w, axis=1)
         cdf /= cdf[:, -1:]
-        u = gen.random((n, d))
-        hit = gen.random((n, d)) < 0.5
-        u[hit] = cdf[np.arange(n)[:, None].repeat(d, 1)[hit], gen.integers(0, max(d - 1, 1), hit.sum())]
+        entries = np.take_along_axis(cdf, gen.integers(0, d, (n, d)), axis=1)
+        u = np.where(gen.random((n, d)) < 0.5, entries, gen.random((n, d)))
         u[u >= 1.0] = 0.0
         below = gen.random((n, d)) < 0.2
         u[below] = np.nextafter(u[below], -1.0).clip(0.0)
