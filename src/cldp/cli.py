@@ -38,7 +38,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -247,7 +247,7 @@ def _resolve_out(cfg: ExperimentConfig, default_name: str) -> str:
     return os.path.join(os.environ.get(ENV_OUT_DIR, "."), default_name)
 
 
-def _open_csv(path: str, cfg: ExperimentConfig, units: str, header: list[str]):
+def _open_csv(path: str, cfg: ExperimentConfig, units: str, header):
     fh = fdata.open_output(path)
     fh.write(f"# config_sha256={cfg.sha256()}\n")
     fh.write(f"# units: {units}\n")
@@ -256,8 +256,22 @@ def _open_csv(path: str, cfg: ExperimentConfig, units: str, header: list[str]):
     return fh, writer
 
 
+def _write_json(path: str, cfg: ExperimentConfig, payload: dict) -> None:
+    with fdata.open_output(path) as fh:
+        json.dump({**payload, "config_sha256": cfg.sha256()}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _fmt(v) -> str:
     return repr(float(v)) if isinstance(v, float) else str(v)
+
+
+def _grid(prm: dict) -> list[tuple]:
+    """The (p, d, n, eps0) cells of a sweep, each axis sorted."""
+    return list(itertools.product(*(sorted(prm[key]) for key in ("p", "d", "n", "eps0"))))
+
+
+TRACE_COLUMNS = ("t", "clients", "exact_bits", "loss", "grad_norm", "epsilon_so_far")
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +290,7 @@ def _random_in_ball(gen: np.random.Generator, n: int, d: int, p: float, a: float
 def _run_mean_est(cfg: ExperimentConfig) -> int:
     prm = cfg.params
     out = _resolve_out(cfg, "mean_est.csv")
-    grid = list(
-        itertools.product(
-            sorted(prm["p"]), sorted(prm["d"]), sorted(prm["n"]), sorted(prm["eps0"])
-        )
-    )
+    grid = _grid(prm)
     fh, writer = _open_csv(
         out,
         cfg,
@@ -323,27 +333,12 @@ def _variant_from(prm: dict):
     raise ValidationError(f"variant must be 'explicit' or 'asymptotic', got {name!r}")
 
 
-def _budget_json(budget: acct.PrivacyBudget) -> dict:
-    return {
-        "epsilon0": budget.epsilon0,
-        "epsilon_tilde": budget.epsilon_tilde,
-        "delta_tilde": budget.delta_tilde,
-        "epsilon_bar": budget.epsilon_bar,
-        "delta_bar": budget.delta_bar,
-        "epsilon": budget.epsilon,
-        "delta": budget.delta,
-        "T": budget.T,
-        "guarantee": budget.guarantee,
-        "provenance": list(budget.provenance),
-    }
-
-
 def _run_accountant(cfg: ExperimentConfig) -> int:
     prm = cfg.params
     params = acct.SamplingParams(m=prm["m"], k=prm["k"], r=prm["r"], s=prm["s"])
     variant = _variant_from(prm)
     lines = []
-    result: dict = {"config_sha256": cfg.sha256()}
+    result = {}
     if prm["calibrate"] is not None:
         eps0 = acct.calibrate_epsilon0(prm["calibrate"], prm["delta"], prm["T"], params, variant)
         lines.append(f"calibrated epsilon0 = {eps0!r} for target epsilon {prm['calibrate']!r}")
@@ -353,12 +348,10 @@ def _run_accountant(cfg: ExperimentConfig) -> int:
     budget = acct.end_to_end(eps0, prm["delta"], prm["T"], params, variant)
     lines.extend(budget.provenance)
     lines.append(f"epsilon = {budget.epsilon!r}, delta = {budget.delta!r}")
-    result["budget"] = _budget_json(budget)
+    result["budget"] = asdict(budget)
     print("\n".join(lines))
     if cfg.out is not None:
-        with fdata.open_output(cfg.out) as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(cfg.out, cfg, result)
         print(f"wrote {cfg.out}")
     return 0
 
@@ -366,11 +359,7 @@ def _run_accountant(cfg: ExperimentConfig) -> int:
 def _run_bounds(cfg: ExperimentConfig) -> int:
     prm = cfg.params
     out = _resolve_out(cfg, "bounds.csv")
-    grid = list(
-        itertools.product(
-            sorted(prm["p"]), sorted(prm["d"]), sorted(prm["n"]), sorted(prm["eps0"])
-        )
-    )
+    grid = _grid(prm)
     fh, writer = _open_csv(
         out,
         cfg,
@@ -442,25 +431,28 @@ def _run_train(cfg: ExperimentConfig) -> int:
     result = ftrain.train(train_cfg, clients)
 
     trace_path = base + ".csv"
-    ftrain.write_trace_csv(
+    fh, writer = _open_csv(
         trace_path,
-        result.traces,
-        comments=(
-            f"config_sha256={cfg.sha256()}",
-            "units: t rounds; clients ;-joined ids; exact_bits payload bits; loss mean loss "
-            "(post-step); grad_norm l2; epsilon_so_far central epsilon",
-        ),
+        cfg,
+        "t rounds; clients ;-joined ids; exact_bits payload bits; loss mean loss "
+        "(post-step); grad_norm l2; epsilon_so_far central epsilon",
+        TRACE_COLUMNS,
     )
+    with fh:
+        for tr in result.traces:
+            writer.writerow(
+                [
+                    tr.t, ";".join(map(str, tr.client_ids)), tr.exact_bits,
+                    _fmt(tr.loss_after), _fmt(tr.grad_norm), _fmt(tr.epsilon_so_far),
+                ]
+            )
     model_path = base + ".json"
     payload = {
-        "config_sha256": cfg.sha256(),
         "theta": [float(v) for v in result.theta],
         "final_loss": result.traces[-1].loss_after,
-        "budget": _budget_json(result.budget),
+        "budget": asdict(result.budget),
     }
-    with fdata.open_output(model_path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(model_path, cfg, payload)
     print(f"wrote {trace_path} and {model_path}")
     return 0
 

@@ -12,14 +12,12 @@ from .data import (
 )
 from .tasks import TASKS, Task, get_task
 from .training import (
-    TRACE_COLUMNS,
     RoundTrace,
     TrainConfig,
     TrainResult,
     sample_clients,
     sample_data,
     train,
-    write_trace_csv,
 )
 
 __all__ = [
@@ -34,12 +32,10 @@ __all__ = [
     "TASKS",
     "Task",
     "get_task",
-    "TRACE_COLUMNS",
     "RoundTrace",
     "TrainConfig",
     "TrainResult",
     "sample_clients",
     "sample_data",
     "train",
-    "write_trace_csv",
 ]

@@ -45,7 +45,6 @@ uncompressed and in the clear, and the reported budget carries no guarantee.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 import numbers
@@ -66,7 +65,7 @@ from ..errors import AccountingError, ClippingWarning, ValidationError
 from ..linalg import BallSpec, project_l2_ball
 from ..mechanisms import MechanismSpec, batch_encoder, mechanism_family
 from .. import wire
-from .data import ClientDataset, open_output, stack_points, validate_clients
+from .data import ClientDataset, stack_points, validate_clients
 from .tasks import get_task
 
 CLIENT_SALT = 0x434C4E54  # per-(client, round) streams
@@ -318,28 +317,3 @@ def train(cfg: TrainConfig, data: list[ClientDataset]) -> TrainResult:
         )
     return TrainResult(theta=theta, budget=budget, traces=tuple(traces))
 
-
-TRACE_COLUMNS = ("t", "clients", "exact_bits", "loss", "grad_norm", "epsilon_so_far")
-
-
-def write_trace_csv(path, traces, comments=()) -> None:
-    """One row per round; ``clients`` is ;-joined ids, ``loss`` the post-step loss.
-
-    Each line of ``comments`` is written first, as a ``# `` line.
-    """
-    with open_output(path) as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for tr in traces:
-            writer.writerow(
-                [
-                    tr.t,
-                    ";".join(str(c) for c in tr.client_ids),
-                    tr.exact_bits,
-                    repr(float(tr.loss_after)),
-                    repr(float(tr.grad_norm)),
-                    repr(float(tr.epsilon_so_far)),
-                ]
-            )

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from cldp.accountant import ExplicitShuffling, SamplingParams, amplify_by_shuffling, end_to_end
-from cldp.cli import ENV_OUT_DIR, main
+from cldp.cli import ENV_OUT_DIR, TRACE_COLUMNS, main
 from cldp.fedsim import synthetic_logistic_data, save_dataset_binary, save_dataset_csv
-from cldp.fedsim.training import TRACE_COLUMNS
 
 
 def read_csv_table(path):
@@ -234,11 +233,13 @@ class TestTrainCommand:
         capsys.readouterr()
         header, rows = read_csv_table(tmp_path / "run.csv")
         assert header == list(TRACE_COLUMNS)
-        assert len(rows) == 2
-        assert rows[0][0] == "1" and rows[1][0] == "2"
+        assert [row[0] for row in rows] == ["1", "2"]  # one row per round, from t = 1
+        assert all(len(row[1].split(";")) == 2 for row in rows)  # k sampled clients
         payload = json.loads((tmp_path / "run.json").read_text())
         assert len(payload["theta"]) == 2
         assert isinstance(payload["final_loss"], float)
+        # repr round-trips: the trace's last loss reads back bit for bit
+        assert float(rows[-1][header.index("loss")]) == payload["final_loss"]
         assert payload["budget"]["guarantee"] is False
         assert math.isnan(payload["budget"]["epsilon"])
 

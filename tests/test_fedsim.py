@@ -17,7 +17,6 @@ from cldp.bounds import g_squared
 from cldp.errors import ClippingWarning, PreconditionError, ValidationError
 from cldp.fedsim import (
     ClientDataset,
-    TRACE_COLUMNS,
     TrainConfig,
     get_task,
     load_dataset_binary,
@@ -30,7 +29,6 @@ from cldp.fedsim import (
     synthetic_logistic_data,
     train,
     validate_clients,
-    write_trace_csv,
 )
 from cldp.fedsim.tasks import TASKS
 from cldp.fedsim.training import CLIENT_SALT, _client_streams, _seed_words
@@ -576,19 +574,6 @@ class TestTrain:
             b = batch_encoder(swapped, spec)([np.random.default_rng(i) for i in (1, 0, 2)])
             np.testing.assert_array_equal(a[0], b[0])
             assert a[1] == b[1]
-
-    def test_trace_csv(self, tmp_path):
-        clients, _ = synthetic_logistic_data(m=6, r=4, d=2, seed=11)
-        result = train(small_config(T=3), clients)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, result.traces)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].split(",") == list(TRACE_COLUMNS)
-        assert len(lines) == 1 + 3
-        first = lines[1].split(",")
-        assert first[0] == "1"
-        assert len(first[1].split(";")) == 3  # k sampled clients
-        assert float(first[3]) == pytest.approx(result.traces[0].loss_after)
 
 
 class TestTrainConfigValidation:
