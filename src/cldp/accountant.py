@@ -116,6 +116,11 @@ class AsymptoticShuffling:
 ShufflingVariant = Union[ExplicitShuffling, AsymptoticShuffling]
 
 
+def _validate_variant(variant) -> None:
+    if not isinstance(variant, (ExplicitShuffling, AsymptoticShuffling)):
+        raise ValidationError(f"unknown shuffling variant {variant!r}")
+
+
 @dataclass(frozen=True)
 class PrivacyBudget:
     """Every stage of the chain from local eps0 to central (eps, delta).
@@ -176,6 +181,7 @@ def amplify_by_shuffling(
     Raises a precondition error naming the failing inequality when the chosen
     bound does not apply.
     """
+    _validate_variant(variant)
     if not eps0 > 0.0:
         raise ValidationError(f"epsilon0 must be positive, got {eps0!r}")
     _validate_delta(delta)
@@ -196,15 +202,13 @@ def amplify_by_shuffling(
                 f"explicit shuffling bound requires a batch of >= 1000 messages; got {m_eff}"
             )
         return 12.0 * eps0 * math.sqrt(log_term / m_eff)
-    if isinstance(variant, AsymptoticShuffling):
-        cap = 0.5 * math.log(m_eff / log_term) if m_eff > log_term else float("-inf")
-        if not eps0 <= cap:
-            raise PreconditionError(
-                "asymptotic shuffling bound requires epsilon0 <= (1/2)*ln(m_eff/ln(1/delta)) "
-                f"= {cap:.6g}; got epsilon0 = {eps0:.6g}"
-            )
-        return variant.c * min(eps0, 1.0) * math.exp(eps0) * math.sqrt(log_term / m_eff)
-    raise ValidationError(f"unknown shuffling variant {variant!r}")
+    cap = 0.5 * math.log(m_eff / log_term) if m_eff > log_term else float("-inf")
+    if not eps0 <= cap:
+        raise PreconditionError(
+            "asymptotic shuffling bound requires epsilon0 <= (1/2)*ln(m_eff/ln(1/delta)) "
+            f"= {cap:.6g}; got epsilon0 = {eps0:.6g}"
+        )
+    return variant.c * min(eps0, 1.0) * math.exp(eps0) * math.sqrt(log_term / m_eff)
 
 
 def per_round_budget(
@@ -313,6 +317,7 @@ def max_feasible_epsilon0(
     delta: float, T: int, params: SamplingParams, variant: ShufflingVariant
 ) -> float:
     """Supremum of the eps0 range on which the variant's bound applies."""
+    _validate_variant(variant)
     _validate_delta(delta)
     T = _validate_rounds(T)
     delta_tilde = delta / (2.0 * params.q * T)

@@ -174,6 +174,12 @@ class TestShuffling:
             amplify_by_shuffling(0.3, 0.0, 10_000, EXPLICIT)
         with pytest.raises(ValidationError):
             amplify_by_shuffling(0.3, 1e-6, 0, EXPLICIT)
+        # An unknown variant is rejected by the bound and by its eps0 cap alike.
+        for variant in ("bogus", None):
+            with pytest.raises(ValidationError, match="unknown shuffling variant"):
+                amplify_by_shuffling(0.3, 1e-6, 10_000, variant)
+            with pytest.raises(ValidationError, match="unknown shuffling variant"):
+                max_feasible_epsilon0(1e-6, 10, SamplingParams(m=5000, k=2500, r=1, s=1), variant)
 
 
 class TestPerRoundBudget:
