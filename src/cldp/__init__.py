@@ -67,7 +67,6 @@ from .mechanisms import (
 )
 from .wire import (
     HistogramCode,
-    client_payload_bits,
     decode_index_sign,
     encode_index_sign,
     expected_bits_per_client,
@@ -134,7 +133,6 @@ __all__ = [
     "privacy_ratio",
     "sample_decoded",
     "HistogramCode",
-    "client_payload_bits",
     "decode_index_sign",
     "encode_index_sign",
     "expected_bits_per_client",

@@ -299,25 +299,6 @@ def unframe_message(data: bytes, spec: mech.MechanismSpec, offset: int = 0):
 # ---------------------------------------------------------------------------
 
 
-def client_payload_bits(messages, spec: mech.MechanismSpec | None) -> int:
-    """Exact bits a client pays to send these messages in one round.
-
-    Several index-sign messages (l1, linf) are packed as one multiset over the
-    family's 2*dim alphabet (their order is discarded by the shuffler anyway);
-    every other message costs its own payload. ``spec`` None is the
-    uncompressed baseline: raw vectors only, 64 bits per value.
-    """
-    msgs = list(messages)
-    if spec is None:
-        if not all(isinstance(m, mech.RawVector) for m in msgs):
-            raise ValidationError("without a mechanism every message must be a raw vector")
-        return sum(RAW_VALUE_BITS * len(m.values) for m in msgs)
-    costs = [message_payload_bits(m, spec) for m in msgs]  # each must fit the family
-    if len(msgs) > 1 and all(isinstance(m, mech.IndexSign) for m in msgs):
-        return _code_bits(mech.mechanism_family(spec), spec.ball.dim, len(msgs))
-    return sum(costs)
-
-
 def client_round_bits_exact(spec: mech.MechanismSpec, s: int) -> int:
     """Deterministic per-selected-client cost of s messages, by family."""
     family = mech.mechanism_family(spec)
