@@ -142,7 +142,6 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "variant": (_str, "explicit"),
         "c": (_float, 1.0),
         "calibrate": (_optional(_float), None),
-        "seed": (_int, 0),
         "out": (_optional(_str), None),
     },
     "bounds": {
@@ -156,7 +155,6 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "T": (_int, 1000),
         "q": (_float, 1.0),
         "mix_prob": (_optional(_float), None),
-        "seed": (_int, 0),
         "out": (_optional(_str), None),
     },
     "train": {
@@ -186,14 +184,10 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A fully resolved run: subcommand, typed parameters, output path, seed."""
+    """A fully resolved run: subcommand, typed parameters, output path."""
 
     subcommand: str
     params: dict
-
-    @property
-    def seed(self) -> int:
-        return self.params.get("seed", 0)
 
     @property
     def out(self):
@@ -302,7 +296,7 @@ def _run_mean_est(cfg: ExperimentConfig) -> int:
     )
     with fh:
         for idx, (p, d, n, eps0) in enumerate(grid):
-            gen = np.random.default_rng(np.random.SeedSequence((cfg.seed, _SWEEP_SALT, idx)))
+            gen = np.random.default_rng(np.random.SeedSequence((prm["seed"], _SWEEP_SALT, idx)))
             ball = BallSpec(p=p, radius=prm["a"], dim=d)
             spec = mech.MechanismSpec(ball=ball, epsilon0=eps0, mix_prob=prm["mix_prob"])
             dataset = _random_in_ball(gen, n, d, p, prm["a"])
@@ -481,16 +475,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Communication-limited locally private estimation toolkit",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    list_keys = {"p", "d", "n", "eps0"}
     for name, schema in _SCHEMAS.items():
         sp = sub.add_parser(name, help=f"{name} (keys: {', '.join(sorted(schema))})")
         sp.add_argument("--config", help="JSON file of key/value parameters (flags win)")
-        for key in schema:
-            flag = f"--{key.replace('_', '-')}"
-            if name in ("mean-est", "bounds") and key in list_keys:
-                sp.add_argument(flag, dest=key, nargs="+", default=None, metavar="V")
-            else:
-                sp.add_argument(flag, dest=key, default=None, metavar="V")
+        for key, (converter, _) in schema.items():
+            nargs = "+" if converter in (_float_list, _int_list) else None
+            sp.add_argument(
+                f"--{key.replace('_', '-')}", dest=key, nargs=nargs, default=None, metavar="V"
+            )
     return parser
 
 

@@ -59,6 +59,17 @@ class TestConfigHandling:
         assert main(["accountant", "--T", "2.5"]) == 2
         assert "integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["accountant", "bounds"])
+    def test_seed_is_not_a_key_of_deterministic_commands(self, command, tmp_path, capsys):
+        # Neither command draws a random number, so neither takes a seed.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1}))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_bad_variant_exits_2(self, capsys):
         assert main(["accountant", "--variant", "magic"]) == 2
         capsys.readouterr()
