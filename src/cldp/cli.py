@@ -18,10 +18,14 @@ names as the long flags; explicit flags override file values. Unknown keys
 in the file are rejected, listing the offenders. Numeric values accept the
 string "inf" where a sentinel infinity makes sense (epsilon0, p).
 
-Every emitted file starts with the SHA-256 hash of the effective
-configuration, so outputs are traceable to inputs; runs are deterministic
-given (config, seed), byte for byte. CSV floats are written with repr, which
-round-trips exactly.
+Every emitted file carries the SHA-256 hash of the effective configuration,
+so outputs are traceable to inputs. A CSV starts with a
+``# config_sha256=...`` line and a ``# units: ...`` line, then its header; a
+JSON file holds the hash as its ``config_sha256`` key, written with the other
+keys in sorted order (so after ``budget``). Runs are deterministic given
+(config, seed), byte for byte. CSV floats are written with repr, which
+round-trips exactly. This module is the only one that writes these files:
+``_open_csv`` starts every CSV and ``_write_json`` writes every JSON.
 
 Exit codes: 0 success; 2 invalid configuration or arguments (an --out that
 cannot be opened for writing included); 3 accountant infeasibility
