@@ -272,26 +272,41 @@ class TestFraming:
 
 
 class TestClientBits:
-    def test_message_payload_bits_by_family(self):
-        # One index-sign atom over the family's dim; l1 pads d=3 to 4.
-        atom = mech.IndexSign(j=2, sign=1)
-        assert wire.message_payload_bits(atom, linf_spec(d=8)) == wire.index_sign_bits(8)
-        assert wire.message_payload_bits(atom, l1_spec(d=3)) == wire.index_sign_bits(4)
+    def test_single_message_costs_itself(self):
+        # A one-message round costs exactly the payload of that message.
+        spec = linf_spec(d=8)
+        msg = mech.IndexSign(j=3, sign=1)
+        assert wire.message_payload_bits(msg, spec) == wire.index_sign_bits(8)
+        assert wire.client_round_bits_exact(spec, s=1) == wire.message_payload_bits(msg, spec)
+
+    def test_atom_batch_packs_as_multiset(self):
+        # s index-sign atoms share one multiset over the 2d-atom alphabet,
+        # which is never more expensive than s separate atoms.
+        spec = linf_spec(d=8)
+        got = wire.client_round_bits_exact(spec, s=3)
+        assert got == wire.multiset_bits(3, 16)
+        assert got <= 3 * wire.message_payload_bits(mech.IndexSign(j=3, sign=1), spec)
+
+    def test_l1_batch_uses_padded_alphabet(self):
+        spec = l1_spec(d=3)  # padded dim 4 -> alphabet 8
+        assert wire.message_payload_bits(mech.IndexSign(j=2, sign=1), spec) == wire.index_sign_bits(4)
+        assert wire.client_round_bits_exact(spec, s=2) == wire.multiset_bits(2, 8)
+
+    def test_mixed_batch_sums(self):
         # An l2 message is d atoms over 2d, and the zero message costs nothing.
         spec = l2_spec(d=4)
-        full = mech.SparseSigned(pairs=((0, 1), (1, 1), (2, 1), (3, 1)))
-        zero = mech.SparseSigned(pairs=((0, 1),) * 4, is_zero=True)
-        assert wire.message_payload_bits(full, spec) == wire.multiset_bits(4, 8)
-        assert wire.message_payload_bits(zero, spec) == 0
+        msgs = [
+            mech.SparseSigned(pairs=((0, 1), (1, 1), (2, 1), (3, 1))),
+            mech.SparseSigned(pairs=((0, 1),) * 4, is_zero=True),
+        ]
+        costs = [wire.message_payload_bits(msg, spec) for msg in msgs]
+        assert costs == [wire.multiset_bits(4, 8), 0]
 
     def test_round_bits_exact_by_family(self):
         assert wire.client_round_bits_exact(l1_spec(d=3), s=1) == wire.index_sign_bits(4)
         assert wire.client_round_bits_exact(l1_spec(d=3), s=2) == wire.multiset_bits(2, 8)
         assert wire.client_round_bits_exact(linf_spec(d=8), s=1) == wire.index_sign_bits(8)
         assert wire.client_round_bits_exact(linf_spec(d=8), s=3) == wire.multiset_bits(3, 16)
-        # s index-sign atoms share one multiset over the 2d-atom alphabet,
-        # which is never more expensive than s separate atoms.
-        assert wire.multiset_bits(3, 16) <= 3 * wire.index_sign_bits(8)
         assert wire.client_round_bits_exact(l2_spec(d=4), s=2) == 2 * wire.multiset_bits(4, 8)
         # One coordinate sample per message at d = 1 is still a sparse
         # message: it costs its own payload and does not pack with the others.
