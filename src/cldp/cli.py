@@ -25,7 +25,9 @@ JSON file holds the hash as its ``config_sha256`` key, written with the other
 keys in sorted order (so after ``budget``). Runs are deterministic given
 (config, seed), byte for byte. CSV floats are written with repr, which
 round-trips exactly. This module is the only one that writes these files:
-``_open_csv`` starts every CSV and ``_write_json`` writes every JSON.
+``_open_csv`` starts every CSV and ``_write_json`` writes every JSON. Each is
+written under a temporary name beside it and renamed into place when its run
+succeeds, so a run that fails (exit 2 or 3) leaves no partial artifact.
 
 Exit codes: 0 success; 2 invalid configuration or arguments (an --out that
 cannot be opened for writing included); 3 accountant infeasibility
@@ -36,6 +38,7 @@ variable CLDP_OUT_DIR sets the directory used when --out is not given.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -245,17 +248,41 @@ def _resolve_out(cfg: ExperimentConfig, default_name: str) -> str:
     return os.path.join(os.environ.get(ENV_OUT_DIR, "."), default_name)
 
 
+@contextlib.contextmanager
+def _artifact(path: str):
+    """A text file to write path's artifact into: it is written under a
+    temporary name in the same directory and renamed to path when the block
+    succeeds, or removed when it fails, so a failed run leaves no file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "w", newline="")
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write output ({exc.strerror or exc})") from None
+    try:
+        with fh:
+            yield fh
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise ValidationError(f"{path}: cannot write output ({exc.strerror or exc})") from None
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+@contextlib.contextmanager
 def _open_csv(path: str, cfg: ExperimentConfig, units: str, header):
-    fh = fdata.open_output(path)
-    fh.write(f"# config_sha256={cfg.sha256()}\n")
-    fh.write(f"# units: {units}\n")
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    return fh, writer
+    """A csv writer for path's artifact, after the hash, units and header lines."""
+    with _artifact(path) as fh:
+        fh.write(f"# config_sha256={cfg.sha256()}\n")
+        fh.write(f"# units: {units}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        yield writer
 
 
 def _write_json(path: str, cfg: ExperimentConfig, payload: dict) -> None:
-    with fdata.open_output(path) as fh:
+    with _artifact(path) as fh:
         json.dump({**payload, "config_sha256": cfg.sha256()}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -289,7 +316,7 @@ def _run_mean_est(cfg: ExperimentConfig) -> int:
     prm = cfg.params
     out = _resolve_out(cfg, "mean_est.csv")
     grid = _grid(prm)
-    fh, writer = _open_csv(
+    with _open_csv(
         out,
         cfg,
         "p,d,n,epsilon0 dimensionless; a input units; mse and bounds in squared input units",
@@ -297,8 +324,7 @@ def _run_mean_est(cfg: ExperimentConfig) -> int:
             "p", "d", "n", "epsilon0", "a", "trials",
             "empirical_mse", "risk_upper_worst", "risk_upper_prob", "risk_lower_order_only",
         ],
-    )
-    with fh:
+    ) as writer:
         for idx, (p, d, n, eps0) in enumerate(grid):
             gen = np.random.default_rng(np.random.SeedSequence((prm["seed"], _SWEEP_SALT, idx)))
             ball = BallSpec(p=p, radius=prm["a"], dim=d)
@@ -358,7 +384,7 @@ def _run_bounds(cfg: ExperimentConfig) -> int:
     prm = cfg.params
     out = _resolve_out(cfg, "bounds.csv")
     grid = _grid(prm)
-    fh, writer = _open_csv(
+    with _open_csv(
         out,
         cfg,
         "risks in squared input units; g_squared in squared gradient units; "
@@ -368,8 +394,7 @@ def _run_bounds(cfg: ExperimentConfig) -> int:
             "risk_upper_worst", "risk_upper_prob", "risk_lower_order_only",
             "g_squared", "convergence_bound",
         ],
-    )
-    with fh:
+    ) as writer:
         for p, d, n, eps0 in grid:
             query = bnd.RiskQuery(
                 p=p, d=d, n=n, a=prm["a"], epsilon0=eps0, mix_prob=prm["mix_prob"]
@@ -429,14 +454,13 @@ def _run_train(cfg: ExperimentConfig) -> int:
     result = ftrain.train(train_cfg, clients)
 
     trace_path = base + ".csv"
-    fh, writer = _open_csv(
+    with _open_csv(
         trace_path,
         cfg,
         "t rounds; clients ;-joined ids; exact_bits payload bits; loss mean loss "
         "(post-step); grad_norm l2; epsilon_so_far central epsilon",
         TRACE_COLUMNS,
-    )
-    with fh:
+    ) as writer:
         for tr in result.traces:
             writer.writerow(
                 [

@@ -22,8 +22,9 @@ an e^{eps0} likelihood ratio between any two in-ball inputs.
 A message is a multiset of atoms (``_atom``: 2*coordinate + [sign > 0]): one
 over the padded dimension (l1) or d (linf), d over d (l2). Messages expose
 their ``atoms``; ``message_code`` gives each family's and mix arm's message
-type and atom shape; ``message_from_atoms`` builds a message back. ``wire``
-codes messages through these alone.
+type and atom shape; ``message_from_atoms`` checks atoms once and builds a
+message back, which keeps them rather than converting its pairs back to
+atoms. ``wire`` codes messages through these alone.
 
 Each family is one record in ``_FAMILIES``: its message code; ``table``, the
 work that repeated draws of the same rows share (the l1 rotation, for l1 and
@@ -35,6 +36,10 @@ and linf, (n, d) for l2, (arm mask, l1 atoms, l2 atoms) for the mix); and a
 plus-probability per row. Rows drawn once compute only that entry: l1 walks
 one path of the Hadamard butterfly (``linalg.fwht_rows_at``, O(d) per row
 and bit-identical to the O(d log d) rotation), linf reads the coordinate.
+One row (``encode_message``, and the mix's l1 arm of one message) is drawn
+in Python scalars: its index and uniform, its one plus-probability and its
+atom, with the same floating-point operations in the same order as an array
+of rows; an arm of the mix that no row ran draws nothing.
 Rows drawn repeatedly (``sample_decoded``'s one row; ``mean_estimate_trials``
 with more than one trial) make the table once and read it. One counts
 decoder, ``_net_counts``, serves every family: the shuffler leaves only the
@@ -86,10 +91,10 @@ def _coord_sign(atoms):
 
 def _pair_atoms(pairs) -> tuple[int, ...]:
     """The atoms 2*c + [s > 0] of (coordinate, sign) pairs, each c a nonnegative
-    integer and each s +1 or -1: the one check on a message's atoms."""
+    integer and each s +1 or -1, in one pass: the constructors' check."""
     try:
         items = pairs if isinstance(pairs, tuple) else tuple(pairs)
-        atoms = tuple([operator.index(_atom(c, s == 1)) for c, s in items if s == 1 or s == -1])
+        atoms = tuple([operator.index(2 * c + (s == 1)) for c, s in items if s == 1 or s == -1])
     except (TypeError, ValueError, OverflowError):
         atoms, items = (), None
     if not atoms or len(atoms) != len(items) or min(atoms) < 0:
@@ -251,14 +256,19 @@ def _require_rows(x, ball: BallSpec, ndim: int) -> np.ndarray:
 def _largest_norm(rows: np.ndarray, p: float) -> float:
     """max_i (sum_j |x_ij|**p) ** (1/p) over the rows (max_ij |x_ij| at p = inf),
     bit for bit, NaN if an entry is. At p = 1, 2 and inf it makes fewer passes:
-    x*x is |x|**2, and max |x| is max(max x, -min x), so no abs copy is made."""
+    x*x is |x|**2, and max |x| is max(max x, -min x), so no abs copy is made
+    of a matrix. One row takes its own norm, with no reduction over rows."""
     if math.isinf(p):
+        if len(rows) == 1:
+            return float(np.abs(rows).max())
         return abs(float(np.maximum(rows.max(), -rows.min())))  # abs: +0.0 for zeros
     if p == 1.0:
-        return float(np.abs(rows).sum(axis=1).max())
-    if p == 2.0:
-        return float(((rows * rows).sum(axis=1) ** 0.5).max())
-    return float(((np.abs(rows) ** p).sum(axis=1) ** (1.0 / p)).max())
+        norms = np.abs(rows).sum(axis=1)
+    elif p == 2.0:
+        norms = (rows * rows).sum(axis=1) ** 0.5
+    else:
+        norms = (np.abs(rows) ** p).sum(axis=1) ** (1.0 / p)
+    return float(norms[0] if len(norms) == 1 else norms.max())
 
 
 def _require_count(value, name: str) -> int:
@@ -291,16 +301,19 @@ def _check_family(spec: MechanismSpec, p_required: float, name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _r1_plus(rows: np.ndarray, spec: MechanismSpec, j=None) -> np.ndarray:
+def _r1_plus(rows: np.ndarray, spec: MechanismSpec, j=None):
     """Pr[sign=+1 | index] of each row: at every index below the padded
     dimension (one rotation), or at index j[i] of row i only (one butterfly
-    path, bit-identical to the rotation's entry)."""
+    path, bit-identical to the rotation's entry); for an int j, the one row's
+    entry as a Python float."""
     n, d = rows.shape
     dp = padded_dim(d)
     if j is None:
         y = np.zeros((n, dp))
         y[:, :d] = rows
         fwht_rows_inplace(y)
+    elif isinstance(j, int):
+        y = float(fwht_rows_at(rows, (j,))[0])
     else:
         y = fwht_rows_at(rows, j)
     y = y / math.sqrt(dp)
@@ -309,9 +322,15 @@ def _r1_plus(rows: np.ndarray, spec: MechanismSpec, j=None) -> np.ndarray:
     return 0.5 + (math.sqrt(dp) / (2.0 * spec.ball.radius)) * _kappa(spec.epsilon0) * y
 
 
-def _rinf_plus(rows: np.ndarray, spec: MechanismSpec, j=None) -> np.ndarray:
-    """Pr[sign=+1 | index] of each row: at every coordinate, or at coordinate j[i] of row i only."""
-    x = rows if j is None else rows[np.arange(len(j)), j]
+def _rinf_plus(rows: np.ndarray, spec: MechanismSpec, j=None):
+    """Pr[sign=+1 | index] of each row: at every coordinate, or at coordinate
+    j[i] of row i only; for an int j, the one row's as a Python float."""
+    if j is None:
+        x = rows
+    elif isinstance(j, int):
+        x = float(rows[0, j])
+    else:
+        x = rows[np.arange(len(j)), j]
     return 0.5 + x * (_kappa(spec.epsilon0) / (2.0 * spec.ball.radius))
 
 
@@ -331,13 +350,16 @@ def _index_draw(plus: Callable, rows, table, spec: MechanismSpec, noise, which=N
     """One atom for each row (of rows[which], if given): the drawn index j, + if
     its uniform is below the row's plus-probability at j. That is read from
     ``table``, every plus-probability of the rows, where they are drawn
-    repeatedly; else ``plus`` computes it for the one entry."""
+    repeatedly; else ``plus`` computes it for the one entry. One row is drawn
+    in Python scalars, with the same floating-point operations in the same order."""
     j, u = noise
-    if table is None:
-        p = plus(rows if which is None else rows[which], spec, j)
-    else:
-        p = table[np.arange(len(j)) if which is None else which, j]
-    return _atom(j, u < p)[:, None]
+    if table is not None:
+        return _atom(j, u < table[np.arange(len(j)) if which is None else which, j])[:, None]
+    rows = rows if which is None else rows[which]
+    if len(j) == 1:
+        k = int(j[0])
+        return np.array([[_atom(k, float(u[0]) < plus(rows, spec, k))]])
+    return _atom(j, u < plus(rows, spec, j))[:, None]
 
 
 def _r1_scale(net: np.ndarray, spec: MechanismSpec) -> np.ndarray:
@@ -526,9 +548,16 @@ def _mix_noise(gen: np.random.Generator, n: int, spec: MechanismSpec):
 
 
 def _mix_draw(rows: np.ndarray, table, spec: MechanismSpec, noise):
+    """Each arm draws its rows; an arm that no row ran, such as one of a
+    single row's, draws nothing."""
     (arm_l1, arm_l2), arm = rp_arm_specs(spec), noise[0]
-    l1_atoms = _index_draw(_r1_plus, rows, table, arm_l1, noise[1:3], np.flatnonzero(arm))
-    return arm, l1_atoms, _l2_draw(rows[~arm], arm_l2, noise[3:])
+    which, l2_rows = np.flatnonzero(arm), rows[~arm]
+    l1_atoms, l2_atoms = np.empty((0, 1), np.int64), np.empty((0, rows.shape[1]), np.int64)
+    if len(which):
+        l1_atoms = _index_draw(_r1_plus, rows, table, arm_l1, noise[1:3], which)
+    if len(l2_rows):
+        l2_atoms = _l2_draw(l2_rows, arm_l2, noise[3:])
+    return arm, l1_atoms, l2_atoms
 
 
 # ---------------------------------------------------------------------------
@@ -579,17 +608,36 @@ def message_code(key: str, d: int) -> tuple[type, int, int]:
     return (fam.kind, *fam.shape(d))
 
 
+def _message(key: str, atoms: tuple[int, ...]) -> MechanismMessage:
+    """The message of a family or mix arm with these atoms, nonnegative ints
+    that a draw made or ``message_from_atoms`` checked: each becomes its
+    (coordinate, sign) pair once, and the message keeps the atoms, skipping
+    the constructor's check, which would only convert the pairs back."""
+    if message_code(key, 1)[0] is IndexSign:
+        inner, a = object.__new__(IndexSign), atoms[0]
+        object.__setattr__(inner, "j", a >> 1)
+        object.__setattr__(inner, "sign", 2 * (a & 1) - 1)
+    else:
+        inner = object.__new__(SparseSigned)
+        object.__setattr__(inner, "pairs", tuple([(a >> 1, 2 * (a & 1) - 1) for a in atoms]))
+        object.__setattr__(inner, "is_zero", False)
+    object.__setattr__(inner, "atoms", atoms)
+    return MixTagged(key, inner) if key in _ARMS else inner
+
+
 def message_from_atoms(key: str, atoms) -> MechanismMessage:
-    """The message of a family or mix arm whose atoms these are (see ``message_code``)."""
+    """The message of a family or mix arm whose atoms these are (see ``message_code``),
+    checked in one pass: integers, nonnegative, and one for an index-sign message."""
     kind = message_code(key, 1)[0]
     try:
-        pairs = tuple([_coord_sign(a) for a in atoms])
+        checked = tuple(map(operator.index, atoms))
     except TypeError:
         raise ValidationError(f"atoms must be integers, got {atoms!r:.200}") from None
-    if kind is IndexSign and len(pairs) != 1:
-        raise ValidationError(f"an index-sign message has one atom, got {len(pairs)}")
-    inner = IndexSign(*pairs[0]) if kind is IndexSign else SparseSigned(pairs=pairs)
-    return MixTagged(key, inner) if key in _ARMS else inner
+    if kind is IndexSign and len(checked) != 1:
+        raise ValidationError(f"an index-sign message has one atom, got {len(checked)}")
+    if not checked or min(checked) < 0:
+        raise ValidationError(f"expected nonnegative integer atoms, got {checked!r:.200}")
+    return _message(key, checked)
 
 
 def message_atoms(msg: MechanismMessage, spec: MechanismSpec, family: str | None = None):
@@ -651,7 +699,7 @@ def encode_message(x, spec: MechanismSpec, rng) -> MechanismMessage:
     if family == "mix":  # the one row ran one arm
         arm, l1_atoms, l2_atoms = atoms
         key, atoms = ("L1", l1_atoms) if arm[0] else ("L2", l2_atoms)
-    return message_from_atoms(key, atoms[0].tolist())
+    return _message(key, tuple(atoms[0].tolist()))
 
 
 def decode_message(msg: MechanismMessage, spec: MechanismSpec) -> np.ndarray:

@@ -8,7 +8,10 @@ multiset_bits(s, B) = ceil(log2 C(s+B-1, s)) bits. The order of atoms carries
 no information once messages pass through a shuffler, so none is paid for; the
 cost stays within one bit of the Stirling envelope s*(log2 e + log2((s+B-1)/s)).
 An index-sign message is the one-atom case: its rank is the index big-endian
-in ceil(log2 d) bits followed by the sign bit (1 meaning +).
+in ceil(log2 d) bits followed by the sign bit (1 meaning +). histogram_pack
+and histogram_unpack both walk the binomial from one term to the next, one
+multiply and divide a step, and a one-atom code is its atom, which frames
+write and read directly.
 
 Atoms come from ``cldp.mechanisms``: messages expose their ``atoms``,
 ``message_atoms`` checks them against the spec's family, ``message_code``
@@ -104,12 +107,22 @@ class HistogramCode:
         return multiset_bits(self.s, self.B)
 
 
+# Steps a binomial walk takes before one math.comb (pack) or a bisection over
+# math.comb (unpack) replaces it: each step is one multiply and one divide.
+_WALK = 16
+
+
 def histogram_pack(atoms, B: int) -> HistogramCode:
     """Rank the multiset of atoms (order discarded) over the alphabet [0, B).
 
-    Sorting makes the sequence nondecreasing; shifting the i-th smallest by i
-    makes it strictly increasing, and the combinatorial number system ranks
-    strictly increasing sequences by sum-of-binomials.
+    Sorting makes the sequence nondecreasing; shifting the i-th smallest a_i by
+    i makes it strictly increasing, and the combinatorial number system ranks
+    strictly increasing sequences by the sum of C(a_i + i, i + 1). The sum
+    walks the binomial, as unpack does, with c = C(a_i + i, i) >= 1: the term
+    is c*a_i/(i+1), the next level starts at C(a_i + i + 1, i + 1), which is
+    the term plus c, and C(b, i) steps to C(b + 1, i) = C(b, i)*(b+1)/(b+1-i)
+    up to the next atom, or is taken from math.comb over a longer gap. A
+    one-atom code ranks in constant time: its rank is the atom.
     """
     try:
         ordered = sorted(map(operator.index, atoms))
@@ -119,7 +132,18 @@ def histogram_pack(atoms, B: int) -> HistogramCode:
         raise ValidationError("cannot pack an empty multiset")
     if not 0 <= ordered[0] <= ordered[-1] < B:
         raise ValidationError(f"atoms {ordered[0]}..{ordered[-1]} out of alphabet [0, {B})")
-    rank = sum(math.comb(a + i, i + 1) for i, a in enumerate(ordered))
+    rank, c, prev = 0, 1, ordered[0]  # c = C(prev + i, i)
+    for i, a in enumerate(ordered):
+        if a != prev:
+            if a - prev > _WALK:
+                c = math.comb(a + i, i)
+            else:
+                for b in range(prev + i + 1, a + i + 1):
+                    c = c * b // (b - i)
+            prev = a
+        term = c * a // (i + 1)
+        rank += term
+        c += term
     return HistogramCode(rank=rank, s=len(ordered), B=B)
 
 
@@ -127,18 +151,24 @@ def histogram_unpack(code: HistogramCode) -> tuple[int, ...]:
     """The sorted multiset a HistogramCode ranks; inverse of histogram_pack.
 
     The shifted atoms b_s > ... > b_1 are peeled off from the top: b_i is the
-    largest b below b_{i+1} with C(b, i) <= the remaining rank. b only walks
-    down, and the binomial follows it exactly, one multiply and divide a step:
+    largest b below b_{i+1} with C(b, i) <= the remaining rank. b walks down
+    and the binomial follows it exactly, one multiply and divide a step:
     C(b-1, i) = C(b, i)*(b-i)/b within a level, C(b-1, i-1) = C(b, i)*i/b to
-    the next. The last level needs no walk: C(b, 1) = b, so b_1 is the rank
-    that remains, and a one-atom code unpacks in constant time.
+    the next. A level that has not ended after _WALK steps bisects over
+    math.comb instead, so few atoms over a large alphabet cost O(log B) a
+    level. The last level needs no walk: C(b, 1) = b, so b_1 is the rank that
+    remains, and a one-atom code unpacks in constant time.
     """
     rank = code.rank
     out = []
     b = code.B + code.s - 2  # the largest shifted atom there can be
     c = math.comb(b, code.s)
     for i in range(code.s, 1, -1):
+        stop = b - _WALK
         while c > rank:
+            if b == stop:
+                b, c = _largest_below(rank, i, b)
+                break
             c = c * (b - i) // b
             b -= 1
         rank -= c
@@ -149,6 +179,16 @@ def histogram_unpack(code: HistogramCode) -> tuple[int, ...]:
         raise ValidationError(f"corrupt multiset rank in {code!r}")
     out.append(rank)
     return tuple(reversed(out))
+
+
+def _largest_below(rank: int, i: int, hi: int) -> tuple[int, int]:
+    """(b, C(b, i)) for the largest b < hi with C(b, i) <= rank, by bisection;
+    C(i - 1, i) = 0 <= rank < C(hi, i)."""
+    lo = i - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if math.comb(mid, i) <= rank else (lo, mid)
+    return lo, math.comb(lo, i)
 
 
 @dataclass(frozen=True)
@@ -244,8 +284,11 @@ def frame_message(msg: mech.MechanismMessage, spec: mech.MechanismSpec) -> bytes
         return struct.pack(f">BH{d}d", TAG_RAW, nbits, *msg.values)
     if nbits == 0:
         return struct.pack(">BH", TAG_ZERO, 0)
-    code = histogram_pack(atoms, 2 * mech.message_code(key, d)[1])
-    payload = (code.rank << (-nbits % 8)).to_bytes((nbits + 7) // 8, "big")
+    if len(atoms) == 1:  # a one-atom code's rank is its atom, which message_atoms has checked
+        rank = atoms[0]
+    else:
+        rank = histogram_pack(atoms, 2 * mech.message_code(key, d)[1]).rank
+    payload = (rank << (-nbits % 8)).to_bytes((nbits + 7) // 8, "big")
     return struct.pack(">BH", _CODES[key], nbits) + payload
 
 
@@ -290,8 +333,12 @@ def unframe_message(data: bytes, spec: mech.MechanismSpec, offset: int = 0):
     if payload & ((1 << pad) - 1):
         raise ValidationError("nonzero padding bits in frame payload")
     _, dim, count = mech.message_code(key, d)
-    code = HistogramCode(rank=payload >> pad, s=count, B=2 * dim)
-    return mech.message_from_atoms(key, histogram_unpack(code)), 3 + size
+    rank, B = payload >> pad, 2 * dim
+    if count == 1 and rank < B:
+        atoms = (rank,)
+    else:
+        atoms = histogram_unpack(HistogramCode(rank=rank, s=count, B=B))
+    return mech.message_from_atoms(key, atoms), 3 + size
 
 
 # ---------------------------------------------------------------------------

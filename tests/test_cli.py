@@ -200,6 +200,14 @@ class TestMeanEstCommand:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["mean-est", "bounds"])
+    def test_failed_grid_leaves_no_artifact(self, command, tmp_path, capsys):
+        # p = 4 without --mix-prob fails on the grid's cell, after the output
+        # path is known: neither the CSV nor a temporary file may remain.
+        assert main([command, "--p", "4", "--out", str(tmp_path / "bad.csv")]) == 2
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["mean-est", "--d", "4", "--n", "30", "--trials", "20", "--seed", "9"]
@@ -358,6 +366,13 @@ class TestScripts:
             header, rows = read_csv_table(tmp_path / "demo" / f"run_eps0_{tag}.csv")
             assert header == list(TRACE_COLUMNS) and len(rows) == 2
             assert (tmp_path / "demo" / f"run_eps0_{tag}.json").exists()
+
+    def test_parity(self, tmp_path, capsys):
+        assert load_script("parity").run(str(tmp_path)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 12 and all(len(line.split()[0]) == 64 for line in lines)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert sorted(line.split()[1] for line in lines) == names
 
     def test_accountant_report(self, capsys):
         load_script("accountant_report").run(m=2000, k=1000, r=1, delta=1e-6, target_eps=2.0)

@@ -612,6 +612,13 @@ class TestAtomsAndDrawOrder:
             message_from_atoms("l1", (1, 2))
         with pytest.raises(ValidationError):
             message_from_atoms("l2", (1.5,))
+        # Numpy integers and any iterable of atoms are taken; negative atoms
+        # and an empty sparse message are not.
+        assert message_from_atoms("l1", [np.int64(5)]) == IndexSign(j=2, sign=1)
+        assert message_from_atoms("L2", iter([1, 2])).inner.pairs == ((0, 1), (1, -1))
+        for key, atoms in (("l2", (-1,)), ("linf", (-2,)), ("l2", ())):
+            with pytest.raises(ValidationError):
+                message_from_atoms(key, atoms)
 
     def test_index_family_atoms_are_frozen(self):
         # The l1, linf and mix messages of 200 seeded encodes per dimension,

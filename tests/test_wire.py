@@ -1,11 +1,13 @@
 """Wire format: atom codes, multiset ranking, framing, and bit accounting."""
 
+import hashlib
 import itertools
 import math
 import random
 import struct
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -145,6 +147,19 @@ class TestMultisetCode:
         code = wire.histogram_pack(atoms, B)
         assert wire.histogram_unpack(code) == tuple(sorted(atoms))
         assert code.bit_length == wire.multiset_bits(s, B)
+
+    @pytest.mark.parametrize("s, B", [(1, 2000), (128, 256), (1000, 2000)])
+    def test_rank_is_the_sum_of_binomials(self, s, B):
+        # The definition, computed here: the i-th smallest atom a_i adds C(a_i + i, i + 1).
+        gen = random.Random(s * B)
+        drawn = [gen.randrange(B) for _ in range(s)]
+        cases = [drawn, [gen.randrange(B)] * s, [0] * s, [B - 1] * s,
+                 [0] + drawn[1:], drawn[:-1] + [B - 1]]
+        for atoms in cases:
+            want = sum(math.comb(a + i, i + 1) for i, a in enumerate(sorted(atoms)))
+            code = wire.histogram_pack(atoms, B)
+            assert (code.rank, code.s, code.B) == (want, s, B)
+            assert wire.histogram_unpack(code) == tuple(sorted(atoms))
 
 
 class TestExpectedBits:
@@ -360,6 +375,9 @@ MALFORMED = {
     "nonzero_padding_bits": lambda: wire.unframe_message(
         _l1_frame()[:3] + bytes([_l1_frame()[3] | 0x01]), l1_spec(d=3)
     ),
+    "one_atom_rank_beyond_alphabet": lambda: wire.unframe_message(
+        bytes([wire.TAG_LINF_ATOM, 0, 4, 0xA0]), linf_spec(d=5)  # rank 10 of 10 atoms
+    ),
     "raw_value_not_a_number": lambda: wire.frame_message(
         mech.RawVector(values=("a",)), l2_spec(d=1)
     ),
@@ -375,6 +393,11 @@ MALFORMED_FIELDS = {
     "pack_string_atom": lambda: wire.histogram_pack(["a"], 4),
     "pack_none_atom": lambda: wire.histogram_pack([None], 4),
     "index_sign_bits_not_a_string": lambda: wire.decode_index_sign(5, 4),
+    "index_sign_negative_index": lambda: mech.IndexSign(j=-1, sign=1),
+    "index_sign_fractional_index": lambda: mech.IndexSign(j=1.5, sign=1),
+    "index_sign_string_index": lambda: mech.IndexSign(j="a", sign=1),
+    "index_sign_zero_sign": lambda: mech.IndexSign(j=3, sign=0),
+    "index_sign_sign_two": lambda: mech.IndexSign(j=3, sign=2),
 }
 
 
@@ -382,6 +405,18 @@ MALFORMED_FIELDS = {
 def test_malformed_fields_raise_validation_error(case):
     with pytest.raises(ValidationError):
         MALFORMED_FIELDS[case]()
+
+
+def test_index_sign_accepts_integral_fields():
+    # A numpy integer index and a float sign equal to +-1 are accepted, keep
+    # their values as given, and code as IndexSign(3, 1) does.
+    spec = linf_spec(d=5)
+    want = wire.frame_message(mech.IndexSign(j=3, sign=1), spec)
+    for msg in (mech.IndexSign(np.int64(3), 1), mech.IndexSign(3, 1.0)):
+        assert msg.atoms == (7,) and msg == mech.IndexSign(3, 1)
+        assert wire.frame_message(msg, spec) == want
+    assert type(mech.IndexSign(np.int64(3), 1).j) is np.int64
+    assert type(mech.IndexSign(3, 1.0).sign) is float
 
 
 class TestMalformedFrames:
@@ -415,6 +450,9 @@ FUZZ_CASES = [
     (linf_spec(d=5), [(3, 4), (6, 320)]),
     (mix_spec(d=4, p=3.0), [(4, 3), (5, 9), (6, 256)]),
     (l2_spec(d=1), [(0, 0), (2, 1), (6, 64)]),
+    (l1_spec(d=1000), [(1, 11), (6, 64000)]),
+    (linf_spec(d=1000), [(3, 11), (6, 64000)]),
+    (l2_spec(d=64), [(0, 0), (2, wire.multiset_bits(64, 128)), (6, 4096)]),
 ]
 
 
@@ -469,3 +507,38 @@ class TestLengthCap:
         with pytest.raises(ValidationError):
             wire.frame_message(msg, l2_spec(d=d))
         assert time.perf_counter() - start < 1.0
+
+
+# wire_round's five spec shapes, (p, d, clients, mix_prob), at reduced client counts.
+PIN_GROUPS = (
+    (2.0, 128, 2, None),
+    (2.0, 64, 4, None),
+    (1.0, 1000, 40, None),
+    (math.inf, 1000, 40, None),
+    (1.5, 64, 8, 0.5),
+)
+
+
+def test_round_frames_are_frozen():
+    # The encode -> frame byte stream of a fixed-seed round, then a zero and a
+    # raw frame, hashed; every frame unframes and re-frames to its own bytes.
+    gen = np.random.default_rng(5)
+    digest, arms = hashlib.sha256(), set()
+    pairs = []
+    for p, d, n, mix_prob in PIN_GROUPS:
+        spec = mech.MechanismSpec(BallSpec(p, 1.0, d), epsilon0=1.0, mix_prob=mix_prob)
+        g = gen.standard_normal((n, d))
+        rows = g * (gen.random(n) / np.linalg.norm(g, ord=p, axis=1))[:, None]
+        for x in rows:
+            msg = mech.encode_message(x, spec, gen)
+            arms.add(getattr(msg, "arm", None))
+            pairs.append((msg, spec))
+    pairs.append((mech.SparseSigned(pairs=((0, 1),) * 64, is_zero=True), l2_spec(d=64)))
+    pairs.append((mech.RawVector(values=(0.5, -1.25, 3.0)), l1_spec(d=3)))
+    for msg, spec in pairs:
+        frame = wire.frame_message(msg, spec)
+        digest.update(frame)
+        again, used = wire.unframe_message(frame, spec)
+        assert used == len(frame) and wire.frame_message(again, spec) == frame
+    assert arms == {None, "L1", "L2"}
+    assert digest.hexdigest() == "ffb5ed0f159430bff7374dfd130b2f28eebd2384942d962edbbeb7a3e83ea63c"
