@@ -25,9 +25,12 @@ JSON file holds the hash as its ``config_sha256`` key, written with the other
 keys in sorted order (so after ``budget``). Runs are deterministic given
 (config, seed), byte for byte. CSV floats are written with repr, which
 round-trips exactly. This module is the only one that writes these files:
-``_open_csv`` starts every CSV and ``_write_json`` writes every JSON. Each is
-written under a temporary name beside it and renamed into place when its run
-succeeds, so a run that fails (exit 2 or 3) leaves no partial artifact.
+``_open_csv`` starts every CSV and ``_write_json`` writes every JSON, each
+through ``fedsim.data.open_output``: under a temporary name beside it,
+renamed into place when its run succeeds, so a run that fails (exit 2 or 3)
+leaves no partial artifact. The --out directory must be writable; a symlink
+is written through, and a path that is not a regular file (/dev/stdout) is
+written in place.
 
 Exit codes: 0 success; 2 invalid configuration or arguments (an --out that
 cannot be opened for writing included); 3 accountant infeasibility
@@ -249,31 +252,9 @@ def _resolve_out(cfg: ExperimentConfig, default_name: str) -> str:
 
 
 @contextlib.contextmanager
-def _artifact(path: str):
-    """A text file to write path's artifact into: it is written under a
-    temporary name in the same directory and renamed to path when the block
-    succeeds, or removed when it fails, so a failed run leaves no file."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        fh = open(tmp, "w", newline="")
-    except OSError as exc:
-        raise ValidationError(f"{path}: cannot write output ({exc.strerror or exc})") from None
-    try:
-        with fh:
-            yield fh
-        try:
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise ValidationError(f"{path}: cannot write output ({exc.strerror or exc})") from None
-    except BaseException:
-        os.remove(tmp)
-        raise
-
-
-@contextlib.contextmanager
 def _open_csv(path: str, cfg: ExperimentConfig, units: str, header):
     """A csv writer for path's artifact, after the hash, units and header lines."""
-    with _artifact(path) as fh:
+    with fdata.open_output(path) as fh:
         fh.write(f"# config_sha256={cfg.sha256()}\n")
         fh.write(f"# units: {units}\n")
         writer = csv.writer(fh)
@@ -282,7 +263,7 @@ def _open_csv(path: str, cfg: ExperimentConfig, units: str, header):
 
 
 def _write_json(path: str, cfg: ExperimentConfig, payload: dict) -> None:
-    with _artifact(path) as fh:
+    with fdata.open_output(path) as fh:
         json.dump({**payload, "config_sha256": cfg.sha256()}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

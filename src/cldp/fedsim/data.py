@@ -24,8 +24,10 @@ ground truth.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import os
 import struct
 from dataclasses import dataclass
 
@@ -123,12 +125,40 @@ def synthetic_logistic_data(
     return clients, theta_star
 
 
+def _unwritable(path, exc: OSError) -> ValidationError:
+    return ValidationError(f"{path}: cannot write output ({exc.strerror or exc})")
+
+
+@contextlib.contextmanager
 def open_output(path, binary: bool = False):
-    """Open an output file, text (newline="") or binary; ValidationError if it cannot be opened."""
+    """An output file to write in a with block, text (newline="") or binary;
+    ValidationError if it cannot be written.
+
+    A regular file, or a symlink to one, is written under a temporary name
+    beside it (so its directory must be writable) and renamed into place when
+    the block succeeds, or removed when it fails, so a failed write leaves no
+    file; the renamed file is a new one, with the default mode. Any other
+    existing path, such as /dev/stdout, is written in place.
+    """
+    target = os.path.realpath(path)
+    atomic = os.path.isfile(target) or not os.path.exists(target)
+    tmp = f"{target}.{os.getpid()}.tmp" if atomic else path
     try:
-        return open(path, "wb") if binary else open(path, "w", newline="")
+        fh = open(tmp, "wb") if binary else open(tmp, "w", newline="")
     except OSError as exc:
-        raise ValidationError(f"{path}: cannot write output ({exc.strerror or exc})") from None
+        raise _unwritable(path, exc) from None
+    try:
+        with fh:
+            yield fh
+        if atomic:
+            try:
+                os.replace(tmp, target)
+            except OSError as exc:
+                raise _unwritable(path, exc) from None
+    except BaseException:
+        if atomic:
+            os.remove(tmp)
+        raise
 
 
 def save_dataset_binary(path, clients) -> None:

@@ -113,6 +113,16 @@ class IndexSign:
     def __post_init__(self) -> None:
         object.__setattr__(self, "atoms", _pair_atoms(((self.j, self.sign),)))
 
+    @classmethod
+    def _of_atoms(cls, atoms: tuple[int, ...]) -> IndexSign:
+        """The message of one checked atom, every field set here: the
+        constructor's check would only convert its pair back to the atom."""
+        msg, a = object.__new__(cls), atoms[0]
+        object.__setattr__(msg, "j", a >> 1)
+        object.__setattr__(msg, "sign", 2 * (a & 1) - 1)
+        object.__setattr__(msg, "atoms", atoms)
+        return msg
+
 
 @dataclass(frozen=True)
 class SparseSigned:
@@ -129,6 +139,16 @@ class SparseSigned:
     def __post_init__(self) -> None:
         atoms = _pair_atoms(self.pairs)
         object.__setattr__(self, "atoms", () if self.is_zero else atoms)
+
+    @classmethod
+    def _of_atoms(cls, atoms: tuple[int, ...]) -> SparseSigned:
+        """The message of checked atoms, every field set here: the
+        constructor's check would only convert its pairs back to the atoms."""
+        msg = object.__new__(cls)
+        object.__setattr__(msg, "pairs", tuple([(a >> 1, 2 * (a & 1) - 1) for a in atoms]))
+        object.__setattr__(msg, "is_zero", False)
+        object.__setattr__(msg, "atoms", atoms)
+        return msg
 
 
 @dataclass(frozen=True)
@@ -256,19 +276,14 @@ def _require_rows(x, ball: BallSpec, ndim: int) -> np.ndarray:
 def _largest_norm(rows: np.ndarray, p: float) -> float:
     """max_i (sum_j |x_ij|**p) ** (1/p) over the rows (max_ij |x_ij| at p = inf),
     bit for bit, NaN if an entry is. At p = 1, 2 and inf it makes fewer passes:
-    x*x is |x|**2, and max |x| is max(max x, -min x), so no abs copy is made
-    of a matrix. One row takes its own norm, with no reduction over rows."""
+    x*x is |x|**2, and max |x| is max(max x, -min x), so no abs copy is made."""
     if math.isinf(p):
-        if len(rows) == 1:
-            return float(np.abs(rows).max())
         return abs(float(np.maximum(rows.max(), -rows.min())))  # abs: +0.0 for zeros
     if p == 1.0:
-        norms = np.abs(rows).sum(axis=1)
-    elif p == 2.0:
-        norms = (rows * rows).sum(axis=1) ** 0.5
-    else:
-        norms = (np.abs(rows) ** p).sum(axis=1) ** (1.0 / p)
-    return float(norms[0] if len(norms) == 1 else norms.max())
+        return float(np.abs(rows).sum(axis=1).max())
+    if p == 2.0:
+        return float(((rows * rows).sum(axis=1) ** 0.5).max())
+    return float(((np.abs(rows) ** p).sum(axis=1) ** (1.0 / p)).max())
 
 
 def _require_count(value, name: str) -> int:
@@ -610,18 +625,8 @@ def message_code(key: str, d: int) -> tuple[type, int, int]:
 
 def _message(key: str, atoms: tuple[int, ...]) -> MechanismMessage:
     """The message of a family or mix arm with these atoms, nonnegative ints
-    that a draw made or ``message_from_atoms`` checked: each becomes its
-    (coordinate, sign) pair once, and the message keeps the atoms, skipping
-    the constructor's check, which would only convert the pairs back."""
-    if message_code(key, 1)[0] is IndexSign:
-        inner, a = object.__new__(IndexSign), atoms[0]
-        object.__setattr__(inner, "j", a >> 1)
-        object.__setattr__(inner, "sign", 2 * (a & 1) - 1)
-    else:
-        inner = object.__new__(SparseSigned)
-        object.__setattr__(inner, "pairs", tuple([(a >> 1, 2 * (a & 1) - 1) for a in atoms]))
-        object.__setattr__(inner, "is_zero", False)
-    object.__setattr__(inner, "atoms", atoms)
+    that a draw made or ``message_from_atoms`` checked; it keeps the atoms."""
+    inner = message_code(key, 1)[0]._of_atoms(atoms)
     return MixTagged(key, inner) if key in _ARMS else inner
 
 

@@ -107,8 +107,8 @@ class HistogramCode:
         return multiset_bits(self.s, self.B)
 
 
-# Steps a binomial walk takes before one math.comb (pack) or a bisection over
-# math.comb (unpack) replaces it: each step is one multiply and one divide.
+# The longest gap between atoms that histogram_pack walks, one multiply and
+# divide a step; a longer gap takes one math.comb.
 _WALK = 16
 
 
@@ -151,24 +151,18 @@ def histogram_unpack(code: HistogramCode) -> tuple[int, ...]:
     """The sorted multiset a HistogramCode ranks; inverse of histogram_pack.
 
     The shifted atoms b_s > ... > b_1 are peeled off from the top: b_i is the
-    largest b below b_{i+1} with C(b, i) <= the remaining rank. b walks down
-    and the binomial follows it exactly, one multiply and divide a step:
+    largest b below b_{i+1} with C(b, i) <= the remaining rank. b only walks
+    down, and the binomial follows it exactly, one multiply and divide a step:
     C(b-1, i) = C(b, i)*(b-i)/b within a level, C(b-1, i-1) = C(b, i)*i/b to
-    the next. A level that has not ended after _WALK steps bisects over
-    math.comb instead, so few atoms over a large alphabet cost O(log B) a
-    level. The last level needs no walk: C(b, 1) = b, so b_1 is the rank that
-    remains, and a one-atom code unpacks in constant time.
+    the next. The last level needs no walk: C(b, 1) = b, so b_1 is the rank
+    that remains, and a one-atom code unpacks in constant time.
     """
     rank = code.rank
     out = []
     b = code.B + code.s - 2  # the largest shifted atom there can be
     c = math.comb(b, code.s)
     for i in range(code.s, 1, -1):
-        stop = b - _WALK
         while c > rank:
-            if b == stop:
-                b, c = _largest_below(rank, i, b)
-                break
             c = c * (b - i) // b
             b -= 1
         rank -= c
@@ -179,16 +173,6 @@ def histogram_unpack(code: HistogramCode) -> tuple[int, ...]:
         raise ValidationError(f"corrupt multiset rank in {code!r}")
     out.append(rank)
     return tuple(reversed(out))
-
-
-def _largest_below(rank: int, i: int, hi: int) -> tuple[int, int]:
-    """(b, C(b, i)) for the largest b < hi with C(b, i) <= rank, by bisection;
-    C(i - 1, i) = 0 <= rank < C(hi, i)."""
-    lo = i - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if math.comb(mid, i) <= rank else (lo, mid)
-    return lo, math.comb(lo, i)
 
 
 @dataclass(frozen=True)

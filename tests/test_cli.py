@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,20 @@ class TestMeanEstCommand:
         assert main([command, "--p", "4", "--out", str(tmp_path / "bad.csv")]) == 2
         capsys.readouterr()
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_symlink_is_written_through(self, tmp_path, capsys):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old\n")
+        link.symlink_to(real)
+        assert main(["bounds", "--out", str(link)]) == 0
+        capsys.readouterr()
+        assert link.is_symlink()
+        assert real.read_text().startswith("# config_sha256=")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+    def test_out_special_file_is_written_in_place(self, capsys):
+        assert main(["bounds", "--out", os.devnull]) == 0
+        capsys.readouterr()
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -620,6 +620,18 @@ class TestAtomsAndDrawOrder:
             with pytest.raises(ValidationError):
                 message_from_atoms(key, atoms)
 
+    def test_messages_from_atoms_set_every_field(self):
+        # Messages built from atoms skip the constructor, so each must carry
+        # exactly the fields, compared or not, that the constructor sets.
+        for key, msg in (
+            ("l1", IndexSign(j=3, sign=-1)),
+            ("linf", IndexSign(j=0, sign=1)),
+            ("l2", SparseSigned(pairs=((2, 1), (0, -1), (2, 1)))),
+        ):
+            assert vars(message_from_atoms(key, msg.atoms)) == vars(msg)
+        built = message_from_atoms("L2", (3, 8))
+        assert vars(built.inner) == vars(SparseSigned(pairs=((1, 1), (4, -1))))
+
     def test_index_family_atoms_are_frozen(self):
         # The l1, linf and mix messages of 200 seeded encodes per dimension,
         # hashed. The digest comes from draws that rotate whole rows and read
