@@ -79,10 +79,12 @@ def validate_clients(clients, m: int, r: int, d: int) -> None:
     """Check the balanced-setting shape contract against expected (m, r, d)."""
     if len(clients) != m:
         raise ValidationError(f"expected {m} clients, got {len(clients)}")
+    want = (r, d)
     for c in clients:
-        if c.r != r or c.d != d:
+        shape = c.features.shape  # (r, d): a client's features are 2-D
+        if shape != want:
             raise ValidationError(
-                f"client {c.client_id} holds ({c.r}, {c.d}) data, expected ({r}, {d})"
+                f"client {c.client_id} holds ({shape[0]}, {shape[1]}) data, expected ({r}, {d})"
             )
 
 

@@ -6,9 +6,12 @@ Four mechanism families, each unbiased for its input and eps0-LDP on its ball:
   single (coordinate, sign) atom. Decode norm is a*sqrt(d)*ratio exactly.
 * l2 family (sphere + sparse quantizer): project x onto a sphere of radius M
   by the hemisphere construction (``_priv_rows``), then quantize the sphere
-  point to d i.i.d. signed coordinate samples (``_quan_atoms``), found by
-  inverse CDF with one bisection over all rows at once
-  (``_searchsorted_rows``), exactly ``searchsorted``'s counts.
+  point to d i.i.d. signed coordinate samples, drawn by inverse CDF. The
+  decode reads only their net signed count per coordinate, so a batch counts
+  rather than lists them (``_quan_counts``): it draws its rows in blocks of
+  about 2**15 entries and merges each row's cdf and uniforms in one sort
+  (``_search_counts``), exactly ``searchsorted``'s counts. A message keeps
+  its atoms in draw order (``_quan_atoms``, one ``searchsorted``).
 * linf family: transmit one (coordinate, sign) atom of x directly; decode is a
   scaled basis vector of norm a*d*ratio.
 * lp mix: with probability mix_prob run the l1 mechanism on an inflated l1
@@ -30,8 +33,9 @@ Each family is one record in ``_FAMILIES``: its message code; ``table``, the
 work that repeated draws of the same rows share (the l1 rotation, for l1 and
 the mix's l1 arm); ``noise``, what one stream draws for n rows, which fixes
 the draw order (``_index_noise``, ``_l2_noise``, ``_mix_noise``); a pure
-``draw`` from rows, their table if made, and noise to atoms ((n, 1) for l1
-and linf, (n, d) for l2, (arm mask, l1 atoms, l2 atoms) for the mix); and a
+``draw`` from rows, their table if made, and noise to what the decode reads
+((n, 1) atoms for l1 and linf, (n, d) net signed counts for l2, (arm mask,
+l1 atoms, l2 counts) for the mix); and a
 ``scale`` from net signed counts to decoded sums. An index draw reads one
 plus-probability per row. Rows drawn once compute only that entry: l1 walks
 one path of the Hadamard butterfly (``linalg.fwht_rows_at``, O(d) per row
@@ -39,10 +43,12 @@ and bit-identical to the O(d log d) rotation), linf reads the coordinate.
 One row (``encode_message``, and the mix's l1 arm of one message) is drawn
 in Python scalars: its index and uniform, its one plus-probability and its
 atom, with the same floating-point operations in the same order as an array
-of rows; an arm of the mix that no row ran draws nothing.
+of rows; an arm of the mix that no row ran draws nothing. With
+``atoms=True`` a draw gives one message's atoms in draw order instead.
 Rows drawn repeatedly (``sample_decoded``'s one row; ``mean_estimate_trials``
-with more than one trial) make the table once and read it. One counts
-decoder, ``_net_counts``, serves every family: the shuffler leaves only the
+with more than one trial) make the table once and read it. Every family
+decodes from net signed counts (``_net_counts`` makes them from atoms, an l2
+batch draws them): the shuffler leaves only the
 multiset of messages and the counts depend on nothing else, so the decoded
 sum is exact and order-free; counting per row gives individual decodes. The
 reserved l2 zero message has no atoms and decodes to 0; the encoder never
@@ -471,59 +477,106 @@ def _priv_rows(rows: np.ndarray, spec: MechanismSpec, noise) -> np.ndarray:
 def _searchsorted_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The flat index into ``cdf`` of entry searchsorted(cdf[i], u[i],
     side='right') of row i, for (n, d) rows cdf[i] sorted and ending above
-    every query (1.0 against uniforms below 1), so each count is at most d - 1.
+    every query (1.0 against uniforms below 1): one ``np.searchsorted`` per
+    row. Only a message's atoms need this order; a batch counts instead
+    (``_search_counts``)."""
+    if len(cdf) == 1:
+        return np.searchsorted(cdf[0], u[0], side="right")[None, :]
+    coords = [np.searchsorted(c, q, side="right") for c, q in zip(cdf, u)]
+    return np.array(coords) + np.arange(0, cdf.size, cdf.shape[1])[:, None]
 
-    One row is one ``np.searchsorted``. More rows run one bisection at once:
-    all rows have d entries, so the levels are the same for every query. The
-    first reads entry d - 1 - h, h the largest power of two below d, and
-    leaves a window of h counts; the levels h/2, ..., 1 halve it. Each is one
-    flat gather of ``cdf``, one ``<= u`` and one add, and no read passes the
-    row's entry d - 2. Comparisons alone decide, so the counts are
-    searchsorted's, ties included. Memory is a few (n, d) arrays.
+
+def _search_counts(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Writes to ``out``, a C-contiguous (n, d) intp array, and returns the
+    counts of the queries u[i] that searchsorted(cdf[i], ., side='right')
+    sends to each entry, for rows as in ``_searchsorted_rows``.
+
+    One sort merges each row's cdf and queries. Both are nonnegative floats,
+    whose bit patterns order as the values do; each pattern, shifted left by
+    one, is tagged 0 for a cdf entry and 1 for a query, so an entry sorts
+    before a query equal to it, as side='right' counts it. Entry c then sits
+    at position c plus the queries below it, and its count is the gap to
+    entry c - 1 less one; the last entry of each row sorts last, so one flat
+    difference gives every row's counts.
     """
     n, d = cdf.shape
-    if n == 1:
-        return np.searchsorted(cdf[0], u[0], side="right")[None, :]
-    keys = cdf.ravel()
-    flat = np.empty(u.shape, dtype=np.intp)
-    flat[:] = np.arange(0, n * d, d)[:, None]
-    step = 1 << ((d - 1).bit_length() - 1) if d > 1 else 0
-    probe, jump = d - 1 - step, d - step
-    while step:
-        flat += (keys[probe:][flat] <= u) * jump  # a view: no index temporary
-        step //= 2
-        probe, jump = step - 1, step
-    return flat
+    keys = np.empty((n, 2 * d), dtype=np.int64)
+    np.left_shift(cdf.view(np.int64), 1, out=keys[:, :d])
+    np.left_shift(u.view(np.int64), 1, out=keys[:, d:])
+    keys[:, d:] |= 1
+    keys.sort(axis=1)
+    keys &= 1
+    pos = np.flatnonzero(np.logical_not(keys))
+    flat = out.reshape(-1)  # a view, as out is C-contiguous
+    np.subtract(pos[1:], pos[:-1], out=flat[1:])
+    flat[0] = pos[0] + 1
+    flat -= 1
+    return out
 
 
-def _quan_atoms(rows: np.ndarray, radius: float, noise) -> np.ndarray:
-    """The atoms of d i.i.d. signed coordinate samples per nonzero row of l2 norm <= radius.
+def _quan_cdf(rows: np.ndarray, radius: float, u_flip: np.ndarray):
+    """The sign flip of each row (+-1.0) and the cdf of its coordinates, |x~|.
 
-    Each row is flipped to +-x/||x||_1 with probabilities
-    1/2 +- ||x||_1/(2*radius*sqrt(d)) (which sum to one and make the decoded
-    message unbiased for x), then d coordinates are drawn i.i.d. from the
-    distribution |x_tilde| and transmitted with the matching signs. The
-    coordinates come from ``_searchsorted_rows``, one bisection over all rows
-    (one ``searchsorted`` for one row); its flat indices read the signs.
+    Each row is flipped to x~ = +-x/||x||_1 with probabilities
+    1/2 +- ||x||_1/(2*radius*sqrt(d)), which sum to one and make the decoded
+    message unbiased for x. The cdf is built exactly as Generator.choice(d,
+    p=w) builds it: normalize w, then divide its cumulative sum by the last
+    entry.
     """
-    u_flip, u = noise
-    n, d = rows.shape
-    l1 = np.abs(rows).sum(axis=1)
-    flip = np.where(u_flip < 0.5 + l1 / (2.0 * radius * math.sqrt(d)), 1.0, -1.0)
-    xt = rows / (l1 * flip)[:, None]
-    # Inverse-CDF sampling exactly as Generator.choice(d, p=w) does it:
-    # normalize w, then divide its cumulative sum by the last entry.
-    cdf = np.abs(xt)
+    cdf = np.abs(rows)
+    l1 = cdf.sum(axis=1)
+    flip = np.where(u_flip < 0.5 + l1 / (2.0 * radius * math.sqrt(rows.shape[1])), 1.0, -1.0)
+    cdf /= l1[:, None]  # |x~|, bit for bit: |x / (+-l1)| = |x| / l1
     cdf /= cdf.sum(axis=1)[:, None]
     np.cumsum(cdf, axis=1, out=cdf)
     cdf /= cdf[:, -1:]
+    return flip, cdf
+
+
+def _quan_atoms(rows: np.ndarray, radius: float, noise) -> np.ndarray:
+    """The atoms of d i.i.d. signed coordinate samples per nonzero row of l2
+    norm <= radius, in draw order: d coordinates drawn i.i.d. from |x~| (see
+    ``_quan_cdf``) by ``_searchsorted_rows``, with x~'s signs."""
+    u_flip, u = noise
+    flip, cdf = _quan_cdf(rows, radius, u_flip)
     flat = _searchsorted_rows(cdf, u)
-    return _atom(flat - np.arange(0, n * d, d)[:, None], xt.ravel()[flat] > 0.0)
+    signed = rows * flip[:, None]  # the sign of x~ at each coordinate
+    return _atom(flat - np.arange(0, cdf.size, cdf.shape[1])[:, None], signed.ravel()[flat] > 0.0)
 
 
-def _l2_draw(rows: np.ndarray, spec: MechanismSpec, noise) -> np.ndarray:
+def _quan_counts(rows: np.ndarray, radius: float, noise, out: np.ndarray) -> np.ndarray:
+    """Writes to ``out`` (as ``_search_counts``) and returns the net signed
+    counts of ``_quan_atoms``' atoms, per row and coordinate."""
+    u_flip, u = noise
+    flip, cdf = _quan_cdf(rows, radius, u_flip)
+    out = _search_counts(cdf, u, out)
+    # Negate where x~ is negative, as c ^ m - m with m = -1 there and 0
+    # elsewhere: the sign bit, shifted down. A zero coordinate is never drawn.
+    m = (rows * flip[:, None]).view(np.int64) >> 63
+    out ^= m
+    out -= m
+    return out
+
+
+# Entries an l2 batch draw quantizes at a time, about 2**15: a block's working
+# arrays then stay in a core's cache.
+_L2_BLOCK = 1 << 15
+
+
+def _l2_draw(rows: np.ndarray, spec: MechanismSpec, noise, atoms: bool = False) -> np.ndarray:
+    """The (n, d) net signed counts of the rows' messages, drawn in blocks of
+    rows; with atoms=True (one message) its atoms in draw order instead."""
     radius = hemisphere_radius(spec.ball.dim, spec.ball.radius, spec.epsilon0)
-    return _quan_atoms(_priv_rows(rows, spec, noise[:3]), radius, noise[3:])
+    if atoms:
+        return _quan_atoms(_priv_rows(rows, spec, noise[:3]), radius, noise[3:])
+    n, d = rows.shape
+    counts = np.empty((n, d), dtype=np.intp)
+    step = max(1, _L2_BLOCK // d)
+    for lo in range(0, n, step):
+        block = slice(lo, lo + step)
+        part = [a[block] for a in noise]
+        _quan_counts(_priv_rows(rows[block], spec, part[:3]), radius, part[3:], counts[block])
+    return counts
 
 
 def _r2_scale(net: np.ndarray, spec: MechanismSpec) -> np.ndarray:
@@ -562,17 +615,17 @@ def _mix_noise(gen: np.random.Generator, n: int, spec: MechanismSpec):
     return (arm, *_index_noise(gen, n_l1, padded_dim(d)), *_l2_noise(gen, n - n_l1, d))
 
 
-def _mix_draw(rows: np.ndarray, table, spec: MechanismSpec, noise):
+def _mix_draw(rows: np.ndarray, table, spec: MechanismSpec, noise, atoms: bool = False):
     """Each arm draws its rows; an arm that no row ran, such as one of a
     single row's, draws nothing."""
     (arm_l1, arm_l2), arm = rp_arm_specs(spec), noise[0]
     which, l2_rows = np.flatnonzero(arm), rows[~arm]
-    l1_atoms, l2_atoms = np.empty((0, 1), np.int64), np.empty((0, rows.shape[1]), np.int64)
+    l1_atoms, l2_draws = np.empty((0, 1), np.int64), np.empty((0, rows.shape[1]), np.int64)
     if len(which):
         l1_atoms = _index_draw(_r1_plus, rows, table, arm_l1, noise[1:3], which)
     if len(l2_rows):
-        l2_atoms = _l2_draw(l2_rows, arm_l2, noise[3:])
-    return arm, l1_atoms, l2_atoms
+        l2_draws = _l2_draw(l2_rows, arm_l2, noise[3:], atoms)
+    return arm, l1_atoms, l2_draws
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +638,8 @@ class _Family(NamedTuple):
     shape: Callable | None  # d -> (atom dimension, atoms per message); the mix uses its arms'
     table: Callable | None  # (rows, spec) -> what repeated draws of the rows share (l1 rotation)
     noise: Callable  # (gen, n, spec) -> what one stream draws for n rows, in order
-    draw: Callable  # (rows, table or None, spec, noise) -> the atoms of every row
+    draw: Callable  # (rows, table or None, spec, noise, atoms=False) -> what the decode reads
+    # (an index draw is its atoms either way)
     scale: Callable | None  # (net signed counts, spec) -> decoded sums; the mix uses its arms'
 
 
@@ -593,17 +647,17 @@ _FAMILIES = {
     "l1": _Family(
         IndexSign, lambda d: (padded_dim(d), 1), _r1_plus,
         lambda gen, n, spec: _index_noise(gen, n, padded_dim(spec.ball.dim)),
-        functools.partial(_index_draw, _r1_plus), _r1_scale,
+        lambda *args, atoms=False: _index_draw(_r1_plus, *args), _r1_scale,
     ),
     "linf": _Family(
         IndexSign, lambda d: (d, 1), None,
         lambda gen, n, spec: _index_noise(gen, n, spec.ball.dim),
-        functools.partial(_index_draw, _rinf_plus), _rinf_scale,
+        lambda *args, atoms=False: _index_draw(_rinf_plus, *args), _rinf_scale,
     ),
     "l2": _Family(
         SparseSigned, lambda d: (d, d), None,
         lambda gen, n, spec: _l2_noise(gen, n, spec.ball.dim),
-        lambda rows, table, spec, noise: _l2_draw(rows, spec, noise), _r2_scale,
+        lambda rows, table, spec, noise, atoms=False: _l2_draw(rows, spec, noise, atoms), _r2_scale,
     ),
     "mix": _Family(
         MixTagged, None, lambda rows, spec: _r1_plus(rows, rp_arm_specs(spec)[0]),
@@ -625,7 +679,8 @@ def message_code(key: str, d: int) -> tuple[type, int, int]:
 
 def _message(key: str, atoms: tuple[int, ...]) -> MechanismMessage:
     """The message of a family or mix arm with these atoms, nonnegative ints
-    that a draw made or ``message_from_atoms`` checked; it keeps the atoms."""
+    that a draw or a frame's unpack made or ``message_from_atoms`` checked; it
+    keeps the atoms."""
     inner = message_code(key, 1)[0]._of_atoms(atoms)
     return MixTagged(key, inner) if key in _ARMS else inner
 
@@ -659,40 +714,52 @@ def message_atoms(msg: MechanismMessage, spec: MechanismSpec, family: str | None
     return key, atoms
 
 
-def _net_counts(atoms: np.ndarray, groups: np.ndarray, n_groups: int, dim: int) -> np.ndarray:
-    """The counts decoder: the net signed count of every coordinate within each
-    group, (n_groups, dim), from (n, c) atoms of n messages and their groups."""
+def _net_counts(atoms: np.ndarray, dim: int, per_row: bool = False) -> np.ndarray:
+    """The counts decoder: the net signed count of every coordinate over the
+    (n, c) atoms of n messages, (1, dim), or of each message, (n, dim)."""
     coords, signs = _coord_sign(atoms)
-    keys = (groups[:, None] * dim + coords).ravel()
-    net = np.bincount(keys, weights=signs.ravel(), minlength=n_groups * dim)
-    return net.reshape(n_groups, dim)
+    n = len(atoms) if per_row else 1
+    if per_row:
+        coords = coords + np.arange(0, n * dim, dim)[:, None]
+    return np.bincount(coords.ravel(), weights=signs.ravel(), minlength=n * dim).reshape(n, dim)
 
 
-def _sums(family: str, atoms, spec: MechanismSpec, groups: np.ndarray, n_groups: int) -> np.ndarray:
-    """Per group, the sum of the decoded messages of a batch of atoms."""
+def _sums(family: str, draws, spec: MechanismSpec, per_row: bool = False) -> np.ndarray:
+    """The decoded messages of a draw, summed, (1, d), or one per row, (n, d).
+    An index draw is atoms and decodes through ``_net_counts``; an l2 draw is
+    already net signed counts."""
     if family == "mix":
-        arm, l1_atoms, l2_atoms = atoms
+        arm, l1_atoms, l2_counts = draws
         arm_l1, arm_l2 = rp_arm_specs(spec)
-        l1_sums = _sums("l1", l1_atoms, arm_l1, groups[arm], n_groups)
-        return l1_sums + _sums("l2", l2_atoms, arm_l2, groups[~arm], n_groups)
+        l1_sums = _sums("l1", l1_atoms, arm_l1, per_row)
+        l2_sums = _sums("l2", l2_counts, arm_l2, per_row)
+        if not per_row:
+            return l1_sums + l2_sums
+        out = np.empty((len(arm), spec.ball.dim))
+        out[arm], out[~arm] = l1_sums, l2_sums
+        return out
     fam = _FAMILIES[family]
-    return fam.scale(_net_counts(atoms, groups, n_groups, fam.shape(spec.ball.dim)[0]), spec)
+    if family == "l2":
+        net = draws if per_row else draws.sum(axis=0, keepdims=True)
+    else:
+        net = _net_counts(draws, fam.shape(spec.ball.dim)[0], per_row)
+    return fam.scale(net, spec)
 
 
 def _decoded_sum(family: str, msgs: list, spec: MechanismSpec) -> np.ndarray:
-    """The sum of decoded coded messages, from their atoms by one counts decode."""
+    """The sum of decoded coded messages, from their atoms by one counts decode;
+    the l2 messages' atoms become one row of net counts, by one bincount."""
     coded = [message_atoms(msg, spec, family) for msg in msgs]
 
     def batch(key):
         rows = [atoms for k, atoms in coded if k == key and atoms]
-        return np.array(rows, dtype=np.intp).reshape(len(rows), message_code(key, spec.ball.dim)[2])
+        _, dim, count = message_code(key, spec.ball.dim)
+        atoms = np.array(rows, dtype=np.intp).reshape(len(rows), count)
+        return _net_counts(atoms, dim) if _ARMS.get(key, key) == "l2" else atoms
 
     if family != "mix":
-        atoms = batch(family)
-        return _sums(family, atoms, spec, np.zeros(len(atoms), dtype=np.intp), 1)[0]
-    l1_atoms, l2_atoms = batch("L1"), batch("L2")
-    arm = np.arange(len(l1_atoms) + len(l2_atoms)) < len(l1_atoms)
-    return _sums(family, (arm, l1_atoms, l2_atoms), spec, np.zeros(len(arm), dtype=np.intp), 1)[0]
+        return _sums(family, batch(family), spec)[0]
+    return _sums(family, (None, batch("L1"), batch("L2")), spec)[0]
 
 
 def encode_message(x, spec: MechanismSpec, rng) -> MechanismMessage:
@@ -700,7 +767,7 @@ def encode_message(x, spec: MechanismSpec, rng) -> MechanismMessage:
     family = key = mechanism_family(spec)
     fam = _FAMILIES[family]
     rows, gen = _require_rows(x, spec.ball, 1), _require_rng(rng)
-    atoms = fam.draw(rows, None, spec, fam.noise(gen, 1, spec))
+    atoms = fam.draw(rows, None, spec, fam.noise(gen, 1, spec), atoms=True)
     if family == "mix":  # the one row ran one arm
         arm, l1_atoms, l2_atoms = atoms
         key, atoms = ("L1", l1_atoms) if arm[0] else ("L2", l2_atoms)
@@ -739,8 +806,9 @@ def mean_estimate(messages, spec: MechanismSpec) -> np.ndarray:
     return total / len(msgs)
 
 
-# Rows that sample_decoded encodes at a time: the encoders' working arrays are
-# several times the size of their batch, so the batch is bounded.
+# Rows that sample_decoded encodes at a time: a batch's noise, atoms and
+# counts are a few times its size (an l2 draw's own working arrays are per
+# block of ``_L2_BLOCK`` entries), so the batch is bounded.
 _SAMPLE_BATCH = 1 << 16
 
 
@@ -762,8 +830,8 @@ def sample_decoded(x, spec: MechanismSpec, rng, n_samples: int) -> np.ndarray:
         m = min(_SAMPLE_BATCH, n_samples - lo)
         rows = np.broadcast_to(v, (m, v.shape[1]))
         tab = None if table is None else np.broadcast_to(table, (m, table.shape[1]))
-        atoms = fam.draw(rows, tab, spec, fam.noise(gen, m, spec))
-        out[lo:lo + m] = _sums(family, atoms, spec, np.arange(m), m)
+        draws = fam.draw(rows, tab, spec, fam.noise(gen, m, spec))
+        out[lo:lo + m] = _sums(family, draws, spec, per_row=True)
     return out
 
 
@@ -780,9 +848,9 @@ def _block_encoder(rows: np.ndarray, spec: MechanismSpec, repeated: bool) -> Cal
         size = n // len(streams)
         blocks = [fam.noise(_require_rng(rng), size, spec) for rng in streams]
         noise = blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
-        atoms = fam.draw(rows, table, spec, noise)
-        l1_arm = int(np.count_nonzero(atoms[0])) if family == "mix" else 0
-        return _sums(family, atoms, spec, np.zeros(n, dtype=np.intp), 1)[0] / n, l1_arm
+        draws = fam.draw(rows, table, spec, noise)
+        l1_arm = int(np.count_nonzero(draws[0])) if family == "mix" else 0
+        return _sums(family, draws, spec)[0] / n, l1_arm
 
     return encode
 

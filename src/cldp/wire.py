@@ -16,10 +16,11 @@ write and read directly.
 Atoms come from ``cldp.mechanisms``: messages expose their ``atoms``,
 ``message_atoms`` checks them against the spec's family, ``message_code``
 gives each family's and mix arm's message type and atom shape, and
-``message_from_atoms`` rebuilds an unframed message. The one table here,
-``_CODES``, holds frame tags; multiset_bits is the only cost rule. A client's
-several index-sign messages (l1, linf) pack into one multiset; every other
-message costs its own payload. The l2 zero message has no atoms and costs
+``_message`` builds an unframed message from the atoms its unpack made, which
+are nonnegative integers by construction. The one table here, ``_CODES``,
+holds frame tags; multiset_bits is the only cost rule. A client's several
+index-sign messages (l1, linf) pack into one multiset; every other message
+costs its own payload. The l2 zero message has no atoms and costs
 nothing; a raw float64 vector (the uncompressed baseline) costs 64 bits per
 value.
 
@@ -322,7 +323,7 @@ def unframe_message(data: bytes, spec: mech.MechanismSpec, offset: int = 0):
         atoms = (rank,)
     else:
         atoms = histogram_unpack(HistogramCode(rank=rank, s=count, B=B))
-    return mech.message_from_atoms(key, atoms), 3 + size
+    return mech._message(key, atoms), 3 + size  # the unpack made them nonnegative ints
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,13 @@ from cldp.mechanisms import (
     _priv_rows,
     _largest_norm,
     _quan_atoms,
+    _quan_cdf,
+    _quan_counts,
+    _L2_BLOCK,
+    _l2_draw,
+    _mix_noise,
     _require_rows,
+    _search_counts,
     _searchsorted_rows,
     mean_estimate_trials,
     mechanism_family,
@@ -98,10 +104,8 @@ def quan_decodes(x, radius, gen, n):
     the sparse quantizer stage for one input: one batched draw."""
     d = len(x)
     rows = np.broadcast_to(np.asarray(x, dtype=np.float64), (n, d))
-    atoms = _quan_atoms(rows, radius, _l2_noise(gen, n, d)[3:])
-    keys = (np.arange(n)[:, None] * d + (atoms >> 1)).ravel()
-    net = np.bincount(keys, weights=(2 * (atoms & 1) - 1).ravel(), minlength=n * d)
-    return net.reshape(n, d) * (radius * math.sqrt(d) / d)
+    counts = _quan_counts(rows, radius, _l2_noise(gen, n, d)[3:], np.empty((n, d), np.intp))
+    return counts * (radius * math.sqrt(d) / d)
 
 
 def reference_decode(msg, spec):
@@ -319,7 +323,8 @@ class TestQuan:
     def test_search_is_searchsorted_per_row(self, d, n):
         # Sorted rows ending at exactly 1.0, with runs of equal entries, and
         # queries in [0, 1) set to entries, to the values just below them and
-        # to 0; the flat index of row i is i*d plus searchsorted's count.
+        # to 0; the flat index of row i is i*d plus searchsorted's count, and
+        # the merged counts are the bincount of those.
         gen = np.random.default_rng(d * 1000 + n)
         w = gen.random((n, d)) * (gen.random((n, d)) < 0.6)
         w[:, -1] += 0.5
@@ -335,6 +340,77 @@ class TestQuan:
         got = _searchsorted_rows(cdf, u)
         want = [np.searchsorted(cdf[i], u[i], side="right") for i in range(n)]
         np.testing.assert_array_equal(got - np.arange(n)[:, None] * d, want)
+        counts = [np.bincount(k, minlength=d) for k in want]
+        np.testing.assert_array_equal(_search_counts(cdf, u, np.empty((n, d), np.intp)), counts)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 20, 128, 1000])
+    def test_batch_counts_are_the_atoms_counts(self, d):
+        # A batch draws net signed counts, a message its atoms; they must
+        # agree row for row. Rows with zero and -0.0 coordinates (tied cdf
+        # entries), uniforms set to cdf entries and to 0, and draws that
+        # cross the block boundaries of _l2_draw where that is cheap (d >= 20).
+        def signed_counts(atoms):
+            coords, signs = atoms >> 1, 2 * (atoms & 1) - 1
+            return np.array([np.bincount(c, weights=s, minlength=d) for c, s in zip(coords, signs)])
+
+        gen = np.random.default_rng(d)
+        n = 40
+        x = gen.standard_normal((n, d)) * (gen.random((n, d)) < 0.6)
+        x[gen.random((n, d)) < 0.2] = -0.0
+        x[:, 0] = np.where(gen.random(n) < 0.5, 1.0, -1.0)
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        u_flip = gen.random(n)
+        cdf = _quan_cdf(x, 1.0, u_flip)[1]
+        entries = np.take_along_axis(cdf, gen.integers(0, d, (n, d)), axis=1)
+        u = np.where(gen.random((n, d)) < 0.5, entries, gen.random((n, d)))
+        u[u >= 1.0] = 0.0
+        u[:, -1] = 0.0
+        counts = _quan_counts(x, 1.0, (u_flip, u), np.empty((n, d), np.intp))
+        np.testing.assert_array_equal(counts, signed_counts(_quan_atoms(x, 1.0, (u_flip, u))))
+
+        spec = l2_spec(d, eps0=0.8)
+        n_rows = min(2 * _L2_BLOCK // d + 5, 3000)
+        rows = np.array([random_in_ball(gen, d, 2.0, 1.0) for _ in range(n_rows)])
+        rows[gen.random(rows.shape) < 0.3] = 0.0
+        rows[0] = -0.0
+        noise = _l2_noise(gen, len(rows), d)
+        np.testing.assert_array_equal(
+            _l2_draw(rows, spec, noise), signed_counts(_l2_draw(rows, spec, noise, atoms=True))
+        )
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 20, 128, 1000])
+    def test_mix_batches_decode_their_messages(self, d):
+        # sample_decoded's rows and batch_encoder's mean, the mix's l2 arm
+        # drawn as counts, equal the decodes of the messages that the same
+        # noise makes, each l2 message decoded from its atoms.
+        spec = MechanismSpec(BallSpec(1.5, 1.0, d), 0.8, mix_prob=0.5)
+        fam = _FAMILIES["mix"]
+        gen = np.random.default_rng(d)
+        x = random_in_ball(gen, d, 1.5, 1.0)
+        x[gen.random(d) < 0.3] = -0.0
+        rows = np.array([random_in_ball(gen, d, 1.5, 1.0) for _ in range(60)])
+        rows[gen.random(rows.shape) < 0.3] = 0.0
+
+        def messages(rows, table, noise):
+            arm, l1_atoms, l2_atoms = fam.draw(rows, table, spec, noise, atoms=True)
+            l1, l2 = iter(l1_atoms.tolist()), iter(l2_atoms.tolist())
+            return [message_from_atoms("L1", next(l1)) if a else message_from_atoms("L2", next(l2))
+                    for a in arm]
+
+        n = 50
+        table = fam.table(x[None], spec)
+        repeated = np.broadcast_to(x, (n, d)), np.broadcast_to(table, (n, table.shape[1]))
+        msgs = messages(*repeated, _mix_noise(np.random.default_rng(3), n, spec))
+        assert {m.arm for m in msgs} == {"L1", "L2"}
+        want = np.array([decode_message(m, spec) for m in msgs])
+        np.testing.assert_array_equal(sample_decoded(x, spec, 3, n), want)
+
+        half = len(rows) // 2
+        blocks = [_mix_noise(np.random.default_rng(s), half, spec) for s in (4, 5)]
+        msgs = messages(rows, None, tuple(map(np.concatenate, zip(*blocks))))
+        got, l1_arm = batch_encoder(rows, spec)([4, 5])
+        np.testing.assert_array_equal(got, mean_estimate(msgs, spec))
+        assert l1_arm == sum(m.arm == "L1" for m in msgs)
 
 
 class TestR2:
