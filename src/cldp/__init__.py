@@ -44,13 +44,12 @@ from .errors import (
     AccountingError,
     AmplificationWarning,
     ClippingWarning,
-    DimensionError,
     InfeasibleError,
     OutOfBallError,
     PreconditionError,
     ValidationError,
 )
-from .linalg import BallSpec, clip, fwht_normalized, p_norm, project_l2_ball
+from .linalg import BallSpec, clip, p_norm, project_l2_ball
 from .mechanisms import (
     IndexSign,
     MechanismSpec,
@@ -67,15 +66,11 @@ from .mechanisms import (
 )
 from .wire import (
     HistogramCode,
-    decode_index_sign,
-    encode_index_sign,
-    expected_bits_per_client,
     frame_message,
     histogram_pack,
     histogram_unpack,
     message_payload_bits,
     multiset_bits,
-    multiset_envelope_bits,
     unframe_message,
 )
 from .fedsim import (
@@ -88,65 +83,3 @@ from .fedsim import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AsymptoticShuffling",
-    "ExplicitShuffling",
-    "PrivacyBudget",
-    "SamplingParams",
-    "amplify_by_shuffling",
-    "amplify_by_subsampling",
-    "calibrate_epsilon0",
-    "end_to_end",
-    "max_feasible_epsilon0",
-    "per_round_budget",
-    "strong_composition",
-    "RiskQuery",
-    "comm_adversary",
-    "convergence_bound",
-    "g_squared",
-    "risk_lower",
-    "risk_upper",
-    "AccountingError",
-    "AmplificationWarning",
-    "ClippingWarning",
-    "DimensionError",
-    "InfeasibleError",
-    "OutOfBallError",
-    "PreconditionError",
-    "ValidationError",
-    "BallSpec",
-    "clip",
-    "fwht_normalized",
-    "p_norm",
-    "project_l2_ball",
-    "IndexSign",
-    "MechanismSpec",
-    "MixTagged",
-    "RawVector",
-    "SparseSigned",
-    "decode_message",
-    "encode_message",
-    "mean_estimate",
-    "mean_estimate_trials",
-    "mechanism_family",
-    "privacy_ratio",
-    "sample_decoded",
-    "HistogramCode",
-    "decode_index_sign",
-    "encode_index_sign",
-    "expected_bits_per_client",
-    "frame_message",
-    "histogram_pack",
-    "histogram_unpack",
-    "message_payload_bits",
-    "multiset_bits",
-    "multiset_envelope_bits",
-    "unframe_message",
-    "ClientDataset",
-    "RoundTrace",
-    "TrainConfig",
-    "TrainResult",
-    "synthetic_logistic_data",
-    "train",
-]

@@ -60,8 +60,8 @@ class RiskQuery:
             raise ValidationError(f"p must be in [1, inf], got {self.p!r}")
         if self.d < 1 or self.n < 1:
             raise ValidationError(f"need d >= 1 and n >= 1, got d={self.d}, n={self.n}")
-        if not self.a > 0.0:
-            raise ValidationError(f"radius must be positive, got {self.a!r}")
+        if not 0.0 < self.a < math.inf:
+            raise ValidationError(f"radius must be positive and finite, got {self.a!r}")
         if not self.epsilon0 > 0.0:
             raise ValidationError(f"epsilon0 must be positive, got {self.epsilon0!r}")
         if self.mix_prob is not None and not 0.0 <= self.mix_prob <= 1.0:

@@ -11,10 +11,6 @@ class ValidationError(ValueError):
     """Input violates a documented precondition (shape, range, finiteness)."""
 
 
-class DimensionError(ValidationError):
-    """Vector dimension unsupported by the requested operation."""
-
-
 class OutOfBallError(ValidationError):
     """Mechanism input lies outside the ball the mechanism assumes."""
 

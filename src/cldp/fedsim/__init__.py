@@ -19,23 +19,3 @@ from .training import (
     sample_data,
     train,
 )
-
-__all__ = [
-    "ClientDataset",
-    "load_dataset_binary",
-    "load_dataset_csv",
-    "save_dataset_binary",
-    "save_dataset_csv",
-    "stack_points",
-    "synthetic_logistic_data",
-    "validate_clients",
-    "TASKS",
-    "Task",
-    "get_task",
-    "RoundTrace",
-    "TrainConfig",
-    "TrainResult",
-    "sample_clients",
-    "sample_data",
-    "train",
-]

@@ -1,14 +1,14 @@
 """Dense vector primitives shared by every module.
 
 p-norms over the extended range p in [1, inf], gradient clipping, the fast
-Walsh-Hadamard transform (normalized; the unnormalized in-place row butterfly
-it is built on; and one entry per row by one path through that butterfly),
-and Euclidean-ball projection.
-The transform convention is the symmetric one,
+Walsh-Hadamard transform (the unnormalized in-place row butterfly, and one
+entry per row by one path through that butterfly), and Euclidean-ball
+projection. The butterfly computes H_d @ x for each row x, with
 
-    fwht(x) = (1/sqrt(d)) * H_d @ x,      H_d[i, j] = (-1)^popcount(i & j),
+    H_d[i, j] = (-1)^popcount(i & j),      d a power of two,
 
-which is an involution (H_d @ H_d = d * I) and an isometry of the l2 norm.
+so H_d @ H_d = d * I; callers divide by sqrt(d) for the symmetric transform,
+which is an involution and an isometry of the l2 norm.
 All arithmetic is float64; the two tolerance constants used throughout the
 package live here: EXACT_TOL for closed-form identities and ROUNDTRIP_TOL for
 transform roundtrips.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import ValidationError
 
 # Closed-form identities (enumerated expectations, norm formulas) must hold to
 # this relative tolerance; transform roundtrips to the looser one.
@@ -56,7 +56,7 @@ def p_norm(x, p: float) -> float:
 
 @dataclass(frozen=True)
 class BallSpec:
-    """An lp ball: exponent p in [1, inf], radius a > 0, ambient dimension d."""
+    """An lp ball: exponent p in [1, inf], finite radius a > 0, ambient dimension d."""
 
     p: float
     radius: float
@@ -65,8 +65,8 @@ class BallSpec:
     def __post_init__(self) -> None:
         if not (isinstance(self.p, numbers.Real) and self.p >= 1.0):
             raise ValidationError(f"ball exponent must lie in [1, inf], got {self.p!r}")
-        if not (isinstance(self.radius, numbers.Real) and self.radius > 0.0):
-            raise ValidationError(f"ball radius must be positive, got {self.radius!r}")
+        if not (isinstance(self.radius, numbers.Real) and 0.0 < self.radius < math.inf):
+            raise ValidationError(f"ball radius must be positive and finite, got {self.radius!r}")
         if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
             raise ValidationError(f"ball dimension must be a positive integer, got {self.dim!r}")
 
@@ -124,16 +124,6 @@ def fwht_rows_at(mat: np.ndarray, j: np.ndarray) -> np.ndarray:
         half += mat[:, 0::2]
         mat = half
     return mat[:, 0]
-
-
-def fwht_normalized(x) -> np.ndarray:
-    """(1/sqrt(d)) * H_d @ x via the O(d log d) butterfly; d must be a power of 2."""
-    v = as_vector(x).copy()
-    d = v.size
-    if d & (d - 1):
-        raise DimensionError(f"transform dimension must be a power of two, got {d}")
-    fwht_rows_inplace(v.reshape(1, d))
-    return v / math.sqrt(d)
 
 
 def project_l2_ball(theta, center, radius: float) -> np.ndarray:

@@ -59,11 +59,10 @@ one ``draw`` and one decode over all rows. The other entry points,
 ``encode_message``, ``decode_message``, ``mean_estimate``, ``sample_decoded``
 and ``mean_estimate_trials``, are its one-stream case; every input passes the
 one check in ``_require_rows`` and every seed the one in ``_require_rng``,
-and identical seedable streams reproduce identical messages. ``r1_decode``
-and ``rinf_decode`` decode one index-family message, and the
-``*_atom_probabilities`` helpers give the closed-form output
-distributions of the index families, so tests check unbiasedness, variance
-and the LDP ratio without sampling.
+and identical seedable streams reproduce identical messages. The
+``*_atom_probabilities`` helpers give the closed-form output distributions
+of the index families, so tests check unbiasedness, variance and the LDP
+ratio through ``decode_message`` without sampling.
 """
 
 from __future__ import annotations
@@ -400,22 +399,10 @@ def _atom_probabilities(plus: np.ndarray) -> dict[tuple[int, int], float]:
             for j in range(dim) for sign in (1, -1)}
 
 
-def r1_decode(msg: IndexSign, spec: MechanismSpec) -> np.ndarray:
-    """sign * a * ratio * (Hadamard column j), truncated to the original d."""
-    _check_family(spec, 1.0, "the l1 mechanism")
-    return _decoded_sum("l1", [msg], spec)
-
-
 def r1_atom_probabilities(x, spec: MechanismSpec) -> dict[tuple[int, int], float]:
     """Closed-form output distribution over all 2*dp atoms (j, sign)."""
     _check_family(spec, 1.0, "the l1 mechanism")
     return _atom_probabilities(_r1_plus(_require_rows(x, spec.ball, 1), spec)[0])
-
-
-def rinf_decode(msg: IndexSign, spec: MechanismSpec) -> np.ndarray:
-    """sign * a * d * ratio * e_j (norm a*d*ratio for every message)."""
-    _check_family(spec, math.inf, "the linf mechanism")
-    return _decoded_sum("linf", [msg], spec)
 
 
 def rinf_atom_probabilities(x, spec: MechanismSpec) -> dict[tuple[int, int], float]:

@@ -46,8 +46,6 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from . import mechanisms as mech
 
-LOG2_E = math.log2(math.e)
-
 # Frame tags (one byte each).
 TAG_ZERO = 0x00          # reserved zero message (empty payload)
 TAG_L1_ATOM = 0x01       # index-sign atom, l1 family (index over the padded dim)
@@ -69,18 +67,6 @@ _TAG_CODES = {tag: key for key, tag in _CODES.items()}
 def multiset_bits(s: int, B: int) -> int:
     """Exact payload bits for a packed multiset of s atoms over alphabet B."""
     return (math.comb(s + B - 1, s) - 1).bit_length()
-
-
-def multiset_envelope_bits(s: int, B: int) -> float:
-    """The Stirling envelope s*(log2 e + log2((s+B-1)/s)); exact cost is <= this + 1."""
-    return s * (LOG2_E + math.log2((s + B - 1) / s))
-
-
-def index_sign_bits(d: int) -> int:
-    """Exact cost of one atom over dimension d: ceil(log2 d) + 1 bits."""
-    if d < 1:
-        raise ValidationError(f"dimension must be >= 1, got {d}")
-    return multiset_bits(1, 2 * d)
 
 
 @dataclass(frozen=True)
@@ -176,33 +162,6 @@ def histogram_unpack(code: HistogramCode) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-@dataclass(frozen=True)
-class ExpectedBits:
-    """Communication accounting: the envelope rate and (when exact) the true rate.
-
-    ``envelope`` is T*(k/m)*s*(log2 e + log2((s+B-1)/s)) with B = 2^b; for
-    s = 1 ``exact`` is the true expected cost T*(k/m)*b, otherwise None.
-    """
-
-    envelope: float
-    exact: float | None
-
-
-def expected_bits_per_client(params, b: float, T: int = 1) -> ExpectedBits:
-    """Expected transmitted bits per client over T rounds for b-bit messages.
-
-    A client pays only in rounds where it is sampled (probability k/m), and
-    then sends s messages packed as a multiset over the 2^b-message alphabet.
-    """
-    if not b > 0:
-        raise ValidationError(f"bits per message must be positive, got {b!r}")
-    if T < 1:
-        raise ValidationError(f"T must be >= 1, got {T!r}")
-    envelope = T * params.q1 * multiset_envelope_bits(params.s, 2.0**b)
-    exact = T * params.q1 * b if params.s == 1 else None
-    return ExpectedBits(envelope=envelope, exact=exact)
-
-
 # ---------------------------------------------------------------------------
 # Codes and costs of messages
 # ---------------------------------------------------------------------------
@@ -228,23 +187,6 @@ def _priced(msg: mech.MechanismMessage, spec: mech.MechanismSpec):
     if key != "l2":
         raise ValidationError("only the l2 family emits the zero message")
     return key, atoms, 0
-
-
-# The '0'/'1' string views of the one-atom code; linf's code is the plain
-# index-sign atom over d.
-
-
-def encode_index_sign(msg: mech.IndexSign, d: int) -> str:
-    """Index big-endian in ceil(log2 d) bits, then the sign bit (1 means +)."""
-    return format(histogram_pack(msg.atoms, 2 * d).rank, f"0{index_sign_bits(d)}b")
-
-
-def decode_index_sign(bits: str, d: int) -> mech.IndexSign:
-    """Exact inverse of encode_index_sign."""
-    expected = index_sign_bits(d)
-    if not isinstance(bits, str) or len(bits) != expected or any(b not in "01" for b in bits):
-        raise ValidationError(f"expected {expected} bits for dimension {d}, got {bits!r}")
-    return mech.message_from_atoms("linf", histogram_unpack(HistogramCode(int(bits, 2), 1, 2 * d)))
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,10 @@ def sample_in_ball(rng, p, d, a):
     return scale * x
 
 
-def _atom_families(ball_p):
+def _atom_probabilities(ball_p):
     if ball_p == 1.0:
-        return mech.r1_atom_probabilities, mech.r1_decode
-    return mech.rinf_atom_probabilities, mech.rinf_decode
+        return mech.r1_atom_probabilities
+    return mech.rinf_atom_probabilities
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def test_criterion_01_exact_unbiasedness():
         eps_cycle = (0.5, 1.0, math.log(3.0), 3.0)
         for d in (1, 2, 4, 8, 16):
             for ball_p in (1.0, math.inf):
-                probs_fn, decode_fn = _atom_families(ball_p)
+                probs_fn = _atom_probabilities(ball_p)
                 for i in range(50):
                     a = float(rng.uniform(0.5, 2.0))
                     spec = mech.MechanismSpec(
@@ -92,7 +92,7 @@ def test_criterion_01_exact_unbiasedness():
                     assert math.isclose(sum(probs.values()), 1.0, rel_tol=1e-12)
                     mean = np.zeros(d)
                     for (j, sign), pr in probs.items():
-                        mean += pr * decode_fn(mech.IndexSign(j, sign), spec)
+                        mean += pr * mech.decode_message(mech.IndexSign(j, sign), spec)
                     assert np.max(np.abs(mean - x)) < 1e-10
 
 
@@ -105,7 +105,7 @@ def test_criterion_02_ldp_ratio():
     with criterion(2, "every atom probability ratio is at most e^eps0*(1+1e-9)", 5.0):
         rng = np.random.default_rng(SEED + 2)
         for ball_p in (1.0, math.inf):
-            probs_fn, _ = _atom_families(ball_p)
+            probs_fn = _atom_probabilities(ball_p)
             for eps0 in (0.1, 1.0, math.log(3.0), 5.0):
                 bound = math.exp(eps0) * (1.0 + 1e-9)
                 for _ in range(100):
@@ -136,7 +136,7 @@ def test_criterion_03_second_moments():
             spec1 = mech.MechanismSpec(BallSpec(p=1.0, radius=a, dim=d), epsilon0=eps0)
             x1 = sample_in_ball(rng, 1.0, d, a)
             m2 = sum(
-                pr * float(np.sum(mech.r1_decode(mech.IndexSign(j, sign), spec1) ** 2))
+                pr * float(np.sum(mech.decode_message(mech.IndexSign(j, sign), spec1) ** 2))
                 for (j, sign), pr in mech.r1_atom_probabilities(x1, spec1).items()
             )
             assert math.isclose(m2, a * a * d * rho2, rel_tol=1e-12)
@@ -146,7 +146,7 @@ def test_criterion_03_second_moments():
             )
             xinf = sample_in_ball(rng, math.inf, d, a)
             m2 = sum(
-                pr * float(np.sum(mech.rinf_decode(mech.IndexSign(j, sign), specinf) ** 2))
+                pr * float(np.sum(mech.decode_message(mech.IndexSign(j, sign), specinf) ** 2))
                 for (j, sign), pr in mech.rinf_atom_probabilities(xinf, specinf).items()
             )
             assert math.isclose(m2, a * a * d * d * rho2, rel_tol=1e-12)
@@ -330,10 +330,10 @@ def test_criterion_06_pooled_shot_branch():
 
 
 def test_criterion_07_wire_roundtrips():
-    with criterion(7, "multiset (s<=5, B<=16) and index-sign (d<=64) codes roundtrip"):
+    with criterion(7, "multiset (s<=5, B<=16) codes and index-sign (d<=64) frames roundtrip"):
         for s in range(1, 6):
             for alphabet in range(1, 17):
-                envelope = wire.multiset_envelope_bits(s, alphabet)
+                envelope = s * (math.log2(math.e) + math.log2((s + alphabet - 1) / s))
                 nbits = wire.multiset_bits(s, alphabet)
                 assert nbits <= envelope + 1.0
                 seen = set()
@@ -345,13 +345,16 @@ def test_criterion_07_wire_roundtrips():
                 assert seen == set(range(math.comb(s + alphabet - 1, s)))
 
         for d in range(1, 65):
-            nbits = wire.index_sign_bits(d)
-            for j in range(d):
-                for sign in (1, -1):
-                    msg = mech.IndexSign(j, sign)
-                    bits = wire.encode_index_sign(msg, d)
-                    assert len(bits) == nbits
-                    assert wire.decode_index_sign(bits, d) == msg
+            for ball_p in (math.inf, 1.0):
+                spec = mech.MechanismSpec(BallSpec(p=ball_p, radius=1.0, dim=d), epsilon0=1.0)
+                dp = mech.padded_dim(d) if ball_p == 1.0 else d
+                nbits = math.ceil(math.log2(dp)) + 1
+                for j in range(dp):
+                    for sign in (1, -1):
+                        msg = mech.IndexSign(j, sign)
+                        frame = wire.frame_message(msg, spec)
+                        assert wire.message_payload_bits(msg, spec) == nbits
+                        assert wire.unframe_message(frame, spec) == (msg, len(frame))
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +503,7 @@ def test_criterion_10_communication_accounting():
 
         for d in (2, 4, 8, 16, 32):
             b = math.ceil(math.log2(d)) + 1
-            assert wire.index_sign_bits(d) == b
+            assert wire.multiset_bits(1, 2 * d) == b
             for ball_p in (1.0, math.inf):
                 spec = mech.MechanismSpec(BallSpec(p=ball_p, radius=1.0, dim=d), 1.0)
                 assert wire.client_round_bits_exact(spec, 1) == b

@@ -129,6 +129,7 @@ class TestRiskQueryValidation:
             dict(p=2.0, d=0, n=10, a=1.0, epsilon0=1.0),
             dict(p=2.0, d=4, n=0, a=1.0, epsilon0=1.0),
             dict(p=2.0, d=4, n=10, a=0.0, epsilon0=1.0),
+            dict(p=2.0, d=4, n=10, a=math.inf, epsilon0=1.0),
             dict(p=2.0, d=4, n=10, a=1.0, epsilon0=0.0),
             dict(p=2.0, d=4, n=10, a=1.0, epsilon0=1.0, mix_prob=1.5),
         ],

@@ -209,6 +209,20 @@ class TestMeanEstCommand:
         capsys.readouterr()
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["mean-est", "--a", "inf"], ["bounds", "--a", "inf"],
+         ["train", "--clip", "inf", "--account", "false"]],
+        ids=["mean-est", "bounds", "train"],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_radius_exits_2_and_leaves_no_artifact(self, argv, tmp_path, capsys):
+        # A ball of infinite radius draws from NaN probabilities and writes
+        # nan or inf rows; it is rejected before any draw or output.
+        assert main(argv + ["--out", str(tmp_path / "inf")]) == 2
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_symlink_is_written_through(self, tmp_path, capsys):
         real, link = tmp_path / "real.csv", tmp_path / "link.csv"
         real.write_text("old\n")
@@ -361,6 +375,24 @@ def load_script(name):
     return module
 
 
+# scripts/parity.py's output, '<sha256>  <artifact>' sorted by name, as recorded
+# with Python 3.11 and numpy 2.4.
+PARITY_SHA256 = [
+    "4281966d96970f3fbea218b73e9490494dda39ac9295fa54f44d27fc9751f56a  accountant.json",
+    "7981248ab6cc9a23d49194758fe7808909d4ff905832053ae0040d9b5a52d455  accountant_calibrated.json",
+    "80de6dc053e9e0c0a33697912785bc387ec2b37a6a76f4e0a84a4b3406ec01ac  bounds.csv",
+    "41990d2051b62b6bc3a1b3c220c217698d529e86cb4500f673de21f4658a30ac  mean_est.csv",
+    "0d1b81f233348924e2d8d54c67013ee762c43625b55104bca75a838c3ada805c  train_eps0_inf.csv",
+    "4fbeda2b3e7682cc0cf1464d655661aaaa86e45da8cfb8c3cde3572849f57ef0  train_eps0_inf.json",
+    "3ba6e4eb18634475cd25edbeb24513d5ec681be9d413e3c5d7cb55ee8f285681  train_l1_accounted.csv",
+    "69b9bc4b90dfe55e5a47fef20771b42ea08a5900c913b629566f83ac37628175  train_l1_accounted.json",
+    "5d75786932afdb1d8c0fe611a79ad4c902de0d753324ad01d70ccb9a20c74d35  train_l2.csv",
+    "51bc795abbacc7f3acffea078775ab934bc5fe0236baf314bf74ee8b569c8d19  train_l2.json",
+    "cea3998f0f5b5c00ad183ea2227113e139f7c6625f7135e83306296bbb1a26e6  train_mix_s2.csv",
+    "d7f1ae430d913205221d59bb1bddf23a3aa99ef08f0f2edf74ed3571244c8f6f  train_mix_s2.json",
+]
+
+
 class TestScripts:
     """Each script in scripts/ runs end to end at a small size."""
 
@@ -383,11 +415,13 @@ class TestScripts:
             assert (tmp_path / "demo" / f"run_eps0_{tag}.json").exists()
 
     def test_parity(self, tmp_path, capsys):
+        # Every artifact kind the CLI writes, byte for byte: a change that
+        # moves any of these hashes changes a result and must say so.
         assert load_script("parity").run(str(tmp_path)) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 12 and all(len(line.split()[0]) == 64 for line in lines)
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert sorted(line.split()[1] for line in lines) == names
+        assert capsys.readouterr().out.splitlines() == PARITY_SHA256
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            line.split()[1] for line in PARITY_SHA256
+        ]
 
     def test_accountant_report(self, capsys):
         load_script("accountant_report").run(m=2000, k=1000, r=1, delta=1e-6, target_eps=2.0)

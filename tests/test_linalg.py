@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cldp.errors import DimensionError, ValidationError
+from cldp.errors import ValidationError
 from cldp.linalg import (
     BallSpec,
     clip,
-    fwht_normalized,
     fwht_rows_at,
     fwht_rows_inplace,
     p_norm,
@@ -76,19 +75,21 @@ class TestClip:
         np.testing.assert_array_equal(clip(v, p, c), v)
 
 
+def fwht(x):
+    """The symmetric transform (1/sqrt(d)) * H_d @ x of one vector, by the row butterfly."""
+    row = np.array(x, dtype=float).reshape(1, -1)
+    return fwht_rows_inplace(row)[0] / math.sqrt(row.shape[1])
+
+
 class TestFwht:
     def test_dimension_one(self):
-        np.testing.assert_array_equal(fwht_normalized([3.5]), [3.5])
+        np.testing.assert_array_equal(fwht([3.5]), [3.5])
 
     def test_dimension_two(self):
         a = 0.7
         np.testing.assert_allclose(
-            fwht_normalized([a, 0.0]), [a / math.sqrt(2), a / math.sqrt(2)], rtol=1e-15
+            fwht([a, 0.0]), [a / math.sqrt(2), a / math.sqrt(2)], rtol=1e-15
         )
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(DimensionError):
-            fwht_normalized([1.0, 2.0, 3.0])
 
     def test_matches_dense_matrix(self, rng):
         # H[i, j] = (-1)^{popcount(i & j)}, normalized by sqrt(d)
@@ -96,7 +97,7 @@ class TestFwht:
         i = np.arange(d)
         H = np.array([[(-1) ** bin(a & b).count("1") for b in i] for a in i], dtype=float)
         x = rng.standard_normal(d)
-        np.testing.assert_allclose(fwht_normalized(x), H @ x / math.sqrt(d), atol=1e-12)
+        np.testing.assert_allclose(fwht(x), H @ x / math.sqrt(d), atol=1e-12)
 
     @given(st.integers(min_value=0, max_value=5), st.data())
     def test_involution(self, log_d, data):
@@ -104,12 +105,12 @@ class TestFwht:
         x = np.array(
             data.draw(st.lists(finite_floats, min_size=d, max_size=d)), dtype=float
         )
-        back = fwht_normalized(fwht_normalized(x))
+        back = fwht(fwht(x))
         np.testing.assert_allclose(back, x, atol=1e-12 * max(1.0, np.max(np.abs(x))))
 
     def test_preserves_l2_norm(self, rng):
         x = rng.standard_normal(64)
-        assert np.linalg.norm(fwht_normalized(x)) == pytest.approx(
+        assert np.linalg.norm(fwht(x)) == pytest.approx(
             np.linalg.norm(x), rel=1e-10
         )
 
@@ -119,14 +120,14 @@ class TestFwht:
         for _ in range(50):
             x = rng.standard_normal(d)
             x *= a * rng.random() / np.sum(np.abs(x))
-            y = fwht_normalized(x)
+            y = fwht(x)
             assert np.max(np.abs(y)) <= a / math.sqrt(d) + 1e-12
 
     def test_row_butterfly_matches_single(self, rng):
         rows = rng.standard_normal((5, 8))
         batch = fwht_rows_inplace(rows.copy()) / math.sqrt(8)
         for i in range(5):
-            np.testing.assert_allclose(batch[i], fwht_normalized(rows[i]), atol=1e-12)
+            np.testing.assert_allclose(batch[i], fwht(rows[i]), atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 500])
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 100, 128, 1000, 1024])
@@ -184,6 +185,8 @@ class TestBallSpec:
             BallSpec(p=0.5, radius=1.0, dim=2)
         with pytest.raises(ValidationError):
             BallSpec(p=2.0, radius=0.0, dim=2)
+        with pytest.raises(ValidationError):
+            BallSpec(2.0, math.inf, 3)
         with pytest.raises(ValidationError):
             BallSpec(p=2.0, radius=1.0, dim=0)
         with pytest.raises(ValidationError):

@@ -43,9 +43,7 @@ from cldp.mechanisms import (
     padded_dim,
     privacy_ratio,
     r1_atom_probabilities,
-    r1_decode,
     rinf_atom_probabilities,
-    rinf_decode,
     rp_arm_specs,
     sample_decoded,
 )
@@ -153,7 +151,7 @@ class TestR1:
     def test_boundary_d1_three_quarters(self):
         probs = r1_atom_probabilities([1.0], l1_spec(1))
         assert probs[(0, 1)] == pytest.approx(0.75, rel=1e-12)
-        mean = enumerated_mean(probs, lambda m: r1_decode(m, l1_spec(1)))
+        mean = enumerated_mean(probs, lambda m: decode_message(m, l1_spec(1)))
         np.testing.assert_allclose(mean, [1.0], rtol=1e-12)
 
     def test_d2_atom_probabilities(self):
@@ -163,15 +161,15 @@ class TestR1:
         assert probs[(1, 1)] == pytest.approx(3.0 / 8.0, rel=1e-12)
         assert probs[(0, -1)] == pytest.approx(1.0 / 8.0, rel=1e-12)
         assert probs[(1, -1)] == pytest.approx(1.0 / 8.0, rel=1e-12)
-        mean = enumerated_mean(probs, lambda m: r1_decode(m, spec))
+        mean = enumerated_mean(probs, lambda m: decode_message(m, spec))
         np.testing.assert_allclose(mean, [1.0, 0.0], atol=1e-12)
 
     def test_decode_d1(self):
-        np.testing.assert_allclose(r1_decode(IndexSign(0, 1), l1_spec(1)), [2.0], rtol=1e-12)
+        np.testing.assert_allclose(decode_message(IndexSign(0, 1), l1_spec(1)), [2.0], rtol=1e-12)
 
     def test_decode_d2_negative_column(self):
         np.testing.assert_allclose(
-            r1_decode(IndexSign(1, -1), l1_spec(2)), [-2.0, 2.0], rtol=1e-12
+            decode_message(IndexSign(1, -1), l1_spec(2)), [-2.0, 2.0], rtol=1e-12
         )
 
     def test_decode_norm_constant(self):
@@ -180,7 +178,7 @@ class TestR1:
             want = 0.7 * 0.7 * d * privacy_ratio(1.3) ** 2
             for j in range(d):
                 for sign in (1, -1):
-                    got = float(np.sum(r1_decode(IndexSign(j, sign), spec) ** 2))
+                    got = float(np.sum(decode_message(IndexSign(j, sign), spec) ** 2))
                     assert got == pytest.approx(want, rel=1e-12)
 
     def test_padded_dimension_unbiased(self, rng):
@@ -189,7 +187,7 @@ class TestR1:
         x = random_in_ball(rng, 3, 1.0, 2.0)
         probs = r1_atom_probabilities(x, spec)
         assert len(probs) == 2 * 4
-        mean = enumerated_mean(probs, lambda m: r1_decode(m, spec))
+        mean = enumerated_mean(probs, lambda m: decode_message(m, spec))
         np.testing.assert_allclose(mean, x, atol=1e-12)
 
     def test_probabilities_in_ldp_band(self, rng):
@@ -208,7 +206,7 @@ class TestR1:
 
     def test_wrong_family_rejected(self):
         with pytest.raises(ValidationError):
-            r1_decode(IndexSign(0, 1), l2_spec(1))
+            decode_message(IndexSign(0, 1), l2_spec(1))
         with pytest.raises(ValidationError):
             r1_atom_probabilities([0.1], l2_spec(1))
 
@@ -458,7 +456,7 @@ class TestRinf:
         probs = rinf_atom_probabilities([1.0, -1.0], spec)
         assert probs[(0, 1)] == pytest.approx(3.0 / 8.0, rel=1e-12)
         assert probs[(1, 1)] == pytest.approx(1.0 / 8.0, rel=1e-12)
-        mean = enumerated_mean(probs, lambda m: rinf_decode(m, spec))
+        mean = enumerated_mean(probs, lambda m: decode_message(m, spec))
         np.testing.assert_allclose(mean, [1.0, -1.0], rtol=1e-12)
 
     def test_origin_fair(self):
@@ -470,7 +468,7 @@ class TestRinf:
             spec = linf_spec(d, a=0.5, eps0=0.7)
             want = 0.5 * d * privacy_ratio(0.7)
             for j in range(d):
-                got = np.linalg.norm(rinf_decode(IndexSign(j, -1), spec))
+                got = np.linalg.norm(decode_message(IndexSign(j, -1), spec))
                 assert got == pytest.approx(want, rel=1e-12)
 
     def test_enumerated_unbiased_random(self, rng):
@@ -478,7 +476,7 @@ class TestRinf:
             spec = linf_spec(d, a=1.5, eps0=0.3)
             x = random_in_ball(rng, d, math.inf, 1.5)
             probs = rinf_atom_probabilities(x, spec)
-            mean = enumerated_mean(probs, lambda m: rinf_decode(m, spec))
+            mean = enumerated_mean(probs, lambda m: decode_message(m, spec))
             np.testing.assert_allclose(mean, x, atol=1e-10)
 
     def test_out_of_ball_rejected(self):
@@ -500,7 +498,7 @@ class TestMix:
         for _ in range(20):
             msg = encode_message(random_in_ball(rng, 4, 1.0, 1.0), spec, rng)
             assert msg.arm == "L1"
-            np.testing.assert_array_equal(decode_message(msg, spec), r1_decode(msg.inner, arm1))
+            np.testing.assert_array_equal(decode_message(msg, spec), decode_message(msg.inner, arm1))
 
     def test_pbar_zero_is_l2_arm_at_base_radius(self, rng):
         spec = MechanismSpec(BallSpec(p=2.0, radius=1.0, dim=4), epsilon0=1.0, mix_prob=0.0)
@@ -550,7 +548,7 @@ class TestDecodeEnvelopes:
         spec = l1_spec(8, a=1.0, eps0=1.0)
         want = math.sqrt(8) * privacy_ratio(1.0)
         for j in range(8):
-            assert np.linalg.norm(r1_decode(IndexSign(j, 1), spec)) == pytest.approx(want)
+            assert np.linalg.norm(decode_message(IndexSign(j, 1), spec)) == pytest.approx(want)
 
     def test_all_families_within_coarse_envelope(self, rng):
         d, a, eps0 = 6, 1.0, 0.8
@@ -573,7 +571,7 @@ class TestMeanEstimate:
         spec = l1_spec(4)
         x = random_in_ball(rng, 4, 1.0, 1.0)
         msg = encode_message(x, spec, rng)
-        np.testing.assert_array_equal(mean_estimate([msg], spec), r1_decode(msg, spec))
+        np.testing.assert_array_equal(mean_estimate([msg], spec), decode_message(msg, spec))
 
     def test_zero_dataset_concentrates(self):
         spec = l1_spec(4)

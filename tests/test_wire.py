@@ -40,42 +40,52 @@ def mix_spec(d, p=4.0, a=1.0, eps0=LN3, mix_prob=0.5):
 
 
 class TestIndexSignCode:
+    """The one-atom code: index big-endian in ceil(log2 d) bits, then the sign bit (1 means +)."""
+
     @pytest.mark.parametrize("d,bits", [(1, 1), (2, 2), (3, 3), (4, 3), (8, 4), (64, 7)])
     def test_bit_cost(self, d, bits):
-        assert wire.index_sign_bits(d) == bits
+        assert wire.multiset_bits(1, 2 * d) == bits
 
     def test_pinned_examples(self):
-        assert wire.encode_index_sign(mech.IndexSign(j=5, sign=1), d=8) == "1011"
-        assert wire.encode_index_sign(mech.IndexSign(j=0, sign=-1), d=1) == "0"
-        assert wire.decode_index_sign("1011", d=8) == mech.IndexSign(j=5, sign=1)
-        assert wire.decode_index_sign("0", d=1) == mech.IndexSign(j=0, sign=-1)
+        assert wire.frame_message(mech.IndexSign(j=5, sign=1), linf_spec(8)) == bytes.fromhex(
+            "030004b0"
+        )
+        assert wire.frame_message(mech.IndexSign(j=0, sign=-1), linf_spec(1)) == bytes.fromhex(
+            "03000100"
+        )
+        assert wire.unframe_message(bytes.fromhex("030004b0"), linf_spec(8)) == (
+            mech.IndexSign(j=5, sign=1), 4
+        )
+        assert wire.unframe_message(bytes.fromhex("03000100"), linf_spec(1)) == (
+            mech.IndexSign(j=0, sign=-1), 4
+        )
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 64])
     def test_roundtrip_exhaustive(self, d):
-        seen = set()
+        spec, seen = linf_spec(d), set()
         for j in range(d):
             for sign in (-1, 1):
-                bits = wire.encode_index_sign(mech.IndexSign(j=j, sign=sign), d)
-                assert len(bits) == wire.index_sign_bits(d)
-                assert wire.decode_index_sign(bits, d) == mech.IndexSign(j=j, sign=sign)
-                seen.add(bits)
+                msg = mech.IndexSign(j=j, sign=sign)
+                frame = wire.frame_message(msg, spec)
+                assert wire.message_payload_bits(msg, spec) == wire.multiset_bits(1, 2 * d)
+                assert wire.unframe_message(frame, spec) == (msg, len(frame))
+                seen.add(frame)
         assert len(seen) == 2 * d  # injective
 
     def test_rejects_out_of_range_index(self):
         with pytest.raises(ValidationError):
-            wire.encode_index_sign(mech.IndexSign(j=8, sign=1), d=8)
+            wire.frame_message(mech.IndexSign(j=8, sign=1), linf_spec(8))
 
     def test_cost_is_the_one_atom_multiset(self):
         for d in range(1, 5001):
-            assert wire.index_sign_bits(d) == wire.multiset_bits(1, 2 * d)
+            nbits = wire.message_payload_bits(mech.IndexSign(j=d - 1, sign=1), linf_spec(d))
+            assert nbits == wire.multiset_bits(1, 2 * d) == math.ceil(math.log2(d)) + 1
 
     def test_rejects_malformed_bits(self):
-        with pytest.raises(ValidationError):
-            wire.decode_index_sign("10", d=8)  # wrong length
-        with pytest.raises(ValidationError):
-            wire.decode_index_sign("10a1", d=8)
-        with pytest.raises(ValidationError):
-            wire.decode_index_sign("1010", d=5)  # index 5 outside [0, 5)
+        with pytest.raises(ValidationError):  # 2 payload bits, not 4
+            wire.unframe_message(bytes([wire.TAG_LINF_ATOM, 0, 2, 0x80]), linf_spec(8))
+        with pytest.raises(ValidationError):  # index 5 outside [0, 5)
+            wire.unframe_message(bytes([wire.TAG_LINF_ATOM, 0, 4, 0xA0]), linf_spec(5))
 
 
 class TestMultisetCode:
@@ -83,10 +93,6 @@ class TestMultisetCode:
         # s=2 atoms over B=3: C(4,2) = 6 multisets, needing 3 bits.
         assert math.comb(2 + 3 - 1, 2) == 6
         assert wire.multiset_bits(2, 3) == 3
-        assert wire.multiset_envelope_bits(2, 3) == pytest.approx(
-            2 * (math.log2(math.e) + 1.0), rel=1e-12
-        )
-        assert wire.multiset_envelope_bits(2, 3) == pytest.approx(4.885390, abs=1e-6)
 
     def test_single_atom_costs_log_alphabet(self):
         for B in (2, 3, 8, 16, 100):
@@ -120,9 +126,11 @@ class TestMultisetCode:
             assert wire.histogram_unpack(wire.histogram_pack(atoms, B)) == atoms
 
     def test_envelope_plus_one_budget(self):
+        # The Stirling envelope s*(log2 e + log2((s+B-1)/s)) of the module docstring.
         for s in range(1, 6):
             for B in range(2, 17):
-                assert wire.multiset_bits(s, B) <= wire.multiset_envelope_bits(s, B) + 1.0
+                envelope = s * (math.log2(math.e) + math.log2((s + B - 1) / s))
+                assert wire.multiset_bits(s, B) <= envelope + 1.0
 
     def test_rejects_bad_atoms(self):
         with pytest.raises(ValidationError):
@@ -162,38 +170,6 @@ class TestMultisetCode:
             assert wire.histogram_unpack(code) == tuple(sorted(atoms))
 
 
-class TestExpectedBits:
-    def test_pinned_full_participation(self):
-        params = SamplingParams(m=50, k=50, r=10, s=1)
-        got = wire.expected_bits_per_client(params, b=4, T=1)
-        assert got.exact == pytest.approx(4.0, rel=1e-15)
-        assert got.envelope == pytest.approx(math.log2(math.e) + 4.0, rel=1e-12)
-        assert got.envelope == pytest.approx(5.442695, abs=1e-6)
-
-    def test_half_participation_halves(self):
-        full = wire.expected_bits_per_client(SamplingParams(m=50, k=50, r=10, s=1), b=4)
-        half = wire.expected_bits_per_client(SamplingParams(m=50, k=25, r=10, s=1), b=4)
-        assert half.exact == pytest.approx(full.exact / 2.0, rel=1e-15)
-        assert half.envelope == pytest.approx(full.envelope / 2.0, rel=1e-15)
-
-    def test_linear_in_rounds(self):
-        params = SamplingParams(m=50, k=10, r=10, s=2)
-        one = wire.expected_bits_per_client(params, b=5, T=1)
-        ten = wire.expected_bits_per_client(params, b=5, T=10)
-        assert ten.envelope == pytest.approx(10.0 * one.envelope, rel=1e-12)
-
-    def test_multi_sample_has_no_exact_rate(self):
-        params = SamplingParams(m=50, k=10, r=10, s=3)
-        got = wire.expected_bits_per_client(params, b=5)
-        assert got.exact is None
-        want = (10 / 50) * 3 * (math.log2(math.e) + math.log2((3 + 2**5 - 1) / 3))
-        assert got.envelope == pytest.approx(want, rel=1e-12)
-
-    def test_rejects_nonpositive_bits(self):
-        with pytest.raises(ValidationError):
-            wire.expected_bits_per_client(SamplingParams(m=2, k=1, r=1, s=1), b=0)
-
-
 class TestFraming:
     def test_l1_atom_roundtrip(self):
         spec = l1_spec(d=3)  # pads to 4, so 2*4-atom alphabet, 3 payload bits
@@ -201,7 +177,7 @@ class TestFraming:
         frame = wire.frame_message(msg, spec)
         assert frame[0] == wire.TAG_L1_ATOM
         nbits = struct.unpack(">H", frame[1:3])[0]
-        assert nbits == wire.message_payload_bits(msg, spec) == wire.index_sign_bits(4)
+        assert nbits == wire.message_payload_bits(msg, spec) == wire.multiset_bits(1, 8)
         decoded, consumed = wire.unframe_message(frame, spec)
         assert decoded == msg
         assert consumed == len(frame) == wire.frame_length(frame)
@@ -211,7 +187,7 @@ class TestFraming:
         msg = mech.IndexSign(j=5, sign=1)
         frame = wire.frame_message(msg, spec)
         assert frame[0] == wire.TAG_LINF_ATOM
-        assert wire.message_payload_bits(msg, spec) == wire.index_sign_bits(6)
+        assert wire.message_payload_bits(msg, spec) == wire.multiset_bits(1, 12)
         decoded, consumed = wire.unframe_message(frame, spec)
         assert decoded == msg
         assert consumed == len(frame)
@@ -291,7 +267,7 @@ class TestClientBits:
         # A one-message round costs exactly the payload of that message.
         spec = linf_spec(d=8)
         msg = mech.IndexSign(j=3, sign=1)
-        assert wire.message_payload_bits(msg, spec) == wire.index_sign_bits(8)
+        assert wire.message_payload_bits(msg, spec) == wire.multiset_bits(1, 16)
         assert wire.client_round_bits_exact(spec, s=1) == wire.message_payload_bits(msg, spec)
 
     def test_atom_batch_packs_as_multiset(self):
@@ -304,7 +280,7 @@ class TestClientBits:
 
     def test_l1_batch_uses_padded_alphabet(self):
         spec = l1_spec(d=3)  # padded dim 4 -> alphabet 8
-        assert wire.message_payload_bits(mech.IndexSign(j=2, sign=1), spec) == wire.index_sign_bits(4)
+        assert wire.message_payload_bits(mech.IndexSign(j=2, sign=1), spec) == wire.multiset_bits(1, 8)
         assert wire.client_round_bits_exact(spec, s=2) == wire.multiset_bits(2, 8)
 
     def test_mixed_batch_sums(self):
@@ -318,9 +294,9 @@ class TestClientBits:
         assert costs == [wire.multiset_bits(4, 8), 0]
 
     def test_round_bits_exact_by_family(self):
-        assert wire.client_round_bits_exact(l1_spec(d=3), s=1) == wire.index_sign_bits(4)
+        assert wire.client_round_bits_exact(l1_spec(d=3), s=1) == wire.multiset_bits(1, 8)
         assert wire.client_round_bits_exact(l1_spec(d=3), s=2) == wire.multiset_bits(2, 8)
-        assert wire.client_round_bits_exact(linf_spec(d=8), s=1) == wire.index_sign_bits(8)
+        assert wire.client_round_bits_exact(linf_spec(d=8), s=1) == wire.multiset_bits(1, 16)
         assert wire.client_round_bits_exact(linf_spec(d=8), s=3) == wire.multiset_bits(3, 16)
         assert wire.client_round_bits_exact(l2_spec(d=4), s=2) == 2 * wire.multiset_bits(4, 8)
         # One coordinate sample per message at d = 1 is still a sparse
@@ -338,15 +314,47 @@ class TestClientBits:
         assert wire.round_payload_bits(l2_spec(d=4), params, 4) == 20 * wire.multiset_bits(4, 8)
         # a mix round prices each message by its arm: 7 of the 20 ran the l1 arm
         got = wire.round_payload_bits(mix_spec(d=4), params, 4, l1_arm=7)
-        assert got == 7 * wire.index_sign_bits(4) + 13 * wire.multiset_bits(4, 8)
+        assert got == 7 * wire.multiset_bits(1, 8) + 13 * wire.multiset_bits(4, 8)
 
     def test_expected_round_bits(self):
         params = SamplingParams(m=50, k=10, r=10, s=2)
         assert wire.expected_round_bits(None, params, 5) == 10 * 2 * 64 * 5
         assert wire.expected_round_bits(l1_spec(d=3), params, 3) == 10 * wire.multiset_bits(2, 8)
-        per_message = 0.25 * wire.index_sign_bits(4) + 0.75 * wire.multiset_bits(4, 8)
+        per_message = 0.25 * wire.multiset_bits(1, 8) + 0.75 * wire.multiset_bits(4, 8)
         got = wire.expected_round_bits(mix_spec(d=4, mix_prob=0.25), params, 4)
         assert got == pytest.approx(10 * 2 * per_message, rel=1e-15)
+
+
+class TestExpectedBits:
+    """``expected_round_bits``, the one a-priori bit count that ``train`` reports."""
+
+    def test_pinned_full_participation(self):
+        # 50 clients, one linf message each over d = 8: ceil(log2 16) = 4 bits apiece
+        params = SamplingParams(m=50, k=50, r=10, s=1)
+        assert wire.expected_round_bits(linf_spec(d=8), params, 8) == 200.0
+
+    def test_half_participation_halves(self):
+        full = SamplingParams(m=50, k=50, r=10, s=1)
+        half = SamplingParams(m=50, k=25, r=10, s=1)
+        for spec in (linf_spec(d=8), l2_spec(d=4), mix_spec(d=4, mix_prob=0.25), None):
+            d = 4 if spec is None else spec.ball.dim
+            got_full = wire.expected_round_bits(spec, full, d)
+            got_half = wire.expected_round_bits(spec, half, d)
+            assert got_half == pytest.approx(got_full / 2.0, rel=1e-15)
+
+    def test_multi_sample_is_the_packed_multiset_cost(self):
+        # s = 3 one-atom messages pack into one multiset of the 2*dp atoms: fewer
+        # bits than three single messages, within the Stirling envelope plus one
+        params = SamplingParams(m=50, k=10, r=10, s=3)
+        got = wire.expected_round_bits(linf_spec(d=32), params, 32)
+        assert got == 10 * wire.multiset_bits(3, 64) == 160.0
+        assert got < 10 * 3 * wire.multiset_bits(1, 64)
+        envelope = 3 * (math.log2(math.e) + math.log2((3 + 64 - 1) / 3))
+        assert got / 10 <= envelope + 1
+        # the mix prices each message by its arm, so it does not pack
+        one = wire.expected_round_bits(mix_spec(d=4), SamplingParams(m=50, k=10, r=10, s=1), 4)
+        three = wire.expected_round_bits(mix_spec(d=4), params, 4)
+        assert three == pytest.approx(3 * one, rel=1e-15)
 
 
 def _l1_frame(j=2, sign=1):
@@ -392,7 +400,6 @@ MALFORMED_FIELDS = {
     "histogram_rank_not_an_integer": lambda: wire.HistogramCode(rank="a", s=1, B=2),
     "pack_string_atom": lambda: wire.histogram_pack(["a"], 4),
     "pack_none_atom": lambda: wire.histogram_pack([None], 4),
-    "index_sign_bits_not_a_string": lambda: wire.decode_index_sign(5, 4),
     "index_sign_negative_index": lambda: mech.IndexSign(j=-1, sign=1),
     "index_sign_fractional_index": lambda: mech.IndexSign(j=1.5, sign=1),
     "index_sign_string_index": lambda: mech.IndexSign(j="a", sign=1),
