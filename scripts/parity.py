@@ -1,8 +1,9 @@
 """Run a fixed list of CLI commands into one directory and print each artifact's sha256.
 
 The list covers every artifact kind the CLI writes: accounted and
-unaccounted training (l1, l2, no privacy, the mix at s = 2), a mean-est
-sweep, a bounds table, and accountant budgets with and without calibration.
+unaccounted training (l1, l2, no privacy, the mix at s = 2), mean-est sweeps
+(l1, l2 and linf; the mix at dimensions that are not powers of two), a
+bounds table, and accountant budgets with and without calibration.
 Runs are deterministic, so two checkouts give the same lines exactly when
 their artifacts are byte-identical:
 
@@ -29,6 +30,8 @@ COMMANDS = (
     ("train_mix_s2", "train --p 1.5 --mix-prob 0.4 --s 2 --account false"),
     ("mean_est.csv",
      "mean-est --p 1 2 inf --d 4 16 --n 50 --eps0 0.5 2 --trials 20 --seed 3"),
+    ("mean_est_mix.csv",
+     "mean-est --p 1.5 3 --mix-prob 0.5 --d 5 12 --n 40 --eps0 1 --trials 7 --seed 2"),
     ("bounds.csv", "bounds --p 1 2 inf --d 8 32 --n 100 1000 --eps0 0.5 1"),
     ("accountant.json", "accountant --eps0 0.3 --T 10 --m 5000 --k 2500"),
     ("accountant_calibrated.json",

@@ -9,9 +9,8 @@ projection. The butterfly computes H_d @ x for each row x, with
 
 so H_d @ H_d = d * I; callers divide by sqrt(d) for the symmetric transform,
 which is an involution and an isometry of the l2 norm.
-All arithmetic is float64; the two tolerance constants used throughout the
-package live here: EXACT_TOL for closed-form identities and ROUNDTRIP_TOL for
-transform roundtrips.
+All arithmetic is float64; EXACT_TOL, the relative tolerance of closed-form
+identities throughout the package, lives here.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ import numpy as np
 from .errors import ValidationError
 
 # Closed-form identities (enumerated expectations, norm formulas) must hold to
-# this relative tolerance; transform roundtrips to the looser one.
+# this relative tolerance.
 EXACT_TOL = 1e-12
-ROUNDTRIP_TOL = 1e-10
 
 
 def as_vector(x) -> np.ndarray:

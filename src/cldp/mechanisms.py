@@ -25,29 +25,25 @@ an e^{eps0} likelihood ratio between any two in-ball inputs.
 A message is a multiset of atoms (``_atom``: 2*coordinate + [sign > 0]): one
 over the padded dimension (l1) or d (linf), d over d (l2). Messages expose
 their ``atoms``; ``message_code`` gives each family's and mix arm's message
-type and atom shape; ``message_from_atoms`` checks atoms once and builds a
-message back, which keeps them rather than converting its pairs back to
-atoms. ``wire`` codes messages through these alone.
+type and atom shape, and ``_message`` builds a message back from atoms that
+a draw or a frame's unpack made, keeping them rather than converting its
+pairs back to atoms. ``wire`` codes messages through these alone.
 
-Each family is one record in ``_FAMILIES``: its message code; ``table``, the
-work that repeated draws of the same rows share (the l1 rotation, for l1 and
-the mix's l1 arm); ``noise``, what one stream draws for n rows, which fixes
-the draw order (``_index_noise``, ``_l2_noise``, ``_mix_noise``); a pure
-``draw`` from rows, their table if made, and noise to what the decode reads
-((n, 1) atoms for l1 and linf, (n, d) net signed counts for l2, (arm mask,
-l1 atoms, l2 counts) for the mix); and a
-``scale`` from net signed counts to decoded sums. An index draw reads one
-plus-probability per row. Rows drawn once compute only that entry: l1 walks
-one path of the Hadamard butterfly (``linalg.fwht_rows_at``, O(d) per row
-and bit-identical to the O(d log d) rotation), linf reads the coordinate.
-One row (``encode_message``, and the mix's l1 arm of one message) is drawn
-in Python scalars: its index and uniform, its one plus-probability and its
-atom, with the same floating-point operations in the same order as an array
-of rows; an arm of the mix that no row ran draws nothing. With
-``atoms=True`` a draw gives one message's atoms in draw order instead.
-Rows drawn repeatedly (``sample_decoded``'s one row; ``mean_estimate_trials``
-with more than one trial) make the table once and read it. Every family
-decodes from net signed counts (``_net_counts`` makes them from atoms, an l2
+Each family is one record in ``_FAMILIES``: its message code; ``noise``,
+what one stream draws for n rows, which fixes the draw order
+(``_index_noise``, ``_l2_noise``, ``_mix_noise``); a pure ``draw`` from rows
+and noise to what the decode reads ((n, 1) atoms for l1 and linf, (n, d) net
+signed counts for l2, (arm mask, l1 atoms, l2 counts) for the mix); and a
+``scale`` from net signed counts to decoded sums. An index draw computes
+only the one plus-probability each row reads: l1 walks one path of the
+Hadamard butterfly (``linalg.fwht_rows_at``, O(d) per row and bit-identical
+to the O(d log d) rotation), linf reads the coordinate. One row
+(``encode_message``, and the mix's l1 arm of one message) is drawn in Python
+scalars: its index and uniform, its one plus-probability and its atom, with
+the same floating-point operations in the same order as an array of rows; an
+arm of the mix that no row ran draws nothing. With ``atoms=True`` a draw
+gives one message's atoms in draw order instead. Every family decodes from
+net signed counts (``_net_counts`` makes them from atoms, an l2
 batch draws them): the shuffler leaves only the
 multiset of messages and the counts depend on nothing else, so the decoded
 sum is exact and order-free; counting per row gives individual decodes. The
@@ -322,10 +318,11 @@ def _check_family(spec: MechanismSpec, p_required: float, name: str) -> None:
 
 
 def _r1_plus(rows: np.ndarray, spec: MechanismSpec, j=None):
-    """Pr[sign=+1 | index] of each row: at every index below the padded
-    dimension (one rotation), or at index j[i] of row i only (one butterfly
-    path, bit-identical to the rotation's entry); for an int j, the one row's
-    entry as a Python float."""
+    """Pr[sign=+1 | index] of each row: at index j[i] of row i only (one
+    butterfly path, bit-identical to the rotation's entry), which is what a
+    draw reads; for an int j, the one row's entry as a Python float. With
+    j=None, at every index below the padded dimension (one rotation), which
+    the ``r1_atom_probabilities`` reference oracle reads."""
     n, d = rows.shape
     dp = padded_dim(d)
     if j is None:
@@ -343,8 +340,9 @@ def _r1_plus(rows: np.ndarray, spec: MechanismSpec, j=None):
 
 
 def _rinf_plus(rows: np.ndarray, spec: MechanismSpec, j=None):
-    """Pr[sign=+1 | index] of each row: at every coordinate, or at coordinate
-    j[i] of row i only; for an int j, the one row's as a Python float."""
+    """Pr[sign=+1 | index] of each row: at coordinate j[i] of row i only, which
+    is what a draw reads; for an int j, the one row's as a Python float. With
+    j=None, at every coordinate, which ``rinf_atom_probabilities`` reads."""
     if j is None:
         x = rows
     elif isinstance(j, int):
@@ -366,16 +364,12 @@ def _index_noise(gen: np.random.Generator, n: int, dim: int):
     return gen.integers(dim, size=n), gen.random(n)
 
 
-def _index_draw(plus: Callable, rows, table, spec: MechanismSpec, noise, which=None) -> np.ndarray:
-    """One atom for each row (of rows[which], if given): the drawn index j, + if
-    its uniform is below the row's plus-probability at j. That is read from
-    ``table``, every plus-probability of the rows, where they are drawn
-    repeatedly; else ``plus`` computes it for the one entry. One row is drawn
-    in Python scalars, with the same floating-point operations in the same order."""
+def _index_draw(plus: Callable, rows, spec: MechanismSpec, noise) -> np.ndarray:
+    """One atom for each row: the drawn index j, + if its uniform is below the
+    row's plus-probability at j, which ``plus`` computes for that one entry.
+    One row is drawn in Python scalars, with the same floating-point
+    operations in the same order."""
     j, u = noise
-    if table is not None:
-        return _atom(j, u < table[np.arange(len(j)) if which is None else which, j])[:, None]
-    rows = rows if which is None else rows[which]
     if len(j) == 1:
         k = int(j[0])
         return np.array([[_atom(k, float(u[0]) < plus(rows, spec, k))]])
@@ -461,22 +455,11 @@ def _priv_rows(rows: np.ndarray, spec: MechanismSpec, noise) -> np.ndarray:
     return y * (radius / np.sqrt(np.einsum("ij,ij->i", y, y)))[:, None]
 
 
-def _searchsorted_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The flat index into ``cdf`` of entry searchsorted(cdf[i], u[i],
-    side='right') of row i, for (n, d) rows cdf[i] sorted and ending above
-    every query (1.0 against uniforms below 1): one ``np.searchsorted`` per
-    row. Only a message's atoms need this order; a batch counts instead
-    (``_search_counts``)."""
-    if len(cdf) == 1:
-        return np.searchsorted(cdf[0], u[0], side="right")[None, :]
-    coords = [np.searchsorted(c, q, side="right") for c, q in zip(cdf, u)]
-    return np.array(coords) + np.arange(0, cdf.size, cdf.shape[1])[:, None]
-
-
 def _search_counts(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Writes to ``out``, a C-contiguous (n, d) intp array, and returns the
     counts of the queries u[i] that searchsorted(cdf[i], ., side='right')
-    sends to each entry, for rows as in ``_searchsorted_rows``.
+    sends to each entry, for (n, d) rows cdf[i] sorted and ending above every
+    query (1.0 against uniforms below 1).
 
     One sort merges each row's cdf and queries. Both are nonnegative floats,
     whose bit patterns order as the values do; each pattern, shifted left by
@@ -521,14 +504,13 @@ def _quan_cdf(rows: np.ndarray, radius: float, u_flip: np.ndarray):
 
 
 def _quan_atoms(rows: np.ndarray, radius: float, noise) -> np.ndarray:
-    """The atoms of d i.i.d. signed coordinate samples per nonzero row of l2
-    norm <= radius, in draw order: d coordinates drawn i.i.d. from |x~| (see
-    ``_quan_cdf``) by ``_searchsorted_rows``, with x~'s signs."""
+    """The (1, d) atoms of d i.i.d. signed coordinate samples of one nonzero
+    row of l2 norm <= radius, in draw order: d coordinates drawn i.i.d. from
+    |x~| (see ``_quan_cdf``) by one ``searchsorted``, with x~'s signs."""
     u_flip, u = noise
     flip, cdf = _quan_cdf(rows, radius, u_flip)
-    flat = _searchsorted_rows(cdf, u)
-    signed = rows * flip[:, None]  # the sign of x~ at each coordinate
-    return _atom(flat - np.arange(0, cdf.size, cdf.shape[1])[:, None], signed.ravel()[flat] > 0.0)
+    coords = np.searchsorted(cdf[0], u[0], side="right")
+    return _atom(coords, rows[0, coords] * flip[0] > 0.0)[None]
 
 
 def _quan_counts(rows: np.ndarray, radius: float, noise, out: np.ndarray) -> np.ndarray:
@@ -552,7 +534,7 @@ _L2_BLOCK = 1 << 15
 
 def _l2_draw(rows: np.ndarray, spec: MechanismSpec, noise, atoms: bool = False) -> np.ndarray:
     """The (n, d) net signed counts of the rows' messages, drawn in blocks of
-    rows; with atoms=True (one message) its atoms in draw order instead."""
+    rows; with atoms=True (one row) its message's atoms in draw order instead."""
     radius = hemisphere_radius(spec.ball.dim, spec.ball.radius, spec.epsilon0)
     if atoms:
         return _quan_atoms(_priv_rows(rows, spec, noise[:3]), radius, noise[3:])
@@ -602,14 +584,14 @@ def _mix_noise(gen: np.random.Generator, n: int, spec: MechanismSpec):
     return (arm, *_index_noise(gen, n_l1, padded_dim(d)), *_l2_noise(gen, n - n_l1, d))
 
 
-def _mix_draw(rows: np.ndarray, table, spec: MechanismSpec, noise, atoms: bool = False):
+def _mix_draw(rows: np.ndarray, spec: MechanismSpec, noise, atoms: bool = False):
     """Each arm draws its rows; an arm that no row ran, such as one of a
     single row's, draws nothing."""
     (arm_l1, arm_l2), arm = rp_arm_specs(spec), noise[0]
-    which, l2_rows = np.flatnonzero(arm), rows[~arm]
+    l1_rows, l2_rows = rows[arm], rows[~arm]
     l1_atoms, l2_draws = np.empty((0, 1), np.int64), np.empty((0, rows.shape[1]), np.int64)
-    if len(which):
-        l1_atoms = _index_draw(_r1_plus, rows, table, arm_l1, noise[1:3], which)
+    if len(l1_rows):
+        l1_atoms = _index_draw(_r1_plus, l1_rows, arm_l1, noise[1:3])
     if len(l2_rows):
         l2_draws = _l2_draw(l2_rows, arm_l2, noise[3:], atoms)
     return arm, l1_atoms, l2_draws
@@ -623,33 +605,28 @@ def _mix_draw(rows: np.ndarray, table, spec: MechanismSpec, noise, atoms: bool =
 class _Family(NamedTuple):
     kind: type  # the message type
     shape: Callable | None  # d -> (atom dimension, atoms per message); the mix uses its arms'
-    table: Callable | None  # (rows, spec) -> what repeated draws of the rows share (l1 rotation)
     noise: Callable  # (gen, n, spec) -> what one stream draws for n rows, in order
-    draw: Callable  # (rows, table or None, spec, noise, atoms=False) -> what the decode reads
+    draw: Callable  # (rows, spec, noise, atoms=False) -> what the decode reads
     # (an index draw is its atoms either way)
     scale: Callable | None  # (net signed counts, spec) -> decoded sums; the mix uses its arms'
 
 
 _FAMILIES = {
     "l1": _Family(
-        IndexSign, lambda d: (padded_dim(d), 1), _r1_plus,
+        IndexSign, lambda d: (padded_dim(d), 1),
         lambda gen, n, spec: _index_noise(gen, n, padded_dim(spec.ball.dim)),
         lambda *args, atoms=False: _index_draw(_r1_plus, *args), _r1_scale,
     ),
     "linf": _Family(
-        IndexSign, lambda d: (d, 1), None,
+        IndexSign, lambda d: (d, 1),
         lambda gen, n, spec: _index_noise(gen, n, spec.ball.dim),
         lambda *args, atoms=False: _index_draw(_rinf_plus, *args), _rinf_scale,
     ),
     "l2": _Family(
-        SparseSigned, lambda d: (d, d), None,
-        lambda gen, n, spec: _l2_noise(gen, n, spec.ball.dim),
-        lambda rows, table, spec, noise, atoms=False: _l2_draw(rows, spec, noise, atoms), _r2_scale,
+        SparseSigned, lambda d: (d, d),
+        lambda gen, n, spec: _l2_noise(gen, n, spec.ball.dim), _l2_draw, _r2_scale,
     ),
-    "mix": _Family(
-        MixTagged, None, lambda rows, spec: _r1_plus(rows, rp_arm_specs(spec)[0]),
-        _mix_noise, _mix_draw, None,
-    ),
+    "mix": _Family(MixTagged, None, _mix_noise, _mix_draw, None),
 }
 _ARMS = {"L1": "l1", "L2": "l2"}  # the family each mix arm runs
 
@@ -666,25 +643,9 @@ def message_code(key: str, d: int) -> tuple[type, int, int]:
 
 def _message(key: str, atoms: tuple[int, ...]) -> MechanismMessage:
     """The message of a family or mix arm with these atoms, nonnegative ints
-    that a draw or a frame's unpack made or ``message_from_atoms`` checked; it
-    keeps the atoms."""
+    that a draw or a frame's unpack made; it keeps the atoms."""
     inner = message_code(key, 1)[0]._of_atoms(atoms)
     return MixTagged(key, inner) if key in _ARMS else inner
-
-
-def message_from_atoms(key: str, atoms) -> MechanismMessage:
-    """The message of a family or mix arm whose atoms these are (see ``message_code``),
-    checked in one pass: integers, nonnegative, and one for an index-sign message."""
-    kind = message_code(key, 1)[0]
-    try:
-        checked = tuple(map(operator.index, atoms))
-    except TypeError:
-        raise ValidationError(f"atoms must be integers, got {atoms!r:.200}") from None
-    if kind is IndexSign and len(checked) != 1:
-        raise ValidationError(f"an index-sign message has one atom, got {len(checked)}")
-    if not checked or min(checked) < 0:
-        raise ValidationError(f"expected nonnegative integer atoms, got {checked!r:.200}")
-    return _message(key, checked)
 
 
 def message_atoms(msg: MechanismMessage, spec: MechanismSpec, family: str | None = None):
@@ -754,7 +715,7 @@ def encode_message(x, spec: MechanismSpec, rng) -> MechanismMessage:
     family = key = mechanism_family(spec)
     fam = _FAMILIES[family]
     rows, gen = _require_rows(x, spec.ball, 1), _require_rng(rng)
-    atoms = fam.draw(rows, None, spec, fam.noise(gen, 1, spec), atoms=True)
+    atoms = fam.draw(rows, spec, fam.noise(gen, 1, spec), atoms=True)
     if family == "mix":  # the one row ran one arm
         arm, l1_atoms, l2_atoms = atoms
         key, atoms = ("L1", l1_atoms) if arm[0] else ("L2", l2_atoms)
@@ -802,67 +763,59 @@ _SAMPLE_BATCH = 1 << 16
 def sample_decoded(x, spec: MechanismSpec, rng, n_samples: int) -> np.ndarray:
     """n_samples independent decoded messages for one input, as rows.
 
-    The one input row is drawn repeatedly, so its table (the l1 rotation) is
-    made once and every draw reads it. The rows are drawn in consecutive
-    batches of at most 2**16, so the working memory beyond the (n_samples, d)
-    result is bounded.
+    The rows are drawn in consecutive batches of at most 2**16, so the working
+    memory beyond the (n_samples, d) result is bounded.
     """
     v = _require_rows(x, spec.ball, 1)
     n_samples = _require_count(n_samples, "n_samples")
     family = mechanism_family(spec)
     fam, gen = _FAMILIES[family], _require_rng(rng)
-    table = fam.table(v, spec) if fam.table else None
     out = np.empty((n_samples, v.shape[1]))
     for lo in range(0, n_samples, _SAMPLE_BATCH):
         m = min(_SAMPLE_BATCH, n_samples - lo)
-        rows = np.broadcast_to(v, (m, v.shape[1]))
-        tab = None if table is None else np.broadcast_to(table, (m, table.shape[1]))
-        draws = fam.draw(rows, tab, spec, fam.noise(gen, m, spec))
+        draws = fam.draw(np.broadcast_to(v, (m, v.shape[1])), spec, fam.noise(gen, m, spec))
         out[lo:lo + m] = _sums(family, draws, spec, per_row=True)
     return out
 
 
-def _block_encoder(rows: np.ndarray, spec: MechanismSpec, repeated: bool) -> Callable:
-    """``batch_encoder``'s encode on checked rows. If the caller will draw the
-    rows repeatedly, their table (the l1 rotation) is made once, here."""
+def batch_encoder(x, spec: MechanismSpec) -> Callable:
+    """The spec's encoder on a row matrix, decoded from signed counts.
+
+    The rows pass the one input check, here. ``encode(streams)`` takes an
+    iterable of streams, draws the noise of len(streams) equal consecutive
+    blocks of rows, block i from streams[i], then makes one draw and one
+    decode over all rows; it returns the mean of the decoded messages and how
+    many ran the mix's l1 arm (0 for the other families). Each draw computes
+    only the entries it reads: for l1 one butterfly path per row, O(d) rather
+    than the O(d log d) rotation.
+    """
+    rows = _require_rows(x, spec.ball, 2)
     family = mechanism_family(spec)
     fam, n = _FAMILIES[family], len(rows)
-    table = fam.table(rows, spec) if repeated and fam.table else None
 
     def encode(streams) -> tuple[np.ndarray, int]:
+        try:
+            streams = list(streams)
+        except TypeError:
+            raise ValidationError(f"expected an iterable of streams, got {streams!r:.200}") from None
         if not streams or n % len(streams):
             raise ValidationError(f"cannot split {n} rows into {len(streams)} equal blocks")
         size = n // len(streams)
         blocks = [fam.noise(_require_rng(rng), size, spec) for rng in streams]
         noise = blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
-        draws = fam.draw(rows, table, spec, noise)
+        draws = fam.draw(rows, spec, noise)
         l1_arm = int(np.count_nonzero(draws[0])) if family == "mix" else 0
         return _sums(family, draws, spec)[0] / n, l1_arm
 
     return encode
 
 
-def batch_encoder(x, spec: MechanismSpec) -> Callable:
-    """The spec's encoder on a row matrix, decoded from signed counts.
-
-    The rows pass the one input check, here. ``encode(streams)`` draws the
-    noise of len(streams) equal consecutive blocks of rows, block i from
-    streams[i], then makes one draw and one decode over all rows; it returns
-    the mean of the decoded messages and how many ran the mix's l1 arm (0 for
-    the other families). Each draw computes only the entries it reads: for
-    l1 one butterfly path per row, O(d) rather than the O(d log d) rotation.
-    """
-    return _block_encoder(_require_rows(x, spec.ball, 2), spec, repeated=False)
-
-
 def mean_estimate_trials(dataset, spec: MechanismSpec, rng, trials: int) -> np.ndarray:
     """Repeated mean estimation over a fixed dataset, one estimate per row.
 
     Each trial encodes every dataset row once, on one stream, and averages the
-    decodes: the one-stream case of ``batch_encoder``. With more than one
-    trial every row is drawn repeatedly, so the l1 rotation is made once.
+    decodes: the one-stream case of ``batch_encoder``.
     """
-    rows = _require_rows(dataset, spec.ball, 2)
-    trials = _require_count(trials, "trials")
-    encode, gen = _block_encoder(rows, spec, repeated=trials > 1), _require_rng(rng)
+    encode = batch_encoder(dataset, spec)
+    trials, gen = _require_count(trials, "trials"), _require_rng(rng)
     return np.vstack([encode([gen])[0] for _ in range(trials)])

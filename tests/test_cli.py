@@ -382,6 +382,7 @@ PARITY_SHA256 = [
     "7981248ab6cc9a23d49194758fe7808909d4ff905832053ae0040d9b5a52d455  accountant_calibrated.json",
     "80de6dc053e9e0c0a33697912785bc387ec2b37a6a76f4e0a84a4b3406ec01ac  bounds.csv",
     "41990d2051b62b6bc3a1b3c220c217698d529e86cb4500f673de21f4658a30ac  mean_est.csv",
+    "50d090e610fd20835368cc5d126456c3ad4c9eeb605fd787b466a5f7c57dff45  mean_est_mix.csv",
     "0d1b81f233348924e2d8d54c67013ee762c43625b55104bca75a838c3ada805c  train_eps0_inf.csv",
     "4fbeda2b3e7682cc0cf1464d655661aaaa86e45da8cfb8c3cde3572849f57ef0  train_eps0_inf.json",
     "3ba6e4eb18634475cd25edbeb24513d5ec681be9d413e3c5d7cb55ee8f285681  train_l1_accounted.csv",

@@ -34,12 +34,11 @@ from cldp.mechanisms import (
     _l2_draw,
     _mix_noise,
     _require_rows,
+    _message,
     _search_counts,
-    _searchsorted_rows,
     mean_estimate_trials,
     mechanism_family,
     message_code,
-    message_from_atoms,
     padded_dim,
     privacy_ratio,
     r1_atom_probabilities,
@@ -314,15 +313,14 @@ class TestQuan:
             w = np.abs(xt) / np.abs(xt).sum()
             want = tuple((int(c), 1 if xt[c] > 0 else -1) for c in ref.choice(d, size=d, p=w))
             atoms = _quan_atoms(x[None], 1.0, (gen.random(1), gen.random((1, d))))[0]
-            assert message_from_atoms("l2", atoms.tolist()).pairs == want
+            assert _message("l2", tuple(atoms.tolist())).pairs == want
 
     @pytest.mark.parametrize("n", [1, 2, 7, 300])
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 20, 64, 100, 129])
     def test_search_is_searchsorted_per_row(self, d, n):
         # Sorted rows ending at exactly 1.0, with runs of equal entries, and
         # queries in [0, 1) set to entries, to the values just below them and
-        # to 0; the flat index of row i is i*d plus searchsorted's count, and
-        # the merged counts are the bincount of those.
+        # to 0; the merged counts are the bincount of searchsorted's indices.
         gen = np.random.default_rng(d * 1000 + n)
         w = gen.random((n, d)) * (gen.random((n, d)) < 0.6)
         w[:, -1] += 0.5
@@ -335,21 +333,23 @@ class TestQuan:
         below = gen.random((n, d)) < 0.2
         u[below] = np.nextafter(u[below], -1.0).clip(0.0)
         u[:, 0] = 0.0
-        got = _searchsorted_rows(cdf, u)
         want = [np.searchsorted(cdf[i], u[i], side="right") for i in range(n)]
-        np.testing.assert_array_equal(got - np.arange(n)[:, None] * d, want)
         counts = [np.bincount(k, minlength=d) for k in want]
         np.testing.assert_array_equal(_search_counts(cdf, u, np.empty((n, d), np.intp)), counts)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 20, 128, 1000])
     def test_batch_counts_are_the_atoms_counts(self, d):
         # A batch draws net signed counts, a message its atoms; they must
-        # agree row for row. Rows with zero and -0.0 coordinates (tied cdf
+        # agree row for row, each row's message drawn from its own slice of
+        # the batch's noise. Rows with zero and -0.0 coordinates (tied cdf
         # entries), uniforms set to cdf entries and to 0, and draws that
         # cross the block boundaries of _l2_draw where that is cheap (d >= 20).
-        def signed_counts(atoms):
-            coords, signs = atoms >> 1, 2 * (atoms & 1) - 1
-            return np.array([np.bincount(c, weights=s, minlength=d) for c, s in zip(coords, signs)])
+        def signed_counts(draw_atoms, rows, noise):
+            out = []
+            for i in range(len(rows)):
+                atoms = draw_atoms(rows[i:i + 1], [part[i:i + 1] for part in noise])[0]
+                out.append(np.bincount(atoms >> 1, weights=2 * (atoms & 1) - 1, minlength=d))
+            return np.array(out)
 
         gen = np.random.default_rng(d)
         n = 40
@@ -364,7 +364,8 @@ class TestQuan:
         u[u >= 1.0] = 0.0
         u[:, -1] = 0.0
         counts = _quan_counts(x, 1.0, (u_flip, u), np.empty((n, d), np.intp))
-        np.testing.assert_array_equal(counts, signed_counts(_quan_atoms(x, 1.0, (u_flip, u))))
+        want = signed_counts(lambda row, part: _quan_atoms(row, 1.0, part), x, (u_flip, u))
+        np.testing.assert_array_equal(counts, want)
 
         spec = l2_spec(d, eps0=0.8)
         n_rows = min(2 * _L2_BLOCK // d + 5, 3000)
@@ -372,15 +373,16 @@ class TestQuan:
         rows[gen.random(rows.shape) < 0.3] = 0.0
         rows[0] = -0.0
         noise = _l2_noise(gen, len(rows), d)
-        np.testing.assert_array_equal(
-            _l2_draw(rows, spec, noise), signed_counts(_l2_draw(rows, spec, noise, atoms=True))
-        )
+        want = signed_counts(lambda row, part: _l2_draw(row, spec, part, atoms=True), rows, noise)
+        np.testing.assert_array_equal(_l2_draw(rows, spec, noise), want)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 20, 128, 1000])
     def test_mix_batches_decode_their_messages(self, d):
         # sample_decoded's rows and batch_encoder's mean, the mix's l2 arm
         # drawn as counts, equal the decodes of the messages that the same
-        # noise makes, each l2 message decoded from its atoms.
+        # noise makes, each row's message drawn as encode_message draws it,
+        # from its own slice of the noise, and each l2 message decoded from
+        # its atoms.
         spec = MechanismSpec(BallSpec(1.5, 1.0, d), 0.8, mix_prob=0.5)
         fam = _FAMILIES["mix"]
         gen = np.random.default_rng(d)
@@ -389,23 +391,27 @@ class TestQuan:
         rows = np.array([random_in_ball(gen, d, 1.5, 1.0) for _ in range(60)])
         rows[gen.random(rows.shape) < 0.3] = 0.0
 
-        def messages(rows, table, noise):
-            arm, l1_atoms, l2_atoms = fam.draw(rows, table, spec, noise, atoms=True)
-            l1, l2 = iter(l1_atoms.tolist()), iter(l2_atoms.tolist())
-            return [message_from_atoms("L1", next(l1)) if a else message_from_atoms("L2", next(l2))
-                    for a in arm]
+        def messages(rows, noise):
+            arm, msgs = noise[0], []
+            for r, a in enumerate(arm.tolist()):
+                i, k = int(np.count_nonzero(arm[:r] == a)), int(a)
+                one = [arm[r:r + 1], *(part[i:i + k] for part in noise[1:3]),
+                       *(part[i:i + 1 - k] for part in noise[3:])]
+                _, l1_atoms, l2_atoms = fam.draw(rows[r:r + 1], spec, one, atoms=True)
+                key, atoms = ("L1", l1_atoms) if a else ("L2", l2_atoms)
+                msgs.append(_message(key, tuple(atoms[0].tolist())))
+            return msgs
 
         n = 50
-        table = fam.table(x[None], spec)
-        repeated = np.broadcast_to(x, (n, d)), np.broadcast_to(table, (n, table.shape[1]))
-        msgs = messages(*repeated, _mix_noise(np.random.default_rng(3), n, spec))
+        repeated = np.broadcast_to(x, (n, d))
+        msgs = messages(repeated, _mix_noise(np.random.default_rng(3), n, spec))
         assert {m.arm for m in msgs} == {"L1", "L2"}
         want = np.array([decode_message(m, spec) for m in msgs])
         np.testing.assert_array_equal(sample_decoded(x, spec, 3, n), want)
 
         half = len(rows) // 2
         blocks = [_mix_noise(np.random.default_rng(s), half, spec) for s in (4, 5)]
-        msgs = messages(rows, None, tuple(map(np.concatenate, zip(*blocks))))
+        msgs = messages(rows, tuple(map(np.concatenate, zip(*blocks))))
         got, l1_arm = batch_encoder(rows, spec)([4, 5])
         np.testing.assert_array_equal(got, mean_estimate(msgs, spec))
         assert l1_arm == sum(m.arm == "L1" for m in msgs)
@@ -606,10 +612,11 @@ class TestMeanEstimate:
     def test_batch_encoder_streams_are_single_encodes(self, family, rng):
         # One row per stream draws exactly what encode_message draws on that
         # stream, and the one counts decode equals the decode of those messages.
+        # The streams may come as any iterable, here a generator.
         spec = FAMILY_SPECS[family]
         d = spec.ball.dim
         rows = np.array([random_in_ball(rng, d, spec.ball.p, spec.ball.radius) for _ in range(12)])
-        mean, l1_arm = batch_encoder(rows, spec)([np.random.default_rng(i) for i in range(12)])
+        mean, l1_arm = batch_encoder(rows, spec)(np.random.default_rng(i) for i in range(12))
         msgs = [encode_message(row, spec, np.random.default_rng(i)) for i, row in enumerate(rows)]
         np.testing.assert_array_equal(mean, mean_estimate(msgs, spec))
         assert l1_arm == sum(getattr(m, "arm", None) == "L1" for m in msgs)
@@ -675,24 +682,13 @@ class TestAtomsAndDrawOrder:
         }
         for key, msg in msgs.items():
             atoms = getattr(msg, "inner", msg).atoms
-            assert message_from_atoms(key, atoms) == msg
+            assert _message(key, atoms) == msg
         assert msgs["l1"].atoms == (6,) and msgs["l2"].atoms == (5, 0, 5)
         assert SparseSigned(pairs=((0, 1),) * 3, is_zero=True).atoms == ()
         assert message_code("l1", 5) == (IndexSign, 8, 1)
         assert message_code("L2", 5) == (SparseSigned, 5, 5)
         with pytest.raises(ValidationError):
             message_code("mix", 5)
-        with pytest.raises(ValidationError):
-            message_from_atoms("l1", (1, 2))
-        with pytest.raises(ValidationError):
-            message_from_atoms("l2", (1.5,))
-        # Numpy integers and any iterable of atoms are taken; negative atoms
-        # and an empty sparse message are not.
-        assert message_from_atoms("l1", [np.int64(5)]) == IndexSign(j=2, sign=1)
-        assert message_from_atoms("L2", iter([1, 2])).inner.pairs == ((0, 1), (1, -1))
-        for key, atoms in (("l2", (-1,)), ("linf", (-2,)), ("l2", ())):
-            with pytest.raises(ValidationError):
-                message_from_atoms(key, atoms)
 
     def test_messages_from_atoms_set_every_field(self):
         # Messages built from atoms skip the constructor, so each must carry
@@ -702,8 +698,8 @@ class TestAtomsAndDrawOrder:
             ("linf", IndexSign(j=0, sign=1)),
             ("l2", SparseSigned(pairs=((2, 1), (0, -1), (2, 1)))),
         ):
-            assert vars(message_from_atoms(key, msg.atoms)) == vars(msg)
-        built = message_from_atoms("L2", (3, 8))
+            assert vars(_message(key, msg.atoms)) == vars(msg)
+        built = _message("L2", (3, 8))
         assert vars(built.inner) == vars(SparseSigned(pairs=((1, 1), (4, -1))))
 
     def test_index_family_atoms_are_frozen(self):
@@ -719,6 +715,25 @@ class TestAtomsAndDrawOrder:
                     x = random_in_ball(gen, d, p, 1.0)
                     digest.update(repr(encode_message(x, spec, seed)).encode())
         assert digest.hexdigest() == "0356961371eee8ddd80c9e4a08091317d5540ab6e4cbb9f5e033e2251b788e52"
+
+    def test_index_family_repeated_draws_are_frozen(self):
+        # The l1 and linf outputs of the entry points that draw rows
+        # repeatedly (sample_decoded, mean_estimate_trials with three trials)
+        # and once (one trial), hashed; d = 3 and 1000 pad the l1 rotation.
+        digest = hashlib.sha256()
+        for d in (1, 3, 64, 1000):
+            gen = np.random.default_rng(d)
+            for p in (1.0, math.inf):
+                spec = MechanismSpec(BallSpec(p, 1.0, d), 0.8)
+                rows = np.array([random_in_ball(gen, d, p, 1.0) for _ in range(30)])
+                outs = (
+                    sample_decoded(rows[0], spec, 21, 40),
+                    mean_estimate_trials(rows, spec, 22, 3),
+                    mean_estimate_trials(rows, spec, 23, 1),
+                )
+                for out in outs:
+                    digest.update(np.ascontiguousarray(out).tobytes())
+        assert digest.hexdigest() == "466144d477c943215309525d184facd328eb5ac136021659deb9ef999be5f48f"
 
     def test_l2_atoms_are_frozen(self):
         # The l2 and mix outputs of every entry point that draws a batch, and
@@ -748,8 +763,10 @@ class TestAtomsAndDrawOrder:
                 x[gen.random((n, d)) < 0.2] = -0.0
                 x[:, 0] = np.where(gen.random(n) < 0.5, 1.0, -1.0)
                 x /= np.linalg.norm(x, axis=1)[:, None]
-                atoms = _quan_atoms(x, 1.0, (gen.random(n), gen.random((n, d))))
-                digest.update(atoms.astype(np.int64).tobytes())
+                u_flip, u = gen.random(n), gen.random((n, d))
+                for i in range(n):  # the rows' atoms in order hash as the (n, d) array's
+                    atoms = _quan_atoms(x[i:i + 1], 1.0, (u_flip[i:i + 1], u[i:i + 1]))
+                    digest.update(atoms.astype(np.int64).tobytes())
         assert digest.hexdigest() == "ef95474b99ef1f9b948ad29eb198435d08df540152eaa998ad19287d1b266444"
 
 
@@ -788,10 +805,9 @@ class TestVectorizedSamplers:
     @pytest.mark.parametrize("p, mix_prob", [(1.0, None), (1.5, 0.5)], ids=["l1", "mix"])
     @pytest.mark.parametrize("d", [3, 64])
     def test_single_and_repeated_trials_draw_the_same_bits(self, p, mix_prob, d):
-        # One trial walks each row's butterfly path; three trials share one
-        # rotation, made first. On one stream both draw the same bits. At
-        # eps0 = 4 the plus-probabilities spread over [0.02, 0.98], so a wrong
-        # entry flips signs.
+        # Three trials on one stream draw the same bits as three one-trial
+        # calls on it, in turn. At eps0 = 4 the plus-probabilities spread over
+        # [0.02, 0.98], so a wrong entry flips signs.
         spec = MechanismSpec(BallSpec(p, 1.0, d), 4.0, mix_prob=mix_prob)
         gen = np.random.default_rng(d)
         data = np.array([random_in_ball(gen, d, p, 1.0) for _ in range(1000)])
@@ -823,9 +839,14 @@ class TestVectorizedSamplers:
             lambda spec: MechanismSpec(spec.ball, epsilon0="1"),
             lambda spec: MechanismSpec(spec.ball, epsilon0=1.0, mix_prob="0.5"),
             lambda spec: mean_estimate(5, spec),
+            lambda spec: batch_encoder(np.zeros((4, 3)), spec)(5),
+            lambda spec: batch_encoder(np.zeros((4, 3)), spec)(None),
+            lambda spec: batch_encoder(np.zeros((4, 3)), spec)(iter([])),
+            lambda spec: batch_encoder(np.zeros((4, 3)), spec)(iter([1, 2, 3])),
         ],
         ids=["string_rows", "float_samples", "string_samples", "float_trials",
-             "string_epsilon0", "string_mix_prob", "int_messages"],
+             "string_epsilon0", "string_mix_prob", "int_messages", "int_streams",
+             "none_streams", "empty_stream_iterator", "uneven_stream_iterator"],
     )
     def test_entry_points_reject_malformed_arguments(self, call):
         with pytest.raises(ValidationError):
