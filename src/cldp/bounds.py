@@ -20,6 +20,7 @@ an eps0-locally-private bit; it tends to 1 as eps0 grows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,10 @@ _UPPER_CONSTANTS = {
 class RiskQuery:
     """Arguments of a minimax-risk evaluation.
 
-    p — ball exponent in [1, inf]; d — dimension; n — number of clients;
-    a — ball radius; epsilon0 — local privacy parameter; mix_prob — the
-    l1-arm probability, required only for p outside {1, 2, inf}.
+    p — ball exponent in [1, inf]; d — dimension; n — number of clients
+    (both integers); a — finite ball radius; epsilon0 — finite local privacy
+    parameter; mix_prob — the l1-arm probability, required only for p
+    outside {1, 2, inf}.
     """
 
     p: float
@@ -56,15 +58,22 @@ class RiskQuery:
     mix_prob: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.p >= 1.0:
-            raise ValidationError(f"p must be in [1, inf], got {self.p!r}")
-        if self.d < 1 or self.n < 1:
-            raise ValidationError(f"need d >= 1 and n >= 1, got d={self.d}, n={self.n}")
-        if not 0.0 < self.a < math.inf:
+        def real(v) -> bool:
+            return isinstance(v, numbers.Real)
+
+        def count(v) -> bool:
+            return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+
+        if not (real(self.p) and self.p >= 1.0):
+            raise ValidationError(f"p must be a real in [1, inf], got {self.p!r}")
+        if not (count(self.d) and count(self.n)):
+            raise ValidationError(f"need integers d >= 1 and n >= 1, got d={self.d!r}, n={self.n!r}")
+        if not (real(self.a) and 0.0 < self.a < math.inf):
             raise ValidationError(f"radius must be positive and finite, got {self.a!r}")
-        if not self.epsilon0 > 0.0:
-            raise ValidationError(f"epsilon0 must be positive, got {self.epsilon0!r}")
-        if self.mix_prob is not None and not 0.0 <= self.mix_prob <= 1.0:
+        # eps0 = inf is the uncompressed baseline, whose risk these bounds do not give.
+        if not (real(self.epsilon0) and 0.0 < self.epsilon0 < math.inf):
+            raise ValidationError(f"epsilon0 must be positive and finite, got {self.epsilon0!r}")
+        if self.mix_prob is not None and not (real(self.mix_prob) and 0.0 <= self.mix_prob <= 1.0):
             raise ValidationError(f"mix_prob must be in [0, 1], got {self.mix_prob!r}")
 
 

@@ -110,7 +110,9 @@ def fwht_rows_at(mat: np.ndarray, j: np.ndarray) -> np.ndarray:
     rows, d = mat.shape
     levels = (d - 1).bit_length()
     if d < 1 << levels:
-        mat = np.concatenate([mat, np.zeros((rows, (1 << levels) - d))], axis=1)
+        padded = np.zeros((rows, 1 << levels))
+        padded[:, :d] = mat
+        mat = padded
     if rows == 1:
         v, k = mat[0], int(j[0])
         for level in range(levels):

@@ -18,6 +18,10 @@ Four mechanism families, each unbiased for its input and eps0-LDP on its ball:
   ball, otherwise the l2 mechanism on an inflated l2 ball; the message records
   which arm ran.
 
+The l2 stage (the l2 family, or the mix's l2 arm) squares norms up to its
+radius in float64, so ``MechanismSpec`` caps that radius at about 1.34e154,
+where its square overflows.
+
 Throughout, ``ratio`` is (e^{eps0}+1)/(e^{eps0}-1) and ``kappa`` its inverse;
 flip probabilities of the form 1/2 + (scaled coordinate)*kappa/2 give exactly
 an e^{eps0} likelihood ratio between any two in-ball inputs.
@@ -33,27 +37,30 @@ Each family is one record in ``_FAMILIES``: its message code; ``noise``,
 what one stream draws for n rows, which fixes the draw order
 (``_index_noise``, ``_l2_noise``, ``_mix_noise``); a pure ``draw`` from rows
 and noise to what the decode reads ((n, 1) atoms for l1 and linf, (n, d) net
-signed counts for l2, (arm mask, l1 atoms, l2 counts) for the mix); and a
-``scale`` from net signed counts to decoded sums. An index draw computes
-only the one plus-probability each row reads: l1 walks one path of the
-Hadamard butterfly (``linalg.fwht_rows_at``, O(d) per row and bit-identical
-to the O(d log d) rotation), linf reads the coordinate. One row
-(``encode_message``, and the mix's l1 arm of one message) is drawn in Python
-scalars: its index and uniform, its one plus-probability and its atom, with
-the same floating-point operations in the same order as an array of rows; an
-arm of the mix that no row ran draws nothing. With ``atoms=True`` a draw
-gives one message's atoms in draw order instead. Every family decodes from
-net signed counts (``_net_counts`` makes them from atoms, an l2
-batch draws them): the shuffler leaves only the
-multiset of messages and the counts depend on nothing else, so the decoded
-sum is exact and order-free; counting per row gives individual decodes. The
-reserved l2 zero message has no atoms and decodes to 0; the encoder never
-sends it, but wire frames carry it.
+signed counts for l2, (arm mask, l1 atoms, l2 counts) for the mix); ``one``,
+one message's atoms drawn from a stream; and a ``scale`` from net signed
+counts to decoded sums. An index draw computes only the one plus-probability
+each row reads: l1 walks one path of the Hadamard butterfly
+(``linalg.fwht_rows_at``, O(d) per row and bit-identical to the O(d log d)
+rotation), linf reads the coordinate. ``one`` (``encode_message``) reads
+the same bits as ``noise`` for one row and makes the same floating-point
+operations in the same order as ``draw``, but every per-row value is a
+Python scalar: an index row's index, uniform, plus-probability and atom; an
+l2 row's uniforms, norms, sign flips and sphere radius, around the (1, d)
+einsums, cumsum and ``searchsorted`` that fix its bits; a mix message's arm
+uniform, then its arm's ``one``. Every family decodes from net signed counts
+(``_net_counts`` makes them from atoms, an l2 batch draws them): the shuffler
+leaves only the multiset of messages and the counts depend on nothing else,
+so the decoded sum is exact and order-free; counting per row gives
+individual decodes. A batch of messages looks up its code once and checks
+all their atoms at once. The reserved l2 zero message has no atoms and
+decodes to 0; the encoder never sends it, but wire frames carry it.
 
 ``batch_encoder`` draws each stream's noise for its block of rows, then makes
 one ``draw`` and one decode over all rows. The other entry points,
-``encode_message``, ``decode_message``, ``mean_estimate``, ``sample_decoded``
-and ``mean_estimate_trials``, are its one-stream case; every input passes the
+``decode_message``, ``mean_estimate``, ``sample_decoded`` and
+``mean_estimate_trials``, are its one-stream case, and ``encode_message``
+its one-row case, drawn by ``one``; every input passes the
 one check in ``_require_rows`` and every seed the one in ``_require_rng``,
 and identical seedable streams reproduce identical messages. The
 ``*_atom_probabilities`` helpers give the closed-form output distributions
@@ -188,6 +195,11 @@ class MechanismSpec:
 
     mix_prob is the probability of the l1 arm and must be set if and only if
     the lp-mix family is intended (finite p, typically outside {1, 2}).
+
+    The l2 stage (the l2 family, or the mix's l2 arm at radius
+    a*max{d^{1/2-1/p}, 1}) squares norms up to its radius in float64, in the
+    input check and the sphere projection, so that radius, with the input
+    check's tolerance, must have a finite square: about 1.34e154 at most.
     """
 
     ball: BallSpec
@@ -203,6 +215,14 @@ class MechanismSpec:
                 raise ValidationError(f"mix probability must lie in [0,1], got {self.mix_prob!r}")
             if math.isinf(self.ball.p):
                 raise ValidationError("the mix family is defined for finite p only")
+            rp_arm_specs(self)  # the l2 arm's spec checks its radius
+        elif self.ball.p == 2.0:
+            top = self.ball.radius * (1.0 + EXACT_TOL)
+            if not math.isfinite(top * top):
+                raise ValidationError(
+                    f"l2 radius {self.ball.radius:.6g} is too large: its square overflows "
+                    "float64 (the l2 stage's radius is capped at about 1.34e154)"
+                )
 
 
 def mechanism_family(spec: MechanismSpec) -> str:
@@ -277,14 +297,19 @@ def _require_rows(x, ball: BallSpec, ndim: int) -> np.ndarray:
 def _largest_norm(rows: np.ndarray, p: float) -> float:
     """max_i (sum_j |x_ij|**p) ** (1/p) over the rows (max_ij |x_ij| at p = inf),
     bit for bit, NaN if an entry is. At p = 1, 2 and inf it makes fewer passes:
-    x*x is |x|**2, and max |x| is max(max x, -min x), so no abs copy is made."""
+    x*x is |x|**2, and max |x| is max(max x, -min x), so no abs copy is made.
+    Each extreme is read at its argmax or argmin, the first NaN if there is
+    one, which costs less than a max or min reduction at any size."""
     if math.isinf(p):
-        return abs(float(np.maximum(rows.max(), -rows.min())))  # abs: +0.0 for zeros
+        # NaN if an entry is; abs: +0.0 for zeros
+        return abs(max(rows.item(rows.argmax()), -rows.item(rows.argmin())))
     if p == 1.0:
-        return float(np.abs(rows).sum(axis=1).max())
-    if p == 2.0:
-        return float(((rows * rows).sum(axis=1) ** 0.5).max())
-    return float(((np.abs(rows) ** p).sum(axis=1) ** (1.0 / p)).max())
+        norms = np.abs(rows).sum(axis=1)
+    elif p == 2.0:
+        norms = (rows * rows).sum(axis=1) ** 0.5
+    else:
+        norms = (np.abs(rows) ** p).sum(axis=1) ** (1.0 / p)
+    return norms.item(norms.argmax())
 
 
 def _require_count(value, name: str) -> int:
@@ -317,38 +342,19 @@ def _check_family(spec: MechanismSpec, p_required: float, name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _r1_plus(rows: np.ndarray, spec: MechanismSpec, j=None):
-    """Pr[sign=+1 | index] of each row: at index j[i] of row i only (one
-    butterfly path, bit-identical to the rotation's entry), which is what a
-    draw reads; for an int j, the one row's entry as a Python float. With
-    j=None, at every index below the padded dimension (one rotation), which
-    the ``r1_atom_probabilities`` reference oracle reads."""
-    n, d = rows.shape
-    dp = padded_dim(d)
-    if j is None:
-        y = np.zeros((n, dp))
-        y[:, :d] = rows
-        fwht_rows_inplace(y)
-    elif isinstance(j, int):
-        y = float(fwht_rows_at(rows, (j,))[0])
-    else:
-        y = fwht_rows_at(rows, j)
+def _r1_plus(y, spec: MechanismSpec):
+    """Pr[sign=+1 | index j] from y, entry j of a row's unnormalized Hadamard
+    transform: a Python float for one entry, or an array of entries."""
+    dp = padded_dim(spec.ball.dim)
     y = y / math.sqrt(dp)
     # Each rotated coordinate satisfies |sqrt(dp)*y_j| <= a, so the flip
     # probabilities stay inside [ (1-kappa)/2, (1+kappa)/2 ].
     return 0.5 + (math.sqrt(dp) / (2.0 * spec.ball.radius)) * _kappa(spec.epsilon0) * y
 
 
-def _rinf_plus(rows: np.ndarray, spec: MechanismSpec, j=None):
-    """Pr[sign=+1 | index] of each row: at coordinate j[i] of row i only, which
-    is what a draw reads; for an int j, the one row's as a Python float. With
-    j=None, at every coordinate, which ``rinf_atom_probabilities`` reads."""
-    if j is None:
-        x = rows
-    elif isinstance(j, int):
-        x = float(rows[0, j])
-    else:
-        x = rows[np.arange(len(j)), j]
+def _rinf_plus(x, spec: MechanismSpec):
+    """Pr[sign=+1 | coordinate j] from x, a row's coordinate j: a Python float
+    for one coordinate, or an array of them."""
     return 0.5 + x * (_kappa(spec.epsilon0) / (2.0 * spec.ball.radius))
 
 
@@ -364,16 +370,32 @@ def _index_noise(gen: np.random.Generator, n: int, dim: int):
     return gen.integers(dim, size=n), gen.random(n)
 
 
-def _index_draw(plus: Callable, rows, spec: MechanismSpec, noise) -> np.ndarray:
-    """One atom for each row: the drawn index j, + if its uniform is below the
-    row's plus-probability at j, which ``plus`` computes for that one entry.
-    One row is drawn in Python scalars, with the same floating-point
-    operations in the same order."""
+def _r1_draw(rows: np.ndarray, spec: MechanismSpec, noise) -> np.ndarray:
+    """The rows' (n, 1) l1 atoms: the drawn index j, + if its uniform is below
+    the row's plus-probability at j, whose Hadamard entry alone is computed
+    (one butterfly path, bit-identical to the rotation's entry)."""
     j, u = noise
-    if len(j) == 1:
-        k = int(j[0])
-        return np.array([[_atom(k, float(u[0]) < plus(rows, spec, k))]])
-    return _atom(j, u < plus(rows, spec, j))[:, None]
+    return _atom(j, u < _r1_plus(fwht_rows_at(rows, j), spec))[:, None]
+
+
+def _rinf_draw(rows: np.ndarray, spec: MechanismSpec, noise) -> np.ndarray:
+    """The rows' (n, 1) linf atoms, each row read at its drawn coordinate only."""
+    j, u = noise
+    return _atom(j, u < _rinf_plus(rows[np.arange(len(rows)), j], spec))[:, None]
+
+
+def _r1_one(rows: np.ndarray, spec: MechanismSpec, gen: np.random.Generator) -> tuple[int]:
+    """One row's l1 atom, drawn as ``_index_noise`` and ``_r1_draw`` draw it,
+    in Python scalars: the same floating-point operations in the same order."""
+    k, u = int(gen.integers(padded_dim(spec.ball.dim))), gen.random()
+    return (_atom(k, u < _r1_plus(fwht_rows_at(rows, (k,)).item(0), spec)),)
+
+
+def _rinf_one(rows: np.ndarray, spec: MechanismSpec, gen: np.random.Generator) -> tuple[int]:
+    """One row's linf atom, drawn as ``_index_noise`` and ``_rinf_draw`` draw
+    it, in Python scalars."""
+    k, u = int(gen.integers(spec.ball.dim)), gen.random()
+    return (_atom(k, u < _rinf_plus(rows.item(k), spec)),)
 
 
 def _r1_scale(net: np.ndarray, spec: MechanismSpec) -> np.ndarray:
@@ -396,13 +418,16 @@ def _atom_probabilities(plus: np.ndarray) -> dict[tuple[int, int], float]:
 def r1_atom_probabilities(x, spec: MechanismSpec) -> dict[tuple[int, int], float]:
     """Closed-form output distribution over all 2*dp atoms (j, sign)."""
     _check_family(spec, 1.0, "the l1 mechanism")
-    return _atom_probabilities(_r1_plus(_require_rows(x, spec.ball, 1), spec)[0])
+    rows = _require_rows(x, spec.ball, 1)
+    y = np.zeros((1, padded_dim(spec.ball.dim)))  # every entry: one rotation
+    y[:, : spec.ball.dim] = rows
+    return _atom_probabilities(_r1_plus(fwht_rows_inplace(y)[0], spec))
 
 
 def rinf_atom_probabilities(x, spec: MechanismSpec) -> dict[tuple[int, int], float]:
     """Closed-form output distribution over all 2d atoms (j, sign)."""
     _check_family(spec, math.inf, "the linf mechanism")
-    return _atom_probabilities(_rinf_plus(_require_rows(x, spec.ball, 1), spec)[0])
+    return _atom_probabilities(_rinf_plus(_require_rows(x, spec.ball, 1)[0], spec))
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +531,20 @@ def _quan_cdf(rows: np.ndarray, radius: float, u_flip: np.ndarray):
 def _quan_atoms(rows: np.ndarray, radius: float, noise) -> np.ndarray:
     """The (1, d) atoms of d i.i.d. signed coordinate samples of one nonzero
     row of l2 norm <= radius, in draw order: d coordinates drawn i.i.d. from
-    |x~| (see ``_quan_cdf``) by one ``searchsorted``, with x~'s signs."""
+    |x~| by one ``searchsorted``, with x~'s signs. ``_quan_cdf`` on one row:
+    the same operations, with the sign flip (its uniform a float or a
+    one-element array) and the row's sums as scalars."""
     u_flip, u = noise
-    flip, cdf = _quan_cdf(rows, radius, u_flip)
-    coords = np.searchsorted(cdf[0], u[0], side="right")
-    return _atom(coords, rows[0, coords] * flip[0] > 0.0)[None]
+    x = rows[0]
+    cdf = np.abs(x)
+    l1 = cdf.sum()
+    flip = 1.0 if u_flip < 0.5 + l1 / (2.0 * radius * math.sqrt(len(x))) else -1.0
+    cdf /= l1
+    cdf /= cdf.sum()
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    coords = np.searchsorted(cdf, u[0], side="right")
+    return _atom(coords, x[coords] * flip > 0.0)[None]
 
 
 def _quan_counts(rows: np.ndarray, radius: float, noise, out: np.ndarray) -> np.ndarray:
@@ -532,12 +566,25 @@ def _quan_counts(rows: np.ndarray, radius: float, noise, out: np.ndarray) -> np.
 _L2_BLOCK = 1 << 15
 
 
-def _l2_draw(rows: np.ndarray, spec: MechanismSpec, noise, atoms: bool = False) -> np.ndarray:
-    """The (n, d) net signed counts of the rows' messages, drawn in blocks of
-    rows; with atoms=True (one row) its message's atoms in draw order instead."""
+def _l2_one(rows: np.ndarray, spec: MechanismSpec, gen: np.random.Generator) -> tuple[int, ...]:
+    """One row's l2 atoms in draw order, drawn as ``_l2_noise`` and
+    ``_l2_draw`` draw it: ``_priv_rows`` with its uniforms, norms, flip, side
+    and radius as Python floats (the (1, d) einsums fix the bits), then
+    ``_quan_atoms``."""
+    d, a, eps0 = spec.ball.dim, spec.ball.radius, spec.epsilon0
+    u_dir, u_side, y = gen.random(), gen.random(), gen.standard_normal((1, d))
+    nrm = math.sqrt(np.einsum("ij,ij->i", rows, rows).item())
+    flip = 1.0 if u_dir < 0.5 + nrm / (2.0 * a) else -1.0
+    same_side = u_side < math.exp(eps0) / (math.exp(eps0) + 1.0)
+    side = (np.einsum("ij,ij->i", y, rows).item() if nrm > 0.0 else y.item(0)) * flip > 0.0
+    radius = hemisphere_radius(d, a, eps0)
+    y *= (radius if side == same_side else -radius) / math.sqrt(np.einsum("ij,ij->i", y, y).item())
+    return tuple(_quan_atoms(y, radius, (gen.random(), gen.random((1, d))))[0].tolist())
+
+
+def _l2_draw(rows: np.ndarray, spec: MechanismSpec, noise) -> np.ndarray:
+    """The (n, d) net signed counts of the rows' messages, drawn in blocks of rows."""
     radius = hemisphere_radius(spec.ball.dim, spec.ball.radius, spec.epsilon0)
-    if atoms:
-        return _quan_atoms(_priv_rows(rows, spec, noise[:3]), radius, noise[3:])
     n, d = rows.shape
     counts = np.empty((n, d), dtype=np.intp)
     step = max(1, _L2_BLOCK // d)
@@ -584,17 +631,10 @@ def _mix_noise(gen: np.random.Generator, n: int, spec: MechanismSpec):
     return (arm, *_index_noise(gen, n_l1, padded_dim(d)), *_l2_noise(gen, n - n_l1, d))
 
 
-def _mix_draw(rows: np.ndarray, spec: MechanismSpec, noise, atoms: bool = False):
-    """Each arm draws its rows; an arm that no row ran, such as one of a
-    single row's, draws nothing."""
+def _mix_draw(rows: np.ndarray, spec: MechanismSpec, noise):
+    """Each arm draws its rows: (arm mask, l1 atoms, l2 net signed counts)."""
     (arm_l1, arm_l2), arm = rp_arm_specs(spec), noise[0]
-    l1_rows, l2_rows = rows[arm], rows[~arm]
-    l1_atoms, l2_draws = np.empty((0, 1), np.int64), np.empty((0, rows.shape[1]), np.int64)
-    if len(l1_rows):
-        l1_atoms = _index_draw(_r1_plus, l1_rows, arm_l1, noise[1:3])
-    if len(l2_rows):
-        l2_draws = _l2_draw(l2_rows, arm_l2, noise[3:], atoms)
-    return arm, l1_atoms, l2_draws
+    return arm, _r1_draw(rows[arm], arm_l1, noise[1:3]), _l2_draw(rows[~arm], arm_l2, noise[3:])
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +646,9 @@ class _Family(NamedTuple):
     kind: type  # the message type
     shape: Callable | None  # d -> (atom dimension, atoms per message); the mix uses its arms'
     noise: Callable  # (gen, n, spec) -> what one stream draws for n rows, in order
-    draw: Callable  # (rows, spec, noise, atoms=False) -> what the decode reads
-    # (an index draw is its atoms either way)
+    draw: Callable  # (rows, spec, noise) -> what the decode reads
+    one: Callable | None  # (row, spec, gen) -> one message's atoms, as noise then draw
+    # would make them, in Python scalars; the mix runs its arm's
     scale: Callable | None  # (net signed counts, spec) -> decoded sums; the mix uses its arms'
 
 
@@ -615,18 +656,19 @@ _FAMILIES = {
     "l1": _Family(
         IndexSign, lambda d: (padded_dim(d), 1),
         lambda gen, n, spec: _index_noise(gen, n, padded_dim(spec.ball.dim)),
-        lambda *args, atoms=False: _index_draw(_r1_plus, *args), _r1_scale,
+        _r1_draw, _r1_one, _r1_scale,
     ),
     "linf": _Family(
         IndexSign, lambda d: (d, 1),
         lambda gen, n, spec: _index_noise(gen, n, spec.ball.dim),
-        lambda *args, atoms=False: _index_draw(_rinf_plus, *args), _rinf_scale,
+        _rinf_draw, _rinf_one, _rinf_scale,
     ),
     "l2": _Family(
         SparseSigned, lambda d: (d, d),
-        lambda gen, n, spec: _l2_noise(gen, n, spec.ball.dim), _l2_draw, _r2_scale,
+        lambda gen, n, spec: _l2_noise(gen, n, spec.ball.dim),
+        _l2_draw, _l2_one, _r2_scale,
     ),
-    "mix": _Family(MixTagged, None, _mix_noise, _mix_draw, None),
+    "mix": _Family(MixTagged, None, _mix_noise, _mix_draw, None, None),
 }
 _ARMS = {"L1": "l1", "L2": "l2"}  # the family each mix arm runs
 
@@ -694,32 +736,53 @@ def _sums(family: str, draws, spec: MechanismSpec, per_row: bool = False) -> np.
     return fam.scale(net, spec)
 
 
-def _decoded_sum(family: str, msgs: list, spec: MechanismSpec) -> np.ndarray:
-    """The sum of decoded coded messages, from their atoms by one counts decode;
-    the l2 messages' atoms become one row of net counts, by one bincount."""
-    coded = [message_atoms(msg, spec, family) for msg in msgs]
+def _check_kind(msgs: list, kind: type, family: str) -> None:
+    """Raises ValidationError naming the first message that is not a ``kind``."""
+    for msg in msgs:
+        if not isinstance(msg, kind):
+            raise ValidationError(f"{type(msg).__name__} is not a message of the {family} family")
 
-    def batch(key):
-        rows = [atoms for k, atoms in coded if k == key and atoms]
-        _, dim, count = message_code(key, spec.ball.dim)
+
+def _code_draw(key: str, msgs: list, d: int) -> np.ndarray:
+    """What ``_sums`` reads for messages of one code, whose type and atom shape
+    are looked up once: their (n, atoms per message) atoms, or for l2 their
+    one row of net counts, by one bincount. The l2 zero message adds nothing."""
+    kind, dim, count = message_code(key, d)
+    _check_kind(msgs, kind, key)
+    rows = [msg.atoms for msg in msgs if msg.atoms]
+    try:
         atoms = np.array(rows, dtype=np.intp).reshape(len(rows), count)
-        return _net_counts(atoms, dim) if _ARMS.get(key, key) == "l2" else atoms
+        fits = not rows or atoms.max() < 2 * dim  # atoms are nonnegative by construction
+    except (ValueError, OverflowError):
+        fits = False
+    if not fits:
+        bad = next(a for a in rows if len(a) != count or max(a) >= 2 * dim)
+        raise ValidationError(f"expected {count} atoms below {2 * dim}, got {bad!r:.200}")
+    return _net_counts(atoms, dim) if kind is SparseSigned else atoms
 
+
+def _decoded_sum(family: str, msgs: list, spec: MechanismSpec) -> np.ndarray:
+    """The sum of decoded coded messages, by one counts decode per code: the
+    family's, or each mix arm's."""
+    d = spec.ball.dim
     if family != "mix":
-        return _sums(family, batch(family), spec)[0]
-    return _sums(family, (None, batch("L1"), batch("L2")), spec)[0]
+        return _sums(family, _code_draw(family, msgs, d), spec)[0]
+    _check_kind(msgs, MixTagged, family)
+    arms = {"L1": [], "L2": []}
+    for msg in msgs:
+        arms[msg.arm].append(msg.inner)
+    draws = (None, _code_draw("L1", arms["L1"], d), _code_draw("L2", arms["L2"], d))
+    return _sums(family, draws, spec)[0]
 
 
 def encode_message(x, spec: MechanismSpec, rng) -> MechanismMessage:
     """Encode with the family the spec addresses (see mechanism_family)."""
-    family = key = mechanism_family(spec)
-    fam = _FAMILIES[family]
+    key = mechanism_family(spec)
     rows, gen = _require_rows(x, spec.ball, 1), _require_rng(rng)
-    atoms = fam.draw(rows, spec, fam.noise(gen, 1, spec), atoms=True)
-    if family == "mix":  # the one row ran one arm
-        arm, l1_atoms, l2_atoms = atoms
-        key, atoms = ("L1", l1_atoms) if arm[0] else ("L2", l2_atoms)
-    return _message(key, tuple(atoms[0].tolist()))
+    if key == "mix":  # the arm's uniform, as ``_mix_noise`` draws it, then the arm's draw
+        arm_l1, arm_l2 = rp_arm_specs(spec)
+        key, spec = ("L1", arm_l1) if gen.random() < spec.mix_prob else ("L2", arm_l2)
+    return _message(key, _FAMILIES[_ARMS.get(key, key)].one(rows, spec, gen))
 
 
 def decode_message(msg: MechanismMessage, spec: MechanismSpec) -> np.ndarray:

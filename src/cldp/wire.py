@@ -177,13 +177,22 @@ def _code_bits(key: str, d: int, n: int = 1) -> int:
     return n * multiset_bits(atoms, 2 * dim)
 
 
+@functools.lru_cache(maxsize=1024)
+def _frame_code(key: str, d: int) -> tuple[int, int, int]:
+    """(atom alphabet 2 * atom dimension, atoms per message, payload bits) of
+    one message of a family or mix arm at dimension d: what a frame reads of
+    its code, in one lookup."""
+    _, dim, count = mech.message_code(key, d)
+    return 2 * dim, count, _code_bits(key, d)
+
+
 def _priced(msg: mech.MechanismMessage, spec: mech.MechanismSpec):
     """(code key, atoms, payload bits) of msg under spec; the key is None for a raw vector."""
     if isinstance(msg, mech.RawVector):
         return None, (), RAW_VALUE_BITS * spec.ball.dim
     key, atoms = mech.message_atoms(msg, spec)
     if atoms:
-        return key, atoms, _code_bits(key, spec.ball.dim)
+        return key, atoms, _frame_code(key, spec.ball.dim)[2]
     if key != "l2":
         raise ValidationError("only the l2 family emits the zero message")
     return key, atoms, 0
@@ -214,7 +223,7 @@ def frame_message(msg: mech.MechanismMessage, spec: mech.MechanismSpec) -> bytes
     if len(atoms) == 1:  # a one-atom code's rank is its atom, which message_atoms has checked
         rank = atoms[0]
     else:
-        rank = histogram_pack(atoms, 2 * mech.message_code(key, d)[1]).rank
+        rank = histogram_pack(atoms, _frame_code(key, d)[0]).rank
     payload = (rank << (-nbits % 8)).to_bytes((nbits + 7) // 8, "big")
     return struct.pack(">BH", _CODES[key], nbits) + payload
 
@@ -254,13 +263,13 @@ def unframe_message(data: bytes, spec: mech.MechanismSpec, offset: int = 0):
         if nbits:
             raise ValidationError("the zero message carries no payload")
         return mech.SparseSigned(pairs=((0, 1),) * d, is_zero=True), 3
-    if nbits != _code_bits(key, d):
-        raise ValidationError(f"expected {_code_bits(key, d)} payload bits, got {nbits}")
+    B, count, bits = _frame_code(key, d)
+    if nbits != bits:
+        raise ValidationError(f"expected {bits} payload bits, got {nbits}")
     payload, pad = int.from_bytes(body, "big"), -nbits % 8
     if payload & ((1 << pad) - 1):
         raise ValidationError("nonzero padding bits in frame payload")
-    _, dim, count = mech.message_code(key, d)
-    rank, B = payload >> pad, 2 * dim
+    rank = payload >> pad
     if count == 1 and rank < B:
         atoms = (rank,)
     else:

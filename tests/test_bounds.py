@@ -132,6 +132,16 @@ class TestRiskQueryValidation:
             dict(p=2.0, d=4, n=10, a=math.inf, epsilon0=1.0),
             dict(p=2.0, d=4, n=10, a=1.0, epsilon0=0.0),
             dict(p=2.0, d=4, n=10, a=1.0, epsilon0=1.0, mix_prob=1.5),
+            dict(p=2.0, d=4, n=10, a=1.0, epsilon0=math.inf),
+            dict(p=2.0, d=4, n=10, a=1.0, epsilon0=math.nan),
+            dict(p="2", d=4, n=10, a=1.0, epsilon0=1.0),
+            dict(p=2.0, d="4", n=10, a=1.0, epsilon0=1.0),
+            dict(p=2.0, d=4.0, n=10, a=1.0, epsilon0=1.0),
+            dict(p=2.0, d=4, n="10", a=1.0, epsilon0=1.0),
+            dict(p=2.0, d=4, n=True, a=1.0, epsilon0=1.0),
+            dict(p=2.0, d=4, n=10, a="1", epsilon0=1.0),
+            dict(p=2.0, d=4, n=10, a=1.0, epsilon0="1"),
+            dict(p=2.0, d=4, n=10, a=1.0, epsilon0=1.0, mix_prob="0.5"),
         ],
     )
     def test_rejects(self, kwargs):

@@ -223,6 +223,21 @@ class TestMeanEstCommand:
         capsys.readouterr()
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["mean-est", "--p", "2", "--a", "1e200"], "square overflows"),
+         (["mean-est", "--p", "1.5", "--mix-prob", "0.5", "--a", "1e200"], "square overflows"),
+         (["bounds", "--eps0", "inf"], "epsilon0 must be positive and finite")],
+        ids=["l2_radius", "mix_l2_arm_radius", "bounds_eps0_inf"],
+    )
+    def test_spec_out_of_range_exits_2_and_leaves_no_artifact(self, argv, message, tmp_path, capsys):
+        # An l2 stage whose radius squares to inf in float64, and a bounds
+        # query at eps0 = inf (the uncompressed baseline, which these risk
+        # columns do not describe), are refused before any output.
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_symlink_is_written_through(self, tmp_path, capsys):
         real, link = tmp_path / "real.csv", tmp_path / "link.csv"
         real.write_text("old\n")

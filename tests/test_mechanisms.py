@@ -36,6 +36,7 @@ from cldp.mechanisms import (
     _require_rows,
     _message,
     _search_counts,
+    _sums,
     mean_estimate_trials,
     mechanism_family,
     message_code,
@@ -103,6 +104,13 @@ def quan_decodes(x, radius, gen, n):
     rows = np.broadcast_to(np.asarray(x, dtype=np.float64), (n, d))
     counts = _quan_counts(rows, radius, _l2_noise(gen, n, d)[3:], np.empty((n, d), np.intp))
     return counts * (radius * math.sqrt(d) / d)
+
+
+def l2_message_atoms(row, spec, noise):
+    """One l2 row's message atoms, in draw order, from its slice of a batch's
+    noise: the sphere projection, then the quantizer."""
+    radius = hemisphere_radius(spec.ball.dim, spec.ball.radius, spec.epsilon0)
+    return _quan_atoms(_priv_rows(row, spec, noise[:3]), radius, noise[3:])
 
 
 def reference_decode(msg, spec):
@@ -373,18 +381,18 @@ class TestQuan:
         rows[gen.random(rows.shape) < 0.3] = 0.0
         rows[0] = -0.0
         noise = _l2_noise(gen, len(rows), d)
-        want = signed_counts(lambda row, part: _l2_draw(row, spec, part, atoms=True), rows, noise)
+        want = signed_counts(lambda row, part: l2_message_atoms(row, spec, part), rows, noise)
         np.testing.assert_array_equal(_l2_draw(rows, spec, noise), want)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 20, 128, 1000])
     def test_mix_batches_decode_their_messages(self, d):
         # sample_decoded's rows and batch_encoder's mean, the mix's l2 arm
         # drawn as counts, equal the decodes of the messages that the same
-        # noise makes, each row's message drawn as encode_message draws it,
-        # from its own slice of the noise, and each l2 message decoded from
-        # its atoms.
+        # noise makes, each row's message drawn from its own slice of the
+        # noise (an l2 message as ``l2_message_atoms`` lists it), and each
+        # l2 message decoded from its atoms.
         spec = MechanismSpec(BallSpec(1.5, 1.0, d), 0.8, mix_prob=0.5)
-        fam = _FAMILIES["mix"]
+        arm_l1, arm_l2 = rp_arm_specs(spec)
         gen = np.random.default_rng(d)
         x = random_in_ball(gen, d, 1.5, 1.0)
         x[gen.random(d) < 0.3] = -0.0
@@ -394,11 +402,13 @@ class TestQuan:
         def messages(rows, noise):
             arm, msgs = noise[0], []
             for r, a in enumerate(arm.tolist()):
-                i, k = int(np.count_nonzero(arm[:r] == a)), int(a)
-                one = [arm[r:r + 1], *(part[i:i + k] for part in noise[1:3]),
-                       *(part[i:i + 1 - k] for part in noise[3:])]
-                _, l1_atoms, l2_atoms = fam.draw(rows[r:r + 1], spec, one, atoms=True)
-                key, atoms = ("L1", l1_atoms) if a else ("L2", l2_atoms)
+                i = int(np.count_nonzero(arm[:r] == a))
+                if a:
+                    one = [part[i:i + 1] for part in noise[1:3]]
+                    key, atoms = "L1", _FAMILIES["l1"].draw(rows[r:r + 1], arm_l1, one)
+                else:
+                    one = [part[i:i + 1] for part in noise[3:]]
+                    key, atoms = "L2", l2_message_atoms(rows[r:r + 1], arm_l2, one)
                 msgs.append(_message(key, tuple(atoms[0].tolist())))
             return msgs
 
@@ -672,6 +682,53 @@ class TestAtomsAndDrawOrder:
             np.testing.assert_array_equal(u, want_u)
             assert gen.random() == ref.random(), seed
 
+    @pytest.mark.parametrize("family", sorted(FAMILY_SPECS))
+    @pytest.mark.parametrize("d", [1, 3, 1000, 1024])
+    def test_one_message_is_the_batch_draw(self, family, d):
+        # encode_message draws one row in Python scalars. Each row's message
+        # must be what the array draw makes of the same noise: every row's
+        # noise drawn from its own stream and concatenated, as batch_encoder
+        # does, then one draw over all rows. Zero, boundary (a signed basis
+        # vector and a dense row at the radius) and random rows; l1 pads
+        # d = 3 and 1000 and not 1 and 1024. At eps0 = 4 the plus-probabilities
+        # spread over [0.02, 0.98], so a wrong entry flips signs.
+        base = FAMILY_SPECS[family]
+        spec = MechanismSpec(BallSpec(base.ball.p, base.ball.radius, d), 4.0, base.mix_prob)
+        p, a, fam = spec.ball.p, spec.ball.radius, _FAMILIES[family]
+        gen = np.random.default_rng(d)
+        e, g = np.zeros(d), gen.standard_normal(d)
+        e[d // 2] = a
+        rows = [np.zeros(d), e, -e, g * (a / np.linalg.norm(g, ord=p))]
+        rows += [random_in_ball(gen, d, p, a) for _ in range(16)]
+        streams = [np.random.default_rng([d, i]) for i in range(len(rows))]
+        msgs = [encode_message(x, spec, stream) for x, stream in zip(rows, streams)]
+        refs = [np.random.default_rng([d, i]) for i in range(len(rows))]
+        noise = tuple(map(np.concatenate, zip(*(fam.noise(ref, 1, spec) for ref in refs))))
+        draws = fam.draw(np.array(rows), spec, noise)
+        assert [s.random() for s in streams] == [r.random() for r in refs]  # same bits read
+        want = _sums(family, draws, spec, per_row=True)
+        np.testing.assert_array_equal(np.array([decode_message(m, spec) for m in msgs]), want)
+        if family == "mix":
+            assert [m.arm == "L1" for m in msgs] == draws[0].tolist()
+            assert 0 < np.count_nonzero(draws[0]) < len(rows)
+            assert [m.inner.atoms for m in msgs if m.arm == "L1"] == list(map(tuple, draws[1].tolist()))
+        elif family != "l2":
+            assert [m.atoms for m in msgs] == list(map(tuple, draws.tolist()))
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_SPECS))
+    def test_encode_message_rejects_malformed_rows(self, family):
+        # The one-message path keeps the input check of every entry point:
+        # NaN and infinite rows, 2-D and wrong-length input, out-of-ball rows.
+        spec = FAMILY_SPECS[family]
+        d, a = spec.ball.dim, spec.ball.radius
+        inf_row = np.zeros(d)
+        inf_row[1] = -np.inf
+        for bad in (np.full(d, np.nan), inf_row, np.zeros((1, d)), np.zeros((2, d)), np.zeros(d + 1)):
+            with pytest.raises(ValidationError):
+                encode_message(bad, spec, 0)
+        with pytest.raises(OutOfBallError):
+            encode_message(np.full(d, 2.0 * a), spec, 0)
+
     def test_messages_round_trip_through_their_atoms(self):
         msgs = {
             "l1": IndexSign(j=3, sign=-1),
@@ -930,6 +987,30 @@ class TestSpecValidation:
             else:
                 with pytest.raises(OutOfBallError, match=f"norm {want:.6g} exceeds"):
                     _require_rows(block, ball, 2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_l2_stage_radius_has_a_finite_square(self):
+        # The l2 stage squares norms up to its radius times 1 + EXACT_TOL:
+        # past about 1.34e154 that square overflows, so the spec is refused,
+        # for the l2 family and for the mix's l2 arm at a*max(d^(1/2-1/p), 1).
+        # Just below the cap an l2 point encodes; the index families never
+        # square a norm and are unaffected.
+        refused = [
+            (BallSpec(2.0, 1e200, 2), None),
+            (BallSpec(2.0, 1.35e154, 2), None),
+            (BallSpec(1.5, 1e200, 4), 0.5),
+            (BallSpec(4.0, 1e154, 1000), 0.5),  # l2 arm radius 1e154 * 1000**0.25
+        ]
+        for ball, mix_prob in refused:
+            with pytest.raises(ValidationError, match="square overflows"):
+                MechanismSpec(ball, 1.0, mix_prob=mix_prob)
+        spec = l2_spec(2, a=1.3e154)
+        msg = encode_message(np.array([0.6, 0.8]) * 1.3e154, spec, 0)
+        assert np.isfinite(decode_message(msg, spec)).all()
+        for spec in (l1_spec(2, a=1e200), linf_spec(2, a=1e200)):
+            msg = encode_message([3e199, 4e199], spec, 0)
+            assert np.isfinite(decode_message(msg, spec)).all()
+            assert np.isfinite(mean_estimate_trials(np.array([[3e199, 4e199]]), spec, 0, 2)).all()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):

@@ -549,3 +549,21 @@ def test_round_frames_are_frozen():
         assert used == len(frame) and wire.frame_message(again, spec) == frame
     assert arms == {None, "L1", "L2"}
     assert digest.hexdigest() == "ffb5ed0f159430bff7374dfd130b2f28eebd2384942d962edbbeb7a3e83ea63c"
+
+
+def test_round_decodes_are_frozen():
+    # The same fixed-seed round as above, decoded after unframing: each
+    # group's mean_estimate, then every message's decode_message, hashed as
+    # float64 bytes.
+    gen = np.random.default_rng(5)
+    digest = hashlib.sha256()
+    for p, d, n, mix_prob in PIN_GROUPS:
+        spec = mech.MechanismSpec(BallSpec(p, 1.0, d), epsilon0=1.0, mix_prob=mix_prob)
+        g = gen.standard_normal((n, d))
+        rows = g * (gen.random(n) / np.linalg.norm(g, ord=p, axis=1))[:, None]
+        frames = [wire.frame_message(mech.encode_message(x, spec, gen), spec) for x in rows]
+        received = [wire.unframe_message(frame, spec)[0] for frame in frames]
+        digest.update(mech.mean_estimate(received, spec).astype("<f8").tobytes())
+        for msg in received:
+            digest.update(mech.decode_message(msg, spec).astype("<f8").tobytes())
+    assert digest.hexdigest() == "64e3dce9f02fb93b5a69356aa7d036272fda6df0548397ba88a3b6b4c26b58d0"
