@@ -45,9 +45,9 @@ class RiskQuery:
     """Arguments of a minimax-risk evaluation.
 
     p — ball exponent in [1, inf]; d — dimension; n — number of clients
-    (both integers); a — finite ball radius; epsilon0 — finite local privacy
-    parameter; mix_prob — the l1-arm probability, required only for p
-    outside {1, 2, inf}.
+    (both integers); a — ball radius with a finite square in float64;
+    epsilon0 — finite local privacy parameter; mix_prob — the l1-arm
+    probability, required only for p outside {1, 2, inf}.
     """
 
     p: float
@@ -70,6 +70,11 @@ class RiskQuery:
             raise ValidationError(f"need integers d >= 1 and n >= 1, got d={self.d!r}, n={self.n!r}")
         if not (real(self.a) and 0.0 < self.a < math.inf):
             raise ValidationError(f"radius must be positive and finite, got {self.a!r}")
+        if not math.isfinite(self.a * self.a):
+            raise ValidationError(
+                f"radius {self.a:.6g} is too large: its square overflows float64, "
+                "and the risks are in squared units"
+            )
         # eps0 = inf is the uncompressed baseline, whose risk these bounds do not give.
         if not (real(self.epsilon0) and 0.0 < self.epsilon0 < math.inf):
             raise ValidationError(f"epsilon0 must be positive and finite, got {self.epsilon0!r}")
@@ -86,6 +91,7 @@ def risk_upper(q: RiskQuery, worst_case: bool = True) -> float:
     When mix_prob is given (mandatory for other finite p), the bound is the
     two-arm combination pbar*d^{2-2/p}*r1 + (1-pbar)*max{d^{1-2/p},1}*r2,
     where r1 and r2 are the direct p=1 and p=2 bounds at the same radius.
+    ValidationError if the bound overflows float64.
     """
     ratio_sq = privacy_ratio(q.epsilon0) ** 2
     base = q.a * q.a * q.d / q.n * ratio_sq
@@ -96,16 +102,18 @@ def risk_upper(q: RiskQuery, worst_case: bool = True) -> float:
         pbar = q.mix_prob
         r1 = _UPPER_CONSTANTS[1.0][idx] * base
         r2 = _UPPER_CONSTANTS[2.0][idx] * base
-        return pbar * q.d ** (2.0 - 2.0 / q.p) * r1 + (1.0 - pbar) * max(
+        risk = pbar * q.d ** (2.0 - 2.0 / q.p) * r1 + (1.0 - pbar) * max(
             q.d ** (1.0 - 2.0 / q.p), 1.0
         ) * r2
-    if q.p == 1.0 or q.p == 2.0:
-        return _UPPER_CONSTANTS[q.p][idx] * base
-    if math.isinf(q.p):
-        return _UPPER_CONSTANTS[math.inf][idx] * base * q.d
-    raise ValidationError(
-        f"p={q.p} has no direct bound; supply mix_prob for the two-arm mechanism"
-    )
+    elif q.p == 1.0 or q.p == 2.0:
+        risk = _UPPER_CONSTANTS[q.p][idx] * base
+    elif math.isinf(q.p):
+        risk = _UPPER_CONSTANTS[math.inf][idx] * base * q.d
+    else:
+        raise ValidationError(
+            f"p={q.p} has no direct bound; supply mix_prob for the two-arm mechanism"
+        )
+    return _finite_risk(risk, q)
 
 
 def risk_lower(q: RiskQuery) -> float:
@@ -114,12 +122,19 @@ def risk_lower(q: RiskQuery) -> float:
     For p <= 2: a^2 * min{1, d/(n*eps0^2)}. For p > 2:
     a^2 * d^{1-2/p} * min{1, d/(n*min{eps0, eps0^2})}. The hidden absolute
     constant is unknown; treat the value as a rate, not a guarantee.
+    ValidationError if the bound overflows float64.
     """
     a_sq = q.a * q.a
     if q.p <= 2.0:
-        return a_sq * min(1.0, q.d / (q.n * q.epsilon0**2))
+        return _finite_risk(a_sq * min(1.0, q.d / (q.n * q.epsilon0**2)), q)
     eps_term = min(q.epsilon0, q.epsilon0**2)
-    return a_sq * q.d ** (1.0 - 2.0 / q.p) * min(1.0, q.d / (q.n * eps_term))
+    return _finite_risk(a_sq * q.d ** (1.0 - 2.0 / q.p) * min(1.0, q.d / (q.n * eps_term)), q)
+
+
+def _finite_risk(risk: float, q: RiskQuery) -> float:
+    if not math.isfinite(risk):
+        raise ValidationError(f"the risk bound overflows float64 for {q}")
+    return risk
 
 
 def comm_adversary(decoder_table, p: float, a: float) -> np.ndarray:

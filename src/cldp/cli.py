@@ -310,12 +310,13 @@ def _run_mean_est(cfg: ExperimentConfig) -> int:
             gen = np.random.default_rng(np.random.SeedSequence((prm["seed"], _SWEEP_SALT, idx)))
             ball = BallSpec(p=p, radius=prm["a"], dim=d)
             spec = mech.MechanismSpec(ball=ball, epsilon0=eps0, mix_prob=prm["mix_prob"])
-            dataset = _random_in_ball(gen, n, d, p, prm["a"])
-            estimates = mech.mean_estimate_trials(dataset, spec, gen, prm["trials"])
-            mse = float(np.mean(np.sum((estimates - dataset.mean(axis=0)) ** 2, axis=1)))
+            # Before any draw: a radius whose square overflows fails here.
             query = bnd.RiskQuery(
                 p=p, d=d, n=n, a=prm["a"], epsilon0=eps0, mix_prob=prm["mix_prob"]
             )
+            dataset = _random_in_ball(gen, n, d, p, prm["a"])
+            estimates = mech.mean_estimate_trials(dataset, spec, gen, prm["trials"])
+            mse = float(np.mean(np.sum((estimates - dataset.mean(axis=0)) ** 2, axis=1)))
             writer.writerow(
                 [
                     _fmt(p), d, n, _fmt(eps0), _fmt(prm["a"]), prm["trials"],

@@ -29,15 +29,16 @@ stream per round) re-rolls every run, including the frozen runs of the
 convergence criterion. Each round builds its k seeds as one uint32 matrix
 whose rows hold the words numpy derives from those tuples (each int as its
 little-endian 32-bit words, 0 as one word); the seed is split once per run.
-A stream then costs one ``SeedSequence`` of a word row plus its generator,
-and equals the tuple-built one. A client's stream draws its s points, then
-the noise of its s rows in the mechanism's documented order, so for s = 1 a
-message draws exactly what a single encode draws. One point and one
-index-family row use scalar draws (``integers(r)`` for ``choice(r, 1,
-replace=False)``; ``integers(dim)`` and ``random()`` for the size-1 calls):
-they read the same bits at a fraction of the cost. The word rows and the
-scalar draws were checked against the old forms on numpy 2.4.6, and tests
-pin both.
+The round's k seed states come from one vectorised pass of SeedSequence's
+hash over that matrix, so a stream costs only its generator, and equals the
+tuple-built one; the tests check the hash against numpy's ``SeedSequence``
+bit for bit. A client's stream draws its s points, then the noise of its s
+rows in the mechanism's documented order, so for s = 1 a message draws
+exactly what a single encode draws. One point and one index-family row use
+scalar draws (``integers(r)`` for ``choice(r, 1, replace=False)``;
+``integers(dim)`` and ``random()`` for the size-1 calls): they read the
+same bits at a fraction of the cost. The word rows and the scalar draws
+were checked against the old forms on numpy 2.4.6, and tests pin both.
 
 epsilon0 = inf is the non-private baseline: clipped gradients are sent
 uncompressed and in the clear, and the reported budget carries no guarantee.
@@ -52,6 +53,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from ..accountant import (
     ExplicitShuffling,
@@ -71,6 +73,14 @@ from .tasks import get_task
 CLIENT_SALT = 0x434C4E54  # per-(client, round) streams
 SERVER_SALT = 0x53525652  # client sampling and the shuffler
 _WORD = 0xFFFFFFFF
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_U32, _U64 = np.uint32, np.dtype(np.uint64)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = _U32(0xCA01F9DD), _U32(0x4973F715)
+_XSHIFT = _U32(16)
+_POOL_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -186,17 +196,89 @@ def _seed_words(n: int) -> list[int]:
     return words
 
 
+def _hash_constants(init: int, mult: int):
+    """The (xor, multiply) constants of successive calls to SeedSequence's
+    hashmix: the running constant is xored in, then multiplied by ``mult``
+    and the value by the product. They depend only on the call index."""
+    const = init
+    while True:
+        nxt = const * mult & _WORD
+        yield _U32(const), _U32(nxt)
+        const = nxt
+
+
+def _seed_states(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of a
+    (k, L) uint32 matrix, as one (k, 4) uint64 array.
+
+    numpy's pool hash (``mix_entropy``, then ``generate_state``) run column
+    by column over all rows at once; numpy keeps it stable under its RNG
+    compatibility policy (NEP 19), and the tests check it against
+    ``SeedSequence``. Every operand is uint32, so numpy 1.x value-based
+    casting and numpy 2's NEP 50 wrap alike.
+    """
+    consts = _hash_constants(_INIT_A, _MULT_A)
+
+    def hashmix(value):
+        xor, mul = next(consts)
+        value = (value ^ xor) * mul
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        value = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return value ^ (value >> _XSHIFT)
+
+    k, n = words.shape
+    cols = np.ascontiguousarray(words.T)
+    zero = np.zeros(k, dtype=np.uint32)
+    pool = [hashmix(cols[i] if i < n else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, n):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(cols[src]))
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    state = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _HashedSeed(ISeedSequence):
+    """A seed whose state is already hashed: PCG64 asks it for
+    ``generate_state(4, np.uint64)``, and any other request fails rather
+    than seed a generator differently."""
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != _U64:
+            raise ValidationError(
+                "a pre-hashed seed holds generate_state(4, uint64) only, "
+                f"got ({n_words!r}, {dtype!r})"
+            )
+        return self._state
+
+
 def _client_streams(head: list[int], chosen: np.ndarray, t: int) -> list[np.random.Generator]:
-    """Round t's client streams, one per entry of ``chosen``, each seeded with
-    ``SeedSequence((seed, CLIENT_SALT, client, t))``. ``head`` is the words of
-    seed and salt. A client index is one word: it is below m, and a run
-    holds all m client datasets, so m is far below 2**32."""
+    """Round t's client streams, one per entry of ``chosen``, each the
+    generator ``SeedSequence((seed, CLIENT_SALT, client, t))`` seeds.
+    ``head`` is the words of seed and salt. A client index is one word: it
+    is below m, and a run holds all m client datasets, so m is far below
+    2**32."""
     tail = _seed_words(t)
     words = np.empty((len(chosen), len(head) + 1 + len(tail)), dtype=np.uint32)
     words[:, : len(head)] = head
     words[:, len(head)] = chosen
     words[:, len(head) + 1 :] = tail
-    return [np.random.default_rng(np.random.SeedSequence(row)) for row in words]
+    return _word_streams(words)
+
+
+def _word_streams(words: np.ndarray) -> list[np.random.Generator]:
+    """``default_rng(SeedSequence(row))`` for every row of a (k, L) uint32
+    matrix, from one hash pass."""
+    return [np.random.Generator(np.random.PCG64(_HashedSeed(row))) for row in _seed_states(words)]
 
 
 def _no_guarantee_budget(cfg: TrainConfig, reason: str) -> PrivacyBudget:

@@ -130,6 +130,8 @@ class TestRiskQueryValidation:
             dict(p=2.0, d=4, n=0, a=1.0, epsilon0=1.0),
             dict(p=2.0, d=4, n=10, a=0.0, epsilon0=1.0),
             dict(p=2.0, d=4, n=10, a=math.inf, epsilon0=1.0),
+            dict(p=1.0, d=4, n=10, a=1e200, epsilon0=1.0),
+            dict(p=math.inf, d=4, n=10, a=1e155, epsilon0=1.0),
             dict(p=2.0, d=4, n=10, a=1.0, epsilon0=0.0),
             dict(p=2.0, d=4, n=10, a=1.0, epsilon0=1.0, mix_prob=1.5),
             dict(p=2.0, d=4, n=10, a=1.0, epsilon0=math.inf),
@@ -147,6 +149,15 @@ class TestRiskQueryValidation:
     def test_rejects(self, kwargs):
         with pytest.raises(ValidationError):
             RiskQuery(**kwargs)
+
+    def test_overflowing_bound_raises(self):
+        # The radius squares to a finite value, but the bound past it does
+        # not: no call returns inf.
+        q = RiskQuery(p=math.inf, d=10**10, n=1, a=1e150, epsilon0=0.1)
+        for call in (lambda: risk_upper(q), lambda: risk_upper(q, False), lambda: risk_lower(q)):
+            with pytest.raises(ValidationError, match="overflows"):
+                call()
+        assert math.isfinite(risk_lower(RiskQuery(p=1.0, d=10**10, n=1, a=1e150, epsilon0=0.1)))
 
 
 class TestCommAdversary:

@@ -238,6 +238,23 @@ class TestMeanEstCommand:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["bounds", "--p", "1", "inf", "--d", "8", "--n", "100", "--eps0", "1", "--a", "1e200"],
+         ["mean-est", "--p", "1", "inf", "--a", "1e200", "--trials", "3"]],
+        ids=["bounds", "mean-est"],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_risk_radius_square_overflow_exits_2_and_leaves_no_artifact(
+        self, argv, tmp_path, capsys
+    ):
+        # The l1 and linf mechanisms take such a radius, but the risk columns
+        # are in squared units and would read inf; the cell is refused before
+        # any draw or output.
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        assert "its square overflows float64" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_symlink_is_written_through(self, tmp_path, capsys):
         real, link = tmp_path / "real.csv", tmp_path / "link.csv"
         real.write_text("old\n")

@@ -31,7 +31,14 @@ from cldp.fedsim import (
     validate_clients,
 )
 from cldp.fedsim.tasks import TASKS
-from cldp.fedsim.training import CLIENT_SALT, _client_streams, _seed_words
+from cldp.fedsim.training import (
+    CLIENT_SALT,
+    _client_streams,
+    _HashedSeed,
+    _seed_states,
+    _seed_words,
+    _word_streams,
+)
 from cldp.linalg import BallSpec
 from cldp.mechanisms import (
     IndexSign,
@@ -151,13 +158,52 @@ class TestSampling:
         chosen = np.array([0, 1, m - 1])
         for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 5):
             head = _seed_words(seed) + [CLIENT_SALT]
-            for t in (1, 2**16):
+            for t in (1, 2**16, 2**32 + 3):
                 for ci, gen in zip(chosen, _client_streams(head, chosen, t)):
                     ref = np.random.default_rng(
                         np.random.SeedSequence((seed, CLIENT_SALT, int(ci), t))
                     )
                     assert gen.bit_generator.state == ref.bit_generator.state, (seed, ci, t)
                     assert np.array_equal(gen.random(4), ref.random(4)), (seed, ci, t)
+
+    @pytest.mark.parametrize("length", range(1, 10))
+    def test_seed_hash_equals_numpy_seed_sequence(self, length):
+        # The vectorised hash against numpy's own SeedSequence, on random word
+        # rows and an all-zero one; rows over 4 words run the pool's extra
+        # mixing loop.
+        words = np.random.default_rng(length).integers(0, 2**32, (40, length), dtype=np.uint32)
+        words[0] = 0
+        states = _seed_states(words)
+        assert states.shape == (40, 4) and states.dtype == np.uint64
+        for row, state, gen in zip(words, states, _word_streams(words)):
+            ref = np.random.SeedSequence(row)
+            assert np.array_equal(state, ref.generate_state(4, np.uint64)), row
+            ref_gen = np.random.default_rng(ref)
+            assert gen.bit_generator.state == ref_gen.bit_generator.state, row
+            assert np.array_equal(gen.random(4), ref_gen.random(4)), row
+            assert gen.integers(1000) == ref_gen.integers(1000), row
+
+    @pytest.mark.parametrize(
+        "request_", [(4, np.uint32), (8, np.uint64), (2, np.uint64), (4, np.float64)]
+    )
+    def test_hashed_seed_serves_only_pcg64s_request(self, request_):
+        # A numpy whose PCG64 asks for any other state must fail, not seed
+        # the streams from something else.
+        seed = _HashedSeed(np.zeros(4, dtype=np.uint64))
+        assert seed.generate_state(4, np.uint64) is seed._state
+        with pytest.raises(ValidationError, match="generate_state"):
+            seed.generate_state(*request_)
+
+    def test_round_streams_share_no_state(self):
+        # Drawing from one stream leaves every other stream of its round where
+        # it was, though all come from one state matrix.
+        streams = _client_streams(_seed_words(3) + [CLIENT_SALT], np.arange(4), 5)
+        before = [gen.bit_generator.state for gen in streams]
+        streams[1].random(100)
+        streams[2].integers(7, size=9)
+        after = [gen.bit_generator.state for gen in streams]
+        assert after[0] == before[0] and after[3] == before[3]
+        assert after[1] != before[1] and after[2] != before[2]
 
 
 class TestTasks:
