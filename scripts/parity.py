@@ -3,7 +3,8 @@
 The list covers every artifact kind the CLI writes: accounted and
 unaccounted training (l1, l2, no privacy, the mix at s = 2), mean-est sweeps
 (l1, l2 and linf; the mix at dimensions that are not powers of two), a
-bounds table, and accountant budgets with and without calibration.
+bounds table, and accountant budgets with and without calibration, under
+the explicit and the asymptotic shuffling bound.
 Runs are deterministic, so two checkouts give the same lines exactly when
 their artifacts are byte-identical:
 
@@ -36,6 +37,11 @@ COMMANDS = (
     ("accountant.json", "accountant --eps0 0.3 --T 10 --m 5000 --k 2500"),
     ("accountant_calibrated.json",
      "accountant --eps0 0.3 --T 10 --m 5000 --k 2500 --calibrate 1.0"),
+    ("accountant_asymptotic.json",
+     "accountant --eps0 1.5 --variant asymptotic --c 0.5 --T 10 --m 5000 --k 2500"),
+    ("accountant_asymptotic_calibrated.json",
+     "accountant --eps0 1.5 --variant asymptotic --c 0.5 --T 10 --m 5000 --k 2500 "
+     "--calibrate 3.0"),
 )
 
 

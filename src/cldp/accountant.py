@@ -22,7 +22,10 @@ map by bisection.
 
 Two shuffling bounds are available: the explicit-constant one (the default —
 the only one safe to report as a guarantee) and an asymptotic one whose
-unstated constant must be supplied by the caller (a diagnostic).
+unstated constant must be supplied by the caller (a diagnostic). Each is one
+class holding its formula (``epsilon_tilde``) and its eps0 range
+(``eps0_range``), which ``amplify_by_shuffling`` reads to raise
+PreconditionError and ``max_feasible_epsilon0`` to raise InfeasibleError.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import (
     AccountingError,
@@ -80,6 +83,15 @@ class SamplingParams:
         return self.k * self.s
 
 
+class Eps0Range(NamedTuple):
+    """The eps0 a shuffling bound takes at a given delta and batch: below
+    ``cap``, or up to it when ``closed``; ``condition`` is the inequality."""
+
+    cap: float
+    closed: bool
+    condition: str
+
+
 @dataclass(frozen=True)
 class ExplicitShuffling:
     """eps_tilde = 12*eps0*sqrt(ln(1/delta)/m_eff).
@@ -91,6 +103,21 @@ class ExplicitShuffling:
     @property
     def name(self) -> str:
         return "shuffling, explicit constants"
+
+    def eps0_range(self, delta: float, m_eff: int) -> Eps0Range:
+        """PreconditionError when delta or the batch leaves no eps0."""
+        if not delta < 0.01:
+            raise PreconditionError(
+                f"explicit shuffling bound requires delta < 1/100; got delta = {delta:.6g}"
+            )
+        if not m_eff >= 1000:
+            raise PreconditionError(
+                f"explicit shuffling bound requires a batch of >= 1000 messages; got {m_eff}"
+            )
+        return Eps0Range(0.5, False, "explicit shuffling bound requires epsilon0 < 1/2")
+
+    def epsilon_tilde(self, eps0: float, delta: float, m_eff: int) -> float:
+        return 12.0 * eps0 * math.sqrt(math.log(1.0 / delta) / m_eff)
 
 
 @dataclass(frozen=True)
@@ -111,6 +138,21 @@ class AsymptoticShuffling:
     @property
     def name(self) -> str:
         return f"shuffling, asymptotic with c={self.c:g}"
+
+    def eps0_range(self, delta: float, m_eff: int) -> Eps0Range:
+        """PreconditionError when the batch leaves no eps0."""
+        log_term = math.log(1.0 / delta)
+        if not m_eff > log_term:
+            raise PreconditionError(
+                "asymptotic shuffling bound requires a batch m_eff > ln(1/delta) = "
+                f"{log_term:.6g}; got {m_eff}"
+            )
+        cap = 0.5 * math.log(m_eff / log_term)
+        rule = "epsilon0 <= (1/2)*ln(m_eff/ln(1/delta))"
+        return Eps0Range(cap, True, f"asymptotic shuffling bound requires {rule} = {cap:.6g}")
+
+    def epsilon_tilde(self, eps0: float, delta: float, m_eff: int) -> float:
+        return self.c * min(eps0, 1.0) * math.exp(eps0) * math.sqrt(math.log(1.0 / delta) / m_eff)
 
 
 ShufflingVariant = Union[ExplicitShuffling, AsymptoticShuffling]
@@ -187,28 +229,25 @@ def amplify_by_shuffling(
     _validate_delta(delta)
     if not m_eff >= 1:
         raise ValidationError(f"shuffler batch size must be >= 1, got {m_eff!r}")
-    log_term = math.log(1.0 / delta)
-    if isinstance(variant, ExplicitShuffling):
-        if not eps0 < 0.5:
-            raise PreconditionError(
-                f"explicit shuffling bound requires epsilon0 < 1/2; got epsilon0 = {eps0:.6g}"
-            )
-        if not delta < 0.01:
-            raise PreconditionError(
-                f"explicit shuffling bound requires delta < 1/100; got delta = {delta:.6g}"
-            )
-        if not m_eff >= 1000:
-            raise PreconditionError(
-                f"explicit shuffling bound requires a batch of >= 1000 messages; got {m_eff}"
-            )
-        return 12.0 * eps0 * math.sqrt(log_term / m_eff)
-    cap = 0.5 * math.log(m_eff / log_term) if m_eff > log_term else float("-inf")
-    if not eps0 <= cap:
-        raise PreconditionError(
-            "asymptotic shuffling bound requires epsilon0 <= (1/2)*ln(m_eff/ln(1/delta)) "
-            f"= {cap:.6g}; got epsilon0 = {eps0:.6g}"
+    valid = variant.eps0_range(delta, m_eff)
+    if not (eps0 <= valid.cap if valid.closed else eps0 < valid.cap):
+        raise PreconditionError(f"{valid.condition}; got epsilon0 = {eps0:.6g}")
+    return variant.epsilon_tilde(eps0, delta, m_eff)
+
+
+def _sampling_stage(eps_tilde: float, delta_tilde: float, params: SamplingParams):
+    """(eps_bar, delta_bar, the amplifying rate as text) of one round's sampling."""
+    if params.s == 1:
+        return (*amplify_by_subsampling(eps_tilde, delta_tilde, params.q), f"q = {params.q:.6g}")
+    if params.k < params.m:
+        warnings.warn(
+            "client sampling gives no per-round privacy amplification when s > 1; "
+            f"using the data-sampling rate q2 = {params.q2:.6g} instead of q = {params.q:.6g}",
+            AmplificationWarning,
+            stacklevel=3,
         )
-    return variant.c * min(eps0, 1.0) * math.exp(eps0) * math.sqrt(log_term / m_eff)
+    note = f"q2 = {params.q2:.6g} (s > 1: client sampling does not amplify)"
+    return math.log1p(params.q2 * math.expm1(eps_tilde)), params.q * delta_tilde, note
 
 
 def per_round_budget(
@@ -225,17 +264,7 @@ def per_round_budget(
     branches.
     """
     eps_tilde = amplify_by_shuffling(eps0, delta_tilde, params.batch, variant)
-    if params.s == 1:
-        return amplify_by_subsampling(eps_tilde, delta_tilde, params.q)
-    if params.k < params.m:
-        warnings.warn(
-            "client sampling gives no per-round privacy amplification when s > 1; "
-            f"using the data-sampling rate q2 = {params.q2:.6g} instead of q = {params.q:.6g}",
-            AmplificationWarning,
-            stacklevel=2,
-        )
-    eps_bar = math.log1p(params.q2 * math.expm1(eps_tilde))
-    return eps_bar, params.q * delta_tilde
+    return _sampling_stage(eps_tilde, delta_tilde, params)[:2]
 
 
 def strong_composition(
@@ -267,15 +296,14 @@ def end_to_end(
     """
     _validate_delta(delta)
     T = _validate_rounds(T)
-    q = params.q
-    delta_tilde = delta / (2.0 * q * T)
+    delta_tilde = delta / (2.0 * params.q * T)
     if not delta_tilde < 1.0:
         raise ValidationError(
             f"the delta split needs delta/(2qT) < 1, got {delta_tilde:.6g}; "
             "increase T or the sampling rate"
         )
     eps_tilde = amplify_by_shuffling(eps0, delta_tilde, params.batch, variant)
-    eps_bar, delta_bar = per_round_budget(eps0, delta_tilde, params, variant)
+    eps_bar, delta_bar, amp_note = _sampling_stage(eps_tilde, delta_tilde, params)
     delta_prime = delta / 2.0
     eps, delta_out = strong_composition(eps_bar, delta_bar, T, delta_prime)
     # T*(q*(delta/(2qT))) + delta/2 telescopes back to delta; re-deriving it
@@ -286,11 +314,6 @@ def end_to_end(
             f"delta split failed to reconstruct the target: {delta_out!r} != {delta!r}"
         )
     delta_out = delta
-    amp_note = (
-        f"q = {q:.6g}"
-        if params.s == 1
-        else f"q2 = {params.q2:.6g} (s > 1: client sampling does not amplify)"
-    )
     provenance = (
         f"local randomizer: epsilon0 = {eps0:.12g}",
         f"{variant.name} over the per-round batch of k*s = {params.batch} messages "
@@ -325,23 +348,12 @@ def max_feasible_epsilon0(
         raise InfeasibleError(
             f"the delta split delta/(2qT) = {delta_tilde:.6g} is not a valid delta"
         )
-    if isinstance(variant, ExplicitShuffling):
-        if not delta_tilde < 0.01:
-            raise InfeasibleError(
-                f"explicit shuffling bound needs delta/(2qT) < 1/100, got {delta_tilde:.6g}"
-            )
-        if not params.batch >= 1000:
-            raise InfeasibleError(
-                f"explicit shuffling bound needs a batch k*s >= 1000, got {params.batch}"
-            )
-        return 0.5
-    log_term = math.log(1.0 / delta_tilde)
-    if params.batch <= log_term:
+    try:
+        return variant.eps0_range(delta_tilde, params.batch).cap
+    except PreconditionError as err:
         raise InfeasibleError(
-            "asymptotic shuffling bound needs k*s > ln(2qT/delta), got "
-            f"k*s = {params.batch} <= {log_term:.6g}"
-        )
-    return 0.5 * math.log(params.batch / log_term)
+            f"at delta/(2qT) = {delta_tilde:.6g} and a batch of k*s = {params.batch}: {err}"
+        ) from None
 
 
 def calibrate_epsilon0(
@@ -362,8 +374,6 @@ def calibrate_epsilon0(
     if not eps_target > 0.0:
         raise ValidationError(f"target epsilon must be positive, got {eps_target!r}")
     cap = max_feasible_epsilon0(delta, T, params, variant)
-    if not cap > 0.0:
-        raise InfeasibleError(f"variant admits no positive epsilon0 (cap = {cap:.6g})")
     hi = cap * (1.0 - 1e-12)
     lo = min(1e-8, hi / 2.0)
 

@@ -93,8 +93,7 @@ def risk_upper(q: RiskQuery, worst_case: bool = True) -> float:
     where r1 and r2 are the direct p=1 and p=2 bounds at the same radius.
     ValidationError if the bound overflows float64.
     """
-    ratio_sq = privacy_ratio(q.epsilon0) ** 2
-    base = q.a * q.a * q.d / q.n * ratio_sq
+    base = q.a * q.a * q.d / q.n * _ratio_squared(q.epsilon0)
     idx = 0 if worst_case else 1
     if q.mix_prob is not None:
         if math.isinf(q.p):
@@ -124,17 +123,26 @@ def risk_lower(q: RiskQuery) -> float:
     constant is unknown; treat the value as a rate, not a guarantee.
     ValidationError if the bound overflows float64.
     """
-    a_sq = q.a * q.a
-    if q.p <= 2.0:
-        return _finite_risk(a_sq * min(1.0, q.d / (q.n * q.epsilon0**2)), q)
-    eps_term = min(q.epsilon0, q.epsilon0**2)
-    return _finite_risk(a_sq * q.d ** (1.0 - 2.0 / q.p) * min(1.0, q.d / (q.n * eps_term)), q)
+    eps_term = q.epsilon0**2 if q.p <= 2.0 else min(q.epsilon0, q.epsilon0**2)
+    shape = 1.0 if q.p <= 2.0 else q.d ** (1.0 - 2.0 / q.p)
+    denom = q.n * eps_term  # 0 when a tiny eps0, squared, underflows: then the cap 1
+    return _finite_risk(q.a * q.a * shape * (min(1.0, q.d / denom) if denom else 1.0), q)
 
 
 def _finite_risk(risk: float, q: RiskQuery) -> float:
     if not math.isfinite(risk):
         raise ValidationError(f"the risk bound overflows float64 for {q}")
     return risk
+
+
+def _ratio_squared(eps0: float) -> float:
+    """ratio^2; ValidationError when it overflows float64 (eps0 below about 1.5e-154)."""
+    ratio = privacy_ratio(eps0)
+    if not math.isfinite(ratio * ratio):
+        raise ValidationError(
+            f"epsilon0 = {eps0!r} is too small: the squared privacy ratio overflows float64"
+        )
+    return ratio ** 2
 
 
 def comm_adversary(decoder_table, p: float, a: float) -> np.ndarray:
@@ -197,8 +205,7 @@ def g_squared(L: float, d: int, p: float, q: float, n: int, epsilon0: float) -> 
         raise ValidationError(f"epsilon0 must be positive, got {epsilon0!r}")
     c = 4.0 if (p == 1.0 or math.isinf(p)) else 14.0
     shape = max(d ** (1.0 - 2.0 / p), 1.0)
-    ratio_sq = privacy_ratio(epsilon0) ** 2
-    return L * L * shape * (1.0 + c * d / (q * n) * ratio_sq)
+    return L * L * shape * (1.0 + c * d / (q * n) * _ratio_squared(epsilon0))
 
 
 def convergence_bound(

@@ -310,21 +310,20 @@ def _run_mean_est(cfg: ExperimentConfig) -> int:
             gen = np.random.default_rng(np.random.SeedSequence((prm["seed"], _SWEEP_SALT, idx)))
             ball = BallSpec(p=p, radius=prm["a"], dim=d)
             spec = mech.MechanismSpec(ball=ball, epsilon0=eps0, mix_prob=prm["mix_prob"])
-            # Before any draw: a radius whose square overflows fails here.
+            # Before any draw: a radius or epsilon0 whose bounds overflow fails here.
             query = bnd.RiskQuery(
                 p=p, d=d, n=n, a=prm["a"], epsilon0=eps0, mix_prob=prm["mix_prob"]
             )
+            risks = [
+                _fmt(bnd.risk_upper(query, worst_case=True)),
+                _fmt(bnd.risk_upper(query, worst_case=False)),
+                _fmt(bnd.risk_lower(query)),
+            ]
             dataset = _random_in_ball(gen, n, d, p, prm["a"])
             estimates = mech.mean_estimate_trials(dataset, spec, gen, prm["trials"])
             mse = float(np.mean(np.sum((estimates - dataset.mean(axis=0)) ** 2, axis=1)))
             writer.writerow(
-                [
-                    _fmt(p), d, n, _fmt(eps0), _fmt(prm["a"]), prm["trials"],
-                    _fmt(mse),
-                    _fmt(bnd.risk_upper(query, worst_case=True)),
-                    _fmt(bnd.risk_upper(query, worst_case=False)),
-                    _fmt(bnd.risk_lower(query)),
-                ]
+                [_fmt(p), d, n, _fmt(eps0), _fmt(prm["a"]), prm["trials"], _fmt(mse), *risks]
             )
     print(f"wrote {out} ({len(grid)} grid cells)")
     return 0

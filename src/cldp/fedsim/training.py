@@ -72,6 +72,7 @@ from .tasks import get_task
 
 CLIENT_SALT = 0x434C4E54  # per-(client, round) streams
 SERVER_SALT = 0x53525652  # client sampling and the shuffler
+CLIP_WARN_FRAC = 0.01  # a run that clips more of its gradients warns (ClippingWarning)
 _WORD = 0xFFFFFFFF
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
@@ -107,7 +108,6 @@ class TrainConfig:
     seed: int = 0
     account: bool = True
     variant: ShufflingVariant = field(default_factory=ExplicitShuffling)
-    clip_warn_frac: float = 0.01
 
     def __post_init__(self) -> None:
         seed = self.seed
@@ -121,8 +121,6 @@ class TrainConfig:
             raise ValidationError(f"delta must lie in (0, 1), got {self.delta!r}")
         if not self.diameter > 0.0:
             raise ValidationError(f"diameter must be positive, got {self.diameter!r}")
-        if not 0.0 <= self.clip_warn_frac <= 1.0:
-            raise ValidationError(f"clip_warn_frac must lie in [0, 1], got {self.clip_warn_frac!r}")
         get_task(self.task)
         if math.isfinite(self.epsilon0):
             mechanism_family(self.mechanism_spec())  # fail before any work
@@ -390,9 +388,9 @@ def train(cfg: TrainConfig, data: list[ClientDataset]) -> TrainResult:
         loss_now = loss_after
 
     frac = sum(tr.clipped for tr in traces) / (cfg.T * p.k * p.s)
-    if frac > cfg.clip_warn_frac:
+    if frac > CLIP_WARN_FRAC:
         warnings.warn(
-            f"clipping shrank {frac:.1%} of gradients (> {cfg.clip_warn_frac:.1%}); "
+            f"clipping shrank {frac:.1%} of gradients (> {CLIP_WARN_FRAC:.1%}); "
             "the mini-batch gradient may be biased",
             ClippingWarning,
             stacklevel=2,

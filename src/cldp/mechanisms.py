@@ -43,12 +43,13 @@ counts to decoded sums. An index draw computes only the one plus-probability
 each row reads: l1 walks one path of the Hadamard butterfly
 (``linalg.fwht_rows_at``, O(d) per row and bit-identical to the O(d log d)
 rotation), linf reads the coordinate. ``one`` (``encode_message``) reads
-the same bits as ``noise`` for one row and makes the same floating-point
-operations in the same order as ``draw``, but every per-row value is a
-Python scalar: an index row's index, uniform, plus-probability and atom; an
-l2 row's uniforms, norms, sign flips and sphere radius, around the (1, d)
-einsums, cumsum and ``searchsorted`` that fix its bits; a mix message's arm
-uniform, then its arm's ``one``. Every family decodes from net signed counts
+the same bits as ``noise`` for one row. An index row's ``one`` makes the
+same floating-point operations in the same order as ``draw``, with its
+index, uniform, plus-probability and atom as Python scalars. An l2 row's
+``one`` runs the batch stages themselves on one row: its ``_l2_noise``,
+``_priv_rows``, then ``_quan_atoms`` over the row's ``_quan_cdf``, so each
+l2 formula is written once. A mix message draws its arm uniform, then runs
+its arm's ``one``. Every family decodes from net signed counts
 (``_net_counts`` makes them from atoms, an l2 batch draws them): the shuffler
 leaves only the multiset of messages and the counts depend on nothing else,
 so the decoded sum is exact and order-free; counting per row gives
@@ -531,20 +532,11 @@ def _quan_cdf(rows: np.ndarray, radius: float, u_flip: np.ndarray):
 def _quan_atoms(rows: np.ndarray, radius: float, noise) -> np.ndarray:
     """The (1, d) atoms of d i.i.d. signed coordinate samples of one nonzero
     row of l2 norm <= radius, in draw order: d coordinates drawn i.i.d. from
-    |x~| by one ``searchsorted``, with x~'s signs. ``_quan_cdf`` on one row:
-    the same operations, with the sign flip (its uniform a float or a
-    one-element array) and the row's sums as scalars."""
+    the row's ``_quan_cdf`` by one ``searchsorted``, with x~'s signs."""
     u_flip, u = noise
-    x = rows[0]
-    cdf = np.abs(x)
-    l1 = cdf.sum()
-    flip = 1.0 if u_flip < 0.5 + l1 / (2.0 * radius * math.sqrt(len(x))) else -1.0
-    cdf /= l1
-    cdf /= cdf.sum()
-    np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]
-    coords = np.searchsorted(cdf, u[0], side="right")
-    return _atom(coords, x[coords] * flip > 0.0)[None]
+    flip, cdf = _quan_cdf(rows, radius, u_flip)
+    coords = np.searchsorted(cdf[0], u[0], side="right")
+    return _atom(coords, rows[0, coords] * flip[0] > 0.0)[None]
 
 
 def _quan_counts(rows: np.ndarray, radius: float, noise, out: np.ndarray) -> np.ndarray:
@@ -567,19 +559,11 @@ _L2_BLOCK = 1 << 15
 
 
 def _l2_one(rows: np.ndarray, spec: MechanismSpec, gen: np.random.Generator) -> tuple[int, ...]:
-    """One row's l2 atoms in draw order, drawn as ``_l2_noise`` and
-    ``_l2_draw`` draw it: ``_priv_rows`` with its uniforms, norms, flip, side
-    and radius as Python floats (the (1, d) einsums fix the bits), then
-    ``_quan_atoms``."""
-    d, a, eps0 = spec.ball.dim, spec.ball.radius, spec.epsilon0
-    u_dir, u_side, y = gen.random(), gen.random(), gen.standard_normal((1, d))
-    nrm = math.sqrt(np.einsum("ij,ij->i", rows, rows).item())
-    flip = 1.0 if u_dir < 0.5 + nrm / (2.0 * a) else -1.0
-    same_side = u_side < math.exp(eps0) / (math.exp(eps0) + 1.0)
-    side = (np.einsum("ij,ij->i", y, rows).item() if nrm > 0.0 else y.item(0)) * flip > 0.0
-    radius = hemisphere_radius(d, a, eps0)
-    y *= (radius if side == same_side else -radius) / math.sqrt(np.einsum("ij,ij->i", y, y).item())
-    return tuple(_quan_atoms(y, radius, (gen.random(), gen.random((1, d))))[0].tolist())
+    """One row's l2 atoms in draw order: its ``_l2_noise``, then ``_priv_rows``
+    and ``_quan_atoms``, the stages ``_l2_draw`` runs."""
+    noise = _l2_noise(gen, 1, spec.ball.dim)
+    radius = hemisphere_radius(spec.ball.dim, spec.ball.radius, spec.epsilon0)
+    return tuple(_quan_atoms(_priv_rows(rows, spec, noise[:3]), radius, noise[3:])[0].tolist())
 
 
 def _l2_draw(rows: np.ndarray, spec: MechanismSpec, noise) -> np.ndarray:
@@ -648,7 +632,7 @@ class _Family(NamedTuple):
     noise: Callable  # (gen, n, spec) -> what one stream draws for n rows, in order
     draw: Callable  # (rows, spec, noise) -> what the decode reads
     one: Callable | None  # (row, spec, gen) -> one message's atoms, as noise then draw
-    # would make them, in Python scalars; the mix runs its arm's
+    # would make them; the mix runs its arm's
     scale: Callable | None  # (net signed counts, spec) -> decoded sums; the mix uses its arms'
 
 

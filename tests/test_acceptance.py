@@ -431,7 +431,6 @@ def _run_arm(eps0):
             task="logistic",
             seed=seed,
             account=False,
-            clip_warn_frac=1.0,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -5,6 +5,7 @@ implementation in ``oracle_accountant.py``, which shares no code with the
 package. Pinned constants were evaluated independently before freezing.
 """
 
+import itertools
 import math
 import warnings
 
@@ -180,6 +181,38 @@ class TestShuffling:
                 amplify_by_shuffling(0.3, 1e-6, 10_000, variant)
             with pytest.raises(ValidationError, match="unknown shuffling variant"):
                 max_feasible_epsilon0(1e-6, 10, SamplingParams(m=5000, k=2500, r=1, s=1), variant)
+
+    @pytest.mark.parametrize(
+        "variant", [EXPLICIT, AsymptoticShuffling(c=0.5)], ids=["explicit", "asymptotic"]
+    )
+    def test_both_readers_of_a_range_agree(self, variant):
+        # amplify_by_shuffling and max_feasible_epsilon0 read one range: at
+        # the end-to-end split delta/(2qT) and the batch k*s, the bound takes
+        # eps0 just below the cap and refuses it just above, and where the
+        # cap is infeasible the bound takes no eps0 at all.
+        feasible = infeasible = 0
+        grid = itertools.product((1e-9, 1e-6, 1e-2, 0.3), (1, 10, 1000), (200, 5000, 200_000),
+                                 (0.01, 0.25, 1.0), (1, 2))
+        for delta, T, m, k_frac, s in grid:
+            params = SamplingParams(m=m, k=max(1, int(m * k_frac)), r=4, s=s)
+            delta_tilde = delta / (2.0 * params.q * T)
+
+            def bound(eps0):
+                return amplify_by_shuffling(eps0, delta_tilde, params.batch, variant)
+
+            try:
+                cap = max_feasible_epsilon0(delta, T, params, variant)
+            except InfeasibleError:
+                infeasible += 1
+                for eps0 in (1e-6, 0.1, 0.49, 1.0, 5.0):
+                    with pytest.raises((PreconditionError, ValidationError)):
+                        bound(eps0)
+                continue
+            feasible += 1
+            bound(cap * (1.0 - 1e-9))
+            with pytest.raises(PreconditionError):
+                bound(cap * (1.0 + 1e-9))
+        assert feasible > 0 and infeasible > 0
 
 
 class TestPerRoundBudget:

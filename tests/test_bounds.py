@@ -159,6 +159,24 @@ class TestRiskQueryValidation:
                 call()
         assert math.isfinite(risk_lower(RiskQuery(p=1.0, d=10**10, n=1, a=1e150, epsilon0=0.1)))
 
+    @pytest.mark.parametrize("eps0", [1e-160, 1e-200, 5e-324])
+    def test_tiny_epsilon0(self, eps0):
+        # ratio ~ 2/eps0 is finite but its square overflows: the achievable
+        # bounds and G^2 refuse with ValidationError, while the lower bound,
+        # whose eps0^2 may underflow to 0, reads its cap a^2 * 1.
+        for p in (1.0, 2.0, math.inf, 4.0):
+            mix = 0.5 if p == 4.0 else None
+            q = RiskQuery(p=p, d=8, n=100, a=1.0, epsilon0=eps0, mix_prob=mix)
+            for worst_case in (True, False):
+                with pytest.raises(ValidationError, match="squared privacy ratio"):
+                    risk_upper(q, worst_case)
+            assert risk_lower(q) == (1.0 if p <= 2.0 else 8 ** (1.0 - 2.0 / p))
+            with pytest.raises(ValidationError, match="squared privacy ratio"):
+                g_squared(L=1.0, d=8, p=p, q=1.0, n=100, epsilon0=eps0)
+        # Just above the overflow, the bounds are finite.
+        q = RiskQuery(p=1.0, d=8, n=100, a=1.0, epsilon0=1e-150)
+        assert math.isfinite(risk_upper(q)) and risk_lower(q) == 1.0
+
 
 class TestCommAdversary:
     def test_two_dim_orthogonal_complement(self):

@@ -239,20 +239,31 @@ class TestMeanEstCommand:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "argv",
-        [["bounds", "--p", "1", "inf", "--d", "8", "--n", "100", "--eps0", "1", "--a", "1e200"],
-         ["mean-est", "--p", "1", "inf", "--a", "1e200", "--trials", "3"]],
-        ids=["bounds", "mean-est"],
+        "argv, message",
+        [(["bounds", "--p", "1", "inf", "--d", "8", "--n", "100", "--eps0", "1", "--a", "1e200"],
+          "its square overflows float64"),
+         (["mean-est", "--p", "1", "inf", "--a", "1e200", "--trials", "3"],
+          "its square overflows float64"),
+         (["bounds", "--p", "1", "inf", "--d", "8", "--n", "100", "--eps0", "1e-200"],
+          "squared privacy ratio"),
+         (["mean-est", "--p", "1", "--eps0", "1e-200", "--trials", "2"], "squared privacy ratio"),
+         (["train", "--eps0", "1e-160", "--T", "1", "--account", "false"],
+          "squared privacy ratio")],
+        ids=["bounds", "mean-est", "bounds_tiny_eps0", "mean-est_tiny_eps0", "train_tiny_eps0"],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_risk_radius_square_overflow_exits_2_and_leaves_no_artifact(
-        self, argv, tmp_path, capsys
+        self, argv, message, tmp_path, capsys, monkeypatch
     ):
-        # The l1 and linf mechanisms take such a radius, but the risk columns
-        # are in squared units and would read inf; the cell is refused before
-        # any draw or output.
+        # The mechanisms take such a radius, or such a tiny epsilon0, but the
+        # risk columns and G^2 are in squared units and would overflow; the
+        # cell or run is refused before any draw or output.
+        def no_draw(*args):
+            raise AssertionError("drew before the bounds were checked")
+
+        monkeypatch.setattr("cldp.mechanisms.mean_estimate_trials", no_draw)
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
-        assert "its square overflows float64" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_out_symlink_is_written_through(self, tmp_path, capsys):
@@ -411,6 +422,8 @@ def load_script(name):
 # with Python 3.11 and numpy 2.4.
 PARITY_SHA256 = [
     "4281966d96970f3fbea218b73e9490494dda39ac9295fa54f44d27fc9751f56a  accountant.json",
+    "daf737175c381f9d4847fb0a7aa1ee57872cad25c162ce4b532f778c1df4491a  accountant_asymptotic.json",
+    "8d721ab3b977c2907d7716d642719da331722ec3230a54575b772be1e84930a6  accountant_asymptotic_calibrated.json",
     "7981248ab6cc9a23d49194758fe7808909d4ff905832053ae0040d9b5a52d455  accountant_calibrated.json",
     "80de6dc053e9e0c0a33697912785bc387ec2b37a6a76f4e0a84a4b3406ec01ac  bounds.csv",
     "41990d2051b62b6bc3a1b3c220c217698d529e86cb4500f673de21f4658a30ac  mean_est.csv",
