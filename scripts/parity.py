@@ -1,7 +1,8 @@
 """Run a fixed list of CLI commands into one directory and print each artifact's sha256.
 
 The list covers every artifact kind the CLI writes: accounted and
-unaccounted training (l1, l2, no privacy, the mix at s = 2), mean-est sweeps
+unaccounted training (l1, l2, no privacy, the mix at s = 1 and s = 2, and
+linf at s = 1 with k in the hundreds), mean-est sweeps
 (l1, l2 and linf; the mix at dimensions that are not powers of two), a
 bounds table, and accountant budgets with and without calibration, under
 the explicit and the asymptotic shuffling bound.
@@ -29,6 +30,10 @@ COMMANDS = (
     ("train_l2", "train --account false"),
     ("train_eps0_inf", "train --eps0 inf"),
     ("train_mix_s2", "train --p 1.5 --mix-prob 0.4 --s 2 --account false"),
+    ("train_linf_s1",
+     "train --p inf --d 8 --m 2000 --k 1000 --r 4 --T 20 --account false"),
+    ("train_mix_s1",
+     "train --p 1.5 --mix-prob 0.4 --m 1000 --k 200 --T 20 --account false"),
     ("mean_est.csv",
      "mean-est --p 1 2 inf --d 4 16 --n 50 --eps0 0.5 2 --trials 20 --seed 3"),
     ("mean_est_mix.csv",

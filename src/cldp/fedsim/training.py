@@ -37,8 +37,12 @@ rows in the mechanism's documented order, so for s = 1 a message draws
 exactly what a single encode draws. One point and one index-family row use
 scalar draws (``integers(r)`` for ``choice(r, 1, replace=False)``;
 ``integers(dim)`` and ``random()`` for the size-1 calls): they read the
-same bits at a fraction of the cost. The word rows and the scalar draws
-were checked against the old forms on numpy 2.4.6, and tests pin both.
+same bits at a fraction of the cost. The round gathers the k streams'
+scalars into one array per component, its points here (``_draw_points``
+holds the one-point rule, which ``sample_data`` shares) and an index
+family's indices and uniforms in ``mechanisms.batch_encoder``. The word
+rows and the scalar draws were checked against the old forms on numpy
+2.4.6, and tests pin both.
 
 epsilon0 = inf is the non-private baseline: clipped gradients are sent
 uncompressed and in the clear, and the reported budget carries no guarantee.
@@ -171,16 +175,18 @@ def sample_clients(m: int, k: int, rng) -> np.ndarray:
 
 
 def sample_data(r: int, s: int, rng) -> np.ndarray:
-    """s distinct point indices, uniform over all s-subsets of range(r).
-
-    One point is ``integers(r)``, which draws what ``choice(r, 1,
-    replace=False)`` draws (see the module docstring) at a fifth of the cost.
-    """
+    """s distinct point indices, uniform over all s-subsets of range(r)."""
     if not 1 <= s <= r:
         raise ValidationError(f"need 1 <= s <= r, got s={s}, r={r}")
-    gen = np.random.default_rng(rng)
+    return np.atleast_1d(_draw_points(r, s, np.random.default_rng(rng)))
+
+
+def _draw_points(r: int, s: int, gen: np.random.Generator):
+    """``sample_data``'s draw, 1 <= s <= r. One point is the scalar
+    ``integers(r)``, which draws what ``choice(r, 1, replace=False)`` draws
+    (see the module docstring) at a fifth of the cost."""
     if s == 1:
-        return np.array([gen.integers(r)])
+        return gen.integers(r)
     return np.sort(gen.choice(r, size=s, replace=False))
 
 
@@ -352,9 +358,8 @@ def train(cfg: TrainConfig, data: list[ClientDataset]) -> TrainResult:
     for t in range(1, cfg.T + 1):
         chosen = sample_clients(p.m, p.k, server)
         streams = _client_streams(head, chosen, t)
-        points = np.repeat(chosen * p.r, p.s) + np.concatenate(
-            [sample_data(p.r, p.s, gen) for gen in streams]
-        )
+        draws = np.array([_draw_points(p.r, p.s, gen) for gen in streams])  # (k,) or (k, s)
+        points = np.repeat(chosen * p.r, p.s) + draws.ravel()
         grads = task.point_grads(theta, X_all[points], Y_all[points])
         if not np.isfinite(grads).all():
             raise ValidationError(f"task {cfg.task!r} produced a non-finite gradient")
@@ -375,7 +380,7 @@ def train(cfg: TrainConfig, data: list[ClientDataset]) -> TrainResult:
         traces.append(
             RoundTrace(
                 t=t,
-                client_ids=tuple(int(data[ci].client_id) for ci in chosen),
+                client_ids=tuple([int(data[ci].client_id) for ci in chosen.tolist()]),
                 exact_bits=wire.round_payload_bits(spec, p, d, l1_arm),
                 expected_bits=expected_bits,
                 loss_before=loss_now,

@@ -33,20 +33,26 @@ type and atom shape, and ``_message`` builds a message back from atoms that
 a draw or a frame's unpack made, keeping them rather than converting its
 pairs back to atoms. ``wire`` codes messages through these alone.
 
-Each family is one record in ``_FAMILIES``: its message code; ``noise``,
+Each family is one record in ``_FAMILIES``: its message code; ``block``,
 what one stream draws for n rows, which fixes the draw order
-(``_index_noise``, ``_l2_noise``, ``_mix_noise``); a pure ``draw`` from rows
-and noise to what the decode reads ((n, 1) atoms for l1 and linf, (n, d) net
-signed counts for l2, (arm mask, l1 atoms, l2 counts) for the mix); ``one``,
-one message's atoms drawn from a stream; and a ``scale`` from net signed
-counts to decoded sums. An index draw computes only the one plus-probability
-each row reads: l1 walks one path of the Hadamard butterfly
-(``linalg.fwht_rows_at``, O(d) per row and bit-identical to the O(d log d)
-rotation), linf reads the coordinate. ``one`` (``encode_message``) reads
-the same bits as ``noise`` for one row. An index row's ``one`` makes the
-same floating-point operations in the same order as ``draw``, with its
-index, uniform, plus-probability and atom as Python scalars. An l2 row's
-``one`` runs the batch stages themselves on one row: its ``_l2_noise``,
+(``_index_noise``, ``_l2_noise``, ``_mix_noise``), and ``noise``, that
+block as arrays; a pure ``draw`` from rows and noise to what the decode
+reads ((n, 1) atoms for l1 and linf, (n, d) net signed counts for l2, (arm
+mask, l1 atoms, l2 counts) for the mix); ``one``, one message's atoms drawn
+from a stream; and a ``scale`` from net signed counts to decoded sums. An
+index draw computes only the one plus-probability each row reads: l1 walks
+one path of the Hadamard butterfly (``linalg.fwht_rows_at``, O(d) per row
+and bit-identical to the O(d log d) rotation), linf reads the coordinate.
+``one`` (``encode_message``) reads the same bits as ``noise`` for one row.
+One index row's block is two Python scalars, ``integers(dim)`` then
+``random()``. ``_gather`` makes one array per component of the blocks of
+one or many streams: one ``np.array`` over their scalars, or one
+concatenation of their arrays, so a batch of one-row streams builds no
+one-element arrays. A mix block gathers its own l1-arm noise into arrays.
+An index row's ``one`` takes its block from ``_index_noise`` too, and
+makes the same floating-point operations in the same order as ``draw``,
+with its index, uniform, plus-probability and atom as Python scalars. An
+l2 row's ``one`` runs the batch stages themselves on one row: its ``_l2_noise``,
 ``_priv_rows``, then ``_quan_atoms`` over the row's ``_quan_cdf``, so each
 l2 formula is written once. A mix message draws its arm uniform, then runs
 its arm's ``one``. Every family decodes from net signed counts
@@ -57,8 +63,8 @@ individual decodes. A batch of messages looks up its code once and checks
 all their atoms at once. The reserved l2 zero message has no atoms and
 decodes to 0; the encoder never sends it, but wire frames carry it.
 
-``batch_encoder`` draws each stream's noise for its block of rows, then makes
-one ``draw`` and one decode over all rows. The other entry points,
+``batch_encoder`` draws each stream's ``block`` for its rows, gathers the
+blocks, then makes one ``draw`` and one decode over all rows. The other entry points,
 ``decode_message``, ``mean_estimate``, ``sample_decoded`` and
 ``mean_estimate_trials``, are its one-stream case, and ``encode_message``
 its one-row case, drawn by ``one``; every input passes the
@@ -75,6 +81,7 @@ import functools
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Union
 
@@ -245,13 +252,20 @@ def mechanism_family(spec: MechanismSpec) -> str:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
+# The largest eps0 whose e^eps0 is a finite float64 (about 709.78): math.exp
+# overflows above it, so formulas in e^eps0 run at this eps0 there.
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
+
 
 def privacy_ratio(eps0: float) -> float:
-    """(e^{eps0}+1)/(e^{eps0}-1); tends to 1 as eps0 -> inf (no-privacy limit)."""
-    if math.isinf(eps0):
-        return 1.0
+    """(e^{eps0}+1)/(e^{eps0}-1); tends to 1 as eps0 -> inf (no-privacy limit).
+
+    Above ``_LN_FLOAT_MAX`` the formula runs at that eps0, giving 1.0, the
+    ratio's float64 value from eps0 of about 37 on.
+    """
     if not eps0 > 0.0:
         raise ValidationError(f"epsilon0 must be positive, got {eps0!r}")
+    eps0 = min(eps0, _LN_FLOAT_MAX)
     return (math.exp(eps0) + 1.0) / math.expm1(eps0)
 
 
@@ -362,13 +376,23 @@ def _rinf_plus(x, spec: MechanismSpec):
 def _index_noise(gen: np.random.Generator, n: int, dim: int):
     """What n index-family rows draw: n indices below dim, then n sign uniforms.
 
-    One row draws them as scalars, ``integers(dim)`` then ``random()``: they
-    read the same bits as the sized calls (checked on numpy 2.4.6, and pinned
-    by the tests) at under half the cost, which a stream per client pays.
+    One row draws them as the scalars ``integers(dim)`` then ``random()``:
+    they read the same bits as the sized calls (checked on numpy 2.4.6, and
+    pinned by the tests) at under half the cost, which a stream per client
+    pays. A draw reads arrays, which ``_gather`` makes of the scalars.
     """
     if n == 1:
-        return np.array([gen.integers(dim)]), np.array([gen.random()])
+        return gen.integers(dim), gen.random()
     return gen.integers(dim, size=n), gen.random(n)
+
+
+def _gather(blocks: list) -> tuple:
+    """One array per noise component from the noise of consecutive blocks of
+    rows: the blocks' scalars (one index row each) by one ``np.array``, their
+    arrays by one ``np.concatenate``; a single block of arrays is itself."""
+    if np.ndim(blocks[0][0]) == 0:
+        return tuple(map(np.array, zip(*blocks)))
+    return blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
 
 
 def _r1_draw(rows: np.ndarray, spec: MechanismSpec, noise) -> np.ndarray:
@@ -386,17 +410,17 @@ def _rinf_draw(rows: np.ndarray, spec: MechanismSpec, noise) -> np.ndarray:
 
 
 def _r1_one(rows: np.ndarray, spec: MechanismSpec, gen: np.random.Generator) -> tuple[int]:
-    """One row's l1 atom, drawn as ``_index_noise`` and ``_r1_draw`` draw it,
-    in Python scalars: the same floating-point operations in the same order."""
-    k, u = int(gen.integers(padded_dim(spec.ball.dim))), gen.random()
-    return (_atom(k, u < _r1_plus(fwht_rows_at(rows, (k,)).item(0), spec)),)
+    """One row's l1 atom from its ``_index_noise``, drawn as ``_r1_draw`` draws
+    it, in Python scalars: the same floating-point operations in the same order."""
+    j, u = _index_noise(gen, 1, padded_dim(spec.ball.dim))
+    return (_atom(int(j), u < _r1_plus(fwht_rows_at(rows, (j,)).item(0), spec)),)
 
 
 def _rinf_one(rows: np.ndarray, spec: MechanismSpec, gen: np.random.Generator) -> tuple[int]:
-    """One row's linf atom, drawn as ``_index_noise`` and ``_rinf_draw`` draw
-    it, in Python scalars."""
-    k, u = int(gen.integers(spec.ball.dim)), gen.random()
-    return (_atom(k, u < _rinf_plus(rows.item(k), spec)),)
+    """One row's linf atom from its ``_index_noise``, drawn as ``_rinf_draw``
+    draws it, in Python scalars."""
+    j, u = _index_noise(gen, 1, spec.ball.dim)
+    return (_atom(int(j), u < _rinf_plus(rows.item(j), spec)),)
 
 
 def _r1_scale(net: np.ndarray, spec: MechanismSpec) -> np.ndarray:
@@ -471,7 +495,8 @@ def _priv_rows(rows: np.ndarray, spec: MechanismSpec, noise) -> np.ndarray:
     a = spec.ball.radius
     nrm = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     flip = np.where(u_dir < 0.5 + nrm / (2.0 * a), 1.0, -1.0)
-    same_side = u_side < math.exp(spec.epsilon0) / (math.exp(spec.epsilon0) + 1.0)
+    e = math.exp(min(spec.epsilon0, _LN_FLOAT_MAX))  # e/(e+1) is 1.0 from eps0 of about 37 on
+    same_side = u_side < e / (e + 1.0)
     # The side of y around the kept direction flip*x. A zero row takes flip*e1
     # instead, a fair +-flip of a fixed axis: the two hemispheres then mix to
     # the uniform sphere, whose mean is 0 = x.
@@ -612,7 +637,8 @@ def _mix_noise(gen: np.random.Generator, n: int, spec: MechanismSpec):
     """n arm uniforms (as the l1-arm mask), the l1 arm's noise, then the l2 arm's."""
     arm = gen.random(n) < spec.mix_prob
     n_l1, d = int(np.count_nonzero(arm)), spec.ball.dim
-    return (arm, *_index_noise(gen, n_l1, padded_dim(d)), *_l2_noise(gen, n - n_l1, d))
+    l1 = _gather([_index_noise(gen, n_l1, padded_dim(d))])
+    return (arm, *l1, *_l2_noise(gen, n - n_l1, d))
 
 
 def _mix_draw(rows: np.ndarray, spec: MechanismSpec, noise):
@@ -629,11 +655,16 @@ def _mix_draw(rows: np.ndarray, spec: MechanismSpec, noise):
 class _Family(NamedTuple):
     kind: type  # the message type
     shape: Callable | None  # d -> (atom dimension, atoms per message); the mix uses its arms'
-    noise: Callable  # (gen, n, spec) -> what one stream draws for n rows, in order
+    block: Callable  # (gen, n, spec) -> what one stream draws for n rows, in order;
+    # one index row as scalars
     draw: Callable  # (rows, spec, noise) -> what the decode reads
     one: Callable | None  # (row, spec, gen) -> one message's atoms, as noise then draw
     # would make them; the mix runs its arm's
     scale: Callable | None  # (net signed counts, spec) -> decoded sums; the mix uses its arms'
+
+    def noise(self, gen: np.random.Generator, n: int, spec: MechanismSpec) -> tuple:
+        """One stream's ``block`` for n rows as the arrays ``draw`` reads."""
+        return _gather([self.block(gen, n, spec)])
 
 
 _FAMILIES = {
@@ -848,8 +879,7 @@ def batch_encoder(x, spec: MechanismSpec) -> Callable:
         if not streams or n % len(streams):
             raise ValidationError(f"cannot split {n} rows into {len(streams)} equal blocks")
         size = n // len(streams)
-        blocks = [fam.noise(_require_rng(rng), size, spec) for rng in streams]
-        noise = blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
+        noise = _gather([fam.block(_require_rng(rng), size, spec) for rng in streams])
         draws = fam.draw(rows, spec, noise)
         l1_arm = int(np.count_nonzero(draws[0])) if family == "mix" else 0
         return _sums(family, draws, spec)[0] / n, l1_arm

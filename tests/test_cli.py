@@ -266,6 +266,23 @@ class TestMeanEstCommand:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["bounds", "--p", "1", "inf", "--d", "8", "--n", "100", "--eps0", "800"],
+         ["mean-est", "--p", "1", "--eps0", "800", "--trials", "2"],
+         ["train", "--eps0", "800", "--T", "1", "--account", "false"]],
+        ids=["bounds", "mean-est", "train"],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_epsilon0_past_exp_overflow_runs(self, argv, tmp_path, capsys):
+        # e^eps0 overflows a float64 above eps0 of about 709.78; the privacy
+        # ratio there is its float64 value 1.0, and every command completes.
+        stem = str(tmp_path / "out")
+        assert main(argv + ["--out", stem if argv[0] == "train" else stem + ".csv"]) == 0
+        capsys.readouterr()
+        header, rows = read_csv_table(tmp_path / "out.csv")
+        assert len(rows) == (2 if argv[0] == "bounds" else 1)
+
     def test_out_symlink_is_written_through(self, tmp_path, capsys):
         real, link = tmp_path / "real.csv", tmp_path / "link.csv"
         real.write_text("old\n")
@@ -434,6 +451,10 @@ PARITY_SHA256 = [
     "69b9bc4b90dfe55e5a47fef20771b42ea08a5900c913b629566f83ac37628175  train_l1_accounted.json",
     "5d75786932afdb1d8c0fe611a79ad4c902de0d753324ad01d70ccb9a20c74d35  train_l2.csv",
     "51bc795abbacc7f3acffea078775ab934bc5fe0236baf314bf74ee8b569c8d19  train_l2.json",
+    "6bc2d0134a32e545878997808885969501702112fd23fa3a936336d78026a70f  train_linf_s1.csv",
+    "65131ecd65520d1a0d8439bb2535cf2e2bd718a7876d4bff622e21fa519d0dd7  train_linf_s1.json",
+    "c696278e5649ffdb5a1a4f8c3388f5108f24be3eb269a7c33893990f15ac66fb  train_mix_s1.csv",
+    "c181aa46d28ae99e97e96095658813f4a7a6de58fbd58aa16a3398d325724efa  train_mix_s1.json",
     "cea3998f0f5b5c00ad183ea2227113e139f7c6625f7135e83306296bbb1a26e6  train_mix_s2.csv",
     "d7f1ae430d913205221d59bb1bddf23a3aa99ef08f0f2edf74ed3571244c8f6f  train_mix_s2.json",
 ]

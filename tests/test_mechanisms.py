@@ -149,6 +149,32 @@ class TestPrivacyRatio:
         assert privacy_ratio(eps0) > 1.0
         assert privacy_ratio(eps0 + 0.1) < privacy_ratio(eps0)
 
+    def test_one_where_exp_overflows(self):
+        # e^eps0 overflows a float64 above eps0 of about 709.78; the ratio
+        # there is its float64 value 1.0, which it already is at 700.
+        assert math.isfinite(math.exp(700.0))
+        for eps0 in (700.0, 709.8, 800.0, 1e300):
+            assert privacy_ratio(eps0) == 1.0, eps0
+        with pytest.raises(ValidationError):
+            privacy_ratio(-math.inf)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_SPECS))
+    def test_encode_where_exp_overflows(self, family):
+        # Every formula in e^eps0 (the ratio, the l2 same-side probability)
+        # is at its float64 limit by eps0 = 700, so an encode at eps0 = 800,
+        # where e^eps0 overflows, draws the same message on the same seed.
+        base = FAMILY_SPECS[family]
+        d, p, a = base.ball.dim, base.ball.p, base.ball.radius
+        x = random_in_ball(np.random.default_rng(5), d, p, a)
+        got = []
+        for eps0 in (700.0, 800.0):
+            spec = MechanismSpec(base.ball, eps0, base.mix_prob)
+            msg = encode_message(x, spec, 11)
+            atoms = getattr(msg, "inner", msg).atoms
+            got.append((getattr(msg, "arm", None), atoms, decode_message(msg, spec)))
+        assert got[0][:2] == got[1][:2]
+        np.testing.assert_array_equal(got[0][2], got[1][2])
+
 
 class TestR1:
     def test_origin_is_fair_coin(self):
@@ -673,14 +699,49 @@ class TestAtomsAndDrawOrder:
     def test_one_row_index_noise_is_the_sized_draw(self, dim):
         # One row draws its index and uniform as scalars; they must read the
         # bits the sized calls read and leave the stream at the same place.
+        # Their dtypes are pinned where they become arrays (next test).
         for seed in range(1000):
             gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             j, u = _index_noise(gen, 1, dim)
             want_j, want_u = ref.integers(dim, size=1), ref.random(1)
-            assert j.dtype == want_j.dtype and u.dtype == want_u.dtype
+            assert np.ndim(j) == 0 and np.ndim(u) == 0
             np.testing.assert_array_equal(j, want_j)
             np.testing.assert_array_equal(u, want_u)
             assert gen.random() == ref.random(), seed
+
+    @pytest.mark.parametrize("family, size", [("l1", 1), ("linf", 1), ("mix", 1), ("mix", 2)])
+    def test_one_row_blocks_gather_to_the_sized_draws(self, family, size, monkeypatch):
+        # The batch encoder gathers k streams' one-row index draws into one
+        # index and one uniform array, which must equal the concatenated
+        # integers(dim, size=1) and random(1) draws, dtype included. A mix
+        # stream whose block has exactly one l1-arm row (at s = 1 and s = 2)
+        # gathers its own scalars into arrays before the concatenation.
+        spec, fam, k = FAMILY_SPECS[family], _FAMILIES[family], 40
+        d, seen = spec.ball.dim, []
+
+        def draw(rows, spec, noise):
+            seen.append(noise)
+            return fam.draw(rows, spec, noise)
+
+        monkeypatch.setitem(_FAMILIES, family, fam._replace(draw=draw))
+        batch_encoder(np.zeros((k * size, d)), spec)(np.random.default_rng([7, i]) for i in range(k))
+        dim = message_code("L1" if family == "mix" else family, d)[1]
+        want_j, want_u, n_l1 = [], [], []
+        for i in range(k):
+            ref = np.random.default_rng([7, i])
+            n = size
+            if family == "mix":
+                n = int(np.count_nonzero(ref.random(size) < spec.mix_prob))
+                n_l1.append(n)
+            want_j.append(ref.integers(dim, size=n))
+            want_u.append(ref.random(n))
+        want_j, want_u = np.concatenate(want_j), np.concatenate(want_u)
+        j, u = seen[0][1:3] if family == "mix" else seen[0]
+        assert j.dtype == want_j.dtype and u.dtype == want_u.dtype
+        np.testing.assert_array_equal(j, want_j)
+        np.testing.assert_array_equal(u, want_u)
+        if family == "mix":
+            assert 1 in n_l1 and 0 in n_l1
 
     @pytest.mark.parametrize("family", sorted(FAMILY_SPECS))
     @pytest.mark.parametrize("d", [1, 3, 1000, 1024])
