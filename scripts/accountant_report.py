@@ -1,8 +1,10 @@
 """Print end-to-end privacy budgets across a small (eps0, T) grid.
 
 For each cell the four provenance lines show how the local guarantee turns
-into the central one (shuffle, sample, compose). The last column calibrates:
-the largest eps0 whose end-to-end epsilon stays under the target.
+into the central one (shuffle, sample, compose). The calibration table then
+gives, per shuffling bound (explicit and clones) and T, the largest eps0 the
+bound takes and the largest eps0 whose end-to-end epsilon stays under the
+target.
 
     python3 scripts/accountant_report.py --m 10000 --k 1000 --target-eps 2.0
 """
@@ -10,10 +12,12 @@ the largest eps0 whose end-to-end epsilon stays under the target.
 import argparse
 
 from cldp.accountant import (
+    ClonesShuffling,
     ExplicitShuffling,
     SamplingParams,
     calibrate_epsilon0,
     end_to_end,
+    max_feasible_epsilon0,
 )
 from cldp.errors import InfeasibleError
 
@@ -27,13 +31,19 @@ def run(m: int, k: int, r: int, delta: float, target_eps: float) -> None:
             budget = end_to_end(eps0, delta, T, params, variant)
             print(f"eps0={eps0:<4g} T={T:<5d} -> epsilon={budget.epsilon:.4g}")
         print()
-    for T in (10, 100, 1000):
-        try:
-            eps0_star = calibrate_epsilon0(target_eps, delta, T, params, variant)
-        except InfeasibleError as exc:
-            print(f"T={T:<5d}: {exc}")
-        else:
-            print(f"T={T:<5d}: largest eps0 with epsilon <= {target_eps:g} is {eps0_star:.6g}")
+    for bound in (variant, ClonesShuffling()):
+        print(f"{bound.name}:")
+        for T in (10, 100, 1000):
+            try:
+                cap = max_feasible_epsilon0(delta, T, params, bound)
+                eps0_star = calibrate_epsilon0(target_eps, delta, T, params, bound)
+            except InfeasibleError as exc:
+                print(f"  T={T:<5d}: {exc}")
+            else:
+                print(
+                    f"  T={T:<5d}: eps0 <= {cap:.6g} is in range; largest eps0 with "
+                    f"epsilon <= {target_eps:g} is {eps0_star:.6g}"
+                )
     budget = end_to_end(0.2, delta, 100, params, variant)
     print("\nprovenance at eps0=0.2, T=100:")
     for line in budget.provenance:

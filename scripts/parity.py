@@ -5,7 +5,9 @@ unaccounted training (l1, l2, no privacy, the mix at s = 1 and s = 2, and
 linf at s = 1 with k in the hundreds), mean-est sweeps
 (l1, l2 and linf; the mix at dimensions that are not powers of two), a
 bounds table, and accountant budgets with and without calibration, under
-the explicit and the asymptotic shuffling bound.
+both stated shuffling bounds: the explicit one (eps0 < 1/2) and the clones
+one of Feldman, McMillan and Talwar (eps0 <= ln(n/(16*ln(2/delta))) for a
+batch of n = k*s messages; eps0 = 1.5 lies inside it at k = 2500).
 Runs are deterministic, so two checkouts give the same lines exactly when
 their artifacts are byte-identical:
 
@@ -42,11 +44,10 @@ COMMANDS = (
     ("accountant.json", "accountant --eps0 0.3 --T 10 --m 5000 --k 2500"),
     ("accountant_calibrated.json",
      "accountant --eps0 0.3 --T 10 --m 5000 --k 2500 --calibrate 1.0"),
-    ("accountant_asymptotic.json",
-     "accountant --eps0 1.5 --variant asymptotic --c 0.5 --T 10 --m 5000 --k 2500"),
-    ("accountant_asymptotic_calibrated.json",
-     "accountant --eps0 1.5 --variant asymptotic --c 0.5 --T 10 --m 5000 --k 2500 "
-     "--calibrate 3.0"),
+    ("accountant_clones.json",
+     "accountant --eps0 1.5 --variant clones --T 10 --m 5000 --k 2500"),
+    ("accountant_clones_calibrated.json",
+     "accountant --eps0 1.5 --variant clones --T 10 --m 5000 --k 2500 --calibrate 3.0"),
 )
 
 

@@ -20,7 +20,7 @@ communication budget:
 """
 
 from .accountant import (
-    AsymptoticShuffling,
+    ClonesShuffling,
     ExplicitShuffling,
     PrivacyBudget,
     SamplingParams,
@@ -29,7 +29,6 @@ from .accountant import (
     calibrate_epsilon0,
     end_to_end,
     max_feasible_epsilon0,
-    per_round_budget,
     strong_composition,
 )
 from .bounds import (

@@ -10,7 +10,8 @@ composition statement (all logs natural):
    q = (k/m)*(s/r). For s=1 the full q amplifies; for s>1 only the
    within-client rate q2 = s/r does (client sampling buys nothing there),
    and a warning is emitted:
-       eps_bar = ln(1 + amp*(e^{eps_tilde}-1)),  delta_bar = q*delta_tilde
+       eps_bar = amplify_by_subsampling(eps_tilde, delta_tilde, q or q2),
+       delta_bar = q*delta_tilde
 3. strong composition over T rounds:
        eps = sqrt(2*T*ln(1/delta'))*eps_bar + T*eps_bar*(e^{eps_bar}-1)
        delta = T*delta_bar + delta'
@@ -20,20 +21,28 @@ delta/2, so the output delta reconstructs the target exactly, and records a
 human-readable provenance line per stage. ``calibrate_epsilon0`` inverts the
 map by bisection.
 
-Two shuffling bounds are available: the explicit-constant one (the default —
-the only one safe to report as a guarantee) and an asymptotic one whose
-unstated constant must be supplied by the caller (a diagnostic). Each is one
-class holding its formula (``epsilon_tilde``) and its eps0 range
+Two shuffling bounds are available, both with stated constants, over a batch
+of n = k*s messages at delta_tilde:
+
+* ``ExplicitShuffling`` (the default): 12*eps0*sqrt(ln(1/delta)/n), for
+  eps0 < 1/2, delta < 1/100 and n >= 1000;
+* ``ClonesShuffling``, Theorem 3.1 of Feldman, McMillan and Talwar, "Hiding
+  among the clones" (arXiv:2012.12803), for eps0 <= ln(n/(16*ln(2/delta))).
+
+Each is one class holding its formula (``epsilon_tilde``) and its eps0 range
 (``eps0_range``), which ``amplify_by_shuffling`` reads to raise
 PreconditionError and ``max_feasible_epsilon0`` to raise InfeasibleError.
+Malformed arguments (a string, a bool, a non-integral count) raise
+ValidationError.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple, Union, get_args
 
 from .errors import (
     AccountingError,
@@ -54,6 +63,11 @@ class SamplingParams:
     s: int
 
     def __post_init__(self) -> None:
+        for name in ("m", "k", "r", "s"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 1 <= self.k <= self.m:
             raise ValidationError(f"need 1 <= k <= m, got k={self.k}, m={self.m}")
         if not 1 <= self.s <= self.r:
@@ -121,45 +135,42 @@ class ExplicitShuffling:
 
 
 @dataclass(frozen=True)
-class AsymptoticShuffling:
-    """eps_tilde = c*min{eps0,1}*e^{eps0}*sqrt(ln(1/delta)/m_eff).
+class ClonesShuffling:
+    """eps_tilde = ln(1 + (e^eps0 - 1)/(e^eps0 + 1)*(8*sqrt(e^eps0*ln(4/delta)/m_eff)
+    + 8*e^eps0/m_eff)).
 
-    Valid for eps0 <= (1/2)*ln(m_eff/ln(1/delta)). The constant hidden in the
-    asymptotic statement must be supplied as c (default 1); treat outputs as
-    diagnostics, not guarantees.
+    Theorem 3.1 of Feldman, McMillan and Talwar, "Hiding among the clones"
+    (arXiv:2012.12803), valid for eps0 <= ln(m_eff/(16*ln(2/delta))). Its
+    constants are stated, so its outputs are guarantees.
     """
-
-    c: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.c > 0.0:
-            raise ValidationError(f"asymptotic constant c must be positive, got {self.c!r}")
 
     @property
     def name(self) -> str:
-        return f"shuffling, asymptotic with c={self.c:g}"
+        return "shuffling, clones bound (Feldman-McMillan-Talwar Thm 3.1)"
 
     def eps0_range(self, delta: float, m_eff: int) -> Eps0Range:
-        """PreconditionError when the batch leaves no eps0."""
-        log_term = math.log(1.0 / delta)
-        if not m_eff > log_term:
+        """PreconditionError when the batch leaves no eps0: m_eff <= 16*ln(2/delta)."""
+        floor = 16.0 * math.log(2.0 / delta)
+        cap = math.log(m_eff / floor)
+        if not cap > 0.0:
             raise PreconditionError(
-                "asymptotic shuffling bound requires a batch m_eff > ln(1/delta) = "
-                f"{log_term:.6g}; got {m_eff}"
+                "clones shuffling bound requires a batch m_eff > 16*ln(2/delta) = "
+                f"{floor:.6g}; got {m_eff}"
             )
-        cap = 0.5 * math.log(m_eff / log_term)
-        rule = "epsilon0 <= (1/2)*ln(m_eff/ln(1/delta))"
-        return Eps0Range(cap, True, f"asymptotic shuffling bound requires {rule} = {cap:.6g}")
+        rule = "epsilon0 <= ln(m_eff/(16*ln(2/delta)))"
+        return Eps0Range(cap, True, f"clones shuffling bound requires {rule} = {cap:.6g}")
 
     def epsilon_tilde(self, eps0: float, delta: float, m_eff: int) -> float:
-        return self.c * min(eps0, 1.0) * math.exp(eps0) * math.sqrt(math.log(1.0 / delta) / m_eff)
+        e0 = math.exp(eps0)
+        spread = 8.0 * math.sqrt(e0 * math.log(4.0 / delta) / m_eff) + 8.0 * e0 / m_eff
+        return math.log1p(math.expm1(eps0) / (e0 + 1.0) * spread)
 
 
-ShufflingVariant = Union[ExplicitShuffling, AsymptoticShuffling]
+ShufflingVariant = Union[ExplicitShuffling, ClonesShuffling]
 
 
 def _validate_variant(variant) -> None:
-    if not isinstance(variant, (ExplicitShuffling, AsymptoticShuffling)):
+    if not isinstance(variant, get_args(ShufflingVariant)):
         raise ValidationError(f"unknown shuffling variant {variant!r}")
 
 
@@ -187,28 +198,42 @@ class PrivacyBudget:
         return "\n".join(self.provenance)
 
 
+def _real(value, name: str):
+    """value itself when it is a real number (a bool is not), else ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
+def _positive_int(value, name: str) -> int:
+    """value as an int when it is an integral real >= 1, else ValidationError."""
+    real = _real(value, name)
+    if not ((isinstance(real, numbers.Integral) or float(real).is_integer()) and real >= 1):
+        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+    return int(real)
+
+
 def _validate_delta(delta: float, name: str = "delta") -> None:
-    if not 0.0 < delta < 1.0:
+    if not 0.0 < _real(delta, name) < 1.0:
         raise ValidationError(f"{name} must lie in (0, 1), got {delta!r}")
 
 
-def _validate_rounds(T) -> int:
-    try:
-        as_int = int(T)
-    except (TypeError, ValueError):
-        raise ValidationError(f"T must be a positive integer, got {T!r}") from None
-    if as_int != T or as_int < 1:
-        raise ValidationError(f"T must be a positive integer, got {T!r}")
-    return as_int
+def _delta_split(delta: float, T: int, params: SamplingParams) -> tuple[int, float]:
+    """(T, delta/(2qT)) once delta, T and params are checked; callers judge the split."""
+    _validate_delta(delta)
+    T = _positive_int(T, "T")
+    if not isinstance(params, SamplingParams):
+        raise ValidationError(f"params must be SamplingParams, got {params!r}")
+    return T, delta / (2.0 * params.q * T)
 
 
 def amplify_by_subsampling(eps: float, delta: float, q: float) -> tuple[float, float]:
     """(ln(1 + q*(e^eps - 1)), q*delta); the identity at q=1."""
-    if not eps >= 0.0:
+    if not _real(eps, "eps") >= 0.0:
         raise ValidationError(f"eps must be nonnegative, got {eps!r}")
-    if not 0.0 <= delta < 1.0:
+    if not 0.0 <= _real(delta, "delta") < 1.0:
         raise ValidationError(f"delta must lie in [0, 1), got {delta!r}")
-    if not 0.0 < q <= 1.0:
+    if not 0.0 < _real(q, "sampling rate q") <= 1.0:
         raise ValidationError(f"sampling rate q must lie in (0, 1], got {q!r}")
     if q == 1.0:
         return eps, delta  # exact identity, not log1p(expm1(eps))
@@ -224,11 +249,10 @@ def amplify_by_shuffling(
     bound does not apply.
     """
     _validate_variant(variant)
-    if not eps0 > 0.0:
+    if not _real(eps0, "epsilon0") > 0.0:
         raise ValidationError(f"epsilon0 must be positive, got {eps0!r}")
     _validate_delta(delta)
-    if not m_eff >= 1:
-        raise ValidationError(f"shuffler batch size must be >= 1, got {m_eff!r}")
+    m_eff = _positive_int(m_eff, "shuffler batch size")
     valid = variant.eps0_range(delta, m_eff)
     if not (eps0 <= valid.cap if valid.closed else eps0 < valid.cap):
         raise PreconditionError(f"{valid.condition}; got epsilon0 = {eps0:.6g}")
@@ -236,46 +260,36 @@ def amplify_by_shuffling(
 
 
 def _sampling_stage(eps_tilde: float, delta_tilde: float, params: SamplingParams):
-    """(eps_bar, delta_bar, the amplifying rate as text) of one round's sampling."""
-    if params.s == 1:
-        return (*amplify_by_subsampling(eps_tilde, delta_tilde, params.q), f"q = {params.q:.6g}")
-    if params.k < params.m:
-        warnings.warn(
-            "client sampling gives no per-round privacy amplification when s > 1; "
-            f"using the data-sampling rate q2 = {params.q2:.6g} instead of q = {params.q:.6g}",
-            AmplificationWarning,
-            stacklevel=3,
-        )
-    note = f"q2 = {params.q2:.6g} (s > 1: client sampling does not amplify)"
-    return math.log1p(params.q2 * math.expm1(eps_tilde)), params.q * delta_tilde, note
+    """(eps_bar, delta_bar, the amplifying rate as text) of one round's sampling.
 
-
-def per_round_budget(
-    eps0: float,
-    delta_tilde: float,
-    params: SamplingParams,
-    variant: ShufflingVariant,
-) -> tuple[float, float]:
-    """(eps_bar, delta_bar) for one round: shuffle the k*s batch, then sample.
-
-    For s=1 the sampling stage amplifies by the full participation rate q; for
-    s>1 only by q2 = s/r, because a client's s messages are not independent
-    across the client-sampling randomness. delta_bar = q*delta_tilde in both
-    branches.
+    For s=1 the full participation rate q amplifies; for s>1 only q2 = s/r,
+    because a client's s messages are not independent across the
+    client-sampling randomness. delta_bar = q*delta_tilde in both branches.
     """
-    eps_tilde = amplify_by_shuffling(eps0, delta_tilde, params.batch, variant)
-    return _sampling_stage(eps_tilde, delta_tilde, params)[:2]
+    if params.s == 1:
+        rate, note = params.q, f"q = {params.q:.6g}"
+    else:
+        if params.k < params.m:
+            warnings.warn(
+                "client sampling gives no per-round privacy amplification when s > 1; "
+                f"using the data-sampling rate q2 = {params.q2:.6g} instead of q = {params.q:.6g}",
+                AmplificationWarning,
+                stacklevel=3,
+            )
+        rate, note = params.q2, f"q2 = {params.q2:.6g} (s > 1: client sampling does not amplify)"
+    eps_bar, _ = amplify_by_subsampling(eps_tilde, delta_tilde, rate)
+    return eps_bar, params.q * delta_tilde, note
 
 
 def strong_composition(
     eps_bar: float, delta_bar: float, T: int, delta_prime: float
 ) -> tuple[float, float]:
     """T-fold strong composition: the exact stated pair, no asymptotics."""
-    if not eps_bar >= 0.0:
+    if not _real(eps_bar, "eps_bar") >= 0.0:
         raise ValidationError(f"eps_bar must be nonnegative, got {eps_bar!r}")
-    if not 0.0 <= delta_bar < 1.0:
+    if not 0.0 <= _real(delta_bar, "delta_bar") < 1.0:
         raise ValidationError(f"delta_bar must lie in [0, 1), got {delta_bar!r}")
-    T = _validate_rounds(T)
+    T = _positive_int(T, "T")
     _validate_delta(delta_prime, "delta'")
     eps = math.sqrt(2.0 * T * math.log(1.0 / delta_prime)) * eps_bar
     eps += T * eps_bar * math.expm1(eps_bar)
@@ -294,9 +308,7 @@ def end_to_end(
     The output delta reconstructs the target exactly:
     T*(q*delta_tilde) + delta/2 = delta/2 + delta/2.
     """
-    _validate_delta(delta)
-    T = _validate_rounds(T)
-    delta_tilde = delta / (2.0 * params.q * T)
+    T, delta_tilde = _delta_split(delta, T, params)
     if not delta_tilde < 1.0:
         raise ValidationError(
             f"the delta split needs delta/(2qT) < 1, got {delta_tilde:.6g}; "
@@ -341,9 +353,7 @@ def max_feasible_epsilon0(
 ) -> float:
     """Supremum of the eps0 range on which the variant's bound applies."""
     _validate_variant(variant)
-    _validate_delta(delta)
-    T = _validate_rounds(T)
-    delta_tilde = delta / (2.0 * params.q * T)
+    T, delta_tilde = _delta_split(delta, T, params)
     if not 0.0 < delta_tilde < 1.0:
         raise InfeasibleError(
             f"the delta split delta/(2qT) = {delta_tilde:.6g} is not a valid delta"
@@ -371,7 +381,7 @@ def calibrate_epsilon0(
     infeasible error when the target lies outside the achievable range of the
     variant (below the minimum, or above the value at the variant's eps0 cap).
     """
-    if not eps_target > 0.0:
+    if not _real(eps_target, "target epsilon") > 0.0:
         raise ValidationError(f"target epsilon must be positive, got {eps_target!r}")
     cap = max_feasible_epsilon0(delta, T, params, variant)
     hi = cap * (1.0 - 1e-12)

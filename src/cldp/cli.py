@@ -150,7 +150,6 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "r": (_int, 1),
         "s": (_int, 1),
         "variant": (_str, "explicit"),
-        "c": (_float, 1.0),
         "calibrate": (_optional(_float), None),
         "out": (_optional(_str), None),
     },
@@ -183,7 +182,6 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "mix_prob": (_optional(_float), None),
         "account": (_bool, True),
         "variant": (_str, "explicit"),
-        "c": (_float, 1.0),
         "data": (_optional(_str), None),
         "theta_norm": (_float, 1.5),
         "seed": (_int, 0),
@@ -329,13 +327,18 @@ def _run_mean_est(cfg: ExperimentConfig) -> int:
     return 0
 
 
+_VARIANTS = {"explicit": acct.ExplicitShuffling, "clones": acct.ClonesShuffling}
+
+
 def _variant_from(prm: dict):
     name = prm["variant"]
-    if name == "explicit":
-        return acct.ExplicitShuffling()
-    if name == "asymptotic":
-        return acct.AsymptoticShuffling(c=prm["c"])
-    raise ValidationError(f"variant must be 'explicit' or 'asymptotic', got {name!r}")
+    if name not in _VARIANTS:
+        raise ValidationError(
+            "variant must be 'explicit' (12*eps0*sqrt(ln(1/delta)/n), eps0 < 1/2) or "
+            "'clones' (Feldman-McMillan-Talwar, eps0 <= ln(n/(16*ln(2/delta)))), "
+            f"got {name!r}"
+        )
+    return _VARIANTS[name]()
 
 
 def _run_accountant(cfg: ExperimentConfig) -> int:

@@ -142,17 +142,15 @@ class RoundTrace:
 
     ``loss_before``/``loss_after`` are full-dataset mean losses at the round's
     entry and exit iterates; ``exact_bits`` is the wire-accounted total over
-    all sampled clients this round, ``expected_bits`` its a-priori mean over
-    the sampling randomness; ``epsilon_so_far`` is the central epsilon of a
-    run ending at this round (NaN when not accounted, or when that run fails a
-    precondition, which the budget's provenance names); ``clipped`` counts the
-    round's gradients that the clip shrank.
+    all sampled clients this round; ``epsilon_so_far`` is the central epsilon
+    of a run ending at this round (NaN when not accounted, or when that run
+    fails a precondition, which the budget's provenance names); ``clipped``
+    counts the round's gradients that the clip shrank.
     """
 
     t: int
     client_ids: tuple[int, ...]
     exact_bits: int
-    expected_bits: float
     loss_before: float
     loss_after: float
     grad_norm: float
@@ -345,7 +343,6 @@ def train(cfg: TrainConfig, data: list[ClientDataset]) -> TrainResult:
     spec = cfg.mechanism_spec()
     big_g = math.sqrt(g_squared(task.lipschitz, d, cfg.ball.p, p.q, p.n, cfg.epsilon0))
     radius = cfg.diameter / 2.0
-    expected_bits = wire.expected_round_bits(spec, p, d)
 
     X_all, Y_all = stack_points(data)
     server = np.random.default_rng(np.random.SeedSequence((cfg.seed, SERVER_SALT)))
@@ -382,7 +379,6 @@ def train(cfg: TrainConfig, data: list[ClientDataset]) -> TrainResult:
                 t=t,
                 client_ids=tuple([int(data[ci].client_id) for ci in chosen.tolist()]),
                 exact_bits=wire.round_payload_bits(spec, p, d, l1_arm),
-                expected_bits=expected_bits,
                 loss_before=loss_now,
                 loss_after=loss_after,
                 grad_norm=float(np.linalg.norm(g_bar)),

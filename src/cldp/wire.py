@@ -300,14 +300,3 @@ def round_payload_bits(spec: mech.MechanismSpec | None, params, d: int, l1_arm: 
     dim = spec.ball.dim
     return l1_arm * _code_bits("L1", dim) + (params.k * params.s - l1_arm) * _code_bits("L2", dim)
 
-
-def expected_round_bits(spec: mech.MechanismSpec | None, params, d: int) -> float:
-    """A-priori mean of a round's total payload bits: k clients, s messages each.
-
-    ``spec`` None is the uncompressed baseline of raw vectors over dimension d.
-    """
-    if spec is None or spec.mix_prob is None:
-        return float(round_payload_bits(spec, params, d))
-    q, dim = spec.mix_prob, spec.ball.dim
-    per_message = q * _code_bits("L1", dim) + (1.0 - q) * _code_bits("L2", dim)
-    return params.k * params.s * per_message

@@ -4,6 +4,8 @@ These were written directly from the composition / amplification lemmas before
 the package accountant existed, using only the ``math`` module, and are kept
 free of any package imports on purpose: the test suite compares the package
 accountant against this file as two independent routes to the same numbers.
+The clones branch of ``oracle_shuffle`` was added later, the same way: from
+the statement of the theorem it cites, not from the package.
 
 Pipeline being modeled (all logs natural):
 
@@ -23,27 +25,28 @@ def oracle_subsample(eps: float, delta: float, q: float) -> tuple[float, float]:
     return math.log1p(q * math.expm1(eps)), q * delta
 
 
-def oracle_shuffle(
-    eps0: float,
-    delta: float,
-    m_eff: int,
-    variant: str = "explicit",
-    c: float = 1.0,
-) -> float:
+def oracle_shuffle(eps0: float, delta: float, m_eff: int, variant: str = "explicit") -> float:
     """Privacy amplification by shuffling m_eff messages.
 
     variant="explicit":  12*eps0*sqrt(ln(1/delta)/m_eff)
                          valid for eps0 < 1/2, delta < 1/100, m_eff >= 1000.
-    variant="asymptotic": c*min{eps0,1}*e^{eps0}*sqrt(ln(1/delta)/m_eff)
-                         valid for eps0 <= (1/2)*ln(m_eff/ln(1/delta)).
+    variant="clones":    Feldman, McMillan and Talwar, "Hiding among the
+                         clones" (arXiv:2012.12803), Theorem 3.1: for
+                         eps0 <= ln(n/(16*ln(2/delta))), the shuffled output
+                         of n eps0-DP randomizers is (eps, delta)-DP with
+                         eps <= ln(1 + (e^eps0 - 1)/(e^eps0 + 1)
+                                   * (8*sqrt(e^eps0*ln(4/delta))/sqrt(n)
+                                      + 8*e^eps0/n)).
     """
-    big_l = math.log(1.0 / delta)
     if variant == "explicit":
         assert eps0 < 0.5 and 0.0 < delta < 0.01 and m_eff >= 1000
-        return 12.0 * eps0 * math.sqrt(big_l / m_eff)
-    assert variant == "asymptotic"
-    assert eps0 <= 0.5 * math.log(m_eff / big_l)
-    return c * min(eps0, 1.0) * math.exp(eps0) * math.sqrt(big_l / m_eff)
+        return 12.0 * eps0 * math.sqrt(math.log(1.0 / delta) / m_eff)
+    assert variant == "clones"
+    n = m_eff
+    assert 0.0 < eps0 <= math.log(n / (16.0 * math.log(2.0 / delta)))
+    e = math.exp(eps0)
+    inner = 8.0 * math.sqrt(e * math.log(4.0 / delta)) / math.sqrt(n) + 8.0 * e / n
+    return math.log(1.0 + (e - 1.0) / (e + 1.0) * inner)
 
 
 def oracle_strong_composition(
@@ -64,7 +67,6 @@ def oracle_end_to_end(
     r: int,
     s: int,
     variant: str = "explicit",
-    c: float = 1.0,
 ) -> tuple[float, float]:
     """Full chain: local eps0 to central (eps, delta) after T rounds.
 
@@ -76,7 +78,7 @@ def oracle_end_to_end(
     q1, q2 = k / m, s / r
     q = q1 * q2
     delta_tilde = delta / (2.0 * q * big_t)
-    eps_tilde = oracle_shuffle(eps0, delta_tilde, k * s, variant, c)
+    eps_tilde = oracle_shuffle(eps0, delta_tilde, k * s, variant)
     amp = q if s == 1 else q2
     eps_bar = math.log1p(amp * math.expm1(eps_tilde))
     delta_bar = q * delta_tilde

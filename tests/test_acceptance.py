@@ -18,7 +18,7 @@ import pytest
 from cldp import cli, wire
 from cldp import mechanisms as mech
 from cldp.accountant import (
-    AsymptoticShuffling,
+    ClonesShuffling,
     ExplicitShuffling,
     SamplingParams,
     amplify_by_subsampling,
@@ -219,6 +219,7 @@ def test_criterion_05_accountant_oracle():
     with criterion(5, "accountant == oracle at 1e-12; exact identities; monotone stages"):
         rng = np.random.default_rng(SEED + 5)
 
+        above_half = 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AmplificationWarning)
             for i in range(200):
@@ -230,19 +231,20 @@ def test_criterion_05_accountant_oracle():
                 delta = 10.0 ** float(rng.uniform(-9.0, -3.0))
                 if i % 2 == 0:
                     eps0 = float(rng.uniform(0.02, 0.49))
-                    variant, vname, c = ExplicitShuffling(), "explicit", 1.0
+                    variant, vname = ExplicitShuffling(), "explicit"
                 else:
-                    eps0 = float(rng.uniform(0.05, 0.45))
-                    c = float(rng.uniform(0.5, 2.0))
-                    variant, vname = AsymptoticShuffling(c=c), "asymptotic"
+                    # The second draw stretches eps0 to [0.025, 0.9), past the
+                    # explicit bound's 1/2; the oracle asserts the clones cap.
+                    eps0 = float(rng.uniform(0.05, 0.45)) * float(rng.uniform(0.5, 2.0))
+                    variant, vname = ClonesShuffling(), "clones"
+                    above_half += eps0 > 0.5
                 params = SamplingParams(m=m, k=k, r=r, s=s)
                 budget = end_to_end(eps0, delta, T, params, variant)
-                oracle_eps, oracle_delta = oracle_end_to_end(
-                    eps0, delta, T, m, k, r, s, vname, c
-                )
+                oracle_eps, oracle_delta = oracle_end_to_end(eps0, delta, T, m, k, r, s, vname)
                 assert math.isclose(budget.epsilon, oracle_eps, rel_tol=1e-12)
                 assert math.isclose(budget.delta, oracle_delta, rel_tol=1e-12)
                 assert budget.delta == delta
+        assert above_half > 0
 
         # exact identities at q=1 and T=1
         for _ in range(50):

@@ -9,12 +9,13 @@ import itertools
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cldp.accountant import (
-    AsymptoticShuffling,
+    ClonesShuffling,
     ExplicitShuffling,
     SamplingParams,
     amplify_by_shuffling,
@@ -22,7 +23,6 @@ from cldp.accountant import (
     calibrate_epsilon0,
     end_to_end,
     max_feasible_epsilon0,
-    per_round_budget,
     strong_composition,
 )
 from cldp.errors import (
@@ -40,7 +40,8 @@ from oracle_accountant import (
 )
 
 EXPLICIT = ExplicitShuffling()
-ASYMPTOTIC = AsymptoticShuffling()
+CLONES = ClonesShuffling()
+DEPLOY = SamplingParams(m=5_000, k=1_000, r=4, s=1)  # the train_deploy benchmark's sampling
 
 
 class TestSamplingParams:
@@ -68,6 +69,49 @@ class TestSamplingParams:
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValidationError):
             SamplingParams(**kwargs)
+
+    def test_fields_are_plain_ints(self):
+        params = SamplingParams(m=np.int64(50), k=np.int32(10), r=4, s=1)
+        assert (params.m, params.k) == (50, 10)
+        assert type(params.m) is int and type(params.k) is int
+
+
+# Each call hands one entry point one malformed argument: a string, None, a
+# bool or a non-integral count. Each must raise ValidationError, not a
+# TypeError and not a silent reading (T=True ran as T = 1).
+MALFORMED = {
+    "params_m_str": lambda: SamplingParams(m="5", k=1, r=1, s=1),
+    "params_m_none": lambda: SamplingParams(m=None, k=1, r=1, s=1),
+    "params_m_fractional": lambda: SamplingParams(m=5.5, k=1, r=1, s=1),
+    "params_m_integral_float": lambda: SamplingParams(m=5.0, k=1, r=1, s=1),
+    "params_m_bool": lambda: SamplingParams(m=True, k=1, r=1, s=1),
+    "params_s_bool": lambda: SamplingParams(m=5, k=1, r=1, s=True),
+    "shuffle_eps0_str": lambda: amplify_by_shuffling("0.3", 1e-6, 2_000, EXPLICIT),
+    "shuffle_eps0_bool": lambda: amplify_by_shuffling(True, 1e-6, 2_000, CLONES),
+    "shuffle_m_eff_str": lambda: amplify_by_shuffling(0.3, 1e-6, "2000", EXPLICIT),
+    "shuffle_m_eff_fractional": lambda: amplify_by_shuffling(0.3, 1e-6, 2_000.5, EXPLICIT),
+    "shuffle_delta_str": lambda: amplify_by_shuffling(0.3, "1e-6", 2_000, EXPLICIT),
+    "subsample_eps_str": lambda: amplify_by_subsampling("0.3", 1e-6, 0.5),
+    "subsample_q_none": lambda: amplify_by_subsampling(0.3, 1e-6, None),
+    "compose_eps_bar_str": lambda: strong_composition("0.1", 1e-9, 10, 1e-7),
+    "compose_T_bool": lambda: strong_composition(0.1, 1e-9, True, 1e-7),
+    "compose_delta_prime_none": lambda: strong_composition(0.1, 1e-9, 10, None),
+    "e2e_eps0_str": lambda: end_to_end("0.3", 1e-6, 10, DEPLOY),
+    "e2e_delta_str": lambda: end_to_end(0.3, "1e-6", 10, DEPLOY),
+    "e2e_T_bool": lambda: end_to_end(0.3, 1e-6, True, DEPLOY),
+    "e2e_T_str": lambda: end_to_end(0.3, 1e-6, "10", DEPLOY),
+    "e2e_params_tuple": lambda: end_to_end(0.3, 1e-6, 10, (5_000, 1_000, 4, 1)),
+    "max_feasible_T_bool": lambda: max_feasible_epsilon0(1e-6, True, DEPLOY, CLONES),
+    "max_feasible_delta_none": lambda: max_feasible_epsilon0(None, 10, DEPLOY, CLONES),
+    "calibrate_target_str": lambda: calibrate_epsilon0("1", 1e-6, 10, DEPLOY),
+    "calibrate_target_bool": lambda: calibrate_epsilon0(True, 1e-6, 10, DEPLOY),
+}
+
+
+@pytest.mark.parametrize("call", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_input_raises_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 class TestSubsampling:
@@ -136,26 +180,25 @@ class TestShuffling:
         with pytest.raises(PreconditionError, match="1000"):
             amplify_by_shuffling(0.3, 1e-6, 999, EXPLICIT)
 
-    def test_asymptotic_formula_and_kink(self):
-        got = amplify_by_shuffling(0.8, 1e-6, 10_000, ASYMPTOTIC)
-        want = 0.8 * math.exp(0.8) * math.sqrt(math.log(1e6) / 1e4)
+    def test_clones_formula(self):
+        # Theorem 3.1 of arXiv:2012.12803, written out at eps0 = 0.8.
+        e = math.exp(0.8)
+        spread = 8.0 * math.sqrt(e * math.log(4e6) / 1e4) + 8.0 * e / 1e4
+        want = math.log(1.0 + (e - 1.0) / (e + 1.0) * spread)
+        got = amplify_by_shuffling(0.8, 1e-6, 10_000, CLONES)
         assert got == pytest.approx(want, rel=1e-14)
-        # Above eps0=1 only the e^{eps0} factor keeps growing.
-        at_one = amplify_by_shuffling(1.0, 1e-6, 10_000, ASYMPTOTIC)
-        above = amplify_by_shuffling(1.2, 1e-6, 10_000, ASYMPTOTIC)
-        assert above == pytest.approx(at_one * math.exp(0.2), rel=1e-12)
+        assert got < 0.8  # it amplifies where the explicit bound refuses
 
-    def test_asymptotic_constant_scales(self):
-        one = amplify_by_shuffling(0.4, 1e-6, 5_000, AsymptoticShuffling(c=1.0))
-        three = amplify_by_shuffling(0.4, 1e-6, 5_000, AsymptoticShuffling(c=3.0))
-        assert three == pytest.approx(3.0 * one, rel=1e-14)
-
-    def test_asymptotic_precondition(self):
-        # Cap is (1/2)*ln(m_eff/ln(1/delta)).
-        cap = 0.5 * math.log(10_000 / math.log(1e6))
-        amplify_by_shuffling(cap * 0.999, 1e-6, 10_000, ASYMPTOTIC)
-        with pytest.raises(PreconditionError, match="asymptotic"):
-            amplify_by_shuffling(cap * 1.001, 1e-6, 10_000, ASYMPTOTIC)
+    def test_clones_precondition(self):
+        # Cap is ln(m_eff/(16*ln(2/delta))), taken with equality.
+        cap = math.log(10_000 / (16.0 * math.log(2e6)))
+        amplify_by_shuffling(cap, 1e-6, 10_000, CLONES)
+        with pytest.raises(PreconditionError, match="clones"):
+            amplify_by_shuffling(cap * 1.001, 1e-6, 10_000, CLONES)
+        # A batch of at most 16*ln(2/delta) = 232.1 messages leaves no eps0.
+        with pytest.raises(PreconditionError, match="16"):
+            amplify_by_shuffling(1e-3, 1e-6, 232, CLONES)
+        amplify_by_shuffling(1e-3, 1e-6, 233, CLONES)
 
     def test_matches_oracle_both_variants(self):
         for eps0 in (0.05, 0.2, 0.45):
@@ -163,10 +206,11 @@ class TestShuffling:
                 got = amplify_by_shuffling(eps0, 1e-8, m_eff, EXPLICIT)
                 want = oracle_shuffle(eps0, 1e-8, m_eff, "explicit")
                 assert got == pytest.approx(want, rel=1e-14)
-        for eps0 in (0.1, 1.0, 2.5):
-            got = amplify_by_shuffling(eps0, 1e-8, 50_000, AsymptoticShuffling(c=0.7))
-            want = oracle_shuffle(eps0, 1e-8, 50_000, "asymptotic", c=0.7)
-            assert got == pytest.approx(want, rel=1e-14)
+        # The clones cap at delta = 1e-8 is 1.18 at m_eff = 1000 and 5.09 at 50 000.
+        for eps0, m_eff in [(0.05, 1_000), (1.0, 1_000), (0.45, 50_000), (2.5, 50_000)]:
+            got = amplify_by_shuffling(eps0, 1e-8, m_eff, CLONES)
+            want = oracle_shuffle(eps0, 1e-8, m_eff, "clones")
+            assert got == pytest.approx(want, rel=1e-13)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValidationError):
@@ -183,14 +227,16 @@ class TestShuffling:
                 max_feasible_epsilon0(1e-6, 10, SamplingParams(m=5000, k=2500, r=1, s=1), variant)
 
     @pytest.mark.parametrize(
-        "variant", [EXPLICIT, AsymptoticShuffling(c=0.5)], ids=["explicit", "asymptotic"]
+        "variant", [EXPLICIT, CLONES], ids=["explicit", "clones"]
     )
     def test_both_readers_of_a_range_agree(self, variant):
         # amplify_by_shuffling and max_feasible_epsilon0 read one range: at
         # the end-to-end split delta/(2qT) and the batch k*s, the bound takes
         # eps0 just below the cap and refuses it just above, and where the
-        # cap is infeasible the bound takes no eps0 at all.
-        feasible = infeasible = 0
+        # cap is infeasible the bound takes no eps0 at all. Some infeasible
+        # cells have a valid split but too small a batch (for the clones
+        # bound, k*s <= 16*ln(2/delta_tilde)).
+        feasible = infeasible = small_batch = 0
         grid = itertools.product((1e-9, 1e-6, 1e-2, 0.3), (1, 10, 1000), (200, 5000, 200_000),
                                  (0.01, 0.25, 1.0), (1, 2))
         for delta, T, m, k_frac, s in grid:
@@ -202,8 +248,9 @@ class TestShuffling:
 
             try:
                 cap = max_feasible_epsilon0(delta, T, params, variant)
-            except InfeasibleError:
+            except InfeasibleError as err:
                 infeasible += 1
+                small_batch += delta_tilde < 0.01 and "batch" in str(err)
                 for eps0 in (1e-6, 0.1, 0.49, 1.0, 5.0):
                     with pytest.raises((PreconditionError, ValidationError)):
                         bound(eps0)
@@ -212,10 +259,12 @@ class TestShuffling:
             bound(cap * (1.0 - 1e-9))
             with pytest.raises(PreconditionError):
                 bound(cap * (1.0 + 1e-9))
-        assert feasible > 0 and infeasible > 0
+        assert feasible > 0 and infeasible > 0 and small_batch > 0
 
 
-class TestPerRoundBudget:
+class TestSamplingStage:
+    """The sampling stage of ``end_to_end``: the budget's epsilon_bar and delta_bar."""
+
     def test_pinned_sampling_value(self):
         # ln(1 + 0.01*(e^{0.2}-1)) with eps_tilde forced to 0.2 via subsampling.
         eps_bar, _ = amplify_by_subsampling(0.2, 1e-8, 0.01)
@@ -223,44 +272,44 @@ class TestPerRoundBudget:
 
     def test_single_sample_route_composes_stages(self):
         params = SamplingParams(m=10_000, k=2_000, r=50, s=1)
-        delta_tilde = 1e-9
-        eps_bar, delta_bar = per_round_budget(0.3, delta_tilde, params, EXPLICIT)
-        eps_tilde = amplify_by_shuffling(0.3, delta_tilde, params.batch, EXPLICIT)
-        want = oracle_subsample(eps_tilde, delta_tilde, params.q)
-        assert eps_bar == pytest.approx(want[0], rel=1e-14)
-        assert delta_bar == pytest.approx(want[1], rel=1e-14)
+        budget = end_to_end(0.3, 1e-6, 10, params, EXPLICIT)
+        eps_tilde = amplify_by_shuffling(0.3, budget.delta_tilde, params.batch, EXPLICIT)
+        assert budget.epsilon_tilde == eps_tilde
+        want = oracle_subsample(eps_tilde, budget.delta_tilde, params.q)
+        assert budget.epsilon_bar == pytest.approx(want[0], rel=1e-14)
+        assert budget.delta_bar == pytest.approx(want[1], rel=1e-14)
 
     def test_full_participation_passthrough(self):
         params = SamplingParams(m=2_000, k=2_000, r=1, s=1)
-        eps_bar, delta_bar = per_round_budget(0.3, 1e-7, params, EXPLICIT)
-        eps_tilde = amplify_by_shuffling(0.3, 1e-7, 2_000, EXPLICIT)
-        assert eps_bar == pytest.approx(eps_tilde, rel=1e-15)
-        assert delta_bar == pytest.approx(1e-7, rel=1e-15)
+        budget = end_to_end(0.3, 1e-6, 5, params, EXPLICIT)
+        eps_tilde = amplify_by_shuffling(0.3, budget.delta_tilde, 2_000, EXPLICIT)
+        assert budget.epsilon_bar == pytest.approx(eps_tilde, rel=1e-15)
+        assert budget.delta_bar == pytest.approx(budget.delta_tilde, rel=1e-15)
 
     def test_multi_sample_branch_uses_q2_and_warns(self):
         params = SamplingParams(m=1_000, k=500, r=200, s=2)
         assert params.q2 == pytest.approx(0.01)
         assert params.q == pytest.approx(0.005)
-        delta_tilde = 1e-9
         with pytest.warns(AmplificationWarning):
-            eps_bar, delta_bar = per_round_budget(0.3, delta_tilde, params, EXPLICIT)
+            budget = end_to_end(0.3, 1e-6, 10, params, EXPLICIT)
+        delta_tilde = budget.delta_tilde
         eps_tilde = amplify_by_shuffling(0.3, delta_tilde, params.batch, EXPLICIT)
-        assert eps_bar == pytest.approx(
+        assert budget.epsilon_bar == pytest.approx(
             math.log1p(params.q2 * math.expm1(eps_tilde)), rel=1e-14
         )
         # delta_bar still scales with the full q.
-        assert delta_bar == pytest.approx(params.q * delta_tilde, rel=1e-15)
+        assert budget.delta_bar == pytest.approx(params.q * delta_tilde, rel=1e-15)
         # Strictly worse than the (unproven) q-branch would have been.
         hypothetical = math.log1p(params.q * math.expm1(eps_tilde))
-        assert eps_bar > hypothetical
+        assert budget.epsilon_bar > hypothetical
 
     def test_multi_sample_all_clients_no_warning(self):
         params = SamplingParams(m=500, k=500, r=100, s=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", AmplificationWarning)
-            eps_bar, _ = per_round_budget(0.3, 1e-9, params, EXPLICIT)
-        eps_tilde = amplify_by_shuffling(0.3, 1e-9, params.batch, EXPLICIT)
-        assert eps_bar == pytest.approx(
+            budget = end_to_end(0.3, 1e-6, 10, params, EXPLICIT)
+        eps_tilde = amplify_by_shuffling(0.3, budget.delta_tilde, params.batch, EXPLICIT)
+        assert budget.epsilon_bar == pytest.approx(
             math.log1p(params.q2 * math.expm1(eps_tilde)), rel=1e-14
         )
 
@@ -353,14 +402,17 @@ class TestEndToEnd:
         assert budget.epsilon == pytest.approx(want_eps, rel=1e-13)
         assert budget.delta == pytest.approx(want_delta, rel=1e-13)
 
-    def test_matches_oracle_asymptotic(self):
-        params = SamplingParams(m=100_000, k=20_000, r=5, s=1)
-        budget = end_to_end(1.5, 1e-6, 30, params, AsymptoticShuffling(c=0.5))
-        want_eps, want_delta = oracle_end_to_end(
-            1.5, 1e-6, 30, 100_000, 20_000, 5, 1, "asymptotic", c=0.5
-        )
-        assert budget.epsilon == pytest.approx(want_eps, rel=1e-13)
-        assert budget.delta == pytest.approx(want_delta, rel=1e-13)
+    def test_matches_oracle_clones(self):
+        for eps0, (m, k, r, s) in [
+            (1.5, (100_000, 20_000, 5, 1)),
+            (0.8, (1_000, 500, 100, 4)),
+        ]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", AmplificationWarning)
+                budget = end_to_end(eps0, 1e-6, 30, SamplingParams(m=m, k=k, r=r, s=s), CLONES)
+            want_eps, want_delta = oracle_end_to_end(eps0, 1e-6, 30, m, k, r, s, "clones")
+            assert budget.epsilon == pytest.approx(want_eps, rel=1e-13)
+            assert budget.delta == pytest.approx(want_delta, rel=1e-13)
 
     def test_single_round_full_participation_reduction(self):
         # q=1, T=1: eps_bar is exactly eps_tilde at delta_tilde = delta/2 and
@@ -472,12 +524,50 @@ class TestCalibration:
         with pytest.raises(InfeasibleError, match="1000"):
             calibrate_epsilon0(1.0, 1e-6, 10, params, EXPLICIT)
 
-    def test_asymptotic_cap(self):
-        cap = max_feasible_epsilon0(1e-6, 10, self.PARAMS, ASYMPTOTIC)
+    def test_clones_cap(self):
+        cap = max_feasible_epsilon0(1e-6, 10, self.PARAMS, CLONES)
         delta_tilde = 1e-6 / (2.0 * self.PARAMS.q * 10)
-        want = 0.5 * math.log(self.PARAMS.batch / math.log(1.0 / delta_tilde))
+        want = math.log(self.PARAMS.batch / (16.0 * math.log(2.0 / delta_tilde)))
         assert cap == pytest.approx(want, rel=1e-14)
+
+    def test_clones_roundtrip_above_one_half(self):
+        # A target of 3.0 buys an eps0 the explicit bound refuses.
+        got = calibrate_epsilon0(3.0, 1e-6, 10, self.PARAMS, CLONES)
+        assert 0.5 < got < 1.0
+        assert end_to_end(got, 1e-6, 10, self.PARAMS, CLONES).epsilon <= 3.0
+        above = end_to_end(got * (1.0 + 1e-6), 1e-6, 10, self.PARAMS, CLONES).epsilon
+        assert above > 3.0
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValidationError):
             calibrate_epsilon0(0.0, 1e-6, 10, self.PARAMS, EXPLICIT)
+
+
+class TestDeployScale:
+    """train_deploy's accounting (m=5000, k=1000, r=4, s=1, delta=1e-6) under
+    the clones bound, against figures computed from the theorem's formula."""
+
+    def test_single_round_at_eps0_one(self):
+        budget = end_to_end(1.0, 1e-6, 1, DEPLOY, CLONES)
+        assert budget.epsilon_tilde == pytest.approx(0.5319874414, rel=1e-9)
+        assert budget.epsilon == pytest.approx(0.1871262708, rel=1e-9)
+        with pytest.raises(PreconditionError, match="1/2"):
+            end_to_end(1.0, 1e-6, 1, DEPLOY, EXPLICIT)
+
+    def test_max_feasible_epsilon0(self):
+        assert max_feasible_epsilon0(1e-6, 1, DEPLOY, CLONES) == pytest.approx(
+            1.6332329710, rel=1e-9
+        )
+
+    def test_hundred_rounds(self):
+        budget = end_to_end(0.4, 1e-6, 100, DEPLOY, CLONES)
+        assert budget.epsilon == pytest.approx(0.7056386962, rel=1e-9)
+        # The explicit bound reports a looser budget at the same eps0.
+        assert end_to_end(0.4, 1e-6, 100, DEPLOY, EXPLICIT).epsilon > budget.epsilon
+
+    @pytest.mark.parametrize("eps0", [0.5, 0.9, 1.3])
+    def test_eps0_above_one_half_is_finite_and_oracle_checked(self, eps0):
+        budget = end_to_end(eps0, 1e-6, 100, DEPLOY, CLONES)
+        want_eps, _ = oracle_end_to_end(eps0, 1e-6, 100, 5_000, 1_000, 4, 1, "clones")
+        assert math.isfinite(budget.epsilon)
+        assert budget.epsilon == pytest.approx(want_eps, rel=1e-12)

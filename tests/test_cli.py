@@ -143,13 +143,26 @@ class TestAccountantCommand:
         assert payload["calibrated_epsilon0"] == pytest.approx(0.3, rel=1e-6)
         assert payload["budget"]["epsilon"] <= target
 
-    def test_asymptotic_variant(self, capsys):
-        code = main(
-            "accountant --eps0 1.5 --variant asymptotic --c 0.5 --T 10 "
-            "--m 100000 --k 20000 --r 5 --s 1 --delta 1e-6".split()
-        )
-        assert code == 0
-        assert "asymptotic" in capsys.readouterr().out
+    def test_clones_variant(self, capsys):
+        # train_deploy's sampling at eps0 = 1, which the explicit bound refuses.
+        args = "accountant --eps0 1.0 --T 1 --m 5000 --k 1000 --r 4 --delta 1e-6".split()
+        assert main(args + ["--variant", "clones"]) == 0
+        out = capsys.readouterr().out
+        assert "clones bound" in out
+        assert "epsilon = 0.187126270" in out
+        assert main(args) == 3
+        assert "1/2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["accountant", "train"])
+    def test_removed_constant_key_exits_2(self, command, tmp_path, capsys):
+        # The shuffling bounds state their constants: there is no "c" to set.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--c", "1"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"c": 1.0}))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
 
 
 class TestMeanEstCommand:
@@ -438,25 +451,25 @@ def load_script(name):
 # scripts/parity.py's output, '<sha256>  <artifact>' sorted by name, as recorded
 # with Python 3.11 and numpy 2.4.
 PARITY_SHA256 = [
-    "4281966d96970f3fbea218b73e9490494dda39ac9295fa54f44d27fc9751f56a  accountant.json",
-    "daf737175c381f9d4847fb0a7aa1ee57872cad25c162ce4b532f778c1df4491a  accountant_asymptotic.json",
-    "8d721ab3b977c2907d7716d642719da331722ec3230a54575b772be1e84930a6  accountant_asymptotic_calibrated.json",
-    "7981248ab6cc9a23d49194758fe7808909d4ff905832053ae0040d9b5a52d455  accountant_calibrated.json",
+    "6eeca415614fca5578e50c2e5be4eade559029dd85976da978792635c3272781  accountant.json",
+    "73d306429cf4f063ccfba64784dc529c6a033c447cedb1455d87b467a3d3b6a3  accountant_calibrated.json",
+    "d5654bda4d43c66bdf30a1cbccc663d467ea2e4335e1f746d6bef5125c09e234  accountant_clones.json",
+    "7b075c2ad6e64ef94944cc65193c7fa304a7e4aaa205d722d27dd3b9c314229a  accountant_clones_calibrated.json",
     "80de6dc053e9e0c0a33697912785bc387ec2b37a6a76f4e0a84a4b3406ec01ac  bounds.csv",
     "41990d2051b62b6bc3a1b3c220c217698d529e86cb4500f673de21f4658a30ac  mean_est.csv",
     "50d090e610fd20835368cc5d126456c3ad4c9eeb605fd787b466a5f7c57dff45  mean_est_mix.csv",
-    "0d1b81f233348924e2d8d54c67013ee762c43625b55104bca75a838c3ada805c  train_eps0_inf.csv",
-    "4fbeda2b3e7682cc0cf1464d655661aaaa86e45da8cfb8c3cde3572849f57ef0  train_eps0_inf.json",
-    "3ba6e4eb18634475cd25edbeb24513d5ec681be9d413e3c5d7cb55ee8f285681  train_l1_accounted.csv",
-    "69b9bc4b90dfe55e5a47fef20771b42ea08a5900c913b629566f83ac37628175  train_l1_accounted.json",
-    "5d75786932afdb1d8c0fe611a79ad4c902de0d753324ad01d70ccb9a20c74d35  train_l2.csv",
-    "51bc795abbacc7f3acffea078775ab934bc5fe0236baf314bf74ee8b569c8d19  train_l2.json",
-    "6bc2d0134a32e545878997808885969501702112fd23fa3a936336d78026a70f  train_linf_s1.csv",
-    "65131ecd65520d1a0d8439bb2535cf2e2bd718a7876d4bff622e21fa519d0dd7  train_linf_s1.json",
-    "c696278e5649ffdb5a1a4f8c3388f5108f24be3eb269a7c33893990f15ac66fb  train_mix_s1.csv",
-    "c181aa46d28ae99e97e96095658813f4a7a6de58fbd58aa16a3398d325724efa  train_mix_s1.json",
-    "cea3998f0f5b5c00ad183ea2227113e139f7c6625f7135e83306296bbb1a26e6  train_mix_s2.csv",
-    "d7f1ae430d913205221d59bb1bddf23a3aa99ef08f0f2edf74ed3571244c8f6f  train_mix_s2.json",
+    "9e0a6f337a2bb135066039bd59534a665f2b8b7fe5ebc5b2df187e3837041f29  train_eps0_inf.csv",
+    "27e77417ba69072bad7db6ea3d7f0a7c477af8492ddea6efcef1df9231cdea2a  train_eps0_inf.json",
+    "63bec8d8cb64bc0ec21784a2025f1642b8d9e27ad476d9851360fec34de3be58  train_l1_accounted.csv",
+    "6297ff65ad96e66472dac02adae9fea37889dcd58b8bb503d408f5696ab5181e  train_l1_accounted.json",
+    "811bda729d442286d35b1e05842266e039e63f7bdc34b32e8901b032cb01594b  train_l2.csv",
+    "ed9189c6b36cf55c62c8be199d4b1386c73628f2cd949afe7f386bbc079f77de  train_l2.json",
+    "c72d880ca5ec361f8cdf914ede065d340849d9f340c944b70bcaabf640d27ab0  train_linf_s1.csv",
+    "0fc3443da2b7f4e7ac907ebcd561bf0f90bf8a8060ad96094696033218fd7f0a  train_linf_s1.json",
+    "db90d832c0a08693e1634e3b562229b4ae38628e68efaa3356152c7b7ed17c18  train_mix_s1.csv",
+    "245a472a3b688edd012833ab92de4721025060fcf5a523d5b754d3a68cf6dfb0  train_mix_s1.json",
+    "23ad5899f1dfbf1bb5b0f97a905cb4736bb1bf94c772d5a81ce6da07bf925227  train_mix_s2.csv",
+    "9b5767afb6380291e5a6935f1fede76a1f9532455e01b85c5afed3592424b232  train_mix_s2.json",
 ]
 
 
@@ -494,4 +507,7 @@ class TestScripts:
         load_script("accountant_report").run(m=2000, k=1000, r=1, delta=1e-6, target_eps=2.0)
         out = capsys.readouterr().out
         assert out.count("-> epsilon=") == 9  # the (eps0, T) grid
+        # both bounds' calibration rows: 1000 messages leave the clones cap above 1
+        assert "shuffling, explicit constants:" in out
+        assert "clones bound" in out and "eps0 <= 1." in out
         assert "provenance at eps0=0.2, T=100:" in out

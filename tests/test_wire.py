@@ -316,46 +316,6 @@ class TestClientBits:
         got = wire.round_payload_bits(mix_spec(d=4), params, 4, l1_arm=7)
         assert got == 7 * wire.multiset_bits(1, 8) + 13 * wire.multiset_bits(4, 8)
 
-    def test_expected_round_bits(self):
-        params = SamplingParams(m=50, k=10, r=10, s=2)
-        assert wire.expected_round_bits(None, params, 5) == 10 * 2 * 64 * 5
-        assert wire.expected_round_bits(l1_spec(d=3), params, 3) == 10 * wire.multiset_bits(2, 8)
-        per_message = 0.25 * wire.multiset_bits(1, 8) + 0.75 * wire.multiset_bits(4, 8)
-        got = wire.expected_round_bits(mix_spec(d=4, mix_prob=0.25), params, 4)
-        assert got == pytest.approx(10 * 2 * per_message, rel=1e-15)
-
-
-class TestExpectedBits:
-    """``expected_round_bits``, the one a-priori bit count that ``train`` reports."""
-
-    def test_pinned_full_participation(self):
-        # 50 clients, one linf message each over d = 8: ceil(log2 16) = 4 bits apiece
-        params = SamplingParams(m=50, k=50, r=10, s=1)
-        assert wire.expected_round_bits(linf_spec(d=8), params, 8) == 200.0
-
-    def test_half_participation_halves(self):
-        full = SamplingParams(m=50, k=50, r=10, s=1)
-        half = SamplingParams(m=50, k=25, r=10, s=1)
-        for spec in (linf_spec(d=8), l2_spec(d=4), mix_spec(d=4, mix_prob=0.25), None):
-            d = 4 if spec is None else spec.ball.dim
-            got_full = wire.expected_round_bits(spec, full, d)
-            got_half = wire.expected_round_bits(spec, half, d)
-            assert got_half == pytest.approx(got_full / 2.0, rel=1e-15)
-
-    def test_multi_sample_is_the_packed_multiset_cost(self):
-        # s = 3 one-atom messages pack into one multiset of the 2*dp atoms: fewer
-        # bits than three single messages, within the Stirling envelope plus one
-        params = SamplingParams(m=50, k=10, r=10, s=3)
-        got = wire.expected_round_bits(linf_spec(d=32), params, 32)
-        assert got == 10 * wire.multiset_bits(3, 64) == 160.0
-        assert got < 10 * 3 * wire.multiset_bits(1, 64)
-        envelope = 3 * (math.log2(math.e) + math.log2((3 + 64 - 1) / 3))
-        assert got / 10 <= envelope + 1
-        # the mix prices each message by its arm, so it does not pack
-        one = wire.expected_round_bits(mix_spec(d=4), SamplingParams(m=50, k=10, r=10, s=1), 4)
-        three = wire.expected_round_bits(mix_spec(d=4), params, 4)
-        assert three == pytest.approx(3 * one, rel=1e-15)
-
 
 def _l1_frame(j=2, sign=1):
     return wire.frame_message(mech.IndexSign(j=j, sign=sign), l1_spec(d=3))
