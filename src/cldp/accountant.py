@@ -32,14 +32,14 @@ of n = k*s messages at delta_tilde:
 Each is one class holding its formula (``epsilon_tilde``) and its eps0 range
 (``eps0_range``), which ``amplify_by_shuffling`` reads to raise
 PreconditionError and ``max_feasible_epsilon0`` to raise InfeasibleError.
-Malformed arguments (a string, a bool, a non-integral count) raise
-ValidationError.
+Malformed arguments (a string, a bool, a float count) raise ValidationError.
+A delta split delta/(2qT) outside (0, 1) fails a precondition, so raises
+PreconditionError (InfeasibleError from ``max_feasible_epsilon0``).
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Union, get_args
@@ -50,6 +50,8 @@ from .errors import (
     InfeasibleError,
     PreconditionError,
     ValidationError,
+    require_int,
+    require_real,
 )
 
 
@@ -64,10 +66,7 @@ class SamplingParams:
 
     def __post_init__(self) -> None:
         for name in ("m", "k", "r", "s"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         if not 1 <= self.k <= self.m:
             raise ValidationError(f"need 1 <= k <= m, got k={self.k}, m={self.m}")
         if not 1 <= self.s <= self.r:
@@ -194,46 +193,37 @@ class PrivacyBudget:
     provenance: tuple[str, ...]
     guarantee: bool = True
 
-    def describe(self) -> str:
-        return "\n".join(self.provenance)
-
-
-def _real(value, name: str):
-    """value itself when it is a real number (a bool is not), else ValidationError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
-    return value
-
-
-def _positive_int(value, name: str) -> int:
-    """value as an int when it is an integral real >= 1, else ValidationError."""
-    real = _real(value, name)
-    if not ((isinstance(real, numbers.Integral) or float(real).is_integer()) and real >= 1):
-        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
-    return int(real)
-
 
 def _validate_delta(delta: float, name: str = "delta") -> None:
-    if not 0.0 < _real(delta, name) < 1.0:
+    if not 0.0 < require_real(delta, name) < 1.0:
         raise ValidationError(f"{name} must lie in (0, 1), got {delta!r}")
 
 
 def _delta_split(delta: float, T: int, params: SamplingParams) -> tuple[int, float]:
-    """(T, delta/(2qT)) once delta, T and params are checked; callers judge the split."""
+    """(T, delta_tilde = delta/(2qT)) once delta, T and params are checked;
+    PreconditionError when delta_tilde is not a delta."""
     _validate_delta(delta)
-    T = _positive_int(T, "T")
+    T = require_int(T, "T")
+    if T < 1:
+        raise ValidationError(f"T must be a positive integer, got {T!r}")
     if not isinstance(params, SamplingParams):
         raise ValidationError(f"params must be SamplingParams, got {params!r}")
-    return T, delta / (2.0 * params.q * T)
+    delta_tilde = delta / (2.0 * params.q * T)
+    if not 0.0 < delta_tilde < 1.0:
+        raise PreconditionError(
+            f"the delta split needs 0 < delta/(2qT) < 1, got {delta_tilde:.6g}; "
+            "increase T or the sampling rate"
+        )
+    return T, delta_tilde
 
 
 def amplify_by_subsampling(eps: float, delta: float, q: float) -> tuple[float, float]:
     """(ln(1 + q*(e^eps - 1)), q*delta); the identity at q=1."""
-    if not _real(eps, "eps") >= 0.0:
+    if not require_real(eps, "eps") >= 0.0:
         raise ValidationError(f"eps must be nonnegative, got {eps!r}")
-    if not 0.0 <= _real(delta, "delta") < 1.0:
+    if not 0.0 <= require_real(delta, "delta") < 1.0:
         raise ValidationError(f"delta must lie in [0, 1), got {delta!r}")
-    if not 0.0 < _real(q, "sampling rate q") <= 1.0:
+    if not 0.0 < require_real(q, "sampling rate q") <= 1.0:
         raise ValidationError(f"sampling rate q must lie in (0, 1], got {q!r}")
     if q == 1.0:
         return eps, delta  # exact identity, not log1p(expm1(eps))
@@ -249,10 +239,12 @@ def amplify_by_shuffling(
     bound does not apply.
     """
     _validate_variant(variant)
-    if not _real(eps0, "epsilon0") > 0.0:
+    if not require_real(eps0, "epsilon0") > 0.0:
         raise ValidationError(f"epsilon0 must be positive, got {eps0!r}")
     _validate_delta(delta)
-    m_eff = _positive_int(m_eff, "shuffler batch size")
+    m_eff = require_int(m_eff, "shuffler batch size")
+    if m_eff < 1:
+        raise ValidationError(f"shuffler batch size must be a positive integer, got {m_eff!r}")
     valid = variant.eps0_range(delta, m_eff)
     if not (eps0 <= valid.cap if valid.closed else eps0 < valid.cap):
         raise PreconditionError(f"{valid.condition}; got epsilon0 = {eps0:.6g}")
@@ -285,11 +277,13 @@ def strong_composition(
     eps_bar: float, delta_bar: float, T: int, delta_prime: float
 ) -> tuple[float, float]:
     """T-fold strong composition: the exact stated pair, no asymptotics."""
-    if not _real(eps_bar, "eps_bar") >= 0.0:
+    if not require_real(eps_bar, "eps_bar") >= 0.0:
         raise ValidationError(f"eps_bar must be nonnegative, got {eps_bar!r}")
-    if not 0.0 <= _real(delta_bar, "delta_bar") < 1.0:
+    if not 0.0 <= require_real(delta_bar, "delta_bar") < 1.0:
         raise ValidationError(f"delta_bar must lie in [0, 1), got {delta_bar!r}")
-    T = _positive_int(T, "T")
+    T = require_int(T, "T")
+    if T < 1:
+        raise ValidationError(f"T must be a positive integer, got {T!r}")
     _validate_delta(delta_prime, "delta'")
     eps = math.sqrt(2.0 * T * math.log(1.0 / delta_prime)) * eps_bar
     eps += T * eps_bar * math.expm1(eps_bar)
@@ -309,11 +303,6 @@ def end_to_end(
     T*(q*delta_tilde) + delta/2 = delta/2 + delta/2.
     """
     T, delta_tilde = _delta_split(delta, T, params)
-    if not delta_tilde < 1.0:
-        raise ValidationError(
-            f"the delta split needs delta/(2qT) < 1, got {delta_tilde:.6g}; "
-            "increase T or the sampling rate"
-        )
     eps_tilde = amplify_by_shuffling(eps0, delta_tilde, params.batch, variant)
     eps_bar, delta_bar, amp_note = _sampling_stage(eps_tilde, delta_tilde, params)
     delta_prime = delta / 2.0
@@ -353,17 +342,11 @@ def max_feasible_epsilon0(
 ) -> float:
     """Supremum of the eps0 range on which the variant's bound applies."""
     _validate_variant(variant)
-    T, delta_tilde = _delta_split(delta, T, params)
-    if not 0.0 < delta_tilde < 1.0:
-        raise InfeasibleError(
-            f"the delta split delta/(2qT) = {delta_tilde:.6g} is not a valid delta"
-        )
     try:
+        _, delta_tilde = _delta_split(delta, T, params)
         return variant.eps0_range(delta_tilde, params.batch).cap
     except PreconditionError as err:
-        raise InfeasibleError(
-            f"at delta/(2qT) = {delta_tilde:.6g} and a batch of k*s = {params.batch}: {err}"
-        ) from None
+        raise InfeasibleError(f"at a batch of k*s = {params.batch}: {err}") from None
 
 
 def calibrate_epsilon0(
@@ -381,7 +364,7 @@ def calibrate_epsilon0(
     infeasible error when the target lies outside the achievable range of the
     variant (below the minimum, or above the value at the variant's eps0 cap).
     """
-    if not _real(eps_target, "target epsilon") > 0.0:
+    if not require_real(eps_target, "target epsilon") > 0.0:
         raise ValidationError(f"target epsilon must be positive, got {eps_target!r}")
     cap = max_feasible_epsilon0(delta, T, params, variant)
     hi = cap * (1.0 - 1e-12)

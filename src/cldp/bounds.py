@@ -20,12 +20,11 @@ an eps0-locally-private bit; it tends to 1 as eps0 grows.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int, require_real
 from .mechanisms import privacy_ratio
 
 LOWER_BOUND_LABEL = "order-only"
@@ -58,17 +57,11 @@ class RiskQuery:
     mix_prob: float | None = None
 
     def __post_init__(self) -> None:
-        def real(v) -> bool:
-            return isinstance(v, numbers.Real)
-
-        def count(v) -> bool:
-            return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
-
-        if not (real(self.p) and self.p >= 1.0):
+        if not require_real(self.p, "p") >= 1.0:
             raise ValidationError(f"p must be a real in [1, inf], got {self.p!r}")
-        if not (count(self.d) and count(self.n)):
+        if require_int(self.d, "d") < 1 or require_int(self.n, "n") < 1:
             raise ValidationError(f"need integers d >= 1 and n >= 1, got d={self.d!r}, n={self.n!r}")
-        if not (real(self.a) and 0.0 < self.a < math.inf):
+        if not 0.0 < require_real(self.a, "radius") < math.inf:
             raise ValidationError(f"radius must be positive and finite, got {self.a!r}")
         if not math.isfinite(self.a * self.a):
             raise ValidationError(
@@ -76,9 +69,9 @@ class RiskQuery:
                 "and the risks are in squared units"
             )
         # eps0 = inf is the uncompressed baseline, whose risk these bounds do not give.
-        if not (real(self.epsilon0) and 0.0 < self.epsilon0 < math.inf):
+        if not 0.0 < require_real(self.epsilon0, "epsilon0") < math.inf:
             raise ValidationError(f"epsilon0 must be positive and finite, got {self.epsilon0!r}")
-        if self.mix_prob is not None and not (real(self.mix_prob) and 0.0 <= self.mix_prob <= 1.0):
+        if self.mix_prob is not None and not 0.0 <= require_real(self.mix_prob, "mix_prob") <= 1.0:
             raise ValidationError(f"mix_prob must be in [0, 1], got {self.mix_prob!r}")
 
 
@@ -170,7 +163,7 @@ def comm_adversary(decoder_table, p: float, a: float) -> np.ndarray:
         raise ValidationError(
             f"need fewer decoder outputs than dimensions, got {n_outputs} >= {d}"
         )
-    if not a > 0.0 or not p >= 1.0:
+    if not require_real(a, "a") > 0.0 or not require_real(p, "p") >= 1.0:
         raise ValidationError(f"need a > 0 and p >= 1, got a={a!r}, p={p!r}")
     # Rightmost singular vectors span the null space; with n_outputs < d the
     # rank is below d, so the last one is orthogonal to every decoder row.
@@ -195,13 +188,13 @@ def g_squared(L: float, d: int, p: float, q: float, n: int, epsilon0: float) -> 
     c = 4 when the gradient ball is l1 or linf (p in {1, inf}), 14 otherwise.
     epsilon0 = inf means no privacy noise (ratio = 1).
     """
-    if not L > 0.0 or not 0.0 < q <= 1.0 or d < 1 or n < 1:
-        raise ValidationError(
-            f"need L > 0, q in (0, 1], d >= 1, n >= 1, got L={L!r}, q={q!r}, d={d}, n={n}"
-        )
-    if not p >= 1.0:
+    if not require_real(L, "L") > 0.0 or not 0.0 < require_real(q, "q") <= 1.0:
+        raise ValidationError(f"need L > 0 and q in (0, 1], got L={L!r}, q={q!r}")
+    if require_int(d, "d") < 1 or require_int(n, "n") < 1:
+        raise ValidationError(f"need d >= 1 and n >= 1, got d={d!r}, n={n!r}")
+    if not require_real(p, "p") >= 1.0:
         raise ValidationError(f"p must be in [1, inf], got {p!r}")
-    if not epsilon0 > 0.0:
+    if not require_real(epsilon0, "epsilon0") > 0.0:
         raise ValidationError(f"epsilon0 must be positive, got {epsilon0!r}")
     c = 4.0 if (p == 1.0 or math.isinf(p)) else 14.0
     shape = max(d ** (1.0 - 2.0 / p), 1.0)
@@ -212,29 +205,10 @@ def convergence_bound(
     L: float, D: float, d: int, p: float, T: float, q: float, n: int, epsilon0: float
 ) -> float:
     """Optimality gap after T rounds of step size D/(G sqrt(t)): 2DG(2+ln T)/sqrt(T)."""
-    if not D > 0.0:
+    if not require_real(D, "diameter") > 0.0:
         raise ValidationError(f"diameter must be positive, got {D!r}")
-    if not T >= 1.0:
+    if not require_real(T, "T") >= 1.0:
         raise ValidationError(f"T must be >= 1, got {T!r}")
     big_g = math.sqrt(g_squared(L, d, p, q, n, epsilon0))
     return 2.0 * D * big_g * (2.0 + math.log(T)) / math.sqrt(T)
 
-
-def excess_risk_full_participation(
-    L: float, D: float, d: int, n: int, epsilon0: float
-) -> float:
-    """Convergence bound preset: every client in every round, T = n/ln^2(n), p = 2."""
-    if n < 2:
-        raise ValidationError(f"need n >= 2 for the n/ln^2(n) schedule, got {n}")
-    T = max(n / math.log(n) ** 2, 1.0)
-    return convergence_bound(L, D, d, 2.0, T, 1.0, n, epsilon0)
-
-
-def excess_risk_sampled(
-    L: float, D: float, d: int, n: int, q: float, epsilon0: float
-) -> float:
-    """Convergence bound preset: sampling rate q per round, T = n/q rounds, p = 2."""
-    if not 0.0 < q <= 1.0:
-        raise ValidationError(f"q must be in (0, 1], got {q!r}")
-    T = max(n / q, 1.0)
-    return convergence_bound(L, D, d, 2.0, T, q, n, epsilon0)

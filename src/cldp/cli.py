@@ -485,10 +485,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cldp",
         description="Communication-limited locally private estimation toolkit",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, schema in _SCHEMAS.items():
-        sp = sub.add_parser(name, help=f"{name} (keys: {', '.join(sorted(schema))})")
+        sp = sub.add_parser(
+            name, help=f"{name} (keys: {', '.join(sorted(schema))})", allow_abbrev=False
+        )
         sp.add_argument("--config", help="JSON file of key/value parameters (flags win)")
         for key, (converter, _) in schema.items():
             nargs = "+" if converter in (_float_list, _int_list) else None

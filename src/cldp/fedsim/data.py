@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, require_int, require_real
 
 _MAGIC = b"CLDPDS01"
 _HEADER = struct.Struct(">III")
@@ -50,8 +50,12 @@ class ClientDataset:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
-        labs = np.asarray(self.labels, dtype=np.float64)
+        object.__setattr__(self, "client_id", require_int(self.client_id, "client_id"))
+        try:
+            feats = np.asarray(self.features, dtype=np.float64)
+            labs = np.asarray(self.labels, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValidationError(f"client {self.client_id}: data must be real numbers") from None
         if feats.ndim != 2 or labs.ndim != 1 or feats.shape[0] != labs.shape[0]:
             raise ValidationError(
                 f"client {self.client_id}: features must be (r, d) and labels (r,), "
@@ -104,9 +108,11 @@ def synthetic_logistic_data(
     the logistic model at the planted vector (a uniformly random direction
     scaled to theta_norm).
     """
-    if m < 1 or r < 1 or d < 1:
+    if require_int(m, "m") < 1 or require_int(r, "r") < 1 or require_int(d, "d") < 1:
         raise ValidationError(f"need m, r, d >= 1, got ({m}, {r}, {d})")
-    if not theta_norm >= 0.0:
+    if require_int(seed, "seed") < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    if not require_real(theta_norm, "theta_norm") >= 0.0:
         raise ValidationError(f"theta_norm must be >= 0, got {theta_norm!r}")
     gen = np.random.default_rng(np.random.SeedSequence((seed, DATA_SALT)))
     direction = gen.standard_normal(d)

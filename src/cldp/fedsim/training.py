@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -64,10 +63,11 @@ from ..accountant import (
     PrivacyBudget,
     SamplingParams,
     ShufflingVariant,
+    _validate_variant,
     end_to_end,
 )
 from ..bounds import g_squared
-from ..errors import AccountingError, ClippingWarning, ValidationError
+from ..errors import AccountingError, ClippingWarning, ValidationError, require_int, require_real
 from ..linalg import BallSpec, project_l2_ball
 from ..mechanisms import MechanismSpec, batch_encoder, mechanism_family
 from .. import wire
@@ -114,16 +114,22 @@ class TrainConfig:
     variant: ShufflingVariant = field(default_factory=ExplicitShuffling)
 
     def __post_init__(self) -> None:
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        for name, kind in (("params", SamplingParams), ("ball", BallSpec), ("account", bool)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r:.200}")
+        _validate_variant(self.variant)
+        for name in ("seed", "T"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
+        if self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not isinstance(self.T, int) or self.T < 1:
+        if self.T < 1:
             raise ValidationError(f"T must be a positive integer, got {self.T!r}")
-        if not self.epsilon0 > 0.0:
+        if not require_real(self.epsilon0, "epsilon0") > 0.0:
             raise ValidationError(f"epsilon0 must be positive (inf allowed), got {self.epsilon0!r}")
-        if not 0.0 < self.delta < 1.0:
+        if not 0.0 < require_real(self.delta, "delta") < 1.0:
             raise ValidationError(f"delta must lie in (0, 1), got {self.delta!r}")
-        if not self.diameter > 0.0:
+        if not require_real(self.diameter, "diameter") > 0.0:
             raise ValidationError(f"diameter must be positive, got {self.diameter!r}")
         get_task(self.task)
         if math.isfinite(self.epsilon0):
@@ -167,14 +173,14 @@ class TrainResult:
 
 def sample_clients(m: int, k: int, rng) -> np.ndarray:
     """k distinct client indices, uniform over all k-subsets of range(m)."""
-    if not 1 <= k <= m:
+    if not 1 <= require_int(k, "k") <= require_int(m, "m"):
         raise ValidationError(f"need 1 <= k <= m, got k={k}, m={m}")
     return np.sort(np.random.default_rng(rng).choice(m, size=k, replace=False))
 
 
 def sample_data(r: int, s: int, rng) -> np.ndarray:
     """s distinct point indices, uniform over all s-subsets of range(r)."""
-    if not 1 <= s <= r:
+    if not 1 <= require_int(s, "s") <= require_int(r, "r"):
         raise ValidationError(f"need 1 <= s <= r, got s={s}, r={r}")
     return np.atleast_1d(_draw_points(r, s, np.random.default_rng(rng)))
 
@@ -377,7 +383,7 @@ def train(cfg: TrainConfig, data: list[ClientDataset]) -> TrainResult:
         traces.append(
             RoundTrace(
                 t=t,
-                client_ids=tuple([int(data[ci].client_id) for ci in chosen.tolist()]),
+                client_ids=tuple([data[ci].client_id for ci in chosen.tolist()]),
                 exact_bits=wire.round_payload_bits(spec, p, d, l1_arm),
                 loss_before=loss_now,
                 loss_after=loss_after,

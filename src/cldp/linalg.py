@@ -16,12 +16,11 @@ identities throughout the package, lives here.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int, require_real
 
 # Closed-form identities (enumerated expectations, norm formulas) must hold to
 # this relative tolerance.
@@ -41,7 +40,7 @@ def as_vector(x) -> np.ndarray:
 def p_norm(x, p: float) -> float:
     """The lp norm for p in [1, inf]; p=inf returns max_j |x_j|."""
     v = as_vector(x)
-    if not p >= 1.0:
+    if not require_real(p, "p") >= 1.0:
         raise ValidationError(f"p must lie in [1, inf], got {p!r}")
     if math.isinf(p):
         return float(np.max(np.abs(v)))
@@ -61,11 +60,12 @@ class BallSpec:
     dim: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.p, numbers.Real) and self.p >= 1.0):
+        if not require_real(self.p, "ball exponent") >= 1.0:
             raise ValidationError(f"ball exponent must lie in [1, inf], got {self.p!r}")
-        if not (isinstance(self.radius, numbers.Real) and 0.0 < self.radius < math.inf):
+        if not 0.0 < require_real(self.radius, "ball radius") < math.inf:
             raise ValidationError(f"ball radius must be positive and finite, got {self.radius!r}")
-        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
+        object.__setattr__(self, "dim", require_int(self.dim, "ball dimension"))
+        if self.dim < 1:
             raise ValidationError(f"ball dimension must be a positive integer, got {self.dim!r}")
 
     def contains(self, x, tol: float = EXACT_TOL) -> bool:
@@ -78,7 +78,7 @@ def clip(g, p: float, C: float) -> np.ndarray:
     Inside-ball inputs (including the zero vector) are returned unchanged.
     """
     v = as_vector(g)
-    if not C > 0.0:
+    if not require_real(C, "clip radius") > 0.0:
         raise ValidationError(f"clip radius must be positive, got {C!r}")
     return v / max(1.0, p_norm(v, p) / C)
 
@@ -132,7 +132,7 @@ def project_l2_ball(theta, center, radius: float) -> np.ndarray:
     c = as_vector(center)
     if v.size != c.size:
         raise ValidationError("point and center must share a dimension")
-    if not radius > 0.0:
+    if not require_real(radius, "projection radius") > 0.0:
         raise ValidationError(f"projection radius must be positive, got {radius!r}")
     diff = v - c
     nrm = float(np.linalg.norm(diff))

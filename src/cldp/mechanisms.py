@@ -79,7 +79,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -87,7 +86,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import OutOfBallError, ValidationError
+from .errors import OutOfBallError, ValidationError, require_int, require_real
 from .linalg import BallSpec, EXACT_TOL, fwht_rows_at, fwht_rows_inplace
 
 # ---------------------------------------------------------------------------
@@ -190,8 +189,8 @@ class RawVector:
     def __post_init__(self) -> None:
         if not isinstance(self.values, (tuple, list)) or len(self.values) < 1:
             raise ValidationError(f"raw message must carry a tuple of values, got {self.values!r:.200}")
-        if not all(isinstance(v, numbers.Real) for v in self.values):
-            raise ValidationError("raw message values must be real numbers")
+        for v in self.values:
+            require_real(v, "a raw message value")
 
 
 MechanismMessage = Union[IndexSign, SparseSigned, MixTagged, RawVector]
@@ -215,11 +214,12 @@ class MechanismSpec:
     mix_prob: float | None = None
 
     def __post_init__(self) -> None:
-        eps0 = self.epsilon0
-        if not (isinstance(eps0, numbers.Real) and math.isfinite(eps0) and eps0 > 0.0):
-            raise ValidationError(f"epsilon0 must be a finite positive real, got {eps0!r}")
+        if not isinstance(self.ball, BallSpec):
+            raise ValidationError(f"ball must be a BallSpec, got {self.ball!r:.200}")
+        if not 0.0 < require_real(self.epsilon0, "epsilon0") < math.inf:
+            raise ValidationError(f"epsilon0 must be a finite positive real, got {self.epsilon0!r}")
         if self.mix_prob is not None:
-            if not (isinstance(self.mix_prob, numbers.Real) and 0.0 <= self.mix_prob <= 1.0):
+            if not 0.0 <= require_real(self.mix_prob, "mix probability") <= 1.0:
                 raise ValidationError(f"mix probability must lie in [0,1], got {self.mix_prob!r}")
             if math.isinf(self.ball.p):
                 raise ValidationError("the mix family is defined for finite p only")
@@ -263,7 +263,7 @@ def privacy_ratio(eps0: float) -> float:
     Above ``_LN_FLOAT_MAX`` the formula runs at that eps0, giving 1.0, the
     ratio's float64 value from eps0 of about 37 on.
     """
-    if not eps0 > 0.0:
+    if not require_real(eps0, "epsilon0") > 0.0:
         raise ValidationError(f"epsilon0 must be positive, got {eps0!r}")
     eps0 = min(eps0, _LN_FLOAT_MAX)
     return (math.exp(eps0) + 1.0) / math.expm1(eps0)
@@ -275,6 +275,7 @@ def _kappa(eps0: float) -> float:
 
 def padded_dim(d: int) -> int:
     """Smallest power of two >= d (the Hadamard working dimension)."""
+    d = require_int(d, "dimension")
     if d < 1:
         raise ValidationError(f"dimension must be >= 1, got {d}")
     return 1 << (d - 1).bit_length()
@@ -325,17 +326,6 @@ def _largest_norm(rows: np.ndarray, p: float) -> float:
     else:
         norms = (np.abs(rows) ** p).sum(axis=1) ** (1.0 / p)
     return norms.item(norms.argmax())
-
-
-def _require_count(value, name: str) -> int:
-    """A positive integer count, such as a number of samples or trials."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = 0
-    if count < 1:
-        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-    return count
 
 
 def _require_rng(rng) -> np.random.Generator:
@@ -469,8 +459,10 @@ def hemisphere_radius(d: int, a: float, eps0: float) -> float:
     flip contributes the remaining kappa / ratio factor. The Gamma ratio is
     evaluated through log-gamma differences so large d cannot overflow.
     """
+    d = require_int(d, "dimension")
     if d < 1:
         raise ValidationError(f"dimension must be >= 1, got {d}")
+    require_real(a, "radius")
     gr = math.exp(math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0))
     return a * math.sqrt(math.pi) * gr * privacy_ratio(eps0)
 
@@ -615,8 +607,9 @@ def _r2_scale(net: np.ndarray, spec: MechanismSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1024)
 def rp_arm_specs(spec: MechanismSpec) -> tuple[MechanismSpec, MechanismSpec]:
-    """The two arm specs: l1 at radius a*d^{1-1/p}, l2 at a*max{d^{1/2-1/p}, 1}.
+    """A spec's two arm specs, built once: l1 at radius a*d^{1-1/p}, l2 at a*max{d^{1/2-1/p}, 1}.
 
     Norm inequalities guarantee every lp-ball input lies in both arm balls.
     """
@@ -845,7 +838,9 @@ def sample_decoded(x, spec: MechanismSpec, rng, n_samples: int) -> np.ndarray:
     memory beyond the (n_samples, d) result is bounded.
     """
     v = _require_rows(x, spec.ball, 1)
-    n_samples = _require_count(n_samples, "n_samples")
+    n_samples = require_int(n_samples, "n_samples")
+    if n_samples < 1:
+        raise ValidationError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     family = mechanism_family(spec)
     fam, gen = _FAMILIES[family], _require_rng(rng)
     out = np.empty((n_samples, v.shape[1]))
@@ -894,5 +889,7 @@ def mean_estimate_trials(dataset, spec: MechanismSpec, rng, trials: int) -> np.n
     decodes: the one-stream case of ``batch_encoder``.
     """
     encode = batch_encoder(dataset, spec)
-    trials, gen = _require_count(trials, "trials"), _require_rng(rng)
+    if require_int(trials, "trials") < 1:
+        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
+    gen = _require_rng(rng)
     return np.vstack([encode([gen])[0] for _ in range(trials)])

@@ -43,7 +43,7 @@ import operator
 import struct
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 from . import mechanisms as mech
 
 # Frame tags (one byte each).
@@ -66,6 +66,8 @@ _TAG_CODES = {tag: key for key, tag in _CODES.items()}
 
 def multiset_bits(s: int, B: int) -> int:
     """Exact payload bits for a packed multiset of s atoms over alphabet B."""
+    if require_int(s, "s") < 1 or require_int(B, "B") < 1:
+        raise ValidationError(f"need s >= 1 and B >= 1, got s={s}, B={B}")
     return (math.comb(s + B - 1, s) - 1).bit_length()
 
 
@@ -78,15 +80,12 @@ class HistogramCode:
     B: int
 
     def __post_init__(self) -> None:
-        try:
-            if self.s < 1 or self.B < 1:
-                raise ValidationError(f"need s >= 1 and B >= 1, got s={self.s}, B={self.B}")
-            if not 0 <= self.rank < math.comb(self.s + self.B - 1, self.s):
-                raise ValidationError(
-                    f"rank {self.rank} out of range for {self.s} atoms over alphabet {self.B}"
-                )
-        except TypeError:
-            raise ValidationError(f"rank, s and B must be integers, got {self!r}") from None
+        for name in ("rank", "s", "B"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
+        if self.s < 1 or self.B < 1 or not 0 <= self.rank < math.comb(self.s + self.B - 1, self.s):
+            raise ValidationError(
+                f"rank {self.rank} out of range for {self.s} atoms over alphabet {self.B}"
+            )
 
     @property
     def bit_length(self) -> int:

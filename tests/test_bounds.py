@@ -10,8 +10,6 @@ from cldp.bounds import (
     RiskQuery,
     comm_adversary,
     convergence_bound,
-    excess_risk_full_participation,
-    excess_risk_sampled,
     g_squared,
     risk_lower,
     risk_upper,
@@ -287,7 +285,7 @@ class TestConvergenceBound:
         assert 1.5 < ratio < 2.0
 
     def test_accepts_real_rounds(self):
-        # Presets produce non-integer schedules like n/ln^2(n).
+        # T is a real: a schedule such as n/ln^2(n) need not be an integer.
         convergence_bound(L=1.0, D=1.0, d=4, p=2.0, T=4.715, q=1.0, n=100, epsilon0=1.0)
 
     def test_rejects_bad_rounds_or_diameter(self):
@@ -296,26 +294,7 @@ class TestConvergenceBound:
         with pytest.raises(ValidationError):
             convergence_bound(L=1.0, D=0.0, d=4, p=2.0, T=10, q=1.0, n=100, epsilon0=1.0)
 
-    def test_full_participation_preset(self):
-        n = 100
-        want = convergence_bound(
-            L=1.0, D=2.0, d=4, p=2.0, T=n / math.log(n) ** 2, q=1.0, n=n, epsilon0=1.0
-        )
-        got = excess_risk_full_participation(L=1.0, D=2.0, d=4, n=n, epsilon0=1.0)
-        assert got == pytest.approx(want, rel=1e-12)
-        with pytest.raises(ValidationError):
-            excess_risk_full_participation(L=1.0, D=2.0, d=4, n=1, epsilon0=1.0)
-
-    def test_sampled_preset(self):
-        want = convergence_bound(
-            L=1.0, D=2.0, d=4, p=2.0, T=1_000, q=0.1, n=100, epsilon0=1.0
-        )
-        got = excess_risk_sampled(L=1.0, D=2.0, d=4, n=100, q=0.1, epsilon0=1.0)
-        assert got == pytest.approx(want, rel=1e-12)
-        with pytest.raises(ValidationError):
-            excess_risk_sampled(L=1.0, D=2.0, d=4, n=100, q=0.0, epsilon0=1.0)
-
     def test_more_privacy_loosens_bound(self):
-        tight = excess_risk_sampled(L=1.0, D=2.0, d=4, n=100, q=0.1, epsilon0=8.0)
-        loose = excess_risk_sampled(L=1.0, D=2.0, d=4, n=100, q=0.1, epsilon0=0.5)
-        assert loose > tight
+        kwargs = dict(L=1.0, D=2.0, d=4, p=2.0, T=1_000, q=0.1, n=100)
+        got = [convergence_bound(epsilon0=e, **kwargs) for e in (0.5, 1.0, 2.0, 8.0)]
+        assert all(loose > tight for loose, tight in zip(got, got[1:]))

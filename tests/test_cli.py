@@ -72,6 +72,18 @@ class TestConfigHandling:
         assert main(["accountant", "--variant", "magic"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        ["accountant --cal 1.0 --T 10 --m 5000 --k 2500", "train --cl 0.5 --T 1 --account false"],
+    )
+    def test_flag_prefix_exits_2(self, argv, capsys):
+        # A unique prefix of a flag is not that flag, as a prefix of a config
+        # key is not that key.
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestUnwritableOutput:
     # Each subcommand that writes a file, with a fast configuration.
@@ -119,6 +131,13 @@ class TestAccountantCommand:
     def test_precondition_violation_exits_3(self, capsys):
         assert main(["accountant", "--eps0", "0.6"]) == 3
         assert "1/2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--calibrate", "1"]], ids=["budget", "calibrate"])
+    def test_invalid_delta_split_exits_3(self, extra, capsys):
+        # delta/(2qT) = 0.5/(2 * 0.001 * 1) >= 1: one failed precondition, one exit code.
+        argv = "accountant --m 1000 --k 1 --r 1000 --delta 0.5 --T 1".split()
+        assert main(argv + extra) == 3
+        assert "delta/(2qT)" in capsys.readouterr().err
 
     def test_infeasible_calibration_exits_3(self, capsys):
         code = main(

@@ -533,6 +533,13 @@ class TestMix:
         assert arm1.ball.radius == pytest.approx(2.0 * 16 ** 0.75, rel=1e-12)
         assert arm2.ball.radius == pytest.approx(2.0 * 16 ** 0.25, rel=1e-12)
 
+    def test_arm_specs_built_once_per_spec(self):
+        # Every mix encode and decode reads the arms; an equal spec reuses them.
+        spec = MechanismSpec(BallSpec(p=4.0, radius=2.0, dim=16), epsilon0=1.0, mix_prob=0.3)
+        assert rp_arm_specs(spec) is rp_arm_specs(spec)
+        again = MechanismSpec(BallSpec(p=4.0, radius=2.0, dim=16), epsilon0=1.0, mix_prob=0.3)
+        assert rp_arm_specs(again) is rp_arm_specs(spec)
+
     def test_pbar_one_is_l1_arm_at_base_radius(self, rng):
         spec = MechanismSpec(BallSpec(p=1.0, radius=1.0, dim=4), epsilon0=1.0, mix_prob=1.0)
         arm1, _ = rp_arm_specs(spec)
