@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, require_int, require_real
-from .mechanisms import privacy_ratio
+from .linalg import _require_p, p_norm
+from .mechanisms import _require_mix_prob, privacy_ratio
 
 LOWER_BOUND_LABEL = "order-only"
 
@@ -57,8 +58,7 @@ class RiskQuery:
     mix_prob: float | None = None
 
     def __post_init__(self) -> None:
-        if not require_real(self.p, "p") >= 1.0:
-            raise ValidationError(f"p must be a real in [1, inf], got {self.p!r}")
+        _require_p(self.p)
         if require_int(self.d, "d") < 1 or require_int(self.n, "n") < 1:
             raise ValidationError(f"need integers d >= 1 and n >= 1, got d={self.d!r}, n={self.n!r}")
         if not 0.0 < require_real(self.a, "radius") < math.inf:
@@ -71,8 +71,7 @@ class RiskQuery:
         # eps0 = inf is the uncompressed baseline, whose risk these bounds do not give.
         if not 0.0 < require_real(self.epsilon0, "epsilon0") < math.inf:
             raise ValidationError(f"epsilon0 must be positive and finite, got {self.epsilon0!r}")
-        if self.mix_prob is not None and not 0.0 <= require_real(self.mix_prob, "mix_prob") <= 1.0:
-            raise ValidationError(f"mix_prob must be in [0, 1], got {self.mix_prob!r}")
+        _require_mix_prob(self.mix_prob)
 
 
 def risk_upper(q: RiskQuery, worst_case: bool = True) -> float:
@@ -163,8 +162,9 @@ def comm_adversary(decoder_table, p: float, a: float) -> np.ndarray:
         raise ValidationError(
             f"need fewer decoder outputs than dimensions, got {n_outputs} >= {d}"
         )
-    if not require_real(a, "a") > 0.0 or not require_real(p, "p") >= 1.0:
-        raise ValidationError(f"need a > 0 and p >= 1, got a={a!r}, p={p!r}")
+    if not require_real(a, "a") > 0.0:
+        raise ValidationError(f"need a > 0, got a={a!r}")
+    _require_p(p)
     # Rightmost singular vectors span the null space; with n_outputs < d the
     # rank is below d, so the last one is orthogonal to every decoder row.
     _, singular, vt = np.linalg.svd(matrix)
@@ -175,11 +175,7 @@ def comm_adversary(decoder_table, p: float, a: float) -> np.ndarray:
     first = np.flatnonzero(np.abs(direction) > 1e-12)[0]
     if direction[first] < 0.0:
         direction = -direction
-    if math.isinf(p):
-        norm = float(np.max(np.abs(direction)))
-    else:
-        norm = float(np.sum(np.abs(direction) ** p) ** (1.0 / p))
-    return a / norm * direction
+    return a / p_norm(direction, p) * direction
 
 
 def g_squared(L: float, d: int, p: float, q: float, n: int, epsilon0: float) -> float:
@@ -192,8 +188,7 @@ def g_squared(L: float, d: int, p: float, q: float, n: int, epsilon0: float) -> 
         raise ValidationError(f"need L > 0 and q in (0, 1], got L={L!r}, q={q!r}")
     if require_int(d, "d") < 1 or require_int(n, "n") < 1:
         raise ValidationError(f"need d >= 1 and n >= 1, got d={d!r}, n={n!r}")
-    if not require_real(p, "p") >= 1.0:
-        raise ValidationError(f"p must be in [1, inf], got {p!r}")
+    _require_p(p)
     if not require_real(epsilon0, "epsilon0") > 0.0:
         raise ValidationError(f"epsilon0 must be positive, got {epsilon0!r}")
     c = 4.0 if (p == 1.0 or math.isinf(p)) else 14.0

@@ -58,7 +58,7 @@ from . import mechanisms as mech
 from .errors import AccountingError, ValidationError
 from .fedsim import data as fdata
 from .fedsim import training as ftrain
-from .linalg import BallSpec, p_norm
+from .linalg import BallSpec, row_norms
 
 ENV_OUT_DIR = "CLDP_OUT_DIR"
 _SWEEP_SALT = 0x53574550  # per-grid-cell RNG streams
@@ -286,9 +286,8 @@ TRACE_COLUMNS = ("t", "clients", "exact_bits", "loss", "grad_norm", "epsilon_so_
 def _random_in_ball(gen: np.random.Generator, n: int, d: int, p: float, a: float) -> np.ndarray:
     """n random points inside the lp ball: random directions, radii a*U^(1/d)."""
     g = gen.standard_normal((n, d))
-    norms = np.array([p_norm(row, p) for row in g])
     radii = a * gen.random(n) ** (1.0 / d)
-    return g * (radii / norms)[:, None]
+    return g * (radii / row_norms(g, p))[:, None]
 
 
 def _run_mean_est(cfg: ExperimentConfig) -> int:

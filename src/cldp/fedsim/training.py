@@ -13,7 +13,7 @@ Each round t (1-based):
    diameter D centered at the origin.
 
 A round runs on arrays: one ``point_grads`` call for all k*s points, one
-clip pass, and one ``mechanisms.batch_encoder`` call, which makes one draw
+``linalg.clip`` call, and one ``mechanisms.batch_encoder`` call, which makes one draw
 over the k*s rows (each drawn once, so an l1 row computes only the rotated
 coordinate its draw reads) and one signed-count decode.
 The decode reads only the multiset the shuffler leaves, so the permutation is
@@ -68,8 +68,8 @@ from ..accountant import (
 )
 from ..bounds import g_squared
 from ..errors import AccountingError, ClippingWarning, ValidationError, require_int, require_real
-from ..linalg import BallSpec, project_l2_ball
-from ..mechanisms import MechanismSpec, batch_encoder, mechanism_family
+from ..linalg import BallSpec, clip, project_l2_ball, row_norms
+from ..mechanisms import MechanismSpec, _require_mix_prob, batch_encoder, mechanism_family
 from .. import wire
 from .data import ClientDataset, stack_points, validate_clients
 from .tasks import get_task
@@ -132,6 +132,7 @@ class TrainConfig:
         if not require_real(self.diameter, "diameter") > 0.0:
             raise ValidationError(f"diameter must be positive, got {self.diameter!r}")
         get_task(self.task)
+        _require_mix_prob(self.mix_prob)  # the baseline (epsilon0 = inf) builds no spec
         if math.isfinite(self.epsilon0):
             mechanism_family(self.mechanism_spec())  # fail before any work
 
@@ -366,8 +367,7 @@ def train(cfg: TrainConfig, data: list[ClientDataset]) -> TrainResult:
         grads = task.point_grads(theta, X_all[points], Y_all[points])
         if not np.isfinite(grads).all():
             raise ValidationError(f"task {cfg.task!r} produced a non-finite gradient")
-        norms = np.linalg.norm(grads, ord=cfg.ball.p, axis=1)
-        rows = grads / np.maximum(1.0, norms / cfg.ball.radius)[:, None]  # linalg.clip's formula
+        rows = clip(grads, cfg.ball.p, cfg.ball.radius)
 
         # The shuffler. The counts decode reads only the multiset, so coded
         # messages need no order; the draw keeps the server stream.
@@ -389,7 +389,7 @@ def train(cfg: TrainConfig, data: list[ClientDataset]) -> TrainResult:
                 loss_after=loss_after,
                 grad_norm=float(np.linalg.norm(g_bar)),
                 epsilon_so_far=eps_schedule[t - 1],
-                clipped=int(np.count_nonzero(norms > cfg.ball.radius)),
+                clipped=int(np.count_nonzero(row_norms(grads, cfg.ball.p) > cfg.ball.radius)),
             )
         )
         loss_now = loss_after

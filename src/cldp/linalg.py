@@ -1,9 +1,12 @@
 """Dense vector primitives shared by every module.
 
-p-norms over the extended range p in [1, inf], gradient clipping, the fast
-Walsh-Hadamard transform (the unnormalized in-place row butterfly, and one
-entry per row by one path through that butterfly), and Euclidean-ball
-projection. The butterfly computes H_d @ x for each row x, with
+The lp ball for p in [1, inf]: ``row_norms`` is the one lp-norm formula, read
+by ``p_norm`` (one vector), ``_largest_norm`` (the mechanisms' input check)
+and ``clip`` (a vector or each row of a matrix); ``_in_ball`` is the one
+membership test. Also the fast Walsh-Hadamard transform (the unnormalized
+in-place row butterfly, and one entry per row by one path through that
+butterfly), and Euclidean-ball projection. The butterfly computes H_d @ x
+for each row x, with
 
     H_d[i, j] = (-1)^popcount(i & j),      d a power of two,
 
@@ -37,18 +40,44 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-def p_norm(x, p: float) -> float:
-    """The lp norm for p in [1, inf]; p=inf returns max_j |x_j|."""
-    v = as_vector(x)
-    if not require_real(p, "p") >= 1.0:
-        raise ValidationError(f"p must lie in [1, inf], got {p!r}")
-    if math.isinf(p):
-        return float(np.max(np.abs(v)))
+def _require_p(p, name: str = "p"):
+    """p itself when it is a real in [1, inf], else ValidationError."""
+    if not require_real(p, name) >= 1.0:
+        raise ValidationError(f"{name} must lie in [1, inf], got {p!r}")
+    return p
+
+
+def row_norms(rows: np.ndarray, p: float) -> np.ndarray:
+    """The lp norm of each row of a float64 matrix, p checked: (sum_j |x_ij|**p)
+    ** (1/p), max_j |x_ij| at p = inf, NaN for a row with a NaN. At p = 2 it
+    squares x itself, as x*x is |x|**2 bit for bit."""
     if p == 1.0:
-        return float(np.sum(np.abs(v)))
+        return np.abs(rows).sum(axis=1)
     if p == 2.0:
-        return float(np.linalg.norm(v))
-    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+        return (rows * rows).sum(axis=1) ** 0.5
+    if math.isinf(p):
+        return np.abs(rows).max(axis=1)
+    return (np.abs(rows) ** p).sum(axis=1) ** (1.0 / p)
+
+
+def _largest_norm(rows: np.ndarray, p: float) -> float:
+    """The largest ``row_norms``, bit for bit. At p = inf it is max(max x, -min x),
+    each extreme read at its argmax or argmin (the first NaN if there is one):
+    no abs copy, and less than a max or min reduction costs at any size."""
+    if math.isinf(p):  # NaN if an entry is; abs: +0.0 for zeros
+        return abs(max(rows.item(rows.argmax()), -rows.item(rows.argmin())))
+    norms = row_norms(rows, p)
+    return norms.item(norms.argmax())
+
+
+def _in_ball(norm: float, radius: float, tol: float = EXACT_TOL) -> bool:
+    """The one membership test, norm <= radius * (1 + tol); a NaN norm fails it."""
+    return norm <= radius * (1.0 + tol)
+
+
+def p_norm(x, p: float) -> float:
+    """The lp norm of one vector for p in [1, inf]; p=inf returns max_j |x_j|."""
+    return row_norms(as_vector(x)[None], _require_p(p)).item()
 
 
 @dataclass(frozen=True)
@@ -60,8 +89,7 @@ class BallSpec:
     dim: int
 
     def __post_init__(self) -> None:
-        if not require_real(self.p, "ball exponent") >= 1.0:
-            raise ValidationError(f"ball exponent must lie in [1, inf], got {self.p!r}")
+        _require_p(self.p, "ball exponent")
         if not 0.0 < require_real(self.radius, "ball radius") < math.inf:
             raise ValidationError(f"ball radius must be positive and finite, got {self.radius!r}")
         object.__setattr__(self, "dim", require_int(self.dim, "ball dimension"))
@@ -69,18 +97,17 @@ class BallSpec:
             raise ValidationError(f"ball dimension must be a positive integer, got {self.dim!r}")
 
     def contains(self, x, tol: float = EXACT_TOL) -> bool:
-        return p_norm(x, self.p) <= self.radius * (1.0 + tol)
+        return _in_ball(p_norm(x, self.p), self.radius, tol)
 
 
 def clip(g, p: float, C: float) -> np.ndarray:
-    """Rescale g so its lp norm is at most C: g / max{1, ||g||_p / C}.
-
-    Inside-ball inputs (including the zero vector) are returned unchanged.
-    """
-    v = as_vector(g)
+    """Rescale g, one vector or each row of a row matrix, so its lp norm is at
+    most C: g / max{1, ||g||_p / C}. Inside-ball rows (the zero row too) keep their values."""
+    v = np.asarray(g, dtype=np.float64)
+    rows = as_vector(v.ravel()).reshape(v.shape) if v.ndim == 2 else as_vector(v)[None]
     if not require_real(C, "clip radius") > 0.0:
         raise ValidationError(f"clip radius must be positive, got {C!r}")
-    return v / max(1.0, p_norm(v, p) / C)
+    return (rows / np.maximum(1.0, row_norms(rows, _require_p(p)) / C)[:, None]).reshape(v.shape)
 
 
 def fwht_rows_inplace(mat: np.ndarray) -> np.ndarray:

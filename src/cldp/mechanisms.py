@@ -64,15 +64,16 @@ all their atoms at once. The reserved l2 zero message has no atoms and
 decodes to 0; the encoder never sends it, but wire frames carry it.
 
 ``batch_encoder`` draws each stream's ``block`` for its rows, gathers the
-blocks, then makes one ``draw`` and one decode over all rows. The other entry points,
-``decode_message``, ``mean_estimate``, ``sample_decoded`` and
-``mean_estimate_trials``, are its one-stream case, and ``encode_message``
-its one-row case, drawn by ``one``; every input passes the
-one check in ``_require_rows`` and every seed the one in ``_require_rng``,
-and identical seedable streams reproduce identical messages. The
-``*_atom_probabilities`` helpers give the closed-form output distributions
-of the index families, so tests check unbiasedness, variance and the LDP
-ratio through ``decode_message`` without sampling.
+blocks, then makes one ``draw`` and one decode over all rows. The other entry
+points, ``decode_message``, ``mean_estimate``, ``sample_decoded`` and
+``mean_estimate_trials``, are its one-stream case, and ``encode_message`` its
+one-row case, drawn by ``one``. Every input passes the one check in
+``_require_rows``, whose largest norm and in-ball test are ``linalg``'s, and
+every seed the one in ``_require_rng`` (a bool is no seed); identical
+seedable streams reproduce identical messages. The ``*_atom_probabilities``
+helpers give the closed-form output distributions of the index families, so
+tests check unbiasedness, variance and the LDP ratio through
+``decode_message`` without sampling.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .errors import OutOfBallError, ValidationError, require_int, require_real
-from .linalg import BallSpec, EXACT_TOL, fwht_rows_at, fwht_rows_inplace
+from .linalg import BallSpec, EXACT_TOL, _in_ball, _largest_norm, fwht_rows_at, fwht_rows_inplace
 
 # ---------------------------------------------------------------------------
 # Messages and specs
@@ -106,10 +107,11 @@ def _coord_sign(atoms):
 
 def _pair_atoms(pairs) -> tuple[int, ...]:
     """The atoms 2*c + [s > 0] of (coordinate, sign) pairs, each c a nonnegative
-    integer and each s +1 or -1, in one pass: the constructors' check."""
+    integer and each s +1 or -1 (a bool is neither), in one pass: the constructors' check."""
     try:
         items = pairs if isinstance(pairs, tuple) else tuple(pairs)
-        atoms = tuple([operator.index(2 * c + (s == 1)) for c, s in items if s == 1 or s == -1])
+        atoms = tuple([operator.index(2 * c + (s == 1)) for c, s in items
+                       if (s == 1 or s == -1) and bool not in (type(c), type(s))])
     except (TypeError, ValueError, OverflowError):
         atoms, items = (), None
     if not atoms or len(atoms) != len(items) or min(atoms) < 0:
@@ -218,9 +220,8 @@ class MechanismSpec:
             raise ValidationError(f"ball must be a BallSpec, got {self.ball!r:.200}")
         if not 0.0 < require_real(self.epsilon0, "epsilon0") < math.inf:
             raise ValidationError(f"epsilon0 must be a finite positive real, got {self.epsilon0!r}")
+        _require_mix_prob(self.mix_prob)
         if self.mix_prob is not None:
-            if not 0.0 <= require_real(self.mix_prob, "mix probability") <= 1.0:
-                raise ValidationError(f"mix probability must lie in [0,1], got {self.mix_prob!r}")
             if math.isinf(self.ball.p):
                 raise ValidationError("the mix family is defined for finite p only")
             rp_arm_specs(self)  # the l2 arm's spec checks its radius
@@ -231,6 +232,11 @@ class MechanismSpec:
                     f"l2 radius {self.ball.radius:.6g} is too large: its square overflows "
                     "float64 (the l2 stage's radius is capped at about 1.34e154)"
                 )
+
+
+def _require_mix_prob(mix_prob) -> None:
+    if mix_prob is not None and not 0.0 <= require_real(mix_prob, "mix probability") <= 1.0:
+        raise ValidationError(f"mix probability must lie in [0,1], got {mix_prob!r}")
 
 
 def mechanism_family(spec: MechanismSpec) -> str:
@@ -294,13 +300,13 @@ def _require_rows(x, ball: BallSpec, ndim: int) -> np.ndarray:
     if rows.ndim != ndim or rows.size < 1:
         kind = "a 1-D vector" if ndim == 1 else "a 2-D (rows x dim) array"
         raise ValidationError(f"expected {kind} with at least one entry, got shape {rows.shape}")
-    rows = rows.reshape(-1, rows.shape[-1])
+    rows = rows[None] if ndim == 1 else rows
     if rows.shape[1] != ball.dim:
         raise ValidationError(
             f"input dimension {rows.shape[1]} does not match ball dimension {ball.dim}"
         )
     nrm = _largest_norm(rows, ball.p)
-    if not nrm <= ball.radius * (1.0 + EXACT_TOL):  # NaN fails too
+    if not _in_ball(nrm, ball.radius):  # NaN fails too
         if not np.isfinite(rows).all():
             raise ValidationError("input entries must be finite (no NaN/Inf)")
         raise OutOfBallError(
@@ -310,31 +316,15 @@ def _require_rows(x, ball: BallSpec, ndim: int) -> np.ndarray:
     return rows
 
 
-def _largest_norm(rows: np.ndarray, p: float) -> float:
-    """max_i (sum_j |x_ij|**p) ** (1/p) over the rows (max_ij |x_ij| at p = inf),
-    bit for bit, NaN if an entry is. At p = 1, 2 and inf it makes fewer passes:
-    x*x is |x|**2, and max |x| is max(max x, -min x), so no abs copy is made.
-    Each extreme is read at its argmax or argmin, the first NaN if there is
-    one, which costs less than a max or min reduction at any size."""
-    if math.isinf(p):
-        # NaN if an entry is; abs: +0.0 for zeros
-        return abs(max(rows.item(rows.argmax()), -rows.item(rows.argmin())))
-    if p == 1.0:
-        norms = np.abs(rows).sum(axis=1)
-    elif p == 2.0:
-        norms = (rows * rows).sum(axis=1) ** 0.5
-    else:
-        norms = (np.abs(rows) ** p).sum(axis=1) ** (1.0 / p)
-    return norms.item(norms.argmax())
-
-
 def _require_rng(rng) -> np.random.Generator:
     """``np.random.default_rng(rng)``: rng is None, a nonnegative integer seed,
-    a SeedSequence, a BitGenerator or a Generator."""
+    a SeedSequence, a BitGenerator or a Generator; a bool is no seed."""
     try:
-        return np.random.default_rng(rng)
+        if not isinstance(rng, bool):
+            return np.random.default_rng(rng)
     except (TypeError, ValueError):
-        raise ValidationError(f"expected None, a seed or a generator, got {rng!r:.200}") from None
+        pass
+    raise ValidationError(f"expected None, a seed or a generator, got {rng!r:.200}")
 
 
 def _check_family(spec: MechanismSpec, p_required: float, name: str) -> None:

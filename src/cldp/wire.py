@@ -111,9 +111,12 @@ def histogram_pack(atoms, B: int) -> HistogramCode:
     one-atom code ranks in constant time: its rank is the atom.
     """
     try:
+        atoms = tuple(atoms)  # read twice below; a tuple, as a message's atoms are, is not copied
         ordered = sorted(map(operator.index, atoms))
     except TypeError:
-        raise ValidationError(f"atoms must be integers, got {atoms!r}") from None
+        ordered = None
+    if ordered is None or bool in set(map(type, atoms)):  # one pass over the types
+        raise ValidationError(f"atoms must be integers (a bool is not), got {atoms!r:.200}")
     if not ordered:
         raise ValidationError("cannot pack an empty multiset")
     if not 0 <= ordered[0] <= ordered[-1] < B:

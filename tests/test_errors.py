@@ -94,6 +94,14 @@ MALFORMED = {
     "train_account_str": lambda: train_config(account="no"),
     "train_params_tuple": lambda: train_config(params=(4, 2, 3, 1)),
     "train_variant_str": lambda: train_config(variant="explicit"),
+    # The baseline (epsilon0 = inf) builds no MechanismSpec to check mix_prob.
+    "train_baseline_mix_prob_str": lambda: train_config(epsilon0=math.inf, mix_prob="x"),
+    "train_baseline_mix_prob_above_one": lambda: train_config(epsilon0=math.inf, mix_prob=1.5),
+    # Bools on the message paths.
+    "index_sign_bool_index": lambda: mechanisms.IndexSign(j=True, sign=1),
+    "histogram_pack_bool_atoms": lambda: wire.histogram_pack([True, False], 4),
+    "histogram_pack_bool_atom_iterator": lambda: wire.histogram_pack(iter([3, True]), 4),
+    "encode_rng_bool": lambda: mechanisms.encode_message(ROWS[0], SPEC, True),
 }
 
 
@@ -141,3 +149,34 @@ def test_only_errors_imports_numbers():
             if "numbers" in names:
                 importers.append(path.relative_to(SRC).as_posix())
     assert importers == ["errors.py"]
+
+
+def _is_lp_root(node) -> bool:
+    """(... x ** p ...) ** (1 / p): the 1/p-th root of a sum of p-th powers."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)):
+        return False
+    root = node.right
+    if not (isinstance(root, ast.BinOp) and isinstance(root.op, ast.Div)):
+        return False
+    p = ast.dump(root.right)
+    return any(
+        isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow) and ast.dump(n.right) == p
+        for n in ast.walk(node.left)
+    )
+
+
+def test_only_linalg_defines_an_lp_norm():
+    # The lp norm lives in one module: elsewhere no call passes ``ord=`` to a
+    # ``norm`` and no expression takes the 1/p-th root of p-th powers. linalg
+    # itself must match, or the rule would find nothing anywhere.
+    definers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            passes_ord = (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "norm"
+                and any(k.arg == "ord" for k in node.keywords)
+            )
+            if passes_ord or _is_lp_root(node):
+                definers.add(path.relative_to(SRC).as_posix())
+    assert definers == {"linalg.py"}

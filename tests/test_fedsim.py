@@ -643,6 +643,16 @@ class TestTrainConfigValidation:
         small_config(ball=ball, mix_prob=0.5)  # resolves fine
         small_config(ball=ball, epsilon0=math.inf)  # baseline ignores family
 
+    def test_baseline_runs_alike_with_a_valid_mix_prob(self):
+        # The baseline builds no spec, so it checks mix_prob itself; a valid one
+        # sends nothing and leaves the run bit for bit as it was.
+        clients, _ = synthetic_logistic_data(m=6, r=4, d=2, seed=8)
+        ball = BallSpec(p=4.0, radius=1.0, dim=2)
+        plain = train(small_config(ball=ball, epsilon0=math.inf), clients)
+        mixed = train(small_config(ball=ball, epsilon0=math.inf, mix_prob=0.5), clients)
+        assert mixed.traces == plain.traces
+        assert mixed.theta.tobytes() == plain.theta.tobytes()
+
 
 @st.composite
 def dataset_bytes(draw):

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from cldp.errors import ValidationError
 from cldp.linalg import (
+    EXACT_TOL,
     BallSpec,
     clip,
     fwht_rows_at,
     fwht_rows_inplace,
     p_norm,
     project_l2_ball,
+    row_norms,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64)
@@ -73,6 +75,45 @@ class TestClip:
         nrm = p_norm(v, p)
         c = nrm + 1.0
         np.testing.assert_array_equal(clip(v, p, c), v)
+
+
+class TestOneFormula:
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf, 1.5])
+    def test_norms_and_clip_are_the_formula(self, p):
+        # Rows on the 1 + EXACT_TOL boundary and just past it, zero and -0.0
+        # rows, and one NaN row: row_norms is the plain formula over |x| bit
+        # for bit, p_norm its one-row case, and clip a row matrix exactly as
+        # it clips each row alone.
+        def formula(block):
+            absx = np.abs(block)
+            return absx.max(axis=1) if math.isinf(p) else (absx**p).sum(axis=1) ** (1.0 / p)
+
+        gen = np.random.default_rng(7)
+        rows = gen.standard_normal((500, 9)) * (gen.random((500, 9)) < 0.7)
+        rows[gen.random((500, 9)) < 0.1] = -0.0
+        norms = formula(rows)
+        rows[norms > 0] /= norms[norms > 0, None]
+        rows[::2] *= 1.0 + EXACT_TOL
+        rows[1::4] *= 1.0 + 2 * EXACT_TOL
+        rows[3] = 0.0
+        rows[5] = -0.0
+        nan_row = rows[:1].copy()
+        nan_row[0, 4] = math.nan
+
+        want = formula(rows)
+        assert row_norms(rows, p).view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert math.isnan(row_norms(nan_row, p)[0])
+        for row, norm in zip(rows, want):
+            assert np.float64(p_norm(row, p)).view(np.int64) == norm.view(np.int64)
+        for C in (1.0, 0.5):
+            clipped = clip(rows, p, C)
+            one_by_one = np.array([clip(row, p, C) for row in rows])
+            assert clipped.shape == rows.shape and clipped.tobytes() == one_by_one.tobytes()
+            assert clipped.tobytes() == (rows / np.maximum(1.0, want / C)[:, None]).tobytes()
+        for call in (lambda: p_norm(nan_row[0], p), lambda: clip(nan_row[0], p, 1.0),
+                     lambda: clip(np.vstack([rows, nan_row]), p, 1.0)):
+            with pytest.raises(ValidationError, match="finite"):
+                call()
 
 
 def fwht(x):

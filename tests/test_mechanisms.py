@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cldp.errors import OutOfBallError, ValidationError
-from cldp.linalg import EXACT_TOL, BallSpec
+from cldp.linalg import EXACT_TOL, BallSpec, _largest_norm
 from cldp.mechanisms import (
     IndexSign,
     MechanismSpec,
@@ -26,7 +26,6 @@ from cldp.mechanisms import (
     _index_noise,
     _l2_noise,
     _priv_rows,
-    _largest_norm,
     _quan_atoms,
     _quan_cdf,
     _quan_counts,
