@@ -13,7 +13,8 @@ Each round t (1-based):
    diameter D centered at the origin.
 
 A round runs on arrays: one ``point_grads`` call for all k*s points, one
-``linalg.clip`` call, and one ``mechanisms.batch_encoder`` call, which makes one draw
+clip (``linalg._clip_rows``, whose row norms also give the round's clipped
+count), and one ``mechanisms.batch_encoder`` call, which makes one draw
 over the k*s rows (each drawn once, so an l1 row computes only the rotated
 coordinate its draw reads) and one signed-count decode.
 The decode reads only the multiset the shuffler leaves, so the permutation is
@@ -27,22 +28,29 @@ data sampling and mechanism noise, seeded with
 The layout is kept on purpose: another layout with the same law (say, one
 stream per round) re-rolls every run, including the frozen runs of the
 convergence criterion. Each round builds its k seeds as one uint32 matrix
-whose rows hold the words numpy derives from those tuples (each int as its
-little-endian 32-bit words, 0 as one word); the seed is split once per run.
-The round's k seed states come from one vectorised pass of SeedSequence's
-hash over that matrix, so a stream costs only its generator, and equals the
-tuple-built one; the tests check the hash against numpy's ``SeedSequence``
-bit for bit. A client's stream draws its s points, then the noise of its s
-rows in the mechanism's documented order, so for s = 1 a message draws
-exactly what a single encode draws. One point and one index-family row use
-scalar draws (``integers(r)`` for ``choice(r, 1, replace=False)``;
-``integers(dim)`` and ``random()`` for the size-1 calls): they read the
-same bits at a fraction of the cost. The round gathers the k streams'
-scalars into one array per component, its points here (``_draw_points``
-holds the one-point rule, which ``sample_data`` shares) and an index
-family's indices and uniforms in ``mechanisms.batch_encoder``. The word
-rows and the scalar draws were checked against the old forms on numpy
-2.4.6, and tests pin both.
+whose rows hold the words numpy derives from those tuples, and hashes them
+in one vectorised pass of SeedSequence's hash (``streams._seed_states``),
+equal to the tuple-built seeds. A client's stream draws its s points, then
+the noise of its s rows in the mechanism's documented order, so for s = 1 a
+message draws exactly what a single encode draws. One point is the scalar
+``integers(r)``, which reads the bits of ``choice(r, 1, replace=False)``,
+and one index-family row the scalars ``integers(dim)`` then ``random()``.
+
+At s = 1 those scalar calls are all that an l1, linf or baseline round
+draws, so it runs its k streams as the lanes of one ``streams.PCG64Lanes``:
+numpy's PCG64 over k uint64 lanes, whose ``integers(bound)`` and
+``random()`` return per lane the value that lane's generator returns,
+because they run the same seeding, 128-bit step and output, the same
+Lemire bounded draw with its buffered 32-bit half, and the same 53-bit
+uniform. A round then draws its points in one ``integers(r)`` call and its
+noise in one ``integers(dim)`` and one ``random()``. The other rounds build
+a real ``Generator`` per stream from the same seed states, since l2 and the
+mix draw normals from numpy's ziggurat and s > 1 draws its points with
+``choice``; the round gathers their draws into one array per component
+(``_draw_points`` holds the one-point rule, which ``sample_data`` shares).
+``mechanisms._on_lanes`` picks the path once per run, from the spec and s.
+The tests check the lanes against numpy's generators, and whole runs on the
+two paths against each other, byte for byte.
 
 epsilon0 = inf is the non-private baseline: clipped gradients are sent
 uncompressed and in the clear, and the reported budget carries no guarantee.
@@ -56,7 +64,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from ..accountant import (
     ExplicitShuffling,
@@ -68,8 +75,15 @@ from ..accountant import (
 )
 from ..bounds import g_squared
 from ..errors import AccountingError, ClippingWarning, ValidationError, require_int, require_real
-from ..linalg import BallSpec, clip, project_l2_ball, row_norms
-from ..mechanisms import MechanismSpec, _require_mix_prob, batch_encoder, mechanism_family
+from ..linalg import BallSpec, _clip_rows, project_l2_ball
+from ..mechanisms import (
+    MechanismSpec,
+    _on_lanes,
+    _require_mix_prob,
+    batch_encoder,
+    mechanism_family,
+)
+from ..streams import PCG64Lanes, _HashedSeed, _seed_states, _seed_words
 from .. import wire
 from .data import ClientDataset, stack_points, validate_clients
 from .tasks import get_task
@@ -77,15 +91,6 @@ from .tasks import get_task
 CLIENT_SALT = 0x434C4E54  # per-(client, round) streams
 SERVER_SALT = 0x53525652  # client sampling and the shuffler
 CLIP_WARN_FRAC = 0.01  # a run that clips more of its gradients warns (ClippingWarning)
-_WORD = 0xFFFFFFFF
-
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
-_U32, _U64 = np.uint32, np.dtype(np.uint64)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = _U32(0xCA01F9DD), _U32(0x4973F715)
-_XSHIFT = _U32(16)
-_POOL_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -195,99 +200,28 @@ def _draw_points(r: int, s: int, gen: np.random.Generator):
     return np.sort(gen.choice(r, size=s, replace=False))
 
 
-def _seed_words(n: int) -> list[int]:
-    """The 32-bit words numpy's SeedSequence makes of a nonnegative int:
-    little-endian, and 0 is one word."""
-    words = [n & _WORD]
-    while n > _WORD:
-        n >>= 32
-        words.append(n & _WORD)
-    return words
-
-
-def _hash_constants(init: int, mult: int):
-    """The (xor, multiply) constants of successive calls to SeedSequence's
-    hashmix: the running constant is xored in, then multiplied by ``mult``
-    and the value by the product. They depend only on the call index."""
-    const = init
-    while True:
-        nxt = const * mult & _WORD
-        yield _U32(const), _U32(nxt)
-        const = nxt
-
-
-def _seed_states(words: np.ndarray) -> np.ndarray:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of a
-    (k, L) uint32 matrix, as one (k, 4) uint64 array.
-
-    numpy's pool hash (``mix_entropy``, then ``generate_state``) run column
-    by column over all rows at once; numpy keeps it stable under its RNG
-    compatibility policy (NEP 19), and the tests check it against
-    ``SeedSequence``. Every operand is uint32, so numpy 1.x value-based
-    casting and numpy 2's NEP 50 wrap alike.
-    """
-    consts = _hash_constants(_INIT_A, _MULT_A)
-
-    def hashmix(value):
-        xor, mul = next(consts)
-        value = (value ^ xor) * mul
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        value = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return value ^ (value >> _XSHIFT)
-
-    k, n = words.shape
-    cols = np.ascontiguousarray(words.T)
-    zero = np.zeros(k, dtype=np.uint32)
-    pool = [hashmix(cols[i] if i < n else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, n):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(cols[src]))
-    consts = _hash_constants(_INIT_B, _MULT_B)
-    state = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-class _HashedSeed(ISeedSequence):
-    """A seed whose state is already hashed: PCG64 asks it for
-    ``generate_state(4, np.uint64)``, and any other request fails rather
-    than seed a generator differently."""
-
-    def __init__(self, state: np.ndarray):
-        self._state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != _U64:
-            raise ValidationError(
-                "a pre-hashed seed holds generate_state(4, uint64) only, "
-                f"got ({n_words!r}, {dtype!r})"
-            )
-        return self._state
-
-
-def _client_streams(head: list[int], chosen: np.ndarray, t: int) -> list[np.random.Generator]:
+def _client_streams(head: list[int], chosen: np.ndarray, t: int, lanes: bool = False):
     """Round t's client streams, one per entry of ``chosen``, each the
-    generator ``SeedSequence((seed, CLIENT_SALT, client, t))`` seeds.
-    ``head`` is the words of seed and salt. A client index is one word: it
-    is below m, and a run holds all m client datasets, so m is far below
-    2**32."""
+    generator ``SeedSequence((seed, CLIENT_SALT, client, t))`` seeds, as
+    ``_word_streams`` builds them. ``head`` is the words of seed and salt. A
+    client index is one word: it is below m, and a run holds all m client
+    datasets, so m is far below 2**32."""
     tail = _seed_words(t)
     words = np.empty((len(chosen), len(head) + 1 + len(tail)), dtype=np.uint32)
     words[:, : len(head)] = head
     words[:, len(head)] = chosen
     words[:, len(head) + 1 :] = tail
-    return _word_streams(words)
+    return _word_streams(words, lanes)
 
 
-def _word_streams(words: np.ndarray) -> list[np.random.Generator]:
+def _word_streams(words: np.ndarray, lanes: bool = False):
     """``default_rng(SeedSequence(row))`` for every row of a (k, L) uint32
-    matrix, from one hash pass."""
-    return [np.random.Generator(np.random.PCG64(_HashedSeed(row))) for row in _seed_states(words)]
+    matrix, from one hash pass: a list of generators, or with ``lanes`` one
+    ``PCG64Lanes`` that draws what they draw."""
+    states = _seed_states(words)
+    if lanes:
+        return PCG64Lanes(states)
+    return [np.random.Generator(np.random.PCG64(_HashedSeed(row))) for row in states]
 
 
 def _no_guarantee_budget(cfg: TrainConfig, reason: str) -> PrivacyBudget:
@@ -354,6 +288,7 @@ def train(cfg: TrainConfig, data: list[ClientDataset]) -> TrainResult:
     X_all, Y_all = stack_points(data)
     server = np.random.default_rng(np.random.SeedSequence((cfg.seed, SERVER_SALT)))
     head = _seed_words(cfg.seed) + [CLIENT_SALT]
+    lanes = _on_lanes(spec, p.s)
 
     theta = np.zeros(d)
     loss_now = task.batch_loss(theta, X_all, Y_all)
@@ -361,13 +296,16 @@ def train(cfg: TrainConfig, data: list[ClientDataset]) -> TrainResult:
 
     for t in range(1, cfg.T + 1):
         chosen = sample_clients(p.m, p.k, server)
-        streams = _client_streams(head, chosen, t)
-        draws = np.array([_draw_points(p.r, p.s, gen) for gen in streams])  # (k,) or (k, s)
+        streams = _client_streams(head, chosen, t, lanes)
+        if lanes:
+            draws = streams.integers(p.r)
+        else:
+            draws = np.array([_draw_points(p.r, p.s, gen) for gen in streams])  # (k,) or (k, s)
         points = np.repeat(chosen * p.r, p.s) + draws.ravel()
         grads = task.point_grads(theta, X_all[points], Y_all[points])
         if not np.isfinite(grads).all():
             raise ValidationError(f"task {cfg.task!r} produced a non-finite gradient")
-        rows = clip(grads, cfg.ball.p, cfg.ball.radius)
+        rows, norms = _clip_rows(grads, cfg.ball.p, cfg.ball.radius)
 
         # The shuffler. The counts decode reads only the multiset, so coded
         # messages need no order; the draw keeps the server stream.
@@ -389,7 +327,7 @@ def train(cfg: TrainConfig, data: list[ClientDataset]) -> TrainResult:
                 loss_after=loss_after,
                 grad_norm=float(np.linalg.norm(g_bar)),
                 epsilon_so_far=eps_schedule[t - 1],
-                clipped=int(np.count_nonzero(row_norms(grads, cfg.ball.p) > cfg.ball.radius)),
+                clipped=int(np.count_nonzero(norms > cfg.ball.radius)),
             )
         )
         loss_now = loss_after

@@ -2,9 +2,10 @@
 
 The lp ball for p in [1, inf]: ``row_norms`` is the one lp-norm formula, read
 by ``p_norm`` (one vector), ``_largest_norm`` (the mechanisms' input check)
-and ``clip`` (a vector or each row of a matrix); ``_in_ball`` is the one
-membership test. Also the fast Walsh-Hadamard transform (the unnormalized
-in-place row butterfly, and one entry per row by one path through that
+and ``clip`` (a vector or each row of a matrix; ``_clip_rows``, which it
+wraps, also returns the norms); ``_in_ball`` is the one membership test.
+Also the fast Walsh-Hadamard transform (the unnormalized in-place row
+butterfly, and one entry per row by one path through that
 butterfly), and Euclidean-ball projection. The butterfly computes H_d @ x
 for each row x, with
 
@@ -107,7 +108,14 @@ def clip(g, p: float, C: float) -> np.ndarray:
     rows = as_vector(v.ravel()).reshape(v.shape) if v.ndim == 2 else as_vector(v)[None]
     if not require_real(C, "clip radius") > 0.0:
         raise ValidationError(f"clip radius must be positive, got {C!r}")
-    return (rows / np.maximum(1.0, row_norms(rows, _require_p(p)) / C)[:, None]).reshape(v.shape)
+    return _clip_rows(rows, _require_p(p), C)[0].reshape(v.shape)
+
+
+def _clip_rows(rows: np.ndarray, p: float, C: float) -> tuple[np.ndarray, np.ndarray]:
+    """``clip`` of a finite float64 row matrix, p and C checked, and the
+    ``row_norms`` it scaled by, for a caller that also counts the shrunk rows."""
+    norms = row_norms(rows, p)
+    return rows / np.maximum(1.0, norms / C)[:, None], norms
 
 
 def fwht_rows_inplace(mat: np.ndarray) -> np.ndarray:

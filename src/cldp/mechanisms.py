@@ -34,9 +34,11 @@ a draw or a frame's unpack made, keeping them rather than converting its
 pairs back to atoms. ``wire`` codes messages through these alone.
 
 Each family is one record in ``_FAMILIES``: its message code; ``block``,
-what one stream draws for n rows, which fixes the draw order
-(``_index_noise``, ``_l2_noise``, ``_mix_noise``), and ``noise``, that
-block as arrays; a pure ``draw`` from rows and noise to what the decode
+which binds a spec's dimensions once and returns what one stream draws for
+n rows, fixing the draw order (``_index_noise``, ``_l2_noise``,
+``_mix_block``), and ``noise``, that block as arrays; ``lanes``, whether
+one row's block is what ``streams.PCG64Lanes`` draws (``_on_lanes``); a
+pure ``draw`` from rows and noise to what the decode
 reads ((n, 1) atoms for l1 and linf, (n, d) net signed counts for l2, (arm
 mask, l1 atoms, l2 counts) for the mix); ``one``, one message's atoms drawn
 from a stream; and a ``scale`` from net signed counts to decoded sums. An
@@ -45,10 +47,11 @@ one path of the Hadamard butterfly (``linalg.fwht_rows_at``, O(d) per row
 and bit-identical to the O(d log d) rotation), linf reads the coordinate.
 ``one`` (``encode_message``) reads the same bits as ``noise`` for one row.
 One index row's block is two Python scalars, ``integers(dim)`` then
-``random()``. ``_gather`` makes one array per component of the blocks of
-one or many streams: one ``np.array`` over their scalars, or one
-concatenation of their arrays, so a batch of one-row streams builds no
-one-element arrays. A mix block gathers its own l1-arm noise into arrays.
+``random()`` (on lanes, one array of each). ``_gather`` makes one array
+per component of the blocks of one or many streams: one ``np.array`` over
+their scalars, or one concatenation of their arrays, so a batch of one-row
+streams builds no one-element arrays. A mix block gathers its own l1-arm
+noise into arrays.
 An index row's ``one`` takes its block from ``_index_noise`` too, and
 makes the same floating-point operations in the same order as ``draw``,
 with its index, uniform, plus-probability and atom as Python scalars. An
@@ -64,11 +67,13 @@ all their atoms at once. The reserved l2 zero message has no atoms and
 decodes to 0; the encoder never sends it, but wire frames carry it.
 
 ``batch_encoder`` draws each stream's ``block`` for its rows, gathers the
-blocks, then makes one ``draw`` and one decode over all rows. The other entry
-points, ``decode_message``, ``mean_estimate``, ``sample_decoded`` and
-``mean_estimate_trials``, are its one-stream case, and ``encode_message`` its
-one-row case, drawn by ``one``. Every input passes the one check in
-``_require_rows``, whose largest norm and in-ball test are ``linalg``'s, and
+blocks, then makes one ``draw`` and one decode over all rows; an index
+family's rows may instead draw one block on lanes, one row per lane. The
+other entry points, ``decode_message``, ``mean_estimate``,
+``sample_decoded`` and ``mean_estimate_trials``, are its one-stream case,
+and ``encode_message`` its one-row case, drawn by ``one``. Every input
+passes the one check in ``_require_rows``, whose largest norm and in-ball
+test are ``linalg``'s, and
 every seed the one in ``_require_rng`` (a bool is no seed); identical
 seedable streams reproduce identical messages. The ``*_atom_probabilities``
 helpers give the closed-form output distributions of the index families, so
@@ -89,6 +94,7 @@ import numpy as np
 
 from .errors import OutOfBallError, ValidationError, require_int, require_real
 from .linalg import BallSpec, EXACT_TOL, _in_ball, _largest_norm, fwht_rows_at, fwht_rows_inplace
+from .streams import PCG64Lanes
 
 # ---------------------------------------------------------------------------
 # Messages and specs
@@ -353,13 +359,16 @@ def _rinf_plus(x, spec: MechanismSpec):
     return 0.5 + x * (_kappa(spec.epsilon0) / (2.0 * spec.ball.radius))
 
 
-def _index_noise(gen: np.random.Generator, n: int, dim: int):
+def _index_noise(gen, n: int, dim: int):
     """What n index-family rows draw: n indices below dim, then n sign uniforms.
 
     One row draws them as the scalars ``integers(dim)`` then ``random()``:
     they read the same bits as the sized calls (checked on numpy 2.4.6, and
     pinned by the tests) at under half the cost, which a stream per client
-    pays. A draw reads arrays, which ``_gather`` makes of the scalars.
+    pays. A draw reads arrays, which ``_gather`` makes of a generator's
+    scalars; on ``streams.PCG64Lanes`` the same two calls already return
+    one index and one uniform per lane, so a round of one-row streams draws
+    its noise in two calls.
     """
     if n == 1:
         return gen.integers(dim), gen.random()
@@ -616,12 +625,19 @@ def rp_arm_specs(spec: MechanismSpec) -> tuple[MechanismSpec, MechanismSpec]:
     )
 
 
-def _mix_noise(gen: np.random.Generator, n: int, spec: MechanismSpec):
-    """n arm uniforms (as the l1-arm mask), the l1 arm's noise, then the l2 arm's."""
-    arm = gen.random(n) < spec.mix_prob
-    n_l1, d = int(np.count_nonzero(arm)), spec.ball.dim
-    l1 = _gather([_index_noise(gen, n_l1, padded_dim(d))])
-    return (arm, *l1, *_l2_noise(gen, n - n_l1, d))
+def _mix_block(spec: MechanismSpec) -> Callable:
+    """The mix's ``block``: n arm uniforms (as the l1-arm mask), the l1 arm's
+    noise, then the l2 arm's."""
+    prob, d = spec.mix_prob, spec.ball.dim
+    index = padded_dim(d)
+
+    def block(gen: np.random.Generator, n: int):
+        arm = gen.random(n) < prob
+        n_l1 = int(np.count_nonzero(arm))
+        l1 = _gather([_index_noise(gen, n_l1, index)])
+        return (arm, *l1, *_l2_noise(gen, n - n_l1, d))
+
+    return block
 
 
 def _mix_draw(rows: np.ndarray, spec: MechanismSpec, noise):
@@ -638,8 +654,9 @@ def _mix_draw(rows: np.ndarray, spec: MechanismSpec, noise):
 class _Family(NamedTuple):
     kind: type  # the message type
     shape: Callable | None  # d -> (atom dimension, atoms per message); the mix uses its arms'
-    block: Callable  # (gen, n, spec) -> what one stream draws for n rows, in order;
+    block: Callable  # spec -> (gen, n) -> what one stream draws for n rows, in order;
     # one index row as scalars
+    lanes: bool  # one row's block is scalar integers() then random(), which PCG64Lanes draws
     draw: Callable  # (rows, spec, noise) -> what the decode reads
     one: Callable | None  # (row, spec, gen) -> one message's atoms, as noise then draw
     # would make them; the mix runs its arm's
@@ -647,28 +664,38 @@ class _Family(NamedTuple):
 
     def noise(self, gen: np.random.Generator, n: int, spec: MechanismSpec) -> tuple:
         """One stream's ``block`` for n rows as the arrays ``draw`` reads."""
-        return _gather([self.block(gen, n, spec)])
+        return _gather([self.block(spec)(gen, n)])
 
 
 _FAMILIES = {
     "l1": _Family(
         IndexSign, lambda d: (padded_dim(d), 1),
-        lambda gen, n, spec: _index_noise(gen, n, padded_dim(spec.ball.dim)),
+        lambda spec: functools.partial(_index_noise, dim=padded_dim(spec.ball.dim)), True,
         _r1_draw, _r1_one, _r1_scale,
     ),
     "linf": _Family(
         IndexSign, lambda d: (d, 1),
-        lambda gen, n, spec: _index_noise(gen, n, spec.ball.dim),
+        lambda spec: functools.partial(_index_noise, dim=spec.ball.dim), True,
         _rinf_draw, _rinf_one, _rinf_scale,
     ),
     "l2": _Family(
         SparseSigned, lambda d: (d, d),
-        lambda gen, n, spec: _l2_noise(gen, n, spec.ball.dim),
+        lambda spec: functools.partial(_l2_noise, d=spec.ball.dim), False,
         _l2_draw, _l2_one, _r2_scale,
     ),
-    "mix": _Family(MixTagged, None, _mix_noise, _mix_draw, None, None),
+    "mix": _Family(MixTagged, None, _mix_block, False, _mix_draw, None, None),
 }
 _ARMS = {"L1": "l1", "L2": "l2"}  # the family each mix arm runs
+
+
+def _on_lanes(spec: MechanismSpec | None, s: int) -> bool:
+    """Whether a round whose streams draw s rows each runs on one
+    ``PCG64Lanes`` rather than a generator per stream: one row per stream
+    (its point is then one ``integers(r)``), and no mechanism (the baseline)
+    or a family whose one-row block the lanes draw. l2 and mix blocks draw
+    normals from numpy's ziggurat and s > 1 draws with ``choice``, which
+    lanes do not."""
+    return s == 1 and (spec is None or _FAMILIES[mechanism_family(spec)].lanes)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -777,7 +804,7 @@ def encode_message(x, spec: MechanismSpec, rng) -> MechanismMessage:
     """Encode with the family the spec addresses (see mechanism_family)."""
     key = mechanism_family(spec)
     rows, gen = _require_rows(x, spec.ball, 1), _require_rng(rng)
-    if key == "mix":  # the arm's uniform, as ``_mix_noise`` draws it, then the arm's draw
+    if key == "mix":  # the arm's uniform, as ``_mix_block`` draws it, then the arm's draw
         arm_l1, arm_l2 = rp_arm_specs(spec)
         key, spec = ("L1", arm_l1) if gen.random() < spec.mix_prob else ("L2", arm_l2)
     return _message(key, _FAMILIES[_ARMS.get(key, key)].one(rows, spec, gen))
@@ -848,23 +875,33 @@ def batch_encoder(x, spec: MechanismSpec) -> Callable:
     iterable of streams, draws the noise of len(streams) equal consecutive
     blocks of rows, block i from streams[i], then makes one draw and one
     decode over all rows; it returns the mean of the decoded messages and how
-    many ran the mix's l1 arm (0 for the other families). Each draw computes
-    only the entries it reads: for l1 one butterfly path per row, O(d) rather
-    than the O(d log d) rotation.
+    many ran the mix's l1 arm (0 for the other families). For an index
+    family, ``streams`` may also be one ``PCG64Lanes`` with a lane per row,
+    which draws what a generator per row would. Each draw computes only the
+    entries it reads: for l1 one butterfly path per row, O(d) rather than the
+    O(d log d) rotation.
     """
     rows = _require_rows(x, spec.ball, 2)
     family = mechanism_family(spec)
     fam, n = _FAMILIES[family], len(rows)
+    block = fam.block(spec)
 
     def encode(streams) -> tuple[np.ndarray, int]:
-        try:
-            streams = list(streams)
-        except TypeError:
-            raise ValidationError(f"expected an iterable of streams, got {streams!r:.200}") from None
-        if not streams or n % len(streams):
-            raise ValidationError(f"cannot split {n} rows into {len(streams)} equal blocks")
-        size = n // len(streams)
-        noise = _gather([fam.block(_require_rng(rng), size, spec) for rng in streams])
+        if isinstance(streams, PCG64Lanes):
+            if not fam.lanes or len(streams) != n:
+                raise ValidationError(f"{len(streams)} lanes cannot draw {n} {family} rows")
+            noise = block(streams, 1)
+        else:
+            try:
+                streams = list(streams)
+            except TypeError:
+                raise ValidationError(
+                    f"expected an iterable of streams, got {streams!r:.200}"
+                ) from None
+            if not streams or n % len(streams):
+                raise ValidationError(f"cannot split {n} rows into {len(streams)} equal blocks")
+            size = n // len(streams)
+            noise = _gather([block(_require_rng(rng), size) for rng in streams])
         draws = fam.draw(rows, spec, noise)
         l1_arm = int(np.count_nonzero(draws[0])) if family == "mix" else 0
         return _sums(family, draws, spec)[0] / n, l1_arm

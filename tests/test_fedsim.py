@@ -30,15 +30,9 @@ from cldp.fedsim import (
     train,
     validate_clients,
 )
+from cldp.fedsim import training
 from cldp.fedsim.tasks import TASKS
-from cldp.fedsim.training import (
-    CLIENT_SALT,
-    _client_streams,
-    _HashedSeed,
-    _seed_states,
-    _seed_words,
-    _word_streams,
-)
+from cldp.fedsim.training import CLIENT_SALT, _client_streams, _word_streams
 from cldp.linalg import BallSpec
 from cldp.mechanisms import (
     IndexSign,
@@ -49,6 +43,7 @@ from cldp.mechanisms import (
     batch_encoder,
     mean_estimate,
 )
+from cldp.streams import _HashedSeed, _seed_states, _seed_words
 
 L2_BALL = BallSpec(p=2.0, radius=1.0, dim=2)
 
@@ -536,6 +531,50 @@ class TestTrain:
                 assert [tr.exact_bits for tr in traces] == bits, (s, name)
                 losses_after = [tr.loss_after for tr in traces]
                 assert losses_after == pytest.approx(losses, rel=1e-12), (s, name)
+
+    @pytest.mark.filterwarnings("ignore::cldp.errors.ClippingWarning")
+    @pytest.mark.parametrize(
+        "p, d, m, k, T",
+        [
+            (1.0, 32, 40, 8, 3),
+            (1.0, 20, 40, 8, 3),
+            (math.inf, 20, 40, 8, 3),
+            (1.0, 32, 1000, 1000, 1),
+        ],
+        ids=["l1-d32", "l1-d20", "linf-d20", "l1-k1000"],
+    )
+    def test_lanes_run_what_generators_run(self, p, d, m, k, T, monkeypatch):
+        # An index family at s = 1 draws its round on PCG64Lanes; forcing a
+        # generator per stream instead must give the same run byte for byte:
+        # traces, iterate and budget. The baseline draws its points on lanes too.
+        clients, _ = synthetic_logistic_data(m=m, r=5, d=d, seed=d)
+        for eps0 in (1.0, math.inf):
+            cfg = small_config(
+                params=SamplingParams(m=m, k=k, r=5, s=1),
+                T=T,
+                epsilon0=eps0,
+                ball=BallSpec(p=p, radius=0.05, dim=d),
+                seed=3,
+            )
+            assert training._on_lanes(cfg.mechanism_spec(), 1)
+            lanes = train(cfg, clients)
+            with monkeypatch.context() as patch:
+                patch.setattr(training, "_on_lanes", lambda spec, s: False)
+                gens = train(cfg, clients)
+            assert repr(lanes.traces) == repr(gens.traces), eps0
+            assert lanes.theta.tobytes() == gens.theta.tobytes(), eps0
+            assert repr(lanes.budget) == repr(gens.budget), eps0
+            assert 0 < sum(tr.clipped for tr in lanes.traces)
+
+    def test_lanes_only_for_one_index_row_per_stream(self):
+        # l2 and the mix draw normals, and s > 1 draws with choice: those
+        # rounds keep a generator per stream.
+        for p, mix_prob in ((1.0, None), (math.inf, None), (2.0, None), (3.0, 0.5)):
+            spec = MechanismSpec(BallSpec(p, 1.0, 4), 1.0, mix_prob)
+            index = mix_prob is None and p != 2.0
+            assert training._on_lanes(spec, 1) == index
+            assert not training._on_lanes(spec, 2)
+        assert training._on_lanes(None, 1) and not training._on_lanes(None, 3)
 
     def test_accounted_run_reports_monotone_epsilon(self):
         clients, _ = synthetic_logistic_data(m=1000, r=1, d=2, seed=6)

@@ -31,7 +31,7 @@ from cldp.mechanisms import (
     _quan_counts,
     _L2_BLOCK,
     _l2_draw,
-    _mix_noise,
+    _mix_block,
     _require_rows,
     _message,
     _search_counts,
@@ -439,13 +439,13 @@ class TestQuan:
 
         n = 50
         repeated = np.broadcast_to(x, (n, d))
-        msgs = messages(repeated, _mix_noise(np.random.default_rng(3), n, spec))
+        msgs = messages(repeated, _mix_block(spec)(np.random.default_rng(3), n))
         assert {m.arm for m in msgs} == {"L1", "L2"}
         want = np.array([decode_message(m, spec) for m in msgs])
         np.testing.assert_array_equal(sample_decoded(x, spec, 3, n), want)
 
         half = len(rows) // 2
-        blocks = [_mix_noise(np.random.default_rng(s), half, spec) for s in (4, 5)]
+        blocks = [_mix_block(spec)(np.random.default_rng(s), half) for s in (4, 5)]
         msgs = messages(rows, tuple(map(np.concatenate, zip(*blocks))))
         got, l1_arm = batch_encoder(rows, spec)([4, 5])
         np.testing.assert_array_equal(got, mean_estimate(msgs, spec))
