@@ -74,6 +74,7 @@ from .wire import (
 )
 from .fedsim import (
     ClientDataset,
+    Population,
     RoundTrace,
     TrainConfig,
     TrainResult,

@@ -400,7 +400,7 @@ def _run_bounds(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _load_clients(path: str) -> list[fdata.ClientDataset]:
+def _load_clients(path: str) -> fdata.Population:
     try:
         with open(path, "rb") as fh:
             magic = fh.read(8)

@@ -2,13 +2,12 @@
 
 from .data import (
     ClientDataset,
+    Population,
     load_dataset_binary,
     load_dataset_csv,
     save_dataset_binary,
     save_dataset_csv,
-    stack_points,
     synthetic_logistic_data,
-    validate_clients,
 )
 from .tasks import TASKS, Task, get_task
 from .training import (

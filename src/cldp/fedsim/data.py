@@ -1,7 +1,14 @@
 """Client datasets for the federated simulator: synthesis, save, load.
 
 The balanced setting is assumed throughout: every one of the m clients holds
-exactly r (feature, label) points of dimension d.
+exactly r (feature, label) points of dimension d. A ``Population`` holds all
+of them as one read-only (m*r, d) feature matrix, (m*r,) labels and (m,)
+client ids, client i owning rows [i*r, (i+1)*r). It is checked once, when it
+is built, and its clients are ``ClientDataset`` views into those arrays. The
+synthesizer and both loaders return one, ``fedsim.train`` reads its arrays
+directly, and the savers write from them. ``Population.of`` turns a list of
+``ClientDataset``s into one, stacking its points once, and checks the list
+against an expected (m, r, d).
 
 File formats
 ------------
@@ -29,6 +36,7 @@ import csv
 import io
 import os
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,25 +58,11 @@ class ClientDataset:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "client_id", require_int(self.client_id, "client_id"))
-        try:
-            feats = np.asarray(self.features, dtype=np.float64)
-            labs = np.asarray(self.labels, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValidationError(f"client {self.client_id}: data must be real numbers") from None
-        if feats.ndim != 2 or labs.ndim != 1 or feats.shape[0] != labs.shape[0]:
-            raise ValidationError(
-                f"client {self.client_id}: features must be (r, d) and labels (r,), "
-                f"got {feats.shape} and {labs.shape}"
-            )
-        if feats.shape[0] < 1:
-            raise ValidationError(f"client {self.client_id} holds no points")
-        if not (np.all(np.isfinite(feats)) and np.all(np.isfinite(labs))):
-            raise ValidationError(f"client {self.client_id}: non-finite data")
-        feats.setflags(write=False)
-        labs.setflags(write=False)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs)
+        cid = require_int(self.client_id, "client_id")
+        alone = Population(self.features, self.labels, np.array([cid]))  # the one data check
+        object.__setattr__(self, "client_id", cid)
+        object.__setattr__(self, "features", alone.features)
+        object.__setattr__(self, "labels", alone.labels)
 
     @property
     def r(self) -> int:
@@ -78,30 +72,114 @@ class ClientDataset:
     def d(self) -> int:
         return self.features.shape[1]
 
+    @classmethod
+    def _of_rows(cls, client_id: int, features: np.ndarray, labels: np.ndarray) -> ClientDataset:
+        """A client over a population's checked read-only rows, every field
+        set here: the constructor's check would only repeat the population's."""
+        client = object.__new__(cls)
+        object.__setattr__(client, "client_id", client_id)
+        object.__setattr__(client, "features", features)
+        object.__setattr__(client, "labels", labels)
+        return client
 
-def validate_clients(clients, m: int, r: int, d: int) -> None:
-    """Check the balanced-setting shape contract against expected (m, r, d)."""
-    if len(clients) != m:
-        raise ValidationError(f"expected {m} clients, got {len(clients)}")
-    want = (r, d)
-    for c in clients:
-        shape = c.features.shape  # (r, d): a client's features are 2-D
-        if shape != want:
+
+@dataclass(frozen=True, eq=False)
+class Population(Sequence):
+    """m balanced clients as features (m*r, d), labels (m*r,) and client ids (m,).
+
+    Client i owns rows [i*r, (i+1)*r). The arrays are C-contiguous and
+    read-only, the data float64 and the ids 64-bit integers; they are checked
+    here, once. Indexing gives a client as a ``ClientDataset`` view into them.
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
+    client_ids: np.ndarray
+
+    def __post_init__(self) -> None:
+        try:
+            feats = np.ascontiguousarray(self.features, dtype=np.float64)
+            labs = np.ascontiguousarray(self.labels, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValidationError("client data must be real numbers") from None
+        ids = np.ascontiguousarray(self.client_ids)
+        if ids.ndim != 1 or ids.size < 1 or ids.dtype.kind not in "iu":
             raise ValidationError(
-                f"client {c.client_id} holds ({shape[0]}, {shape[1]}) data, expected ({r}, {d})"
+                f"client ids must be one or more 64-bit integers, got {self.client_ids!r:.200}"
             )
+        m, n = ids.size, feats.shape[0]
+        if feats.ndim != 2 or labs.shape != (n,) or n % m or n < m:
+            raise ValidationError(
+                f"{m} client(s) need (m*r, d) features and (m*r,) labels, r >= 1, "
+                f"got {feats.shape} and {labs.shape}"
+            )
+        bad = ~(np.isfinite(feats).all(axis=1) & np.isfinite(labs))
+        if bad.any():
+            raise ValidationError(f"client {ids[bad.argmax() // (n // m)]}: non-finite data")
+        for name, arr in (("features", feats), ("labels", labs), ("client_ids", ids)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
+    @classmethod
+    def of(cls, data, shape: tuple[int, int, int] | None = None) -> Population:
+        """``data`` as a population: a Population as it is, or a sequence of
+        ClientDatasets with its points stacked once. ``shape`` is the (m, r, d)
+        to check it against; by default its own client count and first shape."""
+        if isinstance(data, Population):
+            clients, count = [data[0]], len(data)  # every client holds (r, d) data
+        else:
+            try:
+                clients = list(data)
+            except TypeError:
+                clients = None
+            if clients is None or not all(isinstance(c, ClientDataset) for c in clients):
+                raise ValidationError(
+                    f"data must be a sequence of ClientDatasets, got {data!r:.200}"
+                )
+            count = len(clients)
+        if shape is None:
+            if not clients:
+                raise ValidationError("a dataset needs at least one client")
+            shape = (count, clients[0].r, clients[0].d)
+        m, r, d = shape
+        if count != m:
+            raise ValidationError(f"expected {m} clients, got {count}")
+        for c in clients:
+            if c.features.shape != (r, d):  # (r, d): a client's features are 2-D
+                raise ValidationError(
+                    f"client {c.client_id} holds ({c.r}, {c.d}) data, expected ({r}, {d})"
+                )
+        if isinstance(data, Population):
+            return data
+        return cls(
+            np.concatenate([c.features for c in clients]),
+            np.concatenate([c.labels for c in clients]),
+            np.array([c.client_id for c in clients]),
+        )
 
-def stack_points(clients) -> tuple[np.ndarray, np.ndarray]:
-    """All points of all clients as one (m*r, d) matrix and (m*r,) labels."""
-    X = np.concatenate([c.features for c in clients], axis=0)
-    Y = np.concatenate([c.labels for c in clients], axis=0)
-    return X, Y
+    def __len__(self) -> int:
+        return self.client_ids.size
+
+    def __getitem__(self, i):
+        at = range(len(self))[i]  # one index, or a range for a slice
+        if isinstance(at, range):
+            return [self[j] for j in at]
+        rows = slice(at * self.r, (at + 1) * self.r)
+        cid = int(self.client_ids[at])
+        return ClientDataset._of_rows(cid, self.features[rows], self.labels[rows])
+
+    @property
+    def r(self) -> int:
+        return self.features.shape[0] // self.client_ids.size
+
+    @property
+    def d(self) -> int:
+        return self.features.shape[1]
 
 
 def synthetic_logistic_data(
     m: int, r: int, d: int, seed: int, theta_norm: float = 1.5
-) -> tuple[list[ClientDataset], np.ndarray]:
+) -> tuple[Population, np.ndarray]:
     """m balanced clients of r points each, plus the planted parameter vector.
 
     Features are uniform on the unit l2 sphere; labels are -1/+1 drawn from
@@ -122,15 +200,7 @@ def synthetic_logistic_data(
     feats /= np.linalg.norm(feats, axis=1, keepdims=True)
     p_plus = 1.0 / (1.0 + np.exp(-feats @ theta_star))
     labels = np.where(gen.random(m * r) < p_plus, 1.0, -1.0)
-    clients = [
-        ClientDataset(
-            client_id=i,
-            features=feats[i * r : (i + 1) * r],
-            labels=labels[i * r : (i + 1) * r],
-        )
-        for i in range(m)
-    ]
-    return clients, theta_star
+    return Population(feats, labels, np.arange(m)), theta_star
 
 
 def _unwritable(path, exc: OSError) -> ValidationError:
@@ -171,15 +241,11 @@ def open_output(path, binary: bool = False):
 
 def save_dataset_binary(path, clients) -> None:
     """Write the documented binary layout; client ids become positional."""
-    if not clients:
-        raise ValidationError("cannot save an empty dataset")
-    r, d = clients[0].r, clients[0].d
-    validate_clients(clients, len(clients), r, d)
-    X, Y = stack_points(clients)
-    records = np.concatenate([X, Y[:, None]], axis=1).astype(">f8")
+    pop = Population.of(clients)
+    records = np.concatenate([pop.features, pop.labels[:, None]], axis=1).astype(">f8")
     with open_output(path, binary=True) as fh:
         fh.write(_MAGIC)
-        fh.write(_HEADER.pack(len(clients), r, d))
+        fh.write(_HEADER.pack(len(pop), pop.r, pop.d))
         fh.write(records.tobytes(order="C"))
 
 
@@ -191,8 +257,8 @@ def _read_bytes(path) -> bytes:
         raise ValidationError(f"{path}: cannot read dataset ({exc.strerror or exc})") from exc
 
 
-def load_dataset_binary(path) -> list[ClientDataset]:
-    """Read the documented binary layout back into ClientDatasets."""
+def load_dataset_binary(path) -> Population:
+    """Read the documented binary layout back into a Population."""
     blob = _read_bytes(path)
     if blob[: len(_MAGIC)] != _MAGIC:
         raise ValidationError(f"{path}: not a dataset file (bad magic)")
@@ -205,32 +271,22 @@ def load_dataset_binary(path) -> list[ClientDataset]:
     expected = m * r * (d + 1) * 8
     if len(body) != expected:
         raise ValidationError(f"{path}: expected {expected} data bytes, found {len(body)}")
-    records = np.frombuffer(body, dtype=">f8").reshape(m * r, d + 1).astype(np.float64)
-    return [
-        ClientDataset(
-            client_id=i,
-            features=records[i * r : (i + 1) * r, :d],
-            labels=records[i * r : (i + 1) * r, d],
-        )
-        for i in range(m)
-    ]
+    records = np.frombuffer(body, dtype=">f8").reshape(m * r, d + 1)
+    return Population(records[:, :d], records[:, d], np.arange(m))
 
 
 def save_dataset_csv(path, clients) -> None:
     """CSV alternative: header client_id,x0,...,x{d-1},label then one row per point."""
-    if not clients:
-        raise ValidationError("cannot save an empty dataset")
-    d = clients[0].d
-    validate_clients(clients, len(clients), clients[0].r, d)
+    pop = Population.of(clients)
     with open_output(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["client_id"] + [f"x{j}" for j in range(d)] + ["label"])
-        for c in clients:
-            for x, y in zip(c.features, c.labels):
-                writer.writerow([c.client_id] + [repr(float(v)) for v in x] + [repr(float(y))])
+        writer.writerow(["client_id"] + [f"x{j}" for j in range(pop.d)] + ["label"])
+        ids = np.repeat(pop.client_ids, pop.r).tolist()
+        for cid, x, y in zip(ids, pop.features.tolist(), pop.labels.tolist()):
+            writer.writerow([cid] + [repr(v) for v in x] + [repr(y)])
 
 
-def load_dataset_csv(path) -> list[ClientDataset]:
+def load_dataset_csv(path) -> Population:
     """Read the CSV alternative (UTF-8); every client must hold equally many rows."""
     rows_by_client: dict[int, list[list[float]]] = {}
     order: list[int] = []
@@ -257,8 +313,5 @@ def load_dataset_csv(path) -> list[ClientDataset]:
     counts = {len(v) for v in rows_by_client.values()}
     if len(counts) != 1:
         raise ValidationError(f"{path}: clients hold unequal point counts {sorted(counts)}")
-    clients = []
-    for cid in order:
-        arr = np.asarray(rows_by_client[cid], dtype=np.float64)
-        clients.append(ClientDataset(client_id=cid, features=arr[:, :d], labels=arr[:, d]))
-    return clients
+    arr = np.asarray([row for cid in order for row in rows_by_client[cid]], dtype=np.float64)
+    return Population(arr[:, :d], arr[:, d], np.array(order))

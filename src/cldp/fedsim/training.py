@@ -12,6 +12,12 @@ Each round t (1-based):
    the configured second-moment bound and Pi projects onto the l2 ball of
    diameter D centered at the origin.
 
+``train`` reads its data as one ``data.Population``: a population passes
+through in O(1), and a list of ``ClientDataset``s is checked and stacked
+once, on entry. Nothing else is copied: a round gathers its k*s points from
+the population's (m*r, d) matrix, the full-dataset losses read that matrix
+in place, and a trace reads its client ids from the population's id array.
+
 A round runs on arrays: one ``point_grads`` call for all k*s points, one
 clip (``linalg._clip_rows``, whose row norms also give the round's clipped
 count), and one ``mechanisms.batch_encoder`` call, which makes one draw
@@ -61,6 +67,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +92,7 @@ from ..mechanisms import (
 )
 from ..streams import PCG64Lanes, _HashedSeed, _seed_states, _seed_words
 from .. import wire
-from .data import ClientDataset, stack_points, validate_clients
+from .data import ClientDataset, Population
 from .tasks import get_task
 
 CLIENT_SALT = 0x434C4E54  # per-(client, round) streams
@@ -273,11 +280,12 @@ def _spans(rounds: list[int]) -> str:
     return ", ".join(f"{a}-{b}" if a < b else str(a) for a, b in zip(starts, ends))
 
 
-def train(cfg: TrainConfig, data: list[ClientDataset]) -> TrainResult:
+def train(cfg: TrainConfig, data: Population | Sequence[ClientDataset]) -> TrainResult:
     """Run the full loop; deterministic given cfg.seed. See the module docstring."""
     p = cfg.params
     d = cfg.ball.dim
-    validate_clients(data, p.m, p.r, d)
+    pop = Population.of(data, (p.m, p.r, d))
+    X_all, Y_all = pop.features, pop.labels
     task = get_task(cfg.task)
 
     budget, eps_schedule = _budget_and_schedule(cfg)
@@ -285,7 +293,6 @@ def train(cfg: TrainConfig, data: list[ClientDataset]) -> TrainResult:
     big_g = math.sqrt(g_squared(task.lipschitz, d, cfg.ball.p, p.q, p.n, cfg.epsilon0))
     radius = cfg.diameter / 2.0
 
-    X_all, Y_all = stack_points(data)
     server = np.random.default_rng(np.random.SeedSequence((cfg.seed, SERVER_SALT)))
     head = _seed_words(cfg.seed) + [CLIENT_SALT]
     lanes = _on_lanes(spec, p.s)
@@ -321,7 +328,7 @@ def train(cfg: TrainConfig, data: list[ClientDataset]) -> TrainResult:
         traces.append(
             RoundTrace(
                 t=t,
-                client_ids=tuple([data[ci].client_id for ci in chosen.tolist()]),
+                client_ids=tuple(pop.client_ids[chosen].tolist()),
                 exact_bits=wire.round_payload_bits(spec, p, d, l1_arm),
                 loss_before=loss_now,
                 loss_after=loss_after,

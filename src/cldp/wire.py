@@ -93,23 +93,14 @@ class HistogramCode:
         return multiset_bits(self.s, self.B)
 
 
-# The longest gap between atoms that histogram_pack walks, one multiply and
+# The longest gap between atoms that _rank walks, one multiply and
 # divide a step; a longer gap takes one math.comb.
 _WALK = 16
 
 
 def histogram_pack(atoms, B: int) -> HistogramCode:
-    """Rank the multiset of atoms (order discarded) over the alphabet [0, B).
-
-    Sorting makes the sequence nondecreasing; shifting the i-th smallest a_i by
-    i makes it strictly increasing, and the combinatorial number system ranks
-    strictly increasing sequences by the sum of C(a_i + i, i + 1). The sum
-    walks the binomial, as unpack does, with c = C(a_i + i, i) >= 1: the term
-    is c*a_i/(i+1), the next level starts at C(a_i + i + 1, i + 1), which is
-    the term plus c, and C(b, i) steps to C(b + 1, i) = C(b, i)*(b+1)/(b+1-i)
-    up to the next atom, or is taken from math.comb over a longer gap. A
-    one-atom code ranks in constant time: its rank is the atom.
-    """
+    """Rank the multiset of atoms (order discarded) over the alphabet [0, B):
+    check the atoms, sort them and rank them with ``_rank``."""
     try:
         atoms = tuple(atoms)  # read twice below; a tuple, as a message's atoms are, is not copied
         ordered = sorted(map(operator.index, atoms))
@@ -121,6 +112,22 @@ def histogram_pack(atoms, B: int) -> HistogramCode:
         raise ValidationError("cannot pack an empty multiset")
     if not 0 <= ordered[0] <= ordered[-1] < B:
         raise ValidationError(f"atoms {ordered[0]}..{ordered[-1]} out of alphabet [0, {B})")
+    return HistogramCode(rank=_rank(ordered), s=len(ordered), B=B)
+
+
+def _rank(ordered: list[int]) -> int:
+    """The rank of a nondecreasing list of checked atoms, histogram_pack's
+    walk; ``frame_message`` calls it on atoms ``message_atoms`` has checked.
+
+    Shifting the i-th smallest a_i by i makes the sequence strictly
+    increasing, and the combinatorial number system ranks strictly
+    increasing sequences by the sum of C(a_i + i, i + 1). The sum walks the
+    binomial, as unpack does, with c = C(a_i + i, i) >= 1: the term is
+    c*a_i/(i+1), the next level starts at C(a_i + i + 1, i + 1), which is the
+    term plus c, and C(b, i) steps to C(b + 1, i) = C(b, i)*(b+1)/(b+1-i) up
+    to the next atom, or is taken from math.comb over a longer gap. A
+    one-atom code ranks in constant time: its rank is the atom.
+    """
     rank, c, prev = 0, 1, ordered[0]  # c = C(prev + i, i)
     for i, a in enumerate(ordered):
         if a != prev:
@@ -133,7 +140,7 @@ def histogram_pack(atoms, B: int) -> HistogramCode:
         term = c * a // (i + 1)
         rank += term
         c += term
-    return HistogramCode(rank=rank, s=len(ordered), B=B)
+    return rank
 
 
 def histogram_unpack(code: HistogramCode) -> tuple[int, ...]:
@@ -224,8 +231,8 @@ def frame_message(msg: mech.MechanismMessage, spec: mech.MechanismSpec) -> bytes
         return struct.pack(">BH", TAG_ZERO, 0)
     if len(atoms) == 1:  # a one-atom code's rank is its atom, which message_atoms has checked
         rank = atoms[0]
-    else:
-        rank = histogram_pack(atoms, _frame_code(key, d)[0]).rank
+    else:  # ranked unchecked: histogram_pack would repeat message_atoms' checks
+        rank = _rank(sorted(atoms))
     payload = (rank << (-nbits % 8)).to_bytes((nbits + 7) // 8, "big")
     return struct.pack(">BH", _CODES[key], nbits) + payload
 

@@ -403,23 +403,28 @@ class TestTrainCommand:
         b_json = json.loads((tmp_path / "b.json").read_text())
         assert a_json == b_json
 
-    def test_loads_binary_dataset(self, tmp_path, capsys):
-        clients, _ = synthetic_logistic_data(m=4, r=3, d=2, seed=5)
-        data_path = tmp_path / "clients.bin"
-        save_dataset_binary(data_path, clients)
-        code = main(self.ARGS + ["--data", str(data_path), "--out", str(tmp_path / "bin")])
-        assert code == 0
+    def run_saved_data(self, tmp_path, capsys, save, name):
+        # The config's own data (m=4, r=3, d=2, seed 0), saved and given as
+        # --data, trains byte for byte as the run that synthesizes it: only
+        # the line naming the config differs, since the config names the file.
+        clients, _ = synthetic_logistic_data(m=4, r=3, d=2, seed=0)
+        data_path = tmp_path / name
+        save(data_path, clients)
+        assert main(self.ARGS + ["--out", str(tmp_path / "synth")]) == 0
+        assert main(self.ARGS + ["--data", str(data_path), "--out", str(tmp_path / "loaded")]) == 0
         capsys.readouterr()
-        assert (tmp_path / "bin.csv").exists()
+        for ext in (".csv", ".json"):
+            synth = (tmp_path / f"synth{ext}").read_text().splitlines()
+            loaded = (tmp_path / f"loaded{ext}").read_text().splitlines()
+            assert len(synth) == len(loaded) > 3
+            differ = [(a, b) for a, b in zip(synth, loaded) if a != b]
+            assert len(differ) == 1 and all("config_sha256" in line for line in differ[0])
+
+    def test_loads_binary_dataset(self, tmp_path, capsys):
+        self.run_saved_data(tmp_path, capsys, save_dataset_binary, "clients.bin")
 
     def test_loads_csv_dataset(self, tmp_path, capsys):
-        clients, _ = synthetic_logistic_data(m=4, r=3, d=2, seed=5)
-        data_path = tmp_path / "clients.csv"
-        save_dataset_csv(data_path, clients)
-        code = main(self.ARGS + ["--data", str(data_path), "--out", str(tmp_path / "csv")])
-        assert code == 0
-        capsys.readouterr()
-        assert (tmp_path / "csv.csv").exists()
+        self.run_saved_data(tmp_path, capsys, save_dataset_csv, "clients.csv")
 
     def test_dataset_mismatching_config_exits_2(self, tmp_path, capsys):
         clients, _ = synthetic_logistic_data(m=3, r=3, d=2, seed=5)  # m=3, config wants 4

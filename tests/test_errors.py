@@ -9,6 +9,7 @@ AttributeError or plain ValueError, and not a silent reading of the value.
 
 import ast
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,19 @@ MALFORMED = {
     "histogram_pack_bool_atoms": lambda: wire.histogram_pack([True, False], 4),
     "histogram_pack_bool_atom_iterator": lambda: wire.histogram_pack(iter([3, True]), 4),
     "encode_rng_bool": lambda: mechanisms.encode_message(ROWS[0], SPEC, True),
+    # Data that is not a sequence of ClientDatasets, of the config's m = 4 clients.
+    "train_data_none": lambda: fedsim.train(train_config(account=False), None),
+    "train_data_int": lambda: fedsim.train(train_config(account=False), 5),
+    "train_data_ints": lambda: fedsim.train(train_config(account=False), [1, 2, 3, 4]),
+    "train_data_array_tuple": lambda: fedsim.train(
+        train_config(account=False), tuple(np.zeros((3, 4)) for _ in range(4))
+    ),
+    "train_data_str": lambda: fedsim.train(train_config(account=False), "abcd"),
+    "train_data_dict": lambda: fedsim.train(train_config(account=False), dict.fromkeys(range(4))),
+    "save_binary_ints": lambda: fedsim.save_dataset_binary(os.devnull, [1, 2]),
+    "save_csv_ints": lambda: fedsim.save_dataset_csv(os.devnull, [1, 2]),
+    "save_binary_int": lambda: fedsim.save_dataset_binary(os.devnull, 7),
+    "save_csv_int": lambda: fedsim.save_dataset_csv(os.devnull, 7),
 }
 
 

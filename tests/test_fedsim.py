@@ -17,6 +17,7 @@ from cldp.bounds import g_squared
 from cldp.errors import ClippingWarning, PreconditionError, ValidationError
 from cldp.fedsim import (
     ClientDataset,
+    Population,
     TrainConfig,
     get_task,
     load_dataset_binary,
@@ -25,10 +26,8 @@ from cldp.fedsim import (
     sample_data,
     save_dataset_binary,
     save_dataset_csv,
-    stack_points,
     synthetic_logistic_data,
     train,
-    validate_clients,
 )
 from cldp.fedsim import training
 from cldp.fedsim.tasks import TASKS
@@ -723,7 +722,8 @@ class TestDatasetIO:
             np.array_equal(a.features, b.features) and np.array_equal(a.labels, b.labels)
             for a, b in zip(clients, again)
         )
-        X, Y = stack_points(clients)
+        stacked = Population.of(list(clients))
+        X, Y = stacked.features, stacked.labels
         assert X.shape == (15, 4)
         assert set(np.unique(Y)) <= {-1.0, 1.0}
         assert np.linalg.norm(X, axis=1) == pytest.approx(np.ones(15), rel=1e-12)
@@ -808,14 +808,17 @@ class TestDatasetIO:
                 assert clients and all(isinstance(c, ClientDataset) for c in clients)
 
     def test_validate_clients(self):
+        # Population.of checks a population and a list of clients alike.
         clients, _ = synthetic_logistic_data(m=3, r=2, d=2, seed=2)
-        validate_clients(clients, 3, 2, 2)
-        with pytest.raises(ValidationError):
-            validate_clients(clients, 4, 2, 2)
-        with pytest.raises(ValidationError):
-            validate_clients(clients, 3, 5, 2)
-        with pytest.raises(ValidationError):
-            validate_clients(clients, 3, 2, 7)
+        for data in (clients, list(clients)):
+            Population.of(data, (3, 2, 2))
+            with pytest.raises(ValidationError, match="expected 4 clients, got 3"):
+                Population.of(data, (4, 2, 2))
+            held = r"client 0 holds \(2, 2\) data, expected \(5, 2\)"
+            with pytest.raises(ValidationError, match=held):
+                Population.of(data, (3, 5, 2))
+            with pytest.raises(ValidationError, match=r"expected \(2, 7\)"):
+                Population.of(data, (3, 2, 7))
 
     def test_client_dataset_is_immutable(self):
         clients, _ = synthetic_logistic_data(m=1, r=2, d=2, seed=3)
@@ -825,3 +828,98 @@ class TestDatasetIO:
     def test_client_dataset_shape_mismatch(self):
         with pytest.raises(ValidationError):
             ClientDataset(client_id=0, features=np.zeros((2, 2)), labels=np.zeros(3))
+
+
+class TestPopulation:
+    """One stacked matrix of all clients' points: checked once, read in place."""
+
+    @pytest.mark.filterwarnings("ignore::cldp.errors.ClippingWarning")  # radius 0.05 clips
+    @pytest.mark.parametrize(
+        "p, mix_prob, eps0, d, m, k, s, T",
+        [
+            (1.0, None, 1.0, 32, 40, 8, 1, 3),
+            (1.0, None, 1.0, 32, 1000, 1000, 1, 1),
+            (2.0, None, 1.5, 3, 6, 3, 1, 3),
+            (3.0, 0.5, 1.5, 3, 6, 3, 2, 3),
+            (2.0, None, math.inf, 3, 6, 3, 1, 3),
+        ],
+        ids=["l1-lanes-d32", "l1-lanes-k1000", "l2", "mix-s2", "baseline"],
+    )
+    def test_population_and_list_run_alike(self, p, mix_prob, eps0, d, m, k, s, T):
+        # A population passes through train as it is; the list of its clients
+        # is stacked on entry. Both runs must agree byte for byte.
+        pop, _ = synthetic_logistic_data(m=m, r=5, d=d, seed=d)
+        assert isinstance(pop, Population)
+        cfg = small_config(
+            params=SamplingParams(m=m, k=k, r=5, s=s),
+            T=T,
+            epsilon0=eps0,
+            ball=BallSpec(p=p, radius=0.05 if p == 1.0 else 1.0, dim=d),
+            mix_prob=mix_prob,
+            seed=3,
+        )
+        assert training._on_lanes(cfg.mechanism_spec(), s) == (p == 1.0 or math.isinf(eps0))
+        whole, listed = train(cfg, pop), train(cfg, list(pop))
+        assert repr(whole.traces) == repr(listed.traces)
+        assert whole.theta.tobytes() == listed.theta.tobytes()
+        assert repr(whole.budget) == repr(listed.budget)
+
+    def test_traces_name_the_id_array(self):
+        # Client ids need not be positions: a trace reads them from the ids.
+        pop, _ = synthetic_logistic_data(m=6, r=4, d=2, seed=1)
+        relabeled = [ClientDataset(10 * c.client_id + 7, c.features, c.labels) for c in pop]
+        traces = train(small_config(), relabeled).traces
+        positional = train(small_config(), pop).traces
+        for tr, pos in zip(traces, positional):
+            assert tr.client_ids == tuple(10 * i + 7 for i in pos.client_ids)
+
+    def test_clients_are_read_only_views(self):
+        pop, _ = synthetic_logistic_data(m=4, r=3, d=2, seed=1)
+        assert (len(pop), pop.r, pop.d, pop.features.shape) == (4, 3, 2, (12, 2))
+        for arr in (pop.features, pop.labels, pop.client_ids):
+            assert not arr.flags.writeable and arr.flags.c_contiguous
+        for i, client in enumerate(pop):
+            assert client.client_id == i and (client.r, client.d) == (3, 2)
+            assert np.shares_memory(client.features, pop.features)
+            assert np.shares_memory(client.labels, pop.labels)
+            np.testing.assert_array_equal(client.features, pop.features[3 * i : 3 * i + 3])
+            with pytest.raises(ValueError):
+                client.features[0, 0] = 99.0
+        assert [c.client_id for c in pop[1:3]] == [1, 2] and pop[-1].client_id == 3
+        with pytest.raises(IndexError):
+            pop[4]
+        stacked = Population.of(list(pop))
+        assert not np.shares_memory(stacked.features, pop.features)
+        np.testing.assert_array_equal(stacked.features, pop.features)
+        assert not stacked.features.flags.writeable
+
+    def test_constructor_checks_the_arrays(self):
+        feats = np.zeros((6, 2))
+        feats[4, 1] = np.nan
+        with pytest.raises(ValidationError, match="client 2: non-finite data"):
+            Population(feats, np.ones(6), np.arange(3))
+        for bad in (
+            (np.zeros((5, 2)), np.ones(5), np.arange(3)),  # 5 points for 3 clients
+            (np.zeros((2, 2)), np.ones(2), np.arange(3)),  # fewer points than clients
+            (np.zeros((6, 2)), np.ones(5), np.arange(3)),
+            (np.zeros(6), np.ones(6), np.arange(3)),
+            (np.zeros((6, 2)), np.ones(6), np.array([0.0, 1.0, 2.0])),
+            (np.zeros((6, 2)), np.ones(6), np.arange(0)),
+            (np.zeros((6, 2)), np.ones(6), [2**70, 0, 1]),
+            ("x", np.ones(6), np.arange(3)),
+        ):
+            with pytest.raises(ValidationError):
+                Population(*bad)
+        with pytest.raises(ValidationError, match="at least one client"):
+            Population.of([])
+
+    def test_binary_loader_names_a_non_finite_client(self, tmp_path):
+        pop, _ = synthetic_logistic_data(m=3, r=2, d=2, seed=0)
+        path = tmp_path / "data.bin"
+        save_dataset_binary(path, pop)
+        blob = bytearray(path.read_bytes())
+        record = 8 + 12 + 2 * 3 * 8  # magic, header, client 0's two records of 3 values
+        blob[record : record + 8] = struct.pack(">d", math.inf)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValidationError, match="client 1: non-finite data"):
+            load_dataset_binary(path)
