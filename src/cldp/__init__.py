@@ -73,7 +73,6 @@ from .wire import (
     unframe_message,
 )
 from .fedsim import (
-    ClientDataset,
     Population,
     RoundTrace,
     TrainConfig,

@@ -149,11 +149,12 @@ def comm_adversary(decoder_table, p: float, a: float) -> np.ndarray:
     a^2 * max{1, d^{1-2/p}} regardless of n.
     """
     if hasattr(decoder_table, "values") and callable(decoder_table.values):
-        rows = list(decoder_table.values())
-    else:
-        rows = list(decoder_table)
-    matrix = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    if matrix.ndim != 2:
+        decoder_table = decoder_table.values()
+    try:
+        matrix = np.atleast_2d(np.asarray(list(decoder_table), dtype=np.float64))
+    except (TypeError, ValueError):
+        matrix = None
+    if matrix is None or matrix.ndim != 2:
         raise ValidationError("decoder table must be a collection of equal-length vectors")
     n_outputs, d = matrix.shape
     if not np.all(np.isfinite(matrix)):

@@ -1,7 +1,6 @@
 """Federated training simulator: datasets, convex tasks, and the SGD loop."""
 
 from .data import (
-    ClientDataset,
     Population,
     load_dataset_binary,
     load_dataset_csv,

@@ -4,11 +4,11 @@ The balanced setting is assumed throughout: every one of the m clients holds
 exactly r (feature, label) points of dimension d. A ``Population`` holds all
 of them as one read-only (m*r, d) feature matrix, (m*r,) labels and (m,)
 client ids, client i owning rows [i*r, (i+1)*r). It is checked once, when it
-is built, and its clients are ``ClientDataset`` views into those arrays. The
-synthesizer and both loaders return one, ``fedsim.train`` reads its arrays
-directly, and the savers write from them. ``Population.of`` turns a list of
-``ClientDataset``s into one, stacking its points once, and checks the list
-against an expected (m, r, d).
+is built. A client is a one-client ``Population``: a read-only view of its
+rows and id. The synthesizer and both loaders return a population,
+``fedsim.train`` reads its arrays directly, and the savers write from them;
+``_require_population`` is the one check that their data is a population of
+the expected (m, r, d).
 
 File formats
 ------------
@@ -49,47 +49,15 @@ _HEADER = struct.Struct(">III")
 DATA_SALT = 0x44415441  # distinguishes the data-synthesis RNG stream
 
 
-@dataclass(frozen=True)
-class ClientDataset:
-    """One client's local data: features (r, d) and labels (r,)."""
-
-    client_id: int
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        cid = require_int(self.client_id, "client_id")
-        alone = Population(self.features, self.labels, np.array([cid]))  # the one data check
-        object.__setattr__(self, "client_id", cid)
-        object.__setattr__(self, "features", alone.features)
-        object.__setattr__(self, "labels", alone.labels)
-
-    @property
-    def r(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.features.shape[1]
-
-    @classmethod
-    def _of_rows(cls, client_id: int, features: np.ndarray, labels: np.ndarray) -> ClientDataset:
-        """A client over a population's checked read-only rows, every field
-        set here: the constructor's check would only repeat the population's."""
-        client = object.__new__(cls)
-        object.__setattr__(client, "client_id", client_id)
-        object.__setattr__(client, "features", features)
-        object.__setattr__(client, "labels", labels)
-        return client
-
-
 @dataclass(frozen=True, eq=False)
 class Population(Sequence):
     """m balanced clients as features (m*r, d), labels (m*r,) and client ids (m,).
 
     Client i owns rows [i*r, (i+1)*r). The arrays are C-contiguous and
     read-only, the data float64 and the ids 64-bit integers; they are checked
-    here, once. Indexing gives a client as a ``ClientDataset`` view into them.
+    here, once. Indexing gives client i as a one-client Population: a view of
+    its rows and id, not checked again. Populations are equal when their
+    arrays are.
     """
 
     features: np.ndarray
@@ -100,9 +68,9 @@ class Population(Sequence):
         try:
             feats = np.ascontiguousarray(self.features, dtype=np.float64)
             labs = np.ascontiguousarray(self.labels, dtype=np.float64)
+            ids = np.ascontiguousarray(self.client_ids)
         except (TypeError, ValueError):
             raise ValidationError("client data must be real numbers") from None
-        ids = np.ascontiguousarray(self.client_ids)
         if ids.ndim != 1 or ids.size < 1 or ids.dtype.kind not in "iu":
             raise ValidationError(
                 f"client ids must be one or more 64-bit integers, got {self.client_ids!r:.200}"
@@ -121,41 +89,14 @@ class Population(Sequence):
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def of(cls, data, shape: tuple[int, int, int] | None = None) -> Population:
-        """``data`` as a population: a Population as it is, or a sequence of
-        ClientDatasets with its points stacked once. ``shape`` is the (m, r, d)
-        to check it against; by default its own client count and first shape."""
-        if isinstance(data, Population):
-            clients, count = [data[0]], len(data)  # every client holds (r, d) data
-        else:
-            try:
-                clients = list(data)
-            except TypeError:
-                clients = None
-            if clients is None or not all(isinstance(c, ClientDataset) for c in clients):
-                raise ValidationError(
-                    f"data must be a sequence of ClientDatasets, got {data!r:.200}"
-                )
-            count = len(clients)
-        if shape is None:
-            if not clients:
-                raise ValidationError("a dataset needs at least one client")
-            shape = (count, clients[0].r, clients[0].d)
-        m, r, d = shape
-        if count != m:
-            raise ValidationError(f"expected {m} clients, got {count}")
-        for c in clients:
-            if c.features.shape != (r, d):  # (r, d): a client's features are 2-D
-                raise ValidationError(
-                    f"client {c.client_id} holds ({c.r}, {c.d}) data, expected ({r}, {d})"
-                )
-        if isinstance(data, Population):
-            return data
-        return cls(
-            np.concatenate([c.features for c in clients]),
-            np.concatenate([c.labels for c in clients]),
-            np.array([c.client_id for c in clients]),
-        )
+    def _of_rows(cls, features: np.ndarray, labels: np.ndarray, client_ids: np.ndarray):
+        """A population over views of a checked population's read-only rows,
+        every field set here: the constructor's check would only repeat it."""
+        pop = object.__new__(cls)
+        object.__setattr__(pop, "features", features)
+        object.__setattr__(pop, "labels", labels)
+        object.__setattr__(pop, "client_ids", client_ids)
+        return pop
 
     def __len__(self) -> int:
         return self.client_ids.size
@@ -165,8 +106,18 @@ class Population(Sequence):
         if isinstance(at, range):
             return [self[j] for j in at]
         rows = slice(at * self.r, (at + 1) * self.r)
-        cid = int(self.client_ids[at])
-        return ClientDataset._of_rows(cid, self.features[rows], self.labels[rows])
+        return self._of_rows(
+            self.features[rows], self.labels[rows], self.client_ids[at : at + 1]
+        )
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Population) and (
+            np.array_equal(self.client_ids, other.client_ids)
+            and np.array_equal(self.features, other.features)
+            and np.array_equal(self.labels, other.labels)
+        )
+
+    __hash__ = None  # equal by value, and a view shares its arrays
 
     @property
     def r(self) -> int:
@@ -175,6 +126,19 @@ class Population(Sequence):
     @property
     def d(self) -> int:
         return self.features.shape[1]
+
+
+def _require_population(data, shape: tuple[int, int, int] | None = None) -> Population:
+    """``data`` itself when it is a Population, of ``shape`` = (m, r, d) when
+    one is given; the one check of ``train``'s and the savers' data."""
+    if not isinstance(data, Population):
+        raise ValidationError(f"data must be a Population, got {data!r:.200}")
+    if shape is not None and (len(data), data.r, data.d) != tuple(shape):
+        m, r, d = shape
+        raise ValidationError(
+            f"expected {m} clients of ({r}, {d}) data, got {len(data)} of ({data.r}, {data.d})"
+        )
+    return data
 
 
 def synthetic_logistic_data(
@@ -239,9 +203,9 @@ def open_output(path, binary: bool = False):
         raise
 
 
-def save_dataset_binary(path, clients) -> None:
+def save_dataset_binary(path, clients: Population) -> None:
     """Write the documented binary layout; client ids become positional."""
-    pop = Population.of(clients)
+    pop = _require_population(clients)
     records = np.concatenate([pop.features, pop.labels[:, None]], axis=1).astype(">f8")
     with open_output(path, binary=True) as fh:
         fh.write(_MAGIC)
@@ -275,9 +239,9 @@ def load_dataset_binary(path) -> Population:
     return Population(records[:, :d], records[:, d], np.arange(m))
 
 
-def save_dataset_csv(path, clients) -> None:
+def save_dataset_csv(path, clients: Population) -> None:
     """CSV alternative: header client_id,x0,...,x{d-1},label then one row per point."""
-    pop = Population.of(clients)
+    pop = _require_population(clients)
     with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["client_id"] + [f"x{j}" for j in range(pop.d)] + ["label"])

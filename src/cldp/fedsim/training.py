@@ -12,11 +12,11 @@ Each round t (1-based):
    the configured second-moment bound and Pi projects onto the l2 ball of
    diameter D centered at the origin.
 
-``train`` reads its data as one ``data.Population``: a population passes
-through in O(1), and a list of ``ClientDataset``s is checked and stacked
-once, on entry. Nothing else is copied: a round gathers its k*s points from
-the population's (m*r, d) matrix, the full-dataset losses read that matrix
-in place, and a trace reads its client ids from the population's id array.
+``train`` reads its data as one ``data.Population``, whose (m, r, d) it
+checks on entry, in O(1). Nothing is copied: a round gathers its k*s points
+from the population's (m*r, d) matrix, the full-dataset losses read that
+matrix in place, and a trace reads its client ids from the population's id
+array.
 
 A round runs on arrays: one ``point_grads`` call for all k*s points, one
 clip (``linalg._clip_rows``, whose row norms also give the round's clipped
@@ -67,7 +67,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,12 +86,13 @@ from ..mechanisms import (
     MechanismSpec,
     _on_lanes,
     _require_mix_prob,
+    _require_rng,
     batch_encoder,
     mechanism_family,
 )
 from ..streams import PCG64Lanes, _HashedSeed, _seed_states, _seed_words
 from .. import wire
-from .data import ClientDataset, Population
+from .data import Population, _require_population
 from .tasks import get_task
 
 CLIENT_SALT = 0x434C4E54  # per-(client, round) streams
@@ -188,14 +188,14 @@ def sample_clients(m: int, k: int, rng) -> np.ndarray:
     """k distinct client indices, uniform over all k-subsets of range(m)."""
     if not 1 <= require_int(k, "k") <= require_int(m, "m"):
         raise ValidationError(f"need 1 <= k <= m, got k={k}, m={m}")
-    return np.sort(np.random.default_rng(rng).choice(m, size=k, replace=False))
+    return np.sort(_require_rng(rng).choice(m, size=k, replace=False))
 
 
 def sample_data(r: int, s: int, rng) -> np.ndarray:
     """s distinct point indices, uniform over all s-subsets of range(r)."""
     if not 1 <= require_int(s, "s") <= require_int(r, "r"):
         raise ValidationError(f"need 1 <= s <= r, got s={s}, r={r}")
-    return np.atleast_1d(_draw_points(r, s, np.random.default_rng(rng)))
+    return np.atleast_1d(_draw_points(r, s, _require_rng(rng)))
 
 
 def _draw_points(r: int, s: int, gen: np.random.Generator):
@@ -280,11 +280,11 @@ def _spans(rounds: list[int]) -> str:
     return ", ".join(f"{a}-{b}" if a < b else str(a) for a, b in zip(starts, ends))
 
 
-def train(cfg: TrainConfig, data: Population | Sequence[ClientDataset]) -> TrainResult:
+def train(cfg: TrainConfig, data: Population) -> TrainResult:
     """Run the full loop; deterministic given cfg.seed. See the module docstring."""
     p = cfg.params
     d = cfg.ball.dim
-    pop = Population.of(data, (p.m, p.r, d))
+    pop = _require_population(data, (p.m, p.r, d))
     X_all, Y_all = pop.features, pop.labels
     task = get_task(cfg.task)
 

@@ -71,9 +71,9 @@ def _largest_norm(rows: np.ndarray, p: float) -> float:
     return norms.item(norms.argmax())
 
 
-def _in_ball(norm: float, radius: float, tol: float = EXACT_TOL) -> bool:
-    """The one membership test, norm <= radius * (1 + tol); a NaN norm fails it."""
-    return norm <= radius * (1.0 + tol)
+def _in_ball(norm: float, radius: float) -> bool:
+    """The one membership test, norm <= radius * (1 + EXACT_TOL); a NaN norm fails it."""
+    return norm <= radius * (1.0 + EXACT_TOL)
 
 
 def p_norm(x, p: float) -> float:
@@ -97,8 +97,8 @@ class BallSpec:
         if self.dim < 1:
             raise ValidationError(f"ball dimension must be a positive integer, got {self.dim!r}")
 
-    def contains(self, x, tol: float = EXACT_TOL) -> bool:
-        return _in_ball(p_norm(x, self.p), self.radius, tol)
+    def contains(self, x) -> bool:
+        return _in_ball(p_norm(x, self.p), self.radius)
 
 
 def clip(g, p: float, C: float) -> np.ndarray:

@@ -73,8 +73,9 @@ other entry points, ``decode_message``, ``mean_estimate``,
 ``sample_decoded`` and ``mean_estimate_trials``, are its one-stream case,
 and ``encode_message`` its one-row case, drawn by ``one``. Every input
 passes the one check in ``_require_rows``, whose largest norm and in-ball
-test are ``linalg``'s, and
-every seed the one in ``_require_rng`` (a bool is no seed); identical
+test are ``linalg``'s, every spec the one in ``mechanism_family``, which
+each entry point calls first, and every seed the one in ``_require_rng`` (a
+bool is no seed); identical
 seedable streams reproduce identical messages. The ``*_atom_probabilities``
 helpers give the closed-form output distributions of the index families, so
 tests check unbiasedness, variance and the LDP ratio through
@@ -246,7 +247,10 @@ def _require_mix_prob(mix_prob) -> None:
 
 
 def mechanism_family(spec: MechanismSpec) -> str:
-    """Which encoder a spec addresses: 'mix', 'l1', 'l2', or 'linf'."""
+    """Which encoder a spec addresses: 'mix', 'l1', 'l2', or 'linf'. The one
+    spec check: every entry point that takes a spec calls it first."""
+    if not isinstance(spec, MechanismSpec):
+        raise ValidationError(f"expected a MechanismSpec, got {spec!r:.200}")
     if spec.mix_prob is not None:
         return "mix"
     if spec.ball.p == 1.0:
@@ -333,9 +337,10 @@ def _require_rng(rng) -> np.random.Generator:
     raise ValidationError(f"expected None, a seed or a generator, got {rng!r:.200}")
 
 
-def _check_family(spec: MechanismSpec, p_required: float, name: str) -> None:
-    if spec.ball.p != p_required:
-        raise ValidationError(f"{name} requires a ball with p={p_required:g}, got p={spec.ball.p:g}")
+def _check_family(spec: MechanismSpec, family: str) -> None:
+    got = mechanism_family(spec)
+    if got != family:
+        raise ValidationError(f"the {family} mechanism needs a spec of its family, not {got}")
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +436,7 @@ def _atom_probabilities(plus: np.ndarray) -> dict[tuple[int, int], float]:
 
 def r1_atom_probabilities(x, spec: MechanismSpec) -> dict[tuple[int, int], float]:
     """Closed-form output distribution over all 2*dp atoms (j, sign)."""
-    _check_family(spec, 1.0, "the l1 mechanism")
+    _check_family(spec, "l1")
     rows = _require_rows(x, spec.ball, 1)
     y = np.zeros((1, padded_dim(spec.ball.dim)))  # every entry: one rotation
     y[:, : spec.ball.dim] = rows
@@ -440,7 +445,7 @@ def r1_atom_probabilities(x, spec: MechanismSpec) -> dict[tuple[int, int], float
 
 def rinf_atom_probabilities(x, spec: MechanismSpec) -> dict[tuple[int, int], float]:
     """Closed-form output distribution over all 2d atoms (j, sign)."""
-    _check_family(spec, math.inf, "the linf mechanism")
+    _check_family(spec, "linf")
     return _atom_probabilities(_rinf_plus(_require_rows(x, spec.ball, 1)[0], spec))
 
 
@@ -612,7 +617,7 @@ def rp_arm_specs(spec: MechanismSpec) -> tuple[MechanismSpec, MechanismSpec]:
 
     Norm inequalities guarantee every lp-ball input lies in both arm balls.
     """
-    if spec.mix_prob is None:
+    if mechanism_family(spec) != "mix":
         raise ValidationError("the lp mix requires mix_prob")
     p, a, d = spec.ball.p, spec.ball.radius, spec.ball.dim
     if math.isinf(p):
@@ -812,6 +817,7 @@ def encode_message(x, spec: MechanismSpec, rng) -> MechanismMessage:
 
 def decode_message(msg: MechanismMessage, spec: MechanismSpec) -> np.ndarray:
     """Decode any message under the spec that produced it."""
+    family = mechanism_family(spec)
     if isinstance(msg, RawVector):
         v = np.asarray(msg.values, dtype=np.float64)
         if v.size != spec.ball.dim:
@@ -819,7 +825,7 @@ def decode_message(msg: MechanismMessage, spec: MechanismSpec) -> np.ndarray:
                 f"raw message carries {v.size} values for dimension {spec.ball.dim}"
             )
         return v
-    return _decoded_sum(mechanism_family(spec), [msg], spec)
+    return _decoded_sum(family, [msg], spec)
 
 
 def mean_estimate(messages, spec: MechanismSpec) -> np.ndarray:
@@ -828,6 +834,7 @@ def mean_estimate(messages, spec: MechanismSpec) -> np.ndarray:
     Coded messages are summed from signed counts, so the estimate depends on
     their multiset alone, bit for bit, and not on their order.
     """
+    family = mechanism_family(spec)
     try:
         msgs = list(messages)
     except TypeError:
@@ -838,7 +845,7 @@ def mean_estimate(messages, spec: MechanismSpec) -> np.ndarray:
     coded = [msg for msg in msgs if not isinstance(msg, RawVector)]
     total = np.sum(raw, axis=0)
     if coded:
-        total = total + _decoded_sum(mechanism_family(spec), coded, spec)
+        total = total + _decoded_sum(family, coded, spec)
     return total / len(msgs)
 
 
@@ -854,11 +861,11 @@ def sample_decoded(x, spec: MechanismSpec, rng, n_samples: int) -> np.ndarray:
     The rows are drawn in consecutive batches of at most 2**16, so the working
     memory beyond the (n_samples, d) result is bounded.
     """
+    family = mechanism_family(spec)
     v = _require_rows(x, spec.ball, 1)
     n_samples = require_int(n_samples, "n_samples")
     if n_samples < 1:
         raise ValidationError(f"n_samples must be an integer >= 1, got {n_samples!r}")
-    family = mechanism_family(spec)
     fam, gen = _FAMILIES[family], _require_rng(rng)
     out = np.empty((n_samples, v.shape[1]))
     for lo in range(0, n_samples, _SAMPLE_BATCH):
@@ -881,8 +888,8 @@ def batch_encoder(x, spec: MechanismSpec) -> Callable:
     entries it reads: for l1 one butterfly path per row, O(d) rather than the
     O(d log d) rotation.
     """
-    rows = _require_rows(x, spec.ball, 2)
     family = mechanism_family(spec)
+    rows = _require_rows(x, spec.ball, 2)
     fam, n = _FAMILIES[family], len(rows)
     block = fam.block(spec)
 

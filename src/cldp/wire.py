@@ -32,7 +32,8 @@ caps raw frames at d <= 1023 (64*1024 bits do not fit) and l2 and mix-l2
 frames at d <= 23 791 (multiset_bits(23 792, 47 584) = 65 536); frame_message
 checks the cost against the cap before ranking any atom. unframe_message
 accepts only canonical frames of the spec's family (and raw frames under any
-spec), so every accepted frame re-frames to the same bytes.
+spec that addresses a family), so every accepted frame re-frames to the same
+bytes. Every spec passes ``mechanisms.mechanism_family``'s check first.
 """
 
 from __future__ import annotations
@@ -153,6 +154,8 @@ def histogram_unpack(code: HistogramCode) -> tuple[int, ...]:
     the next. The last level needs no walk: C(b, 1) = b, so b_1 is the rank
     that remains, and a one-atom code unpacks in constant time.
     """
+    if not isinstance(code, HistogramCode):
+        raise ValidationError(f"expected a HistogramCode, got {code!r:.200}")
     rank = code.rank
     out = []
     b = code.B + code.s - 2  # the largest shifted atom there can be
@@ -197,9 +200,10 @@ def _frame_code(key: str, d: int) -> tuple[int, int, int]:
 
 def _priced(msg: mech.MechanismMessage, spec: mech.MechanismSpec):
     """(code key, atoms, payload bits) of msg under spec; the key is None for a raw vector."""
+    family = mech.mechanism_family(spec)
     if isinstance(msg, mech.RawVector):
         return None, (), RAW_VALUE_BITS * spec.ball.dim
-    key, atoms = mech.message_atoms(msg, spec)
+    key, atoms = mech.message_atoms(msg, spec, family)
     if atoms:
         return key, atoms, _frame_code(key, spec.ball.dim)[2]
     if key != "l2":
@@ -219,8 +223,8 @@ def message_payload_bits(msg: mech.MechanismMessage, spec: mech.MechanismSpec) -
 
 def frame_message(msg: mech.MechanismMessage, spec: mech.MechanismSpec) -> bytes:
     """[tag][bit length, 2 bytes BE][payload, zero-padded to bytes]."""
-    d = spec.ball.dim
     key, atoms, nbits = _priced(msg, spec)
+    d = spec.ball.dim
     if key is None and len(msg.values) != d:
         raise ValidationError("raw message dimension mismatch")
     if nbits > MAX_PAYLOAD_BITS:
@@ -238,7 +242,9 @@ def frame_message(msg: mech.MechanismMessage, spec: mech.MechanismSpec) -> bytes
 
 
 def _header(data: bytes, offset: int) -> tuple[int, int]:
-    if not 0 <= offset <= len(data) - 3:
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise ValidationError(f"frames must be bytes, got {data!r:.200}")
+    if not 0 <= require_int(offset, "offset") <= len(data) - 3:
         raise ValidationError(f"no 3-byte frame header at offset {offset} of {len(data)} bytes")
     return struct.unpack_from(">BH", data, offset)
 
@@ -254,6 +260,7 @@ def unframe_message(data: bytes, spec: mech.MechanismSpec, offset: int = 0):
     Only canonical frames are accepted: a raw frame, or a tag of the spec's
     family with the family's bit length, zero padding and an in-range rank.
     """
+    family = mech.mechanism_family(spec)
     tag, nbits = _header(data, offset)
     size = (nbits + 7) // 8
     body = data[offset + 3 : offset + 3 + size]
@@ -264,7 +271,6 @@ def unframe_message(data: bytes, spec: mech.MechanismSpec, offset: int = 0):
         if nbits != RAW_VALUE_BITS * d:
             raise ValidationError("raw frame has the wrong payload size")
         return mech.RawVector(values=struct.unpack(f">{d}d", body)), 3 + size
-    family = mech.mechanism_family(spec)
     key = "l2" if tag == TAG_ZERO else _TAG_CODES.get(tag)
     if key not in (("L1", "L2") if family == "mix" else (family,)):
         raise ValidationError(f"frame tag 0x{tag:02x} is not of the {family} family")
@@ -304,7 +310,7 @@ def round_payload_bits(spec: mech.MechanismSpec | None, params, d: int, l1_arm: 
     ``l1_arm`` ran the mix's l1 arm; ``spec`` None prices raw vectors."""
     if spec is None:
         return params.k * params.s * RAW_VALUE_BITS * d
-    if spec.mix_prob is None:
+    if mech.mechanism_family(spec) != "mix":
         return params.k * client_round_bits_exact(spec, params.s)
     dim = spec.ball.dim
     return l1_arm * _code_bits("L1", dim) + (params.k * params.s - l1_arm) * _code_bits("L2", dim)

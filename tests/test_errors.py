@@ -25,6 +25,8 @@ SRC = Path(cldp.__file__).resolve().parent
 BALL = BallSpec(p=2.0, radius=1.0, dim=4)
 SPEC = mechanisms.MechanismSpec(ball=BALL, epsilon0=1.0)
 ROWS = np.zeros((2, 4))
+MSG = mechanisms.encode_message(ROWS[0], SPEC, 0)
+FRAME = wire.frame_message(MSG, SPEC)
 
 
 def train_config(**override):
@@ -71,7 +73,7 @@ MALFORMED = {
     "synthetic_m_str": lambda: fedsim.synthetic_logistic_data("2", 2, 2, 0),
     "sample_clients_m_str": lambda: fedsim.training.sample_clients("5", 2, 0),
     "sample_data_r_str": lambda: fedsim.training.sample_data("5", 2, 0),
-    "client_features_str": lambda: fedsim.ClientDataset(0, "x", [1.0]),
+    "client_features_str": lambda: fedsim.Population("x", [1.0], [0]),
     # Values that used to be read silently as something else.
     "ball_p_bool": lambda: BallSpec(p=True, radius=1.0, dim=4),
     "ball_radius_bool": lambda: BallSpec(p=2.0, radius=True, dim=4),
@@ -88,7 +90,7 @@ MALFORMED = {
     "convergence_bound_d_fractional": lambda: convergence_bound(d=2.5),
     "convergence_bound_n_fractional": lambda: convergence_bound(n=2.5),
     "histogram_rank_fractional": lambda: wire.HistogramCode(rank=2.5, s=2, B=8),
-    "client_id_str": lambda: fedsim.ClientDataset("x", [[1.0]], [1.0]),
+    "client_id_str": lambda: fedsim.Population([[1.0]], [1.0], ["x"]),
     "compose_T_integral_float": lambda: strong_composition(0.01, 1e-9, 100.0, 1e-7),
     # TrainConfig's object fields.
     "train_T_bool": lambda: train_config(T=True),
@@ -103,7 +105,7 @@ MALFORMED = {
     "histogram_pack_bool_atoms": lambda: wire.histogram_pack([True, False], 4),
     "histogram_pack_bool_atom_iterator": lambda: wire.histogram_pack(iter([3, True]), 4),
     "encode_rng_bool": lambda: mechanisms.encode_message(ROWS[0], SPEC, True),
-    # Data that is not a sequence of ClientDatasets, of the config's m = 4 clients.
+    # Data that is not a Population, of the config's m = 4 clients.
     "train_data_none": lambda: fedsim.train(train_config(account=False), None),
     "train_data_int": lambda: fedsim.train(train_config(account=False), 5),
     "train_data_ints": lambda: fedsim.train(train_config(account=False), [1, 2, 3, 4]),
@@ -116,6 +118,41 @@ MALFORMED = {
     "save_csv_ints": lambda: fedsim.save_dataset_csv(os.devnull, [1, 2]),
     "save_binary_int": lambda: fedsim.save_dataset_binary(os.devnull, 7),
     "save_csv_int": lambda: fedsim.save_dataset_csv(os.devnull, 7),
+    # A spec that is not a MechanismSpec, at every entry point that takes one.
+    "encode_spec_none": lambda: mechanisms.encode_message(ROWS[0], None, 0),
+    "decode_spec_none": lambda: mechanisms.decode_message(MSG, None),
+    "decode_raw_spec_none": lambda: mechanisms.decode_message(
+        mechanisms.RawVector(values=(0.0,) * 4), None
+    ),
+    "mean_estimate_spec_none": lambda: mechanisms.mean_estimate([MSG], None),
+    "sample_decoded_spec_none": lambda: mechanisms.sample_decoded(ROWS[0], None, 0, 1),
+    "batch_encoder_spec_none": lambda: mechanisms.batch_encoder(ROWS, None),
+    "trials_spec_none": lambda: mechanisms.mean_estimate_trials(ROWS, None, 0, 1),
+    "r1_probabilities_spec_none": lambda: mechanisms.r1_atom_probabilities(ROWS[0], None),
+    "frame_spec_none": lambda: wire.frame_message(MSG, None),
+    "unframe_spec_none": lambda: wire.unframe_message(FRAME, None),
+    "payload_bits_spec_none": lambda: wire.message_payload_bits(MSG, None),
+    "round_bits_spec_str": lambda: wire.round_payload_bits(
+        "l2", SamplingParams(m=4, k=2, r=3, s=1), 4
+    ),
+    # Seeds of the samplers, checked as every other seed is.
+    "sample_clients_seed_str": lambda: fedsim.sample_clients(10, 3, "abc"),
+    "sample_clients_seed_fractional": lambda: fedsim.sample_clients(10, 3, 1.5),
+    "sample_clients_seed_negative": lambda: fedsim.sample_clients(10, 3, -1),
+    "sample_clients_seed_bool": lambda: fedsim.sample_clients(10, 3, True),
+    "sample_data_seed_str": lambda: fedsim.sample_data(10, 3, "abc"),
+    "sample_data_seed_fractional": lambda: fedsim.sample_data(10, 3, 1.5),
+    "sample_data_seed_negative": lambda: fedsim.sample_data(10, 3, -1),
+    "sample_data_seed_bool": lambda: fedsim.sample_data(10, 3, True),
+    # Frames, offsets and codes.
+    "frame_length_offset_str": lambda: wire.frame_length(FRAME, "0"),
+    "frame_length_offset_fractional": lambda: wire.frame_length(FRAME, 0.5),
+    "frame_length_offset_bool": lambda: wire.frame_length(FRAME, True),
+    "unframe_offset_bool": lambda: wire.unframe_message(b"\x00" + FRAME, SPEC, True),
+    "unframe_str": lambda: wire.unframe_message("abc", SPEC),
+    "histogram_unpack_tuple": lambda: wire.histogram_unpack((1, 2, 3)),
+    "comm_adversary_ragged": lambda: bounds.comm_adversary([[1.0, 0.0], [1.0]], 2.0, 1.0),
+    "comm_adversary_str": lambda: bounds.comm_adversary("ab", 2.0, 1.0),
 }
 
 

@@ -16,7 +16,6 @@ from cldp.accountant import SamplingParams, end_to_end
 from cldp.bounds import g_squared
 from cldp.errors import ClippingWarning, PreconditionError, ValidationError
 from cldp.fedsim import (
-    ClientDataset,
     Population,
     TrainConfig,
     get_task,
@@ -30,6 +29,7 @@ from cldp.fedsim import (
     train,
 )
 from cldp.fedsim import training
+from cldp.fedsim.data import _require_population
 from cldp.fedsim.tasks import TASKS
 from cldp.fedsim.training import CLIENT_SALT, _client_streams, _word_streams
 from cldp.linalg import BallSpec
@@ -320,11 +320,11 @@ GOLDEN_TRACES_S2 = {
 }
 
 
-def clip_point(n=1):
-    """A client holding n copies of the point x=[3, 0], label 1: under
+def clip_point(n=1, m=1):
+    """m clients, each holding n copies of the point x=[3, 0], label 1: under
     linear_abs at theta=0 its gradient -x has l2 norm 3, so the unit clip
     shrinks it."""
-    return ClientDataset(client_id=0, features=np.tile([[3.0, 0.0]], (n, 1)), labels=np.ones(n))
+    return Population(np.tile([[3.0, 0.0]], (m * n, 1)), np.ones(m * n), np.arange(m))
 
 
 class TestLocalRound:
@@ -334,16 +334,16 @@ class TestLocalRound:
         # r = s = 3 distinct points: the step averages exactly the 3 raw
         # messages, and the round pays for 3 of them.
         X = np.array([[0.6, 0.0], [0.0, -0.8], [0.3, 0.4]])
-        client = ClientDataset(client_id=0, features=X, labels=np.array([1.0, -1.0, 1.0]))
+        client = Population(X, np.array([1.0, -1.0, 1.0]), [0])
         params = SamplingParams(m=1, k=1, r=3, s=3)
         cfg = small_config(params=params, T=1, epsilon0=math.inf)
-        result, eta = one_round(cfg, [client])
+        result, eta = one_round(cfg, client)
         grads = get_task("logistic").point_grads(np.zeros(2), X, client.labels)
         assert result.theta == pytest.approx(-eta * grads.mean(axis=0), rel=1e-12)
         assert result.traces[0].exact_bits == 3 * 64 * 2
         for ball, mix_prob in ((L2_BALL, None), (BallSpec(3.0, 1.0, 2), 0.5)):
             cfg = small_config(params=params, T=1, ball=ball, mix_prob=mix_prob)
-            bits = train(cfg, [client]).traces[0].exact_bits
+            bits = train(cfg, client).traces[0].exact_bits
             spec = cfg.mechanism_spec()
             if mix_prob is None:
                 assert bits == wire.client_round_bits_exact(spec, 3)
@@ -362,7 +362,7 @@ class TestLocalRound:
             epsilon0=math.inf,
             task="linear_abs",
         )
-        result, eta = one_round(cfg, [clip_point()])
+        result, eta = one_round(cfg, clip_point())
         # Raw gradient -x has l2 norm 3, clipped onto the unit ball.
         assert result.traces[0].grad_norm == pytest.approx(1.0, rel=1e-12)
         assert result.theta == pytest.approx([eta, 0.0], rel=1e-12)
@@ -379,7 +379,7 @@ class TestLocalRound:
             task="linear_abs",
             seed=1234,
         )
-        result = train(cfg, [clip_point(n)])
+        result = train(cfg, clip_point(n))
         # theta = Pi(-eta g) points along -g, whether or not it was projected
         g = -result.theta / np.linalg.norm(result.theta) * result.traces[0].grad_norm
         assert g == pytest.approx([-1.0, 0.0], abs=0.12)
@@ -441,13 +441,13 @@ class TestTrain:
 
     def test_baseline_single_client_update_is_exact(self):
         x = np.array([[0.6, 0.8]])
-        client = ClientDataset(client_id=0, features=x, labels=np.array([1.0]))
+        client = Population(x, np.array([1.0]), [0])
         cfg = small_config(
             params=SamplingParams(m=1, k=1, r=1, s=1),
             T=1,
             epsilon0=math.inf,
         )
-        result = train(cfg, [client])
+        result = train(cfg, client)
         grad = -0.5 * x[0]  # logistic gradient at theta = 0
         big_g = math.sqrt(1.0 + 14.0 * 2.0)  # G^2 with ratio = 1, q*n = 1
         eta = cfg.diameter / big_g
@@ -487,17 +487,14 @@ class TestTrain:
             assert trace.exact_bits == 3 * per_client
 
     def test_clipping_warns(self):
-        feats = np.tile(np.array([[3.0, 0.0]]), (4, 1))
-        clients = [
-            ClientDataset(client_id=i, features=feats, labels=np.ones(4)) for i in range(6)
-        ]
+        clients = clip_point(4, m=6)
         cfg = small_config(task="linear_abs")
         with pytest.warns(ClippingWarning):
             train(cfg, clients)
 
     def test_clipped_counts_per_round(self):
         # every gradient of the x=[3, 0] data is clipped: k*s = 6 per round
-        clients = [clip_point(4) for _ in range(6)]
+        clients = clip_point(4, m=6)
         with pytest.warns(ClippingWarning, match="100.0%"):
             result = train(small_config(task="linear_abs"), clients)
         assert [tr.clipped for tr in result.traces] == [6, 6, 6, 6]
@@ -722,8 +719,7 @@ class TestDatasetIO:
             np.array_equal(a.features, b.features) and np.array_equal(a.labels, b.labels)
             for a, b in zip(clients, again)
         )
-        stacked = Population.of(list(clients))
-        X, Y = stacked.features, stacked.labels
+        X, Y = clients.features, clients.labels
         assert X.shape == (15, 4)
         assert set(np.unique(Y)) <= {-1.0, 1.0}
         assert np.linalg.norm(X, axis=1) == pytest.approx(np.ones(15), rel=1e-12)
@@ -735,7 +731,7 @@ class TestDatasetIO:
         loaded = load_dataset_binary(path)
         assert len(loaded) == 3
         for a, b in zip(clients, loaded):
-            assert a.client_id == b.client_id
+            assert np.array_equal(a.client_ids, b.client_ids)
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.labels, b.labels)
 
@@ -805,20 +801,19 @@ class TestDatasetIO:
                     clients = loader(path)
                 except ValidationError:
                     continue
-                assert clients and all(isinstance(c, ClientDataset) for c in clients)
+                assert isinstance(clients, Population) and len(clients) >= 1
 
     def test_validate_clients(self):
-        # Population.of checks a population and a list of clients alike.
+        # The one data check: a Population, of the expected (m, r, d).
         clients, _ = synthetic_logistic_data(m=3, r=2, d=2, seed=2)
-        for data in (clients, list(clients)):
-            Population.of(data, (3, 2, 2))
-            with pytest.raises(ValidationError, match="expected 4 clients, got 3"):
-                Population.of(data, (4, 2, 2))
-            held = r"client 0 holds \(2, 2\) data, expected \(5, 2\)"
-            with pytest.raises(ValidationError, match=held):
-                Population.of(data, (3, 5, 2))
-            with pytest.raises(ValidationError, match=r"expected \(2, 7\)"):
-                Population.of(data, (3, 2, 7))
+        assert _require_population(clients, (3, 2, 2)) is clients
+        for shape in ((4, 2, 2), (3, 5, 2), (3, 2, 7)):
+            m, r, d = shape
+            wrong = rf"expected {m} clients of \({r}, {d}\) data, got 3 of \(2, 2\)"
+            with pytest.raises(ValidationError, match=wrong):
+                _require_population(clients, shape)
+        with pytest.raises(ValidationError, match="must be a Population"):
+            _require_population(list(clients), (3, 2, 2))
 
     def test_client_dataset_is_immutable(self):
         clients, _ = synthetic_logistic_data(m=1, r=2, d=2, seed=3)
@@ -827,47 +822,16 @@ class TestDatasetIO:
 
     def test_client_dataset_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            ClientDataset(client_id=0, features=np.zeros((2, 2)), labels=np.zeros(3))
+            Population(np.zeros((2, 2)), np.zeros(3), [0])
 
 
 class TestPopulation:
     """One stacked matrix of all clients' points: checked once, read in place."""
 
-    @pytest.mark.filterwarnings("ignore::cldp.errors.ClippingWarning")  # radius 0.05 clips
-    @pytest.mark.parametrize(
-        "p, mix_prob, eps0, d, m, k, s, T",
-        [
-            (1.0, None, 1.0, 32, 40, 8, 1, 3),
-            (1.0, None, 1.0, 32, 1000, 1000, 1, 1),
-            (2.0, None, 1.5, 3, 6, 3, 1, 3),
-            (3.0, 0.5, 1.5, 3, 6, 3, 2, 3),
-            (2.0, None, math.inf, 3, 6, 3, 1, 3),
-        ],
-        ids=["l1-lanes-d32", "l1-lanes-k1000", "l2", "mix-s2", "baseline"],
-    )
-    def test_population_and_list_run_alike(self, p, mix_prob, eps0, d, m, k, s, T):
-        # A population passes through train as it is; the list of its clients
-        # is stacked on entry. Both runs must agree byte for byte.
-        pop, _ = synthetic_logistic_data(m=m, r=5, d=d, seed=d)
-        assert isinstance(pop, Population)
-        cfg = small_config(
-            params=SamplingParams(m=m, k=k, r=5, s=s),
-            T=T,
-            epsilon0=eps0,
-            ball=BallSpec(p=p, radius=0.05 if p == 1.0 else 1.0, dim=d),
-            mix_prob=mix_prob,
-            seed=3,
-        )
-        assert training._on_lanes(cfg.mechanism_spec(), s) == (p == 1.0 or math.isinf(eps0))
-        whole, listed = train(cfg, pop), train(cfg, list(pop))
-        assert repr(whole.traces) == repr(listed.traces)
-        assert whole.theta.tobytes() == listed.theta.tobytes()
-        assert repr(whole.budget) == repr(listed.budget)
-
     def test_traces_name_the_id_array(self):
         # Client ids need not be positions: a trace reads them from the ids.
         pop, _ = synthetic_logistic_data(m=6, r=4, d=2, seed=1)
-        relabeled = [ClientDataset(10 * c.client_id + 7, c.features, c.labels) for c in pop]
+        relabeled = Population(pop.features, pop.labels, 10 * pop.client_ids + 7)
         traces = train(small_config(), relabeled).traces
         positional = train(small_config(), pop).traces
         for tr, pos in zip(traces, positional):
@@ -879,19 +843,36 @@ class TestPopulation:
         for arr in (pop.features, pop.labels, pop.client_ids):
             assert not arr.flags.writeable and arr.flags.c_contiguous
         for i, client in enumerate(pop):
-            assert client.client_id == i and (client.r, client.d) == (3, 2)
-            assert np.shares_memory(client.features, pop.features)
-            assert np.shares_memory(client.labels, pop.labels)
+            # A client is a one-client Population over its rows, not a copy.
+            assert isinstance(client, Population) and len(client) == 1
+            assert client.client_ids.tolist() == [i] and (client.r, client.d) == (3, 2)
+            for name in ("features", "labels", "client_ids"):
+                arr = getattr(client, name)
+                assert np.shares_memory(arr, getattr(pop, name))
+                assert not arr.flags.writeable and arr.flags.c_contiguous
             np.testing.assert_array_equal(client.features, pop.features[3 * i : 3 * i + 3])
+            np.testing.assert_array_equal(client.labels, pop.labels[3 * i : 3 * i + 3])
             with pytest.raises(ValueError):
                 client.features[0, 0] = 99.0
-        assert [c.client_id for c in pop[1:3]] == [1, 2] and pop[-1].client_id == 3
+        assert [c.client_ids[0] for c in pop[1:3]] == [1, 2] and pop[-1].client_ids[0] == 3
         with pytest.raises(IndexError):
             pop[4]
-        stacked = Population.of(list(pop))
-        assert not np.shares_memory(stacked.features, pop.features)
-        np.testing.assert_array_equal(stacked.features, pop.features)
-        assert not stacked.features.flags.writeable
+        # The benchmark rebuilds the matrix from the clients; it must be the same.
+        np.testing.assert_array_equal(np.concatenate([c.features for c in pop]), pop.features)
+        np.testing.assert_array_equal(np.concatenate([c.labels for c in pop]), pop.labels)
+
+    def test_clients_compare_by_value(self):
+        # Equal arrays make equal populations, so a client is found in its
+        # population: the comparisons never ask an array for one truth value.
+        pop, _ = synthetic_logistic_data(m=4, r=3, d=2, seed=1)
+        assert pop[1] == pop[1] and pop[0] != pop[1]
+        assert pop[1] in pop and pop.index(pop[2]) == 2 and pop.count(pop[3]) == 1
+        again, _ = synthetic_logistic_data(m=4, r=3, d=2, seed=1)
+        assert again == pop and again[1:] == pop[1:]
+        assert pop != synthetic_logistic_data(m=4, r=3, d=2, seed=2)[0]
+        assert pop[0] != pop.features[:3] and pop != 0
+        moved = Population(pop.features, pop.labels, pop.client_ids + 1)
+        assert moved != pop and moved[0] != pop[0]
 
     def test_constructor_checks_the_arrays(self):
         feats = np.zeros((6, 2))
@@ -906,12 +887,11 @@ class TestPopulation:
             (np.zeros((6, 2)), np.ones(6), np.array([0.0, 1.0, 2.0])),
             (np.zeros((6, 2)), np.ones(6), np.arange(0)),
             (np.zeros((6, 2)), np.ones(6), [2**70, 0, 1]),
+            (np.zeros((6, 2)), np.ones(6), [[0], [1, 2]]),  # ragged ids
             ("x", np.ones(6), np.arange(3)),
         ):
             with pytest.raises(ValidationError):
                 Population(*bad)
-        with pytest.raises(ValidationError, match="at least one client"):
-            Population.of([])
 
     def test_binary_loader_names_a_non_finite_client(self, tmp_path):
         pop, _ = synthetic_logistic_data(m=3, r=2, d=2, seed=0)
