@@ -36,11 +36,13 @@ stream per round) re-rolls every run, including the frozen runs of the
 convergence criterion. Each round builds its k seeds as one uint32 matrix
 whose rows hold the words numpy derives from those tuples, and hashes them
 in one vectorised pass of SeedSequence's hash (``streams._seed_states``),
-equal to the tuple-built seeds. A client's stream draws its s points, then
-the noise of its s rows in the mechanism's documented order, so for s = 1 a
-message draws exactly what a single encode draws. One point is the scalar
-``integers(r)``, which reads the bits of ``choice(r, 1, replace=False)``,
-and one index-family row the scalars ``integers(dim)`` then ``random()``.
+equal to the tuple-built seeds: the k pools form one (4, k) matrix, and each
+group of hash steps that read the same pool word is one array call. A
+client's stream draws its s points, then the noise of its s rows in the
+mechanism's documented order, so for s = 1 a message draws exactly what a
+single encode draws. One point is the scalar ``integers(r)``, which reads
+the bits of ``choice(r, 1, replace=False)``, and one index-family row the
+scalars ``integers(dim)`` then ``random()``.
 
 At s = 1 those scalar calls are all that an l1, linf or baseline round
 draws, so it runs its k streams as the lanes of one ``streams.PCG64Lanes``:

@@ -31,9 +31,18 @@ from .errors import ValidationError, require_int, require_real
 EXACT_TOL = 1e-12
 
 
+def _as_floats(x) -> np.ndarray:
+    """x as a float64 array; what numpy cannot convert (a string, ragged
+    rows) raises ValidationError."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(f"expected real numbers, got {x!r:.200}") from None
+
+
 def as_vector(x) -> np.ndarray:
     """Validate and convert to a finite float64 1-D array of length >= 1."""
-    v = np.asarray(x, dtype=np.float64)
+    v = _as_floats(x)
     if v.ndim != 1 or v.size < 1:
         raise ValidationError(f"expected a 1-D vector of length >= 1, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -104,7 +113,7 @@ class BallSpec:
 def clip(g, p: float, C: float) -> np.ndarray:
     """Rescale g, one vector or each row of a row matrix, so its lp norm is at
     most C: g / max{1, ||g||_p / C}. Inside-ball rows (the zero row too) keep their values."""
-    v = np.asarray(g, dtype=np.float64)
+    v = _as_floats(g)
     rows = as_vector(v.ravel()).reshape(v.shape) if v.ndim == 2 else as_vector(v)[None]
     if not require_real(C, "clip radius") > 0.0:
         raise ValidationError(f"clip radius must be positive, got {C!r}")

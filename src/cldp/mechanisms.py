@@ -94,7 +94,15 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .errors import OutOfBallError, ValidationError, require_int, require_real
-from .linalg import BallSpec, EXACT_TOL, _in_ball, _largest_norm, fwht_rows_at, fwht_rows_inplace
+from .linalg import (
+    BallSpec,
+    EXACT_TOL,
+    _as_floats,
+    _in_ball,
+    _largest_norm,
+    fwht_rows_at,
+    fwht_rows_inplace,
+)
 from .streams import PCG64Lanes
 
 # ---------------------------------------------------------------------------
@@ -303,10 +311,7 @@ def _require_rows(x, ball: BallSpec, ndim: int) -> np.ndarray:
     x must be one vector (ndim=1) or a row matrix (ndim=2) with ball.dim
     columns, finite, and with every row inside the ball.
     """
-    try:
-        rows = np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValidationError(f"expected real numbers, got {x!r:.200}") from None
+    rows = _as_floats(x)
     if rows.ndim != ndim or rows.size < 1:
         kind = "a 1-D vector" if ndim == 1 else "a 2-D (rows x dim) array"
         raise ValidationError(f"expected {kind} with at least one entry, got shape {rows.shape}")
@@ -474,9 +479,17 @@ def hemisphere_radius(d: int, a: float, eps0: float) -> float:
 def _l2_noise(gen: np.random.Generator, n: int, d: int):
     """What n l2 rows draw. For ``_priv_rows``: n direction uniforms, n side
     uniforms, an (n, d) Gaussian; then for ``_quan_atoms``: n sign-flip
-    uniforms, an (n, d) uniform matrix for the coordinates."""
-    return (gen.random(n), gen.random(n), gen.standard_normal((n, d)),
-            gen.random(n), gen.random((n, d)))
+    uniforms, an (n, d) uniform matrix for the coordinates.
+
+    Three draws, ``random(2n)``, ``standard_normal((n, d))`` and
+    ``random(n + n*d)``, whose views are the five components: a sized
+    ``random`` fills its values one at a time, so two consecutive calls read
+    the bits one call of their total size reads.
+    """
+    sides = gen.random(2 * n)
+    y = gen.standard_normal((n, d))
+    coords = gen.random(n + n * d)
+    return sides[:n], sides[n:], y, coords[:n], coords[n:].reshape(n, d)
 
 
 def _priv_rows(rows: np.ndarray, spec: MechanismSpec, noise) -> np.ndarray:

@@ -1,7 +1,10 @@
 """numpy's stream seeding and its PCG64 generator, run over many streams at once.
 
 ``_seed_states`` is numpy's ``SeedSequence`` pool hash over a matrix of seed
-words (``_seed_words`` of each int of a seed tuple), one row per stream, and
+words (``_seed_words`` of each int of a seed tuple), one row per stream: it
+holds the pools of all streams as one (4, k) matrix, and runs each group of
+hash calls that read the same pool row or seed word as one array call, so a
+round's k seeds cost a few dozen numpy calls whatever k is.
 ``_HashedSeed`` hands one row's state to a real ``PCG64``. ``PCG64Lanes``
 runs the streams of a (k, 4) state matrix as k uint64 lanes: numpy's PCG64
 seeding, its 128-bit LCG step and its XSL-RR output, in 32-bit limbs where a
@@ -53,50 +56,66 @@ def _seed_words(n: int) -> list[int]:
     return words
 
 
-def _hash_constants(init: int, mult: int):
-    """The (xor, multiply) constants of successive calls to SeedSequence's
-    hashmix: the running constant is xored in, then multiplied by ``mult``
-    and the value by the product. They depend only on the call index."""
-    const = init
-    while True:
-        nxt = const * mult & _WORD
-        yield _U32(const), _U32(nxt)
-        const = nxt
+def _hash_column(init: int, mult: int, calls: int) -> np.ndarray:
+    """The running constants of SeedSequence's first ``calls`` hashmix calls,
+    as a (calls + 1, 1) uint32 column: call i xors in entry i, then multiplies
+    by entry i + 1 (the constant times ``mult``). They depend only on the
+    call index."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _WORD)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+# mix_entropy's calls: the first four hash the pool's four words; each source
+# row's three (calls 4-15) mix it into the other rows; the first extra word's
+# four (calls 16-19) mix it into every row, and each later word's constants
+# are the previous word's times _MULT_A**4. generate_state's eight calls read
+# pool rows 0, 1, 2, 3, 0, 1, 2, 3.
+_MIX_CONSTS = _hash_column(_INIT_A, _MULT_A, 20)
+_SPREAD = [(np.arange(_POOL_SIZE) != src, _MIX_CONSTS[3 * src + 4 : 3 * src + 8])
+           for src in range(_POOL_SIZE)]  # (the other rows, their calls' constants)
+_EXTRA_STEP = _U32(_MULT_A**4 & _WORD)
+_OUT_CONSTS = _hash_column(_INIT_B, _MULT_B, 8)
+_OUT_ROWS = np.arange(8) % _POOL_SIZE
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, one call per row of a (calls + 1, 1) column of
+    running constants (``_hash_column``), broadcast against ``value``."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return value ^ (value >> _XSHIFT)
 
 
 def _seed_states(words: np.ndarray) -> np.ndarray:
     """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of a
-    (k, L) uint32 matrix, as one (k, 4) uint64 array.
+    (k, L) uint32 matrix, as one C-contiguous (k, 4) uint64 array.
 
-    numpy's pool hash (``mix_entropy``, then ``generate_state``) run column
-    by column over all rows at once; the tests check it against
-    ``SeedSequence``.
+    numpy's pool hash (``mix_entropy``, then ``generate_state``) over a (4, k)
+    pool, one pool word per row and one stream per column. The calls that
+    read the same pool row, or the same entropy word, run as one call over a
+    column of their constants: the four first hashmixes; a source row's
+    three hashmixes, and its three mixes into the other rows, which never
+    write the source; an extra word's four; the eight outputs. The tests
+    check it against ``SeedSequence``.
     """
-    consts = _hash_constants(_INIT_A, _MULT_A)
-
-    def hashmix(value):
-        xor, mul = next(consts)
-        value = (value ^ xor) * mul
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        value = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return value ^ (value >> _XSHIFT)
-
     k, n = words.shape
-    cols = np.ascontiguousarray(words.T)
-    zero = np.zeros(k, dtype=np.uint32)
-    pool = [hashmix(cols[i] if i < n else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, n):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(cols[src]))
-    consts = _hash_constants(_INIT_B, _MULT_B)
-    state = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    pool = np.zeros((_POOL_SIZE, k), dtype=np.uint32)
+    pool[: min(n, _POOL_SIZE)] = words[:, :_POOL_SIZE].T
+    pool = _hashmix(pool, _MIX_CONSTS[:5])
+    for src, (others, consts) in enumerate(_SPREAD):
+        pool[others] = _mix(pool[others], _hashmix(pool[src], consts))
+    consts = _MIX_CONSTS[16:]
+    for word in words.T[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(word, consts))
+        consts = consts * _EXTRA_STEP
+    state = _hashmix(pool[_OUT_ROWS], _OUT_CONSTS)
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
 
 
 class _HashedSeed(ISeedSequence):

@@ -101,7 +101,10 @@ _WALK = 16
 
 def histogram_pack(atoms, B: int) -> HistogramCode:
     """Rank the multiset of atoms (order discarded) over the alphabet [0, B):
-    check the atoms, sort them and rank them with ``_rank``."""
+    check B and the atoms, sort them and rank them with ``_rank``."""
+    B = require_int(B, "B")
+    if B < 1:
+        raise ValidationError(f"alphabet size B must be >= 1, got {B}")
     try:
         atoms = tuple(atoms)  # read twice below; a tuple, as a message's atoms are, is not copied
         ordered = sorted(map(operator.index, atoms))

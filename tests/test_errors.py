@@ -74,6 +74,12 @@ MALFORMED = {
     "sample_clients_m_str": lambda: fedsim.training.sample_clients("5", 2, 0),
     "sample_data_r_str": lambda: fedsim.training.sample_data("5", 2, 0),
     "client_features_str": lambda: fedsim.Population("x", [1.0], [0]),
+    "p_norm_vector_str": lambda: linalg.p_norm("ab", 2.0),
+    "p_norm_vector_ragged": lambda: linalg.p_norm([[1.0], [1.0, 2.0]], 2.0),
+    "clip_vector_str": lambda: linalg.clip("ab", 2.0, 1.0),
+    "ball_contains_str": lambda: BallSpec(2.0, 1.0, 2).contains("ab"),
+    "project_theta_ragged": lambda: linalg.project_l2_ball([[1.0], [1.0, 2.0]], [0.0], 1.0),
+    "histogram_pack_B_str": lambda: wire.histogram_pack([1], "8"),
     # Values that used to be read silently as something else.
     "ball_p_bool": lambda: BallSpec(p=True, radius=1.0, dim=4),
     "ball_radius_bool": lambda: BallSpec(p=2.0, radius=True, dim=4),
@@ -104,6 +110,7 @@ MALFORMED = {
     "index_sign_bool_index": lambda: mechanisms.IndexSign(j=True, sign=1),
     "histogram_pack_bool_atoms": lambda: wire.histogram_pack([True, False], 4),
     "histogram_pack_bool_atom_iterator": lambda: wire.histogram_pack(iter([3, True]), 4),
+    "histogram_pack_B_bool": lambda: wire.histogram_pack([1], True),
     "encode_rng_bool": lambda: mechanisms.encode_message(ROWS[0], SPEC, True),
     # Data that is not a Population, of the config's m = 4 clients.
     "train_data_none": lambda: fedsim.train(train_config(account=False), None),

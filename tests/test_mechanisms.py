@@ -701,6 +701,22 @@ class TestAtomsAndDrawOrder:
             np.testing.assert_array_equal(a, b)
         assert gen.random() == ref.random()  # nothing else was drawn
 
+    @pytest.mark.parametrize("d", [1, 20, 128])
+    @pytest.mark.parametrize("n", [0, 1, 3, 300])
+    def test_l2_noise_three_draws_are_the_five_sized_calls(self, n, d):
+        # _l2_noise draws its five components in three calls; they must read
+        # the bits of the five sized calls, with their shapes and dtypes, and
+        # leave the stream at the same place.
+        gen, ref = np.random.default_rng(n * 1000 + d), np.random.default_rng(n * 1000 + d)
+        got = _l2_noise(gen, n, d)
+        want = (ref.random(n), ref.random(n), ref.standard_normal((n, d)),
+                ref.random(n), ref.random((n, d)))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        assert gen.bit_generator.state == ref.bit_generator.state
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 1024, 2**20])
     def test_one_row_index_noise_is_the_sized_draw(self, dim):
         # One row draws its index and uniform as scalars; they must read the

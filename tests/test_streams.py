@@ -136,6 +136,27 @@ class TestLanesEqualGenerators:
         assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1] == 0
 
 
+class TestSeedHash:
+    @pytest.mark.parametrize("k", [1, 1000])
+    @pytest.mark.parametrize("length", range(1, 10))
+    def test_equals_numpy_seed_sequence(self, k, length):
+        # The pool hash over k rows at once, against numpy's SeedSequence row
+        # by row: short rows hash zeros into the pool, rows over 4 words run
+        # the extra-word loop, whose constants step on with each word.
+        words = np.random.default_rng(length).integers(0, 2**32, (k, length), dtype=np.uint32)
+        words[-1] = LOW32
+        want = [np.random.SeedSequence(row).generate_state(4, np.uint64) for row in words]
+        np.testing.assert_array_equal(_seed_states(words), want)
+
+    def test_states_are_the_matrix_lanes_take(self):
+        words = np.random.default_rng(9).integers(0, 2**32, (300, 4), dtype=np.uint32)
+        states = _seed_states(words)
+        assert states.shape == (300, 4) and states.dtype == np.uint64
+        assert states.flags.c_contiguous
+        gens = [np.random.default_rng(np.random.SeedSequence(row)) for row in words]
+        assert_draws(PCG64Lanes(states), gens, [("integers", 20), ("random",)])
+
+
 class TestLanesRefuse:
     @pytest.mark.parametrize("bound", [0, -3, 2**32 + 1, 2**64])
     def test_bounds_outside_one_to_two_to_the_32(self, bound):

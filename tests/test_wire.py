@@ -140,6 +140,12 @@ class TestMultisetCode:
         with pytest.raises(ValidationError):
             wire.histogram_pack((), 3)
 
+    @pytest.mark.parametrize("B", [True, "8", 2.0, 0])
+    def test_rejects_bad_alphabet_before_the_atoms(self, B):
+        # B is checked as B, not read in the atoms' range check.
+        with pytest.raises(ValidationError, match="B must be"):
+            wire.histogram_pack([1], B)
+
     def test_rejects_invalid_rank(self):
         total = math.comb(2 + 3 - 1, 2)
         with pytest.raises(ValidationError):
