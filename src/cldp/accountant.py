@@ -194,18 +194,11 @@ class PrivacyBudget:
     guarantee: bool = True
 
 
-def _validate_delta(delta: float, name: str = "delta") -> None:
-    if not 0.0 < require_real(delta, name) < 1.0:
-        raise ValidationError(f"{name} must lie in (0, 1), got {delta!r}")
-
-
 def _delta_split(delta: float, T: int, params: SamplingParams) -> tuple[int, float]:
     """(T, delta_tilde = delta/(2qT)) once delta, T and params are checked;
     PreconditionError when delta_tilde is not a delta."""
-    _validate_delta(delta)
-    T = require_int(T, "T")
-    if T < 1:
-        raise ValidationError(f"T must be a positive integer, got {T!r}")
+    require_real(delta, "delta", "(0, 1)")
+    T = require_int(T, "T", "[1, inf)")
     if not isinstance(params, SamplingParams):
         raise ValidationError(f"params must be SamplingParams, got {params!r}")
     delta_tilde = delta / (2.0 * params.q * T)
@@ -219,12 +212,9 @@ def _delta_split(delta: float, T: int, params: SamplingParams) -> tuple[int, flo
 
 def amplify_by_subsampling(eps: float, delta: float, q: float) -> tuple[float, float]:
     """(ln(1 + q*(e^eps - 1)), q*delta); the identity at q=1."""
-    if not require_real(eps, "eps") >= 0.0:
-        raise ValidationError(f"eps must be nonnegative, got {eps!r}")
-    if not 0.0 <= require_real(delta, "delta") < 1.0:
-        raise ValidationError(f"delta must lie in [0, 1), got {delta!r}")
-    if not 0.0 < require_real(q, "sampling rate q") <= 1.0:
-        raise ValidationError(f"sampling rate q must lie in (0, 1], got {q!r}")
+    require_real(eps, "eps", "[0, inf]")
+    require_real(delta, "delta", "[0, 1)")
+    require_real(q, "sampling rate q", "(0, 1]")
     if q == 1.0:
         return eps, delta  # exact identity, not log1p(expm1(eps))
     return math.log1p(q * math.expm1(eps)), q * delta
@@ -239,12 +229,9 @@ def amplify_by_shuffling(
     bound does not apply.
     """
     _validate_variant(variant)
-    if not require_real(eps0, "epsilon0") > 0.0:
-        raise ValidationError(f"epsilon0 must be positive, got {eps0!r}")
-    _validate_delta(delta)
-    m_eff = require_int(m_eff, "shuffler batch size")
-    if m_eff < 1:
-        raise ValidationError(f"shuffler batch size must be a positive integer, got {m_eff!r}")
+    require_real(eps0, "epsilon0", "(0, inf]")
+    require_real(delta, "delta", "(0, 1)")
+    m_eff = require_int(m_eff, "shuffler batch size", "[1, inf)")
     valid = variant.eps0_range(delta, m_eff)
     if not (eps0 <= valid.cap if valid.closed else eps0 < valid.cap):
         raise PreconditionError(f"{valid.condition}; got epsilon0 = {eps0:.6g}")
@@ -257,6 +244,16 @@ def _sampling_stage(eps_tilde: float, delta_tilde: float, params: SamplingParams
     For s=1 the full participation rate q amplifies; for s>1 only q2 = s/r,
     because a client's s messages are not independent across the
     client-sampling randomness. delta_bar = q*delta_tilde in both branches.
+
+    delta_bar keeps q when s>1, by a mixture over whether the client of the
+    substituted point x is sampled (probability q1 = k/m). Unsampled, the
+    round's output law R does not depend on x. Sampled, x joins the client's
+    s-of-r draw without replacement, so that branch's laws P1, Q1 on the two
+    datasets have P1(S) <= e^eps_bar*Q1(S) + q2*delta_tilde (Balle, Barthe and
+    Gaboardi, arXiv:1807.01647, substitution relation). Hence
+    P(S) <= q1*(e^eps_bar*Q1(S) + q2*delta_tilde) + (1-q1)*R(S)
+    <= e^eps_bar*Q(S) + q*delta_tilde. The mixture gives eps no q1 factor:
+    its two branches differ by the client's whole contribution, not by x.
     """
     if params.s == 1:
         rate, note = params.q, f"q = {params.q:.6g}"
@@ -277,14 +274,10 @@ def strong_composition(
     eps_bar: float, delta_bar: float, T: int, delta_prime: float
 ) -> tuple[float, float]:
     """T-fold strong composition: the exact stated pair, no asymptotics."""
-    if not require_real(eps_bar, "eps_bar") >= 0.0:
-        raise ValidationError(f"eps_bar must be nonnegative, got {eps_bar!r}")
-    if not 0.0 <= require_real(delta_bar, "delta_bar") < 1.0:
-        raise ValidationError(f"delta_bar must lie in [0, 1), got {delta_bar!r}")
-    T = require_int(T, "T")
-    if T < 1:
-        raise ValidationError(f"T must be a positive integer, got {T!r}")
-    _validate_delta(delta_prime, "delta'")
+    require_real(eps_bar, "eps_bar", "[0, inf]")
+    require_real(delta_bar, "delta_bar", "[0, 1)")
+    T = require_int(T, "T", "[1, inf)")
+    require_real(delta_prime, "delta'", "(0, 1)")
     eps = math.sqrt(2.0 * T * math.log(1.0 / delta_prime)) * eps_bar
     eps += T * eps_bar * math.expm1(eps_bar)
     return eps, T * delta_bar + delta_prime
@@ -364,8 +357,7 @@ def calibrate_epsilon0(
     infeasible error when the target lies outside the achievable range of the
     variant (below the minimum, or above the value at the variant's eps0 cap).
     """
-    if not require_real(eps_target, "target epsilon") > 0.0:
-        raise ValidationError(f"target epsilon must be positive, got {eps_target!r}")
+    require_real(eps_target, "target epsilon", "(0, inf]")
     cap = max_feasible_epsilon0(delta, T, params, variant)
     hi = cap * (1.0 - 1e-12)
     lo = min(1e-8, hi / 2.0)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, require_int, require_real
-from .linalg import _require_p, p_norm
+from .linalg import p_norm
 from .mechanisms import _require_mix_prob, privacy_ratio
 
 LOWER_BOUND_LABEL = "order-only"
@@ -58,19 +58,17 @@ class RiskQuery:
     mix_prob: float | None = None
 
     def __post_init__(self) -> None:
-        _require_p(self.p)
-        if require_int(self.d, "d") < 1 or require_int(self.n, "n") < 1:
-            raise ValidationError(f"need integers d >= 1 and n >= 1, got d={self.d!r}, n={self.n!r}")
-        if not 0.0 < require_real(self.a, "radius") < math.inf:
-            raise ValidationError(f"radius must be positive and finite, got {self.a!r}")
+        require_real(self.p, "p", "[1, inf]")
+        require_int(self.d, "d", "[1, inf)")
+        require_int(self.n, "n", "[1, inf)")
+        require_real(self.a, "radius", "(0, inf)")
         if not math.isfinite(self.a * self.a):
             raise ValidationError(
                 f"radius {self.a:.6g} is too large: its square overflows float64, "
                 "and the risks are in squared units"
             )
         # eps0 = inf is the uncompressed baseline, whose risk these bounds do not give.
-        if not 0.0 < require_real(self.epsilon0, "epsilon0") < math.inf:
-            raise ValidationError(f"epsilon0 must be positive and finite, got {self.epsilon0!r}")
+        require_real(self.epsilon0, "epsilon0", "(0, inf)")
         _require_mix_prob(self.mix_prob)
 
 
@@ -163,9 +161,8 @@ def comm_adversary(decoder_table, p: float, a: float) -> np.ndarray:
         raise ValidationError(
             f"need fewer decoder outputs than dimensions, got {n_outputs} >= {d}"
         )
-    if not require_real(a, "a") > 0.0:
-        raise ValidationError(f"need a > 0, got a={a!r}")
-    _require_p(p)
+    require_real(a, "a", "(0, inf)")
+    require_real(p, "p", "[1, inf]")
     # Rightmost singular vectors span the null space; with n_outputs < d the
     # rank is below d, so the last one is orthogonal to every decoder row.
     _, singular, vt = np.linalg.svd(matrix)
@@ -185,13 +182,12 @@ def g_squared(L: float, d: int, p: float, q: float, n: int, epsilon0: float) -> 
     c = 4 when the gradient ball is l1 or linf (p in {1, inf}), 14 otherwise.
     epsilon0 = inf means no privacy noise (ratio = 1).
     """
-    if not require_real(L, "L") > 0.0 or not 0.0 < require_real(q, "q") <= 1.0:
-        raise ValidationError(f"need L > 0 and q in (0, 1], got L={L!r}, q={q!r}")
-    if require_int(d, "d") < 1 or require_int(n, "n") < 1:
-        raise ValidationError(f"need d >= 1 and n >= 1, got d={d!r}, n={n!r}")
-    _require_p(p)
-    if not require_real(epsilon0, "epsilon0") > 0.0:
-        raise ValidationError(f"epsilon0 must be positive, got {epsilon0!r}")
+    require_real(L, "L", "(0, inf]")
+    require_real(q, "q", "(0, 1]")
+    require_int(d, "d", "[1, inf)")
+    require_int(n, "n", "[1, inf)")
+    require_real(p, "p", "[1, inf]")
+    require_real(epsilon0, "epsilon0", "(0, inf]")
     c = 4.0 if (p == 1.0 or math.isinf(p)) else 14.0
     shape = max(d ** (1.0 - 2.0 / p), 1.0)
     return L * L * shape * (1.0 + c * d / (q * n) * _ratio_squared(epsilon0))
@@ -201,10 +197,8 @@ def convergence_bound(
     L: float, D: float, d: int, p: float, T: float, q: float, n: int, epsilon0: float
 ) -> float:
     """Optimality gap after T rounds of step size D/(G sqrt(t)): 2DG(2+ln T)/sqrt(T)."""
-    if not require_real(D, "diameter") > 0.0:
-        raise ValidationError(f"diameter must be positive, got {D!r}")
-    if not require_real(T, "T") >= 1.0:
-        raise ValidationError(f"T must be >= 1, got {T!r}")
+    require_real(D, "diameter", "(0, inf]")
+    require_real(T, "T", "[1, inf)")
     big_g = math.sqrt(g_squared(L, d, p, q, n, epsilon0))
     return 2.0 * D * big_g * (2.0 + math.log(T)) / math.sqrt(T)
 

@@ -1,19 +1,22 @@
-"""Exception and warning types shared across the package, and its two number checks.
+"""Exception and warning types shared across the package, and its one number rule.
 
 The CLI maps these onto exit codes: validation problems (malformed inputs,
 out-of-ball vectors, unknown config keys) exit with 2, accounting problems
 (violated amplification preconditions, unreachable calibration targets) exit
 with 3.
 
-Every public entry point checks its scalars by one rule: ``require_real``
-takes a ``numbers.Real`` and ``require_int`` a ``numbers.Integral`` (Python
-and numpy numbers alike; an integral float such as 5.0 is not an integer),
-and neither takes a bool. Each raises ValidationError naming the argument;
-range tests stay with the caller. A float or an int passes a fast type test
-before the ABC is asked, so the checks cost little on per-message paths.
+One number rule, types and ranges. ``require_real`` takes a ``numbers.Real``
+and ``require_int`` a ``numbers.Integral`` (numpy numbers too; 5.0 is not an
+integer), neither a bool; an optional interval such as ``"(0, 1]"`` or
+``"[1, inf)"`` states the admissible range, inf only at a closed end and NaN
+nowhere. Each raises ValidationError naming the argument; only bounds tying
+two arguments (1 <= k <= m) stay with the caller. Interval texts are parsed
+once, and floats and ints skip the ABC test, so checks on per-message paths
+cost little.
 """
 
 import numbers
+import re
 
 
 class ValidationError(ValueError):
@@ -44,19 +47,42 @@ class ClippingWarning(UserWarning):
     """Gradient clipping is active on a non-negligible fraction of samples."""
 
 
-def require_real(value, name: str):
-    """value itself when it is a real number (a bool is not), else ValidationError."""
-    if isinstance(value, float) or type(value) is int:
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a real number, got {value!r:.200}")
+# interval text -> (low, high, the ends it admits), filled on first use.
+_INTERVALS: dict = {}
+_INTERVAL_TEXT = re.compile(r"([\[(])([^,]+), ([^,]+)([\])])")
+
+
+def _interval(text: str) -> tuple:
+    match = _INTERVAL_TEXT.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not an interval: {text!r}")
+    opening, low, high, closing = match.groups()
+    low, high = float(low), float(high)
+    ends = tuple(end for end, closed in ((low, opening == "["), (high, closing == "]")) if closed)
+    _INTERVALS[text] = (low, high, ends)
+    return low, high, ends
+
+
+def require_real(value, name: str, interval: str | None = None):
+    """value itself when it is a real number (a bool is not) in interval, else ValidationError."""
+    if not (isinstance(value, float) or type(value) is int):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValidationError(f"{name} must be a real number, got {value!r:.200}")
+    if interval is not None:
+        low, high, ends = _INTERVALS.get(interval) or _interval(interval)
+        if not (low < value < high or value in ends):
+            raise ValidationError(f"{name} must be in {interval}, got {value!r}")
     return value
 
 
-def require_int(value, name: str) -> int:
-    """value as an int when it is an integer (a bool is not), else ValidationError."""
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r:.200}")
-    return int(value)
+def require_int(value, name: str, interval: str | None = None) -> int:
+    """value as an int when it is an integer (a bool is not) in interval, else ValidationError."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r:.200}")
+        value = int(value)
+    if interval is not None:
+        low, high, ends = _INTERVALS.get(interval) or _interval(interval)
+        if not (low < value < high or value in ends):
+            raise ValidationError(f"{name} must be in {interval}, got {value!r}")
+    return value

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError, require_int, require_real
+from ..linalg import _as_floats
 
 _MAGIC = b"CLDPDS01"
 _HEADER = struct.Struct(">III")
@@ -66,8 +67,8 @@ class Population(Sequence):
 
     def __post_init__(self) -> None:
         try:
-            feats = np.ascontiguousarray(self.features, dtype=np.float64)
-            labs = np.ascontiguousarray(self.labels, dtype=np.float64)
+            feats = np.ascontiguousarray(_as_floats(self.features))
+            labs = np.ascontiguousarray(_as_floats(self.labels))
             ids = np.ascontiguousarray(self.client_ids)
         except (TypeError, ValueError):
             raise ValidationError("client data must be real numbers") from None
@@ -150,12 +151,9 @@ def synthetic_logistic_data(
     the logistic model at the planted vector (a uniformly random direction
     scaled to theta_norm).
     """
-    if require_int(m, "m") < 1 or require_int(r, "r") < 1 or require_int(d, "d") < 1:
-        raise ValidationError(f"need m, r, d >= 1, got ({m}, {r}, {d})")
-    if require_int(seed, "seed") < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-    if not require_real(theta_norm, "theta_norm") >= 0.0:
-        raise ValidationError(f"theta_norm must be >= 0, got {theta_norm!r}")
+    m, r, d = (require_int(v, name, "[1, inf)") for v, name in ((m, "m"), (r, "r"), (d, "d")))
+    seed = require_int(seed, "seed", "[0, inf)")
+    require_real(theta_norm, "theta_norm", "[0, inf)")
     gen = np.random.default_rng(np.random.SeedSequence((seed, DATA_SALT)))
     direction = gen.standard_normal(d)
     direction /= np.linalg.norm(direction)
@@ -165,6 +163,13 @@ def synthetic_logistic_data(
     p_plus = 1.0 / (1.0 + np.exp(-feats @ theta_star))
     labels = np.where(gen.random(m * r) < p_plus, 1.0, -1.0)
     return Population(feats, labels, np.arange(m)), theta_star
+
+
+def _require_path(path):
+    """path itself when it can name a file (a str, bytes or os.PathLike), else ValidationError."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ValidationError(f"expected a file path, got {path!r:.200}")
+    return path
 
 
 def _unwritable(path, exc: OSError) -> ValidationError:
@@ -182,7 +187,7 @@ def open_output(path, binary: bool = False):
     file; the renamed file is a new one, with the default mode. Any other
     existing path, such as /dev/stdout, is written in place.
     """
-    target = os.path.realpath(path)
+    target = os.path.realpath(_require_path(path))
     atomic = os.path.isfile(target) or not os.path.exists(target)
     tmp = f"{target}.{os.getpid()}.tmp" if atomic else path
     try:
@@ -215,7 +220,7 @@ def save_dataset_binary(path, clients: Population) -> None:
 
 def _read_bytes(path) -> bytes:
     try:
-        with open(path, "rb") as fh:
+        with open(_require_path(path), "rb") as fh:
             return fh.read()
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read dataset ({exc.strerror or exc})") from exc

@@ -93,7 +93,7 @@ def get_task(tag: str) -> Task:
     """Look up a task by name; the error lists what exists."""
     try:
         return TASKS[tag]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable tag
         raise ValidationError(
             f"unknown task {tag!r}; available: {', '.join(sorted(TASKS))}"
         ) from None

@@ -133,18 +133,11 @@ class TrainConfig:
             if not isinstance(value, kind):
                 raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r:.200}")
         _validate_variant(self.variant)
-        for name in ("seed", "T"):
-            object.__setattr__(self, name, require_int(getattr(self, name), name))
-        if self.seed < 0:
-            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.T < 1:
-            raise ValidationError(f"T must be a positive integer, got {self.T!r}")
-        if not require_real(self.epsilon0, "epsilon0") > 0.0:
-            raise ValidationError(f"epsilon0 must be positive (inf allowed), got {self.epsilon0!r}")
-        if not 0.0 < require_real(self.delta, "delta") < 1.0:
-            raise ValidationError(f"delta must lie in (0, 1), got {self.delta!r}")
-        if not require_real(self.diameter, "diameter") > 0.0:
-            raise ValidationError(f"diameter must be positive, got {self.diameter!r}")
+        for name, interval in (("seed", "[0, inf)"), ("T", "[1, inf)")):
+            object.__setattr__(self, name, require_int(getattr(self, name), name, interval))
+        require_real(self.epsilon0, "epsilon0", "(0, inf]")  # inf: the baseline
+        require_real(self.delta, "delta", "(0, 1)")
+        require_real(self.diameter, "diameter", "(0, inf)")
         get_task(self.task)
         _require_mix_prob(self.mix_prob)  # the baseline (epsilon0 = inf) builds no spec
         if math.isfinite(self.epsilon0):

@@ -31,13 +31,22 @@ from .errors import ValidationError, require_int, require_real
 EXACT_TOL = 1e-12
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _as_floats(x) -> np.ndarray:
     """x as a float64 array; what numpy cannot convert (a string, ragged
-    rows) raises ValidationError."""
+    rows) and complex numbers, whose imaginary part a cast would drop, raise
+    ValidationError."""
     try:
-        return np.asarray(x, dtype=np.float64)
+        v = np.asarray(x)
+        if v.dtype is _FLOAT64:  # the common case, no cast
+            return v
+        if v.dtype.kind != "c":
+            return v.astype(np.float64)
     except (TypeError, ValueError):
-        raise ValidationError(f"expected real numbers, got {x!r:.200}") from None
+        pass
+    raise ValidationError(f"expected real numbers, got {x!r:.200}")
 
 
 def as_vector(x) -> np.ndarray:
@@ -48,13 +57,6 @@ def as_vector(x) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValidationError("vector entries must be finite (no NaN/Inf)")
     return v
-
-
-def _require_p(p, name: str = "p"):
-    """p itself when it is a real in [1, inf], else ValidationError."""
-    if not require_real(p, name) >= 1.0:
-        raise ValidationError(f"{name} must lie in [1, inf], got {p!r}")
-    return p
 
 
 def row_norms(rows: np.ndarray, p: float) -> np.ndarray:
@@ -87,7 +89,7 @@ def _in_ball(norm: float, radius: float) -> bool:
 
 def p_norm(x, p: float) -> float:
     """The lp norm of one vector for p in [1, inf]; p=inf returns max_j |x_j|."""
-    return row_norms(as_vector(x)[None], _require_p(p)).item()
+    return row_norms(as_vector(x)[None], require_real(p, "p", "[1, inf]")).item()
 
 
 @dataclass(frozen=True)
@@ -99,12 +101,9 @@ class BallSpec:
     dim: int
 
     def __post_init__(self) -> None:
-        _require_p(self.p, "ball exponent")
-        if not 0.0 < require_real(self.radius, "ball radius") < math.inf:
-            raise ValidationError(f"ball radius must be positive and finite, got {self.radius!r}")
-        object.__setattr__(self, "dim", require_int(self.dim, "ball dimension"))
-        if self.dim < 1:
-            raise ValidationError(f"ball dimension must be a positive integer, got {self.dim!r}")
+        require_real(self.p, "ball exponent", "[1, inf]")
+        require_real(self.radius, "ball radius", "(0, inf)")
+        object.__setattr__(self, "dim", require_int(self.dim, "ball dimension", "[1, inf)"))
 
     def contains(self, x) -> bool:
         return _in_ball(p_norm(x, self.p), self.radius)
@@ -115,9 +114,8 @@ def clip(g, p: float, C: float) -> np.ndarray:
     most C: g / max{1, ||g||_p / C}. Inside-ball rows (the zero row too) keep their values."""
     v = _as_floats(g)
     rows = as_vector(v.ravel()).reshape(v.shape) if v.ndim == 2 else as_vector(v)[None]
-    if not require_real(C, "clip radius") > 0.0:
-        raise ValidationError(f"clip radius must be positive, got {C!r}")
-    return _clip_rows(rows, _require_p(p), C)[0].reshape(v.shape)
+    require_real(C, "clip radius", "(0, inf]")
+    return _clip_rows(rows, require_real(p, "p", "[1, inf]"), C)[0].reshape(v.shape)
 
 
 def _clip_rows(rows: np.ndarray, p: float, C: float) -> tuple[np.ndarray, np.ndarray]:
@@ -176,8 +174,7 @@ def project_l2_ball(theta, center, radius: float) -> np.ndarray:
     c = as_vector(center)
     if v.size != c.size:
         raise ValidationError("point and center must share a dimension")
-    if not require_real(radius, "projection radius") > 0.0:
-        raise ValidationError(f"projection radius must be positive, got {radius!r}")
+    require_real(radius, "projection radius", "(0, inf]")
     diff = v - c
     nrm = float(np.linalg.norm(diff))
     if nrm <= radius:

@@ -233,8 +233,7 @@ class MechanismSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.ball, BallSpec):
             raise ValidationError(f"ball must be a BallSpec, got {self.ball!r:.200}")
-        if not 0.0 < require_real(self.epsilon0, "epsilon0") < math.inf:
-            raise ValidationError(f"epsilon0 must be a finite positive real, got {self.epsilon0!r}")
+        require_real(self.epsilon0, "epsilon0", "(0, inf)")
         _require_mix_prob(self.mix_prob)
         if self.mix_prob is not None:
             if math.isinf(self.ball.p):
@@ -250,8 +249,8 @@ class MechanismSpec:
 
 
 def _require_mix_prob(mix_prob) -> None:
-    if mix_prob is not None and not 0.0 <= require_real(mix_prob, "mix probability") <= 1.0:
-        raise ValidationError(f"mix probability must lie in [0,1], got {mix_prob!r}")
+    if mix_prob is not None:
+        require_real(mix_prob, "mix probability", "[0, 1]")
 
 
 def mechanism_family(spec: MechanismSpec) -> str:
@@ -287,9 +286,7 @@ def privacy_ratio(eps0: float) -> float:
     Above ``_LN_FLOAT_MAX`` the formula runs at that eps0, giving 1.0, the
     ratio's float64 value from eps0 of about 37 on.
     """
-    if not require_real(eps0, "epsilon0") > 0.0:
-        raise ValidationError(f"epsilon0 must be positive, got {eps0!r}")
-    eps0 = min(eps0, _LN_FLOAT_MAX)
+    eps0 = min(require_real(eps0, "epsilon0", "(0, inf]"), _LN_FLOAT_MAX)
     return (math.exp(eps0) + 1.0) / math.expm1(eps0)
 
 
@@ -299,10 +296,7 @@ def _kappa(eps0: float) -> float:
 
 def padded_dim(d: int) -> int:
     """Smallest power of two >= d (the Hadamard working dimension)."""
-    d = require_int(d, "dimension")
-    if d < 1:
-        raise ValidationError(f"dimension must be >= 1, got {d}")
-    return 1 << (d - 1).bit_length()
+    return 1 << (require_int(d, "dimension", "[1, inf)") - 1).bit_length()
 
 
 def _require_rows(x, ball: BallSpec, ndim: int) -> np.ndarray:
@@ -468,10 +462,8 @@ def hemisphere_radius(d: int, a: float, eps0: float) -> float:
     flip contributes the remaining kappa / ratio factor. The Gamma ratio is
     evaluated through log-gamma differences so large d cannot overflow.
     """
-    d = require_int(d, "dimension")
-    if d < 1:
-        raise ValidationError(f"dimension must be >= 1, got {d}")
-    require_real(a, "radius")
+    d = require_int(d, "dimension", "[1, inf)")
+    require_real(a, "radius", "(0, inf)")
     gr = math.exp(math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0))
     return a * math.sqrt(math.pi) * gr * privacy_ratio(eps0)
 
@@ -876,9 +868,7 @@ def sample_decoded(x, spec: MechanismSpec, rng, n_samples: int) -> np.ndarray:
     """
     family = mechanism_family(spec)
     v = _require_rows(x, spec.ball, 1)
-    n_samples = require_int(n_samples, "n_samples")
-    if n_samples < 1:
-        raise ValidationError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    n_samples = require_int(n_samples, "n_samples", "[1, inf)")
     fam, gen = _FAMILIES[family], _require_rng(rng)
     out = np.empty((n_samples, v.shape[1]))
     for lo in range(0, n_samples, _SAMPLE_BATCH):
@@ -936,7 +926,6 @@ def mean_estimate_trials(dataset, spec: MechanismSpec, rng, trials: int) -> np.n
     decodes: the one-stream case of ``batch_encoder``.
     """
     encode = batch_encoder(dataset, spec)
-    if require_int(trials, "trials") < 1:
-        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
+    require_int(trials, "trials", "[1, inf)")
     gen = _require_rng(rng)
     return np.vstack([encode([gen])[0] for _ in range(trials)])

@@ -208,9 +208,7 @@ class PCG64Lanes:
         lanes whose low 32 bits fall below 2**32 mod bound. Bound 1 reads no
         bits, and bound 2**32 (never redrawn) returns x itself, as numpy does.
         """
-        bound = require_int(bound, "bound")
-        if not 1 <= bound <= 1 << 32:
-            raise ValidationError(f"lanes draw bounds in [1, 2**32], got {bound!r}")
+        bound = require_int(bound, "bound", "[1, 4294967296]")  # [1, 2**32]
         if bound == 1:
             return np.zeros(len(self), dtype=np.int64)
         excl, threshold = np.uint64(bound), np.uint64((1 << 32) % bound)

@@ -44,6 +44,7 @@ import operator
 import struct
 from dataclasses import dataclass
 
+from .accountant import SamplingParams
 from .errors import ValidationError, require_int
 from . import mechanisms as mech
 
@@ -67,8 +68,7 @@ _TAG_CODES = {tag: key for key, tag in _CODES.items()}
 
 def multiset_bits(s: int, B: int) -> int:
     """Exact payload bits for a packed multiset of s atoms over alphabet B."""
-    if require_int(s, "s") < 1 or require_int(B, "B") < 1:
-        raise ValidationError(f"need s >= 1 and B >= 1, got s={s}, B={B}")
+    s, B = require_int(s, "s", "[1, inf)"), require_int(B, "B", "[1, inf)")
     return (math.comb(s + B - 1, s) - 1).bit_length()
 
 
@@ -81,9 +81,10 @@ class HistogramCode:
     B: int
 
     def __post_init__(self) -> None:
-        for name in ("rank", "s", "B"):
-            object.__setattr__(self, name, require_int(getattr(self, name), name))
-        if self.s < 1 or self.B < 1 or not 0 <= self.rank < math.comb(self.s + self.B - 1, self.s):
+        object.__setattr__(self, "rank", require_int(self.rank, "rank"))
+        for name in ("s", "B"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name, "[1, inf)"))
+        if not 0 <= self.rank < math.comb(self.s + self.B - 1, self.s):
             raise ValidationError(
                 f"rank {self.rank} out of range for {self.s} atoms over alphabet {self.B}"
             )
@@ -102,9 +103,7 @@ _WALK = 16
 def histogram_pack(atoms, B: int) -> HistogramCode:
     """Rank the multiset of atoms (order discarded) over the alphabet [0, B):
     check B and the atoms, sort them and rank them with ``_rank``."""
-    B = require_int(B, "B")
-    if B < 1:
-        raise ValidationError(f"alphabet size B must be >= 1, got {B}")
+    B = require_int(B, "B", "[1, inf)")
     try:
         atoms = tuple(atoms)  # read twice below; a tuple, as a message's atoms are, is not copied
         ordered = sorted(map(operator.index, atoms))
@@ -311,10 +310,15 @@ def client_round_bits_exact(spec: mech.MechanismSpec, s: int) -> int:
 def round_payload_bits(spec: mech.MechanismSpec | None, params, d: int, l1_arm: int = 0) -> int:
     """Exact payload bits of one round: k clients, s messages each, of which
     ``l1_arm`` ran the mix's l1 arm; ``spec`` None prices raw vectors."""
+    if not isinstance(params, SamplingParams):
+        raise ValidationError(f"params must be SamplingParams, got {params!r:.200}")
+    d, n = require_int(d, "d", "[1, inf)"), params.k * params.s
+    if not 0 <= require_int(l1_arm, "l1_arm") <= n:
+        raise ValidationError(f"need 0 <= l1_arm <= k*s = {n}, got l1_arm={l1_arm}")
     if spec is None:
-        return params.k * params.s * RAW_VALUE_BITS * d
+        return n * RAW_VALUE_BITS * d
     if mech.mechanism_family(spec) != "mix":
         return params.k * client_round_bits_exact(spec, params.s)
     dim = spec.ball.dim
-    return l1_arm * _code_bits("L1", dim) + (params.k * params.s - l1_arm) * _code_bits("L2", dim)
+    return l1_arm * _code_bits("L1", dim) + (n - l1_arm) * _code_bits("L2", dim)
 

@@ -74,6 +74,16 @@ def oracle_end_to_end(
     q = (k/m)*(s/r); for s>1 only the within-client rate q2 = s/r amplifies
     (client sampling buys nothing in that regime), while delta_bar still
     scales with q.
+
+    The s>1 delta_bar follows from a mixture over the sampling of the
+    substituted point x's client (probability q1 = k/m). Unsampled, the round
+    does not depend on x. Sampled, x is drawn among s of r points without
+    replacement, which makes the round (eps_bar, q2*delta_tilde)-DP with
+    respect to x (Balle, Barthe and Gaboardi, arXiv:1807.01647, the
+    substitution relation). Mixing, P(S) <= q1*(e^eps_bar*Q1(S) +
+    q2*delta_tilde) + (1-q1)*R(S) <= e^eps_bar*Q(S) + q1*q2*delta_tilde, so
+    delta_bar = q*delta_tilde. The mixture gives eps no q1 factor, since its
+    two branches differ by the client's whole contribution.
     """
     q1, q2 = k / m, s / r
     q = q1 * q2

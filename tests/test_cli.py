@@ -259,7 +259,7 @@ class TestMeanEstCommand:
         "argv, message",
         [(["mean-est", "--p", "2", "--a", "1e200"], "square overflows"),
          (["mean-est", "--p", "1.5", "--mix-prob", "0.5", "--a", "1e200"], "square overflows"),
-         (["bounds", "--eps0", "inf"], "epsilon0 must be positive and finite")],
+         (["bounds", "--eps0", "inf"], "epsilon0 must be in (0, inf), got inf")],
         ids=["l2_radius", "mix_l2_arm_radius", "bounds_eps0_inf"],
     )
     def test_spec_out_of_range_exits_2_and_leaves_no_artifact(self, argv, message, tmp_path, capsys):

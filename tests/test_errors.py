@@ -1,10 +1,11 @@
-"""The package's one number rule: reals and integers are checked by ``errors``.
+"""The package's one number rule, types and ranges, is checked by ``errors``.
 
 A real is a ``numbers.Real`` that is not a bool; an integer is a
 ``numbers.Integral`` that is not a bool (an integral float such as 5.0 is
-refused). Every case below hands one public entry point one malformed scalar
-or object field, and each must raise ValidationError: not a TypeError,
-AttributeError or plain ValueError, and not a silent reading of the value.
+refused); a range is an interval written as text, such as "(0, 1]". Every
+case below hands one public entry point one malformed scalar, array or object
+field, and each must raise ValidationError: not a TypeError, AttributeError
+or plain ValueError, and not a silent reading of the value.
 """
 
 import ast
@@ -24,6 +25,12 @@ from cldp.linalg import BallSpec
 SRC = Path(cldp.__file__).resolve().parent
 BALL = BallSpec(p=2.0, radius=1.0, dim=4)
 SPEC = mechanisms.MechanismSpec(ball=BALL, epsilon0=1.0)
+L1_SPEC = mechanisms.MechanismSpec(ball=BallSpec(p=1.0, radius=1.0, dim=4), epsilon0=1.0)
+MIX_SPEC = mechanisms.MechanismSpec(
+    ball=BallSpec(p=1.5, radius=1.0, dim=4), epsilon0=1.0, mix_prob=0.5
+)
+PARAMS = SamplingParams(m=4, k=2, r=3, s=1)
+POP = fedsim.Population(np.zeros((4, 2)), np.ones(4), np.arange(2))
 ROWS = np.zeros((2, 4))
 MSG = mechanisms.encode_message(ROWS[0], SPEC, 0)
 FRAME = wire.frame_message(MSG, SPEC)
@@ -31,7 +38,7 @@ FRAME = wire.frame_message(MSG, SPEC)
 
 def train_config(**override):
     kwargs = dict(
-        params=SamplingParams(m=4, k=2, r=3, s=1), T=2, epsilon0=1.0, delta=1e-6,
+        params=PARAMS, T=2, epsilon0=1.0, delta=1e-6,
         ball=BALL, diameter=2.0,
     )
     return fedsim.TrainConfig(**{**kwargs, **override})
@@ -139,9 +146,7 @@ MALFORMED = {
     "frame_spec_none": lambda: wire.frame_message(MSG, None),
     "unframe_spec_none": lambda: wire.unframe_message(FRAME, None),
     "payload_bits_spec_none": lambda: wire.message_payload_bits(MSG, None),
-    "round_bits_spec_str": lambda: wire.round_payload_bits(
-        "l2", SamplingParams(m=4, k=2, r=3, s=1), 4
-    ),
+    "round_bits_spec_str": lambda: wire.round_payload_bits("l2", PARAMS, 4),
     # Seeds of the samplers, checked as every other seed is.
     "sample_clients_seed_str": lambda: fedsim.sample_clients(10, 3, "abc"),
     "sample_clients_seed_fractional": lambda: fedsim.sample_clients(10, 3, 1.5),
@@ -160,6 +165,30 @@ MALFORMED = {
     "histogram_unpack_tuple": lambda: wire.histogram_unpack((1, 2, 3)),
     "comm_adversary_ragged": lambda: bounds.comm_adversary([[1.0, 0.0], [1.0]], 2.0, 1.0),
     "comm_adversary_str": lambda: bounds.comm_adversary("ab", 2.0, 1.0),
+    # Ranges that let a non-finite or negative value through to a NaN, or to
+    # a failure after work had started.
+    "train_diameter_inf": lambda: train_config(diameter=math.inf),
+    "synthetic_theta_norm_inf": lambda: fedsim.synthetic_logistic_data(2, 2, 2, 0, math.inf),
+    "hemisphere_radius_negative": lambda: mechanisms.hemisphere_radius(4, -1.0, 1.0),
+    "hemisphere_radius_nan": lambda: mechanisms.hemisphere_radius(4, math.nan, 1.0),
+    "comm_adversary_a_inf": lambda: bounds.comm_adversary([[1.0, 0.0]], 2.0, math.inf),
+    "convergence_bound_T_inf": lambda: convergence_bound(T=math.inf),
+    # Complex arrays, whose imaginary part a float cast would drop.
+    "encode_complex": lambda: mechanisms.encode_message(np.array([5j, 0, 0, 0]), L1_SPEC, 0),
+    "trials_complex": lambda: mechanisms.mean_estimate_trials(ROWS + 3j, SPEC, 0, 1),
+    "clip_complex": lambda: linalg.clip(np.array([3 + 4j, 0]), 2.0, 1.0),
+    "client_features_complex": lambda: fedsim.Population(np.zeros((1, 2)) + 1j, [1.0], [0]),
+    # Objects that leaked TypeError or AttributeError, or were read as something else.
+    "train_task_list": lambda: train_config(task=["x"]),
+    "save_binary_path_none": lambda: fedsim.save_dataset_binary(None, POP),
+    "save_csv_path_none": lambda: fedsim.save_dataset_csv(None, POP),
+    "load_binary_path_none": lambda: fedsim.load_dataset_binary(None),
+    "load_csv_path_none": lambda: fedsim.load_dataset_csv(None),
+    "round_bits_params_none": lambda: wire.round_payload_bits(SPEC, None, 4),
+    "round_bits_d_str": lambda: wire.round_payload_bits(None, PARAMS, "4"),
+    "round_bits_l1_arm_str": lambda: wire.round_payload_bits(MIX_SPEC, PARAMS, 4, l1_arm="x"),
+    "round_bits_l1_arm_negative": lambda: wire.round_payload_bits(MIX_SPEC, PARAMS, 4, l1_arm=-3),
+    "round_bits_l1_arm_above_ks": lambda: wire.round_payload_bits(MIX_SPEC, PARAMS, 4, l1_arm=3),
 }
 
 
@@ -190,6 +219,148 @@ def test_non_reals_are_refused_by_name(value):
 def test_non_integers_are_refused_by_name(value):
     with pytest.raises(ValidationError, match="^count must be an integer"):
         require_int(value, "count")
+
+
+INSIDE = [
+    ("(0, 1)", 0.5), ("[0, 1)", 0.0), ("(0, 1]", 1.0), ("[0, 1]", 1), ("[0, 1]", np.float32(0.0)),
+    ("(0, inf]", math.inf), ("[1, inf]", 1.0), ("(0, inf)", 1e308), ("[-1, 1]", -1.0),
+    ("[-inf, 0)", -math.inf), ("(-inf, inf)", -1e308),
+]
+OUTSIDE = [
+    ("(0, 1)", 0.0), ("(0, 1)", 1.0), ("[0, 1)", 1.0), ("(0, 1]", 0.0), ("[0, 1]", -1e-300),
+    ("(0, inf)", math.inf), ("[1, inf)", math.inf), ("(0, inf]", -math.inf), ("(0, inf]", 0),
+    ("(-inf, inf)", math.inf), ("(-inf, inf)", -math.inf), ("[1, 2]", np.float64(2.5)),
+]
+
+
+@pytest.mark.parametrize("interval, value", INSIDE, ids=[f"{i}{v}" for i, v in INSIDE])
+def test_reals_inside_the_interval_pass_unchanged(interval, value):
+    assert require_real(value, "x", interval) is value
+
+
+@pytest.mark.parametrize("interval, value", OUTSIDE, ids=[f"{i}{v}" for i, v in OUTSIDE])
+def test_reals_outside_the_interval_are_refused(interval, value):
+    with pytest.raises(ValidationError, match="^x must be in "):
+        require_real(value, "x", interval)
+
+
+@pytest.mark.parametrize("interval", ["(0, 1)", "[0, 1]", "(0, inf]", "[-inf, inf]"])
+@pytest.mark.parametrize("nan", [math.nan, np.float64("nan"), np.float32("nan")])
+def test_nan_lies_in_no_interval(interval, nan):
+    with pytest.raises(ValidationError, match="^x must be in "):
+        require_real(nan, "x", interval)
+
+
+def test_integer_ranges():
+    assert require_int(np.int64(1), "n", "[1, inf)") == 1
+    assert type(require_int(np.uint8(3), "n", "[1, 3]")) is int
+    assert require_int(2**70, "n", "[0, inf)") == 2**70
+    with pytest.raises(ValidationError, match=r"^n must be in \[1, inf\), got 0$"):
+        require_int(np.int64(0), "n", "[1, inf)")
+    with pytest.raises(ValidationError, match=r"^n must be in \[1, 4294967296\], got 4294967297$"):
+        require_int(2**32 + 1, "n", "[1, 4294967296]")
+
+
+def test_range_message_names_the_argument_the_interval_and_the_value():
+    with pytest.raises(ValidationError) as info:
+        require_real(2.0, "sampling rate q", "(0, 1]")
+    assert str(info.value) == "sampling rate q must be in (0, 1], got 2.0"
+
+
+def test_the_type_is_checked_before_the_range():
+    with pytest.raises(ValidationError, match="^q must be a real number"):
+        require_real("2", "q", "(0, 1]")
+    with pytest.raises(ValidationError, match="^n must be an integer"):
+        require_int(0.0, "n", "[1, inf)")
+
+
+def test_a_malformed_interval_is_a_programming_error():
+    with pytest.raises(ValueError, match="not an interval") as info:
+        require_real(1.0, "x", "0 < x < 1")
+    assert not isinstance(info.value, ValidationError)
+
+
+def _is_constant(node) -> bool:
+    """A number literal, math.inf, or arithmetic on them (such as 1 << 32)."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (int, float))
+    if isinstance(node, ast.UnaryOp):
+        return _is_constant(node.operand)
+    if isinstance(node, ast.BinOp):
+        return _is_constant(node.left) and _is_constant(node.right)
+    return isinstance(node, ast.Attribute) and ast.unparse(node) == "math.inf"
+
+
+def _is_number_check(node) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+        "require_real", "require_int"
+    )
+
+
+def _constant_range_checks(tree) -> list[int]:
+    """Lines of each ``if`` that raises ValidationError on a comparison of a
+    number check's result, called there or bound to a name earlier in the
+    function, with constants only: a range the interval argument should state."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        checked = {
+            target.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign) and _is_number_check(node.value)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(func):
+            raises = isinstance(node, ast.If) and any(
+                isinstance(r, ast.Raise) and "ValidationError" in ast.unparse(r.exc or r)
+                for stmt in node.body
+                for r in ast.walk(stmt)
+            )
+            if not raises:
+                continue
+            for cmp in ast.walk(node.test):
+                if not isinstance(cmp, ast.Compare):
+                    continue
+                operands = [cmp.left, *cmp.comparators]
+                subjects = [
+                    o for o in operands
+                    if _is_number_check(o) or (isinstance(o, ast.Name) and o.id in checked)
+                ]
+                if len(subjects) == 1 and all(o in subjects or _is_constant(o) for o in operands):
+                    found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_no_range_is_written_by_hand():
+    # A fixed range goes in the interval argument of require_real or
+    # require_int; only a bound that depends on another argument (1 <= k <= m)
+    # is compared by hand.
+    hand_written = {}
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "errors.py":
+            continue
+        lines = _constant_range_checks(ast.parse(path.read_text()))
+        if lines:
+            hand_written[path.relative_to(SRC).as_posix()] = lines
+    assert hand_written == {}
+
+
+def test_the_range_guard_sees_both_forms():
+    # The guard must find a hand-written range both as a direct comparison
+    # and through a name, and leave a bound on another argument alone.
+    source = (
+        "def f(x, n, k):\n"
+        "    if not require_real(x, 'x') > 0.0:\n"
+        "        raise ValidationError('x')\n"
+        "    n = require_int(n, 'n')\n"
+        "    if n < 1 << 32:\n"
+        "        raise ValidationError('n')\n"
+        "    if not 1 <= require_int(k, 'k') <= n:\n"
+        "        raise ValidationError('k')\n"
+    )
+    assert _constant_range_checks(ast.parse(source)) == [2, 5]
 
 
 def test_only_errors_imports_numbers():
