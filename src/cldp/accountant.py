@@ -53,6 +53,7 @@ from .errors import (
     require_int,
     require_real,
 )
+from .mechanisms import _LN_FLOAT_MAX
 
 
 @dataclass(frozen=True)
@@ -211,12 +212,18 @@ def _delta_split(delta: float, T: int, params: SamplingParams) -> tuple[int, flo
 
 
 def amplify_by_subsampling(eps: float, delta: float, q: float) -> tuple[float, float]:
-    """(ln(1 + q*(e^eps - 1)), q*delta); the identity at q=1."""
+    """(ln(1 + q*(e^eps - 1)), q*delta); the identity at q=1.
+
+    Above ``_LN_FLOAT_MAX``, where e^eps overflows, the same value is
+    eps + ln(q + (1 - q) e^-eps).
+    """
     require_real(eps, "eps", "[0, inf]")
     require_real(delta, "delta", "[0, 1)")
     require_real(q, "sampling rate q", "(0, 1]")
     if q == 1.0:
         return eps, delta  # exact identity, not log1p(expm1(eps))
+    if eps > _LN_FLOAT_MAX:
+        return eps + math.log(q + (1.0 - q) * math.exp(-eps)), q * delta
     return math.log1p(q * math.expm1(eps)), q * delta
 
 
@@ -273,11 +280,17 @@ def _sampling_stage(eps_tilde: float, delta_tilde: float, params: SamplingParams
 def strong_composition(
     eps_bar: float, delta_bar: float, T: int, delta_prime: float
 ) -> tuple[float, float]:
-    """T-fold strong composition: the exact stated pair, no asymptotics."""
+    """T-fold strong composition: the exact stated pair, no asymptotics.
+
+    Above ``_LN_FLOAT_MAX``, where e^eps_bar overflows, eps is inf, the
+    float64 value of a bound that large.
+    """
     require_real(eps_bar, "eps_bar", "[0, inf]")
     require_real(delta_bar, "delta_bar", "[0, 1)")
     T = require_int(T, "T", "[1, inf)")
     require_real(delta_prime, "delta'", "(0, 1)")
+    if eps_bar > _LN_FLOAT_MAX:
+        return math.inf, T * delta_bar + delta_prime
     eps = math.sqrt(2.0 * T * math.log(1.0 / delta_prime)) * eps_bar
     eps += T * eps_bar * math.expm1(eps_bar)
     return eps, T * delta_bar + delta_prime

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, require_int, require_real
+from .errors import FLOAT_COUNT, ValidationError, require_int, require_real
 from .linalg import p_norm
 from .mechanisms import _require_mix_prob, privacy_ratio
 
@@ -59,8 +59,8 @@ class RiskQuery:
 
     def __post_init__(self) -> None:
         require_real(self.p, "p", "[1, inf]")
-        require_int(self.d, "d", "[1, inf)")
-        require_int(self.n, "n", "[1, inf)")
+        require_int(self.d, "d", FLOAT_COUNT)
+        require_int(self.n, "n", FLOAT_COUNT)
         require_real(self.a, "radius", "(0, inf)")
         if not math.isfinite(self.a * self.a):
             raise ValidationError(
@@ -184,8 +184,8 @@ def g_squared(L: float, d: int, p: float, q: float, n: int, epsilon0: float) -> 
     """
     require_real(L, "L", "(0, inf]")
     require_real(q, "q", "(0, 1]")
-    require_int(d, "d", "[1, inf)")
-    require_int(n, "n", "[1, inf)")
+    require_int(d, "d", FLOAT_COUNT)
+    require_int(n, "n", FLOAT_COUNT)
     require_real(p, "p", "[1, inf]")
     require_real(epsilon0, "epsilon0", "(0, inf]")
     c = 4.0 if (p == 1.0 or math.isinf(p)) else 14.0
@@ -198,7 +198,7 @@ def convergence_bound(
 ) -> float:
     """Optimality gap after T rounds of step size D/(G sqrt(t)): 2DG(2+ln T)/sqrt(T)."""
     require_real(D, "diameter", "(0, inf]")
-    require_real(T, "T", "[1, inf)")
+    require_real(T, "T", FLOAT_COUNT)
     big_g = math.sqrt(g_squared(L, d, p, q, n, epsilon0))
     return 2.0 * D * big_g * (2.0 + math.log(T)) / math.sqrt(T)
 

@@ -17,6 +17,7 @@ cost little.
 
 import numbers
 import re
+import sys
 
 
 class ValidationError(ValueError):
@@ -46,6 +47,11 @@ class AmplificationWarning(UserWarning):
 class ClippingWarning(UserWarning):
     """Gradient clipping is active on a non-negligible fraction of samples."""
 
+
+# The counts that convert to a float: an integer a float formula reads (a
+# dimension, a batch size) takes this range, since "[1, inf)" admits ints
+# such as 10**400 that float() refuses with OverflowError.
+FLOAT_COUNT = f"[1, {sys.float_info.max!r}]"
 
 # interval text -> (low, high, the ends it admits), filled on first use.
 _INTERVALS: dict = {}

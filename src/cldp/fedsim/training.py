@@ -14,9 +14,12 @@ Each round t (1-based):
 
 ``train`` reads its data as one ``data.Population``, whose (m, r, d) it
 checks on entry, in O(1). Nothing is copied: a round gathers its k*s points
-from the population's (m*r, d) matrix, the full-dataset losses read that
+from the population's (m*r, d) matrix, each round's exit loss reads that
 matrix in place, and a trace reads its client ids from the population's id
-array.
+array. A call evaluates the full-dataset loss T times, once per round exit:
+round 1's entry loss, at theta = 0, is the task's ``origin_loss`` of the
+labels, which equals ``batch_loss`` there bit for bit (see ``tasks``), and
+each later round enters with the previous round's exit loss.
 
 A round runs on arrays: one ``point_grads`` call for all k*s points, one
 clip (``linalg._clip_rows``, whose row norms also give the round's clipped
@@ -155,11 +158,14 @@ class RoundTrace:
     """What one round did: who was sampled, what it cost, what it achieved.
 
     ``loss_before``/``loss_after`` are full-dataset mean losses at the round's
-    entry and exit iterates; ``exact_bits`` is the wire-accounted total over
-    all sampled clients this round; ``epsilon_so_far`` is the central epsilon
-    of a run ending at this round (NaN when not accounted, or when that run
-    fails a precondition, which the budget's provenance names); ``clipped``
-    counts the round's gradients that the clip shrank.
+    entry and exit iterates: round 1 enters at theta = 0, whose loss the
+    task's ``origin_loss`` gives exactly from the labels, and a later round
+    enters with the previous round's ``loss_after``. ``exact_bits`` is the
+    wire-accounted total over all sampled clients this round;
+    ``epsilon_so_far`` is the central epsilon of a run ending at this round
+    (NaN when not accounted, or when that run fails a precondition, which the
+    budget's provenance names); ``clipped`` counts the round's gradients that
+    the clip shrank.
     """
 
     t: int
@@ -293,7 +299,7 @@ def train(cfg: TrainConfig, data: Population) -> TrainResult:
     lanes = _on_lanes(spec, p.s)
 
     theta = np.zeros(d)
-    loss_now = task.batch_loss(theta, X_all, Y_all)
+    loss_now = task.origin_loss(Y_all)  # batch_loss at theta = 0, exactly
     traces: list[RoundTrace] = []
 
     for t in range(1, cfg.T + 1):

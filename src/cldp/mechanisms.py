@@ -93,7 +93,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import OutOfBallError, ValidationError, require_int, require_real
+from .errors import FLOAT_COUNT, OutOfBallError, ValidationError, require_int, require_real
 from .linalg import (
     BallSpec,
     EXACT_TOL,
@@ -462,7 +462,7 @@ def hemisphere_radius(d: int, a: float, eps0: float) -> float:
     flip contributes the remaining kappa / ratio factor. The Gamma ratio is
     evaluated through log-gamma differences so large d cannot overflow.
     """
-    d = require_int(d, "dimension", "[1, inf)")
+    d = require_int(d, "dimension", FLOAT_COUNT)
     require_real(a, "radius", "(0, inf)")
     gr = math.exp(math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0))
     return a * math.sqrt(math.pi) * gr * privacy_ratio(eps0)

@@ -7,6 +7,7 @@ package. Pinned constants were evaluated independently before freezing.
 
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -139,6 +140,19 @@ class TestSubsampling:
                 want = oracle_subsample(eps, 1e-7, q)
                 assert got[0] == pytest.approx(want[0], rel=1e-14, abs=1e-300)
                 assert got[1] == pytest.approx(want[1], rel=1e-14)
+
+    def test_eps_whose_exponential_overflows(self):
+        # e^eps overflows float64 above ln(float max), about 709.78; the rate
+        # then enters through eps + ln(q + (1 - q) e^-eps).
+        assert amplify_by_subsampling(1000.0, 0.0, 0.5) == (1000.0 + math.log(0.5), 0.0)
+        assert amplify_by_subsampling(1e308, 0.0, 1e-300) == (1e308, 0.0)
+        assert amplify_by_subsampling(math.inf, 1e-6, 0.5) == (math.inf, 5e-7)
+        # Both forms meet at the switch, ln(float max).
+        top = math.log(sys.float_info.max)
+        below = amplify_by_subsampling(top, 0.0, 0.25)[0]
+        above = amplify_by_subsampling(math.nextafter(top, math.inf), 0.0, 0.25)[0]
+        assert below == pytest.approx(top + math.log(0.25), rel=1e-15)
+        assert above == pytest.approx(below, rel=1e-15)
 
     @pytest.mark.parametrize("q", [0.0, -0.1, 1.5])
     def test_rejects_bad_rate(self, q):
@@ -325,6 +339,14 @@ class TestStrongComposition:
         assert eps == pytest.approx(6.26155, abs=5e-5)
         want = math.sqrt(2e4 * math.log(1e6)) * 0.01 + 1e4 * 0.01 * math.expm1(0.01)
         assert eps == pytest.approx(want, rel=1e-14)
+
+    def test_eps_bar_whose_exponential_overflows(self):
+        # T eps_bar (e^eps_bar - 1) has no finite float64 value there.
+        assert strong_composition(1000.0, 0.0, 10, 1e-6) == (math.inf, 1e-6)
+        assert strong_composition(math.inf, 1e-9, 2, 1e-6) == (math.inf, 2e-9 + 1e-6)
+        # Just below the switch the formula itself already reads inf.
+        top = math.log(sys.float_info.max)
+        assert strong_composition(top, 0.0, 1, 1e-6)[0] == math.inf
 
     def test_single_round_form(self):
         eps, delta = strong_composition(0.2, 1e-8, 1, 1e-6)

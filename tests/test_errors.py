@@ -173,6 +173,14 @@ MALFORMED = {
     "hemisphere_radius_nan": lambda: mechanisms.hemisphere_radius(4, math.nan, 1.0),
     "comm_adversary_a_inf": lambda: bounds.comm_adversary([[1.0, 0.0]], 2.0, math.inf),
     "convergence_bound_T_inf": lambda: convergence_bound(T=math.inf),
+    # Integers that pass "[1, inf)" but that float() refuses with OverflowError.
+    "risk_upper_d_huge": lambda: bounds.risk_upper(risk_query(d=10**400, n=1)),
+    "risk_lower_d_huge": lambda: bounds.risk_lower(risk_query(p=4.0, d=10**400, n=1)),
+    "risk_upper_n_huge": lambda: bounds.risk_upper(risk_query(n=10**400)),
+    "hemisphere_radius_d_huge": lambda: mechanisms.hemisphere_radius(10**400, 1.0, 1.0),
+    "g_squared_d_huge": lambda: bounds.g_squared(1.0, 10**400, 4.0, 1.0, 10, 1.0),
+    "g_squared_n_huge": lambda: g_squared(n=10**400),
+    "convergence_bound_T_huge": lambda: convergence_bound(T=10**400),
     # Complex arrays, whose imaginary part a float cast would drop.
     "encode_complex": lambda: mechanisms.encode_message(np.array([5j, 0, 0, 0]), L1_SPEC, 0),
     "trials_complex": lambda: mechanisms.mean_estimate_trials(ROWS + 3j, SPEC, 0, 1),

@@ -1,5 +1,6 @@
 """Federated training loop: sampling, tasks, rounds, aggregation, dataset IO."""
 
+import dataclasses
 import math
 import os
 import struct
@@ -280,6 +281,75 @@ class TestTasks:
         X = np.ones((4, 3))
         assert task.batch_loss(np.ones(3), X, np.ones(4)) == 0.0
         assert np.array_equal(task.point_grads(np.ones(3), X, np.ones(4)), np.zeros((4, 3)))
+
+
+def origin_cases():
+    """(X, Y) pairs of finite data: random populations, all-negative rows
+    (each product x_j * 0 is -0), one point, magnitudes near 1e+-300, labels
+    of 0, -0 and outside {-1, +1}; labels of both signs make the logistic
+    argument -y x.0 both +0 and -0."""
+    gen = np.random.default_rng(27)
+    cases = []
+    for n, d in ((1, 1), (1, 5), (3, 2), (20, 4), (1000, 32), (20_000, 3)):
+        X = gen.normal(size=(n, d))
+        cases.append((X, gen.choice([-1.0, 1.0], size=n)))
+        cases.append((-np.abs(X), gen.choice([-1.0, 1.0], size=n)))
+        cases.append((X, gen.normal(scale=3.0, size=n)))
+        cases.append((X * 1e300, gen.choice([-1.0, 1.0], size=n) * 1e300))
+        cases.append((-np.abs(X) * 1e-300, gen.normal(size=n) * 1e-300))
+        cases.append((X, np.zeros(n)))
+        cases.append((-np.abs(X), -np.zeros(n)))
+        cases.append((X, gen.choice([0.0, -0.0, 2.5, -7.0, 1e300, -1e-300], size=n)))
+    cases.append((np.full((4, 2), -1e308), np.full(4, 1e308)))
+    cases.append((np.array([[0.0, -0.0]]), np.array([-0.0])))
+    return cases
+
+
+class TestOriginLoss:
+    @pytest.mark.parametrize("name", sorted(TASKS))
+    def test_origin_loss_is_batch_loss_at_the_origin(self, name):
+        task = TASKS[name]
+        for X, Y in origin_cases():
+            pop = Population(X, Y, np.arange(X.shape[0]))
+            for features, labels in ((X, Y), (pop.features, pop.labels)):
+                with np.errstate(over="ignore"):  # the 1e308 case's mean is inf on both paths
+                    got = task.origin_loss(labels)
+                    want = task.batch_loss(np.zeros(features.shape[1]), features, labels)
+                assert type(got) is type(want)
+                assert got == want
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.filterwarnings("ignore::cldp.errors.ClippingWarning")
+    def test_a_run_evaluates_the_full_dataset_loss_once_per_round(self, monkeypatch):
+        points = []
+        for name, task in list(TASKS.items()):
+            def counted(theta, X, Y, batch_loss=task.batch_loss):
+                points.append(X.shape[0])
+                return batch_loss(theta, X, Y)
+
+            monkeypatch.setitem(TASKS, name, dataclasses.replace(task, batch_loss=counted))
+        clients, _ = synthetic_logistic_data(m=6, r=4, d=2, seed=1)
+        for name in TASKS:
+            for T in (1, 4):
+                points.clear()
+                train(small_config(task=name, T=T), clients)
+                assert points == [6 * 4] * T
+
+    @pytest.mark.filterwarnings("ignore::cldp.errors.ClippingWarning")
+    @pytest.mark.parametrize("name", sorted(TASKS))
+    @pytest.mark.parametrize("epsilon0", [1.5, math.inf])
+    def test_traces_are_those_of_the_loss_at_the_origin(self, monkeypatch, name, epsilon0):
+        clients, _ = synthetic_logistic_data(m=6, r=4, d=2, seed=3)
+        cfg = small_config(task=name, epsilon0=epsilon0)
+        result = train(cfg, clients)
+        task = TASKS[name]
+        at_origin = dataclasses.replace(
+            task, origin_loss=lambda Y: task.batch_loss(np.zeros(2), clients.features, Y)
+        )
+        monkeypatch.setitem(TASKS, name, at_origin)
+        again = train(cfg, clients)
+        assert repr(result.traces) == repr(again.traces)
+        assert result.theta.tobytes() == again.theta.tobytes()
 
 
 def one_round(cfg, clients):
