@@ -1,10 +1,10 @@
 """Print end-to-end privacy budgets across a small (eps0, T) grid.
 
 For each cell the four provenance lines show how the local guarantee turns
-into the central one (shuffle, sample, compose). The calibration table then
-gives, per shuffling bound (explicit and clones) and T, the largest eps0 the
-bound takes and the largest eps0 whose end-to-end epsilon stays under the
-target.
+into the central one (shuffle, sample, compose), under the default shuffling
+bound. The calibration table then gives, per registered shuffling bound and
+T, the largest eps0 the bound takes and the largest eps0 whose end-to-end
+epsilon stays under the target.
 
     python3 scripts/accountant_report.py --m 10000 --k 1000 --target-eps 2.0
 """
@@ -12,8 +12,8 @@ target.
 import argparse
 
 from cldp.accountant import (
-    ClonesShuffling,
-    ExplicitShuffling,
+    DEFAULT_VARIANT,
+    VARIANTS,
     SamplingParams,
     calibrate_epsilon0,
     end_to_end,
@@ -24,14 +24,14 @@ from cldp.errors import InfeasibleError
 
 def run(m: int, k: int, r: int, delta: float, target_eps: float) -> None:
     params = SamplingParams(m=m, k=k, r=r, s=1)
-    variant = ExplicitShuffling()
+    variant = VARIANTS[DEFAULT_VARIANT]
     print(f"m={m} k={k} r={r} delta={delta:g} ({variant.name})\n")
     for eps0 in (0.1, 0.2, 0.4):
         for T in (10, 100, 1000):
             budget = end_to_end(eps0, delta, T, params, variant)
             print(f"eps0={eps0:<4g} T={T:<5d} -> epsilon={budget.epsilon:.4g}")
         print()
-    for bound in (variant, ClonesShuffling()):
+    for bound in VARIANTS.values():
         print(f"{bound.name}:")
         for T in (10, 100, 1000):
             try:

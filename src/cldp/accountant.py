@@ -21,30 +21,33 @@ delta/2, so the output delta reconstructs the target exactly, and records a
 human-readable provenance line per stage. ``calibrate_epsilon0`` inverts the
 map by bisection.
 
-Two shuffling bounds are available, both with stated constants, over a batch
-of n = k*s messages at delta_tilde:
-
-* ``ExplicitShuffling`` (the default): 12*eps0*sqrt(ln(1/delta)/n), for
-  eps0 < 1/2, delta < 1/100 and n >= 1000;
-* ``ClonesShuffling``, Theorem 3.1 of Feldman, McMillan and Talwar, "Hiding
-  among the clones" (arXiv:2012.12803), for eps0 <= ln(n/(16*ln(2/delta))).
-
-Each is one class holding its formula (``epsilon_tilde``) and its eps0 range
-(``eps0_range``), which ``amplify_by_shuffling`` reads to raise
-PreconditionError and ``max_feasible_epsilon0`` to raise InfeasibleError.
-Malformed arguments (a string, a bool, a float count) raise ValidationError.
-A delta split delta/(2qT) outside (0, 1) fails a precondition, so raises
-PreconditionError (InfeasibleError from ``max_feasible_epsilon0``).
+The shuffling bounds have stated constants and act on a batch of n = k*s
+messages at delta_tilde: ``ExplicitShuffling`` ("explicit", the default) and
+``ClonesShuffling`` ("clones", Theorem 3.1 of Feldman, McMillan and Talwar,
+"Hiding among the clones", arXiv:2012.12803). Each is one class holding its
+formula (``epsilon_tilde``) and its eps0 range (``eps0_range``), which
+``amplify_by_shuffling`` reads to raise PreconditionError and
+``max_feasible_epsilon0`` to raise InfeasibleError.
+``VARIANTS`` registers them by ``--variant`` name, with ``DEFAULT_VARIANT``
+the default: a new bound is one class and one entry. Malformed arguments (a
+string, a bool, a float count, a count float() cannot hold) raise
+ValidationError. A delta split delta/(2qT) outside (0, 1) fails a
+precondition, so raises PreconditionError (InfeasibleError from
+``max_feasible_epsilon0``). Every budget a run reports is built here, by
+``budget_and_schedule`` or ``PrivacyBudget.without_guarantee``; this module
+imports nothing from the package but ``errors``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import NamedTuple, Union, get_args
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Union
 
 from .errors import (
+    _LN_FLOAT_MAX,
+    FLOAT_COUNT,
     AccountingError,
     AmplificationWarning,
     InfeasibleError,
@@ -53,7 +56,6 @@ from .errors import (
     require_int,
     require_real,
 )
-from .mechanisms import _LN_FLOAT_MAX
 
 
 @dataclass(frozen=True)
@@ -166,12 +168,24 @@ class ClonesShuffling:
         return math.log1p(math.expm1(eps0) / (e0 + 1.0) * spread)
 
 
-ShufflingVariant = Union[ExplicitShuffling, ClonesShuffling]
+# The shuffling bounds, by the name ``--variant`` takes; the one list of them.
+VARIANTS = {"explicit": ExplicitShuffling(), "clones": ClonesShuffling()}
+DEFAULT_VARIANT = "explicit"
+
+ShufflingVariant = Union[tuple(type(bound) for bound in VARIANTS.values())]
+
+
+def get_variant(name: str) -> ShufflingVariant:
+    """Look up a shuffling bound by name; the error lists what is registered."""
+    if isinstance(name, str) and name in VARIANTS:
+        return VARIANTS[name]
+    registered = ", ".join(sorted(VARIANTS))
+    raise ValidationError(f"unknown shuffling variant {name!r:.200}; registered: {registered}")
 
 
 def _validate_variant(variant) -> None:
-    if not isinstance(variant, get_args(ShufflingVariant)):
-        raise ValidationError(f"unknown shuffling variant {variant!r}")
+    if not isinstance(variant, tuple(type(bound) for bound in VARIANTS.values())):
+        raise ValidationError(f"unknown shuffling variant {variant!r:.200}")
 
 
 @dataclass(frozen=True)
@@ -194,12 +208,18 @@ class PrivacyBudget:
     provenance: tuple[str, ...]
     guarantee: bool = True
 
+    @classmethod
+    def without_guarantee(cls, epsilon0: float, T: int, reason: str) -> PrivacyBudget:
+        """The budget of a run that claims no central pair, with the reason why."""
+        provenance = (reason, "no central (epsilon, delta) guarantee is claimed")
+        return cls(epsilon0, *[math.nan] * 6, T, provenance, guarantee=False)
+
 
 def _delta_split(delta: float, T: int, params: SamplingParams) -> tuple[int, float]:
     """(T, delta_tilde = delta/(2qT)) once delta, T and params are checked;
     PreconditionError when delta_tilde is not a delta."""
     require_real(delta, "delta", "(0, 1)")
-    T = require_int(T, "T", "[1, inf)")
+    T = require_int(T, "T", FLOAT_COUNT)
     if not isinstance(params, SamplingParams):
         raise ValidationError(f"params must be SamplingParams, got {params!r}")
     delta_tilde = delta / (2.0 * params.q * T)
@@ -238,7 +258,7 @@ def amplify_by_shuffling(
     _validate_variant(variant)
     require_real(eps0, "epsilon0", "(0, inf]")
     require_real(delta, "delta", "(0, 1)")
-    m_eff = require_int(m_eff, "shuffler batch size", "[1, inf)")
+    m_eff = require_int(m_eff, "shuffler batch size", FLOAT_COUNT)
     valid = variant.eps0_range(delta, m_eff)
     if not (eps0 <= valid.cap if valid.closed else eps0 < valid.cap):
         raise PreconditionError(f"{valid.condition}; got epsilon0 = {eps0:.6g}")
@@ -287,7 +307,7 @@ def strong_composition(
     """
     require_real(eps_bar, "eps_bar", "[0, inf]")
     require_real(delta_bar, "delta_bar", "[0, 1)")
-    T = require_int(T, "T", "[1, inf)")
+    T = require_int(T, "T", FLOAT_COUNT)
     require_real(delta_prime, "delta'", "(0, 1)")
     if eps_bar > _LN_FLOAT_MAX:
         return math.inf, T * delta_bar + delta_prime
@@ -301,7 +321,7 @@ def end_to_end(
     delta: float,
     T: int,
     params: SamplingParams,
-    variant: ShufflingVariant = ExplicitShuffling(),
+    variant: ShufflingVariant = VARIANTS[DEFAULT_VARIANT],
 ) -> PrivacyBudget:
     """Full chain with the delta split delta_tilde = delta/(2qT), delta' = delta/2.
 
@@ -343,6 +363,36 @@ def end_to_end(
     )
 
 
+def budget_and_schedule(
+    eps0: float, delta: float, T: int, params: SamplingParams, variant: ShufflingVariant
+) -> tuple[PrivacyBudget, list[float]]:
+    """A T-round run's budget, and per round t the epsilon of a run ending there:
+    NaN where that run fails a precondition, which a provenance line names."""
+    budget = end_to_end(eps0, delta, T, params, variant)
+    schedule, failed = [], []
+    for t in range(1, budget.T):
+        try:
+            schedule.append(end_to_end(eps0, delta, t, params, variant).epsilon)
+        except (ValidationError, AccountingError) as exc:
+            schedule.append(math.nan)
+            failed.append((t, exc))
+    schedule.append(budget.epsilon)
+    if failed:
+        reason = (
+            f"epsilon_so_far is NaN for rounds {_spans([t for t, _ in failed])}: "
+            f"a run ending there fails a precondition ({failed[0][1]})"
+        )
+        budget = replace(budget, provenance=budget.provenance + (reason,))
+    return budget, schedule
+
+
+def _spans(rounds: list[int]) -> str:
+    """Increasing round numbers as runs of consecutive ones: '1-3, 7'."""
+    starts = [t for i, t in enumerate(rounds) if i == 0 or rounds[i - 1] != t - 1]
+    ends = [t for i, t in enumerate(rounds) if i == len(rounds) - 1 or rounds[i + 1] != t + 1]
+    return ", ".join(f"{a}-{b}" if a < b else str(a) for a, b in zip(starts, ends))
+
+
 def max_feasible_epsilon0(
     delta: float, T: int, params: SamplingParams, variant: ShufflingVariant
 ) -> float:
@@ -360,7 +410,7 @@ def calibrate_epsilon0(
     delta: float,
     T: int,
     params: SamplingParams,
-    variant: ShufflingVariant = ExplicitShuffling(),
+    variant: ShufflingVariant = VARIANTS[DEFAULT_VARIANT],
 ) -> float:
     """Largest eps0 whose end-to-end eps stays at or below the target.
 

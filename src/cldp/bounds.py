@@ -179,7 +179,7 @@ def comm_adversary(decoder_table, p: float, a: float) -> np.ndarray:
 def g_squared(L: float, d: int, p: float, q: float, n: int, epsilon0: float) -> float:
     """Second-moment constant G^2 = L^2 max{d^{1-2/p},1} (1 + (c d/(q n)) ratio^2).
 
-    c = 4 when the gradient ball is l1 or linf (p in {1, inf}), 14 otherwise.
+    c is ``risk_upper``'s probabilistic constant: 4 for p in {1, inf}, else l2's 14.
     epsilon0 = inf means no privacy noise (ratio = 1).
     """
     require_real(L, "L", "(0, inf]")
@@ -188,7 +188,7 @@ def g_squared(L: float, d: int, p: float, q: float, n: int, epsilon0: float) -> 
     require_int(n, "n", FLOAT_COUNT)
     require_real(p, "p", "[1, inf]")
     require_real(epsilon0, "epsilon0", "(0, inf]")
-    c = 4.0 if (p == 1.0 or math.isinf(p)) else 14.0
+    c = _UPPER_CONSTANTS.get(p, _UPPER_CONSTANTS[2.0])[1]
     shape = max(d ** (1.0 - 2.0 / p), 1.0)
     return L * L * shape * (1.0 + c * d / (q * n) * _ratio_squared(epsilon0))
 

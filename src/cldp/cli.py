@@ -108,20 +108,16 @@ def _str(v) -> str:
     return v
 
 
-def _float_list(v) -> list[float]:
-    items = v if isinstance(v, (list, tuple)) else [v]
-    out = [_float(x) for x in items]
-    if not out:
-        raise ValidationError("expected a nonempty list of numbers")
-    return out
+def _list_of(converter, what: str):
+    def convert(v) -> list:
+        out = [converter(x) for x in (v if isinstance(v, (list, tuple)) else [v])]
+        if not out:
+            raise ValidationError(f"expected a nonempty list of {what}")
+        return out
+    return convert
 
 
-def _int_list(v) -> list[int]:
-    items = v if isinstance(v, (list, tuple)) else [v]
-    out = [_int(x) for x in items]
-    if not out:
-        raise ValidationError("expected a nonempty list of integers")
-    return out
+_float_list, _int_list = _list_of(_float, "numbers"), _list_of(_int, "integers")
 
 
 def _optional(converter):
@@ -149,7 +145,7 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "k": (_int, 1000),
         "r": (_int, 1),
         "s": (_int, 1),
-        "variant": (_str, "explicit"),
+        "variant": (_str, acct.DEFAULT_VARIANT),
         "calibrate": (_optional(_float), None),
         "out": (_optional(_str), None),
     },
@@ -181,7 +177,7 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "task": (_str, "logistic"),
         "mix_prob": (_optional(_float), None),
         "account": (_bool, True),
-        "variant": (_str, "explicit"),
+        "variant": (_str, acct.DEFAULT_VARIANT),
         "data": (_optional(_str), None),
         "theta_norm": (_float, 1.5),
         "seed": (_int, 0),
@@ -326,24 +322,10 @@ def _run_mean_est(cfg: ExperimentConfig) -> int:
     return 0
 
 
-_VARIANTS = {"explicit": acct.ExplicitShuffling, "clones": acct.ClonesShuffling}
-
-
-def _variant_from(prm: dict):
-    name = prm["variant"]
-    if name not in _VARIANTS:
-        raise ValidationError(
-            "variant must be 'explicit' (12*eps0*sqrt(ln(1/delta)/n), eps0 < 1/2) or "
-            "'clones' (Feldman-McMillan-Talwar, eps0 <= ln(n/(16*ln(2/delta)))), "
-            f"got {name!r}"
-        )
-    return _VARIANTS[name]()
-
-
 def _run_accountant(cfg: ExperimentConfig) -> int:
     prm = cfg.params
     params = acct.SamplingParams(m=prm["m"], k=prm["k"], r=prm["r"], s=prm["s"])
-    variant = _variant_from(prm)
+    variant = acct.get_variant(prm["variant"])
     lines = []
     result = {}
     if prm["calibrate"] is not None:
@@ -400,17 +382,6 @@ def _run_bounds(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _load_clients(path: str) -> fdata.Population:
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(8)
-    except OSError as exc:
-        raise ValidationError(f"{path}: cannot read dataset ({exc.strerror or exc})") from exc
-    if magic == b"CLDPDS01":
-        return fdata.load_dataset_binary(path)
-    return fdata.load_dataset_csv(path)
-
-
 def _run_train(cfg: ExperimentConfig) -> int:
     prm = cfg.params
     base = _resolve_out(cfg, "train")
@@ -426,10 +397,10 @@ def _run_train(cfg: ExperimentConfig) -> int:
         mix_prob=prm["mix_prob"],
         seed=prm["seed"],
         account=prm["account"],
-        variant=_variant_from(prm),
+        variant=acct.get_variant(prm["variant"]),
     )
     if prm["data"] is not None:
-        clients = _load_clients(prm["data"])
+        clients = fdata.load_dataset(prm["data"])
     else:
         clients, _ = fdata.synthetic_logistic_data(
             prm["m"], prm["r"], prm["d"], prm["seed"], theta_norm=prm["theta_norm"]

@@ -15,6 +15,7 @@ once, and floats and ints skip the ABC test, so checks on per-message paths
 cost little.
 """
 
+import math
 import numbers
 import re
 import sys
@@ -52,6 +53,9 @@ class ClippingWarning(UserWarning):
 # dimension, a batch size) takes this range, since "[1, inf)" admits ints
 # such as 10**400 that float() refuses with OverflowError.
 FLOAT_COUNT = f"[1, {sys.float_info.max!r}]"
+
+# The largest x whose e^x is a finite float64 (about 709.78): math.exp overflows above it.
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
 
 # interval text -> (low, high, the ends it admits), filled on first use.
 _INTERVALS: dict = {}

@@ -2,6 +2,7 @@
 
 from .data import (
     Population,
+    load_dataset,
     load_dataset_binary,
     load_dataset_csv,
     save_dataset_binary,

@@ -5,7 +5,7 @@ exactly r (feature, label) points of dimension d. A ``Population`` holds all
 of them as one read-only (m*r, d) feature matrix, (m*r,) labels and (m,)
 client ids, client i owning rows [i*r, (i+1)*r). It is checked once, when it
 is built. A client is a one-client ``Population``: a read-only view of its
-rows and id. The synthesizer and both loaders return a population,
+rows and id. The synthesizer and the loaders return a population,
 ``fedsim.train`` reads its arrays directly, and the savers write from them;
 ``_require_population`` is the one check that their data is a population of
 the expected (m, r, d).
@@ -226,9 +226,18 @@ def _read_bytes(path) -> bytes:
         raise ValidationError(f"{path}: cannot read dataset ({exc.strerror or exc})") from exc
 
 
+def load_dataset(path) -> Population:
+    """Read a dataset file once, binary if it starts with the magic, else CSV."""
+    blob = _read_bytes(path)
+    return (_parse_binary if blob.startswith(_MAGIC) else _parse_csv)(blob, path)
+
+
 def load_dataset_binary(path) -> Population:
     """Read the documented binary layout back into a Population."""
-    blob = _read_bytes(path)
+    return _parse_binary(_read_bytes(path), path)
+
+
+def _parse_binary(blob: bytes, path) -> Population:
     if blob[: len(_MAGIC)] != _MAGIC:
         raise ValidationError(f"{path}: not a dataset file (bad magic)")
     if len(blob) < len(_MAGIC) + _HEADER.size:
@@ -256,11 +265,16 @@ def save_dataset_csv(path, clients: Population) -> None:
 
 
 def load_dataset_csv(path) -> Population:
-    """Read the CSV alternative (UTF-8); every client must hold equally many rows."""
-    rows_by_client: dict[int, list[list[float]]] = {}
-    order: list[int] = []
+    """Read the CSV alternative (UTF-8): equally many, contiguous rows per client."""
+    return _parse_csv(_read_bytes(path), path)
+
+
+def _parse_csv(blob: bytes, path) -> Population:
+    rows: list[list[float]] = []
+    sizes: dict[int, int] = {}  # row counts by client id, in file order
+    cid = None
     try:
-        reader = csv.reader(io.StringIO(_read_bytes(path).decode(), newline=""))
+        reader = csv.reader(io.StringIO(blob.decode(), newline=""))
         header = next(reader, [])
         if len(header) < 3 or header[0] != "client_id" or header[-1] != "label":
             raise ValidationError(f"{path}: unexpected CSV header {header!r}")
@@ -268,19 +282,19 @@ def load_dataset_csv(path) -> Population:
         for row in reader:
             if len(row) != d + 2:
                 raise ValidationError(f"{path}: row of width {len(row)}, expected {d + 2}")
-            cid, values = int(row[0]), [float(v) for v in row[1:]]
-            if cid not in rows_by_client:
-                rows_by_client[cid] = []
-                order.append(cid)
-            rows_by_client[cid].append(values)
+            last, cid = cid, int(row[0])
+            if cid != last and cid in sizes:
+                raise ValidationError(f"{path}: the rows of client {cid} are not contiguous")
+            rows.append([float(v) for v in row[1:]])
+            sizes[cid] = sizes.get(cid, 0) + 1
     except ValidationError:
         raise
     except (ValueError, csv.Error) as exc:  # non-UTF-8 bytes, a non-numeric field
         raise ValidationError(f"{path}: malformed CSV dataset ({exc})") from None
-    if not order:
+    if not sizes:
         raise ValidationError(f"{path}: no data rows")
-    counts = {len(v) for v in rows_by_client.values()}
+    counts = set(sizes.values())
     if len(counts) != 1:
         raise ValidationError(f"{path}: clients hold unequal point counts {sorted(counts)}")
-    arr = np.asarray([row for cid in order for row in rows_by_client[cid]], dtype=np.float64)
-    return Population(arr[:, :d], arr[:, d], np.array(order))
+    arr = np.asarray(rows, dtype=np.float64)
+    return Population(arr[:, :d], arr[:, d], np.array(list(sizes)))

@@ -37,10 +37,8 @@ data sampling and mechanism noise, seeded with
 The layout is kept on purpose: another layout with the same law (say, one
 stream per round) re-rolls every run, including the frozen runs of the
 convergence criterion. Each round builds its k seeds as one uint32 matrix
-whose rows hold the words numpy derives from those tuples, and hashes them
-in one vectorised pass of SeedSequence's hash (``streams._seed_states``),
-equal to the tuple-built seeds: the k pools form one (4, k) matrix, and each
-group of hash steps that read the same pool word is one array call. A
+of the words numpy derives from those tuples, and hashes them in one
+vectorised pass (``streams._seed_states``), equal to the tuple-built seeds. A
 client's stream draws its s points, then the noise of its s rows in the
 mechanism's documented order, so for s = 1 a message draws exactly what a
 single encode draws. One point is the scalar ``integers(r)``, which reads
@@ -48,16 +46,13 @@ the bits of ``choice(r, 1, replace=False)``, and one index-family row the
 scalars ``integers(dim)`` then ``random()``.
 
 At s = 1 those scalar calls are all that an l1, linf or baseline round
-draws, so it runs its k streams as the lanes of one ``streams.PCG64Lanes``:
-numpy's PCG64 over k uint64 lanes, whose ``integers(bound)`` and
-``random()`` return per lane the value that lane's generator returns,
-because they run the same seeding, 128-bit step and output, the same
-Lemire bounded draw with its buffered 32-bit half, and the same 53-bit
-uniform. A round then draws its points in one ``integers(r)`` call and its
-noise in one ``integers(dim)`` and one ``random()``. The other rounds build
-a real ``Generator`` per stream from the same seed states, since l2 and the
-mix draw normals from numpy's ziggurat and s > 1 draws its points with
-``choice``; the round gathers their draws into one array per component
+draws, so it runs its k streams as the lanes of one ``streams.PCG64Lanes``,
+whose ``integers(bound)`` and ``random()`` return per lane, bit for bit, the
+value that lane's generator returns. A round then draws its points in one
+``integers(r)`` call and its noise in one ``integers(dim)`` and one
+``random()``. The other rounds build a real ``Generator`` per stream from
+the same seed states, since l2 and the mix draw normals from numpy's
+ziggurat and s > 1 draws its points with ``choice``; the round gathers their draws into one array per component
 (``_draw_points`` holds the one-point rule, which ``sample_data`` shares).
 ``mechanisms._on_lanes`` picks the path once per run, from the spec and s.
 The tests check the lanes against numpy's generators, and whole runs on the
@@ -65,27 +60,29 @@ two paths against each other, byte for byte.
 
 epsilon0 = inf is the non-private baseline: clipped gradients are sent
 uncompressed and in the clear, and the reported budget carries no guarantee.
+The accountant builds the budget and each round's ``epsilon_so_far``; ``train``
+only picks the case: the baseline, accounting disabled, or accounted.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..accountant import (
-    ExplicitShuffling,
+    DEFAULT_VARIANT,
+    VARIANTS,
     PrivacyBudget,
     SamplingParams,
     ShufflingVariant,
     _validate_variant,
-    end_to_end,
+    budget_and_schedule,
 )
 from ..bounds import g_squared
-from ..errors import AccountingError, ClippingWarning, ValidationError, require_int, require_real
+from ..errors import ClippingWarning, ValidationError, require_int, require_real
 from ..linalg import BallSpec, _clip_rows, project_l2_ball
 from ..mechanisms import (
     MechanismSpec,
@@ -128,7 +125,7 @@ class TrainConfig:
     mix_prob: float | None = None
     seed: int = 0
     account: bool = True
-    variant: ShufflingVariant = field(default_factory=ExplicitShuffling)
+    variant: ShufflingVariant = VARIANTS[DEFAULT_VARIANT]
 
     def __post_init__(self) -> None:
         for name, kind in (("params", SamplingParams), ("ball", BallSpec), ("account", bool)):
@@ -232,53 +229,15 @@ def _word_streams(words: np.ndarray, lanes: bool = False):
     return [np.random.Generator(np.random.PCG64(_HashedSeed(row))) for row in states]
 
 
-def _no_guarantee_budget(cfg: TrainConfig, reason: str) -> PrivacyBudget:
-    nan = math.nan
-    return PrivacyBudget(
-        epsilon0=cfg.epsilon0,
-        epsilon_tilde=nan,
-        delta_tilde=nan,
-        epsilon_bar=nan,
-        delta_bar=nan,
-        epsilon=nan,
-        delta=nan,
-        T=cfg.T,
-        provenance=(reason, "no central (epsilon, delta) guarantee is claimed"),
-        guarantee=False,
-    )
-
-
 def _budget_and_schedule(cfg: TrainConfig) -> tuple[PrivacyBudget, list[float]]:
-    """Final budget (plus a line naming any NaN rounds) and epsilon-so-far per round."""
+    """The run's budget and its epsilon_so_far per round: accounted, or no guarantee."""
     if math.isinf(cfg.epsilon0):
-        budget = _no_guarantee_budget(cfg, "epsilon0 = inf: raw gradients, nothing to account")
-        return budget, [math.inf] * cfg.T
+        reason = "epsilon0 = inf: raw gradients, nothing to account"
+        return PrivacyBudget.without_guarantee(cfg.epsilon0, cfg.T, reason), [math.inf] * cfg.T
     if not cfg.account:
-        budget = _no_guarantee_budget(cfg, "accounting disabled by configuration")
-        return budget, [math.nan] * cfg.T
-    budget = end_to_end(cfg.epsilon0, cfg.delta, cfg.T, cfg.params, cfg.variant)
-    schedule, failed = [], []
-    for t in range(1, cfg.T):
-        try:
-            schedule.append(end_to_end(cfg.epsilon0, cfg.delta, t, cfg.params, cfg.variant).epsilon)
-        except (ValidationError, AccountingError) as exc:
-            schedule.append(math.nan)
-            failed.append((t, exc))
-    schedule.append(budget.epsilon)
-    if failed:
-        reason = (
-            f"epsilon_so_far is NaN for rounds {_spans([t for t, _ in failed])}: "
-            f"a run ending there fails a precondition ({failed[0][1]})"
-        )
-        budget = dataclasses.replace(budget, provenance=budget.provenance + (reason,))
-    return budget, schedule
-
-
-def _spans(rounds: list[int]) -> str:
-    """Increasing round numbers as runs of consecutive ones: '1-3, 7'."""
-    starts = [t for i, t in enumerate(rounds) if i == 0 or rounds[i - 1] != t - 1]
-    ends = [t for i, t in enumerate(rounds) if i == len(rounds) - 1 or rounds[i + 1] != t + 1]
-    return ", ".join(f"{a}-{b}" if a < b else str(a) for a, b in zip(starts, ends))
+        reason = "accounting disabled by configuration"
+        return PrivacyBudget.without_guarantee(cfg.epsilon0, cfg.T, reason), [math.nan] * cfg.T
+    return budget_and_schedule(cfg.epsilon0, cfg.delta, cfg.T, cfg.params, cfg.variant)
 
 
 def train(cfg: TrainConfig, data: Population) -> TrainResult:

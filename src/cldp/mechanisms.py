@@ -87,12 +87,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
+from .errors import _LN_FLOAT_MAX
 from .errors import FLOAT_COUNT, OutOfBallError, ValidationError, require_int, require_real
 from .linalg import (
     BallSpec,
@@ -275,11 +275,6 @@ def mechanism_family(spec: MechanismSpec) -> str:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-# The largest eps0 whose e^eps0 is a finite float64 (about 709.78): math.exp
-# overflows above it, so formulas in e^eps0 run at this eps0 there.
-_LN_FLOAT_MAX = math.log(sys.float_info.max)
-
-
 def privacy_ratio(eps0: float) -> float:
     """(e^{eps0}+1)/(e^{eps0}-1); tends to 1 as eps0 -> inf (no-privacy limit).
 
@@ -459,12 +454,19 @@ def hemisphere_radius(d: int, a: float, eps0: float) -> float:
     This is the unique radius for which the hemisphere construction below is
     unbiased: a uniform point y on the half-sphere {||y||=M, y.u > 0} has
     E[y] = M * (Gamma(d/2) / (sqrt(pi)*Gamma((d+1)/2))) * u, and the direction
-    flip contributes the remaining kappa / ratio factor. The Gamma ratio is
-    evaluated through log-gamma differences so large d cannot overflow.
+    flip contributes the remaining kappa / ratio factor. Up to d = 1024 the
+    Gamma ratio is the exp of a log-gamma difference (relative error < 1e-12),
+    whose two large terms cancel more digits as d grows; above, it is the
+    Stirling series ln Gamma(x + 1/2) - ln Gamma(x) = ln(x)/2 - 1/(8x)
+    + 1/(192x^3) - 1/(640x^5) at x = d/2 (relative error < 1e-15).
     """
     d = require_int(d, "dimension", FLOAT_COUNT)
     require_real(a, "radius", "(0, inf)")
-    gr = math.exp(math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0))
+    if d <= 1024:
+        gr = math.exp(math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0))
+    else:
+        x = d / 2.0
+        gr = math.sqrt(x) * math.exp(-1.0 / (8.0 * x) + 1.0 / (192.0 * x**3) - 1.0 / (640.0 * x**5))
     return a * math.sqrt(math.pi) * gr * privacy_ratio(eps0)
 
 
@@ -625,8 +627,6 @@ def rp_arm_specs(spec: MechanismSpec) -> tuple[MechanismSpec, MechanismSpec]:
     if mechanism_family(spec) != "mix":
         raise ValidationError("the lp mix requires mix_prob")
     p, a, d = spec.ball.p, spec.ball.radius, spec.ball.dim
-    if math.isinf(p):
-        raise ValidationError("the lp mix is defined for finite p only")
     l1_radius = a * d ** (1.0 - 1.0 / p)
     l2_radius = a * max(d ** (0.5 - 1.0 / p), 1.0)
     return (

@@ -1,11 +1,14 @@
-"""Shared test configuration: hypothesis profiles and seeded RNG helpers."""
+"""Shared test configuration: hypothesis profiles, seeded RNG helpers and a test bound."""
 
 import os
 import platform
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from cldp import accountant
 
 settings.register_profile(
     "fast",
@@ -41,3 +44,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def rng():
     """A fresh, fixed-seed generator per test."""
     return np.random.default_rng(0xC1D9)
+
+
+@dataclass(frozen=True)
+class HalvingShuffling:
+    """A throwaway shuffling bound: eps_tilde = eps0/2, for eps0 < 1."""
+
+    name = "shuffling, halving (a test bound)"
+
+    def eps0_range(self, delta, m_eff):
+        return accountant.Eps0Range(1.0, False, "halving bound requires epsilon0 < 1")
+
+    def epsilon_tilde(self, eps0, delta, m_eff):
+        return eps0 / 2.0
+
+
+@pytest.fixture
+def halving(monkeypatch):
+    """``HalvingShuffling`` registered in the accountant as "halving", for one test."""
+    bound = HalvingShuffling()
+    monkeypatch.setitem(accountant.VARIANTS, "halving", bound)
+    return bound

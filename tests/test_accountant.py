@@ -5,24 +5,34 @@ implementation in ``oracle_accountant.py``, which shares no code with the
 package. Pinned constants were evaluated independently before freezing.
 """
 
+import ast
 import itertools
 import math
 import sys
 import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cldp
+from cldp import accountant
 from cldp.accountant import (
+    DEFAULT_VARIANT,
+    VARIANTS,
     ClonesShuffling,
     ExplicitShuffling,
+    PrivacyBudget,
     SamplingParams,
     amplify_by_shuffling,
     amplify_by_subsampling,
+    budget_and_schedule,
     calibrate_epsilon0,
     end_to_end,
+    get_variant,
     max_feasible_epsilon0,
     strong_composition,
 )
@@ -588,3 +598,113 @@ class TestDeployScale:
         want_eps, _ = oracle_end_to_end(eps0, 1e-6, 100, 5_000, 1_000, 4, 1, "clones")
         assert math.isfinite(budget.epsilon)
         assert budget.epsilon == pytest.approx(want_eps, rel=1e-12)
+
+
+class TestRegistry:
+    def test_names_and_default(self):
+        assert VARIANTS == {"explicit": EXPLICIT, "clones": CLONES}
+        assert DEFAULT_VARIANT == "explicit"
+        assert get_variant("clones") is VARIANTS["clones"]
+        for name in ("magic", None, ["explicit"]):
+            with pytest.raises(ValidationError, match="unknown shuffling variant") as info:
+                get_variant(name)
+            assert "registered: clones, explicit" in str(info.value)
+
+    def test_defaults_read_the_registry(self):
+        budget = end_to_end(0.3, 1e-6, 10, DEPLOY)
+        assert budget == end_to_end(0.3, 1e-6, 10, DEPLOY, VARIANTS[DEFAULT_VARIANT])
+        assert cldp.TrainConfig(
+            DEPLOY, 1, 0.3, 1e-6, cldp.BallSpec(1.0, 1.0, 2), 2.0
+        ).variant == VARIANTS[DEFAULT_VARIANT]
+
+    def test_a_registered_bound_runs_the_chain(self, halving):
+        # Registered, a bound is a variant everywhere: no other list names it.
+        params = SamplingParams(m=2000, k=2000, r=1, s=1)
+        assert end_to_end(0.3, 1e-6, 1, params, halving).epsilon_tilde == 0.15
+        assert max_feasible_epsilon0(1e-6, 1, params, halving) == 1.0
+        with pytest.raises(ValidationError, match="unknown shuffling variant"):
+            end_to_end(0.3, 1e-6, 1, params, object())
+
+
+class TestBudgetAndSchedule:
+    def test_each_round_is_the_run_ending_there(self):
+        budget, schedule = budget_and_schedule(0.3, 1e-6, 5, DEPLOY, CLONES)
+        assert budget == end_to_end(0.3, 1e-6, 5, DEPLOY, CLONES)
+        assert schedule == [end_to_end(0.3, 1e-6, t, DEPLOY, CLONES).epsilon for t in range(1, 6)]
+
+    def test_failed_rounds_are_named_in_spans(self):
+        # delta/(2qt) < 1/100 first holds at t = 3 here (q = 0.05, delta = 3e-3).
+        params = SamplingParams(m=1000, k=1000, r=20, s=1)
+        budget, schedule = budget_and_schedule(0.3, 3e-3, 4, params, EXPLICIT)
+        assert [math.isnan(e) for e in schedule] == [True, True, False, False]
+        assert budget.provenance[:4] == end_to_end(0.3, 3e-3, 4, params).provenance
+        assert budget.provenance[4].startswith("epsilon_so_far is NaN for rounds 1-2: ")
+        assert accountant._spans([1, 2, 3, 5, 7, 8]) == "1-3, 5, 7-8"
+
+    def test_a_run_without_guarantee(self):
+        budget = PrivacyBudget.without_guarantee(0.5, 7, "why not")
+        assert not budget.guarantee and budget.T == 7 and budget.epsilon0 == 0.5
+        assert budget.provenance == ("why not", "no central (epsilon, delta) guarantee is claimed")
+        stages = [f.name for f in fields(PrivacyBudget)][1:7]
+        assert all(math.isnan(getattr(budget, name)) for name in stages)
+
+
+SRC = Path(cldp.__file__).resolve().parent
+
+
+def _names(tree) -> set[str]:
+    """Every identifier, attribute, imported name and keyword a module spells."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.keyword) and node.arg:
+            found.add(node.arg)
+    return found
+
+
+def test_the_bounds_are_listed_once():
+    # The bound classes and their names appear in the accountant, and in the
+    # package's export list, nowhere else in src/.
+    bound = {"ExplicitShuffling", "ClonesShuffling"}
+    assert bound <= set(dir(cldp))
+    spelled = {}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path == SRC / "__init__.py":  # the export list
+            tree.body = [
+                node for node in tree.body
+                if not (isinstance(node, ast.ImportFrom) and node.module == "accountant")
+            ]
+        strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        hits = (strings & {"explicit", "clones"}) | (_names(tree) & bound)
+        if hits:
+            spelled[path.relative_to(SRC).as_posix()] = sorted(hits)
+    assert spelled == {
+        "accountant.py": ["ClonesShuffling", "ExplicitShuffling", "clones", "explicit"]
+    }
+
+
+def test_the_accountant_is_a_leaf():
+    # accountant imports nothing from the package but errors, and training
+    # leaves the budget to it: no end_to_end, no AccountingError, no field
+    # that only a PrivacyBudget has.
+    tree = ast.parse((SRC / "accountant.py").read_text())
+    package = [
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("cldp"))
+    ]
+    assert package == ["errors"]
+    assert not any(
+        alias.name.startswith("cldp")
+        for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    )
+    own = {f.name for f in fields(PrivacyBudget)} - {f.name for f in fields(cldp.TrainConfig)}
+    training = _names(ast.parse((SRC / "fedsim" / "training.py").read_text()))
+    assert training & ({"end_to_end", "AccountingError"} | own) == set()

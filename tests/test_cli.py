@@ -72,6 +72,39 @@ class TestConfigHandling:
         assert main(["accountant", "--variant", "magic"]) == 2
         capsys.readouterr()
 
+    def test_a_registered_bound_is_a_variant(self, halving, capsys):
+        # A new shuffling bound is one entry in the accountant's registry:
+        # --variant takes it, and the error for an unknown name lists it.
+        args = "accountant --eps0 0.3 --T 1 --m 2000 --k 2000 --variant".split()
+        assert main(args + ["halving"]) == 0
+        out = capsys.readouterr().out
+        assert "shuffling, halving (a test bound)" in out
+        assert "epsilon_tilde = 0.15" in out
+        assert main(args + ["magic"]) == 2
+        err = capsys.readouterr().err
+        assert "'magic'" in err and all(name in err for name in ("clones", "explicit", "halving"))
+
+    @pytest.mark.parametrize(
+        "command, body",
+        [
+            ("accountant", {"eps0": True}),
+            ("train", {"account": "maybe"}),
+            ("train", {"task": 5}),
+            ("mean-est", {"p": []}),
+            ("accountant", [1, 2]),
+        ],
+        ids=["bool_number", "bool_word", "task_number", "empty_list", "json_list"],
+    )
+    def test_malformed_config_value_exits_2(self, command, body, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        assert main(["accountant", "--config", str(tmp_path / "missing.json")]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         ["accountant --cal 1.0 --T 10 --m 5000 --k 2500", "train --cl 0.5 --T 1 --account false"],

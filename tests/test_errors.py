@@ -9,6 +9,7 @@ or plain ValueError, and not a silent reading of the value.
 """
 
 import ast
+import dataclasses
 import math
 import os
 from pathlib import Path
@@ -18,8 +19,18 @@ import pytest
 
 import cldp
 from cldp import bounds, fedsim, linalg, mechanisms, wire
-from cldp.accountant import SamplingParams, strong_composition
+from cldp.accountant import (
+    ClonesShuffling,
+    ExplicitShuffling,
+    SamplingParams,
+    amplify_by_shuffling,
+    calibrate_epsilon0,
+    end_to_end,
+    max_feasible_epsilon0,
+    strong_composition,
+)
 from cldp.errors import ValidationError, require_int, require_real
+from cldp.fedsim.tasks import TASKS
 from cldp.linalg import BallSpec
 
 SRC = Path(cldp.__file__).resolve().parent
@@ -55,6 +66,15 @@ def convergence_bound(**override):
 
 def risk_query(**override):
     return bounds.RiskQuery(**{**dict(p=2.0, d=4, n=10, a=1.0, epsilon0=1.0), **override})
+
+
+def train_on_non_finite_gradients():
+    """A run of train_config() whose task's gradients are NaN."""
+    nan_grads = lambda theta, X, Y: np.full(X.shape, math.nan)  # noqa: E731
+    pop, _ = fedsim.synthetic_logistic_data(PARAMS.m, PARAMS.r, BALL.dim, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(TASKS, "zero", dataclasses.replace(TASKS["zero"], point_grads=nan_grads))
+        fedsim.train(train_config(task="zero", account=False), pop)
 
 
 MALFORMED = {
@@ -181,6 +201,19 @@ MALFORMED = {
     "g_squared_d_huge": lambda: bounds.g_squared(1.0, 10**400, 4.0, 1.0, 10, 1.0),
     "g_squared_n_huge": lambda: g_squared(n=10**400),
     "convergence_bound_T_huge": lambda: convergence_bound(T=10**400),
+    "compose_T_huge": lambda: strong_composition(0.1, 0.0, 10**400, 1e-6),
+    "shuffle_explicit_batch_huge": lambda: amplify_by_shuffling(
+        0.1, 1e-6, 10**400, ExplicitShuffling()
+    ),
+    "shuffle_clones_batch_huge": lambda: amplify_by_shuffling(
+        0.1, 1e-6, 10**400, ClonesShuffling()
+    ),
+    "end_to_end_T_huge": lambda: end_to_end(0.1, 1e-6, 10**400, PARAMS),
+    "max_feasible_T_huge": lambda: max_feasible_epsilon0(1e-6, 10**400, PARAMS, ClonesShuffling()),
+    "calibrate_T_huge": lambda: calibrate_epsilon0(1.0, 1e-6, 10**400, PARAMS),
+    "end_to_end_batch_huge": lambda: end_to_end(
+        0.1, 1e-6, 10, SamplingParams(m=10**400, k=10**399, r=1, s=1)
+    ),
     # Complex arrays, whose imaginary part a float cast would drop.
     "encode_complex": lambda: mechanisms.encode_message(np.array([5j, 0, 0, 0]), L1_SPEC, 0),
     "trials_complex": lambda: mechanisms.mean_estimate_trials(ROWS + 3j, SPEC, 0, 1),
@@ -197,6 +230,12 @@ MALFORMED = {
     "round_bits_l1_arm_str": lambda: wire.round_payload_bits(MIX_SPEC, PARAMS, 4, l1_arm="x"),
     "round_bits_l1_arm_negative": lambda: wire.round_payload_bits(MIX_SPEC, PARAMS, 4, l1_arm=-3),
     "round_bits_l1_arm_above_ks": lambda: wire.round_payload_bits(MIX_SPEC, PARAMS, 4, l1_arm=3),
+    # Checks that no other case reached.
+    "mix_message_arm_l3": lambda: mechanisms.MixTagged("L3", mechanisms.IndexSign(0, 1)),
+    "rp_arm_specs_of_l2_spec": lambda: mechanisms.rp_arm_specs(SPEC),
+    "p_norm_matrix": lambda: linalg.p_norm(np.zeros((2, 2)), 2.0),
+    "project_center_of_another_dim": lambda: linalg.project_l2_ball([1.0, 0.0], [0.0], 1.0),
+    "train_non_finite_gradients": train_on_non_finite_gradients,
 }
 
 

@@ -20,6 +20,7 @@ from cldp.fedsim import (
     Population,
     TrainConfig,
     get_task,
+    load_dataset,
     load_dataset_binary,
     load_dataset_csv,
     sample_clients,
@@ -29,6 +30,7 @@ from cldp.fedsim import (
     synthetic_logistic_data,
     train,
 )
+from cldp.fedsim import data as fdata
 from cldp.fedsim import training
 from cldp.fedsim.data import _require_population
 from cldp.fedsim.tasks import TASKS
@@ -838,6 +840,23 @@ class TestDatasetIO:
         with pytest.raises(ValidationError, match="unequal"):
             load_dataset_csv(path)
 
+    def test_csv_rejects_interleaved_clients(self, tmp_path):
+        # A client's rows are contiguous: rows 0, 1, 0, 1 are not regrouped
+        # into the features [1, 3, 2, 4].
+        path = tmp_path / "interleaved.csv"
+        path.write_text("client_id,x0,label\n0,1.0,1.0\n1,2.0,1.0\n0,3.0,1.0\n1,4.0,1.0\n")
+        with pytest.raises(ValidationError, match="rows of client 0 are not contiguous"):
+            load_dataset_csv(path)
+
+    def test_load_dataset_reads_once_and_picks_the_format(self, tmp_path, monkeypatch):
+        clients, _ = synthetic_logistic_data(m=2, r=3, d=2, seed=1)
+        reads, read_bytes = [], fdata._read_bytes
+        monkeypatch.setattr(fdata, "_read_bytes", lambda p: reads.append(p) or read_bytes(p))
+        for name, save in (("data.bin", save_dataset_binary), ("data.csv", save_dataset_csv)):
+            save(tmp_path / name, clients)
+            assert load_dataset(tmp_path / name) == clients
+        assert reads == [tmp_path / "data.bin", tmp_path / "data.csv"]
+
     @pytest.mark.parametrize(
         "body",
         ["a,1.0,1.0\n", "1.5,1.0,1.0\n", "0,x,1.0\n", "0,1.0,\n", "0,1.0,nan\n"],
@@ -849,7 +868,7 @@ class TestDatasetIO:
             load_dataset_csv(path)
 
     def test_unreadable_files_rejected(self, tmp_path):
-        for loader in (load_dataset_csv, load_dataset_binary):
+        for loader in (load_dataset, load_dataset_csv, load_dataset_binary):
             with pytest.raises(ValidationError, match="cannot read"):
                 loader(tmp_path / "missing")
             with pytest.raises(ValidationError, match="cannot read"):
@@ -866,7 +885,7 @@ class TestDatasetIO:
             path = os.path.join(tmp, "data")
             with open(path, "wb") as fh:
                 fh.write(blob)
-            for loader in (load_dataset_csv, load_dataset_binary):
+            for loader in (load_dataset, load_dataset_csv, load_dataset_binary):
                 try:
                     clients = loader(path)
                 except ValidationError:

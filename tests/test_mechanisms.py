@@ -261,6 +261,16 @@ class TestHemisphereAndPriv:
             )
             assert hemisphere_radius(d, 1.0, 0.5) == pytest.approx(want, rel=1e-12)
 
+    def test_radius_recurrence_from_1_to_1e16(self):
+        # The Gamma ratio r(d) = Gamma((d+1)/2)/Gamma(d/2) has r(d)*r(d+1) = d/2
+        # exactly, whatever formula evaluates it: on a log grid of d, and on
+        # both sides of the switch to the Stirling series above d = 1024.
+        grid = {round(10 ** (k / 8)) for k in range(129)} | {1023, 1024, 1025}
+        scale = math.pi * privacy_ratio(0.5) ** 2
+        for d in sorted(grid):
+            got = hemisphere_radius(d, 1.0, 0.5) * hemisphere_radius(d + 1, 1.0, 0.5) / scale
+            assert got == pytest.approx(d / 2, rel=EXACT_TOL), d
+
     def test_output_norm_exact(self, rng):
         spec = l2_spec(5, a=1.2, eps0=0.9)
         want = hemisphere_radius(5, 1.2, 0.9)

@@ -355,6 +355,12 @@ MALFORMED = {
     "raw_value_not_a_number": lambda: wire.frame_message(
         mech.RawVector(values=("a",)), l2_spec(d=1)
     ),
+    "mix_l2_zero_message_framed": lambda: wire.frame_message(
+        mech.MixTagged("L2", mech.SparseSigned(pairs=((0, 1),) * 2, is_zero=True)), mix_spec(d=2)
+    ),
+    "raw_frame_of_one_value_at_d2": lambda: wire.unframe_message(
+        struct.pack(">BHd", wire.TAG_RAW, 64, 1.0), l2_spec(d=2)
+    ),
 }
 
 
