@@ -222,7 +222,8 @@ def _delta_split(delta: float, T: int, params: SamplingParams) -> tuple[int, flo
     T = require_int(T, "T", FLOAT_COUNT)
     if not isinstance(params, SamplingParams):
         raise ValidationError(f"params must be SamplingParams, got {params!r}")
-    delta_tilde = delta / (2.0 * params.q * T)
+    split = 2.0 * params.q * T  # 0.0 when q underflows, which leaves no delta
+    delta_tilde = delta / split if split > 0.0 else math.inf
     if not 0.0 < delta_tilde < 1.0:
         raise PreconditionError(
             f"the delta split needs 0 < delta/(2qT) < 1, got {delta_tilde:.6g}; "

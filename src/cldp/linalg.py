@@ -15,12 +15,26 @@ so H_d @ H_d = d * I; callers divide by sqrt(d) for the symmetric transform,
 which is an involution and an isometry of the l2 norm.
 All arithmetic is float64; EXACT_TOL, the relative tolerance of closed-form
 identities throughout the package, lives here.
+
+``row_blocks`` runs a per-row pass over consecutive row blocks. The input
+check (``_largest_norm``) and ``fwht_rows_at`` use it past ``BLOCK_ENTRIES``
+= 2**17 entries, in blocks of about that many, and ``mechanisms``' l2 draw
+past one of its blocks. From two blocks on, one worker thread, started by
+the first such pass, runs the second half of the blocks while the caller
+runs the first, when the process's CPU affinity holds two CPUs. The output
+is the inline loop's bit for bit: blocks are disjoint, each row sees the
+same operations in the same order, and the largest norm is the largest of
+the blocks' largest, NaN winning. Smaller passes run inline.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +43,71 @@ from .errors import ValidationError, require_int, require_real
 # Closed-form identities (enumerated expectations, norm formulas) must hold to
 # this relative tolerance.
 EXACT_TOL = 1e-12
+
+# A per-row pass over more entries than this reads its matrix in row blocks of
+# about this many (1 MB of float64), so each block's temporaries stay in a
+# core's cache.
+BLOCK_ENTRIES = 1 << 17
+# The threads a pass of two blocks or more runs on: the caller's and one
+# worker's, never more than the process's CPU affinity holds.
+_THREADS = 2
+_worker = None  # the worker's executor, started by the first pass it serves
+_worker_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    """In a forked child: the parent's worker thread does not exist there, and
+    an executor inherited across fork would never run the work it is given, so
+    the child starts its own at its first split pass."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _spare_thread():
+    """The worker's executor, started on first use; None when the process
+    may run on one CPU only (or ``_THREADS`` is 1), so the caller runs alone.
+    Where the OS has no affinity call (macOS), every CPU counts."""
+    global _worker
+    affinity = getattr(os, "sched_getaffinity", None)
+    if min(_THREADS, len(affinity(0)) if affinity else os.cpu_count() or 1) < 2:
+        return None
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cldp-rows")
+        return _worker
+
+
+def row_blocks(fn: Callable[[slice], object], n: int, step: int) -> list:
+    """``[fn(block) for block in blocks]`` over the consecutive row blocks
+    ``slice(lo, lo + step)`` of n rows, in order.
+
+    With two blocks or more, and two CPUs in the process's affinity, one
+    worker thread runs the second half of the blocks while the caller runs
+    the first; numpy's array loops release the interpreter lock, so the
+    halves overlap. fn must read and write its own block's rows alone, and
+    then the results are the inline loop's, bit for bit. The worker runs in
+    the caller's ``contextvars`` context, where numpy 2 keeps its
+    ``errstate``, and an error in either half is raised here once both
+    halves have stopped.
+    """
+    blocks = [slice(lo, lo + step) for lo in range(0, n, step)]
+    pool = _spare_thread() if len(blocks) > 1 else None
+    if pool is None:
+        return [fn(block) for block in blocks]
+    half = (len(blocks) + 1) // 2
+    tail = pool.submit(contextvars.copy_context().run, lambda: [fn(b) for b in blocks[half:]])
+    try:
+        head = [fn(block) for block in blocks[:half]]
+    except BaseException:
+        tail.exception()  # waits: the worker's blocks stop before the error leaves
+        raise
+    return head + tail.result()
 
 
 _FLOAT64 = np.dtype(np.float64)
@@ -73,9 +152,16 @@ def row_norms(rows: np.ndarray, p: float) -> np.ndarray:
 
 
 def _largest_norm(rows: np.ndarray, p: float) -> float:
-    """The largest ``row_norms``, bit for bit. At p = inf it is max(max x, -min x),
-    each extreme read at its argmax or argmin (the first NaN if there is one):
-    no abs copy, and less than a max or min reduction costs at any size."""
+    """The largest ``row_norms``, bit for bit; NaN if any row's is. At p = inf
+    it is max(max x, -min x), each extreme read at its argmax or argmin (the
+    first NaN if there is one): no abs copy, and less than a max or min
+    reduction costs at any size. A matrix of more than ``BLOCK_ENTRIES``
+    entries is read in ``row_blocks`` of about that many, and the largest of
+    their largest norms, the first NaN if one is, is the same float."""
+    if rows.size > BLOCK_ENTRIES and len(rows) > 1:
+        step = max(1, BLOCK_ENTRIES // rows.shape[1])
+        peaks = np.array(row_blocks(lambda block: _largest_norm(rows[block], p), len(rows), step))
+        return peaks.item(peaks.argmax())
     if math.isinf(p):  # NaN if an entry is; abs: +0.0 for zeros
         return abs(max(rows.item(rows.argmax()), -rows.item(rows.argmin())))
     norms = row_norms(rows, p)
@@ -151,6 +237,9 @@ def fwht_rows_at(mat: np.ndarray, j: np.ndarray) -> np.ndarray:
     """
     rows, d = mat.shape
     levels = (d - 1).bit_length()
+    if rows > 1 and rows << levels > BLOCK_ENTRIES:  # each row's path is its own
+        step = max(1, BLOCK_ENTRIES >> levels)
+        return np.concatenate(row_blocks(lambda b: fwht_rows_at(mat[b], j[b]), rows, step))
     if d < 1 << levels:
         padded = np.zeros((rows, 1 << levels))
         padded[:, :d] = mat

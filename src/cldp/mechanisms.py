@@ -9,9 +9,11 @@ Four mechanism families, each unbiased for its input and eps0-LDP on its ball:
   point to d i.i.d. signed coordinate samples, drawn by inverse CDF. The
   decode reads only their net signed count per coordinate, so a batch counts
   rather than lists them (``_quan_counts``): it draws its rows in blocks of
-  about 2**15 entries and merges each row's cdf and uniforms in one sort
-  (``_search_counts``), exactly ``searchsorted``'s counts. A message keeps
-  its atoms in draw order (``_quan_atoms``, one ``searchsorted``).
+  about 2**15 entries (``linalg.row_blocks``, which splits a draw of two
+  blocks or more over the caller and one worker thread) and merges each
+  row's cdf and uniforms in one sort (``_search_counts``), exactly
+  ``searchsorted``'s counts. A message keeps its atoms in draw order
+  (``_quan_atoms``, one ``searchsorted``).
 * linf family: transmit one (coordinate, sign) atom of x directly; decode is a
   scaled basis vector of norm a*d*ratio.
 * lp mix: with probability mix_prob run the l1 mechanism on an inflated l1
@@ -73,7 +75,9 @@ other entry points, ``decode_message``, ``mean_estimate``,
 ``sample_decoded`` and ``mean_estimate_trials``, are its one-stream case,
 and ``encode_message`` its one-row case, drawn by ``one``. Every input
 passes the one check in ``_require_rows``, whose largest norm and in-ball
-test are ``linalg``'s, every spec the one in ``mechanism_family``, which
+test are ``linalg``'s (past 2**17 entries the norm, like the l1 butterfly
+path, is read in row blocks split over two threads, bit for bit the inline
+result; see ``linalg``), every spec the one in ``mechanism_family``, which
 each entry point calls first, and every seed the one in ``_require_rng`` (a
 bool is no seed); identical
 seedable streams reproduce identical messages. The ``*_atom_probabilities``
@@ -102,6 +106,7 @@ from .linalg import (
     _largest_norm,
     fwht_rows_at,
     fwht_rows_inplace,
+    row_blocks,
 )
 from .streams import PCG64Lanes
 
@@ -595,15 +600,18 @@ def _l2_one(rows: np.ndarray, spec: MechanismSpec, gen: np.random.Generator) -> 
 
 
 def _l2_draw(rows: np.ndarray, spec: MechanismSpec, noise) -> np.ndarray:
-    """The (n, d) net signed counts of the rows' messages, drawn in blocks of rows."""
+    """The (n, d) net signed counts of the rows' messages, drawn in
+    ``row_blocks`` of about ``_L2_BLOCK`` entries, each from its own rows'
+    noise into its own rows' counts."""
     radius = hemisphere_radius(spec.ball.dim, spec.ball.radius, spec.epsilon0)
     n, d = rows.shape
     counts = np.empty((n, d), dtype=np.intp)
-    step = max(1, _L2_BLOCK // d)
-    for lo in range(0, n, step):
-        block = slice(lo, lo + step)
+
+    def draw(block: slice) -> None:
         part = [a[block] for a in noise]
         _quan_counts(_priv_rows(rows[block], spec, part[:3]), radius, part[3:], counts[block])
+
+    row_blocks(draw, n, max(1, _L2_BLOCK // d))
     return counts
 
 

@@ -499,6 +499,11 @@ class TestEndToEnd:
         params = SamplingParams(m=1_000, k=1, r=1_000, s=1)
         with pytest.raises(PreconditionError, match="delta"):
             end_to_end(0.3, 0.5, 1, params, EXPLICIT)
+        # Counts that every range admits, but whose q = (k/m)(s/r) underflows to 0.0.
+        for params in (SamplingParams(m=10**200, k=1, r=10**200, s=1),
+                       SamplingParams(m=10**400, k=1, r=1, s=1)):
+            with pytest.raises(PreconditionError, match="got inf"):
+                end_to_end(0.1, 1e-6, 10, params)
 
     def test_propagates_precondition_errors(self):
         params = SamplingParams(m=1_000, k=100, r=1, s=1)  # batch 100 < 1000

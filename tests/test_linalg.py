@@ -1,21 +1,28 @@
 """Vector primitives: norms, clipping, the Hadamard transform, projection."""
 
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cldp import linalg
 from cldp.errors import ValidationError
 from cldp.linalg import (
+    BLOCK_ENTRIES,
     EXACT_TOL,
     BallSpec,
+    _largest_norm,
     clip,
     fwht_rows_at,
     fwht_rows_inplace,
     p_norm,
     project_l2_ball,
+    row_blocks,
     row_norms,
 )
 
@@ -234,3 +241,65 @@ class TestBallSpec:
             BallSpec("2", 1.0, 3)
         with pytest.raises(ValidationError):
             BallSpec(2.0, "1", 3)
+
+
+TWO_CPUS = len(os.sched_getaffinity(0)) > 1
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("threads", [2, 1])
+    @pytest.mark.parametrize("n, step", [(1, 4), (4, 4), (5, 4), (17, 4), (18, 3)])
+    def test_results_are_the_inline_loop(self, monkeypatch, threads, n, step):
+        # In order, one per block; from two blocks on, with two CPUs, the
+        # second half on one other thread, and with _THREADS = 1 all inline.
+        monkeypatch.setattr(linalg, "_THREADS", threads)
+        caller = threading.get_ident()
+        got = row_blocks(lambda b: (b, threading.get_ident()), n, step)
+        assert [b for b, _ in got] == [slice(lo, lo + step) for lo in range(0, n, step)]
+        split, half = threads == 2 and TWO_CPUS, (len(got) + 1) // 2
+        assert [t != caller for _, t in got] == [split and i >= half for i in range(len(got))]
+
+    def test_errors_wait_for_both_halves(self):
+        # The caller's error leaves once the worker's blocks have ended; the
+        # worker's error is raised to the caller.
+        done = []
+
+        def fn(block):
+            if block.start == 0:
+                raise ArithmeticError("head")
+            time.sleep(0.05)
+            done.append(block.start)
+            if block.start == 3:
+                raise LookupError("tail")
+
+        with pytest.raises(ArithmeticError, match="head"):
+            row_blocks(fn, 4, 1)
+        assert done == ([2, 3] if TWO_CPUS else [])
+        with pytest.raises(LookupError, match="tail"):
+            row_blocks(lambda b: fn(slice(b.start + 1, None)), 3, 1)
+
+    def test_worker_runs_in_the_callers_context(self):
+        # numpy's errstate is a context variable: an overflow in the worker's
+        # half raises as it would inline.
+        rows = np.full((4, 2), 1e300)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                row_blocks(lambda b: rows[b] * rows[b] if b.start == 3 else None, 4, 1)
+
+    @pytest.mark.parametrize("threads", [2, 1])
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf, 1.5])
+    def test_largest_norm_of_blocks(self, monkeypatch, threads, p):
+        # A matrix of three blocks and more: the largest row_norms bit for bit,
+        # and NaN when a row in the last block has a NaN, even beside an inf.
+        monkeypatch.setattr(linalg, "_THREADS", threads)
+        gen = np.random.default_rng(11)
+        rows = gen.standard_normal((3 * BLOCK_ENTRIES // 8 + 5, 8))
+        rows[-3] *= 50.0
+        for bad in (1.0, math.inf, math.nan):
+            rows[-1, 2] = bad
+            got = np.float64(_largest_norm(rows, p))
+            assert math.isnan(got) == math.isnan(bad)
+            want = np.float64(row_norms(rows, p).max())
+            assert math.isnan(bad) or got.view(np.int64) == want.view(np.int64)
+        rows[0, 0] = math.inf
+        assert math.isnan(_largest_norm(rows, p))

@@ -2,6 +2,10 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -9,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cldp
+from cldp import linalg
 from cldp.errors import OutOfBallError, ValidationError
-from cldp.linalg import EXACT_TOL, BallSpec, _largest_norm
+from cldp.linalg import EXACT_TOL, BallSpec, _largest_norm, row_norms
 from cldp.mechanisms import (
     IndexSign,
     MechanismSpec,
@@ -1115,3 +1121,110 @@ class TestSpecValidation:
     def test_epsilon0_must_be_finite(self):
         with pytest.raises(ValidationError):
             MechanismSpec(BallSpec(p=1.0, radius=1.0, dim=2), epsilon0=math.inf)
+
+
+class TestTwoThreads:
+    """Large passes split their row blocks over the caller and one worker
+    thread (``linalg.row_blocks``); the draws and errors are the inline ones."""
+
+    # (spec, rows below every split threshold, rows above the threshold):
+    # the input check and the l1 path split past 2**17 entries, an l2 draw
+    # past one block of 2**15.
+    CASES = {
+        "l1": (l1_spec(128, eps0=0.8), 1000, 2500),
+        "linf": (linf_spec(128, eps0=0.8), 1000, 2500),
+        "l2": (l2_spec(64, eps0=0.8), 500, 2500),
+        "mix": (MechanismSpec(BallSpec(1.5, 1.0, 64), 0.8, mix_prob=0.5), 500, 5000),
+    }
+
+    @staticmethod
+    def dataset(spec, n):
+        gen = np.random.default_rng(n)
+        rows = gen.standard_normal((n, spec.ball.dim))
+        return rows * (gen.random(n) / row_norms(rows, spec.ball.p))[:, None]
+
+    @staticmethod
+    def outputs(X, spec):
+        mean, l1_arm = batch_encoder(X, spec)([np.random.default_rng(s) for s in range(5)])
+        return (mean.tobytes(), l1_arm, mean_estimate_trials(X, spec, 7, 2).tobytes(),
+                sample_decoded(X[0], spec, 9, len(X)).tobytes())
+
+    @pytest.mark.parametrize("family", CASES)
+    def test_outputs_are_the_inline_ones(self, monkeypatch, family):
+        spec, small, large = self.CASES[family]
+        splits = []
+
+        def spare():
+            pool = spare_thread()
+            splits.append(pool is not None)
+            return pool
+
+        spare_thread = linalg._spare_thread
+        monkeypatch.setattr(linalg, "_spare_thread", spare)
+        for n in (small, large):
+            X = self.dataset(spec, n)
+            splits.clear()
+            threaded = self.outputs(X, spec)
+            assert any(splits) == (n == large and len(os.sched_getaffinity(0)) > 1)
+            with monkeypatch.context() as inline:
+                inline.setattr(linalg, "_THREADS", 1)
+                assert self.outputs(X, spec) == threaded
+
+    @pytest.mark.parametrize("family", CASES)
+    def test_errors_in_the_workers_half_are_the_inline_ones(self, monkeypatch, family):
+        spec, _, large = self.CASES[family]
+        for bad in (math.nan, math.inf, 2.0):
+            X = self.dataset(spec, large)
+            if bad == 2.0:  # out of the ball: norm 2
+                X[-1] *= 2.0 / row_norms(X[-1:], spec.ball.p)[0]
+            else:
+                X[-1, 3] = bad
+            errors = []
+            for threads in (2, 1):
+                monkeypatch.setattr(linalg, "_THREADS", threads)
+                for call in (lambda: batch_encoder(X, spec),
+                             lambda: mean_estimate_trials(X, spec, 0, 1)):
+                    with pytest.raises((ValidationError, OutOfBallError)) as err:
+                        call()
+                    errors.append((type(err.value), str(err.value)))
+            assert len(set(errors)) == 1
+            assert (errors[0][0] is OutOfBallError) == (bad == 2.0)
+
+    def test_small_passes_start_no_thread_and_a_forked_child_starts_its_own(self):
+        # In a fresh interpreter: one-row messages and (1000, 32) rounds import
+        # no executor and start no thread; a large pass starts one; a child
+        # forked after that finishes a large pass on its own worker (the
+        # parent's executor has no thread there). SIGALRM ends a child that hangs.
+        script = textwrap.dedent("""
+            import math, os, signal, sys, threading
+            import numpy as np
+            from cldp import BallSpec, MechanismSpec
+            from cldp.mechanisms import batch_encoder, encode_message, mean_estimate_trials
+
+            before = threading.active_count()
+            for p in (1.0, 2.0, math.inf):
+                encode_message(np.full(32, 0.01), MechanismSpec(BallSpec(p, 1.0, 32), 1.0), 0)
+            for p in (1.0, 2.0, math.inf):
+                spec = MechanismSpec(BallSpec(p, 1.0, 32), 0.4)
+                batch_encoder(np.full((1000, 32), 0.01), spec)([np.random.default_rng(0)])
+            assert threading.active_count() == before, "a small pass started a thread"
+            assert "concurrent.futures" not in sys.modules
+
+            X = np.full((4000, 128), 0.001)
+            want = mean_estimate_trials(X, MechanismSpec(BallSpec(1.0, 1.0, 128), 0.4), 3, 1)
+            two = len(os.sched_getaffinity(0)) > 1
+            assert threading.active_count() == before + two
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(60)
+                got = mean_estimate_trials(X, MechanismSpec(BallSpec(1.0, 1.0, 128), 0.4), 3, 1)
+                os._exit(0 if got.tobytes() == want.tobytes() else 3)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            assert status == 0, f"the forked child exited with {status}"
+            print("ok")
+        """)
+        src = os.path.dirname(os.path.dirname(cldp.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0 and out.stdout.strip() == "ok", out.stderr
