@@ -286,24 +286,20 @@ def _random_in_ball(gen: np.random.Generator, n: int, d: int, p: float, a: float
     return g * (radii / row_norms(g, p))[:, None]
 
 
-def _run_mean_est(cfg: ExperimentConfig) -> int:
+RISK_COLUMNS = ("risk_upper_worst", "risk_upper_prob", "risk_lower_order_only")
+
+
+def _sweep(cfg: ExperimentConfig, name: str, units: str, header, row) -> int:
+    """Write a (p, d, n, epsilon0) grid's CSV, default name ``name``: per cell
+    its p, d, n, epsilon0 and a, then ``row(idx, query, risks)``, the cell's
+    columns named by ``header``. ``query`` is the cell's ``RiskQuery`` and
+    ``risks`` its ``RISK_COLUMNS``, both made before ``row`` runs, so a cell
+    whose bounds overflow fails before any draw."""
     prm = cfg.params
-    out = _resolve_out(cfg, "mean_est.csv")
+    out = _resolve_out(cfg, name)
     grid = _grid(prm)
-    with _open_csv(
-        out,
-        cfg,
-        "p,d,n,epsilon0 dimensionless; a input units; mse and bounds in squared input units",
-        [
-            "p", "d", "n", "epsilon0", "a", "trials",
-            "empirical_mse", "risk_upper_worst", "risk_upper_prob", "risk_lower_order_only",
-        ],
-    ) as writer:
+    with _open_csv(out, cfg, units, ["p", "d", "n", "epsilon0", "a", *header]) as writer:
         for idx, (p, d, n, eps0) in enumerate(grid):
-            gen = np.random.default_rng(np.random.SeedSequence((prm["seed"], _SWEEP_SALT, idx)))
-            ball = BallSpec(p=p, radius=prm["a"], dim=d)
-            spec = mech.MechanismSpec(ball=ball, epsilon0=eps0, mix_prob=prm["mix_prob"])
-            # Before any draw: a radius or epsilon0 whose bounds overflow fails here.
             query = bnd.RiskQuery(
                 p=p, d=d, n=n, a=prm["a"], epsilon0=eps0, mix_prob=prm["mix_prob"]
             )
@@ -312,14 +308,30 @@ def _run_mean_est(cfg: ExperimentConfig) -> int:
                 _fmt(bnd.risk_upper(query, worst_case=False)),
                 _fmt(bnd.risk_lower(query)),
             ]
-            dataset = _random_in_ball(gen, n, d, p, prm["a"])
-            estimates = mech.mean_estimate_trials(dataset, spec, gen, prm["trials"])
-            mse = float(np.mean(np.sum((estimates - dataset.mean(axis=0)) ** 2, axis=1)))
-            writer.writerow(
-                [_fmt(p), d, n, _fmt(eps0), _fmt(prm["a"]), prm["trials"], _fmt(mse), *risks]
-            )
+            writer.writerow([_fmt(p), d, n, _fmt(eps0), _fmt(prm["a"]), *row(idx, query, risks)])
     print(f"wrote {out} ({len(grid)} grid cells)")
     return 0
+
+
+def _run_mean_est(cfg: ExperimentConfig) -> int:
+    prm = cfg.params
+
+    def row(idx: int, q: bnd.RiskQuery, risks: list) -> list:
+        gen = np.random.default_rng(np.random.SeedSequence((prm["seed"], _SWEEP_SALT, idx)))
+        ball = BallSpec(p=q.p, radius=q.a, dim=q.d)
+        spec = mech.MechanismSpec(ball=ball, epsilon0=q.epsilon0, mix_prob=q.mix_prob)
+        dataset = _random_in_ball(gen, q.n, q.d, q.p, q.a)
+        estimates = mech.mean_estimate_trials(dataset, spec, gen, prm["trials"])
+        mse = float(np.mean(np.sum((estimates - dataset.mean(axis=0)) ** 2, axis=1)))
+        return [prm["trials"], _fmt(mse), *risks]
+
+    return _sweep(
+        cfg,
+        "mean_est.csv",
+        "p,d,n,epsilon0 dimensionless; a input units; mse and bounds in squared input units",
+        ["trials", "empirical_mse", *RISK_COLUMNS],
+        row,
+    )
 
 
 def _run_accountant(cfg: ExperimentConfig) -> int:
@@ -347,39 +359,23 @@ def _run_accountant(cfg: ExperimentConfig) -> int:
 
 def _run_bounds(cfg: ExperimentConfig) -> int:
     prm = cfg.params
-    out = _resolve_out(cfg, "bounds.csv")
-    grid = _grid(prm)
-    with _open_csv(
-        out,
+
+    def row(idx: int, q: bnd.RiskQuery, risks: list) -> list:
+        L, rate = prm["L"], prm["q"]
+        return [
+            *risks,
+            _fmt(bnd.g_squared(L, q.d, q.p, rate, q.n, q.epsilon0)),
+            _fmt(bnd.convergence_bound(L, prm["D"], q.d, q.p, prm["T"], rate, q.n, q.epsilon0)),
+        ]
+
+    return _sweep(
         cfg,
+        "bounds.csv",
         "risks in squared input units; g_squared in squared gradient units; "
         "convergence_bound in loss units",
-        [
-            "p", "d", "n", "epsilon0", "a",
-            "risk_upper_worst", "risk_upper_prob", "risk_lower_order_only",
-            "g_squared", "convergence_bound",
-        ],
-    ) as writer:
-        for p, d, n, eps0 in grid:
-            query = bnd.RiskQuery(
-                p=p, d=d, n=n, a=prm["a"], epsilon0=eps0, mix_prob=prm["mix_prob"]
-            )
-            writer.writerow(
-                [
-                    _fmt(p), d, n, _fmt(eps0), _fmt(prm["a"]),
-                    _fmt(bnd.risk_upper(query, worst_case=True)),
-                    _fmt(bnd.risk_upper(query, worst_case=False)),
-                    _fmt(bnd.risk_lower(query)),
-                    _fmt(bnd.g_squared(prm["L"], d, p, prm["q"], n, eps0)),
-                    _fmt(
-                        bnd.convergence_bound(
-                            prm["L"], prm["D"], d, p, prm["T"], prm["q"], n, eps0
-                        )
-                    ),
-                ]
-            )
-    print(f"wrote {out} ({len(grid)} grid cells)")
-    return 0
+        [*RISK_COLUMNS, "g_squared", "convergence_bound"],
+        row,
+    )
 
 
 def _run_train(cfg: ExperimentConfig) -> int:

@@ -3,8 +3,6 @@
 from .data import (
     Population,
     load_dataset,
-    load_dataset_binary,
-    load_dataset_csv,
     save_dataset_binary,
     save_dataset_csv,
     synthetic_logistic_data,

@@ -5,7 +5,7 @@ exactly r (feature, label) points of dimension d. A ``Population`` holds all
 of them as one read-only (m*r, d) feature matrix, (m*r,) labels and (m,)
 client ids, client i owning rows [i*r, (i+1)*r). It is checked once, when it
 is built. A client is a one-client ``Population``: a read-only view of its
-rows and id. The synthesizer and the loaders return a population,
+rows and id. The synthesizer and ``load_dataset`` return a population,
 ``fedsim.train`` reads its arrays directly, and the savers write from them;
 ``_require_population`` is the one check that their data is a population of
 the expected (m, r, d).
@@ -19,7 +19,8 @@ Binary (extension-agnostic, magic ``CLDPDS01``), all fields big-endian:
     m*r records, client i owning records [i*r, (i+1)*r), each record
     (d + 1) float64 values: the d features followed by the label.
 
-Client ids are positional (0..m-1). The CSV alternative has a header row
+Client ids are positional (0..m-1). ``load_dataset`` reads any file that
+does not start with the magic as the CSV alternative, which has a header row
 ``client_id,x0,...,x{d-1},label`` and one record per row; rows of one client
 must be contiguous and every client must contribute the same number of rows.
 
@@ -232,14 +233,8 @@ def load_dataset(path) -> Population:
     return (_parse_binary if blob.startswith(_MAGIC) else _parse_csv)(blob, path)
 
 
-def load_dataset_binary(path) -> Population:
-    """Read the documented binary layout back into a Population."""
-    return _parse_binary(_read_bytes(path), path)
-
-
 def _parse_binary(blob: bytes, path) -> Population:
-    if blob[: len(_MAGIC)] != _MAGIC:
-        raise ValidationError(f"{path}: not a dataset file (bad magic)")
+    """The documented binary layout, after the magic ``load_dataset`` checked."""
     if len(blob) < len(_MAGIC) + _HEADER.size:
         raise ValidationError(f"{path}: truncated header")
     m, r, d = _HEADER.unpack_from(blob, len(_MAGIC))
@@ -264,12 +259,8 @@ def save_dataset_csv(path, clients: Population) -> None:
             writer.writerow([cid] + [repr(v) for v in x] + [repr(y)])
 
 
-def load_dataset_csv(path) -> Population:
-    """Read the CSV alternative (UTF-8): equally many, contiguous rows per client."""
-    return _parse_csv(_read_bytes(path), path)
-
-
 def _parse_csv(blob: bytes, path) -> Population:
+    """The CSV alternative (UTF-8): equally many, contiguous rows per client."""
     rows: list[list[float]] = []
     sizes: dict[int, int] = {}  # row counts by client id, in file order
     cid = None

@@ -71,9 +71,11 @@ decodes to 0; the encoder never sends it, but wire frames carry it.
 ``batch_encoder`` draws each stream's ``block`` for its rows, gathers the
 blocks, then makes one ``draw`` and one decode over all rows; an index
 family's rows may instead draw one block on lanes, one row per lane. The
-other entry points, ``decode_message``, ``mean_estimate``,
-``sample_decoded`` and ``mean_estimate_trials``, are its one-stream case,
-and ``encode_message`` its one-row case, drawn by ``one``. Every input
+other entry points, ``mean_estimate``, ``sample_decoded`` and
+``mean_estimate_trials``, are its one-stream case, and ``encode_message``
+its one-row case, drawn by ``one``. ``mean_estimate`` is the one decoder of
+received messages: ``decode_message`` is its case of one message, and a raw
+message (``RawVector``) decodes there to its values. Every input
 passes the one check in ``_require_rows``, whose largest norm and in-ball
 test are ``linalg``'s (past 2**17 entries the norm, like the l1 butterfly
 path, is read in row blocks split over two threads, bit for bit the inline
@@ -829,23 +831,17 @@ def encode_message(x, spec: MechanismSpec, rng) -> MechanismMessage:
 
 
 def decode_message(msg: MechanismMessage, spec: MechanismSpec) -> np.ndarray:
-    """Decode any message under the spec that produced it."""
-    family = mechanism_family(spec)
-    if isinstance(msg, RawVector):
-        v = np.asarray(msg.values, dtype=np.float64)
-        if v.size != spec.ball.dim:
-            raise ValidationError(
-                f"raw message carries {v.size} values for dimension {spec.ball.dim}"
-            )
-        return v
-    return _decoded_sum(family, [msg], spec)
+    """Decode any message under the spec that produced it: the mean estimate
+    of that one message."""
+    return mean_estimate([msg], spec)
 
 
 def mean_estimate(messages, spec: MechanismSpec) -> np.ndarray:
     """(1/n) * sum of decoded messages — the server-side mean estimator.
 
     Coded messages are summed from signed counts, so the estimate depends on
-    their multiset alone, bit for bit, and not on their order.
+    their multiset alone, bit for bit, and not on their order. A raw message
+    decodes to its values, which must number d.
     """
     family = mechanism_family(spec)
     try:
@@ -854,9 +850,14 @@ def mean_estimate(messages, spec: MechanismSpec) -> np.ndarray:
         raise ValidationError(f"expected an iterable of messages, got {messages!r:.200}") from None
     if not msgs:
         raise ValidationError("mean estimation needs at least one message")
-    raw = [decode_message(msg, spec) for msg in msgs if isinstance(msg, RawVector)]
+    raw = [msg.values for msg in msgs if isinstance(msg, RawVector)]
     coded = [msg for msg in msgs if not isinstance(msg, RawVector)]
-    total = np.sum(raw, axis=0)
+    for values in raw:
+        if len(values) != spec.ball.dim:
+            raise ValidationError(
+                f"raw message carries {len(values)} values for dimension {spec.ball.dim}"
+            )
+    total = np.sum(np.array(raw, dtype=np.float64), axis=0)
     if coded:
         total = total + _decoded_sum(family, coded, spec)
     return total / len(msgs)

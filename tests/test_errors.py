@@ -223,8 +223,7 @@ MALFORMED = {
     "train_task_list": lambda: train_config(task=["x"]),
     "save_binary_path_none": lambda: fedsim.save_dataset_binary(None, POP),
     "save_csv_path_none": lambda: fedsim.save_dataset_csv(None, POP),
-    "load_binary_path_none": lambda: fedsim.load_dataset_binary(None),
-    "load_csv_path_none": lambda: fedsim.load_dataset_csv(None),
+    "load_path_none": lambda: fedsim.load_dataset(None),
     "round_bits_params_none": lambda: wire.round_payload_bits(SPEC, None, 4),
     "round_bits_d_str": lambda: wire.round_payload_bits(None, PARAMS, "4"),
     "round_bits_l1_arm_str": lambda: wire.round_payload_bits(MIX_SPEC, PARAMS, 4, l1_arm="x"),

@@ -21,8 +21,6 @@ from cldp.fedsim import (
     TrainConfig,
     get_task,
     load_dataset,
-    load_dataset_binary,
-    load_dataset_csv,
     sample_clients,
     sample_data,
     save_dataset_binary,
@@ -800,7 +798,7 @@ class TestDatasetIO:
         clients, _ = synthetic_logistic_data(m=3, r=2, d=2, seed=0)
         path = tmp_path / "data.bin"
         save_dataset_binary(path, clients)
-        loaded = load_dataset_binary(path)
+        loaded = load_dataset(path)
         assert len(loaded) == 3
         for a, b in zip(clients, loaded):
             assert np.array_equal(a.client_ids, b.client_ids)
@@ -810,8 +808,8 @@ class TestDatasetIO:
     def test_binary_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTADATA" + b"\x00" * 24)
-        with pytest.raises(ValidationError, match="magic"):
-            load_dataset_binary(path)
+        with pytest.raises(ValidationError, match="unexpected CSV header"):
+            load_dataset(path)  # no magic: read as the CSV alternative
 
     def test_binary_rejects_truncation(self, tmp_path):
         clients, _ = synthetic_logistic_data(m=2, r=2, d=2, seed=0)
@@ -819,7 +817,7 @@ class TestDatasetIO:
         save_dataset_binary(path, clients)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValidationError, match="bytes"):
-            load_dataset_binary(path)
+            load_dataset(path)
 
     def test_csv_roundtrip_exact(self, tmp_path):
         clients, _ = synthetic_logistic_data(m=2, r=3, d=2, seed=1)
@@ -827,7 +825,7 @@ class TestDatasetIO:
         save_dataset_csv(path, clients)
         header = path.read_text().splitlines()[0]
         assert header == "client_id,x0,x1,label"
-        loaded = load_dataset_csv(path)
+        loaded = load_dataset(path)
         for a, b in zip(clients, loaded):
             assert np.array_equal(a.features, b.features)  # repr() roundtrips floats
             assert np.array_equal(a.labels, b.labels)
@@ -838,7 +836,7 @@ class TestDatasetIO:
             "client_id,x0,label\n0,1.0,1.0\n0,2.0,-1.0\n1,3.0,1.0\n"
         )
         with pytest.raises(ValidationError, match="unequal"):
-            load_dataset_csv(path)
+            load_dataset(path)
 
     def test_csv_rejects_interleaved_clients(self, tmp_path):
         # A client's rows are contiguous: rows 0, 1, 0, 1 are not regrouped
@@ -846,7 +844,7 @@ class TestDatasetIO:
         path = tmp_path / "interleaved.csv"
         path.write_text("client_id,x0,label\n0,1.0,1.0\n1,2.0,1.0\n0,3.0,1.0\n1,4.0,1.0\n")
         with pytest.raises(ValidationError, match="rows of client 0 are not contiguous"):
-            load_dataset_csv(path)
+            load_dataset(path)
 
     def test_load_dataset_reads_once_and_picks_the_format(self, tmp_path, monkeypatch):
         clients, _ = synthetic_logistic_data(m=2, r=3, d=2, seed=1)
@@ -865,18 +863,17 @@ class TestDatasetIO:
         path = tmp_path / "bad.csv"
         path.write_text("client_id,x0,label\n" + body)
         with pytest.raises(ValidationError):
-            load_dataset_csv(path)
+            load_dataset(path)
 
     def test_unreadable_files_rejected(self, tmp_path):
-        for loader in (load_dataset, load_dataset_csv, load_dataset_binary):
-            with pytest.raises(ValidationError, match="cannot read"):
-                loader(tmp_path / "missing")
-            with pytest.raises(ValidationError, match="cannot read"):
-                loader(tmp_path)  # a directory
+        with pytest.raises(ValidationError, match="cannot read"):
+            load_dataset(tmp_path / "missing")
+        with pytest.raises(ValidationError, match="cannot read"):
+            load_dataset(tmp_path)  # a directory
         path = tmp_path / "latin1.csv"
         path.write_bytes("client_id,x\xe9,label\n0,1.0,1.0\n".encode("latin-1"))
         with pytest.raises(ValidationError, match="utf-8"):
-            load_dataset_csv(path)
+            load_dataset(path)
 
     @given(blob=dataset_bytes())
     def test_loader_fuzz(self, blob):
@@ -885,12 +882,11 @@ class TestDatasetIO:
             path = os.path.join(tmp, "data")
             with open(path, "wb") as fh:
                 fh.write(blob)
-            for loader in (load_dataset, load_dataset_csv, load_dataset_binary):
-                try:
-                    clients = loader(path)
-                except ValidationError:
-                    continue
-                assert isinstance(clients, Population) and len(clients) >= 1
+            try:
+                clients = load_dataset(path)
+            except ValidationError:
+                return
+            assert isinstance(clients, Population) and len(clients) >= 1
 
     def test_validate_clients(self):
         # The one data check: a Population, of the expected (m, r, d).
@@ -991,4 +987,4 @@ class TestPopulation:
         blob[record : record + 8] = struct.pack(">d", math.inf)
         path.write_bytes(bytes(blob))
         with pytest.raises(ValidationError, match="client 1: non-finite data"):
-            load_dataset_binary(path)
+            load_dataset(path)
