@@ -10,8 +10,8 @@ Everything here is an exact formula evaluation, no sampling:
 * ``comm_adversary`` — for any decoder with fewer than d possible outputs,
   an input direction the linear-average estimator cannot see at all.
 * ``g_squared`` / ``convergence_bound`` — the gradient second-moment
-  constant used for SGD step sizes and the resulting convergence bound
-  2·D·G·(2 + ln T)/√T.
+  constant used for SGD step sizes (for the lp mix, from ``risk_upper``'s
+  two-arm rule) and the resulting convergence bound 2·D·G·(2 + ln T)/√T.
 
 Notation: ratio means (e^{eps0}+1)/(e^{eps0}-1), the variance inflation of
 an eps0-locally-private bit; it tends to 1 as eps0 grows.
@@ -86,14 +86,9 @@ def risk_upper(q: RiskQuery, worst_case: bool = True) -> float:
     base = q.a * q.a * q.d / q.n * _ratio_squared(q.epsilon0)
     idx = 0 if worst_case else 1
     if q.mix_prob is not None:
-        if math.isinf(q.p):
-            raise ValidationError("the two-arm bound needs finite p")
-        pbar = q.mix_prob
         r1 = _UPPER_CONSTANTS[1.0][idx] * base
         r2 = _UPPER_CONSTANTS[2.0][idx] * base
-        risk = pbar * q.d ** (2.0 - 2.0 / q.p) * r1 + (1.0 - pbar) * max(
-            q.d ** (1.0 - 2.0 / q.p), 1.0
-        ) * r2
+        risk = _two_arm(q.mix_prob, q.d, q.p, r1, r2)
     elif q.p == 1.0 or q.p == 2.0:
         risk = _UPPER_CONSTANTS[q.p][idx] * base
     elif math.isinf(q.p):
@@ -105,6 +100,15 @@ def risk_upper(q: RiskQuery, worst_case: bool = True) -> float:
     return _finite_risk(risk, q)
 
 
+def _two_arm(pbar: float, d: int, p: float, r1: float, r2: float) -> float:
+    """The lp mix's risk from its arms' direct risks r1 (l1) and r2 (l2) at
+    radius a: each arm runs at an inflated radius, a*d^{1-1/p} for l1 and
+    a*max{d^{1/2-1/p}, 1} for l2, and its risk scales with that radius squared."""
+    if math.isinf(p):
+        raise ValidationError("the two-arm bound needs finite p")
+    return pbar * d ** (2.0 - 2.0 / p) * r1 + (1.0 - pbar) * max(d ** (1.0 - 2.0 / p), 1.0) * r2
+
+
 def risk_lower(q: RiskQuery) -> float:
     """Minimax lower bound on the mean-squared error (order-only, constant 1).
 
@@ -113,7 +117,8 @@ def risk_lower(q: RiskQuery) -> float:
     constant is unknown; treat the value as a rate, not a guarantee.
     ValidationError if the bound overflows float64.
     """
-    eps_term = q.epsilon0**2 if q.p <= 2.0 else min(q.epsilon0, q.epsilon0**2)
+    squared = q.epsilon0 * q.epsilon0  # inf past about 1.34e154, where ** raises: the cap reads 0
+    eps_term = squared if q.p <= 2.0 else min(q.epsilon0, squared)
     shape = 1.0 if q.p <= 2.0 else q.d ** (1.0 - 2.0 / q.p)
     denom = q.n * eps_term  # 0 when a tiny eps0, squared, underflows: then the cap 1
     return _finite_risk(q.a * q.a * shape * (min(1.0, q.d / denom) if denom else 1.0), q)
@@ -176,11 +181,15 @@ def comm_adversary(decoder_table, p: float, a: float) -> np.ndarray:
     return a / p_norm(direction, p) * direction
 
 
-def g_squared(L: float, d: int, p: float, q: float, n: int, epsilon0: float) -> float:
+def g_squared(
+    L: float, d: int, p: float, q: float, n: int, epsilon0: float, mix_prob=None
+) -> float:
     """Second-moment constant G^2 = L^2 max{d^{1-2/p},1} (1 + (c d/(q n)) ratio^2).
 
     c is ``risk_upper``'s probabilistic constant: 4 for p in {1, inf}, else l2's 14.
-    epsilon0 = inf means no privacy noise (ratio = 1).
+    With mix_prob (finite p) the lp mix's noise term replaces c d/(q n)
+    ratio^2: ``risk_upper``'s two-arm rule at radius L and batch q n, with the
+    probabilistic constants. epsilon0 = inf means no privacy noise (ratio = 1).
     """
     require_real(L, "L", "(0, inf]")
     require_real(q, "q", "(0, 1]")
@@ -188,17 +197,22 @@ def g_squared(L: float, d: int, p: float, q: float, n: int, epsilon0: float) -> 
     require_int(n, "n", FLOAT_COUNT)
     require_real(p, "p", "[1, inf]")
     require_real(epsilon0, "epsilon0", "(0, inf]")
-    c = _UPPER_CONSTANTS.get(p, _UPPER_CONSTANTS[2.0])[1]
+    _require_mix_prob(mix_prob)
     shape = max(d ** (1.0 - 2.0 / p), 1.0)
-    return L * L * shape * (1.0 + c * d / (q * n) * _ratio_squared(epsilon0))
+    if mix_prob is None:
+        c = _UPPER_CONSTANTS.get(p, _UPPER_CONSTANTS[2.0])[1]
+        return L * L * shape * (1.0 + c * d / (q * n) * _ratio_squared(epsilon0))
+    base = d / (q * n) * _ratio_squared(epsilon0)
+    r1, r2 = (_UPPER_CONSTANTS[arm][1] * base for arm in (1.0, 2.0))
+    return L * L * (shape + _two_arm(mix_prob, d, p, r1, r2))
 
 
 def convergence_bound(
-    L: float, D: float, d: int, p: float, T: float, q: float, n: int, epsilon0: float
+    L: float, D: float, d: int, p: float, T: float, q: float, n: int, epsilon0: float, mix_prob=None
 ) -> float:
-    """Optimality gap after T rounds of step size D/(G sqrt(t)): 2DG(2+ln T)/sqrt(T)."""
+    """Optimality gap after T rounds of step size D/(G sqrt(t)): 2DG(2+ln T)/sqrt(T),
+    with G^2 from ``g_squared`` (the lp mix's when mix_prob is set)."""
     require_real(D, "diameter", "(0, inf]")
     require_real(T, "T", FLOAT_COUNT)
-    big_g = math.sqrt(g_squared(L, d, p, q, n, epsilon0))
+    big_g = math.sqrt(g_squared(L, d, p, q, n, epsilon0, mix_prob))
     return 2.0 * D * big_g * (2.0 + math.log(T)) / math.sqrt(T)
-

@@ -218,7 +218,7 @@ def _merge_config(subcommand: str, flag_values: dict, config_path) -> Experiment
                 file_values = json.load(fh)
         except OSError as exc:
             raise ValidationError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an int past Python's digit limit
             raise ValidationError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_values, dict):
             raise ValidationError("config file must hold a JSON object")
@@ -290,25 +290,19 @@ RISK_COLUMNS = ("risk_upper_worst", "risk_upper_prob", "risk_lower_order_only")
 
 
 def _sweep(cfg: ExperimentConfig, name: str, units: str, header, row) -> int:
-    """Write a (p, d, n, epsilon0) grid's CSV, default name ``name``: per cell
-    its p, d, n, epsilon0 and a, then ``row(idx, query, risks)``, the cell's
-    columns named by ``header``. ``query`` is the cell's ``RiskQuery`` and
-    ``risks`` its ``RISK_COLUMNS``, both made before ``row`` runs, so a cell
-    whose bounds overflow fails before any draw."""
+    """Write a (p, d, n, epsilon0) grid's CSV, by default to ``name``: per cell
+    its p, d, n, epsilon0 and a, then ``row(idx, query, risks)``, the columns
+    ``header`` names. ``query`` is the cell's ``RiskQuery`` and ``risks`` its
+    ``RISK_COLUMNS``, made before ``row`` runs: a cell whose bounds overflow
+    fails before any draw."""
     prm = cfg.params
     out = _resolve_out(cfg, name)
     grid = _grid(prm)
     with _open_csv(out, cfg, units, ["p", "d", "n", "epsilon0", "a", *header]) as writer:
         for idx, (p, d, n, eps0) in enumerate(grid):
-            query = bnd.RiskQuery(
-                p=p, d=d, n=n, a=prm["a"], epsilon0=eps0, mix_prob=prm["mix_prob"]
-            )
-            risks = [
-                _fmt(bnd.risk_upper(query, worst_case=True)),
-                _fmt(bnd.risk_upper(query, worst_case=False)),
-                _fmt(bnd.risk_lower(query)),
-            ]
-            writer.writerow([_fmt(p), d, n, _fmt(eps0), _fmt(prm["a"]), *row(idx, query, risks)])
+            q = bnd.RiskQuery(p, d, n, prm["a"], eps0, prm["mix_prob"])
+            risks = [bnd.risk_upper(q, worst) for worst in (True, False)] + [bnd.risk_lower(q)]
+            writer.writerow(map(_fmt, [p, d, n, eps0, prm["a"], *row(idx, q, risks)]))
     print(f"wrote {out} ({len(grid)} grid cells)")
     return 0
 
@@ -318,20 +312,14 @@ def _run_mean_est(cfg: ExperimentConfig) -> int:
 
     def row(idx: int, q: bnd.RiskQuery, risks: list) -> list:
         gen = np.random.default_rng(np.random.SeedSequence((prm["seed"], _SWEEP_SALT, idx)))
-        ball = BallSpec(p=q.p, radius=q.a, dim=q.d)
-        spec = mech.MechanismSpec(ball=ball, epsilon0=q.epsilon0, mix_prob=q.mix_prob)
+        spec = mech.MechanismSpec(BallSpec(q.p, q.a, q.d), q.epsilon0, q.mix_prob)
         dataset = _random_in_ball(gen, q.n, q.d, q.p, q.a)
         estimates = mech.mean_estimate_trials(dataset, spec, gen, prm["trials"])
-        mse = float(np.mean(np.sum((estimates - dataset.mean(axis=0)) ** 2, axis=1)))
-        return [prm["trials"], _fmt(mse), *risks]
+        mse = np.mean(np.sum((estimates - dataset.mean(axis=0)) ** 2, axis=1))
+        return [prm["trials"], mse, *risks]
 
-    return _sweep(
-        cfg,
-        "mean_est.csv",
-        "p,d,n,epsilon0 dimensionless; a input units; mse and bounds in squared input units",
-        ["trials", "empirical_mse", *RISK_COLUMNS],
-        row,
-    )
+    units = "p,d,n,epsilon0 dimensionless; a input units; mse and bounds in squared input units"
+    return _sweep(cfg, "mean_est.csv", units, ["trials", "empirical_mse", *RISK_COLUMNS], row)
 
 
 def _run_accountant(cfg: ExperimentConfig) -> int:
@@ -361,21 +349,16 @@ def _run_bounds(cfg: ExperimentConfig) -> int:
     prm = cfg.params
 
     def row(idx: int, q: bnd.RiskQuery, risks: list) -> list:
-        L, rate = prm["L"], prm["q"]
-        return [
-            *risks,
-            _fmt(bnd.g_squared(L, q.d, q.p, rate, q.n, q.epsilon0)),
-            _fmt(bnd.convergence_bound(L, prm["D"], q.d, q.p, prm["T"], rate, q.n, q.epsilon0)),
-        ]
+        L, rate, mix = prm["L"], prm["q"], q.mix_prob
+        g2 = bnd.g_squared(L, q.d, q.p, rate, q.n, q.epsilon0, mix)
+        bound = bnd.convergence_bound(L, prm["D"], q.d, q.p, prm["T"], rate, q.n, q.epsilon0, mix)
+        return [*risks, g2, bound]
 
-    return _sweep(
-        cfg,
-        "bounds.csv",
+    units = (
         "risks in squared input units; g_squared in squared gradient units; "
-        "convergence_bound in loss units",
-        [*RISK_COLUMNS, "g_squared", "convergence_bound"],
-        row,
+        "convergence_bound in loss units"
     )
+    return _sweep(cfg, "bounds.csv", units, [*RISK_COLUMNS, "g_squared", "convergence_bound"], row)
 
 
 def _run_train(cfg: ExperimentConfig) -> int:

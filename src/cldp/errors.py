@@ -6,13 +6,14 @@ out-of-ball vectors, unknown config keys) exit with 2, accounting problems
 with 3.
 
 One number rule, types and ranges. ``require_real`` takes a ``numbers.Real``
-and ``require_int`` a ``numbers.Integral`` (numpy numbers too; 5.0 is not an
+that float64 holds (10**400 is refused, as ``float()`` refuses it) and
+``require_int`` a ``numbers.Integral`` (numpy numbers too; 5.0 is not an
 integer), neither a bool; an optional interval such as ``"(0, 1]"`` or
 ``"[1, inf)"`` states the admissible range, inf only at a closed end and NaN
 nowhere. Each raises ValidationError naming the argument; only bounds tying
 two arguments (1 <= k <= m) stay with the caller. Interval texts are parsed
-once, and floats and ints skip the ABC test, so checks on per-message paths
-cost little.
+once, a float skips the type tests and an int the ABC test, so checks on
+per-message paths cost little.
 """
 
 import math
@@ -74,10 +75,19 @@ def _interval(text: str) -> tuple:
 
 
 def require_real(value, name: str, interval: str | None = None):
-    """value itself when it is a real number (a bool is not) in interval, else ValidationError."""
-    if not (isinstance(value, float) or type(value) is int):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValidationError(f"{name} must be a real number, got {value!r:.200}")
+    """value itself when it is a real number (a bool is not) that a float64
+    holds, in interval; else ValidationError."""
+    if not isinstance(value, float):
+        if type(value) is not int:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"{name} must be a real number, got {value!r:.200}")
+        try:
+            float(value)
+        except OverflowError:
+            raise ValidationError(
+                f"{name} must be a real number that float64 holds (magnitude at most "
+                f"{sys.float_info.max!r}), got a larger {type(value).__name__}"
+            ) from None
     if interval is not None:
         low, high, ends = _INTERVALS.get(interval) or _interval(interval)
         if not (low < value < high or value in ends):

@@ -250,7 +250,8 @@ def train(cfg: TrainConfig, data: Population) -> TrainResult:
 
     budget, eps_schedule = _budget_and_schedule(cfg)
     spec = cfg.mechanism_spec()
-    big_g = math.sqrt(g_squared(task.lipschitz, d, cfg.ball.p, p.q, p.n, cfg.epsilon0))
+    mix_prob = None if spec is None else spec.mix_prob  # the baseline runs no mix
+    big_g = math.sqrt(g_squared(task.lipschitz, d, cfg.ball.p, p.q, p.n, cfg.epsilon0, mix_prob))
     radius = cfg.diameter / 2.0
 
     server = np.random.default_rng(np.random.SeedSequence((cfg.seed, SERVER_SALT)))

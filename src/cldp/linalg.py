@@ -115,15 +115,15 @@ _FLOAT64 = np.dtype(np.float64)
 
 def _as_floats(x) -> np.ndarray:
     """x as a float64 array; what numpy cannot convert (a string, ragged
-    rows) and complex numbers, whose imaginary part a cast would drop, raise
-    ValidationError."""
+    rows, an int past float64's range) and complex numbers, whose imaginary
+    part a cast would drop, raise ValidationError."""
     try:
         v = np.asarray(x)
         if v.dtype is _FLOAT64:  # the common case, no cast
             return v
         if v.dtype.kind != "c":
             return v.astype(np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ValidationError(f"expected real numbers, got {x!r:.200}")
 
@@ -192,7 +192,11 @@ class BallSpec:
         object.__setattr__(self, "dim", require_int(self.dim, "ball dimension", "[1, inf)"))
 
     def contains(self, x) -> bool:
-        return _in_ball(p_norm(x, self.p), self.radius)
+        """Whether x, a vector of dimension ``dim``, lies in the ball."""
+        v = as_vector(x)
+        if v.size != self.dim:
+            raise ValidationError(f"expected a vector of dimension {self.dim}, got {v.size}")
+        return _in_ball(p_norm(v, self.p), self.radius)
 
 
 def clip(g, p: float, C: float) -> np.ndarray:

@@ -206,7 +206,7 @@ class MixTagged:
 
 @dataclass(frozen=True)
 class RawVector:
-    """Uncompressed, unprivatized float64 payload (baseline mode only)."""
+    """Uncompressed, unprivatized float64 payload (baseline mode only): finite values."""
 
     values: tuple[float, ...]
 
@@ -214,7 +214,7 @@ class RawVector:
         if not isinstance(self.values, (tuple, list)) or len(self.values) < 1:
             raise ValidationError(f"raw message must carry a tuple of values, got {self.values!r:.200}")
         for v in self.values:
-            require_real(v, "a raw message value")
+            require_real(v, "a raw message value", "(-inf, inf)")
 
 
 MechanismMessage = Union[IndexSign, SparseSigned, MixTagged, RawVector]
@@ -852,11 +852,9 @@ def mean_estimate(messages, spec: MechanismSpec) -> np.ndarray:
         raise ValidationError("mean estimation needs at least one message")
     raw = [msg.values for msg in msgs if isinstance(msg, RawVector)]
     coded = [msg for msg in msgs if not isinstance(msg, RawVector)]
-    for values in raw:
-        if len(values) != spec.ball.dim:
-            raise ValidationError(
-                f"raw message carries {len(values)} values for dimension {spec.ball.dim}"
-            )
+    bad = [len(values) for values in raw if len(values) != spec.ball.dim]
+    if bad:
+        raise ValidationError(f"raw message carries {bad[0]} values for dimension {spec.ball.dim}")
     total = np.sum(np.array(raw, dtype=np.float64), axis=0)
     if coded:
         total = total + _decoded_sum(family, coded, spec)

@@ -15,7 +15,15 @@ from cldp.bounds import (
     risk_upper,
 )
 from cldp.errors import ValidationError
-from cldp.mechanisms import privacy_ratio
+from cldp.linalg import BallSpec
+from cldp.mechanisms import (
+    IndexSign,
+    MechanismSpec,
+    decode_message,
+    privacy_ratio,
+    r1_atom_probabilities,
+    rp_arm_specs,
+)
 
 LN3 = math.log(3.0)
 
@@ -105,6 +113,16 @@ class TestRiskLower:
         assert small == pytest.approx(2.0 * 4 / (10_000 * 0.25), rel=1e-12)
         large = risk_lower(RiskQuery(p=4.0, d=4, n=10_000, a=1.0, epsilon0=2.0))
         assert large == pytest.approx(2.0 * 4 / (10_000 * 2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("p, mix", [(2.0, None), (3.0, 0.5)])
+    def test_huge_epsilon0(self, p, mix):
+        # eps0^2 overflows float64 above eps0 of about 1.34e154: squared by a
+        # product it reads inf, the cap min{1, d/(n*inf)} reads 0, and no
+        # OverflowError escapes. For p > 2 the eps term is eps0 itself.
+        q = RiskQuery(p=p, d=8, n=100, a=1.0, epsilon0=1e200, mix_prob=mix)
+        want = 0.0 if p <= 2.0 else 8 ** (1.0 - 2.0 / p) * (8 / (100 * 1e200))
+        assert risk_lower(q) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert math.isfinite(risk_upper(q)) and math.isfinite(risk_upper(q, worst_case=False))
 
     def test_upper_lower_ratio_bounded_for_small_p(self):
         # In the eps0 = O(1), non-clamped regime the achievable bound tracks
@@ -269,6 +287,41 @@ class TestGSquared:
             g_squared(L=1.0, d=4, p=2.0, q=0.0, n=10, epsilon0=1.0)
         with pytest.raises(ValidationError):
             g_squared(L=1.0, d=4, p=0.5, q=1.0, n=10, epsilon0=1.0)
+
+
+    def test_mix_covers_its_l1_arms_exact_moment(self):
+        # At q*n = 1 the averaged gradient is one decoded message. With
+        # probability mix_prob it is the l1 arm's, at radius a1 = L*d^{1-1/p},
+        # whose every decode has squared norm a1^2*d*ratio^2 (criterion 03).
+        # l2's constant 14 does not cover that term; the two-arm rule does.
+        L, d, p, eps0, pbar = 1.0, 64, 1.5, 4.0, 0.9
+        arm_l1, _ = rp_arm_specs(MechanismSpec(BallSpec(p, L, d), eps0, mix_prob=pbar))
+        a1 = arm_l1.ball.radius
+        x = np.full(d, 0.5 * a1 / d)
+        m2 = sum(
+            pr * float(np.sum(decode_message(IndexSign(j, sign), arm_l1) ** 2))
+            for (j, sign), pr in r1_atom_probabilities(x, arm_l1).items()
+        )
+        assert m2 == pytest.approx(a1 * a1 * d * privacy_ratio(eps0) ** 2, rel=1e-12)
+        assert g_squared(L, d, p, 1.0, 1, eps0) < pbar * m2  # the direct rule at p = 1.5
+        assert g_squared(L, d, p, 1.0, 1, eps0, mix_prob=pbar) >= pbar * m2
+
+    def test_mix_is_the_two_arm_rule(self):
+        # G^2 = L^2 (max{d^{1-2/p},1} + pbar d^{2-2/p} r1 + (1-pbar) max{d^{1-2/p},1} r2),
+        # r1 and r2 the probabilistic l1 and l2 noise terms 4 and 14 * d/(q n) ratio^2.
+        L, d, p, q, n, eps0, pbar = 2.0, 20, 1.5, 0.04, 1000, 4.0, 0.4
+        noise = d / (q * n) * privacy_ratio(eps0) ** 2
+        want = L * L * (
+            1.0 + pbar * d ** (2 - 2 / p) * 4 * noise + (1 - pbar) * 1.0 * 14 * noise
+        )
+        got = g_squared(L, d, p, q, n, eps0, mix_prob=pbar)
+        assert got == pytest.approx(want, rel=1e-12)
+        bound = convergence_bound(L, 2.0, d, p, 100, q, n, eps0, mix_prob=pbar)
+        assert bound == pytest.approx(2 * 2.0 * math.sqrt(want) * (2 + math.log(100)) / 10)
+        with pytest.raises(ValidationError, match="finite p"):
+            g_squared(L, d, math.inf, q, n, eps0, mix_prob=pbar)
+        with pytest.raises(ValidationError, match="mix probability"):
+            g_squared(L, d, p, q, n, eps0, mix_prob=1.5)
 
 
 class TestConvergenceBound:

@@ -101,6 +101,19 @@ class TestConfigHandling:
         assert main([command, "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "blob",
+        [b'{"T": 1' + b"0" * 5000 + b"}", b'{"variant": "\xe9"}'],
+        ids=["int_past_digit_limit", "latin1"],
+    )
+    def test_undecodable_config_exits_2(self, blob, tmp_path, capsys):
+        # Python refuses to read an int of more than 4300 digits, and a text
+        # file that is not UTF-8; both are ValueErrors, not JSON syntax errors.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(blob)
+        assert main(["accountant", "--config", str(cfg)]) == 2
+        assert "config file is not valid JSON" in capsys.readouterr().err
+
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         assert main(["accountant", "--config", str(tmp_path / "missing.json")]) == 2
         assert "cannot read config file" in capsys.readouterr().err
@@ -335,13 +348,17 @@ class TestMeanEstCommand:
         "argv",
         [["bounds", "--p", "1", "inf", "--d", "8", "--n", "100", "--eps0", "800"],
          ["mean-est", "--p", "1", "--eps0", "800", "--trials", "2"],
-         ["train", "--eps0", "800", "--T", "1", "--account", "false"]],
-        ids=["bounds", "mean-est", "train"],
+         ["train", "--eps0", "800", "--T", "1", "--account", "false"],
+         ["bounds", "--p", "1", "inf", "--d", "8", "--n", "100", "--eps0", "1e200"],
+         ["mean-est", "--p", "1", "--eps0", "1e200", "--trials", "2"]],
+        ids=["bounds", "mean-est", "train", "bounds_eps0_1e200", "mean-est_eps0_1e200"],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_epsilon0_past_exp_overflow_runs(self, argv, tmp_path, capsys):
         # e^eps0 overflows a float64 above eps0 of about 709.78; the privacy
         # ratio there is its float64 value 1.0, and every command completes.
+        # So it does above about 1.34e154, where eps0^2 overflows in the
+        # lower bound.
         stem = str(tmp_path / "out")
         assert main(argv + ["--out", stem if argv[0] == "train" else stem + ".csv"]) == 0
         capsys.readouterr()
@@ -412,6 +429,19 @@ class TestTrainCommand:
         assert float(rows[-1][header.index("loss")]) == payload["final_loss"]
         assert payload["budget"]["guarantee"] is False
         assert math.isnan(payload["budget"]["epsilon"])
+
+    def test_config_file_numbers_and_bools(self, tmp_path, capsys):
+        # A JSON integral float reads as its integer and a JSON bool passes
+        # through: {"T": 2.0, "account": false} is --T 2 --account false, with
+        # the same config hash and artifacts byte for byte.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 2.0, "account": False}))
+        flags = " ".join(self.ARGS).replace(" --T 2", "").replace(" --account false", "")
+        assert main(flags.split() + ["--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+        assert main(self.ARGS + ["--out", str(tmp_path / "flags")]) == 0
+        capsys.readouterr()
+        for ext in (".csv", ".json"):
+            assert (tmp_path / f"file{ext}").read_bytes() == (tmp_path / f"flags{ext}").read_bytes()
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         assert main(self.ARGS + ["--seed", "-1", "--out", str(tmp_path / "x")]) == 2
@@ -523,10 +553,10 @@ PARITY_SHA256 = [
     "ed9189c6b36cf55c62c8be199d4b1386c73628f2cd949afe7f386bbc079f77de  train_l2.json",
     "c72d880ca5ec361f8cdf914ede065d340849d9f340c944b70bcaabf640d27ab0  train_linf_s1.csv",
     "0fc3443da2b7f4e7ac907ebcd561bf0f90bf8a8060ad96094696033218fd7f0a  train_linf_s1.json",
-    "db90d832c0a08693e1634e3b562229b4ae38628e68efaa3356152c7b7ed17c18  train_mix_s1.csv",
-    "245a472a3b688edd012833ab92de4721025060fcf5a523d5b754d3a68cf6dfb0  train_mix_s1.json",
-    "23ad5899f1dfbf1bb5b0f97a905cb4736bb1bf94c772d5a81ce6da07bf925227  train_mix_s2.csv",
-    "9b5767afb6380291e5a6935f1fede76a1f9532455e01b85c5afed3592424b232  train_mix_s2.json",
+    "91d4d8f7a44a2cc5f1870154854375955e757df78587442cedbc69557235ad62  train_mix_s1.csv",
+    "c81ae104f947345b96c5e5360e0e2419afed5a3d89b1333cff7c147d67fe8cac  train_mix_s1.json",
+    "f23259785e525cac61c94af2933fbfb9b82a5534af295ccee433c34c7fae82d3  train_mix_s2.csv",
+    "c8335986d85cd84af7369ceeded0efcf4c5bb1c0b32b4b128ec17447281c1038  train_mix_s2.json",
 ]
 
 

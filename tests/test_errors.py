@@ -12,6 +12,8 @@ import ast
 import dataclasses
 import math
 import os
+import struct
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +216,21 @@ MALFORMED = {
     "end_to_end_batch_huge": lambda: end_to_end(
         0.1, 1e-6, 10, SamplingParams(m=10**400, k=10**399, r=1, s=1)
     ),
+    # Reals past float64's range, which float() refuses with OverflowError.
+    "spec_radius_huge": lambda: mechanisms.MechanismSpec(BallSpec(2.0, 10**400, 3), 1.0),
+    "end_to_end_epsilon0_huge": lambda: end_to_end(
+        10**400, 1e-6, 10, SamplingParams(m=5000, k=1000, r=1, s=1)
+    ),
+    "risk_a_huge": lambda: bounds.RiskQuery(2.0, 8, 10, 10**400, 1.0),
+    "g_squared_L_huge": lambda: bounds.g_squared(10**400, 8, 2.0, 0.5, 10, 1.0),
+    "p_norm_entry_huge": lambda: linalg.p_norm([10**400, 0], 2.0),
+    "encode_entry_huge": lambda: mechanisms.encode_message([10**400, 0, 0, 0], SPEC, 0),
+    # Non-finite raw values, which mean_estimate would average into NaN.
+    "raw_value_nan": lambda: mechanisms.RawVector((math.nan,) * 4),
+    "raw_value_inf": lambda: mechanisms.RawVector((0.0, -math.inf)),
+    "unframe_raw_nan": lambda: wire.unframe_message(
+        struct.pack(">BH4d", wire.TAG_RAW, 4 * wire.RAW_VALUE_BITS, math.nan, 0.0, 0.0, 0.0), SPEC
+    ),
     # Complex arrays, whose imaginary part a float cast would drop.
     "encode_complex": lambda: mechanisms.encode_message(np.array([5j, 0, 0, 0]), L1_SPEC, 0),
     "trials_complex": lambda: mechanisms.mean_estimate_trials(ROWS + 3j, SPEC, 0, 1),
@@ -234,6 +251,7 @@ MALFORMED = {
     "rp_arm_specs_of_l2_spec": lambda: mechanisms.rp_arm_specs(SPEC),
     "p_norm_matrix": lambda: linalg.p_norm(np.zeros((2, 2)), 2.0),
     "project_center_of_another_dim": lambda: linalg.project_l2_ball([1.0, 0.0], [0.0], 1.0),
+    "ball_contains_another_dim": lambda: BallSpec(2.0, 1.0, 3).contains([0.1, 0.1]),
     "train_non_finite_gradients": train_on_non_finite_gradients,
 }
 
@@ -259,6 +277,15 @@ def test_integers_pass_as_ints(value):
 def test_non_reals_are_refused_by_name(value):
     with pytest.raises(ValidationError, match="^radius must be a real number"):
         require_real(value, "radius")
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400), Fraction(10**400, 3)])
+def test_reals_past_float64_are_refused_by_name(value):
+    # float() refuses them with OverflowError; an interval would let them
+    # pass, since an int compares exactly with inf.
+    with pytest.raises(ValidationError, match="^radius must be a real number that float64 holds"):
+        require_real(value, "radius", "(-inf, inf)")
+    assert require_real(10**308, "radius") == 10**308
 
 
 @pytest.mark.parametrize("value", [False, 5.0, np.float64(5.0), "5", None])

@@ -65,7 +65,8 @@ def small_config(**overrides):
 
 
 # (p, mix_prob, eps0) per case, and the traces the stream layout fixes for
-# them: client ids and exact bits per round, and the post-step loss.
+# them: client ids and exact bits per round, and the post-step loss, which
+# also reads the step size's G^2 (for the mix, ``g_squared``'s two-arm rule).
 STREAM_CASES = {
     "l1": (1.0, None, 1.5),
     "l2": (2.0, None, 1.5),
@@ -93,7 +94,7 @@ GOLDEN_TRACES = {
     "mix": (
         _IDS,
         [15, 9, 12, 18],
-        [0.6909697169660843, 0.7486556967831607, 0.7762306829945383, 0.7471659248071658],
+        [0.6910689121963193, 0.7518572415067787, 0.7762306829945386, 0.7463479828155203],
     ),
     "raw": (
         _IDS,
@@ -380,7 +381,7 @@ GOLDEN_TRACES_S2 = {
     "mix": (
         [(2, 3, 5), (1, 3, 4), (0, 1, 4), (0, 2, 3)],
         [30, 24, 27, 21],
-        [0.8138896455607277, 0.8114850379939549, 0.7949637313220643, 0.7948134211151118],
+        [0.8138896455607277, 0.8113456961617214, 0.7946979370502348, 0.7941804160536559],
     ),
     "raw": (
         [(2, 3, 5), (1, 3, 4), (0, 1, 4), (0, 2, 3)],
