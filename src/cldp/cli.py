@@ -291,8 +291,8 @@ RISK_COLUMNS = ("risk_upper_worst", "risk_upper_prob", "risk_lower_order_only")
 
 def _sweep(cfg: ExperimentConfig, name: str, units: str, header, row) -> int:
     """Write a (p, d, n, epsilon0) grid's CSV, by default to ``name``: per cell
-    its p, d, n, epsilon0 and a, then ``row(idx, query, risks)``, the columns
-    ``header`` names. ``query`` is the cell's ``RiskQuery`` and ``risks`` its
+    its p, d, n, epsilon0 and a, then ``row(idx, q, risks)``, the columns
+    ``header`` names. ``q`` is the cell's ``RiskQuery`` and ``risks`` its
     ``RISK_COLUMNS``, made before ``row`` runs: a cell whose bounds overflow
     fails before any draw."""
     prm = cfg.params

@@ -279,7 +279,9 @@ def test_non_reals_are_refused_by_name(value):
         require_real(value, "radius")
 
 
-@pytest.mark.parametrize("value", [10**400, -(10**400), Fraction(10**400, 3)])
+@pytest.mark.parametrize(
+    "value", [10**400, -(10**400), Fraction(10**400, 3)], ids=["int", "negative_int", "fraction"]
+)
 def test_reals_past_float64_are_refused_by_name(value):
     # float() refuses them with OverflowError; an interval would let them
     # pass, since an int compares exactly with inf.
