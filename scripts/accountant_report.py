@@ -1,8 +1,9 @@
 """Print end-to-end privacy budgets across a small (eps0, T) grid.
 
-For each cell the four provenance lines show how the local guarantee turns
-into the central one (shuffle, sample, compose), under the default shuffling
-bound. The calibration table then gives, per registered shuffling bound and
+For each cell the central epsilon is printed under the default shuffling
+bound; the provenance of one cell then shows, one line per stage of its
+chain (local randomizer, shuffle, sample, compose), how the local guarantee
+turns into the central one. The calibration table then gives, per registered shuffling bound and
 T, the largest eps0 the bound takes and the largest eps0 whose end-to-end
 epsilon stays under the target.
 

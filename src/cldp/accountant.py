@@ -1,15 +1,13 @@
 """Privacy accounting for shuffled, subsampled, composed local randomizers.
 
-The pipeline turns a per-message local parameter eps0 into a central (eps,
-delta) guarantee in three stages, each a closed-form amplification or
-composition statement (all logs natural):
+A budget is a chain of stages from the local randomizer's per-message eps0 to
+a central (eps, delta) guarantee, each a closed-form statement (logs natural):
 
 1. shuffling the per-round batch of k*s messages:
        eps_tilde = amplify_by_shuffling(eps0, delta_tilde, k*s, variant)
-2. sampling: each data point participates in a round with probability
-   q = (k/m)*(s/r). For s=1 the full q amplifies; for s>1 only the
-   within-client rate q2 = s/r does (client sampling buys nothing there),
-   and a warning is emitted:
+2. sampling: each data point joins a round with probability q = (k/m)*(s/r).
+   For s=1 the full q amplifies; for s>1 only the within-client rate q2 = s/r
+   does (client sampling buys nothing there), and a warning is emitted:
        eps_bar = amplify_by_subsampling(eps_tilde, delta_tilde, q or q2),
        delta_bar = q*delta_tilde
 3. strong composition over T rounds:
@@ -17,25 +15,15 @@ composition statement (all logs natural):
        delta = T*delta_bar + delta'
 
 ``end_to_end`` fixes the delta split delta_tilde = delta/(2qT), delta' =
-delta/2, so the output delta reconstructs the target exactly, and records a
-human-readable provenance line per stage. ``calibrate_epsilon0`` inverts the
-map by bisection.
+delta/2, so the output delta reconstructs the target exactly, and records
+each stage as a ``Stage``: rule, inputs, output pair and note, which
+``PrivacyBudget.provenance`` renders. ``calibrate_epsilon0`` inverts the map.
 
-The shuffling bounds have stated constants and act on a batch of n = k*s
-messages at delta_tilde: ``ExplicitShuffling`` ("explicit", the default) and
-``ClonesShuffling`` ("clones", Theorem 3.1 of Feldman, McMillan and Talwar,
-"Hiding among the clones", arXiv:2012.12803). Each is one class holding its
-formula (``epsilon_tilde``) and its eps0 range (``eps0_range``), which
-``amplify_by_shuffling`` reads to raise PreconditionError and
-``max_feasible_epsilon0`` to raise InfeasibleError.
-``VARIANTS`` registers them by ``--variant`` name, with ``DEFAULT_VARIANT``
-the default: a new bound is one class and one entry. Malformed arguments (a
-string, a bool, a float count, a count float() cannot hold) raise
-ValidationError. A delta split delta/(2qT) outside (0, 1) fails a
-precondition, so raises PreconditionError (InfeasibleError from
-``max_feasible_epsilon0``). Every budget a run reports is built here, by
-``budget_and_schedule`` or ``PrivacyBudget.without_guarantee``; this module
-imports nothing from the package but ``errors``.
+Each shuffling bound in ``VARIANTS`` is one class holding its formula and the
+eps0 range that ``amplify_by_shuffling`` and ``max_feasible_epsilon0`` check.
+Malformed arguments raise ValidationError; an unmet precondition, a delta split
+outside (0, 1) included, PreconditionError. Every budget a run reports is
+built here; this module imports nothing from the package but ``errors``.
 """
 
 from __future__ import annotations
@@ -55,6 +43,7 @@ from .errors import (
     ValidationError,
     require_int,
     require_real,
+    shown,
 )
 
 
@@ -71,9 +60,9 @@ class SamplingParams:
         for name in ("m", "k", "r", "s"):
             object.__setattr__(self, name, require_int(getattr(self, name), name))
         if not 1 <= self.k <= self.m:
-            raise ValidationError(f"need 1 <= k <= m, got k={self.k}, m={self.m}")
+            raise ValidationError(f"need 1 <= k <= m, got k={shown(self.k)}, m={shown(self.m)}")
         if not 1 <= self.s <= self.r:
-            raise ValidationError(f"need 1 <= s <= r, got s={self.s}, r={self.r}")
+            raise ValidationError(f"need 1 <= s <= r, got s={shown(self.s)}, r={shown(self.r)}")
 
     @property
     def q1(self) -> float:
@@ -116,9 +105,7 @@ class ExplicitShuffling:
     constants make this the default for reported guarantees.
     """
 
-    @property
-    def name(self) -> str:
-        return "shuffling, explicit constants"
+    name = "shuffling, explicit constants"
 
     def eps0_range(self, delta: float, m_eff: int) -> Eps0Range:
         """PreconditionError when delta or the batch leaves no eps0."""
@@ -146,9 +133,7 @@ class ClonesShuffling:
     constants are stated, so its outputs are guarantees.
     """
 
-    @property
-    def name(self) -> str:
-        return "shuffling, clones bound (Feldman-McMillan-Talwar Thm 3.1)"
+    name = "shuffling, clones bound (Feldman-McMillan-Talwar Thm 3.1)"
 
     def eps0_range(self, delta: float, m_eff: int) -> Eps0Range:
         """PreconditionError when the batch leaves no eps0: m_eff <= 16*ln(2/delta)."""
@@ -189,30 +174,50 @@ def _validate_variant(variant) -> None:
 
 
 @dataclass(frozen=True)
-class PrivacyBudget:
-    """Every stage of the chain from local eps0 to central (eps, delta).
+class Stage:
+    """One step of a budget's chain: its rule (with any citation), the (name, value)
+    inputs it adds to the previous stage's pair, the pair it yields, and a note."""
 
-    ``provenance`` holds one line per stage naming the rule that produced it.
-    ``guarantee`` is False when the central pair was not evaluated (baseline
-    or accounting-disabled runs); eps/delta are NaN in that case.
-    """
+    rule: str
+    inputs: tuple[tuple[str, float], ...]
+    epsilon: float
+    delta: float
+    note: str | None = None
+
+
+@dataclass(frozen=True)
+class PrivacyBudget:
+    """A run's central (epsilon, delta) over T rounds at local epsilon0, the ``stages``
+    that produced it, in order, and budget-level ``notes``. ``guarantee`` is False
+    when the pair was not evaluated (baseline or accounting-disabled runs): epsilon
+    and delta are NaN, with no stages, and the notes say why."""
 
     epsilon0: float
-    epsilon_tilde: float
-    delta_tilde: float
-    epsilon_bar: float
-    delta_bar: float
     epsilon: float
     delta: float
     T: int
-    provenance: tuple[str, ...]
+    stages: tuple[Stage, ...] = ()
+    notes: tuple[str, ...] = ()
     guarantee: bool = True
 
     @classmethod
     def without_guarantee(cls, epsilon0: float, T: int, reason: str) -> PrivacyBudget:
         """The budget of a run that claims no central pair, with the reason why."""
-        provenance = (reason, "no central (epsilon, delta) guarantee is claimed")
-        return cls(epsilon0, *[math.nan] * 6, T, provenance, guarantee=False)
+        notes = (reason, "no central (epsilon, delta) guarantee is claimed")
+        return cls(epsilon0, math.nan, math.nan, T, notes=notes, guarantee=False)
+
+    @property
+    def provenance(self) -> tuple[str, ...]:
+        """One line per stage, 'rule with inputs: epsilon, delta (note)', then the notes."""
+        lines = []
+        for stage in self.stages:
+            given = ", ".join(f"{name} = {value:.12g}" for name, value in stage.inputs)
+            note = f" ({stage.note})" if stage.note else ""
+            lines.append(
+                f"{stage.rule}{' with ' if given else ''}{given}: "
+                f"epsilon = {stage.epsilon:.12g}, delta = {stage.delta:.12g}{note}"
+            )
+        return (*lines, *self.notes)
 
 
 def _delta_split(delta: float, T: int, params: SamplingParams) -> tuple[int, float]:
@@ -266,36 +271,35 @@ def amplify_by_shuffling(
     return variant.epsilon_tilde(eps0, delta, m_eff)
 
 
-def _sampling_stage(eps_tilde: float, delta_tilde: float, params: SamplingParams):
-    """(eps_bar, delta_bar, the amplifying rate as text) of one round's sampling.
+def _sampling_stage(eps_tilde: float, delta_tilde: float, params: SamplingParams) -> Stage:
+    """One round's sampling: (eps_bar, delta_bar) from (eps_tilde, delta_tilde).
 
-    For s=1 the full participation rate q amplifies; for s>1 only q2 = s/r,
-    because a client's s messages are not independent across the
-    client-sampling randomness. delta_bar = q*delta_tilde in both branches.
-
-    delta_bar keeps q when s>1, by a mixture over whether the client of the
-    substituted point x is sampled (probability q1 = k/m). Unsampled, the
-    round's output law R does not depend on x. Sampled, x joins the client's
-    s-of-r draw without replacement, so that branch's laws P1, Q1 on the two
-    datasets have P1(S) <= e^eps_bar*Q1(S) + q2*delta_tilde (Balle, Barthe and
-    Gaboardi, arXiv:1807.01647, substitution relation). Hence
+    eps_bar amplifies by q2 = s/r alone when s>1, because a client's s messages
+    are not independent across the client-sampling randomness. delta_bar keeps
+    q, by a mixture over whether the client of the substituted point x is
+    sampled (probability q1 = k/m). Unsampled, the round's law R is free of x.
+    Sampled, x joins the client's s-of-r draw without replacement, so that
+    branch's laws P1, Q1 on the two datasets have P1(S) <= e^eps_bar*Q1(S) +
+    q2*delta_tilde (Balle, Barthe and Gaboardi, arXiv:1807.01647, substitution
+    relation). Hence
     P(S) <= q1*(e^eps_bar*Q1(S) + q2*delta_tilde) + (1-q1)*R(S)
     <= e^eps_bar*Q(S) + q*delta_tilde. The mixture gives eps no q1 factor:
     its two branches differ by the client's whole contribution, not by x.
     """
-    if params.s == 1:
-        rate, note = params.q, f"q = {params.q:.6g}"
-    else:
-        if params.k < params.m:
-            warnings.warn(
-                "client sampling gives no per-round privacy amplification when s > 1; "
-                f"using the data-sampling rate q2 = {params.q2:.6g} instead of q = {params.q:.6g}",
-                AmplificationWarning,
-                stacklevel=3,
-            )
-        rate, note = params.q2, f"q2 = {params.q2:.6g} (s > 1: client sampling does not amplify)"
+    rate, inputs, note = params.q, (("q", params.q),), None
+    if params.s > 1:
+        rate, inputs = params.q2, (("q", params.q), ("q2", params.q2))
+        note = "s > 1: client sampling does not amplify, so epsilon takes q2 and delta q"
     eps_bar, _ = amplify_by_subsampling(eps_tilde, delta_tilde, rate)
-    return eps_bar, params.q * delta_tilde, note
+    return Stage("sampling amplification", inputs, eps_bar, params.q * delta_tilde, note)
+
+
+def _warn_unamplified(params: SamplingParams) -> None:
+    """Warn, at the caller's caller, when s > 1 leaves the sampling of k < m clients unused."""
+    if params.s > 1 and params.k < params.m:
+        message = ("client sampling gives no per-round privacy amplification when s > 1; using"
+                   f" the data-sampling rate q2 = {params.q2:.6g} instead of q = {params.q:.6g}")
+        warnings.warn(message, AmplificationWarning, stacklevel=3)
 
 
 def strong_composition(
@@ -323,67 +327,59 @@ def end_to_end(
     T: int,
     params: SamplingParams,
     variant: ShufflingVariant = VARIANTS[DEFAULT_VARIANT],
+    *,
+    warn: bool = True,
 ) -> PrivacyBudget:
-    """Full chain with the delta split delta_tilde = delta/(2qT), delta' = delta/2.
+    """Full chain with the delta split delta_tilde = delta/(2qT), delta' = delta/2,
+    one stage per step; if warn, warns at the caller when client sampling does not amplify.
 
     The output delta reconstructs the target exactly:
     T*(q*delta_tilde) + delta/2 = delta/2 + delta/2.
     """
     T, delta_tilde = _delta_split(delta, T, params)
     eps_tilde = amplify_by_shuffling(eps0, delta_tilde, params.batch, variant)
-    eps_bar, delta_bar, amp_note = _sampling_stage(eps_tilde, delta_tilde, params)
+    sampled = _sampling_stage(eps_tilde, delta_tilde, params)
     delta_prime = delta / 2.0
-    eps, delta_out = strong_composition(eps_bar, delta_bar, T, delta_prime)
-    # T*(q*(delta/(2qT))) + delta/2 telescopes back to delta; re-deriving it
-    # through the stages and comparing guards the split, then the requested
-    # target is reported so the reconstruction is exact rather than 1 ulp off.
+    eps, delta_out = strong_composition(sampled.epsilon, sampled.delta, T, delta_prime)
+    # The check guards the split; the target is reported, exact rather than 1 ulp off.
     if not math.isclose(delta_out, delta, rel_tol=1e-9):
         raise AccountingError(
             f"delta split failed to reconstruct the target: {delta_out!r} != {delta!r}"
         )
-    delta_out = delta
-    provenance = (
-        f"local randomizer: epsilon0 = {eps0:.12g}",
-        f"{variant.name} over the per-round batch of k*s = {params.batch} messages "
-        f"at delta_tilde = delta/(2qT) = {delta_tilde:.12g}: epsilon_tilde = {eps_tilde:.12g}",
-        f"sampling amplification with {amp_note}: epsilon_bar = {eps_bar:.12g}, "
-        f"delta_bar = q*delta_tilde = {delta_bar:.12g}",
-        f"strong composition over T = {T} rounds at delta' = delta/2 = {delta_prime:.12g}: "
-        f"epsilon = {eps:.12g}, delta = {delta_out:.12g}",
+    shuffling = (("k*s", params.batch), ("delta/(2qT)", delta_tilde))
+    stages = (
+        Stage("local randomizer", (), eps0, 0.0),
+        Stage(variant.name, shuffling, eps_tilde, delta_tilde),
+        sampled,
+        Stage("strong composition", (("T", T), ("delta/2", delta_prime)), eps, delta),
     )
-    return PrivacyBudget(
-        epsilon0=eps0,
-        epsilon_tilde=eps_tilde,
-        delta_tilde=delta_tilde,
-        epsilon_bar=eps_bar,
-        delta_bar=delta_bar,
-        epsilon=eps,
-        delta=delta_out,
-        T=T,
-        provenance=provenance,
-    )
+    if warn:
+        _warn_unamplified(params)
+    return PrivacyBudget(eps0, eps, delta, T, stages)
 
 
 def budget_and_schedule(
     eps0: float, delta: float, T: int, params: SamplingParams, variant: ShufflingVariant
 ) -> tuple[PrivacyBudget, list[float]]:
     """A T-round run's budget, and per round t the epsilon of a run ending there:
-    NaN where that run fails a precondition, which a provenance line names."""
-    budget = end_to_end(eps0, delta, T, params, variant)
+    NaN where that run fails a precondition, which a note names. Warns once,
+    at the caller, when client sampling does not amplify."""
+    budget = end_to_end(eps0, delta, T, params, variant, warn=False)
     schedule, failed = [], []
     for t in range(1, budget.T):
         try:
-            schedule.append(end_to_end(eps0, delta, t, params, variant).epsilon)
+            schedule.append(end_to_end(eps0, delta, t, params, variant, warn=False).epsilon)
         except (ValidationError, AccountingError) as exc:
             schedule.append(math.nan)
             failed.append((t, exc))
+    _warn_unamplified(params)
     schedule.append(budget.epsilon)
     if failed:
         reason = (
             f"epsilon_so_far is NaN for rounds {_spans([t for t, _ in failed])}: "
             f"a run ending there fails a precondition ({failed[0][1]})"
         )
-        budget = replace(budget, provenance=budget.provenance + (reason,))
+        budget = replace(budget, notes=(*budget.notes, reason))
     return budget, schedule
 
 
@@ -415,11 +411,10 @@ def calibrate_epsilon0(
 ) -> float:
     """Largest eps0 whose end-to-end eps stays at or below the target.
 
-    Bisection on the monotone map eps0 -> end_to_end(...).epsilon, run to a
-    relative bracket width of 1e-9; the returned eps0 satisfies
-    end_to_end(eps0) <= eps_target < end_to_end(eps0*(1+1e-6)). Raises the
-    infeasible error when the target lies outside the achievable range of the
-    variant (below the minimum, or above the value at the variant's eps0 cap).
+    Bisection on the monotone map eps0 -> end_to_end(...).epsilon to a relative
+    bracket width of 1e-9, so end_to_end(eps0) <= eps_target <
+    end_to_end(eps0*(1+1e-6)). InfeasibleError when the target is below the
+    minimum, or above the value at the variant's eps0 cap.
     """
     require_real(eps_target, "target epsilon", "(0, inf]")
     cap = max_feasible_epsilon0(delta, T, params, variant)
@@ -427,9 +422,7 @@ def calibrate_epsilon0(
     lo = min(1e-8, hi / 2.0)
 
     def central_eps(e0: float) -> float:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", AmplificationWarning)
-            return end_to_end(e0, delta, T, params, variant).epsilon
+        return end_to_end(e0, delta, T, params, variant, warn=False).epsilon
 
     f_lo, f_hi = central_eps(lo), central_eps(hi)
     if f_lo > eps_target:
@@ -442,9 +435,7 @@ def calibrate_epsilon0(
             f"target epsilon {eps_target:.6g} is not reached within the variant's "
             f"valid range: epsilon0 <= {cap:.6g} yields at most epsilon = {f_hi:.6g}"
         )
-    for _ in range(200):
-        if hi - lo <= lo * 1e-9:
-            break
+    while hi - lo > lo * 1e-9:
         mid = 0.5 * (lo + hi)
         if central_eps(mid) <= eps_target:
             lo = mid

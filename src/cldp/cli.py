@@ -18,13 +18,14 @@ names as the long flags; explicit flags override file values. Unknown keys
 in the file are rejected, listing the offenders. Numeric values accept the
 string "inf" where a sentinel infinity makes sense (epsilon0, p).
 
-Every emitted file carries the SHA-256 hash of the effective configuration,
-so outputs are traceable to inputs. A CSV starts with a
-``# config_sha256=...`` line and a ``# units: ...`` line, then its header; a
-JSON file holds the hash as its ``config_sha256`` key, written with the other
-keys in sorted order (so after ``budget``). Runs are deterministic given
-(config, seed), byte for byte. CSV floats are written with repr, which
-round-trips exactly. This module is the only one that writes these files:
+Every emitted file carries the SHA-256 hash of the effective configuration.
+A CSV starts with a ``# config_sha256=...`` line and a ``# units: ...`` line,
+then its header; a JSON file holds the hash as its ``config_sha256`` key, with
+the other keys sorted. Its ``budget`` is the run's ``PrivacyBudget`` as a
+dict: epsilon0, epsilon, delta, T, guarantee, the ``stages`` (each a rule,
+its inputs, the epsilon and delta it yields, and a note) and the ``notes``.
+Runs are deterministic given (config, seed), byte for byte; CSV floats are
+written with repr, which round-trips exactly. This module alone writes them:
 ``_open_csv`` starts every CSV and ``_write_json`` writes every JSON, each
 through ``fedsim.data.open_output``: under a temporary name beside it,
 renamed into place when its run succeeds, so a run that fails (exit 2 or 3)

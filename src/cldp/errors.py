@@ -11,9 +11,9 @@ that float64 holds (10**400 is refused, as ``float()`` refuses it) and
 integer), neither a bool; an optional interval such as ``"(0, 1]"`` or
 ``"[1, inf)"`` states the admissible range, inf only at a closed end and NaN
 nowhere. Each raises ValidationError naming the argument; only bounds tying
-two arguments (1 <= k <= m) stay with the caller. Interval texts are parsed
-once, a float skips the type tests and an int the ABC test, so checks on
-per-message paths cost little.
+two arguments (1 <= k <= m) stay with the caller, whose messages print values
+with ``shown``. Interval texts are parsed once, a float skips the type tests
+and an int the ABC test, so checks on per-message paths cost little.
 """
 
 import math
@@ -74,13 +74,21 @@ def _interval(text: str) -> tuple:
     return low, high, ends
 
 
+def shown(value) -> str:
+    """repr(value) cut at 200 characters, or its type when Python refuses (past 4300 digits)."""
+    try:
+        return repr(value)[:200]
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def require_real(value, name: str, interval: str | None = None):
     """value itself when it is a real number (a bool is not) that a float64
     holds, in interval; else ValidationError."""
     if not isinstance(value, float):
         if type(value) is not int:
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValidationError(f"{name} must be a real number, got {value!r:.200}")
+                raise ValidationError(f"{name} must be a real number, got {shown(value)}")
         try:
             float(value)
         except OverflowError:
@@ -91,7 +99,7 @@ def require_real(value, name: str, interval: str | None = None):
     if interval is not None:
         low, high, ends = _INTERVALS.get(interval) or _interval(interval)
         if not (low < value < high or value in ends):
-            raise ValidationError(f"{name} must be in {interval}, got {value!r}")
+            raise ValidationError(f"{name} must be in {interval}, got {shown(value)}")
     return value
 
 
@@ -99,10 +107,10 @@ def require_int(value, name: str, interval: str | None = None) -> int:
     """value as an int when it is an integer (a bool is not) in interval, else ValidationError."""
     if type(value) is not int:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValidationError(f"{name} must be an integer, got {value!r:.200}")
+            raise ValidationError(f"{name} must be an integer, got {shown(value)}")
         value = int(value)
     if interval is not None:
         low, high, ends = _INTERVALS.get(interval) or _interval(interval)
         if not (low < value < high or value in ends):
-            raise ValidationError(f"{name} must be in {interval}, got {value!r}")
+            raise ValidationError(f"{name} must be in {interval}, got {shown(value)}")
     return value

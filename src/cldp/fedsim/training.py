@@ -82,7 +82,7 @@ from ..accountant import (
     budget_and_schedule,
 )
 from ..bounds import g_squared
-from ..errors import ClippingWarning, ValidationError, require_int, require_real
+from ..errors import ClippingWarning, ValidationError, require_int, require_real, shown
 from ..linalg import BallSpec, _clip_rows, project_l2_ball
 from ..mechanisms import (
     MechanismSpec,
@@ -185,14 +185,14 @@ class TrainResult:
 def sample_clients(m: int, k: int, rng) -> np.ndarray:
     """k distinct client indices, uniform over all k-subsets of range(m)."""
     if not 1 <= require_int(k, "k") <= require_int(m, "m"):
-        raise ValidationError(f"need 1 <= k <= m, got k={k}, m={m}")
+        raise ValidationError(f"need 1 <= k <= m, got k={shown(k)}, m={shown(m)}")
     return np.sort(_require_rng(rng).choice(m, size=k, replace=False))
 
 
 def sample_data(r: int, s: int, rng) -> np.ndarray:
     """s distinct point indices, uniform over all s-subsets of range(r)."""
     if not 1 <= require_int(s, "s") <= require_int(r, "r"):
-        raise ValidationError(f"need 1 <= s <= r, got s={s}, r={r}")
+        raise ValidationError(f"need 1 <= s <= r, got s={shown(s)}, r={shown(r)}")
     return np.atleast_1d(_draw_points(r, s, _require_rng(rng)))
 
 

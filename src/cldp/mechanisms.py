@@ -99,7 +99,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .errors import _LN_FLOAT_MAX
-from .errors import FLOAT_COUNT, OutOfBallError, ValidationError, require_int, require_real
+from .errors import FLOAT_COUNT, OutOfBallError, ValidationError, require_int, require_real, shown
 from .linalg import (
     BallSpec,
     EXACT_TOL,
@@ -335,7 +335,7 @@ def _require_rng(rng) -> np.random.Generator:
             return np.random.default_rng(rng)
     except (TypeError, ValueError):
         pass
-    raise ValidationError(f"expected None, a seed or a generator, got {rng!r:.200}")
+    raise ValidationError(f"expected None, a seed or a generator, got {shown(rng)}")
 
 
 def _check_family(spec: MechanismSpec, family: str) -> None:

@@ -67,8 +67,12 @@ def oracle_end_to_end(
     r: int,
     s: int,
     variant: str = "explicit",
-) -> tuple[float, float]:
+) -> list[tuple[float, float]]:
     """Full chain: local eps0 to central (eps, delta) after T rounds.
+
+    Returns every stage's (eps, delta) in chain order: the local randomizer
+    (eps0, 0), shuffling (eps_tilde, delta_tilde), sampling (eps_bar,
+    delta_bar) and composition, whose pair, the last, is the central one.
 
     For s=1 the per-round sampling amplification uses the full sampling rate
     q = (k/m)*(s/r); for s>1 only the within-client rate q2 = s/r amplifies
@@ -92,4 +96,9 @@ def oracle_end_to_end(
     amp = q if s == 1 else q2
     eps_bar = math.log1p(amp * math.expm1(eps_tilde))
     delta_bar = q * delta_tilde
-    return oracle_strong_composition(eps_bar, delta_bar, big_t, delta / 2.0)
+    return [
+        (eps0, 0.0),
+        (eps_tilde, delta_tilde),
+        (eps_bar, delta_bar),
+        oracle_strong_composition(eps_bar, delta_bar, big_t, delta / 2.0),
+    ]

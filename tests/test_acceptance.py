@@ -216,7 +216,8 @@ def _random_explicit_setup(rng, s=1):
 
 
 def test_criterion_05_accountant_oracle():
-    with criterion(5, "accountant == oracle at 1e-12; exact identities; monotone stages"):
+    label = "accountant == oracle at 1e-12, stage by stage; exact identities; monotone stages"
+    with criterion(5, label):
         rng = np.random.default_rng(SEED + 5)
 
         above_half = 0
@@ -240,9 +241,13 @@ def test_criterion_05_accountant_oracle():
                     above_half += eps0 > 0.5
                 params = SamplingParams(m=m, k=k, r=r, s=s)
                 budget = end_to_end(eps0, delta, T, params, variant)
-                oracle_eps, oracle_delta = oracle_end_to_end(eps0, delta, T, m, k, r, s, vname)
-                assert math.isclose(budget.epsilon, oracle_eps, rel_tol=1e-12)
-                assert math.isclose(budget.delta, oracle_delta, rel_tol=1e-12)
+                oracle_stages = oracle_end_to_end(eps0, delta, T, m, k, r, s, vname)
+                assert len(budget.stages) == len(oracle_stages)
+                for stage, (oracle_eps, oracle_delta) in zip(budget.stages, oracle_stages):
+                    assert math.isclose(stage.epsilon, oracle_eps, rel_tol=1e-12)
+                    assert math.isclose(stage.delta, oracle_delta, rel_tol=1e-12)
+                last = budget.stages[-1]
+                assert (budget.epsilon, budget.delta) == (last.epsilon, last.delta)
                 assert budget.delta == delta
         assert above_half > 0
 
@@ -250,16 +255,16 @@ def test_criterion_05_accountant_oracle():
         for _ in range(50):
             eps0, delta, T, params = _random_explicit_setup(rng)
             params = SamplingParams(m=params.m, k=params.m, r=1, s=1)  # q = 1
-            budget = end_to_end(eps0, delta, T, params)
-            assert budget.epsilon_bar == budget.epsilon_tilde
-            assert budget.delta_bar == budget.delta_tilde
+            _, shuffled, sampled, _ = end_to_end(eps0, delta, T, params).stages
+            assert sampled.epsilon == shuffled.epsilon
+            assert sampled.delta == shuffled.delta
 
             one = end_to_end(eps0, delta, 1, params)
-            eb = one.epsilon_bar
+            eb = one.stages[2].epsilon
             expected = math.sqrt(2.0 * 1 * math.log(1.0 / (delta / 2.0))) * eb
             expected += 1 * eb * math.expm1(eb)
             assert one.epsilon == expected
-            assert one.delta_tilde == delta / (2.0 * 1.0 * 1)
+            assert one.stages[1].delta == delta / (2.0 * 1.0 * 1)
 
         # monotonicity suite: 5 properties x 200 random orderings
         for _ in range(200):
@@ -268,8 +273,8 @@ def test_criterion_05_accountant_oracle():
             _, delta, T, params = _random_explicit_setup(rng)
             lo = end_to_end(float(eps_a), delta, T, params)
             hi = end_to_end(float(eps_b), delta, T, params)
-            assert lo.epsilon_tilde <= hi.epsilon_tilde
-            assert lo.epsilon_bar <= hi.epsilon_bar
+            for lo_stage, hi_stage in zip(lo.stages, hi.stages):
+                assert lo_stage.epsilon <= hi_stage.epsilon
             assert lo.epsilon <= hi.epsilon
 
             # (ii) subsampling never hurts, strictly helps away from q=1
@@ -303,7 +308,8 @@ def test_criterion_05_accountant_oracle():
             eps0, delta, T, params = _random_explicit_setup(rng)
             budget = end_to_end(eps0, delta, T, params)
             assert budget.delta == delta
-            assert budget.delta_bar == params.q * budget.delta_tilde
+            _, shuffled, sampled, _ = budget.stages
+            assert sampled.delta == params.q * shuffled.delta
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +324,12 @@ def test_criterion_06_pooled_shot_branch():
         with pytest.warns(AmplificationWarning):
             budget = end_to_end(eps0, delta, T, params)
 
-        q2_eps, _ = oracle_subsample(budget.epsilon_tilde, budget.delta_tilde, params.q2)
-        q_eps, _ = oracle_subsample(budget.epsilon_tilde, budget.delta_tilde, params.q)
-        assert math.isclose(budget.epsilon_bar, q2_eps, rel_tol=1e-12)
-        assert budget.epsilon_bar > q_eps
-        assert budget.delta_bar == params.q * budget.delta_tilde
+        _, shuffled, sampled, _ = budget.stages
+        q2_eps, _ = oracle_subsample(shuffled.epsilon, shuffled.delta, params.q2)
+        q_eps, _ = oracle_subsample(shuffled.epsilon, shuffled.delta, params.q)
+        assert math.isclose(sampled.epsilon, q2_eps, rel_tol=1e-12)
+        assert sampled.epsilon > q_eps
+        assert sampled.delta == params.q * shuffled.delta
         assert "q2" in "\n".join(budget.provenance)
 
 

@@ -55,6 +55,15 @@ CLONES = ClonesShuffling()
 DEPLOY = SamplingParams(m=5_000, k=1_000, r=4, s=1)  # the train_deploy benchmark's sampling
 
 
+def assert_matches_oracle(budget, want, rel):
+    """Each stage's (epsilon, delta), in chain order, and the central pair
+    against ``oracle_end_to_end``'s stage pairs, whose last is the central one."""
+    got = [(stage.epsilon, stage.delta) for stage in budget.stages]
+    assert len(got) == len(want)
+    for pair, oracle_pair in zip([*got, (budget.epsilon, budget.delta)], [*want, want[-1]]):
+        assert pair == pytest.approx(oracle_pair, rel=rel)
+
+
 class TestSamplingParams:
     def test_rates(self):
         params = SamplingParams(m=100, k=20, r=10, s=2)
@@ -287,7 +296,7 @@ class TestShuffling:
 
 
 class TestSamplingStage:
-    """The sampling stage of ``end_to_end``: the budget's epsilon_bar and delta_bar."""
+    """The sampling stage of ``end_to_end``: the budget's third stage, (eps_bar, delta_bar)."""
 
     def test_pinned_sampling_value(self):
         # ln(1 + 0.01*(e^{0.2}-1)) with eps_tilde forced to 0.2 via subsampling.
@@ -296,19 +305,20 @@ class TestSamplingStage:
 
     def test_single_sample_route_composes_stages(self):
         params = SamplingParams(m=10_000, k=2_000, r=50, s=1)
-        budget = end_to_end(0.3, 1e-6, 10, params, EXPLICIT)
-        eps_tilde = amplify_by_shuffling(0.3, budget.delta_tilde, params.batch, EXPLICIT)
-        assert budget.epsilon_tilde == eps_tilde
-        want = oracle_subsample(eps_tilde, budget.delta_tilde, params.q)
-        assert budget.epsilon_bar == pytest.approx(want[0], rel=1e-14)
-        assert budget.delta_bar == pytest.approx(want[1], rel=1e-14)
+        _, shuffled, sampled, _ = end_to_end(0.3, 1e-6, 10, params, EXPLICIT).stages
+        eps_tilde = amplify_by_shuffling(0.3, shuffled.delta, params.batch, EXPLICIT)
+        assert shuffled.epsilon == eps_tilde
+        want = oracle_subsample(eps_tilde, shuffled.delta, params.q)
+        assert sampled.epsilon == pytest.approx(want[0], rel=1e-14)
+        assert sampled.delta == pytest.approx(want[1], rel=1e-14)
+        assert sampled.inputs == (("q", params.q),) and sampled.note is None
 
     def test_full_participation_passthrough(self):
         params = SamplingParams(m=2_000, k=2_000, r=1, s=1)
-        budget = end_to_end(0.3, 1e-6, 5, params, EXPLICIT)
-        eps_tilde = amplify_by_shuffling(0.3, budget.delta_tilde, 2_000, EXPLICIT)
-        assert budget.epsilon_bar == pytest.approx(eps_tilde, rel=1e-15)
-        assert budget.delta_bar == pytest.approx(budget.delta_tilde, rel=1e-15)
+        _, shuffled, sampled, _ = end_to_end(0.3, 1e-6, 5, params, EXPLICIT).stages
+        eps_tilde = amplify_by_shuffling(0.3, shuffled.delta, 2_000, EXPLICIT)
+        assert sampled.epsilon == pytest.approx(eps_tilde, rel=1e-15)
+        assert sampled.delta == pytest.approx(shuffled.delta, rel=1e-15)
 
     def test_multi_sample_branch_uses_q2_and_warns(self):
         params = SamplingParams(m=1_000, k=500, r=200, s=2)
@@ -316,24 +326,28 @@ class TestSamplingStage:
         assert params.q == pytest.approx(0.005)
         with pytest.warns(AmplificationWarning):
             budget = end_to_end(0.3, 1e-6, 10, params, EXPLICIT)
-        delta_tilde = budget.delta_tilde
+        _, shuffled, sampled, _ = budget.stages
+        delta_tilde = shuffled.delta
         eps_tilde = amplify_by_shuffling(0.3, delta_tilde, params.batch, EXPLICIT)
-        assert budget.epsilon_bar == pytest.approx(
+        assert sampled.epsilon == pytest.approx(
             math.log1p(params.q2 * math.expm1(eps_tilde)), rel=1e-14
         )
         # delta_bar still scales with the full q.
-        assert budget.delta_bar == pytest.approx(params.q * delta_tilde, rel=1e-15)
+        assert sampled.delta == pytest.approx(params.q * delta_tilde, rel=1e-15)
+        assert sampled.inputs == (("q", params.q), ("q2", params.q2))
+        assert "client sampling does not amplify" in sampled.note
         # Strictly worse than the (unproven) q-branch would have been.
         hypothetical = math.log1p(params.q * math.expm1(eps_tilde))
-        assert budget.epsilon_bar > hypothetical
+        assert sampled.epsilon > hypothetical
 
     def test_multi_sample_all_clients_no_warning(self):
         params = SamplingParams(m=500, k=500, r=100, s=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", AmplificationWarning)
             budget = end_to_end(0.3, 1e-6, 10, params, EXPLICIT)
-        eps_tilde = amplify_by_shuffling(0.3, budget.delta_tilde, params.batch, EXPLICIT)
-        assert budget.epsilon_bar == pytest.approx(
+        _, shuffled, sampled, _ = budget.stages
+        eps_tilde = amplify_by_shuffling(0.3, shuffled.delta, params.batch, EXPLICIT)
+        assert sampled.epsilon == pytest.approx(
             math.log1p(params.q2 * math.expm1(eps_tilde)), rel=1e-14
         )
 
@@ -415,19 +429,15 @@ class TestEndToEnd:
         ]
         for eps0, delta, T, m, k, r, s in cases:
             budget = end_to_end(eps0, delta, T, SamplingParams(m=m, k=k, r=r, s=s), EXPLICIT)
-            want_eps, want_delta = oracle_end_to_end(eps0, delta, T, m, k, r, s, "explicit")
-            assert budget.epsilon == pytest.approx(want_eps, rel=1e-13)
-            assert budget.delta == pytest.approx(want_delta, rel=1e-13)
+            want = oracle_end_to_end(eps0, delta, T, m, k, r, s, "explicit")
+            assert_matches_oracle(budget, want, 1e-13)
 
     def test_matches_oracle_multi_sample_branch(self):
         params = SamplingParams(m=1_000, k=500, r=100, s=4)
         with pytest.warns(AmplificationWarning):
             budget = end_to_end(0.2, 1e-6, 10, params, EXPLICIT)
-        want_eps, want_delta = oracle_end_to_end(
-            0.2, 1e-6, 10, 1_000, 500, 100, 4, "explicit"
-        )
-        assert budget.epsilon == pytest.approx(want_eps, rel=1e-13)
-        assert budget.delta == pytest.approx(want_delta, rel=1e-13)
+        want = oracle_end_to_end(0.2, 1e-6, 10, 1_000, 500, 100, 4, "explicit")
+        assert_matches_oracle(budget, want, 1e-13)
 
     def test_matches_oracle_clones(self):
         for eps0, (m, k, r, s) in [
@@ -437,9 +447,8 @@ class TestEndToEnd:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", AmplificationWarning)
                 budget = end_to_end(eps0, 1e-6, 30, SamplingParams(m=m, k=k, r=r, s=s), CLONES)
-            want_eps, want_delta = oracle_end_to_end(eps0, 1e-6, 30, m, k, r, s, "clones")
-            assert budget.epsilon == pytest.approx(want_eps, rel=1e-13)
-            assert budget.delta == pytest.approx(want_delta, rel=1e-13)
+            want = oracle_end_to_end(eps0, 1e-6, 30, m, k, r, s, "clones")
+            assert_matches_oracle(budget, want, 1e-13)
 
     def test_single_round_full_participation_reduction(self):
         # q=1, T=1: eps_bar is exactly eps_tilde at delta_tilde = delta/2 and
@@ -447,9 +456,10 @@ class TestEndToEnd:
         params = SamplingParams(m=2_000, k=2_000, r=1, s=1)
         delta = 1e-6
         budget = end_to_end(0.3, delta, 1, params, EXPLICIT)
+        _, shuffled, sampled, _ = budget.stages
         eps_tilde = amplify_by_shuffling(0.3, delta / 2.0, 2_000, EXPLICIT)
-        assert budget.delta_tilde == pytest.approx(delta / 2.0, rel=1e-15)
-        assert budget.epsilon_bar == pytest.approx(eps_tilde, rel=1e-15)
+        assert shuffled.delta == pytest.approx(delta / 2.0, rel=1e-15)
+        assert sampled.epsilon == pytest.approx(eps_tilde, rel=1e-15)
         want = math.sqrt(2.0 * math.log(2.0 / delta)) * eps_tilde + eps_tilde * math.expm1(
             eps_tilde
         )
@@ -469,30 +479,34 @@ class TestEndToEnd:
             for eps0 in (0.05, 0.1, 0.2, 0.4, 0.45)
         ]
         for lo, hi in zip(budgets, budgets[1:]):
-            assert hi.epsilon_tilde >= lo.epsilon_tilde
-            assert hi.epsilon_bar >= lo.epsilon_bar
+            for lo_stage, hi_stage in zip(lo.stages, hi.stages):
+                assert hi_stage.epsilon >= lo_stage.epsilon
             assert hi.epsilon >= lo.epsilon
 
     def test_subsampling_never_hurts(self):
         params = SamplingParams(m=10_000, k=2_000, r=10, s=1)
-        budget = end_to_end(0.3, 1e-6, 25, params, EXPLICIT)
-        assert budget.epsilon_bar <= budget.epsilon_tilde
+        _, shuffled, sampled, _ = end_to_end(0.3, 1e-6, 25, params, EXPLICIT).stages
+        assert sampled.epsilon <= shuffled.epsilon
         full = SamplingParams(m=2_000, k=2_000, r=1, s=1)
-        budget_full = end_to_end(0.3, 1e-6, 25, full, EXPLICIT)
-        assert budget_full.epsilon_bar == pytest.approx(budget_full.epsilon_tilde, rel=1e-15)
+        _, shuffled, sampled, _ = end_to_end(0.3, 1e-6, 25, full, EXPLICIT).stages
+        assert sampled.epsilon == pytest.approx(shuffled.epsilon, rel=1e-15)
 
     def test_provenance_names_each_stage(self):
         params = SamplingParams(m=5_000, k=2_500, r=1, s=1)
         budget = end_to_end(0.3, 1e-6, 10, params, EXPLICIT)
         text = "\n".join(budget.provenance)
-        assert len(budget.provenance) == 4
-        assert "epsilon0" in text
-        assert "shuffling" in text
-        assert "sampling" in text.lower()
-        assert "composition" in text
-        assert f"{budget.epsilon_tilde:.12g}" in text
-        assert f"{budget.epsilon:.12g}" in text
-        assert budget.guarantee
+        assert len(budget.provenance) == len(budget.stages) == 4
+        assert [stage.rule for stage in budget.stages] == [
+            "local randomizer", EXPLICIT.name, "sampling amplification", "strong composition"
+        ]
+        for line, stage in zip(budget.provenance, budget.stages):
+            assert line.startswith(stage.rule)
+            assert f"epsilon = {stage.epsilon:.12g}, delta = {stage.delta:.12g}" in line
+            assert all(f"{name} = {value:.12g}" in line for name, value in stage.inputs)
+        assert budget.stages[0].epsilon == budget.epsilon0 == 0.3
+        assert budget.stages[-1].epsilon == budget.epsilon and budget.stages[-1].delta == 1e-6
+        assert "k*s = 2500" in text and "T = 10" in text
+        assert budget.guarantee and budget.notes == ()
 
     def test_rejects_invalid_delta_split(self):
         # delta/(2qT) >= 1 cannot be a delta: a failed precondition.
@@ -520,9 +534,8 @@ class TestEndToEnd:
         m = 10_000
         delta = 10.0**delta_exp
         budget = end_to_end(eps0, delta, T, SamplingParams(m=m, k=k, r=1, s=1), EXPLICIT)
-        want_eps, want_delta = oracle_end_to_end(eps0, delta, T, m, k, 1, 1, "explicit")
-        assert budget.epsilon == pytest.approx(want_eps, rel=1e-12)
-        assert budget.delta == pytest.approx(want_delta, rel=1e-12)
+        want = oracle_end_to_end(eps0, delta, T, m, k, 1, 1, "explicit")
+        assert_matches_oracle(budget, want, 1e-12)
 
 
 class TestCalibration:
@@ -577,11 +590,27 @@ class TestCalibration:
 
 class TestDeployScale:
     """train_deploy's accounting (m=5000, k=1000, r=4, s=1, delta=1e-6) under
-    the clones bound, against figures computed from the theorem's formula."""
+    both bounds, against figures computed from each bound's formula."""
+
+    @pytest.mark.parametrize(
+        "T, figures",
+        [(1, (0.5150318463, 0.0331296910, 0.1795780606)),
+         (100, (0.6093938987, 0.0411091332, 2.3869732070))],
+        ids=["T1", "T100"],
+    )
+    def test_explicit_bound_at_eps0_0_4(self, T, figures):
+        # The default bound: eps_tilde, eps_bar and eps read from the stages,
+        # each pinned to its 10th decimal place.
+        budget = end_to_end(0.4, 1e-6, T, DEPLOY, EXPLICIT)
+        _, shuffled, sampled, composed = budget.stages
+        got = (shuffled.epsilon, sampled.epsilon, composed.epsilon)
+        assert got == pytest.approx(figures, abs=5e-11)
+        want = oracle_end_to_end(0.4, 1e-6, T, 5_000, 1_000, 4, 1, "explicit")
+        assert_matches_oracle(budget, want, 1e-12)
 
     def test_single_round_at_eps0_one(self):
         budget = end_to_end(1.0, 1e-6, 1, DEPLOY, CLONES)
-        assert budget.epsilon_tilde == pytest.approx(0.5319874414, rel=1e-9)
+        assert budget.stages[1].epsilon == pytest.approx(0.5319874414, rel=1e-9)
         assert budget.epsilon == pytest.approx(0.1871262708, rel=1e-9)
         with pytest.raises(PreconditionError, match="1/2"):
             end_to_end(1.0, 1e-6, 1, DEPLOY, EXPLICIT)
@@ -600,9 +629,9 @@ class TestDeployScale:
     @pytest.mark.parametrize("eps0", [0.5, 0.9, 1.3])
     def test_eps0_above_one_half_is_finite_and_oracle_checked(self, eps0):
         budget = end_to_end(eps0, 1e-6, 100, DEPLOY, CLONES)
-        want_eps, _ = oracle_end_to_end(eps0, 1e-6, 100, 5_000, 1_000, 4, 1, "clones")
+        want = oracle_end_to_end(eps0, 1e-6, 100, 5_000, 1_000, 4, 1, "clones")
         assert math.isfinite(budget.epsilon)
-        assert budget.epsilon == pytest.approx(want_eps, rel=1e-12)
+        assert_matches_oracle(budget, want, 1e-12)
 
 
 class TestRegistry:
@@ -625,7 +654,8 @@ class TestRegistry:
     def test_a_registered_bound_runs_the_chain(self, halving):
         # Registered, a bound is a variant everywhere: no other list names it.
         params = SamplingParams(m=2000, k=2000, r=1, s=1)
-        assert end_to_end(0.3, 1e-6, 1, params, halving).epsilon_tilde == 0.15
+        shuffled = end_to_end(0.3, 1e-6, 1, params, halving).stages[1]
+        assert shuffled.rule == halving.name and shuffled.epsilon == 0.15
         assert max_feasible_epsilon0(1e-6, 1, params, halving) == 1.0
         with pytest.raises(ValidationError, match="unknown shuffling variant"):
             end_to_end(0.3, 1e-6, 1, params, object())
@@ -644,14 +674,26 @@ class TestBudgetAndSchedule:
         assert [math.isnan(e) for e in schedule] == [True, True, False, False]
         assert budget.provenance[:4] == end_to_end(0.3, 3e-3, 4, params).provenance
         assert budget.provenance[4].startswith("epsilon_so_far is NaN for rounds 1-2: ")
+        assert budget.notes == budget.provenance[4:]
         assert accountant._spans([1, 2, 3, 5, 7, 8]) == "1-3, 5, 7-8"
+
+    def test_warns_once_at_the_caller(self):
+        # s > 1 with k < m: one warning per budget, however many rounds the
+        # schedule evaluates, attributed to the caller as end_to_end's is.
+        params = SamplingParams(m=2000, k=1000, r=4, s=2)
+        for call in (budget_and_schedule, end_to_end):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call(0.3, 1e-6, 3, params, EXPLICIT)
+            assert [w.category for w in caught] == [AmplificationWarning], call
+            assert caught[0].filename == __file__
 
     def test_a_run_without_guarantee(self):
         budget = PrivacyBudget.without_guarantee(0.5, 7, "why not")
         assert not budget.guarantee and budget.T == 7 and budget.epsilon0 == 0.5
         assert budget.provenance == ("why not", "no central (epsilon, delta) guarantee is claimed")
-        stages = [f.name for f in fields(PrivacyBudget)][1:7]
-        assert all(math.isnan(getattr(budget, name)) for name in stages)
+        assert budget.notes == budget.provenance and budget.stages == ()
+        assert math.isnan(budget.epsilon) and math.isnan(budget.delta)
 
 
 SRC = Path(cldp.__file__).resolve().parent

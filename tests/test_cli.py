@@ -4,12 +4,20 @@ import importlib.util
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cldp.accountant import ExplicitShuffling, SamplingParams, amplify_by_shuffling, end_to_end
+from cldp.accountant import (
+    ExplicitShuffling,
+    PrivacyBudget,
+    SamplingParams,
+    Stage,
+    amplify_by_shuffling,
+    end_to_end,
+)
 from cldp.cli import ENV_OUT_DIR, TRACE_COLUMNS, main
 from cldp.fedsim import synthetic_logistic_data, save_dataset_binary, save_dataset_csv
 
@@ -78,8 +86,8 @@ class TestConfigHandling:
         args = "accountant --eps0 0.3 --T 1 --m 2000 --k 2000 --variant".split()
         assert main(args + ["halving"]) == 0
         out = capsys.readouterr().out
-        assert "shuffling, halving (a test bound)" in out
-        assert "epsilon_tilde = 0.15" in out
+        assert "shuffling, halving (a test bound) with k*s = 2000" in out
+        assert "epsilon = 0.15, " in out
         assert main(args + ["magic"]) == 2
         err = capsys.readouterr().err
         assert "'magic'" in err and all(name in err for name in ("clones", "explicit", "halving"))
@@ -156,7 +164,7 @@ class TestAccountantCommand:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "epsilon0 = 0.3" in out
+        assert "local randomizer: epsilon = 0.3, delta = 0" in out
         assert "shuffling" in out
         assert "strong composition" in out
         assert "epsilon = " in out and "delta = " in out
@@ -538,26 +546,69 @@ def load_script(name):
 # scripts/parity.py's output, '<sha256>  <artifact>' sorted by name, as recorded
 # with Python 3.11 and numpy 2.4.
 PARITY_SHA256 = [
-    "6eeca415614fca5578e50c2e5be4eade559029dd85976da978792635c3272781  accountant.json",
-    "73d306429cf4f063ccfba64784dc529c6a033c447cedb1455d87b467a3d3b6a3  accountant_calibrated.json",
-    "d5654bda4d43c66bdf30a1cbccc663d467ea2e4335e1f746d6bef5125c09e234  accountant_clones.json",
-    "7b075c2ad6e64ef94944cc65193c7fa304a7e4aaa205d722d27dd3b9c314229a  accountant_clones_calibrated.json",
+    "65d3f9c15e775d8b3b806af1aca581640d2c2550062e5062e4d5f119fbee051c  accountant.json",
+    "9efa2a5690c17acb173ca8918d49c5c0ca3a60ad19556aa77d36b66fcb185944  accountant_calibrated.json",
+    "9b34a156ba8ea1ec5b267cdb2c3dfb5af7df7935b43de9541c4c101eec4f90e5  accountant_clones.json",
+    "f7750dd31a280c24db89c3c3b4d4a961a335115d711b7ad4307c42ab54ad12b9  accountant_clones_calibrated.json",
     "80de6dc053e9e0c0a33697912785bc387ec2b37a6a76f4e0a84a4b3406ec01ac  bounds.csv",
     "41990d2051b62b6bc3a1b3c220c217698d529e86cb4500f673de21f4658a30ac  mean_est.csv",
     "50d090e610fd20835368cc5d126456c3ad4c9eeb605fd787b466a5f7c57dff45  mean_est_mix.csv",
     "9e0a6f337a2bb135066039bd59534a665f2b8b7fe5ebc5b2df187e3837041f29  train_eps0_inf.csv",
-    "27e77417ba69072bad7db6ea3d7f0a7c477af8492ddea6efcef1df9231cdea2a  train_eps0_inf.json",
+    "2484c5809e773d081133700e5e799ff81ed958a406223a66d5f221559b38a654  train_eps0_inf.json",
     "63bec8d8cb64bc0ec21784a2025f1642b8d9e27ad476d9851360fec34de3be58  train_l1_accounted.csv",
-    "6297ff65ad96e66472dac02adae9fea37889dcd58b8bb503d408f5696ab5181e  train_l1_accounted.json",
+    "944e2ff032fa6366c755c50c3845b5ebb9462ed3c8931e32dec4bf02ea9ffa66  train_l1_accounted.json",
     "811bda729d442286d35b1e05842266e039e63f7bdc34b32e8901b032cb01594b  train_l2.csv",
-    "ed9189c6b36cf55c62c8be199d4b1386c73628f2cd949afe7f386bbc079f77de  train_l2.json",
+    "b7744fbf64df1e40062384cf29a44cd64f95e271a6a7ac486710d957009964c4  train_l2.json",
     "c72d880ca5ec361f8cdf914ede065d340849d9f340c944b70bcaabf640d27ab0  train_linf_s1.csv",
-    "0fc3443da2b7f4e7ac907ebcd561bf0f90bf8a8060ad96094696033218fd7f0a  train_linf_s1.json",
+    "248dda34c35d66a42ebd3c3e2785d337b8d005383ecf6e657d83cd82006fa61a  train_linf_s1.json",
     "91d4d8f7a44a2cc5f1870154854375955e757df78587442cedbc69557235ad62  train_mix_s1.csv",
-    "c81ae104f947345b96c5e5360e0e2419afed5a3d89b1333cff7c147d67fe8cac  train_mix_s1.json",
+    "f665f630926c0dd0452f2868aff96708462be6f5c9dfb81cd4a87c73b2c4163c  train_mix_s1.json",
     "f23259785e525cac61c94af2933fbfb9b82a5534af295ccee433c34c7fae82d3  train_mix_s2.csv",
-    "c8335986d85cd84af7369ceeded0efcf4c5bb1c0b32b4b128ec17447281c1038  train_mix_s2.json",
+    "02b01511df470f8853ba2f2dc223fc1b3ec83dda037ddf66f743154c441ea41f  train_mix_s2.json",
 ]
+
+
+# The accounted parity artifacts' budgets as they were written before a budget
+# became a chain of stages: the reprs of its epsilon0, epsilon_tilde,
+# delta_tilde, epsilon_bar, delta_bar, epsilon and delta fields, then every
+# number its four provenance lines printed (at .12g), in order.
+FOUR_FIELD_BUDGETS = {
+    "accountant.json": (
+        "0.3 0.28906090682513247 1e-07 0.15493881796622552 5e-08 2.898957164232337 1e-06",
+        "0.3 2500 1e-07 0.289060906825 0.5 0.154938817966 5e-08 10 5e-07 2.89895716423 1e-06",
+    ),
+    "accountant_calibrated.json": (
+        "0.1146484765575621 0.1104679753328295 1e-07 0.05675860938189854 5e-08 "
+        "0.9999999998350597 1e-06",
+        "0.114648476558 2500 1e-07 0.110467975333 0.5 0.0567586093819 5e-08 10 5e-07 "
+        "0.999999999835 1e-06",
+    ),
+    "accountant_clones.json": (
+        "1.5 0.6466880697755353 1e-07 0.3747334186679317 5e-08 8.086936615343618 1e-06",
+        "1.5 2500 1e-07 0.646688069776 0.5 0.374733418668 5e-08 10 5e-07 8.08693661534 1e-06",
+    ),
+    "accountant_clones_calibrated.json": (
+        "0.7420416194312804 0.29763165017038445 1e-07 0.1598482687454255 5e-08 "
+        "2.9999999974603266 1e-06",
+        "0.742041619431 2500 1e-07 0.29763165017 0.5 0.159848268745 5e-08 10 5e-07 "
+        "2.99999999746 1e-06",
+    ),
+    "train_l1_accounted": (
+        "0.4 0.5085563958536212 1.3333333333333335e-05 0.07960671742030272 "
+        "1.6666666666666669e-06 0.701049572539047 1e-05",
+        "0.4 1000 1.33333333333e-05 0.508556395854 0.125 0.0796067174203 1.66666666667e-06 "
+        "3 5e-06 0.701049572539 1e-05",
+    ),
+}
+
+
+def budget_from_json(fields: dict) -> PrivacyBudget:
+    """A budget back from its JSON object."""
+    stages = tuple(
+        Stage(**{**stage, "inputs": tuple(map(tuple, stage["inputs"]))})
+        for stage in fields["stages"]
+    )
+    return PrivacyBudget(**{**fields, "stages": stages, "notes": tuple(fields["notes"])})
 
 
 class TestScripts:
@@ -589,6 +640,35 @@ class TestScripts:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             line.split()[1] for line in PARITY_SHA256
         ]
+
+    @pytest.mark.filterwarnings("ignore::cldp.errors.ClippingWarning")  # the parity train run clips
+    @pytest.mark.parametrize("stem", sorted(FOUR_FIELD_BUDGETS))
+    def test_parity_budgets_keep_every_number(self, stem, tmp_path, capsys):
+        # The stages hold each float the four-field budget held, bit for bit,
+        # and the provenance rendered from them prints every number it did.
+        args = dict(load_script("parity").COMMANDS)[stem].split()
+        assert main(args + ["--out", str(tmp_path / stem)]) == 0
+        printed = capsys.readouterr().out
+        path = tmp_path / (stem if stem.endswith(".json") else stem + ".json")
+        payload = json.loads(path.read_text())
+        budget = payload["budget"]
+        local, shuffled, sampled, composed = budget["stages"]
+        floats, numbers = FOUR_FIELD_BUDGETS[stem]
+        now = [
+            local["epsilon"], shuffled["epsilon"], shuffled["delta"], sampled["epsilon"],
+            sampled["delta"], composed["epsilon"], composed["delta"],
+        ]
+        assert [repr(value) for value in now] == floats.split()
+        assert (budget["epsilon0"], budget["epsilon"], budget["delta"]) == (
+            local["epsilon"], composed["epsilon"], composed["delta"]
+        )
+        if "calibrated" in stem:
+            assert repr(payload["calibrated_epsilon0"]) == floats.split()[0]
+        provenance = budget_from_json(budget).provenance
+        shown = re.findall(r"= (-?[0-9][0-9.e+-]*)", "\n".join(provenance))
+        assert set(numbers.split()) <= set(shown)
+        if stem.startswith("accountant"):  # the command prints what the JSON renders
+            assert "\n".join(provenance) in printed
 
     def test_accountant_report(self, capsys):
         load_script("accountant_report").run(m=2000, k=1000, r=1, delta=1e-6, target_eps=2.0)

@@ -326,6 +326,28 @@ def test_nan_lies_in_no_interval(interval, nan):
         require_real(nan, "x", interval)
 
 
+# Integers past the 4300 digits Python prints: an error message that printed
+# one with repr or str would raise a plain ValueError instead.
+HUGE = 10**5000
+HUGE_INTS = {
+    "strong_composition_rounds": lambda: strong_composition(0.1, 0.0, HUGE, 1e-6),
+    "padded_dim": lambda: mechanisms.padded_dim(-HUGE),
+    "sampling_params_k_above_m": lambda: SamplingParams(m=HUGE, k=10 * HUGE, r=1, s=1),
+    "sample_clients_k_above_m": lambda: fedsim.sample_clients(HUGE, 10 * HUGE, 0),
+    "sample_data_s_above_r": lambda: fedsim.sample_data(HUGE, 10 * HUGE, 0),
+    "ball_dimension": lambda: BallSpec(2.0, 1.0, -HUGE),
+    "hemisphere_radius_dimension": lambda: mechanisms.hemisphere_radius(-HUGE, 1.0, 1.0),
+    "sample_decoded_count": lambda: mechanisms.sample_decoded(ROWS[0], SPEC, 0, n_samples=-HUGE),
+    "encode_seed": lambda: mechanisms.encode_message(ROWS[0], SPEC, -HUGE),
+}
+
+
+@pytest.mark.parametrize("call", list(HUGE_INTS.values()), ids=list(HUGE_INTS))
+def test_huge_integers_raise_validation_error(call):
+    with pytest.raises(ValidationError, match="<int too long to print>"):
+        call()
+
+
 def test_integer_ranges():
     assert require_int(np.int64(1), "n", "[1, inf)") == 1
     assert type(require_int(np.uint8(3), "n", "[1, 3]")) is int

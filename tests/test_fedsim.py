@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import cldp.wire as wire
 from cldp.accountant import SamplingParams, end_to_end
 from cldp.bounds import g_squared
-from cldp.errors import ClippingWarning, PreconditionError, ValidationError
+from cldp.errors import AmplificationWarning, ClippingWarning, PreconditionError, ValidationError
 from cldp.fedsim import (
     Population,
     TrainConfig,
@@ -686,6 +686,17 @@ class TestTrain:
             end_to_end(0.3, 1e-3, 1, params, cfg.variant)
         assert reason.startswith("epsilon_so_far is NaN for rounds 1: ")
         assert str(failure.value) in reason
+
+    def test_unamplified_client_sampling_warns_once(self):
+        # s = 2 with k < m: the run's budget and its schedule's two earlier
+        # rounds all use q2, and the run says so once.
+        clients, _ = synthetic_logistic_data(m=2000, r=4, d=2, seed=7)
+        params = SamplingParams(m=2000, k=1000, r=4, s=2)
+        cfg = small_config(params=params, T=3, epsilon0=0.3, delta=1e-6, account=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            train(cfg, clients)
+        assert [w.category for w in caught].count(AmplificationWarning) == 1
 
     def test_accounted_run_fails_fast_when_infeasible(self):
         clients, _ = synthetic_logistic_data(m=6, r=4, d=2, seed=8)
